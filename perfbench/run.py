@@ -53,7 +53,8 @@ from tracing import SpanIndex, Tracer, loop_layers, setup_layers, \
 from workloads import WORKLOADS, Workload, check_outcome, make_case, \
     setup_case  # noqa: E402
 
-SETUP_REPS = 25
+SETUP_BATCH = 4     # set-ups per batch in an end-to-end run
+SETUP_REPS = 25     # traced set-ups in a per-layer run
 
 END_TO_END = {
     "mcups": "MCUPS",
@@ -168,15 +169,22 @@ def time_setups(case, w: Workload, reps: int) -> list[float]:
 def end_to_end(w: Workload, seed: int, seconds: float) -> tuple[Runs, dict]:
     deadline = time.perf_counter() + seconds
     case = make_case(w, seed)
-    setup = statistics.median(time_setups(case, w, SETUP_REPS))
     runs = Runs(w, case)
-    repeat_until(deadline, runs.solve)
+    # Set-ups come in batches before the first solve and after each one, so
+    # their median samples the host over the whole run, as the solves do.
+    setups = time_setups(case, w, SETUP_BATCH)
+
+    def solve():
+        runs.solve()
+        setups.extend(time_setups(case, w, SETUP_BATCH))
+
+    repeat_until(deadline, solve)
     if not runs.mcups:
         return runs, {}
     return runs, {
         "mcups": statistics.median(runs.mcups),
         "solve_s": statistics.median(runs.solve_s),
-        "setup_s": setup,
+        "setup_s": statistics.median(setups),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,
         "rho_l1_err": statistics.median(runs.errors),

@@ -150,6 +150,7 @@ def test_printed_metrics_match_benchmark_json(trace, monkeypatch, capsys,
     monkeypatch.setitem(run.WORKLOADS, "wave48-8b2r", small("wave48-8b2r", 16))
     monkeypatch.setattr(run, "OUT", tmp_path)
     monkeypatch.setattr(run, "SETUP_REPS", 2)
+    monkeypatch.setattr(run, "SETUP_BATCH", 1)
     status = run.main(["--workload", "wave48-8b2r", "--seed", "5",
                        "--seconds", "0", "--trace", str(trace)])
     assert status == 0
