@@ -226,14 +226,20 @@ def sod_case(nx: int = 200, cross: int = 4, *, t_end: float = 0.2,
 
 
 def _pattern_widths(total: int, weights: list[float]) -> list[int]:
-    """Integer widths proportional to weights, summing exactly to total."""
+    """Integer widths proportional to weights, summing exactly to total.
+
+    Largest-remainder apportionment: every width is its quota rounded down,
+    and the cells left over go to the largest fractional parts, lower index
+    first on ties, so equal weights never differ by more than one cell and
+    the first of them gets the extra one.
+    """
     wsum = sum(weights)
-    cuts = [0]
-    acc = 0.0
-    for w in weights:
-        acc += w
-        cuts.append(round(total * acc / wsum))
-    return [b - a for a, b in zip(cuts, cuts[1:])]
+    quotas = [total * w / wsum for w in weights]
+    widths = [math.floor(q) for q in quotas]
+    by_remainder = sorted(range(len(weights)), key=lambda i: widths[i] - quotas[i])
+    for i in by_remainder[:total - sum(widths)]:
+        widths[i] += 1
+    return widths
 
 
 def corner_case(nodes: int = 16, *, columns: int = 100, cross: int = 20,

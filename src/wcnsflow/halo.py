@@ -1,39 +1,38 @@
 """Halo exchange: plan construction, packing, execution, boundary fill.
 
 Every block stores its state with a margin of ``HALO_WIDTH`` ghost cells.
-One exchange epoch brings every ghost cell up to date in three phases:
+One exchange epoch brings every ghost cell up to date in two phases:
 
-1. region messages between blocks (all 26 offset directions, coalesced per
-   block pair so each pair costs one message),
-2. self-wrap copies along periodic axes a block spans entirely (these need
-   index wrapping, not messages, and also cover thin axes shorter than the
-   halo), and
-3. physical boundary fill in fixed axis order x, y, z, each face spanning
-   the full extended extents of the other axes.
+1. copies from block interiors.  ``partition.ghost_sources`` intersects
+   each block's extended box with every block interior of its zone and
+   their periodic images; each intersection is one region.  Regions travel
+   coalesced per block pair, so each pair costs one message, and a block
+   that wraps onto itself across a periodic face is a local pair like any
+   other.
+2. physical boundary fill in fixed axis order x, y, z.  Each non-periodic
+   face fills the part of its ghost band inside the block's extended box,
+   spanning the full extended extents of the other axes.
 
-Phases 2 and 3 read cells written by phase 1, and a later axis pass reads
-cells written by an earlier one, which reproduces exactly the ghost values
-a single unsplit block would compute.  That makes the exchanged field
-independent of the partition, bitwise.
+Phase 1 gives every ghost cell inside the zone, or inside one of its
+periodic images, its single source cell, and a later axis pass of phase 2
+reads cells written by phase 1 or by an earlier pass.  That reproduces
+exactly the ghost values a single unsplit block would compute, which makes
+the exchanged field independent of the partition, bitwise.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from functools import cached_property
+from operator import sub
+from typing import Callable
 
 import numpy as np
 
 from .errors import HaloPlanError
 from .fields import FieldSet
-from .partition import (
-    Block,
-    OFFSETS,
-    PartitionPlan,
-    ZoneSpec,
-    block_neighbors,
-)
+from .partition import Block, PartitionPlan, ZoneSpec, ghost_sources
 from .state import NCOMP
 from .transport import DEFAULT_TIMEOUT, Message
 from .wcns import HALO_WIDTH
@@ -64,22 +63,20 @@ class Region:
 
     dst_block: int
     src_block: int
-    offset: tuple[int, int, int]
     dst_start: tuple[int, int, int]   # extended-array coords of dst
     src_start: tuple[int, int, int]   # extended-array coords of src
     shape: tuple[int, int, int]
-    src_global: tuple[int, int, int]  # wrapped zone coords of the source box
 
     @property
     def cells(self) -> int:
         return self.shape[0] * self.shape[1] * self.shape[2]
 
-    @property
+    @cached_property
     def dst_slices(self) -> tuple:
         return (slice(None),) + tuple(
             slice(s, s + n) for s, n in zip(self.dst_start, self.shape))
 
-    @property
+    @cached_property
     def src_slices(self) -> tuple:
         return (slice(None),) + tuple(
             slice(s, s + n) for s, n in zip(self.src_start, self.shape))
@@ -111,56 +108,18 @@ class ExchangePair:
 
 
 @dataclass(frozen=True)
-class SingularRegion:
-    """Cells one owner feeds to two or more other blocks (the multi-sharer
-    corner/edge points of the block layout)."""
-
-    owner: int
-    lo: tuple[int, int, int]          # wrapped zone coords
-    shape: tuple[int, int, int]
-    readers: tuple[tuple[int, tuple[int, int, int]], ...]  # (block, ext start)
-
-    @property
-    def sharers(self) -> tuple[int, ...]:
-        return (self.owner,) + tuple(b for b, _ in self.readers)
-
-    @property
-    def cells(self) -> int:
-        return self.shape[0] * self.shape[1] * self.shape[2]
-
-    def points(self) -> Iterator["SingularPoint"]:
-        sharers = self.sharers
-        for i in range(self.shape[0]):
-            for j in range(self.shape[1]):
-                for k in range(self.shape[2]):
-                    yield SingularPoint(
-                        coord=(self.lo[0] + i, self.lo[1] + j, self.lo[2] + k),
-                        sharers=sharers,
-                        owner=self.owner,
-                    )
-
-
-@dataclass(frozen=True)
-class SingularPoint:
-    coord: tuple[int, int, int]
-    sharers: tuple[int, ...]
-    owner: int
-
-
-@dataclass(frozen=True)
 class BoundaryFace:
     axis: int
     side: int         # 0 = low face, 1 = high face
     kind: str         # wall | inflow | outflow
+    depth: int = H    # ghost planes of the face band in the extended box
 
 
 @dataclass
 class HaloPlan:
     width: int
     pairs: list[ExchangePair]
-    wrap_axes: dict[int, tuple[int, ...]]          # block -> periodic self axes
     bc_faces: dict[int, tuple[BoundaryFace, ...]]  # block -> physical faces
-    singular: list[SingularRegion]
 
     @property
     def region_count(self) -> int:
@@ -175,98 +134,42 @@ class HaloPlan:
     def local_of(self, rank: int) -> list[ExchangePair]:
         return [p for p in self.pairs if p.local and p.src_rank == rank]
 
-    def singular_points(self) -> Iterator[SingularPoint]:
-        for region in self.singular:
-            yield from region.points()
 
-
-def _spans_periodic(block: Block, zone: ZoneSpec, axis: int) -> bool:
-    return (zone.periodic(axis)
-            and block.lo[axis] == 0 and block.hi[axis] == zone.shape[axis])
-
-
-def _dst_start(offset: int, n: int) -> tuple[int, int]:
-    """Extended-array start and length of a halo band along one axis."""
-    if offset < 0:
-        return 0, H
-    if offset == 0:
-        return H, n
-    return H + n, H
+def _boundary_faces(block: Block, zone: ZoneSpec) -> tuple[BoundaryFace, ...]:
+    """Non-periodic faces whose ghost band reaches into the block's extended
+    box, in axis order.  Blocks touching the face see the whole band."""
+    faces = []
+    for a in range(3):
+        for side in (0, 1):
+            kind = zone.boundary[2 * a + side]
+            depth = H - block.lo[a] if side == 0 else block.hi[a] + H - zone.shape[a]
+            if kind != "periodic" and depth > 0:
+                faces.append(BoundaryFace(axis=a, side=side, kind=kind, depth=depth))
+    return tuple(faces)
 
 
 def build_halo_plan(plan: PartitionPlan) -> HaloPlan:
-    """Region lists, self-wrap axes, boundary faces, and singular points for
-    one partition plan."""
-    zones = plan.zones
-    by_id = {b.id: b for b in plan.blocks}
-    neighbors = block_neighbors(plan.blocks, zones)
-
-    # Blocks narrower than the stencil halo may not abut other blocks along
-    # that axis: the exchange regions could not be expressed as single boxes.
-    for (bid, off), nid in neighbors.items():
-        if nid == bid:
-            continue
-        src = by_id[nid]
-        for ax in range(3):
-            if off[ax] and src.shape[ax] < H:
-                raise HaloPlanError(
-                    f"block {nid} is only {src.shape[ax]} cells wide on axis "
-                    f"{ax}; neighbors across a split axis need at least {H}")
-
-    regions_by_pair: dict[tuple[int, int], list[Region]] = {}
-    wrap_axes: dict[int, tuple[int, ...]] = {}
-    bc_faces: dict[int, tuple[BoundaryFace, ...]] = {}
-
-    for b in plan.blocks:
-        zone = zones[b.zone]
-        self_axes = tuple(a for a in range(3) if _spans_periodic(b, zone, a))
-        wrap_axes[b.id] = self_axes
-
-        faces = []
+    """Regions per block pair and physical faces per block for one
+    partition plan."""
+    for zone in plan.zones:
         for a in range(3):
-            for side in (0, 1):
-                kind = zone.boundary[2 * a + side]
-                if kind == "periodic":
-                    continue
-                edge = (b.lo[a] == 0) if side == 0 else (b.hi[a] == zone.shape[a])
-                if edge:
-                    faces.append(BoundaryFace(axis=a, side=side, kind=kind))
-        bc_faces[b.id] = tuple(faces)
+            if "wall" in zone.boundary[2 * a:2 * a + 2] and zone.shape[a] < H:
+                # The mirror of a ghost band reads H interior planes.
+                raise HaloPlanError(
+                    f"zone {zone.id} has a wall face on axis {a}, which is "
+                    f"{zone.shape[a]} cells wide; a wall needs at least {H}")
 
-        for off in OFFSETS:
-            if any(off[a] and a in self_axes for a in range(3)):
-                continue  # covered by the self-wrap pass
-            key = (b.id, off)
-            if key not in neighbors:
-                continue  # physical boundary; covered by the fill pass
-            src = by_id[neighbors[key]]
-            dst_start, shape, src_global, src_start = [], [], [], []
-            for a in range(3):
-                s, n = _dst_start(off[a], b.shape[a])
-                dst_start.append(s)
-                shape.append(n)
-                if off[a] == 0:
-                    g = b.lo[a]
-                elif off[a] < 0:
-                    g = (b.lo[a] - H) % zone.shape[a]
-                else:
-                    g = b.hi[a] % zone.shape[a]
-                src_global.append(g)
-                local = g - src.lo[a]
-                if local < 0 or local + n > src.shape[a]:
-                    raise HaloPlanError(
-                        f"halo region of block {b.id} toward {off} is not "
-                        f"contained in neighbor block {src.id}")
-                src_start.append(local + H)
-            regions_by_pair.setdefault((src.id, b.id), []).append(Region(
-                dst_block=b.id,
-                src_block=src.id,
-                offset=off,
-                dst_start=tuple(dst_start),
-                src_start=tuple(src_start),
-                shape=tuple(shape),
-                src_global=tuple(src_global),
-            ))
+    # Zone coordinates of each block's extended-array origin.
+    origin = {b.id: tuple(l - H for l in b.lo) for b in plan.blocks}
+    regions_by_pair: dict[tuple[int, int], list[Region]] = {}
+    for g in ghost_sources(plan.blocks, plan.zones):
+        regions_by_pair.setdefault((g.src, g.dst), []).append(Region(
+            dst_block=g.dst,
+            src_block=g.src,
+            dst_start=tuple(map(sub, g.lo, origin[g.dst])),
+            src_start=tuple(map(sub, map(sub, g.lo, g.shift), origin[g.src])),
+            shape=tuple(map(sub, g.hi, g.lo)),
+        ))
 
     pairs = []
     for index, (src_dst, regions) in enumerate(sorted(regions_by_pair.items())):
@@ -277,54 +180,13 @@ def build_halo_plan(plan: PartitionPlan) -> HaloPlan:
             dst_block=dst,
             src_rank=plan.rank_of_block[src],
             dst_rank=plan.rank_of_block[dst],
-            regions=tuple(sorted(regions, key=lambda r: r.offset)),
+            regions=tuple(sorted(regions, key=lambda r: r.dst_start)),
         ))
     if sum(len(p.regions) for p in pairs) >= RESERVED_INDEX:
         raise HaloPlanError("plan defines too many regions for the tag space")
 
-    singular = _singular_regions(pairs, by_id)
-    return HaloPlan(width=H, pairs=pairs, wrap_axes=wrap_axes,
-                    bc_faces=bc_faces, singular=singular)
-
-
-def _singular_regions(pairs: list[ExchangePair], by_id: dict[int, Block]
-                      ) -> list[SingularRegion]:
-    by_owner: dict[int, list[Region]] = {}
-    for p in pairs:
-        for r in p.regions:
-            if r.src_block != r.dst_block:
-                by_owner.setdefault(r.src_block, []).append(r)
-
-    out: dict[tuple, SingularRegion] = {}
-    for owner, regions in sorted(by_owner.items()):
-        for i in range(len(regions)):
-            for j in range(i + 1, len(regions)):
-                a, b = regions[i], regions[j]
-                if a.dst_block == b.dst_block:
-                    continue
-                lo = tuple(max(a.src_global[k], b.src_global[k]) for k in range(3))
-                hi = tuple(min(a.src_global[k] + a.shape[k],
-                               b.src_global[k] + b.shape[k]) for k in range(3))
-                if any(lo[k] >= hi[k] for k in range(3)):
-                    continue
-                shape = tuple(hi[k] - lo[k] for k in range(3))
-                readers = []
-                for r in regions:
-                    inside = all(r.src_global[k] <= lo[k]
-                                 and hi[k] <= r.src_global[k] + r.shape[k]
-                                 for k in range(3))
-                    if inside:
-                        start = tuple(lo[k] - r.src_global[k] + r.dst_start[k]
-                                      for k in range(3))
-                        readers.append((r.dst_block, start))
-                readers = tuple(sorted(set(readers)))
-                if len(readers) < 2:
-                    continue
-                key = (owner, lo, shape)
-                if key not in out or len(readers) > len(out[key].readers):
-                    out[key] = SingularRegion(owner=owner, lo=lo, shape=shape,
-                                              readers=readers)
-    return [out[k] for k in sorted(out)]
+    bc_faces = {b.id: _boundary_faces(b, plan.zones[b.zone]) for b in plan.blocks}
+    return HaloPlan(width=H, pairs=pairs, bc_faces=bc_faces)
 
 
 # ---------------------------------------------------------------------------
@@ -362,45 +224,39 @@ def unpack_region(region: Region, fields: FieldSet, payload: np.ndarray) -> None
 # ---------------------------------------------------------------------------
 # Physical ghost fill
 
-def wrap_fill(data: np.ndarray, axis: int) -> None:
-    """Periodic self-copy along one axis, spanning full extents of the rest."""
-    n = data.shape[1 + axis] - 2 * H
-    idx = (np.arange(-H, n + H) % n) + H
-    data[...] = np.take(data, idx, axis=1 + axis)
-
-
 def boundary_fill(data: np.ndarray, face: BoundaryFace, freestream: np.ndarray) -> None:
-    """Fill one physical face band (width H) across full cross extents."""
-    axis, side, kind = face.axis, face.side, face.kind
-    n = data.shape[1 + axis] - 2 * H
+    """Fill the outermost ``face.depth`` planes on one side of an extended
+    array from the interior planes next to them, across full cross extents."""
+    axis, side, kind, depth = face.axis, face.side, face.kind, face.depth
+    size = data.shape[1 + axis]
+
+    def plane(pos: int) -> tuple:
+        sl = [slice(None)] * 4
+        sl[1 + axis] = pos
+        return tuple(sl)
 
     def band(i: int) -> tuple:
-        # ghost plane i = 0..H-1 counted outward from the interior edge
-        pos = (H - 1 - i) if side == 0 else (H + n + i)
-        sl = [slice(None)] * 4
-        sl[1 + axis] = pos
-        return tuple(sl)
+        # ghost plane i = 0..depth-1 counted outward from the face
+        return plane(depth - 1 - i if side == 0 else size - depth + i)
 
     def inner(i: int) -> tuple:
-        pos = (H + i) if side == 0 else (H + n - 1 - i)
-        sl = [slice(None)] * 4
-        sl[1 + axis] = pos
-        return tuple(sl)
+        # interior plane i counted inward from the face
+        return plane(depth + i if side == 0 else size - depth - 1 - i)
 
     if kind == "inflow":
         # band(i) drops the face axis, leaving (NCOMP, cross, cross).
         view = freestream.reshape(NCOMP, 1, 1)
-        for i in range(H):
+        for i in range(depth):
             data[band(i)] = view
         return
     if kind == "outflow":
         src = inner(0)
-        for i in range(H):
+        for i in range(depth):
             data[band(i)] = data[src]
         return
     if kind == "wall":
         # Slip wall: mirror each plane and flip the normal momentum.
-        for i in range(H):
+        for i in range(depth):
             data[band(i)] = data[inner(i)]
             mom_sel = (1 + axis,) + band(i)[1:]
             data[mom_sel] = -data[mom_sel]
@@ -410,18 +266,13 @@ def boundary_fill(data: np.ndarray, face: BoundaryFace, freestream: np.ndarray) 
 
 def fill_block_ghosts(data: np.ndarray, block_id: int, halo_plan: HaloPlan,
                       freestream: np.ndarray | None) -> None:
-    """Self-wrap and boundary passes for one block, in fixed axis order."""
-    for a in range(3):
-        if a in halo_plan.wrap_axes.get(block_id, ()):
-            wrap_fill(data, a)
-        for face in halo_plan.bc_faces.get(block_id, ()):
-            if face.axis != a:
-                continue
-            if face.kind == "inflow" and freestream is None:
-                raise HaloPlanError(
-                    f"block {block_id} has an inflow face but no freestream "
-                    "state was provided")
-            boundary_fill(data, face, freestream)
+    """Boundary pass for one block, faces in fixed axis order x, y, z."""
+    for face in halo_plan.bc_faces.get(block_id, ()):
+        if face.kind == "inflow" and freestream is None:
+            raise HaloPlanError(
+                f"block {block_id} has an inflow face but no freestream "
+                "state was provided")
+        boundary_fill(data, face, freestream)
 
 
 # ---------------------------------------------------------------------------
@@ -540,31 +391,3 @@ class HaloExchanger:
                 gidx = self._region_index[(pair.index, pos)]
                 yield (message_tag(epoch, gidx),
                        lambda payload, rr=r: unpack_region(rr, fields, payload))
-
-
-def resolve_singular_points(fields: FieldSet, halo_plan: HaloPlan,
-                            plan: PartitionPlan) -> float:
-    """Overwrite every multi-sharer ghost value with the owner's value and
-    report the largest disagreement found (0.0 when the exchange already
-    left all sharers consistent, which region construction guarantees)."""
-    by_id = {b.id: b for b in plan.blocks}
-    worst = 0.0
-    for region in halo_plan.singular:
-        if region.owner not in fields:
-            raise HaloPlanError(
-                f"singular region owner block {region.owner} has no field")
-        owner = by_id[region.owner]
-        start = tuple(region.lo[a] - owner.lo[a] + H for a in range(3))
-        sel = (slice(None),) + tuple(
-            slice(s, s + n) for s, n in zip(start, region.shape))
-        truth = fields[region.owner].data[sel]
-        for reader, dst_start in region.readers:
-            if reader not in fields:
-                continue
-            rsel = (slice(None),) + tuple(
-                slice(s, s + n) for s, n in zip(dst_start, region.shape))
-            view = fields[reader].data[rsel]
-            delta = float(np.max(np.abs(view - truth))) if truth.size else 0.0
-            worst = max(worst, delta)
-            view[...] = truth
-    return worst

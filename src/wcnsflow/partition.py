@@ -8,14 +8,18 @@ group per device, with the coprocessor/CPU workload ratio as the single
 balance knob.  ``map_ranks_to_nodes`` finally places ranks on machine nodes
 so that neighboring ranks share a node where possible.
 
-Blocks never split below the halo width along a split axis, which keeps
-every exchange region inside a single neighbor block.
+Blocks may be as narrow as one cell.  ``ghost_sources`` is the one place
+that knows which block feeds which ghost cell: it intersects each block's
+extended box with every block interior of its zone and their periodic
+images.  The halo plan and the regrouping both read it, and it first checks
+that the blocks tile each zone exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,12 +152,7 @@ def _factor_triples(count: int):
 
 
 def _triple_valid(shape, triple) -> bool:
-    for n, p in zip(shape, triple):
-        if p > n:
-            return False
-        if p > 1 and n // p < HALO_WIDTH:
-            return False
-    return True
+    return all(p <= n for n, p in zip(shape, triple))
 
 
 def _blocks_from_counts(zone: ZoneSpec, counts, first_id: int = 0) -> list[Block]:
@@ -204,8 +203,7 @@ def split_zone(zone: ZoneSpec, target_blocks: int | None = None,
         pick = best_triple(target_blocks)
         if pick is None:
             raise PartitionError(
-                f"no valid {target_blocks}-block tiling of shape {zone.shape} "
-                f"with min block width {HALO_WIDTH}")
+                f"no valid {target_blocks}-block tiling of shape {zone.shape}")
         return _blocks_from_counts(zone, pick[2], first_id)
 
     if max_block_cells < 1:
@@ -225,8 +223,6 @@ def split_zone_cuts(zone: ZoneSpec, axis: int, widths: list[int],
     if sum(widths) != zone.shape[axis]:
         raise PartitionError(
             f"cut widths sum to {sum(widths)}, axis extent is {zone.shape[axis]}")
-    if len(widths) > 1 and min(widths) < HALO_WIDTH:
-        raise PartitionError(f"cut width below halo width: {widths}")
     counts = [1, 1, 1]
     counts[axis] = len(widths)
     blocks = []
@@ -242,63 +238,101 @@ def split_zone_cuts(zone: ZoneSpec, axis: int, widths: list[int],
 
 
 # ---------------------------------------------------------------------------
-# Adjacency
+# Tiling and ghost sources
 
-OFFSETS = [off for off in itertools.product((-1, 0, 1), repeat=3)
-           if off != (0, 0, 0)]
-
-
-def halo_source_box(block: Block, zone: ZoneSpec, offset, width: int = HALO_WIDTH):
-    """Global cell box of the halo region of ``block`` in direction ``offset``.
-
-    Returns ``None`` when the region falls outside a non-periodic zone face
-    (those cells are boundary-condition ghosts, not exchange targets).
-    Periodic coordinates are returned unwrapped; callers wrap modulo the
-    zone extent.
-    """
-    lo, hi = [], []
-    for ax in range(3):
-        n = zone.shape[ax]
-        if offset[ax] == 0:
-            a, b = block.lo[ax], block.hi[ax]
-        elif offset[ax] < 0:
-            a, b = block.lo[ax] - width, block.lo[ax]
-        else:
-            a, b = block.hi[ax], block.hi[ax] + width
-        if (a < 0 or b > n) and not zone.periodic(ax):
-            return None
-        lo.append(a)
-        hi.append(b)
-    return tuple(lo), tuple(hi)
-
-
-def owner_of_cell(blocks_of_zone: list[Block], zone: ZoneSpec, cell) -> Block:
-    wrapped = tuple(c % n for c, n in zip(cell, zone.shape))
-    for b in blocks_of_zone:
-        if all(l <= c < h for l, c, h in zip(b.lo, wrapped, b.hi)):
-            return b
-    raise PartitionError(f"no block owns cell {cell} in zone {zone.id}")
-
-
-def block_neighbors(blocks: list[Block], zones: list[ZoneSpec]
-                    ) -> dict[tuple[int, tuple], int]:
-    """Map ``(block_id, offset) -> neighbor block id`` over all 26 offsets.
-
-    Offsets whose halo region is a physical boundary are absent.  A block can
-    neighbor itself across a periodic wrap.
-    """
-    by_zone: dict[int, list[Block]] = {}
+def check_tiling(blocks: list[Block], zones: list[ZoneSpec]) -> None:
+    """Raise ``PartitionError`` unless the blocks of every zone tile it
+    exactly: no block empty or reaching past its zone, no two overlapping,
+    no cell left over."""
+    by_zone: dict[int, list[Block]] = {z.id: [] for z in zones}
     for b in blocks:
-        by_zone.setdefault(b.zone, []).append(b)
-    out = {}
-    for b in blocks:
-        zone = zones[b.zone]
-        for off in OFFSETS:
-            box = halo_source_box(b, zone, off)
-            if box is None:
-                continue
-            owner = owner_of_cell(by_zone[b.zone], zone, box[0])
-            out[(b.id, off)] = owner.id
+        if b.zone not in by_zone:
+            raise PartitionError(f"block {b.id} names unknown zone {b.zone}")
+        by_zone[b.zone].append(b)
+    for zone in zones:
+        mine = by_zone[zone.id]
+        for b in mine:
+            if any(l < 0 or h > n or l >= h
+                   for l, h, n in zip(b.lo, b.hi, zone.shape)):
+                raise PartitionError(
+                    f"block {b.id} [{b.lo}, {b.hi}) is empty or leaves zone "
+                    f"{zone.id} of shape {zone.shape}")
+        # Paint block ids on the grid spanned by the distinct cut planes.
+        cuts = [sorted({0, n, *(b.lo[a] for b in mine), *(b.hi[a] for b in mine)})
+                for a, n in enumerate(zone.shape)]
+        index = [{c: i for i, c in enumerate(axis_cuts)} for axis_cuts in cuts]
+        owner = np.full([len(c) - 1 for c in cuts], -1)
+        for b in mine:
+            box = tuple(slice(ix[l], ix[h]) for ix, l, h in zip(index, b.lo, b.hi))
+            taken = owner[box]
+            if (taken >= 0).any():
+                raise PartitionError(
+                    f"block {b.id} overlaps block {taken[taken >= 0][0]} "
+                    f"in zone {zone.id}")
+            owner[box] = b.id
+        if (owner < 0).any():
+            # The first uncovered grid cell has covered cells just before it
+            # along every axis where it does not start at the zone's origin.
+            first = np.argwhere(owner < 0)[0]
+            cell = tuple(int(c[i]) for c, i in zip(cuts, first))
+            before = [int(owner[tuple(first - e)]) for e in np.eye(3, dtype=int)
+                      if (first - e).min() >= 0]
+            beside = f", next to block {before[0]}" if before else ""
+            raise PartitionError(
+                f"zone {zone.id} has a gap: no block holds cell {cell}{beside}")
+
+
+class GhostSource(NamedTuple):
+    """Ghost cells ``[lo, hi)`` of block ``dst``, in zone coordinates that
+    may lie past a periodic face, held by block ``src`` at
+    ``[lo - shift, hi - shift)``."""
+
+    dst: int
+    src: int
+    lo: tuple[int, int, int]
+    hi: tuple[int, int, int]
+    shift: tuple[int, int, int]
+
+
+def ghost_sources(blocks: list[Block], zones: list[ZoneSpec]) -> list[GhostSource]:
+    """Every box where a block's extended box (interior grown by
+    ``HALO_WIDTH`` on each side) meets a block interior of its zone.
+
+    Along a periodic axis of ``n`` cells the interiors repeat at every
+    multiple ``k*n`` with ``|k| <= ceil(HALO_WIDTH / n)``, so axes narrower
+    than the halo wrap several times.  A block's own unshifted interior is
+    left out.  Ghost cells outside every box lie past a non-periodic face.
+    The blocks must tile their zones (``check_tiling``), which gives every
+    other ghost cell exactly one source.
+    """
+    check_tiling(blocks, zones)
+    H = HALO_WIDTH
+    out = []
+    for zone in zones:
+        mine = [b for b in blocks if b.zone == zone.id]
+        images = []                      # per axis: shifts k*n in reach
+        for a, n in enumerate(zone.shape):
+            reach = -(-H // n) if zone.periodic(a) else 0
+            images.append([k * n for k in range(-reach, reach + 1)])
+        for b in mine:
+            for s in mine:
+                # Per axis, the shifted intervals of s meeting b's extended one.
+                overlaps = []
+                for a in range(3):
+                    lo, hi = b.lo[a] - H, b.hi[a] + H
+                    hits = [(k, max(s.lo[a] + k, lo), min(s.hi[a] + k, hi))
+                            for k in images[a]]
+                    hits = [hit for hit in hits if hit[1] < hit[2]]
+                    if not hits:
+                        break
+                    overlaps.append(hits)
+                else:
+                    for x, y, z in itertools.product(*overlaps):
+                        if s is b and x[0] == y[0] == z[0] == 0:
+                            continue
+                        out.append(GhostSource(b.id, s.id, (x[1], y[1], z[1]),
+                                               (x[2], y[2], z[2]),
+                                               (x[0], y[0], z[0])))
     return out
 
 
@@ -364,10 +398,9 @@ def regroup_blocks(blocks: list[Block], zones: list[ZoneSpec], ranks: int,
     for b in ordered[taken:]:
         rank_of_block[b.id] = ranks - 1
 
-    neighbors = block_neighbors(blocks, zones)
-    nbrs_of: dict[int, list[int]] = {b.id: [] for b in blocks}
-    for (bid, _off), nb in neighbors.items():
-        nbrs_of[bid].append(nb)
+    nbrs_of: dict[int, set[int]] = {b.id: set() for b in blocks}
+    for g in ghost_sources(blocks, zones):
+        nbrs_of[g.dst].add(g.src)
     block_by_id = {b.id: b for b in blocks}
 
     groups: list[Group] = []
@@ -435,20 +468,7 @@ def regroup_blocks(blocks: list[Block], zones: list[ZoneSpec], ranks: int,
     return groups, rank_of_block
 
 
-def rank_adjacency(blocks: list[Block], zones: list[ZoneSpec],
-                   rank_of_block: list[int]) -> set[tuple[int, int]]:
-    """Undirected rank pairs connected by at least one block neighbor edge."""
-    edges = set()
-    for (bid, _off), nb in block_neighbors(blocks, zones).items():
-        ra, rb = rank_of_block[bid], rank_of_block[nb]
-        if ra != rb:
-            edges.add((min(ra, rb), max(ra, rb)))
-    return edges
-
-
-def map_ranks_to_nodes(ranks: int, nodes: int,
-                       adjacency: set[tuple[int, int]] | None = None
-                       ) -> list[int]:
+def map_ranks_to_nodes(ranks: int, nodes: int) -> list[int]:
     """Place ranks on nodes, keeping consecutive (spatially adjacent) ranks
     together.  Ranks are created from contiguous block chunks, so chunking
     consecutive ids is the greedy minimizer of cross-node edges."""
@@ -456,11 +476,6 @@ def map_ranks_to_nodes(ranks: int, nodes: int,
         raise PartitionError(f"{ranks} ranks do not divide over {nodes} nodes")
     per = ranks // nodes
     return [r // per for r in range(ranks)]
-
-
-def cross_node_edges(adjacency: set[tuple[int, int]],
-                     node_of_rank: list[int]) -> int:
-    return sum(1 for a, b in adjacency if node_of_rank[a] != node_of_rank[b])
 
 
 @dataclass

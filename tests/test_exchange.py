@@ -1,18 +1,22 @@
 """Halo plans, packing, exchange epochs, ghost fills, and transports."""
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wcnsflow.cases import case_plan, wave_case
 from wcnsflow.errors import HaloPlanError, TransportError
 from wcnsflow.fields import BlockField, allocate_fields
 from wcnsflow.halo import (BCAST_INDEX, REDUCE_INDEX, RESERVED_INDEX,
                            BoundaryFace, HaloExchanger, boundary_fill,
                            build_halo_plan, fill_block_ghosts, message_tag,
-                           pack_pair, pack_region, resolve_singular_points,
-                           unpack_pair, unpack_region, wrap_fill)
-from wcnsflow.partition import NodeTopology, ZoneSpec, make_plan
+                           pack_pair, pack_region, unpack_pair, unpack_region)
+from wcnsflow.partition import (Block, NodeTopology, PartitionPlan, ZoneSpec,
+                                make_plan, split_zone, split_zone_cuts)
 from wcnsflow.transport import (HEADER, MAGIC, InProcessTransport, Message,
                                 SocketTransport, free_port)
 from wcnsflow.wcns import HALO_WIDTH
@@ -43,6 +47,80 @@ def seed_fields(plan, g) -> dict:
         sl = tuple(slice(l, h) for l, h in zip(b.lo, b.hi))
         fields[b.id].interior[...] = g[(slice(None),) + sl]
     return fields
+
+
+def blocks_plan(z, blocks, rank_of_block=None) -> PartitionPlan:
+    """A plan over explicit blocks, bypassing regrouping (the exchange reads
+    only zones, blocks and ranks)."""
+    ranks = rank_of_block or [0] * len(blocks)
+    return PartitionPlan(zones=[z], blocks=blocks, ranks=max(ranks) + 1,
+                         topology=NodeTopology(1, 1, 0), load_ratio=1.0,
+                         groups=[], rank_of_block=list(ranks),
+                         node_of_rank=[0] * (max(ranks) + 1))
+
+
+FREESTREAM = np.array([1.0, 0.25, -0.5, 0.125, 2.5])
+
+
+def exchange_all(plan, fields, coalesce=True) -> None:
+    """One epoch on every rank of ``plan``, one thread per rank."""
+    hp = build_halo_plan(plan)
+    ex = HaloExchanger(hp, plan, transport=InProcessTransport(plan.ranks),
+                       freestream=FREESTREAM, coalesce=coalesce)
+    per_rank = [{b.id: fields[b.id] for b in plan.blocks_of_rank(r)}
+                for r in range(plan.ranks)]
+    with ThreadPoolExecutor(plan.ranks) as pool:
+        futs = [pool.submit(ex.run, r, per_rank[r], 0)
+                for r in range(plan.ranks)]
+        for f in futs:
+            f.result(timeout=60)
+
+
+def nan_fields(plan, g) -> dict:
+    """Block fields holding ``g`` in their interiors and NaN ghosts, so a
+    ghost cell no pass writes fails every comparison."""
+    fields = allocate_fields(plan)
+    for f in fields.values():
+        f.data[...] = np.nan
+    for b in plan.blocks:
+        sl = tuple(slice(l, h) for l, h in zip(b.lo, b.hi))
+        fields[b.id].interior[...] = g[(slice(None),) + sl]
+    return fields
+
+
+def reference_extended(z, g) -> np.ndarray:
+    """The zone's state grown by H ghost cells per side, built axis by axis
+    in x, y, z order as one unsplit block sees it: periodic axes wrap,
+    outflow repeats the edge plane, a wall mirrors with the normal momentum
+    negated, inflow holds the freestream."""
+    out = g
+    for a in range(3):
+        n = g.shape[1 + a]
+        idx = np.arange(-H, n + H)
+        if z.periodic(a):
+            out = np.take(out, idx % n, axis=1 + a)
+            continue
+        lo_kind, hi_kind = z.boundary[2 * a], z.boundary[2 * a + 1]
+        low, high = idx < 0, idx >= n
+        src = np.where(low, -1 - idx if lo_kind == "wall" else 0, idx)
+        src = np.where(high, 2 * n - 1 - idx if hi_kind == "wall" else n - 1, src)
+        out = np.take(out, src, axis=1 + a)
+        for kind, band in ((lo_kind, low), (hi_kind, high)):
+            sel = [slice(None)] * 3
+            sel[a] = band
+            if kind == "wall":
+                out[(1 + a, *sel)] = -out[(1 + a, *sel)]
+            elif kind == "inflow":
+                out[(slice(None), *sel)] = FREESTREAM.reshape(5, 1, 1, 1)
+    return out
+
+
+def reference_windows(z, g, blocks) -> dict:
+    """Extended arrays each block must hold after an exchange: windows of
+    the single-block reference."""
+    ref = reference_extended(z, g)
+    return {b.id: ref[(slice(None),) + tuple(
+        slice(l, h + 2 * H) for l, h in zip(b.lo, b.hi))] for b in blocks}
 
 
 def wrap_window(g, block) -> np.ndarray:
@@ -88,42 +166,112 @@ def test_abutting_blocks_swap_one_face_each_way():
         assert p.nbytes == r.cells * 5 * 8
 
 
+def shell_cover(hp, block):
+    """How many regions write each cell of a block's extended array."""
+    count = np.zeros(tuple(n + 2 * H for n in block.shape), dtype=int)
+    for p in hp.pairs:
+        for r in p.regions:
+            if r.dst_block == block.id:
+                count[r.dst_slices[1:]] += 1
+    return count
+
+
+def test_eight_block_traffic_frozen():
+    # 48^3 cut into 2 x 2 x 2 blocks on two ranks: each block takes its
+    # 34^3 - 24^3 ghost shell from the seven others in 26 boxes.
+    case = replace(wave_case(48, blocks=8), ranks=2,
+                   topology=NodeTopology(1, 2, 0))
+    hp = build_halo_plan(case_plan(case))
+    assert len(hp.pairs) == 56 and hp.region_count == 208
+    assert sum(p.nbytes for p in hp.pairs) == 8 * (34 ** 3 - 24 ** 3) * 5 * 8
+    assert sum(p.nbytes for p in hp.pairs) == 8_153_600
+
+
 def test_single_periodic_block_wraps_itself():
-    hp = build_halo_plan(plan_for((16, 16, 16), 1, boundary=PERIODIC))
-    assert hp.pairs == []
-    assert hp.wrap_axes[0] == (0, 1, 2)
+    plan = plan_for((16, 16, 16), 1, boundary=PERIODIC)
+    hp = build_halo_plan(plan)
+    (pair,) = hp.pairs
+    assert (pair.src_block, pair.dst_block) == (0, 0) and pair.local
+    assert len(pair.regions) == 26
     assert hp.bc_faces[0] == ()
-    assert hp.singular == []
+    # The regions cover the ghost shell exactly once and leave the interior.
+    count = shell_cover(hp, plan.blocks[0])
+    assert count[H:-H, H:-H, H:-H].max() == 0
+    count[H:-H, H:-H, H:-H] = 1
+    assert count.min() == 1 and count.max() == 1
+    g = global_state((16, 16, 16), seed=10)
+    fields = nan_fields(plan, g)
+    stats = HaloExchanger(hp, plan).run(0, fields, epoch=0)
+    assert stats.local_copies == 26 and stats.messages_sent == 0
+    assert np.array_equal(fields[0].data, wrap_window(g, plan.blocks[0]))
 
 
 def test_single_outflow_block_has_six_faces():
     hp = build_halo_plan(plan_for((16, 16, 16), 1))
     assert hp.pairs == []
-    assert hp.wrap_axes[0] == ()
     assert len(hp.bc_faces[0]) == 6
-    assert {(f.axis, f.side) for f in hp.bc_faces[0]} == {
-        (a, s) for a in range(3) for s in (0, 1)}
+    assert [(f.axis, f.side) for f in hp.bc_faces[0]] == [
+        (a, s) for a in range(3) for s in (0, 1)]
+    assert all(f.depth == H for f in hp.bc_faces[0])
 
 
-def test_narrow_neighbor_rejected():
-    z = zone((13, 16, 16))
-    from wcnsflow.partition import split_zone_cuts
-    blocks = split_zone_cuts(z, 0, [8, 5])
-    plan = make_plan([z], 1, NodeTopology(1, 2, 0), explicit_blocks=blocks)
-    build_halo_plan(plan)                        # width 5 is the minimum
-    # A middle block narrower than the halo cannot source its neighbors'
-    # bands; split_zone_cuts refuses such widths, so force the block list.
-    from wcnsflow.partition import Block
-    z16 = zone((16, 16, 16))
-    bad = [Block(id=0, zone=0, lo=(0, 0, 0), hi=(5, 16, 16)),
-           Block(id=1, zone=0, lo=(5, 0, 0), hi=(9, 16, 16)),
-           Block(id=2, zone=0, lo=(9, 0, 0), hi=(16, 16, 16))]
-    plan_bad = make_plan([z16], 1, NodeTopology(1, 3, 0), explicit_blocks=bad)
-    with pytest.raises(HaloPlanError):
-        build_halo_plan(plan_bad)
+def test_narrow_neighbor_exchanges_exactly():
+    # Blocks narrower than the halo, here 5, 4, 1, 6 cells wide along x,
+    # read through their neighbors into the blocks beyond.
+    z = zone((16, 16, 16))
+    blocks = split_zone_cuts(z, 0, [5, 4, 1, 6])
+    plan = make_plan([z], 1, NodeTopology(1, 4, 0), explicit_blocks=blocks)
+    hp = build_halo_plan(plan)
+    # The 1-wide block is fed by both neighbors on each side.
+    assert sorted(p.src_block for p in hp.pairs if p.dst_block == 2) == [0, 1, 3]
+    g = global_state((16, 16, 16), seed=11)
+    fields = nan_fields(plan, g)
+    exchange_all(plan, fields)
+    want = reference_windows(z, g, plan.blocks)
+    for b in plan.blocks:
+        assert np.array_equal(fields[b.id].data, want[b.id])
+
+
+def test_face_fill_reaches_blocks_that_miss_the_face():
+    # A block at x in [2, 4) has ghost cells at x < 0 without touching the
+    # x-lo face: the face band is clipped to its extended box.
+    z = zone((6, 6, 6), boundary=("wall", "outflow", "periodic",
+                                  "periodic", "outflow", "inflow"))
+    plan = make_plan([z], 1, NodeTopology(1, 4, 0),
+                     explicit_blocks=split_zone_cuts(z, 0, [2, 2, 1, 1]))
+    hp = build_halo_plan(plan)
+    faces = {b: [(f.axis, f.side, f.depth) for f in hp.bc_faces[b] if f.axis == 0]
+             for b in range(4)}
+    assert faces == {0: [(0, 0, 5), (0, 1, 1)], 1: [(0, 0, 3), (0, 1, 3)],
+                     2: [(0, 0, 1), (0, 1, 4)], 3: [(0, 1, 5)]}
+    g = global_state((6, 6, 6), seed=12)
+    fields = nan_fields(plan, g)
+    exchange_all(plan, fields)
+    want = reference_windows(z, g, plan.blocks)
+    for b in plan.blocks:
+        assert np.array_equal(fields[b.id].data, want[b.id])
+
+
+def test_wall_on_narrow_axis_rejected():
+    boundary = ("outflow", "outflow", "wall", "wall", "periodic", "periodic")
+    build_halo_plan(plan_for((8, H, 8), 1, boundary=boundary))
+    with pytest.raises(HaloPlanError, match="zone 0 .* axis 1"):
+        build_halo_plan(plan_for((8, H - 1, 8), 1, boundary=boundary))
+    # Outflow and inflow read only the first interior plane.
+    build_halo_plan(plan_for((8, 1, 8), 1, boundary=(
+        "outflow", "outflow", "inflow", "outflow", "periodic", "periodic")))
+
+
+def direction(region, block) -> tuple[int, int, int]:
+    """Side of the block's interior where a region's ghost box lies, per
+    axis: -1 below, 0 level with it, +1 above."""
+    return tuple(-1 if s < H else (1 if s >= H + n else 0)
+                 for s, n in zip(region.dst_start, block.shape))
 
 
 def test_mirror_symmetry_on_random_plans():
+    # With blocks at least H wide, what a feeds b in one direction b feeds a
+    # in the opposite one, box for box.
     rng = np.random.default_rng(17)
     checked = 0
     for _ in range(200):
@@ -133,16 +281,16 @@ def test_mirror_symmetry_on_random_plans():
             "periodic" if per_axis[a] else "outflow"
             for a in range(3) for _ in (0, 1))
         blocks = int(rng.choice([1, 2, 4, 8]))
-        try:
-            plan = plan_for(shape, blocks, boundary=boundary)
-        except Exception:
+        plan = plan_for(shape, blocks, boundary=boundary)
+        if min(min(b.shape) for b in plan.blocks) < H:
             continue
+        by_id = {b.id: b for b in plan.blocks}
         hp = build_halo_plan(plan)
         directed = {(p.src_block, p.dst_block): p for p in hp.pairs}
         for (s, d), p in directed.items():
             back = directed[(d, s)]
-            fwd = sorted((r.offset, r.shape) for r in p.regions)
-            rev = sorted((tuple(-o for o in r.offset), r.shape)
+            fwd = sorted((direction(r, by_id[d]), r.shape) for r in p.regions)
+            rev = sorted((tuple(-o for o in direction(r, by_id[s])), r.shape)
                          for r in back.regions)
             assert fwd == rev
         checked += 1
@@ -191,12 +339,18 @@ def test_pack_pair_concatenates_regions():
 # ---------------------------------------------------------------------------
 # Ghost fills
 
-def test_wrap_fill_copies_opposite_band():
-    data = np.zeros((5, 6 + 2 * H, 1 + 2 * H, 1 + 2 * H))
-    data[:, H:H + 6, H, H] = np.arange(1.0, 7.0)
-    wrap_fill(data, 0)
+def test_self_pair_copies_opposite_band():
+    # A 6 x 1 x 1 periodic zone: along x the ghosts are the opposite bands,
+    # along the 1-cell axes the halo wraps five times over.
+    plan = plan_for((6, 1, 1), 1, boundary=PERIODIC)
+    g = np.zeros((5, 6, 1, 1))
+    g[:, :, 0, 0] = np.arange(1.0, 7.0)
+    fields = nan_fields(plan, g)
+    HaloExchanger(build_halo_plan(plan), plan).run(0, fields, epoch=0)
+    data = fields[0].data
     assert np.array_equal(data[0, :H, H, H], np.arange(2.0, 7.0))
     assert np.array_equal(data[0, H + 6:, H, H], np.arange(1.0, 6.0))
+    assert np.array_equal(data, wrap_window(g, plan.blocks[0]))
 
 
 def test_outflow_fill_copies_edge_plane():
@@ -363,56 +517,127 @@ def test_inter_rank_plan_requires_transport():
         HaloExchanger(hp, plan).run(0, fields, epoch=0)
 
 
+def test_single_cell_blocks_exchange_exactly():
+    # 3^3 cut into 27 blocks of one cell: every ghost cell is its own
+    # region, fed from a block up to five cells and two wraps away.
+    plan = plan_for((3, 3, 3), 27, boundary=PERIODIC)
+    assert all(b.shape == (1, 1, 1) for b in plan.blocks)
+    hp = build_halo_plan(plan)
+    assert hp.region_count == 27 * (11 ** 3 - 1)
+    g = global_state((3, 3, 3), seed=13)
+    fields = nan_fields(plan, g)
+    HaloExchanger(hp, plan).run(0, fields, epoch=0)
+    for b in plan.blocks:
+        assert np.array_equal(fields[b.id].data, wrap_window(g, b))
+
+
 # ---------------------------------------------------------------------------
-# Singular points
+# Blocks meeting at edges and corners
 
 def four_block_plan():
     return plan_for((16, 16, 8), 4)          # 2 x 2 x 1 tiling
 
 
 def test_four_blocks_meeting_at_an_edge():
-    hp = build_halo_plan(four_block_plan())
-    assert len(hp.singular) == 4
-    for region in hp.singular:
-        assert len(region.readers) == 3
-        assert len(set(region.sharers)) == 4
-        assert region.shape == (5, 5, 8)
-        assert region.cells == 200
-
-
-def test_singular_points_enumerate_cells():
-    hp = build_halo_plan(four_block_plan())
-    region = hp.singular[0]
-    pts = list(region.points())
-    assert len(pts) == region.cells
-    for p in pts:
-        assert p.owner == region.owner
-        assert p.sharers == region.sharers
-        assert all(l <= c < l + n for l, c, n
-                   in zip(region.lo, p.coord, region.shape))
-    assert len(list(hp.singular_points())) == sum(
-        r.cells for r in hp.singular)
-
-
-def test_sharers_agree_after_resolution():
     plan = four_block_plan()
     hp = build_halo_plan(plan)
+    assert len(hp.pairs) == 12              # every block feeds the other three
+    for p in hp.pairs:
+        (r,) = p.regions
+        a, b = plan.blocks[p.src_block], plan.blocks[p.dst_block]
+        diagonal = a.lo[0] != b.lo[0] and a.lo[1] != b.lo[1]
+        assert r.shape == ((5, 5, 8) if diagonal
+                           else (5, 8, 8) if a.lo[0] != b.lo[0] else (8, 5, 8))
+
+
+def test_each_ghost_cell_has_one_source():
+    # Random tilings with narrow blocks: regions never write a cell twice,
+    # never write an interior cell, and write every ghost cell inside the
+    # zone; the rest lie past a non-periodic face, in that face's band.
+    rng = np.random.default_rng(14)
+    for _ in range(30):
+        shape = tuple(int(rng.integers(1, 12)) for _ in range(3))
+        boundary = tuple(t for a in range(3)
+                         for t in [("periodic", "outflow")[rng.integers(2)]] * 2)
+        z = zone(shape, boundary)
+        target = int(np.prod([rng.integers(1, min(n, 3) + 1) for n in shape]))
+        blocks = split_zone(z, target_blocks=target)
+        plan = blocks_plan(z, blocks)
+        hp = build_halo_plan(plan)
+        for b in blocks:
+            count = shell_cover(hp, b)
+            assert count[H:-H, H:-H, H:-H].max() == 0
+            for cell in zip(*np.nonzero(count != 1)):
+                c = [l - H + i for l, i in zip(b.lo, cell)]
+                inside = all(l <= x < h for l, x, h in zip(b.lo, c, b.hi))
+                if inside:
+                    continue
+                assert count[cell] == 0
+                past = [a for a in range(3)
+                        if not z.periodic(a) and not 0 <= c[a] < shape[a]]
+                assert past
+                assert all(any(f.axis == a for f in hp.bc_faces[b.id])
+                           for a in past)
+
+
+def test_sharers_agree_after_exchange():
+    # Cells several blocks read agree in every reader: each block holds the
+    # window of the single-block field, corners included.
+    plan = four_block_plan()
+    z = plan.zones[0]
     g = global_state((16, 16, 8), seed=8)
-    fields = seed_fields(plan, g)
-    HaloExchanger(hp, plan).run(0, fields, epoch=0)
-    # Region construction guarantees agreement, so resolution is a no-op.
-    assert resolve_singular_points(fields, hp, plan) == 0.0
-    by_id = {b.id: b for b in plan.blocks}
-    for region in hp.singular:
-        owner = by_id[region.owner]
-        start = tuple(region.lo[a] - owner.lo[a] + H for a in range(3))
-        sel = (slice(None),) + tuple(slice(s, s + n)
-                                     for s, n in zip(start, region.shape))
-        truth = fields[region.owner].data[sel]
-        for reader, dst in region.readers:
-            rsel = (slice(None),) + tuple(slice(s, s + n)
-                                          for s, n in zip(dst, region.shape))
-            assert np.array_equal(fields[reader].data[rsel], truth)
+    fields = nan_fields(plan, g)
+    exchange_all(plan, fields)
+    want = reference_windows(z, g, plan.blocks)
+    for b in plan.blocks:
+        assert np.array_equal(fields[b.id].data, want[b.id])
+
+
+# ---------------------------------------------------------------------------
+# Property: any tiling, any ranks, any faces
+
+@st.composite
+def random_plans(draw):
+    """A zone of 1-13 cells per axis with mixed faces (walls only on axes at
+    least H wide), a random guillotine tiling into blocks of width >= 1,
+    and a random block-to-rank map."""
+    shape = tuple(draw(st.integers(1, 13)) for _ in range(3))
+    boundary = []
+    for n in shape:
+        kinds = ["periodic", "outflow", "inflow"] + (["wall"] if n >= H else [])
+        lo = draw(st.sampled_from(kinds))
+        hi = "periodic" if lo == "periodic" else draw(
+            st.sampled_from([k for k in kinds if k != "periodic"]))
+        boundary += [lo, hi]
+    z = zone(shape, tuple(boundary))
+    boxes = [((0, 0, 0), shape)]
+    for _ in range(draw(st.integers(0, 7))):
+        i = draw(st.integers(0, len(boxes) - 1))
+        lo, hi = boxes[i]
+        axes = [a for a in range(3) if hi[a] - lo[a] > 1]
+        if not axes:
+            continue
+        a = draw(st.sampled_from(axes))
+        cut = draw(st.integers(lo[a] + 1, hi[a] - 1))
+        boxes[i:i + 1] = [(lo, hi[:a] + (cut,) + hi[a + 1:]),
+                          (lo[:a] + (cut,) + lo[a + 1:], hi)]
+    blocks = [Block(i, 0, lo, hi) for i, (lo, hi) in enumerate(boxes)]
+    ranks = draw(st.integers(1, 3))
+    rank_of_block = [draw(st.integers(0, ranks - 1)) for _ in blocks]
+    return z, blocks, rank_of_block, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_plans(), st.integers(0, 2 ** 32 - 1))
+def test_exchange_matches_single_block_on_random_plans(drawn, seed):
+    z, blocks, rank_of_block, coalesce = drawn
+    plan = blocks_plan(z, blocks, rank_of_block)
+    g = global_state(z.shape, seed=seed)
+    fields = nan_fields(plan, g)
+    exchange_all(plan, fields, coalesce=coalesce)
+    want = reference_windows(z, g, blocks)
+    for b in blocks:
+        assert np.array_equal(fields[b.id].data, want[b.id])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from wcnsflow.errors import CaseFormatError
 from wcnsflow.metrics import (RunMetrics, from_timeline, mcups,
                               metrics_from_csv, metrics_to_csv, render_report)
 from wcnsflow.partition import NodeTopology
-from wcnsflow.schedule import Interval, Timeline
+from wcnsflow.schedule import Timeline
 
 
 def small_corner(**kw):
@@ -282,9 +282,9 @@ def test_comp_comm_ratio_edge_cases():
 
 def test_from_timeline_pulls_phase_totals():
     tl = Timeline()
-    tl.add(Interval("cpu0", "compute", 0.0, 2.0))
-    tl.add(Interval("cpu0", "update", 2.0, 2.5))
-    tl.add(Interval("mic0", "transfer_in", 0.0, 1.0))
+    tl.add("cpu0", "compute", 0.0, 2.0)
+    tl.add("cpu0", "update", 2.0, 2.5)
+    tl.add("mic0", "transfer_in", 0.0, 1.0)
     m = from_timeline("run", tl, total_cells=100, iterations=4,
                       wall_seconds=9.0, messages=3, message_bytes=480)
     assert m.timing_source == "model"

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from wcnsflow.errors import PartitionError
-from wcnsflow.partition import (NodeTopology, ZoneSpec, block_neighbors,
-                                cross_node_edges, imbalance_report,
-                                make_plan, map_ranks_to_nodes, owner_of_cell,
-                                plan_from_text, plan_to_text, rank_adjacency,
-                                split_zone, split_zone_cuts)
+from wcnsflow.halo import build_halo_plan
+from wcnsflow.partition import (Block, NodeTopology, ZoneSpec, check_tiling,
+                                ghost_sources, imbalance_report, make_plan,
+                                map_ranks_to_nodes, plan_from_text,
+                                plan_to_text, split_zone, split_zone_cuts)
+from wcnsflow.wcns import HALO_WIDTH
+
+H = HALO_WIDTH
 
 TOPO_1CPU = NodeTopology(nodes=1, cpu_per_node=1, coproc_per_node=0)
 TOPO_DESK = NodeTopology(nodes=1, cpu_per_node=2, coproc_per_node=3)
@@ -21,6 +24,15 @@ def zone(shape, boundary=("outflow",) * 6, zid=0):
 
 # ---------------------------------------------------------------------------
 # split_zone
+
+def cover_counts(z, blocks):
+    """Voxel cover count; an exact tiling is identically 1."""
+    grid = np.zeros(z.shape, dtype=np.int16)
+    for b in blocks:
+        sl = tuple(slice(l, h) for l, h in zip(b.lo, b.hi))
+        grid[sl] += 1
+    return grid
+
 
 def test_split_cube_into_octants():
     blocks = split_zone(zone((64, 64, 64)), target_blocks=8)
@@ -59,19 +71,14 @@ def test_split_rejects_bad_argument_combos():
         split_zone(z, target_blocks=z.cells + 1)
 
 
-def test_split_refuses_slivers():
-    # 8 cells cannot host two width-5 blocks along any axis.
-    with pytest.raises(PartitionError):
-        split_zone(zone((8, 8, 8)), target_blocks=512)
-
-
-def cover_counts(z, blocks):
-    """Voxel cover count; an exact tiling is identically 1."""
-    grid = np.zeros(z.shape, dtype=np.int16)
-    for b in blocks:
-        sl = tuple(slice(l, h) for l, h in zip(b.lo, b.hi))
-        grid[sl] += 1
-    return grid
+def test_split_allows_single_cell_blocks():
+    z = zone((8, 8, 8))
+    blocks = split_zone(z, target_blocks=512)
+    assert len(blocks) == 512
+    assert all(b.shape == (1, 1, 1) for b in blocks)
+    assert cover_counts(z, blocks).min() == 1
+    assert cover_counts(z, blocks).max() == 1
+    check_tiling(blocks, [z])
 
 
 def test_split_tiles_exactly_500_random_pairs():
@@ -87,11 +94,11 @@ def test_split_tiles_exactly_500_random_pairs():
         grid = cover_counts(z, blocks)
         assert grid.min() == 1 and grid.max() == 1
         assert len({b.id for b in blocks}) == len(blocks)
-        for b in blocks:
-            for ax in range(3):
-                split_axis = any(o.lo[ax] != b.lo[ax] for o in blocks)
-                if split_axis:
-                    assert b.shape[ax] >= 5
+        check_tiling(blocks, [z])
+        # Widths along each axis differ by at most one cell.
+        for ax in range(3):
+            widths = {b.shape[ax] for b in blocks}
+            assert min(widths) >= 1 and max(widths) - min(widths) <= 1
 
 
 def test_split_cuts_explicit_widths():
@@ -101,27 +108,94 @@ def test_split_cuts_explicit_widths():
     assert cover_counts(z, blocks).max() == 1
     with pytest.raises(PartitionError):
         split_zone_cuts(z, 0, [10, 10])           # sum mismatch
-    with pytest.raises(PartitionError):
-        split_zone_cuts(z, 0, [21, 4])            # sliver
+    narrow = split_zone_cuts(z, 0, [21, 3, 1])    # any width >= 1 is legal
+    assert [b.shape[0] for b in narrow] == [21, 3, 1]
+    check_tiling(narrow, [z])
+    with pytest.raises(PartitionError, match="block 1"):
+        check_tiling(split_zone_cuts(z, 0, [25, 0]), [z])   # empty block
 
 
 # ---------------------------------------------------------------------------
-# Adjacency and ownership
+# Tiling checks
 
-def test_owner_of_cell_finds_containing_block():
-    z = zone((64, 64, 64))
-    blocks = split_zone(z, target_blocks=8)
-    b = owner_of_cell(blocks, z, (40, 10, 50))
-    assert all(l <= c < h for l, c, h in zip(b.lo, (40, 10, 50), b.hi))
+def test_tiling_rejects_overlapping_blocks():
+    z = zone((20, 10, 10))
+    blocks = [Block(0, 0, (0, 0, 0), (12, 10, 10)),
+              Block(1, 0, (10, 0, 0), (20, 10, 10))]
+    with pytest.raises(PartitionError, match="block 1 overlaps block 0"):
+        make_plan([z], 1, NodeTopology(1, 2, 0), explicit_blocks=blocks)
 
 
-def test_block_neighbors_symmetric():
-    z = zone((64, 64, 64), boundary=("periodic",) * 6)
-    blocks = split_zone(z, target_blocks=8)
-    nbr = block_neighbors(blocks, [z])
-    for (bid, off), nb in nbr.items():
-        back = tuple(-o for o in off)
-        assert nbr[(nb, back)] == bid
+def test_tiling_rejects_block_past_zone():
+    z = zone((20, 10, 10))
+    blocks = [Block(0, 0, (0, 0, 0), (10, 10, 10)),
+              Block(1, 0, (10, 0, 0), (25, 10, 10))]
+    with pytest.raises(PartitionError, match="block 1 .* leaves zone 0"):
+        make_plan([z], 1, NodeTopology(1, 2, 0), explicit_blocks=blocks)
+
+
+def test_tiling_rejects_gaps():
+    z = zone((20, 10, 10))
+    blocks = [Block(0, 0, (0, 0, 0), (10, 10, 10)),
+              Block(1, 0, (10, 0, 0), (20, 10, 6))]
+    with pytest.raises(PartitionError,
+                       match=r"no block holds cell \(10, 0, 6\), next to block 0"):
+        make_plan([z], 1, NodeTopology(1, 2, 0), explicit_blocks=blocks)
+
+
+def test_tiling_checked_on_plan_files():
+    # Plan files are outside input: a hand-edited block list must not reach
+    # the exchange.
+    z = zone((20, 10, 10))
+    plan = make_plan([z], 1, NodeTopology(1, 2, 0), target_blocks=2)
+    text = plan_to_text(plan)
+    assert "hi=10,10,10" in text
+    bad = plan_from_text(text.replace("hi=10,10,10", "hi=12,10,10"))
+    with pytest.raises(PartitionError, match="overlaps"):
+        build_halo_plan(bad)
+
+
+# ---------------------------------------------------------------------------
+# Ghost sources
+
+def test_ghost_sources_name_the_owning_block():
+    # Every ghost cell inside the zone or a periodic image of it has exactly
+    # one source, the block holding its wrapped coordinate; cells past the
+    # non-periodic y faces have none.
+    z = zone((12, 9, 3), boundary=("periodic", "periodic", "outflow",
+                                   "outflow", "periodic", "periodic"))
+    blocks = split_zone_cuts(z, 0, [5, 1, 4, 2])
+    sources = ghost_sources(blocks, [z])
+    by_id = {b.id: b for b in blocks}
+    for b in blocks:
+        count = {}
+        for g in (g for g in sources if g.dst == b.id):
+            src = by_id[g.src]
+            for cell in np.ndindex(*(h - l for l, h in zip(g.lo, g.hi))):
+                c = tuple(l + i for l, i in zip(g.lo, cell))
+                home = tuple(ci - k for ci, k in zip(c, g.shift))
+                assert all(l <= x < h for l, x, h in zip(src.lo, home, src.hi))
+                assert home == (c[0] % 12, c[1], c[2] % 3)
+                count[c] = count.get(c, 0) + 1
+        for cell in np.ndindex(*(n + 2 * H for n in b.shape)):
+            c = tuple(l - H + i for l, i in zip(b.lo, cell))
+            inside = all(l <= x < h for l, x, h in zip(b.lo, c, b.hi))
+            want = 0 if inside or not 0 <= c[1] < 9 else 1
+            assert count.get(c, 0) == want, (b.id, c)
+
+
+def test_ghost_sources_symmetric():
+    # Block a feeds block b through shift k exactly when b feeds a through
+    # -k, for tilings with blocks of any width.
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        shape = tuple(int(rng.integers(1, 14)) for _ in range(3))
+        boundary = tuple(t for a in range(3)
+                         for t in [("periodic", "outflow")[rng.integers(2)]] * 2)
+        z = zone(shape, boundary=boundary)
+        blocks = split_zone(z, target_blocks=int(rng.integers(1, 9)))
+        links = {(g.dst, g.src, g.shift) for g in ghost_sources(blocks, [z])}
+        assert links == {(s, d, tuple(-k for k in sh)) for d, s, sh in links}
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +279,10 @@ def test_map_rejects_uneven_split():
         map_ranks_to_nodes(7, 3)
 
 
+def cross_node_edges(edges, node_of_rank):
+    return sum(1 for a, b in edges if node_of_rank[a] != node_of_rank[b])
+
+
 def test_chain_cross_edges():
     chain = {(r, r + 1) for r in range(7)}
     assert cross_node_edges(chain, map_ranks_to_nodes(8, 4)) == 3
@@ -227,7 +305,10 @@ def test_contiguous_beats_round_robin_on_random_chains():
 def test_rank_adjacency_from_plan():
     z = zone((80, 16, 16))
     plan = make_plan([z], 4, NodeTopology(1, 4, 0), target_blocks=16)
-    adj = rank_adjacency(plan.blocks, [z], plan.rank_of_block)
+    ranks = plan.rank_of_block
+    adj = {(min(ranks[g.dst], ranks[g.src]), max(ranks[g.dst], ranks[g.src]))
+           for g in ghost_sources(plan.blocks, [z])
+           if ranks[g.dst] != ranks[g.src]}
     # Contiguous slabs along x touch only their id neighbors.
     assert adj == {(0, 1), (1, 2), (2, 3)}
 
