@@ -344,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--load-ratio", dest="load_ratio", type=float)
     r.add_argument("--seed", type=int)
     r.add_argument("--workers", type=int)
-    r.add_argument("--tile", type=int)
+    r.add_argument("--tile", type=int,
+                   help="cross-axis rows per convective sweep step "
+                        "(default: the working-set tile; 0: untiled)")
     r.add_argument("--no-overlap", dest="no_overlap", action="store_true")
     r.add_argument("--naive-exchange", dest="naive_exchange",
                    action="store_true")

@@ -7,11 +7,21 @@ The residual of the semi-discrete system is
 with the convective derivatives obtained from split-flux weighted edge
 interpolation followed by the high-order edge-to-node difference, and the
 viscous derivatives from fourth-order central differencing of node fluxes.
+The split fluxes are projected onto the characteristic fields of a
+Roe-averaged frame at each edge before weighting.
 
-By default the split fluxes are projected onto the characteristic fields of
-a Roe-averaged frame at each edge before weighting; weighting the raw flux
-components (``projection="component"``) remains available as the simpler
-variant, at the cost of visible ringing behind contact discontinuities.
+A convective sweep moves the sweep axis last and walks the slab in tiles of
+cross-axis rows.  Per tile it stacks all ten windows (five nodes, plus and
+minus flux) into one array, component x window x side x tile, and makes one
+projection call into the wave fields, one weighted-edge call for both sides
+and one call back to state space.  Every tile array lives in a per-thread
+workspace that is grown to the largest tile the thread has swept and viewed
+afresh for each tile shape, so pool workers never share one.  The default
+tile is the working-set tile: as many rows as fit the moved (rows, n2, L)
+float64 slab in ``TILE_BYTES``, and never fewer than ``MIN_TILE_ROWS``;
+``tile=0`` sweeps the slab untiled.  Tiling and stacking change which
+arrays the operations touch, not the operations an element sees or their
+order, so every tile size gives the same bits.
 
 Each direction is an independent task writing its own buffer; the per-block
 combination happens in one fixed order so results never depend on how tasks
@@ -39,13 +49,19 @@ from .state import (
 )
 from .wcns import (
     HALO_WIDTH,
+    Workspace,
     central4_derivative,
     edge_to_node_derivative,
-    interpolate_line_edges,
     window_edge_value,
 )
 
 H = HALO_WIDTH
+
+# Working-set tile: rows of the moved (rows, n2, L) float64 slab per sweep
+# step.  The floor keeps ufunc calls long enough that pool workers do not
+# queue on the interpreter lock between them.
+TILE_BYTES = 64 * 1024
+MIN_TILE_ROWS = 2
 
 
 def interior_split(n: int) -> tuple[int, int]:
@@ -85,34 +101,68 @@ class EdgeFrame:
     b1: np.ndarray         # (gamma - 1) / a^2
     b2: np.ndarray         # b1 * q2 / 2
 
-    def to_waves(self, x: np.ndarray) -> np.ndarray:
+    def to_waves(self, x: np.ndarray, *,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Project ``(5, ...)`` state-space vectors onto the wave fields
-        (ordering: un - a acoustic, entropy, two shears, un + a acoustic)."""
+        (ordering: un - a acoustic, entropy, two shears, un + a acoustic).
+
+        The frame fields broadcast against ``x[i]``, so one call projects a
+        whole stack of windows.  ``out`` receives the result when given; it
+        must not overlap ``x``.
+        """
+        x0, x4 = x[0], x[4]
         xn = x[1 + self.axis]
         xt1 = x[1 + (self.axis + 1) % 3]
         xt2 = x[1 + (self.axis + 2) % 3]
-        acc = self.b2 * x[0] - self.b1 * (
-            self.un * xn + self.ut1 * xt1 + self.ut2 * xt2 - x[4])
-        swing = self.inv_sound * (xn - self.un * x[0])
-        c = np.empty_like(x)
-        c[0] = 0.5 * (acc - swing)
-        c[1] = x[0] - acc
-        c[2] = xt1 - self.ut1 * x[0]
-        c[3] = xt2 - self.ut2 * x[0]
-        c[4] = 0.5 * (acc + swing)
+        c = np.empty_like(x) if out is None else out
+        # acc = b2 x0 - b1 (un xn + ut1 xt1 + ut2 xt2 - x4), built in c[1];
+        # c[0] is scratch until the acoustic pair is formed.
+        acc = np.multiply(self.un, xn, out=c[1])
+        acc += np.multiply(self.ut1, xt1, out=c[0])
+        acc += np.multiply(self.ut2, xt2, out=c[0])
+        acc -= x4
+        acc *= self.b1
+        np.subtract(np.multiply(self.b2, x0, out=c[0]), acc, out=acc)
+        swing = np.multiply(self.un, x0, out=c[4])
+        np.subtract(xn, swing, out=swing)
+        swing *= self.inv_sound
+        np.subtract(xt1, np.multiply(self.ut1, x0, out=c[2]), out=c[2])
+        np.subtract(xt2, np.multiply(self.ut2, x0, out=c[3]), out=c[3])
+        np.subtract(acc, swing, out=c[0])
+        c[0] *= 0.5
+        np.add(acc, swing, out=c[4])
+        c[4] *= 0.5
+        np.subtract(x0, acc, out=c[1])
         return c
 
-    def to_state(self, c: np.ndarray) -> np.ndarray:
-        """Recombine wave fields into state-space vectors."""
-        s = c[0] + c[1] + c[4]
-        swing = self.sound * (c[4] - c[0])
-        x = np.empty_like(c)
-        x[0] = s
-        x[1 + self.axis] = self.un * s + swing
-        x[1 + (self.axis + 1) % 3] = self.ut1 * s + c[2]
-        x[1 + (self.axis + 2) % 3] = self.ut2 * s + c[3]
-        x[4] = (self.enthalpy * (c[0] + c[4]) + 0.5 * self.q2 * c[1]
-                + self.ut1 * c[2] + self.ut2 * c[3] + self.un * swing)
+    def to_state(self, c: np.ndarray, *,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Recombine wave fields into state-space vectors.  ``out``
+        receives the result when given; it must not overlap ``c``."""
+        c0, c1, c2, c3, c4 = c
+        x = np.empty_like(c) if out is None else out
+        xn = x[1 + self.axis]
+        xt1 = x[1 + (self.axis + 1) % 3]
+        xt2 = x[1 + (self.axis + 2) % 3]
+        s = np.add(c0, c1, out=x[0])
+        s += c4
+        swing = np.subtract(c4, c0, out=xn)
+        swing *= self.sound
+        # x4 = H (c0 + c4) + q2/2 c1 + ut1 c2 + ut2 c3 + un swing, with
+        # x[t1] as scratch before it takes its own value.
+        x4 = np.add(c0, c4, out=x[4])
+        x4 *= self.enthalpy
+        tmp = np.multiply(0.5, self.q2, out=xt1)
+        tmp *= c1
+        x4 += tmp
+        x4 += np.multiply(self.ut1, c2, out=tmp)
+        x4 += np.multiply(self.ut2, c3, out=tmp)
+        x4 += np.multiply(self.un, swing, out=tmp)
+        swing += np.multiply(self.un, s, out=tmp)
+        np.multiply(self.ut1, s, out=xt1)
+        xt1 += c2
+        np.multiply(self.ut2, s, out=xt2)
+        xt2 += c3
         return x
 
 
@@ -141,6 +191,23 @@ def characteristic_frame(wl: np.ndarray, wr: np.ndarray, axis: int,
                      enthalpy=hm, q2=q2, b1=b1, b2=0.5 * b1 * q2)
 
 
+_workspace = Workspace()
+
+
+def _tile_words(rows: int, n2: int, length: int) -> int:
+    """Float64 words of the workspace for one tile of ``rows`` lines of
+    ``length`` nodes: primitives, fluxes, split fluxes, stacked and
+    projected windows, edge values and the recombined edges."""
+    ne = length - 5
+    return NCOMP * rows * n2 * (4 * length + (2 * 10 + 2 + 3) * ne)
+
+
+def working_set_tile(n2: int, length: int) -> int:
+    """Default tile: rows of ``(n2, length)`` lines whose float64 slab fits
+    ``TILE_BYTES``, and never fewer than ``MIN_TILE_ROWS``."""
+    return max(MIN_TILE_ROWS, TILE_BYTES // (8 * n2 * length))
+
+
 def convective_derivative(
     q_ext: np.ndarray,
     w_ext: np.ndarray,
@@ -149,7 +216,6 @@ def convective_derivative(
     h: float,
     *,
     gas: GasModel | None = None,
-    projection: str = "characteristic",
     lo: int | None = None,
     hi: int | None = None,
     tile: int | None = None,
@@ -159,17 +225,14 @@ def convective_derivative(
     """d(F_axis)/d(x_axis) at interior nodes [lo, hi) along ``axis``.
 
     Uses the global splitting F = (F + lam*Q)/2 + (F - lam*Q)/2 with the
-    upwind-biased edge interpolation applied to each part: left-biased for
-    the plus flux, right-biased for the minus flux.  ``projection`` selects
-    the weighting basis, ``"characteristic"`` (edge-frame wave fields, needs
-    ``gas``) or ``"component"`` (raw flux components).  ``out`` (shape
-    (5, nx, ny, nz)) receives the slab when given; cross-axis extents are
-    always the full interior.
+    upwind-biased edge interpolation applied to each part, left-biased for
+    the plus flux and right-biased for the minus flux, in the characteristic
+    fields of the edge frame.  ``tile`` is the number of cross-axis rows
+    swept at once: ``None`` picks the working-set tile, ``0`` sweeps the
+    whole slab in one piece.  ``out`` (shape (5, nx, ny, nz)) receives the
+    slab when given; cross-axis extents are always the full interior.
     """
-    if projection not in ("characteristic", "component"):
-        raise ValueError(f"projection must be 'characteristic' or "
-                         f"'component', got {projection!r}")
-    if projection == "characteristic" and gas is None:
+    if gas is None:
         raise ValueError("characteristic projection needs the gas model")
     n = [s - 2 * H for s in q_ext.shape[1:]]
     na = n[axis]
@@ -192,38 +255,50 @@ def convective_derivative(
     out_slab[axis] = slice(lo, hi)
     dst = np.moveaxis(out[(slice(None),) + tuple(out_slab)], 1 + axis, 3)
 
-    ncross = q.shape[1]
-    step = ncross if tile is None or tile <= 0 else tile
+    _, ncross, n2, length = q.shape
+    ne = length - 5
+    if tile is None:
+        step = working_set_tile(n2, length)
+    else:
+        step = ncross if tile <= 0 else tile
+    ws = _workspace
     for c0 in range(0, ncross, step):
         cs = slice(c0, min(c0 + step, ncross))
-        qc = np.ascontiguousarray(q[:, cs])
-        wc = np.ascontiguousarray(w[:, cs])
-        f = inviscid_flux(wc, axis, q=qc)
-        fp = 0.5 * (f + lam * qc)
-        fm = 0.5 * (f - lam * qc)
-        if projection == "component":
-            plus = interpolate_line_edges(fp, side="left", eps=weight_eps)
-            minus = interpolate_line_edges(fm, side="right", eps=weight_eps)
-            edges = plus + minus
-        else:
-            ne = qc.shape[-1] - 5
-            frame = characteristic_frame(wc[..., 2:2 + ne],
-                                         wc[..., 3:3 + ne], axis, gas)
-            # Windows are taken relative to their central node so a constant
-            # field projects to exactly zero and uniform flow stays a bitwise
-            # fixed point of the derivative.
-            ctr_p = fp[..., 2:2 + ne]
-            cp = [frame.to_waves(fp[..., k:k + ne] - ctr_p) for k in range(5)]
-            plus = window_edge_value(cp[0], cp[1], cp[2], cp[3], cp[4],
-                                     eps=weight_eps)
-            ctr_m = fm[..., 3:3 + ne]
-            cm = [frame.to_waves(fm[..., 5 - k:5 - k + ne] - ctr_m)
-                  for k in range(5)]
-            minus = window_edge_value(cm[0], cm[1], cm[2], cm[3], cm[4],
-                                      eps=weight_eps)
-            edges = ctr_p + ctr_m
-            edges += frame.to_state(plus + minus)
-        dst[:, cs] = edge_to_node_derivative(edges, h)
+        rows = cs.stop - cs.start
+        ws.reserve(_tile_words(rows, n2, length))
+        qc = q[:, cs]
+        # One strided read of the primitives serves the flux and the frame.
+        wc = ws.take(NCOMP, rows, n2, length)
+        np.copyto(wc, w[:, cs])
+        f = inviscid_flux(wc, axis, q=qc, out=ws.take(NCOMP, rows, n2, length))
+        fp = ws.take(NCOMP, rows, n2, length)
+        fm = ws.take(NCOMP, rows, n2, length)
+        lam_q = np.multiply(lam, qc, out=fm)
+        np.add(f, lam_q, out=fp)
+        fp *= 0.5
+        np.subtract(f, lam_q, out=fm)
+        fm *= 0.5
+        frame = characteristic_frame(wc[..., 2:2 + ne], wc[..., 3:3 + ne],
+                                     axis, gas)
+        # All ten windows, component x window x side (plus, minus), taken
+        # relative to their central node so a constant field projects to
+        # exactly zero and uniform flow stays a bitwise fixed point of the
+        # derivative.
+        ctr_p = fp[..., 2:2 + ne]
+        ctr_m = fm[..., 3:3 + ne]
+        win = ws.take(NCOMP, 5, 2, rows, n2, ne)
+        for k in range(5):
+            np.subtract(fp[..., k:k + ne], ctr_p, out=win[:, k, 0])
+            np.subtract(fm[..., 5 - k:5 - k + ne], ctr_m, out=win[:, k, 1])
+        waves = frame.to_waves(win, out=ws.take(NCOMP, 5, 2, rows, n2, ne))
+        sides = window_edge_value(waves[:, 0], waves[:, 1], waves[:, 2],
+                                  waves[:, 3], waves[:, 4], eps=weight_eps,
+                                  out=ws.take(NCOMP, 2, rows, n2, ne))
+        both = np.add(sides[:, 0], sides[:, 1],
+                      out=ws.take(NCOMP, rows, n2, ne))
+        edges = np.add(ctr_p, ctr_m, out=ws.take(NCOMP, rows, n2, ne))
+        edges += frame.to_state(both, out=ws.take(NCOMP, rows, n2, ne))
+        edge_to_node_derivative(edges, h, out=dst[:, cs])
     return out
 
 
@@ -319,7 +394,6 @@ def block_residual(
     lams: tuple[float, float, float],
     *,
     block_id: int | None = None,
-    projection: str = "characteristic",
     tile: int | None = None,
     weight_eps: float = 1e-6,
 ) -> np.ndarray:
@@ -334,8 +408,8 @@ def block_residual(
     for a in range(3):
         try:
             parts.convective[a] = convective_derivative(
-                q_ext, w_ext, a, lams[a], spacing[a], gas=gas,
-                projection=projection, tile=tile, weight_eps=weight_eps
+                q_ext, w_ext, a, lams[a], spacing[a], gas=gas, tile=tile,
+                weight_eps=weight_eps
             )
         except InvalidStateError as e:
             raise InvalidStateError(

@@ -119,24 +119,27 @@ def spectral_radius(w: np.ndarray, axis: int, gas: GasModel) -> np.ndarray:
 
 
 def inviscid_flux(w: np.ndarray, axis: int, q: np.ndarray | None = None,
-                  gas: GasModel | None = None) -> np.ndarray:
+                  gas: GasModel | None = None, *,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Convective flux along ``axis`` (0, 1 or 2) from primitives.
 
     Passing the matching conserved array avoids recomputing it; otherwise
-    ``gas`` is required to rebuild it.
+    ``gas`` is required to rebuild it.  ``out`` (the shape of ``w``, sharing
+    no memory with ``w`` or ``q``) receives the flux when given.
     """
     if q is None:
         if gas is None:
             raise ValueError("inviscid_flux needs either q or gas")
         q = conserved_from_primitive(w, gas, validate=False)
     un = w[1 + axis]
-    f = np.empty_like(w)
+    f = np.empty_like(w) if out is None else out
     f[0] = q[1 + axis]
-    f[1] = q[1] * un
-    f[2] = q[2] * un
-    f[3] = q[3] * un
-    f[1 + axis] = f[1 + axis] + w[4]
-    f[4] = un * (q[4] + w[4])
+    np.multiply(q[1], un, out=f[1])
+    np.multiply(q[2], un, out=f[2])
+    np.multiply(q[3], un, out=f[3])
+    f[1 + axis] += w[4]
+    np.add(q[4], w[4], out=f[4])
+    f[4] *= un
     return f
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,8 @@ from .errors import TransportError
 HEADER = struct.Struct("<IIIQ")
 MAGIC = b"WCNSFL01"
 DEFAULT_TIMEOUT = 60.0
+CONNECT_BACKOFF = 0.01        # first retry delay of a refused dial, seconds
+CONNECT_BACKOFF_MAX = 0.25
 
 
 @dataclass
@@ -163,8 +166,25 @@ class SocketTransport:
             self._start_reader(peer, conn)
 
     def _connect(self, peer: int) -> socket.socket:
+        """Dial a lower rank, retrying while it is not listening yet: ranks
+        start in any order, so the first dial can come before its listener."""
         host, port = self.addresses[peer]
-        sock = socket.create_connection((host, port), timeout=self.timeout)
+        deadline = time.monotonic() + self.timeout
+        backoff = CONNECT_BACKOFF
+        while True:
+            try:
+                sock = socket.create_connection((host, port),
+                                                timeout=self.timeout)
+                break
+            except ConnectionRefusedError as e:
+                left = deadline - time.monotonic()
+                if left <= 0.0:
+                    raise TransportError(
+                        f"rank {self.rank} could not connect to rank {peer} "
+                        f"at {host}:{port}: refused for {self.timeout:g}s"
+                    ) from e
+                time.sleep(min(backoff, left))
+                backoff = min(2.0 * backoff, CONNECT_BACKOFF_MAX)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.sendall(MAGIC + struct.pack("<I", self.rank))
         with self._cond:

@@ -19,6 +19,9 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
+import threading
+
 import numpy as np
 
 from .errors import StencilError
@@ -64,18 +67,109 @@ def nonlinear_weights(b0, b1, b2, eps: float = WEIGHT_EPS):
     return a0 * inv, a1 * inv, a2 * inv
 
 
-def _edge_value(w0, w1, w2, w3, w4, eps: float, nonlinear: bool):
+class Workspace(threading.local):
+    """Float64 scratch of one thread, reused from call to call.
+
+    ``reserve`` readies the buffer for one use, growing it when it is too
+    small, and ``take`` carves the next array from it.  Arrays taken stay
+    valid until the next ``reserve`` on the same thread.  Every thread has
+    its own buffer, so pool workers sweeping at once never share scratch.
+    """
+
+    def __init__(self):
+        self.buf = np.empty(0)
+        self.used = 0
+
+    def reserve(self, size: int) -> None:
+        if self.buf.size < size:
+            self.buf = np.empty(size)
+        self.used = 0
+
+    def take(self, *shape: int) -> np.ndarray:
+        n = math.prod(shape)
+        view = self.buf[self.used:self.used + n].reshape(shape)
+        self.used += n
+        return view
+
+
+_scratch = Workspace()
+
+
+def _edge_value(w0, w1, w2, w3, w4, eps: float, nonlinear: bool, out=None):
+    """Weighted edge value of 5-node windows, computed into ``out``.
+
+    The operations and their order are those of ``smoothness_indicators``
+    and ``nonlinear_weights``, done in place so that the only arrays are
+    ``out`` and seven scratch arrays of its shape.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, (w0, w1, w2, w3, w4)))
+    if out is None:
+        out = np.empty(shape)
+    _scratch.reserve(7 * math.prod(shape))
+    p0, p1, p2, b0, b1, b2, u = (_scratch.take(*shape) for _ in range(7))
     # Quadratic substencil values interpolated to the edge between the
-    # window's 3rd and 4th node (offset +1/2 from the window center).
-    p0 = (3.0 * w0 - 10.0 * w1 + 15.0 * w2) * 0.125
-    p1 = (-w1 + 6.0 * w2 + 3.0 * w3) * 0.125
-    p2 = (3.0 * w2 + 6.0 * w3 - w4) * 0.125
+    # window's 3rd and 4th node (offset +1/2 from the window center):
+    # p0 = (3 w0 - 10 w1 + 15 w2) / 8 and its mirrors, term by term.
+    np.multiply(3.0, w0, out=p0)
+    p0 -= np.multiply(10.0, w1, out=u)
+    p0 += np.multiply(15.0, w2, out=u)
+    p0 *= 0.125
+    np.negative(w1, out=p1)
+    p1 += np.multiply(6.0, w2, out=u)
+    p1 += np.multiply(3.0, w3, out=u)
+    p1 *= 0.125
+    np.multiply(3.0, w2, out=p2)
+    p2 += np.multiply(6.0, w3, out=u)
+    p2 -= w4
+    p2 *= 0.125
     if nonlinear:
-        b0, b1, b2 = smoothness_indicators(w0, w1, w2, w3, w4)
-        o0, o1, o2 = nonlinear_weights(b0, b1, b2, eps)
+        # Jiang-Shu indicators; ``out`` is scratch until the weighted sum.
+        c = 13.0 / 12.0
+        d = out
+        np.subtract(w0, np.multiply(2.0, w1, out=d), out=d)
+        d += w2
+        np.multiply(c, d, out=b0)
+        b0 *= d
+        np.subtract(w0, np.multiply(4.0, w1, out=d), out=d)
+        d += np.multiply(3.0, w2, out=u)
+        np.multiply(d, d, out=d)
+        d *= 0.25
+        b0 += d
+        np.subtract(w1, np.multiply(2.0, w2, out=d), out=d)
+        d += w3
+        np.multiply(c, d, out=b1)
+        b1 *= d
+        np.subtract(w1, w3, out=d)
+        np.multiply(d, d, out=d)
+        d *= 0.25
+        b1 += d
+        np.subtract(w2, np.multiply(2.0, w3, out=d), out=d)
+        d += w4
+        np.multiply(c, d, out=b2)
+        b2 *= d
+        np.subtract(np.multiply(3.0, w2, out=d), np.multiply(4.0, w3, out=u),
+                    out=d)
+        d += w4
+        np.multiply(d, d, out=d)
+        d *= 0.25
+        b2 += d
+        # Normalized weights: alpha_k = d_k / (eps + beta_k)^2.
+        for b, ideal in zip((b0, b1, b2), IDEAL_WEIGHTS):
+            b += eps
+            np.multiply(b, b, out=b)
+            np.divide(ideal, b, out=b)
+        inv = np.add(b0, b1, out=u)
+        inv += b2
+        np.divide(1.0, inv, out=inv)
+        o0 = np.multiply(b0, inv, out=b0)
+        o1 = np.multiply(b1, inv, out=b1)
+        o2 = np.multiply(b2, inv, out=b2)
     else:
         o0, o1, o2 = IDEAL_WEIGHTS
-    return o0 * p0 + o1 * p1 + o2 * p2
+    np.multiply(o0, p0, out=out)
+    out += np.multiply(o1, p1, out=p1)
+    out += np.multiply(o2, p2, out=p2)
+    return out
 
 
 def interpolate_edge(line: np.ndarray, edge: int, side: str = "left",
@@ -96,7 +190,7 @@ def interpolate_edge(line: np.ndarray, edge: int, side: str = "left",
                                f"[{lo}, {hi}) of a {n}-node line")
         w = line[..., lo:hi]
         return _edge_value(w[..., 0], w[..., 1], w[..., 2], w[..., 3], w[..., 4],
-                           eps, nonlinear)
+                           eps, nonlinear)[()]
     if side == "right":
         lo, hi = edge - 1, edge + 4
         if lo < 0 or hi > n:
@@ -104,7 +198,7 @@ def interpolate_edge(line: np.ndarray, edge: int, side: str = "left",
                                f"[{lo}, {hi}) of a {n}-node line")
         w = line[..., lo:hi]
         return _edge_value(w[..., 4], w[..., 3], w[..., 2], w[..., 1], w[..., 0],
-                           eps, nonlinear)
+                           eps, nonlinear)[()]
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -117,15 +211,16 @@ def _weights_mode(weights: str) -> bool:
 
 
 def window_edge_value(w0, w1, w2, w3, w4, eps: float = WEIGHT_EPS,
-                      weights: str = "nonlinear"):
+                      weights: str = "nonlinear", *, out=None):
     """Edge value from an already-gathered 5-node window.
 
     The window must be ordered upwind first: pass nodes left-to-right for a
     left-biased value and right-to-left for a right-biased one.  The result
     sits between ``w2`` and ``w3``.  Used directly when windows are built in
-    a transformed basis rather than sliced from a line.
+    a transformed basis rather than sliced from a line.  ``out`` receives
+    the result when given; it must not overlap the window.
     """
-    return _edge_value(w0, w1, w2, w3, w4, eps, _weights_mode(weights))
+    return _edge_value(w0, w1, w2, w3, w4, eps, _weights_mode(weights), out)
 
 
 def interpolate_line_edges(f: np.ndarray, side: str = "left",
@@ -152,12 +247,14 @@ def interpolate_line_edges(f: np.ndarray, side: str = "left",
     return _edge_value(w[0], w[1], w[2], w[3], w[4], eps, nonlinear)
 
 
-def edge_to_node_derivative(edges: np.ndarray, h: float) -> np.ndarray:
+def edge_to_node_derivative(edges: np.ndarray, h: float, *,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """Node derivatives from midpoint values along the last axis.
 
     For ``m`` input edges returns ``m - 5`` node values; output node ``i``
     sits between input edges ``i + 2`` and ``i + 3`` and the formula reaches
-    the midpoints at ``i +- 1/2, 3/2, 5/2``.
+    the midpoints at ``i +- 1/2, 3/2, 5/2``.  ``out`` receives the result
+    when given; it must not overlap ``edges``.
     """
     edges = np.asarray(edges)
     n = edges.shape[-1] - 5
@@ -166,9 +263,16 @@ def edge_to_node_derivative(edges: np.ndarray, h: float) -> np.ndarray:
                            "for the node derivative")
     c1, c2, c3 = EDGE_COEFFS
     e = edges
-    d = (c1 / h) * (e[..., 3:3 + n] - e[..., 2:2 + n])
-    d -= (c2 / h) * (e[..., 4:4 + n] - e[..., 1:1 + n])
-    d += (c3 / h) * (e[..., 5:5 + n] - e[..., 0:0 + n])
+    d = np.subtract(e[..., 3:3 + n], e[..., 2:2 + n], out=out)
+    d *= c1 / h
+    _scratch.reserve(d.size)
+    t = _scratch.take(*d.shape)
+    np.subtract(e[..., 4:4 + n], e[..., 1:1 + n], out=t)
+    t *= c2 / h
+    d -= t
+    np.subtract(e[..., 5:5 + n], e[..., 0:0 + n], out=t)
+    t *= c3 / h
+    d += t
     return d
 
 

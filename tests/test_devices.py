@@ -31,6 +31,8 @@ finite = {"allow_nan": False, "allow_infinity": False}
 # Cost models
 
 def test_link_transfer_cost_is_latency_plus_wire_time():
+    """0.00101 s was frozen from the root oracle script
+    ``scratch_oracles.py`` (section 4), since deleted."""
     link = LinkModel(bandwidth=8.0e9, latency=1.0e-5)
     assert link.transfer_seconds(8_000_000) == 0.00101
     assert link.transfer_seconds(0) == 1.0e-5

@@ -1,5 +1,7 @@
 """Halo plans, packing, exchange epochs, ghost fills, and transports."""
 
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -668,6 +670,47 @@ def test_wire_format_frozen():
     assert HEADER.format == "<IIIQ"
     assert HEADER.size == 20
     assert MAGIC == b"WCNSFL01"
+
+
+def test_socket_dial_waits_for_a_late_listener():
+    """Rank 1 is built and sends before rank 0 exists; the message arrives."""
+    addrs = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+    t1 = SocketTransport(1, addrs, timeout=30.0)
+    payload = np.arange(5.0)
+    errors = []
+
+    def send():
+        try:
+            t1.send(Message(tag=3, source=1, dest=0, payload=payload))
+        except TransportError as exc:
+            errors.append(exc)
+
+    sender = threading.Thread(target=send)
+    t0 = None
+    try:
+        sender.start()
+        time.sleep(0.3)              # rank 1 dials while nothing listens
+        t0 = SocketTransport(0, addrs, timeout=30.0)
+        got = t0.recv(tag=3, source=1, dest=0, timeout=30.0)
+        sender.join(timeout=30.0)
+        assert not sender.is_alive() and errors == []
+        assert np.array_equal(got.payload, payload)
+    finally:
+        t1.close()
+        if t0 is not None:
+            t0.close()
+
+
+def test_socket_dial_gives_up_naming_the_peer():
+    addrs = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+    t1 = SocketTransport(1, addrs, timeout=0.3)
+    try:
+        t_start = time.monotonic()
+        with pytest.raises(TransportError, match="connect to rank 0"):
+            t1.send(Message(tag=3, source=1, dest=0, payload=np.zeros(1)))
+        assert time.monotonic() - t_start < 5.0
+    finally:
+        t1.close()
 
 
 def test_socket_round_trip():

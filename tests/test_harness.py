@@ -250,6 +250,8 @@ def test_zone_array_rejects_bad_dumps():
 # Metrics
 
 def test_mcups_definition():
+    """5.0 was frozen from the root oracle script ``scratch_oracles.py``
+    (section 5), since deleted."""
     assert mcups(1_000_000, 50, 10.0) == 5.0
     with pytest.raises(ValueError, match="duration"):
         mcups(100, 1, 0.0)

@@ -38,6 +38,8 @@ def rest_state(n: int = 4) -> np.ndarray:
 # Stage algebra
 
 def test_scalar_decay_single_step_frozen_value():
+    """The frozen value was printed by the root oracle script
+    ``scratch_oracles.py`` (section 2), since deleted."""
     # Hand evaluation for dq/dt = -q, dt = 0.1:
     #   q1 = 0.9, q2 = 0.9525, q = 1/3 + 2/3 * (0.9525 - 0.09525)
     got = rk3_scalar(1.0, 0.1, lambda q: -q)
@@ -84,6 +86,8 @@ def test_blocks_advance_independently():
 # Step-size bounds
 
 def test_rest_gas_dt_bound_frozen_value():
+    """The frozen value was printed by the root oracle script
+    ``scratch_oracles.py`` (section 3), since deleted."""
     got = block_dt_bound(rest_state(), GAS, (0.1, 0.1, 0.1))
     assert got == 0.028171808490950558
     assert got == pytest.approx(0.1 / (3.0 * math.sqrt(1.4)), rel=1e-15)

@@ -1,5 +1,9 @@
 """Block residuals: splitting, wave-frame projection, directional sweeps."""
 
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -280,28 +284,6 @@ def test_density_wave_residual_matches_line_sweep_oracle():
     assert float(np.max(np.abs(got - want))) <= 1e-12
 
 
-def test_component_projection_matches_its_line_form():
-    """The simpler flux-component weighting stays available and consistent."""
-    from wcnsflow.wcns import interpolate_line_edges
-    n = 10
-    h = 1.0 / n
-    q_ext = extend_periodic(wave_state(n))
-    w_ext = primitive_from_conserved(q_ext, GAS)
-    lams = zone_lams(w_ext[(slice(None),) + (slice(H, -H),) * 3])
-    conv = convective_derivative(q_ext, w_ext, 0, lams[0], h,
-                                 projection="component")
-    for b, c in ((0, 0), (3, 7), (9, 4)):
-        line_q = q_ext[:, :, H + b, H + c]
-        line_w = w_ext[:, :, H + b, H + c]
-        f = inviscid_flux(line_w, 0, q=line_q)
-        plus = interpolate_line_edges(0.5 * (f + lams[0] * line_q),
-                                      side="left")
-        minus = interpolate_line_edges(0.5 * (f - lams[0] * line_q),
-                                       side="right")
-        d = edge_to_node_derivative(plus + minus, h)
-        np.testing.assert_array_equal(conv[:, :, b, c], d)
-
-
 def test_uniform_flow_residual_is_bitwise_zero():
     q_ext = constant_state(1.2, 0.7, -0.4, 0.9, 2.0, n=8)
     r = block_residual(q_ext, GAS, (0.1, 0.1, 0.1), (2.0, 2.0, 2.0))
@@ -378,13 +360,119 @@ def test_convective_argument_validation():
     q_ext = constant_state(1.0, 0.0, 0.0, 0.0, 1.0)
     w = np.ones_like(q_ext)
     w[1:4] = 0.0
-    with pytest.raises(ValueError, match="projection"):
-        convective_derivative(q_ext, w, 0, 1.0, 0.1, gas=GAS,
-                              projection="primitive")
     with pytest.raises(ValueError, match="gas model"):
         convective_derivative(q_ext, w, 0, 1.0, 0.1)
     with pytest.raises(ValueError, match="node range"):
         convective_derivative(q_ext, w, 0, 1.0, 0.1, gas=GAS, lo=2, hi=99)
+
+
+# ---------------------------------------------------------------------------
+# Frozen bits and per-thread workspaces
+
+def random_block(shape, seed: int):
+    """Conserved and primitive halo-extended arrays of a random valid state
+    (uniform draws only, which every NumPy release generates alike)."""
+    rng = np.random.default_rng(seed)
+    ext = tuple(n + 2 * H for n in shape)
+    w = np.empty((5,) + ext)
+    w[0] = 0.5 + rng.random(ext)
+    w[1:4] = rng.random((3,) + ext) - 0.5
+    w[4] = 0.5 + rng.random(ext)
+    q_ext = conserved_from_primitive(w, GAS)
+    return q_ext, primitive_from_conserved(q_ext, GAS)
+
+
+def sweep_digest(q_ext, w_ext, axis: int, tile) -> str:
+    """SHA-256 over the sweep of the whole axis and of each non-empty
+    ``interior_split`` range, each written into a zeroed buffer."""
+    n = q_ext.shape[1 + axis] - 2 * H
+    lam = float(np.max(spectral_radius(w_ext, axis, GAS)))
+    a, b = interior_split(n)
+    digest = hashlib.sha256()
+    for lo, hi in ((0, n), (0, a), (a, b), (b, n)):
+        if hi > lo:
+            out = np.zeros((5,) + tuple(s - 2 * H for s in q_ext.shape[1:]))
+            convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n, gas=GAS,
+                                  lo=lo, hi=hi, tile=tile, out=out)
+            digest.update(out.tobytes())
+    return digest.hexdigest()
+
+
+# (block shape, axis) -> digest; block i is random_block(shape, seed=i).
+SWEEP_DIGESTS = {
+    ((13, 7, 21), 0):
+        "53fe9f0ee68b12475ce6dffbeb690010d2326aea17a4fe8bb220edaa4a8df931",
+    ((13, 7, 21), 1):
+        "7c80b320679211d0ae9dcd8021e0da562a6e6f8a233978ff232099028af2889b",
+    ((13, 7, 21), 2):
+        "093861552d575c949ee7d5cb894de57917be5faf05e48f5fb4b958bea09431b5",
+    ((24, 24, 24), 0):
+        "1c975baeff63431afa64d4078f1f82caf6b9f6a24a2d7f0c8f42925cc957b876",
+    ((24, 24, 24), 1):
+        "55911d7c59da5526e6bce5cf5e58ef6cf28a4dc7828138d9f943dcfd36f4676d",
+    ((24, 24, 24), 2):
+        "ad958556c0fe1ec8ac1ee389a6ca9d0b4acdba25157581506d9c26f39b073cde",
+    ((200, 4, 4), 0):
+        "29fdf2633207eee9d4a3767c8f869e8a4856f269b1412c744ee567e4638e6de0",
+    ((200, 4, 4), 1):
+        "a53ffa638fc7210bcfeeb781033c44fa0cbeeb2b74c9862d77a6b29b6d2981ce",
+    ((200, 4, 4), 2):
+        "b67157c5006a45f6a474a1d8a6b4241b819df07124fa730e5e1b1e3e35b0d8e1",
+}
+DIGEST_SHAPES = [(13, 7, 21), (24, 24, 24), (200, 4, 4)]
+
+
+@pytest.mark.parametrize("shape", DIGEST_SHAPES)
+def test_sweep_bits_are_frozen(shape):
+    """The sweep's bytes, pinned.  The digests were computed at commit
+    5ad4bc3, whose sweep projected each window separately and ran untiled
+    by default; every tile (default, 1 row, 3 rows, 0 = untiled) must give
+    the same bytes on all three axes and every node range."""
+    q_ext, w_ext = random_block(shape, DIGEST_SHAPES.index(shape))
+    for axis in range(3):
+        for tile in (None, 1, 3, 0):
+            assert sweep_digest(q_ext, w_ext, axis, tile) == \
+                SWEEP_DIGESTS[(shape, axis)], (axis, tile)
+
+
+def test_concurrent_sweeps_match_serial_sweeps():
+    """Two threads sweeping different blocks with equal tile shapes at once
+    give the bytes of serial calls: each thread has its own workspace."""
+    blocks = [random_block((12, 12, 12), seed) for seed in (7, 8)]
+    lam = 3.0
+    serial = [[convective_derivative(q, w, axis, lam, 0.1, gas=GAS, tile=1)
+               for axis in range(3)] for q, w in blocks]
+    results = [None, None]
+    errors = []
+    start = threading.Barrier(2, timeout=30)
+
+    def sweep(i):
+        q, w = blocks[i]
+        start.wait()
+        try:
+            results[i] = [[convective_derivative(q, w, axis, lam, 0.1,
+                                                 gas=GAS, tile=1)
+                           for axis in range(3)] for _ in range(4)]
+        except Exception as exc:      # a shared workspace can corrupt state
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for i in range(2):
+        for rep in results[i]:
+            for got, want in zip(rep, serial[i]):
+                assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ GAMMA = 1.4
 
 
 def test_sod_star_state_frozen_values():
+    """p* and u* were frozen from the star state printed by the root oracle
+    script ``scratch_oracles.py`` (section 8), since deleted."""
     sol = solve_riemann(SOD_LEFT, SOD_RIGHT, gamma=GAMMA)
     assert sol.p_star == pytest.approx(0.3031301780506468, rel=1e-12)
     assert sol.u_star == pytest.approx(0.9274526200489499, rel=1e-12)

@@ -33,6 +33,8 @@ def test_constant_window_has_zero_indicators():
 
 
 def test_linear_window_indicators_equal():
+    """(1, 1, 1) was frozen from the output of the root oracle script
+    ``scratch_oracles.py`` (section 1), since deleted."""
     b = smoothness_indicators(0.0, 1.0, 2.0, 3.0, 4.0)
     assert b == (1.0, 1.0, 1.0)
 
