@@ -14,14 +14,15 @@ A convective sweep moves the sweep axis last and walks the slab in tiles of
 cross-axis rows.  Per tile it stacks all ten windows (five nodes, plus and
 minus flux) into one array, component x window x side x tile, and makes one
 projection call into the wave fields, one weighted-edge call for both sides
-and one call back to state space.  Every tile array lives in a per-thread
-workspace that is grown to the largest tile the thread has swept and viewed
-afresh for each tile shape, so pool workers never share one.  The default
-tile is the working-set tile: as many rows as fit the moved (rows, n2, L)
-float64 slab in ``TILE_BYTES``, and never fewer than ``MIN_TILE_ROWS``;
-``tile=0`` sweeps the slab untiled.  Tiling and stacking change which
-arrays the operations touch, not the operations an element sees or their
-order, so every tile size gives the same bits.
+and one call back to state space.  The tile's multi-component arrays live
+in a per-thread workspace (``wcns.Workspace``) that is grown to the largest
+tile the thread has swept and viewed afresh for each tile shape, so pool
+workers never share one; only the edge frame's one-slab fields are still
+allocated per tile.  The default tile is the working-set tile: as many rows
+as fit the moved (rows, n2, L) float64 slab in ``TILE_BYTES``, and never
+fewer than ``MIN_TILE_ROWS``; ``tile=0`` sweeps the slab untiled.  Tiling
+and stacking change which arrays the operations touch, not the operations
+an element sees or their order, so every tile size gives the same bits.
 
 Each direction is an independent task writing its own buffer; the per-block
 combination happens in one fixed order so results never depend on how tasks

@@ -11,7 +11,8 @@ from wcnsflow.errors import StencilError
 from wcnsflow.wcns import (EDGE_COEFFS, HALO_WIDTH, IDEAL_WEIGHTS, WEIGHT_EPS,
                            central4_derivative, edge_to_node_derivative,
                            interpolate_edge, interpolate_line_edges,
-                           nonlinear_weights, smoothness_indicators)
+                           nonlinear_weights, smoothness_indicators,
+                           window_edge_value)
 
 finite = {"allow_nan": False, "allow_infinity": False}
 
@@ -130,6 +131,28 @@ def test_single_edge_matches_line_interpolation():
     for j in range(edges_l.shape[0]):
         assert interpolate_edge(line, j + 2, side="left") == edges_l[j]
         assert interpolate_edge(line, j + 2, side="right") == edges_r[j]
+
+
+@settings(max_examples=50)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_window_edge_value_is_the_indicator_and_weight_formulas(seed):
+    """The in-place edge value performs the operations of
+    ``smoothness_indicators`` and ``nonlinear_weights`` in their order, so
+    it matches their composition bit for bit, with and without ``out``."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(5, 3, 7)) * 10.0 ** rng.integers(-3, 4, size=(5, 1, 1))
+    p0 = (3.0 * w[0] - 10.0 * w[1] + 15.0 * w[2]) * 0.125
+    p1 = (-w[1] + 6.0 * w[2] + 3.0 * w[3]) * 0.125
+    p2 = (3.0 * w[2] + 6.0 * w[3] - w[4]) * 0.125
+    o0, o1, o2 = nonlinear_weights(*smoothness_indicators(*w), WEIGHT_EPS)
+    want = o0 * p0 + o1 * p1 + o2 * p2
+    assert window_edge_value(*w).tobytes() == want.tobytes()
+    out = np.full((3, 7), np.nan)
+    assert window_edge_value(*w, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    d0, d1, d2 = IDEAL_WEIGHTS
+    ideal = window_edge_value(*w, weights="ideal")
+    assert ideal.tobytes() == (d0 * p0 + d1 * p1 + d2 * p2).tobytes()
 
 
 def test_right_bias_is_mirror_of_left_bias():
