@@ -200,7 +200,7 @@ def _tile_words(rows: int, n2: int, length: int) -> int:
     ``length`` nodes: primitives, fluxes, split fluxes, stacked and
     projected windows, edge values and the recombined edges."""
     ne = length - 5
-    return NCOMP * rows * n2 * (4 * length + (2 * 10 + 2 + 3) * ne)
+    return NCOMP * rows * n2 * (4 * length + (2 * 10 + 2 + 1) * ne)
 
 
 def working_set_tile(n2: int, length: int) -> int:
@@ -295,10 +295,9 @@ def convective_derivative(
         sides = window_edge_value(waves[:, 0], waves[:, 1], waves[:, 2],
                                   waves[:, 3], waves[:, 4], eps=weight_eps,
                                   out=ws.take(NCOMP, 2, rows, n2, ne))
-        both = np.add(sides[:, 0], sides[:, 1],
-                      out=ws.take(NCOMP, rows, n2, ne))
+        both = np.add(sides[:, 0], sides[:, 1], out=sides[:, 0])
         edges = np.add(ctr_p, ctr_m, out=ws.take(NCOMP, rows, n2, ne))
-        edges += frame.to_state(both, out=ws.take(NCOMP, rows, n2, ne))
+        edges += frame.to_state(both, out=sides[:, 1])
         edge_to_node_derivative(edges, h, out=dst[:, cs])
     return out
 

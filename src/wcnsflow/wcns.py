@@ -99,29 +99,15 @@ def _edge_value(w0, w1, w2, w3, w4, eps: float, nonlinear: bool, out=None):
     """Weighted edge value of 5-node windows, computed into ``out``.
 
     The operations and their order are those of ``smoothness_indicators``
-    and ``nonlinear_weights``, done in place so that the only arrays are
-    ``out`` and seven scratch arrays of its shape.
+    and ``nonlinear_weights`` and of the weighted sum of the substencil
+    values, done in place so that the only arrays are ``out`` and four
+    scratch arrays of its shape.
     """
     shape = np.broadcast_shapes(*map(np.shape, (w0, w1, w2, w3, w4)))
     if out is None:
         out = np.empty(shape)
-    _scratch.reserve(7 * math.prod(shape))
-    p0, p1, p2, b0, b1, b2, u = (_scratch.take(*shape) for _ in range(7))
-    # Quadratic substencil values interpolated to the edge between the
-    # window's 3rd and 4th node (offset +1/2 from the window center):
-    # p0 = (3 w0 - 10 w1 + 15 w2) / 8 and its mirrors, term by term.
-    np.multiply(3.0, w0, out=p0)
-    p0 -= np.multiply(10.0, w1, out=u)
-    p0 += np.multiply(15.0, w2, out=u)
-    p0 *= 0.125
-    np.negative(w1, out=p1)
-    p1 += np.multiply(6.0, w2, out=u)
-    p1 += np.multiply(3.0, w3, out=u)
-    p1 *= 0.125
-    np.multiply(3.0, w2, out=p2)
-    p2 += np.multiply(6.0, w3, out=u)
-    p2 -= w4
-    p2 *= 0.125
+    _scratch.reserve(4 * math.prod(shape))
+    b0, b1, b2, u = (_scratch.take(*shape) for _ in range(4))
     if nonlinear:
         # Jiang-Shu indicators; ``out`` is scratch until the weighted sum.
         c = 13.0 / 12.0
@@ -166,9 +152,26 @@ def _edge_value(w0, w1, w2, w3, w4, eps: float, nonlinear: bool, out=None):
         o2 = np.multiply(b2, inv, out=b2)
     else:
         o0, o1, o2 = IDEAL_WEIGHTS
-    np.multiply(o0, p0, out=out)
-    out += np.multiply(o1, p1, out=p1)
-    out += np.multiply(o2, p2, out=p2)
+    # o0 p0 + o1 p1 + o2 p2 with the quadratic substencil values at the
+    # edge between the window's 3rd and 4th node (offset +1/2 from the
+    # window center), each formed in ``u`` in turn:
+    # p0 = (3 w0 - 10 w1 + 15 w2) / 8 and its mirrors, term by term.
+    p = np.multiply(3.0, w0, out=u)
+    p -= np.multiply(10.0, w1, out=out)
+    p += np.multiply(15.0, w2, out=out)
+    p *= 0.125
+    np.multiply(o0, p, out=out)
+    t = b0                       # o0 has been used
+    np.negative(w1, out=p)
+    p += np.multiply(6.0, w2, out=t)
+    p += np.multiply(3.0, w3, out=t)
+    p *= 0.125
+    out += np.multiply(o1, p, out=p)
+    np.multiply(3.0, w2, out=p)
+    p += np.multiply(6.0, w3, out=t)
+    p -= w4
+    p *= 0.125
+    out += np.multiply(o2, p, out=p)
     return out
 
 

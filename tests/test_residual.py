@@ -436,15 +436,18 @@ def test_sweep_bits_are_frozen(shape):
 
 
 def test_concurrent_sweeps_match_serial_sweeps():
-    """Two threads sweeping different blocks with equal tile shapes at once
-    give the bytes of serial calls: each thread has its own workspace."""
-    blocks = [random_block((12, 12, 12), seed) for seed in (7, 8)]
+    """Threads sweeping different blocks with equal tile shapes at once,
+    more threads than cores and a short switch interval, give the bytes of
+    serial calls: each thread has its own workspace."""
+    nthreads = 4
+    blocks = [random_block((12, 12, 12), seed)
+              for seed in range(7, 7 + nthreads)]
     lam = 3.0
     serial = [[convective_derivative(q, w, axis, lam, 0.1, gas=GAS, tile=1)
                for axis in range(3)] for q, w in blocks]
-    results = [None, None]
+    results = [None] * nthreads
     errors = []
-    start = threading.Barrier(2, timeout=30)
+    start = threading.Barrier(nthreads, timeout=30)
 
     def sweep(i):
         q, w = blocks[i]
@@ -452,7 +455,7 @@ def test_concurrent_sweeps_match_serial_sweeps():
         try:
             results[i] = [[convective_derivative(q, w, axis, lam, 0.1,
                                                  gas=GAS, tile=1)
-                           for axis in range(3)] for _ in range(4)]
+                           for axis in range(3)] for _ in range(3)]
         except Exception as exc:      # a shared workspace can corrupt state
             errors.append(exc)
 
@@ -460,7 +463,7 @@ def test_concurrent_sweeps_match_serial_sweeps():
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=sweep, args=(i,))
-                   for i in range(2)]
+                   for i in range(nthreads)]
         for t in threads:
             t.start()
         for t in threads:
@@ -469,7 +472,7 @@ def test_concurrent_sweeps_match_serial_sweeps():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    for i in range(2):
+    for i in range(nthreads):
         for rep in results[i]:
             for got, want in zip(rep, serial[i]):
                 assert got.tobytes() == want.tobytes()

@@ -140,7 +140,8 @@ def test_window_edge_value_is_the_indicator_and_weight_formulas(seed):
     ``smoothness_indicators`` and ``nonlinear_weights`` in their order, so
     it matches their composition bit for bit, with and without ``out``."""
     rng = np.random.default_rng(seed)
-    w = rng.normal(size=(5, 3, 7)) * 10.0 ** rng.integers(-3, 4, size=(5, 1, 1))
+    scale = 10.0 ** rng.integers(-3, 4, size=(5, 1, 1))
+    w = rng.normal(size=(5, 3, 7)) * scale
     p0 = (3.0 * w[0] - 10.0 * w[1] + 15.0 * w[2]) * 0.125
     p1 = (-w[1] + 6.0 * w[2] + 3.0 * w[3]) * 0.125
     p2 = (3.0 * w[2] + 6.0 * w[3] - w[4]) * 0.125
