@@ -192,6 +192,11 @@ class DevicePool:
     def link_name(self) -> str:
         return f"{self.name}.link"
 
+    @property
+    def workers(self) -> int:
+        """Tasks the pool runs at once; an inline pool runs one."""
+        return 1 if self.executor is None else self.executor._max_workers
+
     def submit(self, fn, *args):
         if self.executor is None:
             fn(*args)
@@ -252,7 +257,7 @@ def configure_devices(rank: int, groups: list[Group], *,
         model = cpu if g.device_class == "cpu" else coprocessor
         if executors:
             pool = make_pool(rank, g, model, max_workers=max_workers)
-            demand += pool.executor._max_workers
+            demand += pool.workers
         else:
             pool = DevicePool(name=device_label(rank, g), model=model,
                               group=g, executor=None)

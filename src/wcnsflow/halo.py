@@ -293,10 +293,10 @@ class HaloExchanger:
 
     ``coalesce=True`` sends one message per block pair; ``coalesce=False``
     sends one message per region (the reference point for the messaging A/B
-    comparison).  ``mode="nonblocking"`` calls ``overlap_hook`` between
-    posting sends and draining receives so interior work can hide the
-    traffic; ``mode="blocking"`` calls it only after every ghost cell is in
-    place.  Both orders leave the fields bitwise identical.
+    comparison).  ``run`` calls ``overlap_hook`` between posting sends and
+    draining receives so interior work can hide the traffic; the hook must
+    not touch ghost cells, and then the fields come out bitwise identical
+    with or without it.
     """
 
     def __init__(self, halo_plan: HaloPlan, plan: PartitionPlan,
@@ -317,11 +317,8 @@ class HaloExchanger:
                 gidx += 1
 
     def run(self, rank: int, fields: FieldSet, epoch: int, *,
-            mode: str = "nonblocking",
             overlap_hook: Callable[[], None] | None = None,
             timeout: float = DEFAULT_TIMEOUT) -> EpochStats:
-        if mode not in ("nonblocking", "blocking"):
-            raise ValueError(f"unknown exchange mode {mode!r}")
         t0 = time.perf_counter()
         hp = self.halo_plan
         sends = hp.sends_of(rank)
@@ -347,7 +344,7 @@ class HaloExchanger:
                 dst[r.dst_slices] = src[r.src_slices]
                 local_copies += 1
 
-        if mode == "nonblocking" and overlap_hook is not None:
+        if overlap_hook is not None:
             overlap_hook()
 
         messages_received = bytes_received = 0
@@ -361,9 +358,6 @@ class HaloExchanger:
 
         for b in self.plan.blocks_of_rank(rank):
             fill_block_ghosts(fields[b.id].data, b.id, hp, self.freestream)
-
-        if mode == "blocking" and overlap_hook is not None:
-            overlap_hook()
 
         return EpochStats(
             messages_sent=messages_sent,

@@ -26,10 +26,12 @@ an element sees or their order, so every tile size gives the same bits.
 
 Each direction is an independent task writing its own buffer; the per-block
 combination happens in one fixed order so results never depend on how tasks
-were scheduled.  Convective sweeps can additionally be restricted to a node
-range along the sweep axis: the range [a, b) with a = min(5, n) and
-b = max(a, n - 5) touches no halo cells, so it may run while halo messages
-are still in flight.
+were scheduled.  A convective sweep can be cut two ways, and neither changes
+a bit of what it writes: along the sweep axis into node ranges [lo, hi), and
+across it into ranges of rows.  The node range [a, b) with a = min(5, n) and
+b = max(a, n - 5) (``interior_split``) touches no halo cells, so it may run
+while halo messages are still in flight; the other cut spreads one sweep
+over the workers of a pool.
 """
 
 from __future__ import annotations
@@ -219,6 +221,8 @@ def convective_derivative(
     gas: GasModel | None = None,
     lo: int | None = None,
     hi: int | None = None,
+    row_lo: int | None = None,
+    row_hi: int | None = None,
     tile: int | None = None,
     out: np.ndarray | None = None,
     weight_eps: float = 1e-6,
@@ -228,10 +232,12 @@ def convective_derivative(
     Uses the global splitting F = (F + lam*Q)/2 + (F - lam*Q)/2 with the
     upwind-biased edge interpolation applied to each part, left-biased for
     the plus flux and right-biased for the minus flux, in the characteristic
-    fields of the edge frame.  ``tile`` is the number of cross-axis rows
-    swept at once: ``None`` picks the working-set tile, ``0`` sweeps the
-    whole slab in one piece.  ``out`` (shape (5, nx, ny, nz)) receives the
-    slab when given; cross-axis extents are always the full interior.
+    fields of the edge frame.  Rows are the lines of the first cross axis
+    (axis 1 for a sweep along axis 0, else axis 0); only rows [row_lo,
+    row_hi) are swept, all of them by default.  ``tile`` is the number of
+    rows swept at once: ``None`` picks the working-set tile, ``0`` sweeps
+    the whole row range in one piece.  ``out`` (shape (5, nx, ny, nz))
+    receives the slab when given; nothing outside the two ranges is written.
     """
     if gas is None:
         raise ValueError("characteristic projection needs the gas model")
@@ -241,9 +247,14 @@ def convective_derivative(
     hi = na if hi is None else hi
     if not (0 <= lo <= hi <= na):
         raise ValueError(f"node range [{lo},{hi}) outside [0,{na})")
+    nrows = n[1] if axis == 0 else n[0]
+    row_lo = 0 if row_lo is None else row_lo
+    row_hi = nrows if row_hi is None else row_hi
+    if not (0 <= row_lo <= row_hi <= nrows):
+        raise ValueError(f"row range [{row_lo},{row_hi}) outside [0,{nrows})")
     if out is None:
         out = np.empty((NCOMP, n[0], n[1], n[2]))
-    if hi == lo:
+    if hi == lo or row_hi == row_lo:
         return out
 
     # Slice: full needed extent along the sweep axis, interior on cross axes.
@@ -256,15 +267,15 @@ def convective_derivative(
     out_slab[axis] = slice(lo, hi)
     dst = np.moveaxis(out[(slice(None),) + tuple(out_slab)], 1 + axis, 3)
 
-    _, ncross, n2, length = q.shape
+    _, _, n2, length = q.shape
     ne = length - 5
     if tile is None:
         step = working_set_tile(n2, length)
     else:
-        step = ncross if tile <= 0 else tile
+        step = row_hi - row_lo if tile <= 0 else tile
     ws = _workspace
-    for c0 in range(0, ncross, step):
-        cs = slice(c0, min(c0 + step, ncross))
+    for c0 in range(row_lo, row_hi, step):
+        cs = slice(c0, min(c0 + step, row_hi))
         rows = cs.stop - cs.start
         ws.reserve(_tile_words(rows, n2, length))
         qc = q[:, cs]

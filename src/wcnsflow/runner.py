@@ -3,12 +3,17 @@
 Numerical execution and timing are deliberately separated.
 
 Numerics: every rank advances its blocks through the same stage pipeline
-(reduce wavespeeds, exchange ghosts with interior compute overlapped, finish
-boundary and viscous work, update).  Ranks coordinate only through transport
-messages, so one worker implementation runs serially, under threads in one
-process, or across processes over sockets.  Kernel windows never depend on
-the partition, which keeps state bitwise identical across block counts,
-rank counts, worker counts, and tile sizes.
+(reduce wavespeeds, exchange ghosts, sweep, update).  A block's sweeps are
+cut along their axis into a halo-free interior range and two boundary
+ranges only when overlap is on and another rank sends it ghosts: the
+interior sweeps are submitted while those messages are in flight.  Every
+other block sweeps each axis whole after the exchange.  Each sweep task is
+further cut into one range of cross rows per pool worker, and the rank
+thread waits once per stage for all of them.  Ranks coordinate only through
+transport messages, so one worker implementation runs serially, under
+threads in one process, or across processes over sockets.  Kernel windows
+never depend on the partition, which keeps state bitwise identical across
+block counts, rank counts, worker counts, and tile sizes.
 
 Timing: heterogeneous benchmark numbers come from a deterministic schedule
 walked from the plan and the device cost models (``model_schedule``), never
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -169,7 +175,6 @@ class RankWorker:
         self.sim = sim
         self.rank = rank
         self.transport = transport
-        self.overlap = overlap
         self.tile = tile
         self.case = sim.case
         self.plan = sim.plan
@@ -188,6 +193,11 @@ class RankWorker:
         for g, pool in zip(groups, self.pools):
             for bid in g.block_ids:
                 self.pool_of_block[bid] = pool
+        # Cutting a sweep repeats edge values at the cut, so a block is cut
+        # only where its interior sweeps can hide another rank's message.
+        remote = {p.dst_block for p in sim.halo_plan.recvs_of(rank)}
+        self.cut = frozenset(self.block_ids) & remote if overlap \
+            else frozenset()
 
         self.fields: FieldSet = {}
         self.q0: dict[int, np.ndarray] = {}
@@ -208,7 +218,8 @@ class RankWorker:
         for b in self.blocks:
             f = self.fields[b.id]
             self.q0[b.id] = f.interior.copy()
-            self.w_ext[b.id] = np.empty_like(f.data)
+            if b.id in self.cut:
+                self.w_ext[b.id] = np.empty_like(f.data)
             self.conv[b.id] = [np.empty((NCOMP,) + b.shape) for _ in range(3)]
             self.vis[b.id] = [np.empty((NCOMP,) + b.shape) if viscous else None
                               for _ in range(3)]
@@ -286,23 +297,57 @@ class RankWorker:
 
         return finalize
 
-    def _run_tasks(self, tasks) -> None:
-        """Execute (pool, fn, args) triples; disjoint output slabs make the
-        result independent of worker count and completion order."""
-        futures = []
+    @staticmethod
+    def _submit(tasks, futures: list) -> None:
+        """Submit (pool, fn, args) triples, appending the futures of pooled
+        tasks to ``futures``; an inline pool runs its task here."""
         for pool, fn, args in tasks:
             fut = pool.submit(fn, *args)
             if fut is not None:
                 futures.append(fut)
+
+    def _run_tasks(self, tasks, futures: list) -> None:
+        """Submit ``tasks`` after the ``futures`` already in flight, wait for
+        every one of them, then raise the first failure in submit order.
+        Disjoint output slabs make the result independent of worker count
+        and completion order."""
+        try:
+            self._submit(tasks, futures)
+        finally:
+            wait(futures)
         for fut in futures:
             fut.result()
 
-    def _conv_chunk(self, b: Block, axis: int, lam: float,
-                    lo: int, hi: int) -> None:
-        convective_derivative(self.fields[b.id].data, self.w_ext[b.id], axis,
-                              lam, self._spacing(b)[axis], gas=self.sim.gas,
-                              lo=lo, hi=hi, tile=self.tile,
-                              out=self.conv[b.id][axis])
+    def _sweep_tasks(self, b: Block, lams: np.ndarray, w_ext: np.ndarray,
+                     interior: bool) -> list:
+        """Convective tasks of block ``b``: per axis, the halo-free node
+        range when ``interior``, else the rest, which is the whole axis for
+        a block that is not cut.  Each range is split into one task per
+        pool worker over equal runs of cross rows."""
+        pool = self.pool_of_block[b.id]
+        workers = pool.workers
+        tasks = []
+        for axis in range(3):
+            n = b.shape[axis]
+            a, c = interior_split(n) if b.id in self.cut else (0, 0)
+            nrows = b.shape[1 if axis == 0 else 0]
+            for lo, hi in [(a, c)] if interior else [(0, a), (c, n)]:
+                if hi <= lo:
+                    continue
+                for k in range(workers):
+                    r0, r1 = nrows * k // workers, nrows * (k + 1) // workers
+                    if r1 > r0:
+                        tasks.append((pool, self._conv_chunk,
+                                      (b, w_ext, axis, lams[b.zone, axis],
+                                       lo, hi, r0, r1)))
+        return tasks
+
+    def _conv_chunk(self, b: Block, w_ext: np.ndarray, axis: int,
+                    lam: float, lo: int, hi: int, r0: int, r1: int) -> None:
+        convective_derivative(self.fields[b.id].data, w_ext, axis, lam,
+                              self._spacing(b)[axis], gas=self.sim.gas,
+                              lo=lo, hi=hi, row_lo=r0, row_hi=r1,
+                              tile=self.tile, out=self.conv[b.id][axis])
 
     def _vis_chunk(self, b: Block, grads: GradientPack, axis: int) -> None:
         viscous_derivative(grads, self.sim.gas, axis,
@@ -311,52 +356,45 @@ class RankWorker:
     def _stage_residual(self, lams: np.ndarray,
                         w_int: dict[int, np.ndarray], epoch: int) -> None:
         """Exchange ghosts and assemble residuals for every local block."""
-        # Interior windows read no ghost cells, so they run while messages
-        # are in flight; only the primitive interiors are needed for that.
-        for b in self.blocks:
-            self.w_ext[b.id][(slice(None),) + (slice(H, -H),) * 3] = \
-                w_int[b.id]
+        futures: list = []
+        hook = None
+        if self.cut:
+            # Interior windows read no ghost cells, so they run while
+            # messages are in flight; only the primitive interiors are
+            # needed for that.
+            cut = [b for b in self.blocks if b.id in self.cut]
+            for b in cut:
+                self.w_ext[b.id][(slice(None),) + (slice(H, -H),) * 3] = \
+                    w_int[b.id]
 
-        def interior_hook():
-            tasks = []
-            for b in self.blocks:
-                pool = self.pool_of_block[b.id]
-                for axis in range(3):
-                    a, bb = interior_split(b.shape[axis])
-                    if bb > a:
-                        tasks.append((pool, self._conv_chunk,
-                                      (b, axis, lams[b.zone, axis], a, bb)))
-            self._run_tasks(tasks)
-
-        mode = "nonblocking" if self.overlap else "blocking"
-        stats = self.exchanger.run(self.rank, self.fields, epoch, mode=mode,
-                                   overlap_hook=interior_hook)
-        self.totals.add(stats)
+            def hook():
+                for b in cut:
+                    self._submit(self._sweep_tasks(b, lams, self.w_ext[b.id],
+                                                   True), futures)
 
         tasks = []
-        grads: dict[int, GradientPack] = {}
-        for b in self.blocks:
-            # Ghosts are in place; primitives now cover the extended box.
-            # The interior values recompute to bitwise-identical numbers.
-            self.w_ext[b.id][...] = primitive_from_conserved(
-                self.fields[b.id].data, self.sim.gas, block_id=b.id)
-            pool = self.pool_of_block[b.id]
-            for axis in range(3):
-                a, bb = interior_split(b.shape[axis])
-                if a > 0:
-                    tasks.append((pool, self._conv_chunk,
-                                  (b, axis, lams[b.zone, axis], 0, a)))
-                if b.shape[axis] > bb:
-                    tasks.append((pool, self._conv_chunk,
-                                  (b, axis, lams[b.zone, axis], bb,
-                                   b.shape[axis])))
-            if self.sim.gas.viscous:
-                grads[b.id] = velocity_temperature_gradients(
-                    self.w_ext[b.id], self._spacing(b))
-                for axis in range(3):
-                    tasks.append((pool, self._vis_chunk,
-                                  (b, grads[b.id], axis)))
-        self._run_tasks(tasks)
+        try:
+            stats = self.exchanger.run(self.rank, self.fields, epoch,
+                                       overlap_hook=hook)
+            self.totals.add(stats)
+            for b in self.blocks:
+                # Ghosts are in place; primitives now cover the extended box.
+                # A new array, since running interior sweeps read the old
+                # one; its interior recomputes to bitwise-identical numbers.
+                w_ext = self.w_ext[b.id] = primitive_from_conserved(
+                    self.fields[b.id].data, self.sim.gas, block_id=b.id)
+                tasks += self._sweep_tasks(b, lams, w_ext, False)
+                if self.sim.gas.viscous:
+                    grads = velocity_temperature_gradients(w_ext,
+                                                           self._spacing(b))
+                    pool = self.pool_of_block[b.id]
+                    tasks += [(pool, self._vis_chunk, (b, grads, axis))
+                              for axis in range(3)]
+        except BaseException:
+            # Interior sweeps may still be writing; let them finish first.
+            self._run_tasks([], futures)
+            raise
+        self._run_tasks(tasks, futures)
 
         for b in self.blocks:
             parts = ResidualParts(convective=tuple(self.conv[b.id]),
@@ -546,7 +584,7 @@ def run_case(case: Case, plan: PartitionPlan | None = None, *,
         raise DivergenceError(
             f"run diverged after {worst.iterations} completed steps"
             + (f": {err}" if err else ""),
-            step=worst.iterations)
+            step=worst.iterations) from err
 
     fields: FieldSet = {}
     totals = ExchangeTotals()
@@ -935,7 +973,7 @@ def run_socket_rank(case: Case, rank: int,
         if res.stop >= STOP_DIVERGED:
             raise DivergenceError(
                 f"rank {rank} run diverged after {res.iterations} steps",
-                step=res.iterations)
+                step=res.iterations) from res.error
 
         tag = message_tag(GATHER_EPOCH, GATHER_INDEX)
         if rank != 0:

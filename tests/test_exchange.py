@@ -425,34 +425,27 @@ def test_eight_blocks_reproduce_single_block_windows():
         assert np.array_equal(fields8[b.id].data, wrap_window(g, b))
 
 
-def test_blocking_equals_nonblocking_locally():
+def test_hook_leaves_local_exchange_unchanged():
     g = global_state((16, 16, 16), seed=6)
     plan = plan_for((16, 16, 16), 8, boundary=PERIODIC)
     hp = build_halo_plan(plan)
-    runs = {}
-    order = []
-    for mode in ("nonblocking", "blocking"):
+    runs = []
+    calls = []
+    for hook in (None, lambda: calls.append(1)):
         fields = seed_fields(plan, g)
-        HaloExchanger(hp, plan).run(0, fields, epoch=0, mode=mode,
-                                    overlap_hook=lambda: order.append(mode))
-        runs[mode] = fields
-    assert order == ["nonblocking", "blocking"]
-    for bid in runs["blocking"]:
-        assert np.array_equal(runs["blocking"][bid].data,
-                              runs["nonblocking"][bid].data)
-
-
-def test_unknown_mode_rejected():
-    plan = plan_for((16, 16, 16), 1, boundary=PERIODIC)
-    hp = build_halo_plan(plan)
-    with pytest.raises(ValueError):
-        HaloExchanger(hp, plan).run(0, allocate_fields(plan), 0, mode="eager")
+        HaloExchanger(hp, plan).run(0, fields, epoch=0, overlap_hook=hook)
+        runs.append(fields)
+    assert calls == [1]
+    for bid in runs[0]:
+        assert np.array_equal(runs[0][bid].data, runs[1][bid].data)
 
 
 # ---------------------------------------------------------------------------
 # Exchange epochs: two ranks over a transport
 
-def run_two_ranks(mode, coalesce, seed=7):
+def run_two_ranks(coalesce, hook=None, seed=7):
+    """Exchange on two ranks with NaN ghosts; ``hook(rank, fields)`` is each
+    rank's overlap hook when given."""
     g = global_state((32, 16, 16), seed=seed)
     plan = plan_for((32, 16, 16), 2, ranks=2, boundary=PERIODIC)
     hp = build_halo_plan(plan)
@@ -460,26 +453,53 @@ def run_two_ranks(mode, coalesce, seed=7):
     per_rank = {r: {} for r in range(2)}
     for b in plan.blocks:
         f = BlockField.allocate(b)
+        f.data[...] = np.nan
         sl = tuple(slice(l, h) for l, h in zip(b.lo, b.hi))
         f.interior[...] = g[(slice(None),) + sl]
         per_rank[plan.rank_of_block[b.id]][b.id] = f
     ex = HaloExchanger(hp, plan, transport=transport, coalesce=coalesce)
     with ThreadPoolExecutor(2) as pool:
-        futs = {r: pool.submit(ex.run, r, per_rank[r], 0, mode=mode)
+        futs = {r: pool.submit(ex.run, r, per_rank[r], 0, overlap_hook=(
+                    None if hook is None
+                    else lambda r=r: hook(r, per_rank[r])))
                 for r in range(2)}
         stats = {r: futs[r].result(timeout=60) for r in range(2)}
     return g, plan, hp, per_rank, stats
 
 
+def test_hook_runs_before_remote_ghosts_arrive():
+    # The hook sees the interiors and the local copies in place, and the
+    # ghost cells that messages fill still unwritten.
+    seen = {}
+
+    def hook(rank, fields):
+        seen[rank] = {bid: f.data.copy() for bid, f in fields.items()}
+
+    _, _, hp, per_rank, _ = run_two_ranks(True, hook)
+    for r in range(2):
+        assert hp.recvs_of(r) and hp.local_of(r)
+        for bid, f in per_rank[r].items():
+            assert np.array_equal(seen[r][bid][:, H:-H, H:-H, H:-H],
+                                  f.interior)
+        for p in hp.local_of(r):
+            for reg in p.regions:
+                assert np.array_equal(seen[r][p.dst_block][reg.dst_slices],
+                                      per_rank[r][p.dst_block]
+                                      .data[reg.dst_slices])
+        for p in hp.recvs_of(r):
+            for reg in p.regions:
+                assert np.isnan(seen[r][p.dst_block][reg.dst_slices]).all()
+
+
 def test_two_rank_exchange_fills_correct_ghosts():
-    g, plan, hp, per_rank, stats = run_two_ranks("nonblocking", True)
+    g, plan, hp, per_rank, stats = run_two_ranks(True)
     for b in plan.blocks:
         r = plan.rank_of_block[b.id]
         assert np.array_equal(per_rank[r][b.id].data, wrap_window(g, b))
 
 
 def test_coalesced_messages_one_per_pair():
-    _, _, hp, _, stats = run_two_ranks("nonblocking", True)
+    _, _, hp, _, stats = run_two_ranks(True)
     for r in range(2):
         sends = hp.sends_of(r)
         assert stats[r].messages_sent == len(sends)
@@ -490,18 +510,18 @@ def test_coalesced_messages_one_per_pair():
 
 
 def test_naive_messages_one_per_region():
-    _, _, hp, _, stats = run_two_ranks("nonblocking", False)
+    _, _, hp, _, stats = run_two_ranks(False)
     for r in range(2):
         sends = hp.sends_of(r)
         assert stats[r].messages_sent == sum(len(p.regions) for p in sends)
         assert stats[r].bytes_sent == sum(p.nbytes for p in sends)
 
 
-def test_exchange_modes_bitwise_identical_across_ranks():
+def test_hook_leaves_exchange_across_ranks_unchanged():
     base = None
-    for mode in ("nonblocking", "blocking"):
+    for hook in (None, lambda rank, fields: None):
         for coalesce in (True, False):
-            _, plan, _, per_rank, _ = run_two_ranks(mode, coalesce)
+            _, plan, _, per_rank, _ = run_two_ranks(coalesce, hook)
             merged = {b.id: per_rank[plan.rank_of_block[b.id]][b.id].data
                       for b in plan.blocks}
             if base is None:

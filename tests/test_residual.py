@@ -364,6 +364,9 @@ def test_convective_argument_validation():
         convective_derivative(q_ext, w, 0, 1.0, 0.1)
     with pytest.raises(ValueError, match="node range"):
         convective_derivative(q_ext, w, 0, 1.0, 0.1, gas=GAS, lo=2, hi=99)
+    with pytest.raises(ValueError, match="row range"):
+        convective_derivative(q_ext, w, 0, 1.0, 0.1, gas=GAS, row_lo=3,
+                              row_hi=2)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +436,30 @@ def test_sweep_bits_are_frozen(shape):
         for tile in (None, 1, 3, 0):
             assert sweep_digest(q_ext, w_ext, axis, tile) == \
                 SWEEP_DIGESTS[(shape, axis)], (axis, tile)
+
+
+@pytest.mark.parametrize("shape", DIGEST_SHAPES)
+def test_row_ranges_reproduce_the_uncut_sweep(shape):
+    """Sweeps cut into random row ranges, which start and end inside tiles,
+    and into the ``interior_split`` node ranges write the bytes of the uncut
+    sweep, at every tile size and on all three axes."""
+    q_ext, w_ext = random_block(shape, DIGEST_SHAPES.index(shape))
+    rng = np.random.default_rng(17)
+    for axis in range(3):
+        lam = float(np.max(spectral_radius(w_ext, axis, GAS)))
+        n, nrows = shape[axis], shape[1 if axis == 0 else 0]
+        a, b = interior_split(n)
+        full = convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n,
+                                     gas=GAS)
+        for tile in (None, 1, 3, 0):
+            cuts = sorted({0, nrows, *rng.integers(1, nrows, size=3)})
+            out = np.zeros_like(full)
+            for r0, r1 in zip(cuts, cuts[1:]):
+                for lo, hi in ((0, a), (a, b), (b, n)):
+                    convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n,
+                                          gas=GAS, lo=lo, hi=hi, row_lo=r0,
+                                          row_hi=r1, tile=tile, out=out)
+            assert out.tobytes() == full.tobytes(), (axis, tile, cuts)
 
 
 def test_concurrent_sweeps_match_serial_sweeps():
