@@ -11,12 +11,11 @@ from .cases import (Case, case_plan, corner_case, generate_case,
                     initial_fields, load_case, save_case, sod_case,
                     uniform_case, wave_case, with_load_ratio)
 from .devices import (DEFAULT_COPROCESSOR, DEFAULT_CPU, DEFAULT_LINK,
-                      DEFAULT_NETWORK, DeviceModel, LinkModel, NetworkModel,
-                      ResidencyCache)
+                      DEFAULT_NETWORK, DeviceModel, LinkModel, NetworkModel)
 from .dumps import merge_dumps, read_dump, write_dump, zone_array
-from .errors import (CaseFormatError, DeviceBudgetError, DivergenceError,
-                     HaloPlanError, InvalidStateError, PartitionError,
-                     StencilError, TransportError, WcnsflowError)
+from .errors import (CaseFormatError, DivergenceError, HaloPlanError,
+                     InvalidStateError, PartitionError, StencilError,
+                     TransportError, WcnsflowError)
 from .fields import BlockField, FieldSet, allocate_fields, assemble_zone
 from .halo import HaloExchanger, HaloPlan, build_halo_plan
 from .metrics import RunMetrics, mcups, metrics_from_csv, metrics_to_csv
@@ -29,28 +28,30 @@ from .runner import (RunOutcome, best_ratio, build_simulation,
                      strong_scaling, sweep_load_ratio, weak_scaling)
 from .schedule import Timeline, timeline_report
 from .state import GasModel, NCOMP
-from .timestepping import IterationControls, stable_dt
+from .timestepping import IterationControls
 from .transport import InProcessTransport, SocketTransport, free_port
 from .wcns import HALO_WIDTH
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockField", "Block", "Case", "CaseFormatError", "DEFAULT_COPROCESSOR",
-    "DEFAULT_CPU", "DEFAULT_LINK", "DEFAULT_NETWORK", "DeviceBudgetError",
-    "DeviceModel", "DivergenceError", "FieldSet", "GasModel", "HALO_WIDTH",
-    "HaloExchanger", "HaloPlan", "HaloPlanError", "InProcessTransport",
-    "InvalidStateError", "IterationControls", "LinkModel", "NCOMP",
-    "NetworkModel", "NodeTopology", "PartitionError", "PartitionPlan",
-    "ResidencyCache", "RunMetrics", "RunOutcome", "SocketTransport",
-    "StencilError", "Timeline", "TransportError", "WcnsflowError",
-    "ZoneSpec", "allocate_fields", "assemble_zone", "best_ratio",
-    "build_halo_plan", "build_simulation", "case_plan", "corner_case",
-    "cpu_only_variant", "free_port", "generate_case", "initial_fields",
-    "load_case", "make_plan", "mcups", "merge_dumps", "metrics_from_csv",
-    "metrics_to_csv", "model_schedule", "plan_from_text", "plan_to_text",
-    "predict_balanced_ratio", "read_dump", "run_case", "run_socket_rank",
-    "save_case", "sod_case", "solve_riemann", "stable_dt", "strong_scaling",
-    "sweep_load_ratio", "timeline_report", "uniform_case", "wave_case",
-    "weak_scaling", "with_load_ratio", "write_dump", "zone_array",
+    "BlockField", "Block", "Case", "CaseFormatError",
+    "DEFAULT_COPROCESSOR", "DEFAULT_CPU", "DEFAULT_LINK",
+    "DEFAULT_NETWORK", "DeviceModel", "DivergenceError", "FieldSet",
+    "GasModel", "HALO_WIDTH", "HaloExchanger", "HaloPlan",
+    "HaloPlanError", "InProcessTransport", "InvalidStateError",
+    "IterationControls", "LinkModel", "NCOMP", "NetworkModel",
+    "NodeTopology", "PartitionError", "PartitionPlan", "RunMetrics",
+    "RunOutcome", "SocketTransport", "StencilError", "Timeline",
+    "TransportError", "WcnsflowError", "ZoneSpec", "allocate_fields",
+    "assemble_zone", "best_ratio", "build_halo_plan",
+    "build_simulation", "case_plan", "corner_case", "cpu_only_variant",
+    "free_port", "generate_case", "initial_fields", "load_case",
+    "make_plan", "mcups", "merge_dumps", "metrics_from_csv",
+    "metrics_to_csv", "model_schedule", "plan_from_text",
+    "plan_to_text", "predict_balanced_ratio", "read_dump", "run_case",
+    "run_socket_rank", "save_case", "sod_case", "solve_riemann",
+    "strong_scaling", "sweep_load_ratio", "timeline_report",
+    "uniform_case", "wave_case", "weak_scaling", "with_load_ratio",
+    "write_dump", "zone_array",
 ]

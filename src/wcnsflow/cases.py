@@ -30,12 +30,14 @@ from .partition import (
     NodeTopology,
     PartitionPlan,
     ZoneSpec,
-    _floats,
-    _ints,
-    _kv,
     make_plan,
     split_zone_cuts,
+    topology_from_record,
+    topology_record,
+    zone_from_record,
+    zone_record,
 )
+from .records import Record, floats, ints, optional, parse, read_records
 from .state import GasModel, conserved_from_primitive
 from .timestepping import IterationControls
 
@@ -43,13 +45,6 @@ CASE_MAGIC = "wcnsflow-case"
 CASE_VERSION = 1
 
 CASE_KINDS = ("uniform", "wave", "sod", "corner")
-
-# Descriptive boundary names accepted in case files.
-BOUNDARY_ALIASES = {
-    "supersonic-inflow": "inflow",
-    "extrapolation-outflow": "outflow",
-    "slip-wall": "wall",
-}
 
 
 @dataclass
@@ -102,6 +97,20 @@ def case_plan(case: Case) -> PartitionPlan:
 # ---------------------------------------------------------------------------
 # Initial and exact states
 
+def _init_number(init: dict[str, str], key: str, default: str) -> float:
+    return parse("init", key, init.get(key, default), float)
+
+
+def _init_triple(init: dict[str, str], key: str,
+                 default: str) -> tuple[float, ...]:
+    raw = init.get(key, default)
+    value = parse("init", key, raw, floats)
+    if len(value) != 3:
+        raise CaseFormatError(
+            f"init record: {key} needs three numbers, got {raw!r}")
+    return value
+
+
 def _primitive_field(case: Case, block: Block, t: float) -> np.ndarray:
     zone = case.zone
     x, y, z = center_mesh(block, zone)
@@ -112,18 +121,18 @@ def _primitive_field(case: Case, block: Block, t: float) -> np.ndarray:
         rho, u, v, uw, p = case.freestream
         w[0], w[1], w[2], w[3], w[4] = rho, u, v, uw, p
     elif case.kind == "wave":
-        k = _floats(init.get("wavevector", "1,1,1"))
-        amp = float(init.get("amplitude", "0.2"))
-        vel = _floats(init.get("velocity", "1,1,1"))
-        p = float(init.get("pressure", "1.0"))
+        k = _init_triple(init, "wavevector", "1,1,1")
+        amp = _init_number(init, "amplitude", "0.2")
+        vel = _init_triple(init, "velocity", "1,1,1")
+        p = _init_number(init, "pressure", "1.0")
         speed = sum(ki * vi for ki, vi in zip(k, vel))
         phase = 2.0 * math.pi * (k[0] * x + k[1] * y + k[2] * z - speed * t)
         w[0] = 1.0 + amp * np.sin(phase)
         w[1], w[2], w[3], w[4] = vel[0], vel[1], vel[2], p
     elif case.kind == "sod":
-        x0 = float(init.get("x0", "0.5"))
-        rl, ul, pl = _floats(init.get("left", "1,0,1"))
-        rr, ur, pr = _floats(init.get("right", "0.125,0,0.1"))
+        x0 = _init_number(init, "x0", "0.5")
+        rl, ul, pl = _init_triple(init, "left", "1,0,1")
+        rr, ur, pr = _init_triple(init, "right", "0.125,0,0.1")
         left = x < x0
         w[0] = np.where(left, rl, rr)
         w[1] = np.where(left, ul, ur)
@@ -310,14 +319,6 @@ def _opt_int(v) -> str:
     return "-" if v is None else str(v)
 
 
-def _parse_opt(s: str) -> float | None:
-    return None if s == "-" else float(s)
-
-
-def _parse_opt_int(s: str) -> int | None:
-    return None if s == "-" else int(s)
-
-
 def case_to_text(case: Case) -> str:
     g = case.gas
     c = case.controls
@@ -326,11 +327,7 @@ def case_to_text(case: Case) -> str:
              f"kind {case.kind}",
              f"gas gamma={g.gamma!r} prandtl={g.prandtl!r} "
              f"reynolds={_opt(g.reynolds)}"]
-    for z in case.zones:
-        lines.append(f"zone {z.id} shape={','.join(map(str, z.shape))} "
-                     f"spacing={','.join(map(repr, z.spacing))} "
-                     f"origin={','.join(map(repr, z.origin))} "
-                     f"boundary={','.join(z.boundary)}")
+    lines += [zone_record(z) for z in case.zones]
     if case.init:
         lines.append("init " + " ".join(f"{k}={v}"
                                         for k, v in sorted(case.init.items())))
@@ -345,10 +342,7 @@ def case_to_text(case: Case) -> str:
     if case.cuts is not None:
         axis, widths = case.cuts
         lines.append(f"cuts axis={axis} widths={','.join(map(str, widths))}")
-    t = case.topology
-    lines.append(f"topology nodes={t.nodes} cpu={t.cpu_per_node} "
-                 f"coproc={t.coproc_per_node} cpu-workers={t.cpu_workers} "
-                 f"coproc-workers={t.coproc_workers}")
+    lines.append(topology_record(case.topology))
     for dev in (case.cpu, case.coprocessor):
         if dev is None:
             continue
@@ -358,8 +352,6 @@ def case_to_text(case: Case) -> str:
         if dev.link is not None:
             rec += (f" link-bandwidth={dev.link.bandwidth!r}"
                     f" link-latency={dev.link.latency!r}")
-        if dev.buffer_budget_bytes is not None:
-            rec += f" budget={dev.buffer_budget_bytes}"
         lines.append(rec)
     n = case.network
     lines.append(f"network bandwidth={n.bandwidth!r} latency={n.latency!r} "
@@ -367,86 +359,65 @@ def case_to_text(case: Case) -> str:
     return "\n".join(lines) + "\n"
 
 
-def case_from_text(text: str) -> Case:
-    lines = [ln for ln in text.splitlines()
-             if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise CaseFormatError("empty case file")
-    head = lines[0].split()
-    if head[0] != CASE_MAGIC:
-        raise CaseFormatError(f"not a case file (got {head[0]!r})")
-    if int(head[1]) != CASE_VERSION:
-        raise CaseFormatError(f"unsupported case version {head[1]}")
+def _read_record(rec: Record, vals: dict) -> None:
+    if rec.kind == "name":
+        vals["name"] = " ".join(rec.words)
+    elif rec.kind == "kind":
+        vals["kind"] = rec.word(0)
+    elif rec.kind == "gas":
+        vals["gas"] = GasModel(gamma=rec.get("gamma", float),
+                               prandtl=rec.get("prandtl", float),
+                               reynolds=rec.get("reynolds", optional(float)))
+    elif rec.kind == "zone":
+        vals["zones"].append(zone_from_record(rec))
+    elif rec.kind == "init":
+        vals["init"] = rec.fields
+    elif rec.kind == "freestream":
+        if len(rec.words) != 5:
+            raise CaseFormatError("freestream needs five numbers")
+        vals["freestream"] = tuple(rec.word(i, float) for i in range(5))
+    elif rec.kind == "time":
+        vals["controls"] = IterationControls(
+            max_iters=rec.get("max-iters", int), cfl=rec.get("cfl", float),
+            fixed_dt=rec.get("dt", optional(float)),
+            t_end=rec.get("t-end", optional(float)),
+            tolerance=rec.get("tolerance", optional(float)))
+    elif rec.kind == "run":
+        vals["ranks"] = rec.get("ranks", int)
+        vals["load_ratio"] = rec.get("load-ratio", float)
+        vals["target_blocks"] = rec.get("target-blocks", optional(int))
+        vals["max_block_cells"] = rec.get("max-block-cells", optional(int))
+        vals["seed"] = rec.get("seed", int)
+    elif rec.kind == "cuts":
+        vals["cuts"] = (rec.get("axis", int), rec.get("widths", ints))
+    elif rec.kind == "topology":
+        vals["topology"] = topology_from_record(rec)
+    elif rec.kind == "device":
+        link = None
+        if "link-bandwidth" in rec.fields:
+            link = LinkModel(bandwidth=rec.get("link-bandwidth", float),
+                             latency=rec.get("link-latency", float))
+        vals["devices"].append(DeviceModel(
+            device_class=rec.get("class"),
+            worker_count=rec.get("workers", int),
+            relative_throughput=rec.get("throughput", float), link=link,
+            kernel_overhead=rec.get("overhead", float)))
+    elif rec.kind == "network":
+        vals["network"] = NetworkModel(
+            bandwidth=rec.get("bandwidth", float),
+            latency=rec.get("latency", float),
+            per_message_overhead=rec.get("overhead", float))
+    else:
+        raise CaseFormatError(f"unknown case record {rec.kind!r}")
 
+
+def case_from_text(text: str) -> Case:
     vals: dict = {"zones": [], "init": {}, "devices": []}
-    for ln in lines[1:]:
-        parts = ln.split()
-        kind, rest = parts[0], parts[1:]
-        if kind == "name":
-            vals["name"] = " ".join(rest)
-        elif kind == "kind":
-            vals["kind"] = rest[0]
-        elif kind == "gas":
-            kv = _kv(rest)
-            vals["gas"] = GasModel(gamma=float(kv["gamma"]),
-                                   prandtl=float(kv["prandtl"]),
-                                   reynolds=_parse_opt(kv["reynolds"]))
-        elif kind == "zone":
-            kv = _kv(rest[1:])
-            boundary = tuple(BOUNDARY_ALIASES.get(b, b)
-                             for b in kv["boundary"].split(","))
-            vals["zones"].append(ZoneSpec(
-                id=int(rest[0]), shape=_ints(kv["shape"]),
-                spacing=_floats(kv["spacing"]), origin=_floats(kv["origin"]),
-                boundary=boundary))
-        elif kind == "init":
-            vals["init"] = _kv(rest)
-        elif kind == "freestream":
-            if len(rest) != 5:
-                raise CaseFormatError("freestream needs five numbers")
-            vals["freestream"] = tuple(float(x) for x in rest)
-        elif kind == "time":
-            kv = _kv(rest)
-            vals["controls"] = IterationControls(
-                max_iters=int(kv["max-iters"]), cfl=float(kv["cfl"]),
-                fixed_dt=_parse_opt(kv["dt"]), t_end=_parse_opt(kv["t-end"]),
-                tolerance=_parse_opt(kv["tolerance"]))
-        elif kind == "run":
-            kv = _kv(rest)
-            vals["ranks"] = int(kv["ranks"])
-            vals["load_ratio"] = float(kv["load-ratio"])
-            vals["target_blocks"] = _parse_opt_int(kv["target-blocks"])
-            vals["max_block_cells"] = _parse_opt_int(kv["max-block-cells"])
-            vals["seed"] = int(kv["seed"])
-        elif kind == "cuts":
-            kv = _kv(rest)
-            vals["cuts"] = (int(kv["axis"]), _ints(kv["widths"]))
-        elif kind == "topology":
-            kv = _kv(rest)
-            vals["topology"] = NodeTopology(
-                nodes=int(kv["nodes"]), cpu_per_node=int(kv["cpu"]),
-                coproc_per_node=int(kv["coproc"]),
-                cpu_workers=int(kv["cpu-workers"]),
-                coproc_workers=int(kv["coproc-workers"]))
-        elif kind == "device":
-            kv = _kv(rest)
-            link = None
-            if "link-bandwidth" in kv:
-                link = LinkModel(bandwidth=float(kv["link-bandwidth"]),
-                                 latency=float(kv["link-latency"]))
-            budget = int(kv["budget"]) if "budget" in kv else None
-            vals["devices"].append(DeviceModel(
-                device_class=kv["class"], worker_count=int(kv["workers"]),
-                relative_throughput=float(kv["throughput"]), link=link,
-                kernel_overhead=float(kv["overhead"]),
-                buffer_budget_bytes=budget))
-        elif kind == "network":
-            kv = _kv(rest)
-            vals["network"] = NetworkModel(
-                bandwidth=float(kv["bandwidth"]), latency=float(kv["latency"]),
-                per_message_overhead=float(kv["overhead"]))
-        else:
-            raise CaseFormatError(f"unknown case record {kind!r}")
+    for rec in read_records(text, CASE_MAGIC, CASE_VERSION, "case"):
+        try:
+            _read_record(rec, vals)
+        except ValueError as e:      # a model rejected the record's values
+            raise CaseFormatError(f"{rec.kind} record: {e}") from None
 
     required = ("name", "kind", "gas", "controls", "freestream")
     missing = [k for k in required if k not in vals]

@@ -1,4 +1,4 @@
-"""Device cost models, offload bookkeeping, and worker pools.
+"""Device cost models and worker pools.
 
 Timing for heterogeneous runs comes from a calibrated model, not from the
 host the benchmark happens to run on: a device advances a modeled clock by
@@ -15,9 +15,8 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import DeviceBudgetError
 from .partition import Group
 
 
@@ -61,9 +60,7 @@ class DeviceModel:
     worker_count: int
     relative_throughput: float
     link: LinkModel | None = None
-    pin_workers: bool = False
     kernel_overhead: float = 2.0e-6
-    buffer_budget_bytes: int | None = None
 
     def __post_init__(self):
         if self.device_class not in ("cpu", "coprocessor"):
@@ -89,108 +86,14 @@ DEFAULT_NETWORK = NetworkModel()
 MEMCPY_BANDWIDTH = 4.0e10
 
 
-@dataclass(frozen=True)
-class OffloadTask:
-    """One kernel launch shipped to a device for a block group."""
-
-    group_id: int
-    kind: str                   # "inv_flux" | "vis_flux" | "update"
-    cells: int
-    note: str = ""
-
-    KINDS = ("inv_flux", "vis_flux", "update")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown task kind {self.kind!r}")
-        if self.cells < 0:
-            raise ValueError("negative cell count")
-
-
-def should_recompute(cells: int, device: DeviceModel, nbytes: int) -> bool:
-    """Prefer recomputing a quantity on-device over shipping it across the
-    link when the kernel is cheaper than the transfer."""
-    if device.link is None:
-        return False
-    return device.compute_seconds(cells) < device.link.transfer_seconds(nbytes)
-
-
-class ResidencyCache:
-    """Tracks which state generation each device-side block buffer holds.
-
-    ``ensure`` returns the bytes that must cross the link to make a block
-    current: zero when the resident generation already matches (the halo
-    payload rides separately).  Generations only move forward.
-    """
-
-    def __init__(self, budget_bytes: int | None = None, device: str = ""):
-        self.budget_bytes = budget_bytes
-        self.device = device
-        self._resident: dict[int, tuple[int, int]] = {}  # block -> (gen, bytes)
-        self.hits = 0
-        self.misses = 0
-        self.bytes_saved = 0
-        self.bytes_transferred = 0
-
-    @property
-    def resident_bytes(self) -> int:
-        return sum(n for _, n in self._resident.values())
-
-    def ensure(self, block_id: int, generation: int, nbytes: int) -> int:
-        held = self._resident.get(block_id)
-        if held is not None and held[0] == generation:
-            self.hits += 1
-            self.bytes_saved += nbytes
-            return 0
-        if held is not None and held[0] > generation:
-            raise ValueError(
-                f"block {block_id} residency generation moved backwards "
-                f"({held[0]} -> {generation})")
-        new_total = self.resident_bytes - (held[1] if held else 0) + nbytes
-        if self.budget_bytes is not None and new_total > self.budget_bytes:
-            raise DeviceBudgetError(required_bytes=new_total,
-                                    available_bytes=self.budget_bytes,
-                                    device=self.device)
-        self.misses += 1
-        self.bytes_transferred += nbytes
-        self._resident[block_id] = (generation, nbytes)
-        return nbytes
-
-    def mark(self, block_id: int, generation: int) -> None:
-        held = self._resident.get(block_id)
-        if held is None:
-            raise KeyError(f"block {block_id} is not resident")
-        if generation < held[0]:
-            raise ValueError(
-                f"block {block_id} residency generation moved backwards "
-                f"({held[0]} -> {generation})")
-        self._resident[block_id] = (generation, held[1])
-
-    def evict(self, block_id: int) -> None:
-        self._resident.pop(block_id, None)
-
-    def clear(self) -> None:
-        self._resident.clear()
-
-
 @dataclass
 class DevicePool:
-    """A device model bound to a worker pool and its residency cache."""
+    """A device model bound to a worker pool."""
 
     name: str                   # e.g. "rank0/cpu0", "rank0/mic1"
     model: DeviceModel
     group: Group
     executor: ThreadPoolExecutor | None = None
-    residency: ResidencyCache = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.residency is None:
-            self.residency = ResidencyCache(self.model.buffer_budget_bytes,
-                                            device=self.name)
-
-    @property
-    def link_name(self) -> str:
-        return f"{self.name}.link"
 
     @property
     def workers(self) -> int:
@@ -209,13 +112,6 @@ class DevicePool:
             self.executor = None
 
 
-def _pin_current_thread(cpu_ids: list[int]) -> None:
-    try:
-        os.sched_setaffinity(0, cpu_ids)
-    except (AttributeError, OSError):
-        pass
-
-
 def make_pool(rank: int, group: Group, model: DeviceModel, *,
               max_workers: int | None = None) -> DevicePool:
     """Worker pool for one group.  Pools stay small regardless of the
@@ -227,13 +123,8 @@ def make_pool(rank: int, group: Group, model: DeviceModel, *,
         max_workers = min(model.worker_count, host, 4)
     if max_workers < 1:
         max_workers = 1
-    init = None
-    if model.pin_workers:
-        allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else list(range(host))
-        init = (lambda: _pin_current_thread(allowed))
     executor = ThreadPoolExecutor(max_workers=max_workers,
-                                  thread_name_prefix=name,
-                                  initializer=init)
+                                  thread_name_prefix=name)
     return DevicePool(name=name, model=model, group=group, executor=executor)
 
 

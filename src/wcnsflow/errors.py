@@ -47,17 +47,6 @@ class TransportError(WcnsflowError):
         super().__init__(message)
 
 
-class DeviceBudgetError(WcnsflowError):
-    """Device buffer budget exceeded during offload warm-up."""
-
-    def __init__(self, required_bytes: int, available_bytes: int, device: str = ""):
-        self.required_bytes = int(required_bytes)
-        self.available_bytes = int(available_bytes)
-        super().__init__(
-            f"device buffer budget exceeded{' on ' + device if device else ''}: "
-            f"required {self.required_bytes} B, available {self.available_bytes} B")
-
-
 class DivergenceError(WcnsflowError):
     """The iteration diverged (residual norm blow-up)."""
 

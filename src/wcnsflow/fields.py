@@ -33,9 +33,6 @@ class BlockField:
         """Writable view of the halo-free interior, shape (NCOMP, nx, ny, nz)."""
         return self.data[:, H:-H, H:-H, H:-H]
 
-    def copy(self) -> "BlockField":
-        return BlockField(block=self.block, data=self.data.copy())
-
 
 FieldSet = dict[int, BlockField]
 
@@ -59,10 +56,6 @@ def center_mesh(block: Block, zone: ZoneSpec) -> tuple[np.ndarray, np.ndarray, n
     return np.meshgrid(x, y, z, indexing="ij", sparse=True)
 
 
-def set_interior(field: BlockField, values: np.ndarray) -> None:
-    field.interior[...] = values
-
-
 def assemble_zone(fields: FieldSet, plan: PartitionPlan, zone_id: int = 0) -> np.ndarray:
     """Gather block interiors into one contiguous zone-shaped array."""
     zone = plan.zone_of(zone_id)
@@ -73,16 +66,3 @@ def assemble_zone(fields: FieldSet, plan: PartitionPlan, zone_id: int = 0) -> np
         sl = tuple(slice(b.lo[a], b.hi[a]) for a in range(3))
         out[(slice(None),) + sl] = fields[b.id].interior
     return out
-
-
-def scatter_zone(full: np.ndarray, fields: FieldSet, plan: PartitionPlan, zone_id: int = 0) -> None:
-    """Distribute a zone-shaped array into block interiors."""
-    for b in plan.blocks:
-        if b.zone != zone_id:
-            continue
-        sl = tuple(slice(b.lo[a], b.hi[a]) for a in range(3))
-        fields[b.id].interior[...] = full[(slice(None),) + sl]
-
-
-def copy_fields(fields: FieldSet) -> FieldSet:
-    return {bid: f.copy() for bid, f in fields.items()}

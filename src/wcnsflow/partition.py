@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CaseFormatError, PartitionError
+from .records import Record, floats, ints, optional, read_records
 from .wcns import HALO_WIDTH
 
 BOUNDARY_KINDS = ("periodic", "inflow", "outflow", "wall")
@@ -534,24 +535,54 @@ PLAN_MAGIC = "wcnsflow-plan"
 PLAN_VERSION = 1
 
 
+# Descriptive boundary names accepted in zone records.
+BOUNDARY_ALIASES = {
+    "supersonic-inflow": "inflow",
+    "extrapolation-outflow": "outflow",
+    "slip-wall": "wall",
+}
+
+
 def _fmt_tuple(t) -> str:
     return ",".join(repr(x) if isinstance(x, float) else str(x) for x in t)
+
+
+# The zone and topology records are shared with the case format.
+
+def zone_record(z: ZoneSpec) -> str:
+    return (f"zone {z.id} shape={_fmt_tuple(z.shape)} "
+            f"spacing={_fmt_tuple(z.spacing)} origin={_fmt_tuple(z.origin)} "
+            f"boundary={','.join(z.boundary)}")
+
+
+def zone_from_record(rec: Record) -> ZoneSpec:
+    boundary = tuple(BOUNDARY_ALIASES.get(b, b)
+                     for b in rec.get("boundary").split(","))
+    return ZoneSpec(id=rec.word(0, int), shape=rec.get("shape", ints),
+                    spacing=rec.get("spacing", floats),
+                    origin=rec.get("origin", floats), boundary=boundary)
+
+
+def topology_record(t: NodeTopology) -> str:
+    return (f"topology nodes={t.nodes} cpu={t.cpu_per_node} "
+            f"coproc={t.coproc_per_node} cpu-workers={t.cpu_workers} "
+            f"coproc-workers={t.coproc_workers}")
+
+
+def topology_from_record(rec: Record) -> NodeTopology:
+    return NodeTopology(nodes=rec.get("nodes", int),
+                        cpu_per_node=rec.get("cpu", int),
+                        coproc_per_node=rec.get("coproc", int),
+                        cpu_workers=rec.get("cpu-workers", int),
+                        coproc_workers=rec.get("coproc-workers", int))
 
 
 def plan_to_text(plan: PartitionPlan) -> str:
     lines = [f"{PLAN_MAGIC} {PLAN_VERSION}",
              f"ranks {plan.ranks}",
              f"load-ratio {plan.load_ratio!r}",
-             (f"topology nodes={plan.topology.nodes} "
-              f"cpu={plan.topology.cpu_per_node} "
-              f"coproc={plan.topology.coproc_per_node} "
-              f"cpu-workers={plan.topology.cpu_workers} "
-              f"coproc-workers={plan.topology.coproc_workers}")]
-    for z in plan.zones:
-        lines.append(f"zone {z.id} shape={_fmt_tuple(z.shape)} "
-                     f"spacing={_fmt_tuple(z.spacing)} "
-                     f"origin={_fmt_tuple(z.origin)} "
-                     f"boundary={','.join(z.boundary)}")
+             topology_record(plan.topology)]
+    lines += [zone_record(z) for z in plan.zones]
     for b in plan.blocks:
         lines.append(f"block {b.id} zone={b.zone} lo={_fmt_tuple(b.lo)} "
                      f"hi={_fmt_tuple(b.hi)} rank={plan.rank_of_block[b.id]}")
@@ -563,76 +594,37 @@ def plan_to_text(plan: PartitionPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _kv(parts: list[str]) -> dict[str, str]:
-    out = {}
-    for p in parts:
-        if "=" not in p:
-            raise CaseFormatError(f"expected key=value, got {p!r}")
-        k, v = p.split("=", 1)
-        out[k] = v
-    return out
-
-
-def _ints(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split(","))
-
-
-def _floats(s: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in s.split(","))
-
-
 def plan_from_text(text: str) -> PartitionPlan:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise CaseFormatError("empty plan file")
-    head = lines[0].split()
-    if head[0] != PLAN_MAGIC:
-        raise CaseFormatError(f"not a plan file (got {head[0]!r})")
-    if int(head[1]) != PLAN_VERSION:
-        raise CaseFormatError(f"unsupported plan version {head[1]}")
     ranks = None
     load_ratio = 1.0
     topology = None
     zones, blocks, groups = [], [], []
     rank_of_block: dict[int, int] = {}
     node_of_rank: list[int] = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        kind = parts[0]
-        if kind == "ranks":
-            ranks = int(parts[1])
-        elif kind == "load-ratio":
-            load_ratio = float(parts[1])
-        elif kind == "topology":
-            kv = _kv(parts[1:])
-            topology = NodeTopology(nodes=int(kv["nodes"]),
-                                    cpu_per_node=int(kv["cpu"]),
-                                    coproc_per_node=int(kv["coproc"]),
-                                    cpu_workers=int(kv["cpu-workers"]),
-                                    coproc_workers=int(kv["coproc-workers"]))
-        elif kind == "zone":
-            kv = _kv(parts[2:])
-            zones.append(ZoneSpec(id=int(parts[1]), shape=_ints(kv["shape"]),
-                                  spacing=_floats(kv["spacing"]),
-                                  origin=_floats(kv["origin"]),
-                                  boundary=tuple(kv["boundary"].split(","))))
-        elif kind == "block":
-            kv = _kv(parts[2:])
-            bid = int(parts[1])
-            blocks.append(Block(id=bid, zone=int(kv["zone"]),
-                                lo=_ints(kv["lo"]), hi=_ints(kv["hi"])))
-            rank_of_block[bid] = int(kv["rank"])
-        elif kind == "group":
-            kv = _kv(parts[2:])
-            ids = [] if kv["blocks"] == "-" else list(_ints(kv["blocks"]))
-            groups.append(Group(id=int(parts[1]), rank=int(kv["rank"]),
-                                device_class=kv["class"],
-                                device_index=int(kv["device"]),
-                                block_ids=ids))
-        elif kind == "nodes":
-            node_of_rank = list(_ints(parts[1]))
+    for rec in read_records(text, PLAN_MAGIC, PLAN_VERSION, "plan"):
+        if rec.kind == "ranks":
+            ranks = rec.word(0, int)
+        elif rec.kind == "load-ratio":
+            load_ratio = rec.word(0, float)
+        elif rec.kind == "topology":
+            topology = topology_from_record(rec)
+        elif rec.kind == "zone":
+            zones.append(zone_from_record(rec))
+        elif rec.kind == "block":
+            bid = rec.word(0, int)
+            blocks.append(Block(id=bid, zone=rec.get("zone", int),
+                                lo=rec.get("lo", ints), hi=rec.get("hi", ints)))
+            rank_of_block[bid] = rec.get("rank", int)
+        elif rec.kind == "group":
+            ids = rec.get("blocks", optional(ints))
+            groups.append(Group(id=rec.word(0, int), rank=rec.get("rank", int),
+                                device_class=rec.get("class"),
+                                device_index=rec.get("device", int),
+                                block_ids=list(ids or ())))
+        elif rec.kind == "nodes":
+            node_of_rank = list(rec.word(0, ints))
         else:
-            raise CaseFormatError(f"unknown plan record {kind!r}")
+            raise CaseFormatError(f"unknown plan record {rec.kind!r}")
     if ranks is None or topology is None:
         raise CaseFormatError("plan file missing ranks/topology records")
     zones.sort(key=lambda z: z.id)

@@ -100,6 +100,16 @@ def build_simulation(case: Case, plan: PartitionPlan | None = None) -> Simulatio
                       inflow_zones=inflow)
 
 
+def cut_blocks(halo_plan, rank: int, overlap: bool) -> frozenset[int]:
+    """Blocks of ``rank`` whose sweeps are cut into a halo-free interior
+    range and two boundary ranges.  Cutting a sweep repeats edge values at
+    the cut, so a block is cut only where its interior sweeps can hide
+    another rank's message: overlap is on and another rank feeds it."""
+    if not overlap:
+        return frozenset()
+    return frozenset(p.dst_block for p in halo_plan.recvs_of(rank))
+
+
 # ---------------------------------------------------------------------------
 # Stage reductions
 #
@@ -193,11 +203,7 @@ class RankWorker:
         for g, pool in zip(groups, self.pools):
             for bid in g.block_ids:
                 self.pool_of_block[bid] = pool
-        # Cutting a sweep repeats edge values at the cut, so a block is cut
-        # only where its interior sweeps can hide another rank's message.
-        remote = {p.dst_block for p in sim.halo_plan.recvs_of(rank)}
-        self.cut = frozenset(self.block_ids) & remote if overlap \
-            else frozenset()
+        self.cut = cut_blocks(sim.halo_plan, rank, overlap)
 
         self.fields: FieldSet = {}
         self.q0: dict[int, np.ndarray] = {}
@@ -411,6 +417,10 @@ class RankWorker:
     # -- main loop ---------------------------------------------------------
 
     def run(self, controls: IterationControls) -> RankResult:
+        """The time loop of every run path, serial runs included.
+
+        Stops after ``max_iters`` steps, at ``t_end`` (relative tolerance
+        1e-15), on convergence, or on a broadcast divergence flag."""
         norm_history: list[float] = []
         initial_normsq: list = [None]
         sim_time = 0.0
@@ -628,6 +638,9 @@ def run_case(case: Case, plan: PartitionPlan | None = None, *,
 # A static walk over (plan, device models): per stage, ranks synchronize at
 # the reduction, post pair messages, run interior kernels while traffic and
 # coprocessor ghost uploads are in flight, then finish boundary work.
+# Interior kernels cover only the blocks the runner cuts (``cut_blocks``);
+# every other block books all its compute after its ghosts arrive.  The
+# edge values a cut repeats are not costed.
 # Each rank drives messaging from a dedicated host core ("rank{r}/host"),
 # so packing and draining never serialize with its compute kernels.
 # Coprocessor state stays resident across stages, so after the initial
@@ -653,9 +666,9 @@ class _GroupModel:
 
 
 def _interior_work(block: Block) -> float:
-    """Halo-independent work in cell-update units.
+    """Halo-independent work of a cut block in cell-update units.
 
-    Each of the three flux sweeps can run on its sweep-axis interior range
+    Each of the three flux sweeps runs on its sweep-axis interior range
     while ghosts are in flight, so the overlappable share is the average of
     the per-axis interior fractions, not the 3D core."""
     work = 0.0
@@ -686,6 +699,7 @@ def model_schedule(case: Case, plan: PartitionPlan | None = None, *,
     hosts: list[str] = []
     for r in range(ranks):
         gl = []
+        cut = cut_blocks(halo_plan, r, overlap)
         for g in plan.groups_of_rank(r):
             model = case.cpu if g.device_class == "cpu" \
                 else (case.coprocessor or case.cpu)
@@ -696,7 +710,8 @@ def model_schedule(case: Case, plan: PartitionPlan | None = None, *,
                             if g.device_class == "coprocessor" else None),
                 model=model,
                 cells=sum(b.cells for b in blocks),
-                interior_work=sum(_interior_work(b) for b in blocks),
+                interior_work=sum(_interior_work(b) for b in blocks
+                                  if b.id in cut),
                 inbound_bytes=0, outbound_bytes=0)
             gl.append(gm)
             for bid in g.block_ids:
@@ -774,16 +789,17 @@ def model_schedule(case: Case, plan: PartitionPlan | None = None, *,
                                   "pack", "local copy")
 
             # Interior kernels: no ghost reads, launch right after the sync.
-            if overlap:
-                for r in range(ranks):
-                    for gm in groups[r]:
-                        clock.wait_until(gm.label, t_sync[r], "sync")
-                        clock.advance(gm.label, gm.model.kernel_overhead,
-                                      "kernel_launch")
-                        clock.advance(gm.label,
-                                      gm.interior_work
-                                      / gm.model.relative_throughput,
-                                      "compute", "interior")
+            for r in range(ranks):
+                for gm in groups[r]:
+                    if not gm.interior_work:
+                        continue
+                    clock.wait_until(gm.label, t_sync[r], "sync")
+                    clock.advance(gm.label, gm.model.kernel_overhead,
+                                  "kernel_launch")
+                    clock.advance(gm.label,
+                                  gm.interior_work
+                                  / gm.model.relative_throughput,
+                                  "compute", "interior")
 
             # Drain inbound traffic, then unpack on the host.
             ghosts_ready = {}
@@ -808,12 +824,10 @@ def model_schedule(case: Case, plan: PartitionPlan | None = None, *,
                             "transfer_in", "ghost regions")
                         start = max(clock.now(gm.label), t_in)
                     clock.wait_until(gm.label, start, "ghosts")
-                    if not overlap:
+                    if not gm.interior_work:
                         clock.advance(gm.label, gm.model.kernel_overhead,
                                       "kernel_launch")
-                        work = float(gm.cells)
-                    else:
-                        work = gm.cells - gm.interior_work
+                    work = gm.cells - gm.interior_work
                     clock.advance(gm.label,
                                   work / gm.model.relative_throughput,
                                   "compute", "boundary")

@@ -1,15 +1,16 @@
-"""Explicit three-stage strong-stability-preserving time integration."""
+"""Time-step algebra and bounds: the SSP RK3 stage update, the per-block
+stable step, and the controls of the time loop.
+
+The loop itself is ``runner.RankWorker.run``, the one driver every run path
+goes through, serial runs included.
+"""
 
 from __future__ import annotations
 
-import math
-import time
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
 from .state import GasModel, spectral_radius
 
 STAGES = 3
@@ -31,25 +32,6 @@ def stage_state(stage: int, dt: float, q0, q_stage, r):
     raise ValueError(f"stage must be 0..2, got {stage}")
 
 
-def rk3_advance(q0: dict, dt: float, residual_of: Callable[[dict, int], dict]) -> dict:
-    """Advance a dict of per-block arrays one full step.
-
-    ``residual_of(states, stage)`` is evaluated once per stage; any halo
-    refresh belongs inside it.
-    """
-    cur = q0
-    for stage in range(STAGES):
-        r = residual_of(cur, stage)
-        cur = {b: stage_state(stage, dt, q0[b], cur[b], r[b]) for b in q0}
-    return cur
-
-
-def rk3_scalar(q0: float, dt: float, f: Callable[[float], float]) -> float:
-    """Scalar convenience wrapper over the same stage algebra."""
-    out = rk3_advance({0: np.float64(q0)}, dt, lambda s, stage: {0: f(s[0])})
-    return float(out[0])
-
-
 def block_dt_bound(w_int: np.ndarray, gas: GasModel, spacing: tuple[float, float, float]) -> float:
     """Largest stable dt (unit CFL) over one block interior.
 
@@ -66,25 +48,9 @@ def block_dt_bound(w_int: np.ndarray, gas: GasModel, spacing: tuple[float, float
     return h_min / float(np.max(denom))
 
 
-def stable_dt(bounds: list[float] | float, cfl: float) -> float:
-    """Combine per-block unit-CFL bounds (an exact min) and apply the CFL."""
-    if isinstance(bounds, (int, float)):
-        return cfl * float(bounds)
-    return cfl * min(bounds)
-
-
-def residual_norm(residuals: dict[int, np.ndarray]) -> float:
-    """L2 norm over all blocks, accumulated in block-id order."""
-    total = 0.0
-    for bid in sorted(residuals):
-        r = residuals[bid]
-        total += float(np.sum(r * r))
-    return math.sqrt(total)
-
-
 @dataclass
 class IterationControls:
-    """Knobs of the iteration loop.
+    """Knobs of the time loop (``runner.RankWorker.run``).
 
     ``tolerance`` is the relative drop of the residual L2 norm against the
     first iteration; ``None`` disables the convergence check.  A blow-up
@@ -100,87 +66,9 @@ class IterationControls:
     divergence_factor: float = 1.0e6
 
 
-@dataclass
-class IterationResult:
-    iterations: int = 0
-    wall_seconds: float = 0.0
-    sim_time: float = 0.0
-    initial_norm: float = 0.0
-    final_norm: float = 0.0
-    converged: bool = False
-    norm_history: list[float] = field(default_factory=list)
-
-
-def check_divergence(norm: float, initial_norm: float, factor: float, step: int, stage: int | None = None) -> None:
-    if not math.isfinite(norm) or (initial_norm > 0.0 and norm > factor * initial_norm):
-        raise DivergenceError(
-            f"residual norm {norm:.6e} exceeded {factor:g} x initial {initial_norm:.6e}",
-            step=step,
-            stage=stage,
-        )
-
-
 def clip_dt(dt: float, sim_time: float, t_end: float | None) -> float:
     """Shorten the last step so the run lands exactly on t_end."""
     if t_end is None:
         return dt
     remaining = t_end - sim_time
     return remaining if remaining < dt else dt
-
-
-def iterate(
-    states: dict,
-    residual_of: Callable[[dict, int], dict],
-    dt_of: Callable[[dict], float],
-    controls: IterationControls,
-    *,
-    norm_of: Callable[[dict], float] = residual_norm,
-    on_step: Callable[[int, dict], None] | None = None,
-) -> tuple[dict, IterationResult]:
-    """Serial iteration driver used by the tests and the one-rank paths.
-
-    ``residual_of(states, stage)`` must refresh halos itself.  With
-    ``max_iters == 0`` the input states are returned unchanged and the timer
-    never starts.  Timing covers the main iteration loop only.
-    """
-    result = IterationResult()
-    if controls.max_iters == 0:
-        return states, result
-
-    start = time.perf_counter()
-    cur = states
-    for k in range(controls.max_iters):
-        if controls.t_end is not None and result.sim_time >= controls.t_end - 1e-15:
-            break
-        dt = controls.fixed_dt if controls.fixed_dt is not None else dt_of(cur)
-        dt = clip_dt(dt, result.sim_time, controls.t_end)
-
-        q0 = cur
-        first_residual: dict | None = None
-        for stage in range(STAGES):
-            r = residual_of(cur, stage)
-            if stage == 0:
-                first_residual = r
-            cur = {b: stage_state(stage, dt, q0[b], cur[b], r[b]) for b in q0}
-
-        norm = norm_of(first_residual)
-        result.norm_history.append(norm)
-        if k == 0:
-            result.initial_norm = norm
-        result.final_norm = norm
-        result.iterations = k + 1
-        result.sim_time += dt
-
-        check_divergence(norm, result.initial_norm, controls.divergence_factor, step=k)
-        if on_step is not None:
-            on_step(k, cur)
-        if (
-            controls.tolerance is not None
-            and result.initial_norm > 0.0
-            and norm <= controls.tolerance * result.initial_norm
-        ):
-            result.converged = True
-            break
-
-    result.wall_seconds = time.perf_counter() - start
-    return cur, result

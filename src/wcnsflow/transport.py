@@ -8,8 +8,8 @@ Wire format (socket mode, version 1): every message is a little-endian
 header ``{u32 tag, u32 source, u32 dest, u64 byteLen}`` (struct ``<IIIQ``)
 followed by ``byteLen`` bytes of float64 payload.  A connection opens with
 the 8-byte magic ``b"WCNSFL01"`` plus the connecting rank as ``<I``.
-Model timestamps never cross sockets; modeled timing is an in-process
-feature.
+A peer whose connection drops is recorded, and a receive from it that has
+no message already filed raises ``TransportError`` naming that rank.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,27 +37,10 @@ class Message:
     source: int
     dest: int
     payload: np.ndarray  # 1D float64
-    model_time: float = 0.0
 
     @property
     def nbytes(self) -> int:
         return int(self.payload.nbytes)
-
-
-@dataclass
-class TransportStats:
-    messages_sent: int = 0
-    bytes_sent: int = 0
-    messages_received: int = 0
-    bytes_received: int = 0
-
-    def add_sent(self, n: int) -> None:
-        self.messages_sent += 1
-        self.bytes_sent += n
-
-    def add_received(self, n: int) -> None:
-        self.messages_received += 1
-        self.bytes_received += n
 
 
 class InProcessTransport:
@@ -72,7 +55,6 @@ class InProcessTransport:
         self.ranks = ranks
         self._cond = threading.Condition()
         self._box: dict[tuple[int, int, int], list[Message]] = {}
-        self.stats = [TransportStats() for _ in range(ranks)]
 
     def send(self, msg: Message) -> None:
         if not (0 <= msg.dest < self.ranks):
@@ -80,7 +62,6 @@ class InProcessTransport:
         with self._cond:
             self._box.setdefault((msg.tag, msg.source, msg.dest), []).append(msg)
             self._cond.notify_all()
-        self.stats[msg.source].add_sent(msg.nbytes)
 
     def recv(self, tag: int, source: int, dest: int, timeout: float = DEFAULT_TIMEOUT) -> Message:
         key = (tag, source, dest)
@@ -95,7 +76,6 @@ class InProcessTransport:
             msg = self._box[key].pop(0)
             if not self._box[key]:
                 del self._box[key]
-        self.stats[dest].add_received(msg.nbytes)
         return msg
 
     def close(self) -> None:
@@ -134,9 +114,7 @@ class SocketTransport:
         self._box: dict[tuple[int, int, int], list[Message]] = {}
         self._peers: dict[int, socket.socket] = {}
         self._peer_locks: dict[int, threading.Lock] = {}
-        self._readers: list[threading.Thread] = []
-        self._closing = False
-        self.stats = TransportStats()
+        self._lost: dict[int, str] = {}      # peer -> why its reader stopped
 
         host, port = self.addresses[rank]
         self._listener = socket.create_server((host, port))
@@ -208,9 +186,8 @@ class SocketTransport:
             return self._peers[peer]
 
     def _start_reader(self, peer: int, sock: socket.socket) -> None:
-        t = threading.Thread(target=self._read_loop, args=(peer, sock), daemon=True)
-        t.start()
-        self._readers.append(t)
+        threading.Thread(target=self._read_loop, args=(peer, sock),
+                         daemon=True).start()
 
     def _read_loop(self, peer: int, sock: socket.socket) -> None:
         try:
@@ -223,9 +200,12 @@ class SocketTransport:
                 with self._cond:
                     self._box.setdefault((tag, source, dest), []).append(msg)
                     self._cond.notify_all()
-                self.stats.add_received(nbytes)
-        except (ConnectionError, OSError):
-            return
+        except (ConnectionError, OSError) as e:
+            # Messages read before the drop stay filed; waiters wake to
+            # take them or to report the lost peer.
+            with self._cond:
+                self._lost[peer] = str(e) or type(e).__name__
+                self._cond.notify_all()
 
     # -- messaging --------------------------------------------------------
 
@@ -243,7 +223,6 @@ class SocketTransport:
                 sock.sendall(head + raw)
             except OSError as e:
                 raise TransportError(f"send to rank {msg.dest} failed: {e}", tag=msg.tag) from e
-        self.stats.add_sent(len(raw))
 
     def recv(self, tag: int, source: int, dest: int, timeout: float | None = None) -> Message:
         if dest != self.rank:
@@ -253,8 +232,17 @@ class SocketTransport:
         if source != self.rank:
             self._peer_socket(source)  # make sure the reader exists
         with self._cond:
-            ok = self._cond.wait_for(lambda: bool(self._box.get(key)), timeout=timeout)
-            if not ok:
+            self._cond.wait_for(
+                lambda: bool(self._box.get(key)) or source in self._lost,
+                timeout=timeout)
+            if not self._box.get(key):
+                if source in self._lost:
+                    raise TransportError(
+                        f"rank {self.rank} lost its connection to rank "
+                        f"{source} ({self._lost[source]}) while waiting for "
+                        f"message tag={tag} {source}->{dest}",
+                        tag=tag,
+                    )
                 raise TransportError(
                     f"timed out after {timeout:g}s waiting for message "
                     f"tag={tag} {source}->{dest}",
@@ -266,7 +254,6 @@ class SocketTransport:
         return msg
 
     def close(self) -> None:
-        self._closing = True
         try:
             self._listener.close()
         except OSError:

@@ -1,6 +1,7 @@
-"""Device cost models, residency tracking, and modeled timelines."""
+"""Device cost models, worker pools, and modeled timelines."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,16 +14,16 @@ from wcnsflow.devices import (
     DeviceModel,
     LinkModel,
     NetworkModel,
-    OffloadTask,
-    ResidencyCache,
     configure_devices,
     device_label,
     shutdown_pools,
-    should_recompute,
 )
-from wcnsflow.errors import DeviceBudgetError
-from wcnsflow.partition import Group
+from wcnsflow.cases import case_plan, sod_case
+from wcnsflow.halo import build_halo_plan
+from wcnsflow.partition import Group, NodeTopology
+from wcnsflow.runner import _interior_work, cut_blocks, model_schedule
 from wcnsflow.schedule import Interval, ModelClock, Timeline, timeline_report
+from wcnsflow.timestepping import STAGES
 
 finite = {"allow_nan": False, "allow_infinity": False}
 
@@ -75,75 +76,6 @@ def test_default_devices_are_consistent():
     assert DEFAULT_COPROCESSOR.link is not None
 
 
-def test_offload_task_validation():
-    t = OffloadTask(group_id=0, kind="inv_flux", cells=100)
-    assert t.cells == 100
-    with pytest.raises(ValueError):
-        OffloadTask(group_id=0, kind="paint", cells=1)
-    with pytest.raises(ValueError):
-        OffloadTask(group_id=0, kind="update", cells=-1)
-
-
-def test_should_recompute_prefers_cheap_kernels():
-    copro = DeviceModel("coprocessor", worker_count=1,
-                        relative_throughput=1e9, kernel_overhead=0.0,
-                        link=LinkModel(bandwidth=1e6))
-    # kernel: 1e-6 s; transfer of 1 MB: 1 s
-    assert should_recompute(1000, copro, 1_000_000)
-    # huge kernel vs tiny transfer
-    assert not should_recompute(10 ** 12, copro, 8)
-    # cpu devices address host memory directly: never recompute for transfer
-    assert not should_recompute(1, DEFAULT_CPU, 10 ** 12)
-
-
-# ---------------------------------------------------------------------------
-# Residency cache
-
-def test_residency_hits_and_misses():
-    cache = ResidencyCache()
-    assert cache.ensure(0, generation=1, nbytes=100) == 100   # cold miss
-    assert cache.ensure(0, generation=1, nbytes=100) == 0     # hit
-    assert cache.ensure(0, generation=2, nbytes=100) == 100   # stale miss
-    assert (cache.hits, cache.misses) == (1, 2)
-    assert cache.bytes_transferred == 200
-    assert cache.bytes_saved == 100
-
-
-def test_residency_generation_cannot_move_backwards():
-    cache = ResidencyCache()
-    cache.ensure(0, generation=5, nbytes=10)
-    with pytest.raises(ValueError, match="backwards"):
-        cache.ensure(0, generation=4, nbytes=10)
-    with pytest.raises(ValueError, match="backwards"):
-        cache.mark(0, generation=1)
-    cache.mark(0, generation=6)
-    assert cache.ensure(0, generation=6, nbytes=10) == 0
-
-
-def test_residency_budget_overflow_reports_requirements():
-    cache = ResidencyCache(budget_bytes=150, device="rank0/mic0")
-    cache.ensure(0, generation=1, nbytes=100)
-    with pytest.raises(DeviceBudgetError) as err:
-        cache.ensure(1, generation=1, nbytes=100)
-    assert err.value.required_bytes == 200
-    assert err.value.available_bytes == 150
-    # replacing a resident block within budget is fine
-    assert cache.ensure(0, generation=2, nbytes=140) == 140
-    assert cache.resident_bytes == 140
-
-
-def test_residency_eviction_frees_budget():
-    cache = ResidencyCache(budget_bytes=100)
-    cache.ensure(0, generation=1, nbytes=80)
-    cache.evict(0)
-    assert cache.resident_bytes == 0
-    assert cache.ensure(1, generation=1, nbytes=90) == 90
-    cache.clear()
-    assert cache.resident_bytes == 0
-    with pytest.raises(KeyError):
-        cache.mark(1, generation=2)
-
-
 # ---------------------------------------------------------------------------
 # Pools
 
@@ -159,7 +91,6 @@ def test_configure_devices_builds_one_pool_per_group():
                                        "rank0/mic0"]
     assert pools[0].model.device_class == "cpu"
     assert pools[2].model.device_class == "coprocessor"
-    assert pools[2].link_name == "rank0/mic0.link"
     assert all(p.executor is None for p in pools)
     shutdown_pools(pools)
 
@@ -314,3 +245,42 @@ def test_wait_until_never_moves_backwards():
     clock.wait_until("a", 0.5)
     assert clock.now("a") == 1.0
     assert all(iv.phase != "wait" for iv in clock.timeline.intervals)
+
+
+def test_model_overlaps_interior_compute_only_on_cut_blocks():
+    """``model_schedule`` books interior compute where the runner cuts a
+    block (overlap on, fed by another rank); every other block books all of
+    its compute after its ghosts arrive."""
+    def model(ranks, overlap=True):
+        case = replace(sod_case(48, 8, t_end=0.02), target_blocks=4,
+                       ranks=ranks, topology=NodeTopology(1, ranks, 0))
+        plan = case_plan(case)
+        return plan, model_schedule(case, plan, steps=1, overlap=overlap)
+
+    def compute(tl, note, rank):
+        return sum(iv.duration for iv in tl.intervals
+                   if iv.phase == "compute" and iv.note == note
+                   and iv.device.startswith(f"rank{rank}/"))
+
+    thr = DEFAULT_CPU.relative_throughput
+    for ranks, overlap in [(1, True), (2, False)]:
+        plan, tl = model(ranks, overlap)
+        for r in range(ranks):
+            cells = sum(b.cells for b in plan.blocks_of_rank(r))
+            assert compute(tl, "interior", r) == 0.0
+            assert compute(tl, "boundary", r) == pytest.approx(
+                STAGES * cells / thr, rel=1e-12)
+
+    plan, tl = model(2)
+    halo_plan = build_halo_plan(plan)
+    for r in range(2):
+        cut = cut_blocks(halo_plan, r, True)
+        # Of each rank's two blocks only the one beside the other rank.
+        assert len(cut) == 1 and len(plan.blocks_of_rank(r)) == 2
+        work = sum(_interior_work(plan.blocks[bid]) for bid in cut)
+        cells = sum(b.cells for b in plan.blocks_of_rank(r))
+        assert work > 0.0
+        assert compute(tl, "interior", r) == pytest.approx(
+            STAGES * work / thr, rel=1e-12)
+        assert compute(tl, "boundary", r) == pytest.approx(
+            STAGES * (cells - work) / thr, rel=1e-12)

@@ -751,3 +751,42 @@ def test_socket_round_trip():
     finally:
         t0.close()
         t1.close()
+
+
+def test_socket_recv_from_a_closed_peer_names_it():
+    """A peer that closes wakes a receiver already waiting on it and fails
+    later receives within seconds, naming the rank; messages it sent before
+    closing are still delivered."""
+    addrs = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+    t0 = SocketTransport(0, addrs, timeout=30.0)
+    t1 = SocketTransport(1, addrs, timeout=30.0)
+    waiting = []
+
+    def wait_for_never_sent():
+        try:
+            t0.recv(tag=99, source=1, dest=0)
+        except TransportError as exc:
+            waiting.append(exc)
+
+    waiter = threading.Thread(target=wait_for_never_sent)
+    try:
+        payload = np.arange(3.0)
+        t1.send(Message(tag=3, source=1, dest=0, payload=payload))
+        t1.send(Message(tag=4, source=1, dest=0, payload=payload * 2))
+        waiter.start()
+        t_start = time.monotonic()
+        t1.close()
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert len(waiting) == 1 and "rank 1" in str(waiting[0])
+        assert np.array_equal(t0.recv(tag=3, source=1, dest=0).payload,
+                              payload)
+        assert np.array_equal(t0.recv(tag=4, source=1, dest=0).payload,
+                              payload * 2)
+        with pytest.raises(TransportError, match="rank 1") as err:
+            t0.recv(tag=5, source=1, dest=0)
+        assert err.value.tag == 5
+        assert time.monotonic() - t_start < 5.0
+    finally:
+        t1.close()
+        t0.close()

@@ -15,7 +15,7 @@ from wcnsflow.dumps import merge_dumps, read_dump, write_dump, zone_array
 from wcnsflow.errors import CaseFormatError
 from wcnsflow.metrics import (RunMetrics, from_timeline, mcups,
                               metrics_from_csv, metrics_to_csv, render_report)
-from wcnsflow.partition import NodeTopology
+from wcnsflow.partition import NodeTopology, plan_from_text, plan_to_text
 from wcnsflow.schedule import Timeline
 
 
@@ -68,6 +68,46 @@ def test_case_text_rejects_bad_input():
         case_from_text("wcnsflow-case 1\nname partial\n")
     with pytest.raises(CaseFormatError, match="unknown case record"):
         case_from_text(good + "mystery a=1\n")
+    for old, new, match in [
+            ("shape=", "shap=", "zone record: missing shape="),
+            ("cfl=0.5", "cfl=abc", "time record: cannot read cfl='abc'"),
+            ("ranks=1", "ranks=1.5", "run record: cannot read ranks='1.5'"),
+            ("freestream 1.0", "freestream x", "freestream record"),
+            ("zone 0", "zone zero", "zone record: cannot read value 1"),
+            ("gamma=1.4", "gamma=0.5", "gas record: gamma must exceed 1"),
+            ("prandtl=0.72", "prandtl=0.72 stray",
+             "gas record: expected key=value, got 'stray'"),
+            ("wcnsflow-case 1", "wcnsflow-case", "version")]:
+        assert old in good
+        with pytest.raises(CaseFormatError, match=match):
+            case_from_text(good.replace(old, new, 1))
+    for kind, key, value, match in [
+            (wave_case, "amplitude", "big", "cannot read amplitude='big'"),
+            (wave_case, "velocity", "1,1", "velocity needs three numbers"),
+            (sod_case, "left", "1,0", "left needs three numbers")]:
+        broken = kind(8, t_end=0.002)
+        broken.init[key] = value
+        with pytest.raises(CaseFormatError, match=f"init record: {match}"):
+            initial_fields(broken, case_plan(broken))
+
+
+def test_plan_text_rejects_bad_input():
+    good = plan_to_text(case_plan(uniform_case((8, 8, 8), blocks=2)))
+    for old, new, match in [
+            (" lo=", " low=", "block record: missing lo="),
+            ("rank=0", "rank=first", "block record: cannot read rank='first'"),
+            ("ranks 1", "ranks", "ranks record: missing value 1"),
+            ("load-ratio 1.0", "load-ratio heavy", "load-ratio record"),
+            ("cpu-workers=", "cpuworkers=", "topology record: missing"),
+            ("wcnsflow-plan 1", "wcnsflow-plan 2", "version"),
+            ("wcnsflow-plan", "wcnsflow-case", "not a plan file")]:
+        assert old in good
+        with pytest.raises(CaseFormatError, match=match):
+            plan_from_text(good.replace(old, new, 1))
+    with pytest.raises(CaseFormatError, match="unknown plan record"):
+        plan_from_text(good + "mystery a=1\n")
+    with pytest.raises(CaseFormatError, match="empty"):
+        plan_from_text("\n# nothing\n")
 
 
 def test_case_validation():
@@ -429,8 +469,20 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert run_cli("partition", "--case", bad) == 2
     assert "error:" in capsys.readouterr().err
 
+    typo = tmp_path / "typo.case"
+    typo.write_text(case_to_text(uniform_case()).replace("shape=", "shap="),
+                    encoding="utf-8")
+    assert run_cli("run", "--case", typo, "--out-dir", tmp_path) == 2
+    assert "zone record: missing shape=" in capsys.readouterr().err
+
     uni = tmp_path / "uni.case"
     save_case(uniform_case(max_iters=1), uni)
+    plan = tmp_path / "uni.plan"
+    plan.write_text(plan_to_text(case_plan(uniform_case())).replace(
+        " lo=", " low="), encoding="utf-8")
+    assert run_cli("run", "--case", uni, "--plan", plan,
+                   "--out-dir", tmp_path) == 2
+    assert "block record: missing lo=" in capsys.readouterr().err
     assert run_cli("bench", "--case", uni, "--mode", "weak") == 2
     assert run_cli("run", "--case", uni, "--transport", "socket",
                    "--out-dir", tmp_path) == 2
@@ -446,3 +498,16 @@ def test_cli_run_is_deterministic(tmp_path):
     first = (tmp_path / "a" / "fields.bin").read_bytes()
     second = (tmp_path / "b" / "fields.bin").read_bytes()
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Package exports
+
+def test_package_exports_resolve_once():
+    import wcnsflow
+    names = wcnsflow.__all__
+    assert len(names) == len(set(names)), "a name is exported twice"
+    assert [n for n in names if not hasattr(wcnsflow, n)] == []
+    namespace: dict = {}
+    exec("from wcnsflow import *", namespace)
+    assert set(names) <= set(namespace)

@@ -1,31 +1,40 @@
-"""Three-stage integrator, step-size bounds, and the iteration driver."""
+"""Three-stage integrator, step-size bounds, and the time loop.
+
+The loop is ``runner.RankWorker.run``; its tests go through ``run_case``.
+"""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wcnsflow.cases import initial_fields, sod_case, wave_case
 from wcnsflow.errors import DivergenceError
-from wcnsflow.state import GasModel
+from wcnsflow.runner import (STOP_DIVERGED, STOP_NONE, RankWorker,
+                             build_simulation, run_case)
+from wcnsflow.state import GasModel, primitive_from_conserved
 from wcnsflow.timestepping import (
     IterationControls,
     STAGES,
     block_dt_bound,
-    check_divergence,
     clip_dt,
-    iterate,
-    residual_norm,
-    rk3_advance,
-    rk3_scalar,
-    stable_dt,
     stage_state,
 )
 
 GAS = GasModel()
 
 finite = {"allow_nan": False, "allow_infinity": False}
+
+
+def rk3_step(q0, dt, f):
+    """One full step: the three stages composed as ``RankWorker.run`` does."""
+    q = q0
+    for stage in range(STAGES):
+        q = stage_state(stage, dt, q0, q, f(q))
+    return q
 
 
 def rest_state(n: int = 4) -> np.ndarray:
@@ -42,14 +51,14 @@ def test_scalar_decay_single_step_frozen_value():
     ``scratch_oracles.py`` (section 2), since deleted."""
     # Hand evaluation for dq/dt = -q, dt = 0.1:
     #   q1 = 0.9, q2 = 0.9525, q = 1/3 + 2/3 * (0.9525 - 0.09525)
-    got = rk3_scalar(1.0, 0.1, lambda q: -q)
+    got = rk3_step(1.0, 0.1, lambda q: -q)
     assert abs(got - 0.9048333333333333) <= 1e-12
     assert got == 0.9048333333333334
 
 
 def test_scalar_step_is_the_cubic_taylor_polynomial():
     dt = 0.1
-    got = rk3_scalar(1.0, dt, lambda q: -q)
+    got = rk3_step(1.0, dt, lambda q: -q)
     taylor3 = 1.0 - dt + dt * dt / 2.0 - dt ** 3 / 6.0
     assert got == pytest.approx(taylor3, abs=1e-16)
     err = abs(got - math.exp(-dt))
@@ -68,18 +77,16 @@ def test_stage_state_convex_coefficients():
 
 
 def test_zero_residual_is_a_fixed_point():
-    q0 = {0: np.array([1.5, 2.0, 0.25, -4.0]), 1: np.array([8.0, 0.5])}
-    out = rk3_advance(q0, 0.37, lambda s, stage: {b: 0.0 * s[b] for b in s})
-    for b in q0:
-        np.testing.assert_array_equal(out[b], q0[b])
+    q0 = np.array([1.5, 2.0, 0.25, -4.0])
+    np.testing.assert_array_equal(rk3_step(q0, 0.37, lambda q: 0.0 * q), q0)
 
 
 def test_blocks_advance_independently():
-    q0 = {0: np.array([1.0]), 1: np.array([2.0])}
-    out = rk3_advance(q0, 0.1, lambda s, stage: {b: -s[b] for b in s})
-    solo = rk3_scalar(2.0, 0.1, lambda q: -q)
-    assert float(out[1][0]) == solo
-    assert float(out[0][0]) == rk3_scalar(1.0, 0.1, lambda q: -q)
+    """The stage update is elementwise: advancing two cells together gives
+    each the value it gets alone."""
+    out = rk3_step(np.array([1.0, 2.0]), 0.1, lambda q: -q)
+    assert out[0] == rk3_step(1.0, 0.1, lambda q: -q)
+    assert out[1] == rk3_step(2.0, 0.1, lambda q: -q)
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +124,16 @@ def test_faster_flow_never_raises_the_bound(u_small, du):
     assert fast <= slow
 
 
-def test_stable_dt_combines_and_scales():
-    assert stable_dt([0.4, 0.2, 0.9], 0.5) == 0.1
-    assert stable_dt(0.2, 0.25) == 0.05
-    assert stable_dt([0.3], 1.0) == 0.3
+def test_step_is_cfl_times_smallest_block_bound():
+    """A step without a fixed dt is the CFL times the smallest block bound."""
+    case = sod_case(24, t_end=None, cfl=0.3, blocks=2)
+    case = replace(case, controls=replace(case.controls, max_iters=1))
+    out = run_case(case, warmup=False, max_workers=1)
+    start = initial_fields(case, out.plan)
+    bounds = [block_dt_bound(primitive_from_conserved(f.interior, GAS), GAS,
+                             case.zone.spacing) for f in start.values()]
+    assert len(bounds) == 2 and bounds[0] != bounds[1]
+    assert out.sim_time == 0.3 * min(bounds)
 
 
 def test_clip_dt_lands_on_the_end_time():
@@ -130,100 +143,106 @@ def test_clip_dt_lands_on_the_end_time():
 
 
 # ---------------------------------------------------------------------------
-# Residual norm
+# Residual norm and divergence, as the rank reductions compute them
+
+def one_rank_worker() -> RankWorker:
+    return RankWorker(build_simulation(small_wave()), 0, max_workers=1)
+
 
 def test_residual_norm_matches_direct_sum():
     a = np.array([3.0, 4.0])
     b = np.array([[1.0, 2.0], [2.0, 4.0]])
     want = math.sqrt(float(np.sum(a * a) + np.sum(b * b)))
-    assert residual_norm({0: a, 1: b}) == want
-    assert residual_norm({1: b, 0: a}) == want   # insertion order irrelevant
+    worker = one_rank_worker()
+    worker.residual = {0: a, 1: b}
+    assert math.sqrt(worker._normsq_partial()) == want
+    worker.residual = {1: b, 0: a}   # insertion order irrelevant
+    assert math.sqrt(worker._normsq_partial()) == want
+    worker.close()
+
+
+def test_check_divergence_rejects_non_finite():
+    """Stage 1's reduction stops the run on a non-finite norm or one past
+    ``divergence_factor`` times the first."""
+    worker = one_rank_worker()
+    controls = IterationControls(divergence_factor=1e6)
+
+    def stop(normsq: float) -> float:
+        parts = np.zeros((1, 3 + 3 * worker.nzones))
+        parts[0, :2] = 1.0, normsq
+        return worker._make_finalize(controls, 0.0, 1, [1.0])(parts)[1]
+
+    assert stop(float("nan")) == STOP_DIVERGED
+    assert stop(float("inf")) == STOP_DIVERGED
+    assert stop(1.0e13) == STOP_DIVERGED      # norm 1e6.5 x the first
+    assert stop(2.0) == STOP_NONE             # in bounds
+    worker.close()
 
 
 # ---------------------------------------------------------------------------
-# Iteration driver
+# The time loop, through run_case
 
-def decay_system(n: int = 3):
-    states = {0: np.linspace(1.0, 2.0, n)}
-    residual_of = lambda s, stage: {b: -s[b] for b in s}
-    dt_of = lambda s: 0.1
-    return states, residual_of, dt_of
+def small_wave(**controls):
+    """Wave 8^3, one block, fixed dt, no end time."""
+    case = wave_case(8, t_end=None, fixed_dt=1e-3)
+    return replace(case, controls=replace(case.controls, **controls))
 
 
 def test_zero_max_iters_returns_input_unchanged():
-    states, residual_of, dt_of = decay_system()
-    out, result = iterate(states, residual_of, dt_of,
-                          IterationControls(max_iters=0))
-    assert out is states
-    assert result.iterations == 0
-    assert result.wall_seconds == 0.0
-    assert result.norm_history == []
+    case = small_wave(max_iters=0)
+    out = run_case(case)
+    start = initial_fields(case, out.plan)
+    for bid, f in out.fields.items():
+        np.testing.assert_array_equal(f.data, start[bid].data)
+    assert out.iterations == 0
+    assert out.wall_seconds == 0.0
+    assert out.norm_history == []
 
 
 def test_iteration_cap_is_honored():
-    states, residual_of, dt_of = decay_system()
-    out, result = iterate(states, residual_of, dt_of,
-                          IterationControls(max_iters=50, tolerance=None))
-    assert result.iterations == 50
-    assert len(result.norm_history) == 50
-    assert not result.converged
+    out = run_case(small_wave(max_iters=6, tolerance=None), warmup=False)
+    assert out.iterations == 6
+    assert len(out.norm_history) == 6
+    assert not out.converged
 
 
 def test_convergence_check_stops_early():
-    states, residual_of, dt_of = decay_system()
-    controls = IterationControls(max_iters=500, tolerance=1e-3)
-    out, result = iterate(states, residual_of, dt_of, controls)
-    assert result.converged
-    assert result.iterations < 100
-    assert result.final_norm <= 1e-3 * result.initial_norm
-    hist = result.norm_history
+    """A standing density wave at Re = 1 diffuses, so its residual decays."""
+    case = replace(wave_case(8, velocity=(0.0, 0.0, 0.0), t_end=None),
+                   gas=GasModel(reynolds=1.0))
+    case = replace(case, controls=replace(case.controls, max_iters=500,
+                                          tolerance=0.1))
+    out = run_case(case, warmup=False)
+    assert out.converged
+    assert out.iterations < 100
+    hist = out.norm_history
+    assert len(hist) == out.iterations
+    assert hist[-1] <= 0.1 * hist[0]
     assert all(b < a for a, b in zip(hist, hist[1:]))
 
 
 def test_fixed_dt_and_end_time_land_exactly():
-    states, residual_of, dt_of = decay_system()
-    controls = IterationControls(max_iters=100, tolerance=None,
-                                 fixed_dt=0.03, t_end=0.1)
-    out, result = iterate(states, residual_of, dt_of, controls)
-    assert result.iterations == 4
-    assert abs(result.sim_time - 0.1) <= 1e-15
+    case = wave_case(8, t_end=0.1, fixed_dt=0.03)
+    case = replace(case, controls=replace(case.controls, max_iters=100))
+    out = run_case(case, warmup=False)
+    assert out.iterations == 4
+    assert abs(out.sim_time - 0.1) <= 1e-15
 
 
 def test_repeat_runs_are_bitwise_identical():
-    outs = []
-    hists = []
-    for _ in range(2):
-        states, residual_of, dt_of = decay_system(5)
-        out, result = iterate(states, residual_of, dt_of,
-                              IterationControls(max_iters=20, tolerance=None))
-        outs.append(out[0])
-        hists.append(result.norm_history)
-    np.testing.assert_array_equal(outs[0], outs[1])
-    assert hists[0] == hists[1]
+    outs = [run_case(small_wave(max_iters=5), warmup=False)
+            for _ in range(2)]
+    for bid, f in outs[0].fields.items():
+        np.testing.assert_array_equal(f.interior, outs[1].fields[bid].interior)
+    assert outs[0].norm_history == outs[1].norm_history
 
 
 def test_divergence_raises_structured_error():
-    states = {0: np.array([1.0, 1.0])}
-    residual_of = lambda s, stage: {b: +s[b] for b in s}   # growth
-    controls = IterationControls(max_iters=200, tolerance=None,
-                                 divergence_factor=5.0)
+    """Far past the stable step the residual norm grows without bound."""
+    case = wave_case(8, amplitude=0.01, t_end=None, fixed_dt=0.08)
+    case = replace(case, controls=replace(case.controls, max_iters=200,
+                                          divergence_factor=5.0))
     with pytest.raises(DivergenceError) as err:
-        iterate(states, residual_of, lambda s: 0.5, controls)
-    assert err.value.step is not None
-
-
-def test_check_divergence_rejects_non_finite():
-    with pytest.raises(DivergenceError):
-        check_divergence(float("nan"), 1.0, 1e6, step=3)
-    with pytest.raises(DivergenceError):
-        check_divergence(float("inf"), 1.0, 1e6, step=3)
-    check_divergence(2.0, 1.0, 1e6, step=3)   # in bounds: no raise
-
-
-def test_on_step_callback_sees_every_iteration():
-    states, residual_of, dt_of = decay_system()
-    seen = []
-    iterate(states, residual_of, dt_of,
-            IterationControls(max_iters=7, tolerance=None),
-            on_step=lambda k, cur: seen.append(k))
-    assert seen == list(range(7))
+        run_case(case, warmup=False)
+    assert err.value.step is not None and 0 < err.value.step < 200
+    assert err.value.__cause__ is None    # the norm rule, not a bad state
