@@ -18,7 +18,7 @@ from wcnsflow.devices import (
     device_label,
     shutdown_pools,
 )
-from wcnsflow.cases import case_plan, sod_case
+from wcnsflow.cases import case_plan, corner_case, sod_case, wave_case
 from wcnsflow.halo import build_halo_plan
 from wcnsflow.partition import Group, NodeTopology
 from wcnsflow.runner import _interior_work, cut_blocks, model_schedule
@@ -284,3 +284,33 @@ def test_model_overlaps_interior_compute_only_on_cut_blocks():
             STAGES * work / thr, rel=1e-12)
         assert compute(tl, "boundary", r) == pytest.approx(
             STAGES * (cells - work) / thr, rel=1e-12)
+
+
+# The benchmark's three cases (perfbench/workloads.py; the model reads only
+# the plan, so the seed's signs and the Reynolds number do not matter) and
+# the 4-node corner case, one modeled step each: (overlap and coalescing
+# on, both off) -> (makespan, hidden_comm_fraction), exact.
+WAVE_DT = 2.0 ** -10
+FROZEN_MODEL = {
+    "wave48-1b": (
+        wave_case(48, fixed_dt=WAVE_DT, t_end=2 * WAVE_DT, blocks=1),
+        (0.01685436, 0.0), (0.01685436, 0.0)),
+    "wave48-8b2r": (
+        replace(wave_case(48, fixed_dt=WAVE_DT, t_end=2 * WAVE_DT, blocks=8),
+                ranks=2, topology=NodeTopology(1, 2, 0)),
+        (0.008336428800000002, 1.0), (0.009683659200000003, 0.0)),
+    "sod200-re1e6": (
+        sod_case(200, 4, t_end=0.05),
+        (0.0006000000000000001, 0.0), (0.0006000000000000001, 0.0)),
+    "corner4": (
+        corner_case(4),
+        (0.0020252, 0.8116714893617013), (0.0020252, 0.42323651452282124)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_MODEL))
+def test_model_makespans_frozen(name):
+    case, tuned, naive = FROZEN_MODEL[name]
+    for on, want in ((True, tuned), (False, naive)):
+        tl = model_schedule(case, steps=1, overlap=on, coalesce=on)
+        assert (tl.makespan, tl.hidden_comm_fraction) == want
