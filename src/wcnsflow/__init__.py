@@ -22,10 +22,10 @@ from .metrics import RunMetrics, mcups, metrics_from_csv, metrics_to_csv
 from .partition import (Block, NodeTopology, PartitionPlan, ZoneSpec,
                         make_plan, plan_from_text, plan_to_text)
 from .riemann import solve_riemann
-from .runner import (RunOutcome, best_ratio, build_simulation,
-                     cpu_only_variant, model_schedule,
-                     predict_balanced_ratio, run_case, run_socket_rank,
-                     strong_scaling, sweep_load_ratio, weak_scaling)
+from .model import (best_ratio, cpu_only_variant, model_schedule,
+                    predict_balanced_ratio, strong_scaling,
+                    sweep_load_ratio, weak_scaling)
+from .runner import RunOutcome, build_simulation, run_case, run_socket_rank
 from .schedule import Timeline, timeline_report
 from .state import GasModel, NCOMP
 from .timestepping import IterationControls

@@ -20,8 +20,9 @@ from .errors import WcnsflowError
 from .metrics import (RunMetrics, from_timeline, metrics_from_csv,
                       metrics_to_csv, render_report)
 from .partition import plan_from_text, plan_to_text
-from .runner import (best_ratio, model_schedule, run_case, run_socket_rank,
-                     strong_scaling, sweep_load_ratio, weak_scaling)
+from .model import (best_ratio, model_schedule, strong_scaling,
+                    sweep_load_ratio, weak_scaling)
+from .runner import run_case, run_socket_rank
 from .schedule import Timeline, timeline_report
 
 

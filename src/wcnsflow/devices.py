@@ -72,9 +72,6 @@ class DeviceModel:
         if (self.link is None) == (self.device_class == "coprocessor"):
             raise ValueError("coprocessors need a link, CPU sockets must not have one")
 
-    def compute_seconds(self, cell_updates: int) -> float:
-        return self.kernel_overhead + cell_updates / self.relative_throughput
-
 
 DEFAULT_LINK = LinkModel(bandwidth=6.0e9, latency=2.0e-6)
 DEFAULT_CPU = DeviceModel("cpu", worker_count=12, relative_throughput=2.0e7)

@@ -5,7 +5,8 @@ One exchange epoch brings every ghost cell up to date in two phases:
 
 1. copies from block interiors.  ``partition.ghost_sources`` intersects
    each block's extended box with every block interior of its zone and
-   their periodic images; each intersection is one region.  Regions travel
+   their periodic images (the plan's ``ghosts``); each intersection is one
+   region.  Regions travel
    coalesced per block pair, so each pair costs one message, and a block
    that wraps onto itself across a periodic face is a local pair like any
    other.
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import HaloPlanError
 from .fields import FieldSet
-from .partition import Block, PartitionPlan, ZoneSpec, ghost_sources
+from .partition import Block, PartitionPlan, ZoneSpec
 from .state import NCOMP
 from .transport import DEFAULT_TIMEOUT, Message
 from .wcns import HALO_WIDTH
@@ -117,22 +118,32 @@ class BoundaryFace:
 
 @dataclass
 class HaloPlan:
+    """Pairs in index order, indexed by rank once at construction; the
+    per-rank lists keep that order and are shared: do not modify them."""
+
     width: int
     pairs: list[ExchangePair]
     bc_faces: dict[int, tuple[BoundaryFace, ...]]  # block -> physical faces
 
-    @property
-    def region_count(self) -> int:
-        return sum(len(p.regions) for p in self.pairs)
+    def __post_init__(self):
+        self._sends: dict[int, list[ExchangePair]] = {}
+        self._recvs: dict[int, list[ExchangePair]] = {}
+        self._local: dict[int, list[ExchangePair]] = {}
+        for p in self.pairs:
+            if p.local:
+                self._local.setdefault(p.src_rank, []).append(p)
+            else:
+                self._sends.setdefault(p.src_rank, []).append(p)
+                self._recvs.setdefault(p.dst_rank, []).append(p)
 
     def sends_of(self, rank: int) -> list[ExchangePair]:
-        return [p for p in self.pairs if p.src_rank == rank and not p.local]
+        return self._sends.get(rank, [])
 
     def recvs_of(self, rank: int) -> list[ExchangePair]:
-        return [p for p in self.pairs if p.dst_rank == rank and not p.local]
+        return self._recvs.get(rank, [])
 
     def local_of(self, rank: int) -> list[ExchangePair]:
-        return [p for p in self.pairs if p.local and p.src_rank == rank]
+        return self._local.get(rank, [])
 
 
 def _boundary_faces(block: Block, zone: ZoneSpec) -> tuple[BoundaryFace, ...]:
@@ -162,7 +173,7 @@ def build_halo_plan(plan: PartitionPlan) -> HaloPlan:
     # Zone coordinates of each block's extended-array origin.
     origin = {b.id: tuple(l - H for l in b.lo) for b in plan.blocks}
     regions_by_pair: dict[tuple[int, int], list[Region]] = {}
-    for g in ghost_sources(plan.blocks, plan.zones):
+    for g in plan.ghosts:
         regions_by_pair.setdefault((g.src, g.dst), []).append(Region(
             dst_block=g.dst,
             src_block=g.src,

@@ -11,14 +11,17 @@ so that neighboring ranks share a node where possible.
 Blocks may be as narrow as one cell.  ``ghost_sources`` is the one place
 that knows which block feeds which ghost cell: it intersects each block's
 extended box with every block interior of its zone and their periodic
-images.  The halo plan and the regrouping both read it, and it first checks
-that the blocks tile each zone exactly.
+images, after checking that the blocks tile each zone exactly.  It runs
+once per plan: ``make_plan`` regroups with its result and keeps it as
+``PartitionPlan.ghosts``, which the halo plan reads; a plan read from a
+file derives it on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -121,14 +124,30 @@ class PartitionPlan:
     rank_of_block: list[int]
     node_of_rank: list[int]
 
+    def __post_init__(self):
+        self._blocks_of_rank: dict[int, list[Block]] = {}
+        for b in self.blocks:
+            self._blocks_of_rank.setdefault(self.rank_of_block[b.id], []).append(b)
+        self._groups_of_rank: dict[int, list[Group]] = {}
+        for g in self.groups:
+            self._groups_of_rank.setdefault(g.rank, []).append(g)
+
     def zone_of(self, zone_id: int) -> ZoneSpec:
         return self.zones[zone_id]
 
     def blocks_of_rank(self, rank: int) -> list[Block]:
-        return [b for b in self.blocks if self.rank_of_block[b.id] == rank]
+        """The rank's blocks in plan order (a shared list: do not modify)."""
+        return self._blocks_of_rank.get(rank, [])
 
     def groups_of_rank(self, rank: int) -> list[Group]:
-        return [g for g in self.groups if g.rank == rank]
+        """The rank's groups in plan order (a shared list: do not modify)."""
+        return self._groups_of_rank.get(rank, [])
+
+    @cached_property
+    def ghosts(self) -> list[GhostSource]:
+        """``ghost_sources`` of the plan's blocks: the pass ``make_plan``
+        regrouped with, else derived on first use."""
+        return ghost_sources(self.blocks, self.zones)
 
     @property
     def total_cells(self) -> int:
@@ -355,10 +374,11 @@ def _devices_of_rank(ranks: int, topology: NodeTopology) -> tuple[int, int]:
             topology.coproc_per_node // per_node)
 
 
-def regroup_blocks(blocks: list[Block], zones: list[ZoneSpec], ranks: int,
+def regroup_blocks(blocks: list[Block], ghosts: list[GhostSource], ranks: int,
                    topology: NodeTopology, load_ratio: float
                    ) -> tuple[list[Group], list[int]]:
-    """Assign blocks to ranks and to one group per device.
+    """Assign blocks to ranks and to one group per device; ``ghosts`` are
+    the blocks' ``ghost_sources``.
 
     Ranks receive contiguous spatial chunks (block id order follows the
     tiling).  Within a rank, groups are filled largest-block-first toward
@@ -400,7 +420,7 @@ def regroup_blocks(blocks: list[Block], zones: list[ZoneSpec], ranks: int,
         rank_of_block[b.id] = ranks - 1
 
     nbrs_of: dict[int, set[int]] = {b.id: set() for b in blocks}
-    for g in ghost_sources(blocks, zones):
+    for g in ghosts:
         nbrs_of[g.dst].add(g.src)
     block_by_id = {b.id: b for b in blocks}
 
@@ -479,31 +499,6 @@ def map_ranks_to_nodes(ranks: int, nodes: int) -> list[int]:
     return [r // per for r in range(ranks)]
 
 
-@dataclass
-class ImbalanceReport:
-    group_cells: list[int]
-    group_load: list[float]
-    max_load: float
-    mean_load: float
-
-    @property
-    def imbalance(self) -> float:
-        return self.max_load / self.mean_load if self.mean_load else float("nan")
-
-
-def imbalance_report(plan: PartitionPlan,
-                     throughput: dict[str, float] | None = None) -> ImbalanceReport:
-    """Per-group cell loads normalized by device throughput."""
-    thr = {"cpu": 1.0, "coprocessor": 1.0}
-    if throughput:
-        thr.update(throughput)
-    block_by_id = {b.id: b for b in plan.blocks}
-    cells = [sum(block_by_id[i].cells for i in g.block_ids) for g in plan.groups]
-    load = [c / thr[g.device_class] for c, g in zip(cells, plan.groups)]
-    return ImbalanceReport(group_cells=cells, group_load=load,
-                           max_load=max(load), mean_load=float(np.mean(load)))
-
-
 def make_plan(zones: list[ZoneSpec], ranks: int, topology: NodeTopology,
               load_ratio: float = 1.0, target_blocks: int | None = None,
               max_block_cells: int | None = None,
@@ -519,13 +514,16 @@ def make_plan(zones: list[ZoneSpec], ranks: int, topology: NodeTopology,
                 per_zone_target = max(1, target_blocks // len(zones))
             blocks.extend(split_zone(zone, per_zone_target, max_block_cells,
                                      first_id=len(blocks)))
-    groups, rank_of_block = regroup_blocks(blocks, zones, ranks, topology,
+    ghosts = ghost_sources(blocks, zones)
+    groups, rank_of_block = regroup_blocks(blocks, ghosts, ranks, topology,
                                            load_ratio)
     node_of_rank = map_ranks_to_nodes(ranks, topology.nodes)
-    return PartitionPlan(zones=zones, blocks=blocks, ranks=ranks,
+    plan = PartitionPlan(zones=zones, blocks=blocks, ranks=ranks,
                          topology=topology, load_ratio=load_ratio,
                          groups=groups, rank_of_block=rank_of_block,
                          node_of_rank=node_of_rank)
+    plan.ghosts = ghosts
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -392,12 +392,6 @@ class ResidualParts:
         return r
 
 
-def block_primitives(q_ext: np.ndarray, gas: GasModel, *, block_id: int | None = None) -> np.ndarray:
-    """Primitive variables on the full extended array, with block identity in
-    any invalid-state report."""
-    return primitive_from_conserved(q_ext, gas, block_id=block_id)
-
-
 def block_residual(
     q_ext: np.ndarray,
     gas: GasModel,
@@ -414,7 +408,7 @@ def block_residual(
     same per-direction buffers (possibly split across workers and node ranges)
     and combining them in the same order.
     """
-    w_ext = block_primitives(q_ext, gas, block_id=block_id)
+    w_ext = primitive_from_conserved(q_ext, gas, block_id=block_id)
     parts = ResidualParts()
     for a in range(3):
         try:

@@ -1,24 +1,22 @@
-"""Run orchestration: rank workers, reductions, and the performance model.
+"""Run orchestration: rank workers, stage reductions, in-process runs and
+socket runs.
 
-Numerical execution and timing are deliberately separated.
+Every rank advances its blocks through the same stage pipeline (reduce
+wavespeeds, exchange ghosts, sweep, update).  A block's sweeps are cut
+along their axis into a halo-free interior range and two boundary ranges
+only when overlap is on and another rank sends it ghosts (``cut_blocks``):
+the interior sweeps are submitted while those messages are in flight.
+Every other block sweeps each axis whole after the exchange.  Each sweep
+task is further cut into one range of cross rows per pool worker, and the
+rank thread waits once per stage for all of them.  Ranks coordinate only
+through transport messages, so one worker implementation runs serially,
+under threads in one process, or across processes over sockets.  Kernel
+windows never depend on the partition, which keeps state bitwise identical
+across block counts, rank counts, worker counts, and tile sizes.
 
-Numerics: every rank advances its blocks through the same stage pipeline
-(reduce wavespeeds, exchange ghosts, sweep, update).  A block's sweeps are
-cut along their axis into a halo-free interior range and two boundary
-ranges only when overlap is on and another rank sends it ghosts: the
-interior sweeps are submitted while those messages are in flight.  Every
-other block sweeps each axis whole after the exchange.  Each sweep task is
-further cut into one range of cross rows per pool worker, and the rank
-thread waits once per stage for all of them.  Ranks coordinate only through
-transport messages, so one worker implementation runs serially, under
-threads in one process, or across processes over sockets.  Kernel windows
-never depend on the partition, which keeps state bitwise identical across
-block counts, rank counts, worker counts, and tile sizes.
-
-Timing: heterogeneous benchmark numbers come from a deterministic schedule
-walked from the plan and the device cost models (``model_schedule``), never
-from the host the suite happens to run on.  Real runs measure wall time
-alongside and the metrics record which clock was the authority.
+Runs measure wall time.  Heterogeneous timing comes from the modeled
+schedule (``model.model_schedule``), which ``run_case`` attaches, and the
+metrics record which clock was the authority.
 """
 
 from __future__ import annotations
@@ -30,14 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cases import Case, case_plan, initial_fields, with_load_ratio
-from .devices import (
-    MEMCPY_BANDWIDTH,
-    DevicePool,
-    configure_devices,
-    device_label,
-    shutdown_pools,
-)
+from .cases import Case, case_plan, initial_fields
+from .devices import DevicePool, configure_devices, shutdown_pools
 from .errors import DivergenceError, InvalidStateError
 from .fields import FieldSet
 from .halo import (
@@ -50,6 +42,7 @@ from .halo import (
     message_tag,
 )
 from .metrics import RunMetrics, from_timeline
+from .model import cut_blocks, model_schedule
 from .partition import Block, PartitionPlan
 from .residual import (
     GradientPack,
@@ -60,7 +53,7 @@ from .residual import (
     velocity_temperature_gradients,
     viscous_derivative,
 )
-from .schedule import ModelClock, Timeline
+from .schedule import Timeline
 from .state import NCOMP, primitive_from_conserved, spectral_radius
 from .timestepping import (
     STAGES,
@@ -98,16 +91,6 @@ def build_simulation(case: Case, plan: PartitionPlan | None = None) -> Simulatio
     return Simulation(case=case, plan=plan, halo_plan=halo_plan,
                       freestream=case.freestream_conserved(),
                       inflow_zones=inflow)
-
-
-def cut_blocks(halo_plan, rank: int, overlap: bool) -> frozenset[int]:
-    """Blocks of ``rank`` whose sweeps are cut into a halo-free interior
-    range and two boundary ranges.  Cutting a sweep repeats edge values at
-    the cut, so a block is cut only where its interior sweeps can hide
-    another rank's message: overlap is on and another rank feeds it."""
-    if not overlap:
-        return frozenset()
-    return frozenset(p.dst_block for p in halo_plan.recvs_of(rank))
 
 
 # ---------------------------------------------------------------------------
@@ -630,333 +613,6 @@ def run_case(case: Case, plan: PartitionPlan | None = None, *,
                       converged=r0.stop == STOP_CONVERGED,
                       wall_seconds=wall, norm_history=r0.norm_history,
                       totals=totals, metrics=metrics, timeline=timeline)
-
-
-# ---------------------------------------------------------------------------
-# Modeled schedule
-#
-# A static walk over (plan, device models): per stage, ranks synchronize at
-# the reduction, post pair messages, run interior kernels while traffic and
-# coprocessor ghost uploads are in flight, then finish boundary work.
-# Interior kernels cover only the blocks the runner cuts (``cut_blocks``);
-# every other block books all its compute after its ghosts arrive.  The
-# edge values a cut repeats are not costed.
-# Each rank drives messaging from a dedicated host core ("rank{r}/host"),
-# so packing and draining never serialize with its compute kernels.
-# Coprocessor state stays resident across stages, so after the initial
-# upload only halo-region bytes cross the links; result downloads overlap
-# the next stage's interior compute.  Dependencies:
-#   pack(pair)     needs: previous-stage download of the source group
-#   drain(rank)    needs: arrival of every inbound message
-#   upload(group)  needs: drain of its rank (ghosts assembled host-side)
-#   boundary(g)    needs: interior(g) and upload(g) [coprocessor] or
-#                         drain(rank) [cpu]
-#   reduce(step+1) needs: every group's boundary kernel, NOT the downloads.
-
-@dataclass
-class _GroupModel:
-    label: str
-    link_label: str | None
-    model: object
-    cells: int
-    interior_work: float
-    inbound_bytes: int
-    outbound_bytes: int
-    download_done: float = 0.0
-
-
-def _interior_work(block: Block) -> float:
-    """Halo-independent work of a cut block in cell-update units.
-
-    Each of the three flux sweeps runs on its sweep-axis interior range
-    while ghosts are in flight, so the overlappable share is the average of
-    the per-axis interior fractions, not the 3D core."""
-    work = 0.0
-    for axis in range(3):
-        a, b = interior_split(block.shape[axis])
-        cross = 1
-        for other in range(3):
-            if other != axis:
-                cross *= block.shape[other]
-        work += max(b - a, 0) * cross
-    return work / 3.0
-
-
-def model_schedule(case: Case, plan: PartitionPlan | None = None, *,
-                   steps: int = 1, overlap: bool = True,
-                   coalesce: bool = True) -> Timeline:
-    """Deterministic modeled timeline for ``steps`` time steps."""
-    if plan is None:
-        plan = case_plan(case)
-    halo_plan = build_halo_plan(plan)
-    net = case.network
-    ranks = plan.ranks
-    clock = ModelClock()
-    bytes_per_cell = NCOMP * 8
-
-    groups: dict[int, list[_GroupModel]] = {}
-    group_of_block: dict[int, _GroupModel] = {}
-    hosts: list[str] = []
-    for r in range(ranks):
-        gl = []
-        cut = cut_blocks(halo_plan, r, overlap)
-        for g in plan.groups_of_rank(r):
-            model = case.cpu if g.device_class == "cpu" \
-                else (case.coprocessor or case.cpu)
-            blocks = [plan.blocks[bid] for bid in g.block_ids]
-            gm = _GroupModel(
-                label=device_label(r, g),
-                link_label=(device_label(r, g) + ".link"
-                            if g.device_class == "coprocessor" else None),
-                model=model,
-                cells=sum(b.cells for b in blocks),
-                interior_work=sum(_interior_work(b) for b in blocks
-                                  if b.id in cut),
-                inbound_bytes=0, outbound_bytes=0)
-            gl.append(gm)
-            for bid in g.block_ids:
-                group_of_block[bid] = gm
-        groups[r] = gl
-        hosts.append(f"rank{r}/host")
-
-    for pair in halo_plan.pairs:
-        group_of_block[pair.dst_block].inbound_bytes += pair.nbytes
-        group_of_block[pair.src_block].outbound_bytes += pair.nbytes
-
-    sends = {r: halo_plan.sends_of(r) for r in range(ranks)}
-    recvs = {r: halo_plan.recvs_of(r) for r in range(ranks)}
-    local = {r: halo_plan.local_of(r) for r in range(ranks)}
-    reduce_bytes = (3 + 3 * len(plan.zones)) * 8
-
-    # Initial residency upload: full interior state per coprocessor group.
-    for r in range(ranks):
-        for gm in groups[r]:
-            if gm.link_label is not None:
-                clock.advance(gm.link_label,
-                              gm.model.link.transfer_seconds(
-                                  gm.cells * bytes_per_cell),
-                              "transfer_in", "initial residency")
-                gm.download_done = clock.now(gm.link_label)
-
-    def messages_of(pair):
-        if coalesce:
-            return [pair.nbytes]
-        return [reg.cells * bytes_per_cell for reg in pair.regions]
-
-    for _step in range(steps):
-        for _stage in range(STAGES):
-            # Reduction: partials to rank 0, one combined broadcast back.
-            up_wire = net.message_seconds(reduce_bytes)
-            arrivals0 = []
-            for r in range(1, ranks):
-                t = clock.advance(hosts[r], net.per_message_overhead,
-                                  "reduce", "partials up")
-                arrivals0.append(t + up_wire)
-            if ranks > 1:
-                clock.wait_until(hosts[0], max(arrivals0), "gather partials")
-                clock.advance(hosts[0], 2e-6, "reduce", "combine")
-                t = clock.advance(hosts[0], net.per_message_overhead,
-                                  "reduce", "broadcast")
-                down = t + net.message_seconds(reduce_bytes)
-                for r in range(1, ranks):
-                    clock.wait_until(hosts[r], down, "broadcast")
-            t_sync = {r: clock.now(hosts[r]) for r in range(ranks)}
-
-            # Posting sends; wire time rides dedicated pair labels.
-            arrival: dict[int, list[float]] = {r: [] for r in range(ranks)}
-            for r in range(ranks):
-                for pair in sends[r]:
-                    src = group_of_block[pair.src_block]
-                    clock.wait_until(hosts[r], src.download_done,
-                                     "source download")
-                    for nbytes in messages_of(pair):
-                        clock.advance(hosts[r], nbytes / MEMCPY_BANDWIDTH,
-                                      "pack")
-                        t = clock.advance(hosts[r], net.per_message_overhead,
-                                          "message", "post")
-                        wire = f"net/r{r}-r{pair.dst_rank}"
-                        clock.wait_until(wire, t)
-                        arrival[pair.dst_rank].append(
-                            clock.advance(wire, net.message_seconds(nbytes),
-                                          "message",
-                                          f"pair {pair.src_block}->"
-                                          f"{pair.dst_block}"))
-                for pair in local[r]:
-                    src = group_of_block[pair.src_block]
-                    clock.wait_until(hosts[r], src.download_done,
-                                     "source download")
-                    clock.advance(hosts[r], pair.nbytes / MEMCPY_BANDWIDTH,
-                                  "pack", "local copy")
-
-            # Interior kernels: no ghost reads, launch right after the sync.
-            for r in range(ranks):
-                for gm in groups[r]:
-                    if not gm.interior_work:
-                        continue
-                    clock.wait_until(gm.label, t_sync[r], "sync")
-                    clock.advance(gm.label, gm.model.kernel_overhead,
-                                  "kernel_launch")
-                    clock.advance(gm.label,
-                                  gm.interior_work
-                                  / gm.model.relative_throughput,
-                                  "compute", "interior")
-
-            # Drain inbound traffic, then unpack on the host.
-            ghosts_ready = {}
-            for r in range(ranks):
-                if arrival[r]:
-                    clock.wait_until(hosts[r], max(arrival[r]), "drain")
-                inbound = sum(p.nbytes for p in recvs[r])
-                if inbound:
-                    clock.advance(hosts[r], inbound / MEMCPY_BANDWIDTH,
-                                  "unpack")
-                ghosts_ready[r] = clock.now(hosts[r])
-
-            # Ghost uploads, boundary kernels, result downloads.
-            for r in range(ranks):
-                for gm in groups[r]:
-                    start = max(clock.now(gm.label), ghosts_ready[r])
-                    if gm.link_label is not None and gm.inbound_bytes:
-                        clock.wait_until(gm.link_label, ghosts_ready[r])
-                        t_in = clock.advance(
-                            gm.link_label,
-                            gm.model.link.transfer_seconds(gm.inbound_bytes),
-                            "transfer_in", "ghost regions")
-                        start = max(clock.now(gm.label), t_in)
-                    clock.wait_until(gm.label, start, "ghosts")
-                    if not gm.interior_work:
-                        clock.advance(gm.label, gm.model.kernel_overhead,
-                                      "kernel_launch")
-                    work = gm.cells - gm.interior_work
-                    clock.advance(gm.label,
-                                  work / gm.model.relative_throughput,
-                                  "compute", "boundary")
-                    clock.advance(gm.label, gm.model.kernel_overhead,
-                                  "update", "stage update")
-                    if gm.link_label is not None and gm.outbound_bytes:
-                        clock.wait_until(gm.link_label, clock.now(gm.label))
-                        gm.download_done = clock.advance(
-                            gm.link_label,
-                            gm.model.link.transfer_seconds(gm.outbound_bytes),
-                            "transfer_out", "ghost sources")
-
-            # Next reduction needs every kernel done, not the downloads.
-            for r in range(ranks):
-                ready = max(clock.now(gm.label) for gm in groups[r])
-                clock.wait_until(hosts[r], ready, "stage end")
-
-    return clock.timeline
-
-
-# ---------------------------------------------------------------------------
-# Ratio sweeps and scaling benchmarks
-
-@dataclass
-class RatioPoint:
-    ratio: float
-    hetero_seconds: float
-    cpu_only_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        return self.cpu_only_seconds / self.hetero_seconds
-
-
-def cpu_only_variant(case: Case) -> Case:
-    """Same blocks, coprocessors removed: every block lands on the CPU
-    sockets, which is the honest baseline for offload speedups."""
-    topo = replace(case.topology, coproc_per_node=0)
-    return replace(case, topology=topo, coprocessor=None,
-                   name=f"{case.name}-cpu-only")
-
-
-def sweep_load_ratio(case: Case, ratios, *, steps: int = 2,
-                     overlap: bool = True, coalesce: bool = True
-                     ) -> list[RatioPoint]:
-    """Model the case across coprocessor/CPU load ratios."""
-    points = []
-    for ratio in ratios:
-        variant = with_load_ratio(case, float(ratio))
-        het = model_schedule(variant, steps=steps, overlap=overlap,
-                             coalesce=coalesce).makespan
-        base = model_schedule(cpu_only_variant(variant), steps=steps,
-                              overlap=overlap, coalesce=coalesce).makespan
-        points.append(RatioPoint(ratio=float(ratio), hetero_seconds=het,
-                                 cpu_only_seconds=base))
-    return points
-
-
-def best_ratio(points: list[RatioPoint]) -> RatioPoint:
-    return max(points, key=lambda p: p.speedup)
-
-
-def predict_balanced_ratio(case: Case, lo: float = 0.05, hi: float = 5.0,
-                           tol: float = 1e-6) -> float:
-    """Ratio at which one CPU block and one coprocessor block take equal
-    modeled stage time, by bisection on the continuous block widths."""
-    if case.coprocessor is None:
-        raise ValueError("case has no coprocessor model")
-    topo = case.topology
-    columns = case.zone.shape[0] // topo.nodes
-    cross = case.zone.shape[1] * case.zone.shape[2]
-    n_c, n_m = topo.cpu_per_node, topo.coproc_per_node
-    thr_c = case.cpu.relative_throughput
-    thr_m = case.coprocessor.relative_throughput
-
-    def gap(r: float) -> float:
-        c = columns / (n_c + n_m * r)
-        t_cpu = case.cpu.kernel_overhead + c * cross / thr_c
-        t_mic = case.coprocessor.kernel_overhead + r * c * cross / thr_m
-        return t_cpu - t_mic
-
-    a, b = lo, hi
-    ga, gb = gap(a), gap(b)
-    if ga * gb > 0:
-        return thr_m / thr_c
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if ga * gap(mid) <= 0:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
-
-
-def weak_scaling(make_case, ranks_list, *, steps: int = 2,
-                 overlap: bool = True, coalesce: bool = True
-                 ) -> list[RunMetrics]:
-    """Model per-step time as ranks grow with fixed work per rank.
-    ``make_case(ranks)`` must return a case whose total work scales with
-    the rank count."""
-    rows = []
-    for r in ranks_list:
-        case = make_case(r)
-        plan = case_plan(case)
-        tl = model_schedule(case, plan, steps=steps, overlap=overlap,
-                            coalesce=coalesce)
-        rows.append(from_timeline(f"{case.name}-w{r}", tl,
-                                  total_cells=plan.total_cells,
-                                  iterations=steps, wall_seconds=0.0))
-    return rows
-
-
-def strong_scaling(case: Case, ranks_list, *, steps: int = 2,
-                   overlap: bool = True, coalesce: bool = True
-                   ) -> list[RunMetrics]:
-    """Model a fixed problem spread over more ranks; the topology keeps one
-    node per rank with the case's per-node device mix."""
-    rows = []
-    for r in ranks_list:
-        topo = replace(case.topology, nodes=r)
-        variant = replace(case, ranks=r, topology=topo,
-                          name=f"{case.name}-s{r}")
-        plan = case_plan(variant)
-        tl = model_schedule(variant, plan, steps=steps, overlap=overlap,
-                            coalesce=coalesce)
-        rows.append(from_timeline(variant.name, tl,
-                                  total_cells=plan.total_cells,
-                                  iterations=steps, wall_seconds=0.0))
-    return rows
 
 
 # ---------------------------------------------------------------------------

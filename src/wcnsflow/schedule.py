@@ -211,16 +211,6 @@ class ModelClock:
             self._cursor[label] = t
         return self.now(label)
 
-    def barrier(self, labels: list[str], note: str = "") -> float:
-        t = max((self.now(l) for l in labels), default=0.0)
-        for l in labels:
-            self.wait_until(l, t, note)
-        return t
-
-    @property
-    def horizon(self) -> float:
-        return max(self._cursor.values(), default=0.0)
-
 
 def timeline_report(tl: Timeline) -> str:
     out = io.StringIO()

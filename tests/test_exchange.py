@@ -17,8 +17,9 @@ from wcnsflow.halo import (BCAST_INDEX, REDUCE_INDEX, RESERVED_INDEX,
                            BoundaryFace, HaloExchanger, boundary_fill,
                            build_halo_plan, fill_block_ghosts, message_tag,
                            pack_pair, pack_region, unpack_pair, unpack_region)
-from wcnsflow.partition import (Block, NodeTopology, PartitionPlan, ZoneSpec,
-                                make_plan, split_zone, split_zone_cuts)
+from wcnsflow.partition import (Block, Group, NodeTopology, PartitionPlan,
+                                ZoneSpec, make_plan, split_zone,
+                                split_zone_cuts)
 from wcnsflow.transport import (HEADER, MAGIC, InProcessTransport, Message,
                                 SocketTransport, free_port)
 from wcnsflow.wcns import HALO_WIDTH
@@ -52,12 +53,15 @@ def seed_fields(plan, g) -> dict:
 
 
 def blocks_plan(z, blocks, rank_of_block=None) -> PartitionPlan:
-    """A plan over explicit blocks, bypassing regrouping (the exchange reads
-    only zones, blocks and ranks)."""
+    """A plan over explicit blocks and one CPU group per rank, bypassing
+    regrouping (the exchange reads only zones, blocks and ranks)."""
     ranks = rank_of_block or [0] * len(blocks)
+    groups = [Group(id=r, rank=r, device_class="cpu", device_index=0,
+                    block_ids=[b.id for b in blocks if ranks[b.id] == r])
+              for r in range(max(ranks) + 1)]
     return PartitionPlan(zones=[z], blocks=blocks, ranks=max(ranks) + 1,
                          topology=NodeTopology(1, 1, 0), load_ratio=1.0,
-                         groups=[], rank_of_block=list(ranks),
+                         groups=groups, rank_of_block=list(ranks),
                          node_of_rank=[0] * (max(ranks) + 1))
 
 
@@ -168,6 +172,10 @@ def test_abutting_blocks_swap_one_face_each_way():
         assert p.nbytes == r.cells * 5 * 8
 
 
+def region_count(hp) -> int:
+    return sum(len(p.regions) for p in hp.pairs)
+
+
 def shell_cover(hp, block):
     """How many regions write each cell of a block's extended array."""
     count = np.zeros(tuple(n + 2 * H for n in block.shape), dtype=int)
@@ -184,7 +192,7 @@ def test_eight_block_traffic_frozen():
     case = replace(wave_case(48, blocks=8), ranks=2,
                    topology=NodeTopology(1, 2, 0))
     hp = build_halo_plan(case_plan(case))
-    assert len(hp.pairs) == 56 and hp.region_count == 208
+    assert len(hp.pairs) == 56 and region_count(hp) == 208
     assert sum(p.nbytes for p in hp.pairs) == 8 * (34 ** 3 - 24 ** 3) * 5 * 8
     assert sum(p.nbytes for p in hp.pairs) == 8_153_600
 
@@ -410,7 +418,7 @@ def test_uniform_exchange_leaves_no_seams():
     ex = HaloExchanger(hp, plan)
     stats = ex.run(0, fields, epoch=0)
     assert stats.messages_sent == 0
-    assert stats.local_copies == hp.region_count
+    assert stats.local_copies == region_count(hp)
     for f in fields.values():
         assert np.array_equal(f.data, np.broadcast_to(w, f.data.shape))
 
@@ -545,7 +553,7 @@ def test_single_cell_blocks_exchange_exactly():
     plan = plan_for((3, 3, 3), 27, boundary=PERIODIC)
     assert all(b.shape == (1, 1, 1) for b in plan.blocks)
     hp = build_halo_plan(plan)
-    assert hp.region_count == 27 * (11 ** 3 - 1)
+    assert region_count(hp) == 27 * (11 ** 3 - 1)
     g = global_state((3, 3, 3), seed=13)
     fields = nan_fields(plan, g)
     HaloExchanger(hp, plan).run(0, fields, epoch=0)
@@ -654,6 +662,19 @@ def random_plans(draw):
 def test_exchange_matches_single_block_on_random_plans(drawn, seed):
     z, blocks, rank_of_block, coalesce = drawn
     plan = blocks_plan(z, blocks, rank_of_block)
+    # The per-rank indexes equal plain filters, in plan order.
+    hp = build_halo_plan(plan)
+    for r in range(plan.ranks + 1):
+        assert plan.blocks_of_rank(r) == [b for b in plan.blocks
+                                          if plan.rank_of_block[b.id] == r]
+        assert plan.groups_of_rank(r) == [g for g in plan.groups
+                                          if g.rank == r]
+        assert hp.sends_of(r) == [p for p in hp.pairs
+                                  if p.src_rank == r and not p.local]
+        assert hp.recvs_of(r) == [p for p in hp.pairs
+                                  if p.dst_rank == r and not p.local]
+        assert hp.local_of(r) == [p for p in hp.pairs
+                                  if p.local and p.src_rank == r]
     g = global_state(z.shape, seed=seed)
     fields = nan_fields(plan, g)
     exchange_all(plan, fields, coalesce=coalesce)

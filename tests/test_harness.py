@@ -15,6 +15,7 @@ from wcnsflow.dumps import merge_dumps, read_dump, write_dump, zone_array
 from wcnsflow.errors import CaseFormatError
 from wcnsflow.metrics import (RunMetrics, from_timeline, mcups,
                               metrics_from_csv, metrics_to_csv, render_report)
+from wcnsflow.model import model_schedule
 from wcnsflow.partition import NodeTopology, plan_from_text, plan_to_text
 from wcnsflow.schedule import Timeline
 
@@ -461,6 +462,52 @@ def test_cli_bench_comm(tmp_path, capsys):
                    "--steps", 1) == 0
     out = capsys.readouterr().out
     assert "tuned" in out and "naive" in out
+
+
+def test_cli_bench_weak_and_strong(tmp_path, capsys):
+    # Modeled scaling of the small corner layout on one and two nodes: weak
+    # keeps 40 columns per node, strong spreads one 2-node case.
+    makespan = {n: model_schedule(small_corner(nodes=n), steps=1).makespan
+                for n in (1, 2)}
+    one, two = tmp_path / "one.case", tmp_path / "two.case"
+    save_case(small_corner(), one)
+    save_case(small_corner(nodes=2), two)
+
+    weak_csv = tmp_path / "weak.csv"
+    assert run_cli("bench", "--case", one, "--mode", "weak", "--ranks", "1,2",
+                   "--steps", 1, "--out", weak_csv) == 0
+    out = capsys.readouterr().out.splitlines()
+    per = [makespan[1] * 1e3, makespan[2] * 1e3]
+    assert out[0].startswith(f"ranks   1: {per[0]:9.3f} ms/step  "
+                             "variation  0.00%")
+    variation = abs(per[1] - per[0]) / per[0] * 100
+    assert out[1].startswith(f"ranks   2: {per[1]:9.3f} ms/step  "
+                             f"variation {variation:5.2f}%")
+    rows = metrics_from_csv(str(weak_csv))
+    assert [r.label for r in rows] == ["corner-1n-w1", "corner-2n-w2"]
+    assert [r.total_cells for r in rows] == [1440, 2880]
+    assert [r.model_seconds for r in rows] == [makespan[1], makespan[2]]
+    assert all(r.timing_source == "model" and r.iterations == 1
+               for r in rows)
+
+    strong_csv = tmp_path / "strong.csv"
+    assert run_cli("bench", "--case", two, "--mode", "strong", "--ranks",
+                   "1,2", "--steps", 1, "--out", strong_csv) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = metrics_from_csv(str(strong_csv))
+    assert [r.label for r in rows] == ["corner-2n-s1", "corner-2n-s2"]
+    assert [r.total_cells for r in rows] == [2880, 2880]
+    assert rows[1].model_seconds == makespan[2]
+    speedup = rows[0].model_seconds / rows[1].model_seconds
+    assert speedup > 1.0
+    assert rows[0].extra == "speedup=1.000;efficiency=1.000"
+    assert rows[1].extra == (f"speedup={speedup:.3f};"
+                             f"efficiency={speedup / 2:.3f}")
+    assert out[0].startswith(f"ranks   1: {rows[0].model_seconds * 1e3:9.3f}"
+                             " ms  speedup  1.000  efficiency 1.000")
+    assert out[1].startswith(f"ranks   2: {makespan[2] * 1e3:9.3f} ms  "
+                             f"speedup {speedup:6.3f}  "
+                             f"efficiency {speedup / 2:5.3f}")
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):
