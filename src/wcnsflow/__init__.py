@@ -19,12 +19,12 @@ from .errors import (CaseFormatError, DivergenceError, HaloPlanError,
 from .fields import BlockField, FieldSet, allocate_fields, assemble_zone
 from .halo import HaloExchanger, HaloPlan, build_halo_plan
 from .metrics import RunMetrics, mcups, metrics_from_csv, metrics_to_csv
-from .partition import (Block, NodeTopology, PartitionPlan, ZoneSpec,
-                        make_plan, plan_from_text, plan_to_text)
-from .riemann import solve_riemann
 from .model import (best_ratio, cpu_only_variant, model_schedule,
                     predict_balanced_ratio, strong_scaling,
                     sweep_load_ratio, weak_scaling)
+from .partition import (Block, NodeTopology, PartitionPlan, ZoneSpec,
+                        make_plan, plan_from_text, plan_to_text)
+from .riemann import solve_riemann
 from .runner import RunOutcome, build_simulation, run_case, run_socket_rank
 from .schedule import Timeline, timeline_report
 from .state import GasModel, NCOMP

@@ -19,9 +19,9 @@ from .dumps import read_dump, write_dump
 from .errors import WcnsflowError
 from .metrics import (RunMetrics, from_timeline, metrics_from_csv,
                       metrics_to_csv, render_report)
-from .partition import plan_from_text, plan_to_text
 from .model import (best_ratio, model_schedule, strong_scaling,
                     sweep_load_ratio, weak_scaling)
+from .partition import plan_from_text, plan_to_text
 from .runner import run_case, run_socket_rank
 from .schedule import Timeline, timeline_report
 

@@ -6,10 +6,9 @@ One exchange epoch brings every ghost cell up to date in two phases:
 1. copies from block interiors.  ``partition.ghost_sources`` intersects
    each block's extended box with every block interior of its zone and
    their periodic images (the plan's ``ghosts``); each intersection is one
-   region.  Regions travel
-   coalesced per block pair, so each pair costs one message, and a block
-   that wraps onto itself across a periodic face is a local pair like any
-   other.
+   region.  Regions travel coalesced per block pair, so each pair costs one
+   message, and a block that wraps onto itself across a periodic face is a
+   local pair like any other.
 2. physical boundary fill in fixed axis order x, y, z.  Each non-periodic
    face fills the part of its ghost band inside the block's extended box,
    spanning the full extended extents of the other axes.
