@@ -251,6 +251,15 @@ def _pattern_widths(total: int, weights: list[float]) -> list[int]:
     return widths
 
 
+def _corner_widths(nodes: int, columns: int, coprocessors: int,
+                   ratio: float) -> tuple[int, ...]:
+    """x-widths of the corner layout: per node, ``columns`` split into a
+    CPU block at each slab edge and ``coprocessors`` blocks of relative
+    weight ``ratio`` between them."""
+    pattern = [1.0] + [ratio] * coprocessors + [1.0]
+    return tuple(_pattern_widths(columns, pattern)) * nodes
+
+
 def corner_case(nodes: int = 16, *, columns: int = 100, cross: int = 20,
                 load_ratio: float = 0.75, mach: float = 2.0,
                 angle_deg: float = 10.0, max_iters: int = 20,
@@ -278,10 +287,6 @@ def corner_case(nodes: int = 16, *, columns: int = 100, cross: int = 20,
                     spacing=(1.0 / cross,) * 3,
                     boundary=("inflow", "outflow", "wall", "outflow",
                               "periodic", "periodic"))
-    pattern = [1.0] + [load_ratio] * topology.coproc_per_node + [1.0]
-    widths: list[int] = []
-    for _ in range(nodes):
-        widths.extend(_pattern_widths(columns, pattern))
     return Case(
         name=name or f"corner-{nodes}n",
         kind="corner",
@@ -294,7 +299,8 @@ def corner_case(nodes: int = 16, *, columns: int = 100, cross: int = 20,
         ranks=nodes,
         load_ratio=load_ratio,
         target_blocks=None,
-        cuts=(0, tuple(widths)),
+        cuts=(0, _corner_widths(nodes, columns, topology.coproc_per_node,
+                                load_ratio)),
         topology=topology,
         coprocessor=DEFAULT_COPROCESSOR,
     )
@@ -444,11 +450,9 @@ def save_case(case: Case, path) -> None:
 def with_load_ratio(case: Case, ratio: float) -> Case:
     """Same case re-cut for a different CPU/coprocessor balance."""
     if case.kind == "corner" and case.cuts is not None:
-        pattern = [1.0] + [ratio] * case.topology.coproc_per_node + [1.0]
-        columns = case.zone.shape[0] // case.topology.nodes
-        widths: list[int] = []
-        for _ in range(case.topology.nodes):
-            widths.extend(_pattern_widths(columns, pattern))
-        return replace(case, load_ratio=ratio, cuts=(0, tuple(widths)),
+        nodes = case.topology.nodes
+        widths = _corner_widths(nodes, case.zone.shape[0] // nodes,
+                                case.topology.coproc_per_node, ratio)
+        return replace(case, load_ratio=ratio, cuts=(0, widths),
                        name=f"{case.name}-r{ratio:g}")
     return replace(case, load_ratio=ratio, name=f"{case.name}-r{ratio:g}")

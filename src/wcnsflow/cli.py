@@ -271,7 +271,7 @@ def _cmd_bench(args) -> int:
                                                          or 1) else case.cuts,
                                   name=f"{case.name}-p{r}t{w}")
                 outcome = run_case(variant, best_of=args.best_of,
-                                   max_workers=w, model=False)
+                                   max_workers=w)
                 rows.append(outcome.metrics)
                 print(f"procs {r} x threads {w}: "
                       f"{outcome.wall_seconds:.4f} s  "

@@ -22,7 +22,6 @@ the exchanged field independent of the partition, bitwise.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
@@ -34,7 +33,7 @@ from .errors import HaloPlanError
 from .fields import FieldSet
 from .partition import Block, PartitionPlan, ZoneSpec
 from .state import NCOMP
-from .transport import DEFAULT_TIMEOUT, Message
+from .transport import Message
 from .wcns import HALO_WIDTH
 
 H = HALO_WIDTH
@@ -295,7 +294,6 @@ class EpochStats:
     messages_received: int
     bytes_received: int
     local_copies: int
-    wall_seconds: float
 
 
 class HaloExchanger:
@@ -306,7 +304,8 @@ class HaloExchanger:
     comparison).  ``run`` calls ``overlap_hook`` between posting sends and
     draining receives so interior work can hide the traffic; the hook must
     not touch ghost cells, and then the fields come out bitwise identical
-    with or without it.
+    with or without it.  Receives wait as long as the transport's own
+    timeout allows.
     """
 
     def __init__(self, halo_plan: HaloPlan, plan: PartitionPlan,
@@ -327,9 +326,7 @@ class HaloExchanger:
                 gidx += 1
 
     def run(self, rank: int, fields: FieldSet, epoch: int, *,
-            overlap_hook: Callable[[], None] | None = None,
-            timeout: float = DEFAULT_TIMEOUT) -> EpochStats:
-        t0 = time.perf_counter()
+            overlap_hook: Callable[[], None] | None = None) -> EpochStats:
         hp = self.halo_plan
         sends = hp.sends_of(rank)
         recvs = hp.recvs_of(rank)
@@ -361,7 +358,7 @@ class HaloExchanger:
         for p in recvs:
             for tag, sink in self._incoming(p, fields, epoch):
                 msg = self.transport.recv(tag=tag, source=p.src_rank,
-                                          dest=rank, timeout=timeout)
+                                          dest=rank)
                 sink(msg.payload)
                 messages_received += 1
                 bytes_received += msg.nbytes
@@ -375,7 +372,6 @@ class HaloExchanger:
             messages_received=messages_received,
             bytes_received=bytes_received,
             local_copies=local_copies,
-            wall_seconds=time.perf_counter() - t0,
         )
 
     def _outgoing(self, pair: ExchangePair, fields: FieldSet, epoch: int):

@@ -628,6 +628,21 @@ def plan_from_text(text: str) -> PartitionPlan:
     zones.sort(key=lambda z: z.id)
     blocks.sort(key=lambda b: b.id)
     groups.sort(key=lambda g: g.id)
+    n = len(blocks)
+    for i, b in enumerate(blocks):
+        if b.id != i:
+            raise CaseFormatError(f"block record: block ids must be 0..{n - 1}"
+                                  f" once each, got block {b.id}")
+        if not 0 <= rank_of_block[b.id] < ranks:
+            raise CaseFormatError(
+                f"block record: block {b.id} has rank={rank_of_block[b.id]},"
+                f" the plan has {ranks} ranks")
+    for g in groups:
+        for bid in g.block_ids:
+            if not 0 <= bid < n:
+                raise CaseFormatError(
+                    f"group record: group {g.id} lists block {bid}, the plan"
+                    f" has blocks 0..{n - 1}")
     return PartitionPlan(zones=zones, blocks=blocks, ranks=ranks,
                          topology=topology, load_ratio=load_ratio, groups=groups,
                          rank_of_block=[rank_of_block[b.id] for b in blocks],

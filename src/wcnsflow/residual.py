@@ -225,7 +225,6 @@ def convective_derivative(
     row_hi: int | None = None,
     tile: int | None = None,
     out: np.ndarray | None = None,
-    weight_eps: float = 1e-6,
 ) -> np.ndarray:
     """d(F_axis)/d(x_axis) at interior nodes [lo, hi) along ``axis``.
 
@@ -304,7 +303,7 @@ def convective_derivative(
             np.subtract(fm[..., 5 - k:5 - k + ne], ctr_m, out=win[:, k, 1])
         waves = frame.to_waves(win, out=ws.take(NCOMP, 5, 2, rows, n2, ne))
         sides = window_edge_value(waves[:, 0], waves[:, 1], waves[:, 2],
-                                  waves[:, 3], waves[:, 4], eps=weight_eps,
+                                  waves[:, 3], waves[:, 4],
                                   out=ws.take(NCOMP, 2, rows, n2, ne))
         both = np.add(sides[:, 0], sides[:, 1], out=sides[:, 0])
         edges = np.add(ctr_p, ctr_m, out=ws.take(NCOMP, rows, n2, ne))
@@ -400,7 +399,6 @@ def block_residual(
     *,
     block_id: int | None = None,
     tile: int | None = None,
-    weight_eps: float = 1e-6,
 ) -> np.ndarray:
     """Whole-block residual in one call (the serial reference path).
 
@@ -413,8 +411,7 @@ def block_residual(
     for a in range(3):
         try:
             parts.convective[a] = convective_derivative(
-                q_ext, w_ext, a, lams[a], spacing[a], gas=gas, tile=tile,
-                weight_eps=weight_eps
+                q_ext, w_ext, a, lams[a], spacing[a], gas=gas, tile=tile
             )
         except InvalidStateError as e:
             raise InvalidStateError(

@@ -14,9 +14,13 @@ under threads in one process, or across processes over sockets.  Kernel
 windows never depend on the partition, which keeps state bitwise identical
 across block counts, rank counts, worker counts, and tile sizes.
 
-Runs measure wall time.  Heterogeneous timing comes from the modeled
-schedule (``model.model_schedule``), which ``run_case`` attaches, and the
-metrics record which clock was the authority.
+Runs measure wall time.  Rank threads (``run_case``) and socket ranks
+(``run_socket_rank``) hand their per-rank results to one function,
+``_outcome``, which checks for divergence, merges every rank's fields and
+exchange totals, and builds the metrics, so both paths report the same
+outcome.  When the plan has coprocessor groups it also attaches the modeled
+schedule (``model.model_schedule``), and the metrics then take the modeled
+clock as the timing authority.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from .cases import Case, case_plan, initial_fields
 from .devices import DevicePool, configure_devices, shutdown_pools
 from .errors import DivergenceError, InvalidStateError
-from .fields import FieldSet
+from .fields import BlockField, FieldSet
 from .halo import (
     BCAST_INDEX,
     H,
@@ -62,7 +66,7 @@ from .timestepping import (
     clip_dt,
     stage_state,
 )
-from .transport import InProcessTransport, Message
+from .transport import InProcessTransport, Message, SocketTransport
 
 GATHER_INDEX = RESERVED_INDEX + 12   # post-run block gather to rank 0
 GATHER_EPOCH = 0x7FF
@@ -487,7 +491,7 @@ class RankWorker:
 
 
 # ---------------------------------------------------------------------------
-# In-process runs
+# Outcomes
 
 @dataclass
 class RunOutcome:
@@ -503,6 +507,49 @@ class RunOutcome:
     metrics: RunMetrics
     timeline: Timeline | None = None
 
+
+def _outcome(sim: Simulation, results: list[RankResult], *, overlap: bool,
+             coalesce: bool) -> RunOutcome:
+    """The outcome of one run from the results of all its ranks, in rank
+    order.  Raises ``DivergenceError`` if any rank diverged.  The modeled
+    schedule is attached when the plan has coprocessor groups, and the
+    metrics then report the modeled clock."""
+    worst = max(results, key=lambda r: r.stop)
+    if worst.stop >= STOP_DIVERGED:
+        err = next((r.error for r in results if r.error is not None), None)
+        raise DivergenceError(
+            f"run diverged after {worst.iterations} completed steps"
+            + (f": {err}" if err else ""),
+            step=worst.iterations) from err
+
+    fields: FieldSet = {}
+    totals = ExchangeTotals()
+    for r in results:
+        fields.update(r.fields)
+        totals.merge(r.totals)
+    r0 = results[0]
+    case, plan = sim.case, sim.plan
+    converged = r0.stop == STOP_CONVERGED
+    common = dict(total_cells=plan.total_cells, iterations=r0.iterations,
+                  wall_seconds=r0.wall_seconds, messages=totals.messages,
+                  message_bytes=totals.bytes, converged=converged)
+    timeline = None
+    if r0.iterations > 0 and any(g.device_class == "coprocessor"
+                                 for g in plan.groups):
+        timeline = model_schedule(case, plan, steps=r0.iterations,
+                                  overlap=overlap, coalesce=coalesce)
+        metrics = from_timeline(case.name, timeline, **common)
+    else:
+        metrics = RunMetrics(label=case.name, **common)
+    return RunOutcome(case=case, plan=plan, fields=fields,
+                      iterations=r0.iterations, sim_time=r0.sim_time,
+                      converged=converged, wall_seconds=r0.wall_seconds,
+                      norm_history=r0.norm_history, totals=totals,
+                      metrics=metrics, timeline=timeline)
+
+
+# ---------------------------------------------------------------------------
+# In-process runs
 
 def _run_once(sim: Simulation, controls: IterationControls, *,
               overlap: bool, coalesce: bool, tile: int | None,
@@ -541,15 +588,12 @@ def _run_once(sim: Simulation, controls: IterationControls, *,
 def run_case(case: Case, plan: PartitionPlan | None = None, *,
              overlap: bool = True, coalesce: bool = True,
              tile: int | None = None, max_workers: int | None = None,
-             best_of: int = 1, warmup: bool = True,
-             model: bool | None = None, label: str | None = None) -> RunOutcome:
+             best_of: int = 1, warmup: bool = True) -> RunOutcome:
     """Run a case to completion in this process (threads when ranks > 1).
 
-    ``best_of`` repeats the full run and keeps the fastest wall time (state
-    is bitwise identical across repetitions).  ``warmup`` runs one untimed
-    step first and discards it.  ``model`` attaches the modeled schedule;
-    by default it is built whenever the case models coprocessors, and the
-    metrics then use the modeled clock as the timing authority.
+    ``best_of`` repeats the full run and keeps the one with the fastest wall
+    time (state is bitwise identical across repetitions).  ``warmup`` runs
+    one untimed step first and discards it.
     """
     sim = build_simulation(case, plan)
     controls = case.controls
@@ -561,58 +605,11 @@ def run_case(case: Case, plan: PartitionPlan | None = None, *,
                   overlap=overlap, coalesce=coalesce, tile=tile,
                   max_workers=max_workers)
 
-    wall = np.inf
-    results: list[RankResult] = []
-    for _ in range(best_of):
-        results = _run_once(sim, controls, overlap=overlap,
-                            coalesce=coalesce, tile=tile,
-                            max_workers=max_workers)
-        wall = min(wall, results[0].wall_seconds)
-    if controls.max_iters == 0:
-        wall = 0.0
-
-    worst = max(results, key=lambda r: r.stop)
-    if worst.stop >= STOP_DIVERGED:
-        err = next((r.error for r in results if r.error is not None), None)
-        raise DivergenceError(
-            f"run diverged after {worst.iterations} completed steps"
-            + (f": {err}" if err else ""),
-            step=worst.iterations) from err
-
-    fields: FieldSet = {}
-    totals = ExchangeTotals()
-    for r in results:
-        fields.update(r.fields)
-        totals.merge(r.totals)
-    r0 = results[0]
-
-    name = label or case.name
-    hetero = any(g.device_class == "coprocessor" for g in sim.plan.groups)
-    want_model = hetero if model is None else model
-    timeline = None
-    if want_model and r0.iterations > 0:
-        timeline = model_schedule(case, sim.plan, steps=r0.iterations,
-                                  overlap=overlap, coalesce=coalesce)
-    if timeline is not None and hetero:
-        metrics = from_timeline(
-            name, timeline, total_cells=sim.plan.total_cells,
-            iterations=r0.iterations, wall_seconds=wall,
-            messages=totals.messages, message_bytes=totals.bytes,
-            converged=r0.stop == STOP_CONVERGED)
-    else:
-        metrics = RunMetrics(
-            label=name, total_cells=sim.plan.total_cells,
-            iterations=r0.iterations, wall_seconds=wall,
-            timing_source="wall",
-            model_seconds=timeline.makespan if timeline else None,
-            messages=totals.messages, message_bytes=totals.bytes,
-            converged=r0.stop == STOP_CONVERGED)
-
-    return RunOutcome(case=case, plan=sim.plan, fields=fields,
-                      iterations=r0.iterations, sim_time=r0.sim_time,
-                      converged=r0.stop == STOP_CONVERGED,
-                      wall_seconds=wall, norm_history=r0.norm_history,
-                      totals=totals, metrics=metrics, timeline=timeline)
+    runs = (_run_once(sim, controls, overlap=overlap, coalesce=coalesce,
+                      tile=tile, max_workers=max_workers)
+            for _ in range(best_of))
+    fastest = min(runs, key=lambda results: results[0].wall_seconds)
+    return _outcome(sim, fastest, overlap=overlap, coalesce=coalesce)
 
 
 # ---------------------------------------------------------------------------
@@ -624,69 +621,56 @@ def run_socket_rank(case: Case, rank: int,
                     tile: int | None = None,
                     max_workers: int | None = None,
                     timeout: float = 60.0) -> RunOutcome | None:
-    """Run one rank over TCP.  Every process builds the identical plan from
-    the case; block state is gathered to rank 0 afterwards, which returns
-    the merged outcome (other ranks return None).  Timing is wall-clock
-    only: modeled schedules are attached by the caller if wanted."""
-    from .transport import SocketTransport
-
+    """Run one rank over TCP; every transport wait gives up after
+    ``timeout`` seconds.  Every process builds the identical plan from the
+    case.  Afterwards each other rank sends rank 0 one message with its stop
+    flag, steps, times and exchange totals, then its block interiors in plan
+    order.  Rank 0 returns the outcome ``run_case`` gives for the case; the
+    other ranks return None."""
     sim = build_simulation(case)
-    if sim.plan.ranks != len(addresses):
-        raise ValueError(f"case wants {sim.plan.ranks} ranks, "
+    plan = sim.plan
+    if plan.ranks != len(addresses):
+        raise ValueError(f"case wants {plan.ranks} ranks, "
                          f"{len(addresses)} addresses given")
     transport = SocketTransport(rank, addresses, timeout=timeout)
+    tag = message_tag(GATHER_EPOCH, GATHER_INDEX)
     try:
         worker = RankWorker(sim, rank, transport, overlap=overlap,
                             coalesce=coalesce, tile=tile,
                             max_workers=max_workers)
         res = worker.run(case.controls)
-        if res.stop >= STOP_DIVERGED:
-            raise DivergenceError(
-                f"rank {rank} run diverged after {res.iterations} steps",
-                step=res.iterations) from res.error
-
-        tag = message_tag(GATHER_EPOCH, GATHER_INDEX)
         if rank != 0:
-            for bid in sorted(res.fields):
+            t = res.totals
+            summary = np.array([res.stop, res.iterations, res.sim_time,
+                                res.wall_seconds, t.messages, t.bytes,
+                                t.local_copies], dtype=np.float64)
+            transport.send(Message(tag=tag, source=rank, dest=0,
+                                   payload=summary))
+            for bid in worker.block_ids:
                 interior = res.fields[bid].interior
-                header = np.array([float(bid)]
-                                  + [float(n) for n in interior.shape[1:]])
                 transport.send(Message(tag=tag, source=rank, dest=0,
-                                       payload=header))
-                transport.send(Message(tag=tag, source=rank, dest=0,
-                                       payload=np.ascontiguousarray(
-                                           interior).ravel()))
+                                       payload=interior.ravel()))
+            if res.stop >= STOP_DIVERGED:
+                raise DivergenceError(
+                    f"rank {rank} run diverged after {res.iterations} steps",
+                    step=res.iterations) from res.error
             return None
 
-        fields = dict(res.fields)
-        for r in range(1, sim.plan.ranks):
-            expect = [b.id for b in sim.plan.blocks_of_rank(r)]
-            for _ in expect:
-                head = transport.recv(tag=tag, source=r, dest=0,
-                                      timeout=timeout).payload
-                bid = int(head[0])
-                shape = tuple(int(x) for x in head[1:4])
-                data = transport.recv(tag=tag, source=r, dest=0,
-                                      timeout=timeout).payload
-                block = sim.plan.blocks[bid]
-                full = initial_fields(case, sim.plan,
-                                      block_ids={bid})[bid]
-                full.interior[...] = data.reshape((NCOMP,) + shape)
-                fields[bid] = full
-
-        metrics = RunMetrics(label=case.name,
-                             total_cells=sim.plan.total_cells,
-                             iterations=res.iterations,
-                             wall_seconds=res.wall_seconds,
-                             timing_source="wall",
-                             messages=res.totals.messages,
-                             message_bytes=res.totals.bytes,
-                             converged=res.stop == STOP_CONVERGED)
-        return RunOutcome(case=case, plan=sim.plan, fields=fields,
-                          iterations=res.iterations, sim_time=res.sim_time,
-                          converged=res.stop == STOP_CONVERGED,
-                          wall_seconds=res.wall_seconds,
-                          norm_history=res.norm_history, totals=res.totals,
-                          metrics=metrics)
+        results = [res]
+        for r in range(1, plan.ranks):
+            stop, steps, sim_time, wall, messages, nbytes, copies = \
+                transport.recv(tag=tag, source=r, dest=0).payload
+            fields: FieldSet = {}
+            for b in plan.blocks_of_rank(r):
+                f = fields[b.id] = BlockField.allocate(b)
+                f.interior[...] = transport.recv(
+                    tag=tag, source=r, dest=0).payload.reshape(
+                        (NCOMP,) + b.shape)
+            results.append(RankResult(
+                rank=r, fields=fields, iterations=int(steps),
+                sim_time=sim_time, stop=stop,
+                totals=ExchangeTotals(int(messages), int(nbytes), int(copies)),
+                wall_seconds=wall))
+        return _outcome(sim, results, overlap=overlap, coalesce=coalesce)
     finally:
         transport.close()

@@ -68,9 +68,6 @@ class Timeline:
         self.intervals.append(iv)
         return iv
 
-    def extend(self, other: "Timeline") -> None:
-        self.intervals.extend(other.intervals)
-
     @property
     def makespan(self) -> float:
         if not self.intervals:

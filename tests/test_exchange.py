@@ -811,3 +811,35 @@ def test_socket_recv_from_a_closed_peer_names_it():
     finally:
         t1.close()
         t0.close()
+
+
+def test_halo_receive_honours_the_transport_timeout():
+    """Rank 1 connects but never sends ghosts: rank 0's exchange gives up
+    after the transport's 1 s timeout, not a longer one of its own."""
+    plan = plan_for((32, 16, 16), 2, ranks=2, boundary=PERIODIC)
+    addrs = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+    t0 = SocketTransport(0, addrs, timeout=1.0)
+    t1 = SocketTransport(1, addrs, timeout=1.0)
+    exchanger = HaloExchanger(build_halo_plan(plan), plan, transport=t0)
+    fields = {b.id: BlockField.allocate(b) for b in plan.blocks_of_rank(0)}
+    errors = []
+
+    def rank0():
+        try:
+            exchanger.run(0, fields, 0)
+        except TransportError as exc:
+            errors.append(exc)
+
+    waiter = threading.Thread(target=rank0, daemon=True)
+    try:
+        t1.send(Message(tag=message_tag(1, 0), source=1, dest=0,
+                        payload=np.zeros(1)))
+        t_start = time.monotonic()
+        waiter.start()
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert time.monotonic() - t_start < 5.0
+        assert len(errors) == 1 and "timed out after 1s" in str(errors[0])
+    finally:
+        t0.close()
+        t1.close()

@@ -2,6 +2,7 @@
 
 import io
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from wcnsflow.metrics import (RunMetrics, from_timeline, mcups,
 from wcnsflow.model import model_schedule
 from wcnsflow.partition import NodeTopology, plan_from_text, plan_to_text
 from wcnsflow.schedule import Timeline
+from wcnsflow.transport import free_port
 
 
 def small_corner(**kw):
@@ -101,7 +103,10 @@ def test_plan_text_rejects_bad_input():
             ("load-ratio 1.0", "load-ratio heavy", "load-ratio record"),
             ("cpu-workers=", "cpuworkers=", "topology record: missing"),
             ("wcnsflow-plan 1", "wcnsflow-plan 2", "version"),
-            ("wcnsflow-plan", "wcnsflow-case", "not a plan file")]:
+            ("wcnsflow-plan", "wcnsflow-case", "not a plan file"),
+            ("block 1 ", "block 3 ", "block record: block ids must be 0..1"),
+            ("rank=0\n", "rank=5\n", "block record: block 0 has rank=5"),
+            ("blocks=0,1", "blocks=0,7", "group record: group 0 lists block 7")]:
         assert old in good
         with pytest.raises(CaseFormatError, match=match):
             plan_from_text(good.replace(old, new, 1))
@@ -152,6 +157,10 @@ def test_with_load_ratio_recuts_corner():
     assert widths != case.cuts[1]
     # middle blocks gain cells when the coprocessor ratio rises
     assert widths[2] > case.cuts[1][2]
+    for n in (1, 3):
+        for r in (0.5, 1.2):
+            assert with_load_ratio(corner_case(n), r).cuts == \
+                corner_case(n, load_ratio=r).cuts
 
 
 def test_with_load_ratio_plain_case():
@@ -530,9 +539,47 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert run_cli("run", "--case", uni, "--plan", plan,
                    "--out-dir", tmp_path) == 2
     assert "block record: missing lo=" in capsys.readouterr().err
+    for old, new, record in [("block 0", "block 3", "block record"),
+                             ("rank=0\n", "rank=5\n", "block record"),
+                             ("blocks=0", "blocks=7", "group record")]:
+        plan.write_text(plan_to_text(case_plan(uniform_case())).replace(
+            old, new, 1), encoding="utf-8")
+        assert run_cli("run", "--case", uni, "--plan", plan,
+                       "--out-dir", tmp_path) == 2
+        assert f"error: {record}: " in capsys.readouterr().err
     assert run_cli("bench", "--case", uni, "--mode", "weak") == 2
     assert run_cli("run", "--case", uni, "--transport", "socket",
                    "--out-dir", tmp_path) == 2
+
+
+def test_cli_socket_ranks_write_the_in_process_results(tmp_path):
+    case_path = tmp_path / "wave.case"
+    assert run_cli("gen", "--kind", "wave", "--n", 8, "--t-end", 0.002,
+                   "--fixed-dt", 1e-3, "--blocks", 2, "--ranks", 2,
+                   "--out", case_path) == 0
+    assert run_cli("run", "--case", case_path,
+                   "--out-dir", tmp_path / "inproc") == 0
+    addresses = ",".join(f"127.0.0.1:{free_port()}" for _ in range(2))
+    codes = {}
+
+    def rank_main(rank):
+        codes[rank] = run_cli("run", "--case", case_path, "--transport",
+                              "socket", "--rank", rank, "--addresses",
+                              addresses, "--out-dir", tmp_path / f"r{rank}")
+
+    threads = [threading.Thread(target=rank_main, args=(r,)) for r in (1, 0)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert codes == {0: 0, 1: 0}
+    assert (tmp_path / "r0" / "fields.bin").read_bytes() == \
+        (tmp_path / "inproc" / "fields.bin").read_bytes()
+    (inproc,) = metrics_from_csv(str(tmp_path / "inproc" / "metrics.csv"))
+    (tcp,) = metrics_from_csv(str(tmp_path / "r0" / "metrics.csv"))
+    assert tcp.messages == inproc.messages > 0
+    assert tcp.message_bytes == inproc.message_bytes
 
 
 def test_cli_run_is_deterministic(tmp_path):

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wcnsflow.cases import initial_fields, sod_case, wave_case
+from wcnsflow.cases import exact_density, initial_fields, sod_case, wave_case
 from wcnsflow.errors import DivergenceError
+from wcnsflow.fields import cell_centers
+from wcnsflow.riemann import SOD_LEFT, SOD_RIGHT, solve_riemann
 from wcnsflow.runner import (STOP_DIVERGED, STOP_NONE, RankWorker,
                              build_simulation, run_case)
 from wcnsflow.state import GasModel, primitive_from_conserved
@@ -246,3 +248,40 @@ def test_divergence_raises_structured_error():
         run_case(case, warmup=False)
     assert err.value.step is not None and 0 < err.value.step < 200
     assert err.value.__cause__ is None    # the norm rule, not a bad state
+
+
+# ---------------------------------------------------------------------------
+# Run-level accuracy: whole runs through ``run_case`` against exact solutions
+
+def zone_l1(out, exact: dict) -> float:
+    """Mean |rho - exact| over every cell of the zone."""
+    total = sum(float(np.sum(np.abs(out.fields[bid].interior[0] - rho)))
+                for bid, rho in exact.items())
+    return total / out.plan.total_cells
+
+
+def test_sod_density_error_against_the_exact_riemann_solution():
+    case = sod_case(100, 4, t_end=0.1)
+    out = run_case(case, warmup=False)
+    assert abs(out.sim_time - 0.1) <= 1e-15
+    sol = solve_riemann(SOD_LEFT, SOD_RIGHT, gamma=case.gas.gamma)
+    x0 = float(case.init["x0"])
+    exact = {}
+    for b in out.plan.blocks:
+        x, _, _ = cell_centers(b, case.zone)
+        rho, _, _ = sol.sample((x - x0) / out.sim_time)
+        exact[b.id] = rho[:, None, None]
+    # 6.02e-3 in 92 steps when this bound was set.
+    assert zone_l1(out, exact) < 6.3e-3
+
+
+def test_wave_density_error_converges_at_fourth_order_or_better():
+    errors = []
+    for n in (8, 16):
+        out = run_case(wave_case(n, t_end=0.05, fixed_dt=0.1 / n),
+                       warmup=False)
+        assert abs(out.sim_time - 0.05) <= 1e-15
+        errors.append(zone_l1(out, exact_density(out.case, out.plan,
+                                                 out.sim_time)))
+    # About 3.98 when this bound was set.
+    assert math.log2(errors[0] / errors[1]) >= 3.5

@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 from wcnsflow import runner
-from wcnsflow.cases import sod_case, wave_case
+from wcnsflow.cases import corner_case, sod_case, wave_case
 from wcnsflow.devices import DevicePool
 from wcnsflow.errors import DivergenceError, InvalidStateError, TransportError
 from wcnsflow.fields import assemble_zone
 from wcnsflow.halo import HaloExchanger
 from wcnsflow.partition import NodeTopology
-from wcnsflow.runner import RankWorker, build_simulation, run_case, \
-    run_socket_rank
+from wcnsflow.runner import ExchangeTotals, RankWorker, build_simulation, \
+    run_case, run_socket_rank
 from wcnsflow.transport import free_port
 from wcnsflow.wcns import HALO_WIDTH
 
@@ -43,7 +43,7 @@ def on_ranks(case, blocks, ranks):
 
 def run_zone(case, blocks, ranks, **options):
     """The zone after the run, and the plan it ran on."""
-    out = run_case(on_ranks(case, blocks, ranks), warmup=False, model=False,
+    out = run_case(on_ranks(case, blocks, ranks), warmup=False,
                    **options)
     assert out.iterations >= 4 and len(out.plan.blocks) == blocks
     return assemble_zone(out.fields, out.plan), out.plan
@@ -78,12 +78,12 @@ def test_pooled_ranks_under_a_short_switch_interval():
     # four workers while ghosts arrive and the rank thread converts the
     # extended box; a 1 us switch interval interleaves them finely.
     case = wave_case(24, t_end=0.001, fixed_dt=1e-3)
-    one = run_case(case, warmup=False, model=False, max_workers=1)
+    one = run_case(case, warmup=False, max_workers=1)
     reference = assemble_zone(one.fields, one.plan)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = run_case(on_ranks(case, 8, 2), warmup=False, model=False,
+        out = run_case(on_ranks(case, 8, 2), warmup=False,
                        max_workers=4)
     finally:
         sys.setswitchinterval(interval)
@@ -101,14 +101,13 @@ def test_narrow_blocks_without_overlap_or_coalescing(case_and_reference):
     assert np.array_equal(got, reference)
 
 
-def test_socket_ranks_match_single_block_run(case_and_reference):
-    # Two ranks as threads of this process, each with its own socket
-    # transport; rank 1 starts first, so its first dial may find no listener.
-    case, reference = case_and_reference
-    case = replace(case, target_blocks=2, ranks=2,
-                   topology=NodeTopology(1, 2, 0))
-    addresses = {r: ("127.0.0.1", free_port()) for r in range(2)}
-    outcomes = [None, None]
+def run_socket_ranks(case):
+    """Every rank of ``case`` as a thread of this process, each with its own
+    socket transport; the last rank starts first, so its first dial may
+    find no listener.  Returns the outcomes in rank order."""
+    ranks = case.ranks
+    addresses = {r: ("127.0.0.1", free_port()) for r in range(ranks)}
+    outcomes = [None] * ranks
     errors = []
 
     def rank_main(rank):
@@ -119,16 +118,40 @@ def test_socket_ranks_match_single_block_run(case_and_reference):
             errors.append(exc)
 
     threads = [threading.Thread(target=rank_main, args=(r,))
-               for r in (1, 0)]
+               for r in reversed(range(ranks))]
     for t in threads:
         t.start()
     for t in threads:
         t.join(timeout=120)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+    return outcomes
+
+
+def test_socket_ranks_match_single_block_run(case_and_reference):
+    case, reference = case_and_reference
+    case = replace(case, target_blocks=2, ranks=2,
+                   topology=NodeTopology(1, 2, 0))
+    outcomes = run_socket_ranks(case)
     out = outcomes[0]
     assert out.iterations >= 4 and outcomes[1] is None
     assert np.array_equal(assemble_zone(out.fields, out.plan), reference)
+    # Rank 0 reports every rank's traffic, as the in-process run does.
+    assert out.totals == run_case(case, warmup=False).totals
+
+
+def test_socket_ranks_report_the_in_process_outcome_of_a_coprocessor_case():
+    case = corner_case(2, columns=40, cross=6, max_iters=2)
+    one = run_case(case, warmup=False)
+    out = run_socket_ranks(case)[0]
+    assert np.array_equal(assemble_zone(out.fields, out.plan),
+                          assemble_zone(one.fields, one.plan))
+    assert out.totals == one.totals == ExchangeTotals(12, 230_400, 408)
+    assert out.timeline.makespan == one.timeline.makespan
+    assert out.timeline.makespan == pytest.approx(3.124576e-4, rel=1e-6)
+    assert out.metrics.timing_source == one.metrics.timing_source == "model"
+    assert out.metrics.model_seconds == one.metrics.model_seconds
+    assert (out.metrics.messages, out.metrics.message_bytes) == (12, 230_400)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +197,7 @@ def test_uncut_block_submits_one_whole_sweep_per_worker_and_axis(
         monkeypatch, workers):
     seen = count_sweep_submissions(monkeypatch)
     out = run_case(wave_case(8, t_end=0.002, fixed_dt=1e-3), warmup=False,
-                   model=False, max_workers=workers)
+                   max_workers=workers)
     stages = 3 * out.iterations
     assert out.iterations == 2
     assert len(seen) == stages * 3 * workers
@@ -185,11 +208,11 @@ def test_block_fed_by_another_rank_sweeps_its_interior_from_the_hook(
         monkeypatch):
     case = sod_case(24, 4)
     case = replace(case, controls=replace(case.controls, max_iters=1))
-    one = run_case(case, warmup=False, model=False, max_workers=1)
+    one = run_case(case, warmup=False, max_workers=1)
     # One late interior sweep per stage, while the other worker runs every
     # other task: the stage must still wait for it.
     seen = count_sweep_submissions(monkeypatch, hook_delay=0.1)
-    out = run_case(on_ranks(case, 2, 2), warmup=False, model=False,
+    out = run_case(on_ranks(case, 2, 2), warmup=False,
                    max_workers=2)
     assert np.array_equal(assemble_zone(out.fields, out.plan),
                           assemble_zone(one.fields, one.plan))
@@ -219,7 +242,7 @@ def test_failing_pool_task_ends_the_run_with_its_cause(monkeypatch):
     t0 = time.perf_counter()
     with pytest.raises(DivergenceError) as info:
         run_case(wave_case(8, t_end=0.004, fixed_dt=1e-3), warmup=False,
-                 model=False, max_workers=2)
+                 max_workers=2)
     assert time.perf_counter() - t0 < 5.0
     assert info.value.__cause__ is injected
     assert not [t for t in threading.enumerate()
