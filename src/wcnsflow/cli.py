@@ -136,7 +136,7 @@ def _cmd_run(args) -> int:
         if args.rank is None or not args.addresses:
             raise WcnsflowError("socket mode needs --rank and --addresses")
         outcome = run_socket_rank(case, args.rank,
-                                  _addresses(args.addresses),
+                                  _addresses(args.addresses), plan=plan,
                                   overlap=not args.no_overlap,
                                   coalesce=not args.naive_exchange,
                                   tile=args.tile, max_workers=args.workers)

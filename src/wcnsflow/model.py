@@ -26,8 +26,10 @@ from .timestepping import STAGES
 # the reduction, post pair messages, run interior kernels while traffic and
 # coprocessor ghost uploads are in flight, then finish boundary work.
 # Interior kernels cover only the blocks the runner cuts (``cut_blocks``);
-# every other block books all its compute after its ghosts arrive.  The
-# edge values a cut repeats are not costed.
+# every other block books all its compute after its ghosts arrive.  A cut
+# computes each edge value once (the interior sweep hands its end edges to
+# the boundary sweeps), so it adds only per-call overhead, which is not
+# costed.
 # Each rank drives messaging from a dedicated host core ("rank{r}/host"),
 # so packing and draining never serialize with its compute kernels.
 # Coprocessor state stays resident across stages, so after the initial
@@ -42,9 +44,10 @@ from .timestepping import STAGES
 
 def cut_blocks(halo_plan, rank: int, overlap: bool) -> frozenset[int]:
     """Blocks of ``rank`` whose sweeps are cut into a halo-free interior
-    range and two boundary ranges.  Cutting a sweep repeats edge values at
-    the cut, so a block is cut only where its interior sweeps can hide
-    another rank's message: overlap is on and another rank feeds it."""
+    range and two boundary ranges.  The three sweeps of a cut line still
+    compute each edge value once, but a cut adds two sweep calls per axis,
+    so a block is cut only where its interior sweeps can hide another
+    rank's message: overlap is on and another rank feeds it."""
     if not overlap:
         return frozenset()
     return frozenset(p.dst_block for p in halo_plan.recvs_of(rank))

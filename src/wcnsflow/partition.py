@@ -638,11 +638,21 @@ def plan_from_text(text: str) -> PartitionPlan:
                 f"block record: block {b.id} has rank={rank_of_block[b.id]},"
                 f" the plan has {ranks} ranks")
     for g in groups:
+        if not 0 <= g.rank < ranks:
+            raise CaseFormatError(
+                f"group record: group {g.id} has rank={g.rank}, the plan has"
+                f" {ranks} ranks")
         for bid in g.block_ids:
             if not 0 <= bid < n:
                 raise CaseFormatError(
                     f"group record: group {g.id} lists block {bid}, the plan"
                     f" has blocks 0..{n - 1}")
+    grouped = {(g.rank, bid) for g in groups for bid in g.block_ids}
+    for b in blocks:
+        if (rank_of_block[b.id], b.id) not in grouped:
+            raise CaseFormatError(
+                f"group record: no group of rank {rank_of_block[b.id]} lists"
+                f" block {b.id}")
     return PartitionPlan(zones=zones, blocks=blocks, ranks=ranks,
                          topology=topology, load_ratio=load_ratio, groups=groups,
                          rank_of_block=[rank_of_block[b.id] for b in blocks],

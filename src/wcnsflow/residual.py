@@ -31,7 +31,12 @@ a bit of what it writes: along the sweep axis into node ranges [lo, hi), and
 across it into ranges of rows.  The node range [a, b) with a = min(5, n) and
 b = max(a, n - 5) (``interior_split``) touches no halo cells, so it may run
 while halo messages are still in flight; the other cut spreads one sweep
-over the workers of a pool.
+over the workers of a pool.  Cut on its own, each node range computes the
+five edges it shares with its neighbour range again.  Handoff sweeps
+(``handoff=True``) do not: the interior sweep parks those edges in the
+boundary ranges' nodes of the output, outside its own range, and the
+boundary sweeps, which must run after it, compute only their five
+halo-dependent edges and read the parked ones back.
 """
 
 from __future__ import annotations
@@ -197,12 +202,13 @@ def characteristic_frame(wl: np.ndarray, wr: np.ndarray, axis: int,
 _workspace = Workspace()
 
 
-def _tile_words(rows: int, n2: int, length: int) -> int:
+def _tile_words(rows: int, n2: int, length: int, parked: int = 0) -> int:
     """Float64 words of the workspace for one tile of ``rows`` lines of
     ``length`` nodes: primitives, fluxes, split fluxes, stacked and
-    projected windows, edge values and the recombined edges."""
+    projected windows, edge values and the recombined edges, which share
+    their buffer with ``parked`` edges read back from a handoff."""
     ne = length - 5
-    return NCOMP * rows * n2 * (4 * length + (2 * 10 + 2 + 1) * ne)
+    return NCOMP * rows * n2 * (4 * length + (2 * 10 + 2 + 1) * ne + parked)
 
 
 def working_set_tile(n2: int, length: int) -> int:
@@ -224,6 +230,7 @@ def convective_derivative(
     row_lo: int | None = None,
     row_hi: int | None = None,
     tile: int | None = None,
+    handoff: bool = False,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """d(F_axis)/d(x_axis) at interior nodes [lo, hi) along ``axis``.
@@ -236,7 +243,19 @@ def convective_derivative(
     row_hi) are swept, all of them by default.  ``tile`` is the number of
     rows swept at once: ``None`` picks the working-set tile, ``0`` sweeps
     the whole row range in one piece.  ``out`` (shape (5, nx, ny, nz))
-    receives the slab when given; nothing outside the two ranges is written.
+    receives the slab when given; nothing outside the two ranges is written,
+    except by a handoff sweep.
+
+    ``handoff`` makes the three sweeps of a cut line compute each of its
+    n + 5 edge values once; [lo, hi) must then be one of the
+    ``interior_split`` ranges [0, a), [a, b) and [b, n).  The interior
+    sweep also parks the five edges it shares with each boundary range in
+    that range's own nodes of ``out``, [0, a) and [b, n), which are outside
+    [lo, hi).  A boundary sweep computes only its five halo-dependent edges
+    and reads the five parked ones back before it writes its derivatives
+    over them, so it must start only after the interior sweep of its rows
+    has finished.  With an empty interior (n <= 10) ``handoff`` changes
+    nothing.
     """
     if gas is None:
         raise ValueError("characteristic projection needs the gas model")
@@ -251,23 +270,47 @@ def convective_derivative(
     row_hi = nrows if row_hi is None else row_hi
     if not (0 <= row_lo <= row_hi <= nrows):
         raise ValueError(f"row range [{row_lo},{row_hi}) outside [0,{nrows})")
+    a, b = interior_split(na)
+    if handoff and (lo, hi) not in ((0, a), (a, b), (b, na)):
+        raise ValueError(f"handoff node range [{lo},{hi}) is not an "
+                         f"interior_split range of [0,{na})")
+    handoff = handoff and a < b
     if out is None:
         out = np.empty((NCOMP, n[0], n[1], n[2]))
     if hi == lo or row_hi == row_lo:
         return out
 
-    # Slice: full needed extent along the sweep axis, interior on cross axes.
+    def nodes(lo: int, hi: int) -> np.ndarray:
+        """``out`` at nodes [lo, hi) of the sweep axis, moved last."""
+        sel = [slice(None)] * 4
+        sel[1 + axis] = slice(lo, hi)
+        return np.moveaxis(out[tuple(sel)], 1 + axis, 3)
+
+    dst = nodes(lo, hi)
+    # The edge buffer holds the hi - lo + H edges the difference at [lo, hi)
+    # reads.  A handoff boundary sweep computes the H edges in ``own`` from
+    # the 2H extended nodes they need and reads the H in ``parked`` back
+    # from ``dst``; the handoff interior sweep copies its end edges to
+    # ``parks``.
+    start, stop = lo, hi + 2 * H
+    own = parked = None
+    parks = []
+    if handoff and lo == 0:
+        stop, own, parked = 2 * H, slice(0, H), slice(H, 2 * H)
+    elif handoff and hi == na:
+        start, own, parked = lo + H, slice(H, 2 * H), slice(0, H)
+    elif handoff:
+        parks = [(slice(0, H), nodes(0, a)), (slice(-H, None), nodes(b, na))]
+
+    # Slice: the needed extent along the sweep axis, interior on cross axes.
     sl = [slice(H, -H)] * 3
-    sl[axis] = slice(lo, hi + 2 * H)
+    sl[axis] = slice(start, stop)
     q = np.moveaxis(q_ext[(slice(None),) + tuple(sl)], 1 + axis, 3)
     w = np.moveaxis(w_ext[(slice(None),) + tuple(sl)], 1 + axis, 3)
 
-    out_slab = [slice(None)] * 3
-    out_slab[axis] = slice(lo, hi)
-    dst = np.moveaxis(out[(slice(None),) + tuple(out_slab)], 1 + axis, 3)
-
     _, _, n2, length = q.shape
     ne = length - 5
+    nedges = hi - lo + H
     if tile is None:
         step = working_set_tile(n2, length)
     else:
@@ -276,7 +319,7 @@ def convective_derivative(
     for c0 in range(row_lo, row_hi, step):
         cs = slice(c0, min(c0 + step, row_hi))
         rows = cs.stop - cs.start
-        ws.reserve(_tile_words(rows, n2, length))
+        ws.reserve(_tile_words(rows, n2, length, nedges - ne))
         qc = q[:, cs]
         # One strided read of the primitives serves the flux and the frame.
         wc = ws.take(NCOMP, rows, n2, length)
@@ -306,9 +349,15 @@ def convective_derivative(
                                   waves[:, 3], waves[:, 4],
                                   out=ws.take(NCOMP, 2, rows, n2, ne))
         both = np.add(sides[:, 0], sides[:, 1], out=sides[:, 0])
-        edges = np.add(ctr_p, ctr_m, out=ws.take(NCOMP, rows, n2, ne))
+        all_edges = ws.take(NCOMP, rows, n2, nedges)
+        edges = all_edges if own is None else all_edges[..., own]
+        np.add(ctr_p, ctr_m, out=edges)
         edges += frame.to_state(both, out=sides[:, 1])
-        edge_to_node_derivative(edges, h, out=dst[:, cs])
+        if parked is not None:
+            np.copyto(all_edges[..., parked], dst[:, cs])
+        for ends, park in parks:
+            np.copyto(park[:, cs], edges[..., ends])
+        edge_to_node_derivative(all_edges, h, out=dst[:, cs])
     return out
 
 

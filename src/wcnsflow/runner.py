@@ -5,14 +5,16 @@ Every rank advances its blocks through the same stage pipeline (reduce
 wavespeeds, exchange ghosts, sweep, update).  A block's sweeps are cut
 along their axis into a halo-free interior range and two boundary ranges
 only when overlap is on and another rank sends it ghosts (``cut_blocks``):
-the interior sweeps are submitted while those messages are in flight.
-Every other block sweeps each axis whole after the exchange.  Each sweep
-task is further cut into one range of cross rows per pool worker, and the
-rank thread waits once per stage for all of them.  Ranks coordinate only
-through transport messages, so one worker implementation runs serially,
-under threads in one process, or across processes over sockets.  Kernel
-windows never depend on the partition, which keeps state bitwise identical
-across block counts, rank counts, worker counts, and tile sizes.
+the interior sweeps are submitted while those messages are in flight, and
+the boundary sweeps, which read the edge values the interior sweeps hand
+them, are submitted once those have finished.  Every other block sweeps
+each axis whole after the exchange.  Each sweep task is further cut into
+one range of cross rows per pool worker, and the rank thread waits once per
+stage for all of them.  Ranks coordinate only through transport messages,
+so one worker implementation runs serially, under threads in one process,
+or across processes over sockets.  Kernel windows never depend on the
+partition, which keeps state bitwise identical across block counts, rank
+counts, worker counts, and tile sizes.
 
 Runs measure wall time.  Rank threads (``run_case``) and socket ranks
 (``run_socket_rank``) hand their per-rank results to one function,
@@ -340,7 +342,8 @@ class RankWorker:
         convective_derivative(self.fields[b.id].data, w_ext, axis, lam,
                               self._spacing(b)[axis], gas=self.sim.gas,
                               lo=lo, hi=hi, row_lo=r0, row_hi=r1,
-                              tile=self.tile, out=self.conv[b.id][axis])
+                              tile=self.tile, handoff=b.id in self.cut,
+                              out=self.conv[b.id][axis])
 
     def _vis_chunk(self, b: Block, grads: GradientPack, axis: int) -> None:
         viscous_derivative(grads, self.sim.gas, axis,
@@ -387,6 +390,9 @@ class RankWorker:
             # Interior sweeps may still be writing; let them finish first.
             self._run_tasks([], futures)
             raise
+        # Boundary sweeps of cut blocks read the edges the interior sweeps
+        # park in their nodes.
+        wait(futures)
         self._run_tasks(tasks, futures)
 
         for b in self.blocks:
@@ -616,18 +622,20 @@ def run_case(case: Case, plan: PartitionPlan | None = None, *,
 # Socket-mode execution (one process per rank)
 
 def run_socket_rank(case: Case, rank: int,
-                    addresses: dict[int, tuple[str, int]], *,
+                    addresses: dict[int, tuple[str, int]],
+                    plan: PartitionPlan | None = None, *,
                     overlap: bool = True, coalesce: bool = True,
                     tile: int | None = None,
                     max_workers: int | None = None,
                     timeout: float = 60.0) -> RunOutcome | None:
     """Run one rank over TCP; every transport wait gives up after
-    ``timeout`` seconds.  Every process builds the identical plan from the
-    case.  Afterwards each other rank sends rank 0 one message with its stop
-    flag, steps, times and exchange totals, then its block interiors in plan
-    order.  Rank 0 returns the outcome ``run_case`` gives for the case; the
-    other ranks return None."""
-    sim = build_simulation(case)
+    ``timeout`` seconds.  Every process runs ``plan``, or builds the
+    identical plan from the case when it is None.  Afterwards each other
+    rank sends rank 0 one message with its stop flag, steps, times and
+    exchange totals, then its block interiors in plan order.  Rank 0
+    returns the outcome ``run_case`` gives for the case; the other ranks
+    return None."""
+    sim = build_simulation(case, plan)
     plan = sim.plan
     if plan.ranks != len(addresses):
         raise ValueError(f"case wants {plan.ranks} ranks, "

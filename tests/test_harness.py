@@ -106,7 +106,11 @@ def test_plan_text_rejects_bad_input():
             ("wcnsflow-plan", "wcnsflow-case", "not a plan file"),
             ("block 1 ", "block 3 ", "block record: block ids must be 0..1"),
             ("rank=0\n", "rank=5\n", "block record: block 0 has rank=5"),
-            ("blocks=0,1", "blocks=0,7", "group record: group 0 lists block 7")]:
+            ("blocks=0,1", "blocks=0,7", "group record: group 0 lists block 7"),
+            ("group 0 rank=0", "group 0 rank=3",
+             "group record: group 0 has rank=3, the plan has 1 ranks"),
+            ("blocks=0,1", "blocks=0",
+             "group record: no group of rank 0 lists block 1")]:
         assert old in good
         with pytest.raises(CaseFormatError, match=match):
             plan_from_text(good.replace(old, new, 1))
@@ -541,7 +545,10 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert "block record: missing lo=" in capsys.readouterr().err
     for old, new, record in [("block 0", "block 3", "block record"),
                              ("rank=0\n", "rank=5\n", "block record"),
-                             ("blocks=0", "blocks=7", "group record")]:
+                             ("blocks=0", "blocks=7", "group record"),
+                             ("group 0 rank=0", "group 0 rank=3",
+                              "group record"),
+                             (" blocks=0\n", "\n", "group record")]:
         plan.write_text(plan_to_text(case_plan(uniform_case())).replace(
             old, new, 1), encoding="utf-8")
         assert run_cli("run", "--case", uni, "--plan", plan,
@@ -552,20 +559,16 @@ def test_cli_errors_exit_2(tmp_path, capsys):
                    "--out-dir", tmp_path) == 2
 
 
-def test_cli_socket_ranks_write_the_in_process_results(tmp_path):
-    case_path = tmp_path / "wave.case"
-    assert run_cli("gen", "--kind", "wave", "--n", 8, "--t-end", 0.002,
-                   "--fixed-dt", 1e-3, "--blocks", 2, "--ranks", 2,
-                   "--out", case_path) == 0
-    assert run_cli("run", "--case", case_path,
-                   "--out-dir", tmp_path / "inproc") == 0
+def run_cli_socket_ranks(tmp_path, *args):
+    """``wcnsflow run ... --transport socket`` for ranks 1 and 0 in threads,
+    rank r writing to ``tmp_path / f"r{r}"``; returns the exit codes."""
     addresses = ",".join(f"127.0.0.1:{free_port()}" for _ in range(2))
     codes = {}
 
     def rank_main(rank):
-        codes[rank] = run_cli("run", "--case", case_path, "--transport",
-                              "socket", "--rank", rank, "--addresses",
-                              addresses, "--out-dir", tmp_path / f"r{rank}")
+        codes[rank] = run_cli("run", *args, "--transport", "socket",
+                              "--rank", rank, "--addresses", addresses,
+                              "--out-dir", tmp_path / f"r{rank}")
 
     threads = [threading.Thread(target=rank_main, args=(r,)) for r in (1, 0)]
     for t in threads:
@@ -573,13 +576,42 @@ def test_cli_socket_ranks_write_the_in_process_results(tmp_path):
     for t in threads:
         t.join(timeout=120)
     assert not any(t.is_alive() for t in threads)
-    assert codes == {0: 0, 1: 0}
+    return codes
+
+
+def test_cli_socket_ranks_write_the_in_process_results(tmp_path):
+    case_path = tmp_path / "wave.case"
+    assert run_cli("gen", "--kind", "wave", "--n", 8, "--t-end", 0.002,
+                   "--fixed-dt", 1e-3, "--blocks", 2, "--ranks", 2,
+                   "--out", case_path) == 0
+    assert run_cli("run", "--case", case_path,
+                   "--out-dir", tmp_path / "inproc") == 0
+    assert run_cli_socket_ranks(tmp_path, "--case", case_path) == \
+        {0: 0, 1: 0}
     assert (tmp_path / "r0" / "fields.bin").read_bytes() == \
         (tmp_path / "inproc" / "fields.bin").read_bytes()
     (inproc,) = metrics_from_csv(str(tmp_path / "inproc" / "metrics.csv"))
     (tcp,) = metrics_from_csv(str(tmp_path / "r0" / "metrics.csv"))
     assert tcp.messages == inproc.messages > 0
     assert tcp.message_bytes == inproc.message_bytes
+
+
+def test_cli_socket_ranks_run_the_plan_file(tmp_path):
+    case_path = tmp_path / "wave.case"
+    plan_path = tmp_path / "wave.plan"
+    assert run_cli("gen", "--kind", "wave", "--n", 8, "--t-end", 0.002,
+                   "--fixed-dt", 1e-3, "--blocks", 2, "--ranks", 2,
+                   "--out", case_path) == 0
+    assert run_cli("partition", "--case", case_path, "--blocks", 4,
+                   "--out", plan_path) == 0
+    assert run_cli("run", "--case", case_path, "--plan", plan_path,
+                   "--out-dir", tmp_path / "inproc") == 0
+    assert run_cli_socket_ranks(tmp_path, "--case", case_path, "--plan",
+                                plan_path) == {0: 0, 1: 0}
+    dump = tmp_path / "r0" / "fields.bin"
+    assert dump.read_bytes() == \
+        (tmp_path / "inproc" / "fields.bin").read_bytes()
+    assert sorted(read_dump(dump)) == [0, 1, 2, 3]
 
 
 def test_cli_run_is_deterministic(tmp_path):

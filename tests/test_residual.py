@@ -367,6 +367,9 @@ def test_convective_argument_validation():
     with pytest.raises(ValueError, match="row range"):
         convective_derivative(q_ext, w, 0, 1.0, 0.1, gas=GAS, row_lo=3,
                               row_hi=2)
+    with pytest.raises(ValueError, match="handoff node range"):
+        convective_derivative(q_ext, w, 0, 1.0, 0.1, gas=GAS, lo=0, hi=6,
+                              handoff=True)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +463,60 @@ def test_row_ranges_reproduce_the_uncut_sweep(shape):
                                           gas=GAS, lo=lo, hi=hi, row_lo=r0,
                                           row_hi=r1, tile=tile, out=out)
             assert out.tobytes() == full.tobytes(), (axis, tile, cuts)
+
+
+@pytest.mark.parametrize("shape", DIGEST_SHAPES + [(11, 12, 24)])
+def test_handoff_sweeps_reproduce_the_uncut_sweep(shape):
+    """The interior sweep, then the two boundary sweeps, all with
+    ``handoff``, write the bytes of the uncut sweep, on all three axes, at
+    every tile size and over random row ranges (the same for the interior
+    and the boundary calls).  The boundary sweeps read the edges the
+    interior sweep parks: run alone, they write other bytes wherever the
+    interior is not empty."""
+    q_ext, w_ext = random_block(shape, DIGEST_SHAPES.index(shape)
+                                if shape in DIGEST_SHAPES else 5)
+    rng = np.random.default_rng(23)
+    for axis in range(3):
+        lam = float(np.max(spectral_radius(w_ext, axis, GAS)))
+        n, nrows = shape[axis], shape[1 if axis == 0 else 0]
+        a, b = interior_split(n)
+        full = convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n,
+                                     gas=GAS)
+
+        def sweep(out, ranges, cuts, tile):
+            for lo, hi in ranges:
+                for r0, r1 in zip(cuts, cuts[1:]):
+                    convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n,
+                                          gas=GAS, lo=lo, hi=hi, row_lo=r0,
+                                          row_hi=r1, tile=tile, handoff=True,
+                                          out=out)
+
+        for tile in (None, 1, 0):
+            cuts = sorted({0, nrows, *rng.integers(1, nrows, size=3)})
+            out = np.zeros_like(full)
+            sweep(out, [(a, b)], cuts, tile)
+            sweep(out, [(0, a), (b, n)], cuts, tile)
+            assert out.tobytes() == full.tobytes(), (axis, tile, cuts)
+        alone = np.zeros_like(full)
+        sweep(alone, [(0, a), (b, n)], [0, nrows], None)
+        assert np.array_equal(alone, full) == (a == b), axis
+
+
+def test_handoff_changes_nothing_on_a_thin_block():
+    """With n <= 10 the interior range is empty, and a handoff sweep of
+    each range writes exactly what the plain sweep of that range writes."""
+    shape = (10, 4, 7)
+    q_ext, w_ext = random_block(shape, 9)
+    for axis in range(3):
+        n = shape[axis]
+        a, b = interior_split(n)
+        for lo, hi in ((0, a), (a, b), (b, n)):
+            plain, handoff = np.zeros((2, 5) + shape)
+            for out, flag in ((plain, False), (handoff, True)):
+                convective_derivative(q_ext, w_ext, axis, 3.0, 1.0 / n,
+                                      gas=GAS, lo=lo, hi=hi, handoff=flag,
+                                      out=out)
+            assert handoff.tobytes() == plain.tobytes(), (axis, lo, hi)
 
 
 def test_concurrent_sweeps_match_serial_sweeps():
