@@ -441,6 +441,48 @@ def test_sweep_bits_are_frozen(shape):
                 SWEEP_DIGESTS[(shape, axis)], (axis, tile)
 
 
+def sod_step_block(shape, velocity):
+    """Halo-extended arrays of Sod's left state (rho 1, p 1) below the
+    plane i + j + k = const of the extended index and its right state
+    (rho 0.125, p 0.1) above it, both moving at ``velocity``: flat regions
+    on every sweep axis, whose window differences are exact zeros."""
+    ext = tuple(n + 2 * H for n in shape)
+    i, j, k = np.indices(ext)
+    left = i + j + k < sum(ext) // 2
+    w = np.empty((5,) + ext)
+    w[0] = np.where(left, 1.0, 0.125)
+    w[1:4] = np.reshape(velocity, (3, 1, 1, 1))
+    w[4] = np.where(left, 1.0, 0.1)
+    q_ext = conserved_from_primitive(w, GAS)
+    return q_ext, primitive_from_conserved(q_ext, GAS)
+
+
+# velocity -> digest over the three axes of sod_step_block((16, 12, 11), v).
+SOD_STEP_DIGESTS = {
+    (0.0, 0.0, 0.0):
+        "06fd59522f8bc0553d7d20a7e1564a5c49751793252a5991548db0f5c2179af2",
+    (0.6, 0.0, -0.3):
+        "cbf65ddd95972bc0e211ff08be5c4abc70a973f174878efe0182c75b2d235684",
+    (-0.9, 0.4, 0.0):
+        "8ea1831bea83a832c15502db34df2562ccab107877c7c2a3a73c8f657f051645",
+}
+
+
+@pytest.mark.parametrize("velocity", list(SOD_STEP_DIGESTS))
+def test_flat_region_bits_are_frozen(velocity):
+    """The sweep's bytes on a Sod step, where most windows are flat, so
+    that every signed zero it writes is pinned too.  The digests were
+    computed at commit 176867c, whose sweep stacked all ten windows; every
+    tile (default, 1 row, 0 = untiled) must give the same bytes on all
+    three axes and every node range."""
+    q_ext, w_ext = sod_step_block((16, 12, 11), velocity)
+    for tile in (None, 1, 0):
+        digest = hashlib.sha256()
+        for axis in range(3):
+            digest.update(sweep_digest(q_ext, w_ext, axis, tile).encode())
+        assert digest.hexdigest() == SOD_STEP_DIGESTS[velocity], tile
+
+
 @pytest.mark.parametrize("shape", DIGEST_SHAPES)
 def test_row_ranges_reproduce_the_uncut_sweep(shape):
     """Sweeps cut into random row ranges, which start and end inside tiles,
