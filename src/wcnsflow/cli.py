@@ -38,6 +38,9 @@ def _addresses(text: str) -> dict[int, tuple[str, int]]:
     out = {}
     for i, item in enumerate(v for v in text.split(",") if v):
         host, _, port = item.rpartition(":")
+        if not port.isdecimal() or int(port) > 65535:
+            raise WcnsflowError(f"address {item!r} of rank {i}: "
+                                "port must be an integer in 0..65535")
         out[i] = (host or "127.0.0.1", int(port))
     return out
 

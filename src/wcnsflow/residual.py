@@ -11,18 +11,25 @@ The split fluxes are projected onto the characteristic fields of a
 Roe-averaged frame at each edge before weighting.
 
 A convective sweep moves the sweep axis last and walks the slab in tiles of
-cross-axis rows.  Per tile it stacks all ten windows (five nodes, plus and
-minus flux) into one array, component x window x side x tile, and makes one
-projection call into the wave fields, one weighted-edge call for both sides
-and one call back to state space.  The tile's multi-component arrays live
-in a per-thread workspace (``wcns.Workspace``) that is grown to the largest
-tile the thread has swept and viewed afresh for each tile shape, so pool
-workers never share one; only the edge frame's one-slab fields are still
-allocated per tile.  The default tile is the working-set tile: as many rows
-as fit the moved (rows, n2, L) float64 slab in ``TILE_BYTES``, and never
-fewer than ``MIN_TILE_ROWS``; ``tile=0`` sweeps the slab untiled.  Tiling
-and stacking change which arrays the operations touch, not the operations
-an element sees or their order, so every tile size gives the same bits.
+cross-axis rows.  Each window is taken relative to its centre node, so the
+centre window is exactly zero on both sides and is never formed: per tile
+the sweep stacks the other eight windows (four nodes, plus and minus flux)
+into one array, component x window x side x tile, and makes one projection
+call into the wave fields, one weighted-edge call for both sides (with the
+centre passed as ``None``) and one call back to state space.  The edge
+frame's node terms are formed once per node and shared by the two edges
+beside it.  The tile's multi-component arrays live in a per-thread
+workspace (``wcns.Workspace``) that is grown to the largest tile the thread
+has swept and viewed afresh for each tile shape, so pool workers never
+share one; only the edge frame's one-slab fields are still allocated per
+tile.  The default tile is the working-set tile: as many rows as fit the
+moved (rows, n2, L) float64 slab in ``TILE_BYTES``, and never fewer than
+``MIN_TILE_ROWS``; ``tile=0`` sweeps the slab untiled.  Tiling and
+stacking change which arrays the operations touch, not the operations an
+element sees or their order, so every tile size gives the same bits.
+Skipping the centre drops only terms that are exact zeros: every
+smoothness term they touch is squared, so the weights keep their bits, and
+a substencil value can change only in the sign of an exact zero.
 
 Each direction is an independent task writing its own buffer; the per-block
 combination happens in one fixed order so results never depend on how tasks
@@ -174,24 +181,34 @@ class EdgeFrame:
         return x
 
 
-def characteristic_frame(wl: np.ndarray, wr: np.ndarray, axis: int,
-                         gas: GasModel, *,
-                         block_id: int | None = None) -> EdgeFrame:
-    """Edge frame from the primitive states flanking each edge (Roe mean)."""
+def characteristic_frame(w: np.ndarray, axis: int,
+                         gas: GasModel) -> EdgeFrame:
+    """Edge frame (Roe mean) between neighbouring nodes of primitive
+    states ``w``, whose last axis holds the n + 1 nodes flanking n edges.
+
+    sqrt(rho), the total enthalpy h, sqrt(rho) u and sqrt(rho) h are
+    formed once per node and shared by the edges on either side; each
+    edge's mean sees the operations of the two-state formula in its order.
+    """
     g = gas.gamma
-    sl = np.sqrt(wl[0])
-    sr = np.sqrt(wr[0])
-    inv = 1.0 / (sl + sr)
-    vel = [(sl * wl[1 + a] + sr * wr[1 + a]) * inv for a in range(3)]
+    s = np.sqrt(w[0])
     gg = g / (g - 1.0)
-    hl = gg * wl[4] / wl[0] + 0.5 * (wl[1] ** 2 + wl[2] ** 2 + wl[3] ** 2)
-    hr = gg * wr[4] / wr[0] + 0.5 * (wr[1] ** 2 + wr[2] ** 2 + wr[3] ** 2)
-    hm = (sl * hl + sr * hr) * inv
+    h = gg * w[4] / w[0] + 0.5 * (w[1] ** 2 + w[2] ** 2 + w[3] ** 2)
+    inv = s[..., :-1] + s[..., 1:]
+    np.divide(1.0, inv, out=inv)
+    vel = []
+    for a in range(3):
+        su = s * w[1 + a]
+        v = np.add(su[..., :-1], su[..., 1:])
+        v *= inv
+        vel.append(v)
+    sh = np.multiply(s, h, out=h)
+    hm = np.add(sh[..., :-1], sh[..., 1:])
+    hm *= inv
     q2 = vel[0] ** 2 + vel[1] ** 2 + vel[2] ** 2
     a2 = (g - 1.0) * (hm - 0.5 * q2)
     if not np.all(a2 > 0.0):
-        raise InvalidStateError("non-positive sound speed at an edge mean",
-                                block_id=block_id)
+        raise InvalidStateError("non-positive sound speed at an edge mean")
     a = np.sqrt(a2)
     b1 = (g - 1.0) / a2
     return EdgeFrame(axis=axis, un=vel[axis], ut1=vel[(axis + 1) % 3],
@@ -204,11 +221,13 @@ _workspace = Workspace()
 
 def _tile_words(rows: int, n2: int, length: int, parked: int = 0) -> int:
     """Float64 words of the workspace for one tile of ``rows`` lines of
-    ``length`` nodes: primitives, fluxes, split fluxes, stacked and
-    projected windows, edge values and the recombined edges, which share
-    their buffer with ``parked`` edges read back from a handoff."""
+    ``length`` nodes: primitives, fluxes, split fluxes, the eight stacked
+    and the eight projected windows (the centre window of each side is
+    exactly zero and never stored), edge values and the recombined edges,
+    which share their buffer with ``parked`` edges read back from a
+    handoff."""
     ne = length - 5
-    return NCOMP * rows * n2 * (4 * length + (2 * 10 + 2 + 1) * ne + parked)
+    return NCOMP * rows * n2 * (4 * length + (2 * 8 + 2 + 1) * ne + parked)
 
 
 def working_set_tile(n2: int, length: int) -> int:
@@ -332,21 +351,22 @@ def convective_derivative(
         fp *= 0.5
         np.subtract(f, lam_q, out=fm)
         fm *= 0.5
-        frame = characteristic_frame(wc[..., 2:2 + ne], wc[..., 3:3 + ne],
-                                     axis, gas)
-        # All ten windows, component x window x side (plus, minus), taken
+        frame = characteristic_frame(wc[..., 2:3 + ne], axis, gas)
+        # The windows, component x window x side (plus, minus), taken
         # relative to their central node so a constant field projects to
         # exactly zero and uniform flow stays a bitwise fixed point of the
-        # derivative.
+        # derivative.  The centre window is then exactly zero on both
+        # sides, so only the eight others are stacked, projected and
+        # weighted.
         ctr_p = fp[..., 2:2 + ne]
         ctr_m = fm[..., 3:3 + ne]
-        win = ws.take(NCOMP, 5, 2, rows, n2, ne)
-        for k in range(5):
-            np.subtract(fp[..., k:k + ne], ctr_p, out=win[:, k, 0])
-            np.subtract(fm[..., 5 - k:5 - k + ne], ctr_m, out=win[:, k, 1])
-        waves = frame.to_waves(win, out=ws.take(NCOMP, 5, 2, rows, n2, ne))
-        sides = window_edge_value(waves[:, 0], waves[:, 1], waves[:, 2],
-                                  waves[:, 3], waves[:, 4],
+        win = ws.take(NCOMP, 4, 2, rows, n2, ne)
+        for i, k in enumerate((0, 1, 3, 4)):
+            np.subtract(fp[..., k:k + ne], ctr_p, out=win[:, i, 0])
+            np.subtract(fm[..., 5 - k:5 - k + ne], ctr_m, out=win[:, i, 1])
+        waves = frame.to_waves(win, out=ws.take(NCOMP, 4, 2, rows, n2, ne))
+        sides = window_edge_value(waves[:, 0], waves[:, 1], None,
+                                  waves[:, 2], waves[:, 3],
                                   out=ws.take(NCOMP, 2, rows, n2, ne))
         both = np.add(sides[:, 0], sides[:, 1], out=sides[:, 0])
         all_edges = ws.take(NCOMP, rows, n2, nedges)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .cases import Case, case_plan, initial_fields
 from .devices import DevicePool, configure_devices, shutdown_pools
-from .errors import DivergenceError, InvalidStateError
+from .errors import DivergenceError, InvalidStateError, WcnsflowError
 from .fields import BlockField, FieldSet
 from .halo import (
     BCAST_INDEX,
@@ -638,8 +638,11 @@ def run_socket_rank(case: Case, rank: int,
     sim = build_simulation(case, plan)
     plan = sim.plan
     if plan.ranks != len(addresses):
-        raise ValueError(f"case wants {plan.ranks} ranks, "
-                         f"{len(addresses)} addresses given")
+        raise WcnsflowError(f"case wants {plan.ranks} ranks, "
+                            f"{len(addresses)} addresses given")
+    if rank not in addresses:
+        raise WcnsflowError(f"rank {rank} has no address: ranks are "
+                            f"0..{len(addresses) - 1}")
     transport = SocketTransport(rank, addresses, timeout=timeout)
     tag = message_tag(GATHER_EPOCH, GATHER_INDEX)
     try:

@@ -101,7 +101,10 @@ def _edge_value(w0, w1, w2, w3, w4, eps: float, nonlinear: bool, out=None):
     The operations and their order are those of ``smoothness_indicators``
     and ``nonlinear_weights`` and of the weighted sum of the substencil
     values, done in place so that the only arrays are ``out`` and four
-    scratch arrays of its shape.
+    scratch arrays of its shape.  ``w2=None`` stands for an exactly zero
+    centre and drops every ``w2`` term: each indicator term is squared, so
+    the weights keep their bits, and a substencil value can differ only
+    in the sign of an exact zero.
     """
     shape = np.broadcast_shapes(*map(np.shape, (w0, w1, w2, w3, w4)))
     if out is None:
@@ -113,29 +116,40 @@ def _edge_value(w0, w1, w2, w3, w4, eps: float, nonlinear: bool, out=None):
         c = 13.0 / 12.0
         d = out
         np.subtract(w0, np.multiply(2.0, w1, out=d), out=d)
-        d += w2
+        if w2 is not None:
+            d += w2
         np.multiply(c, d, out=b0)
         b0 *= d
         np.subtract(w0, np.multiply(4.0, w1, out=d), out=d)
-        d += np.multiply(3.0, w2, out=u)
+        if w2 is not None:
+            d += np.multiply(3.0, w2, out=u)
         np.multiply(d, d, out=d)
         d *= 0.25
         b0 += d
-        np.subtract(w1, np.multiply(2.0, w2, out=d), out=d)
-        d += w3
+        if w2 is None:
+            np.add(w1, w3, out=d)
+        else:
+            np.subtract(w1, np.multiply(2.0, w2, out=d), out=d)
+            d += w3
         np.multiply(c, d, out=b1)
         b1 *= d
         np.subtract(w1, w3, out=d)
         np.multiply(d, d, out=d)
         d *= 0.25
         b1 += d
-        np.subtract(w2, np.multiply(2.0, w3, out=d), out=d)
-        d += w4
+        if w2 is None:
+            np.subtract(w4, np.multiply(2.0, w3, out=d), out=d)
+        else:
+            np.subtract(w2, np.multiply(2.0, w3, out=d), out=d)
+            d += w4
         np.multiply(c, d, out=b2)
         b2 *= d
-        np.subtract(np.multiply(3.0, w2, out=d), np.multiply(4.0, w3, out=u),
-                    out=d)
-        d += w4
+        if w2 is None:
+            np.subtract(w4, np.multiply(4.0, w3, out=d), out=d)
+        else:
+            np.subtract(np.multiply(3.0, w2, out=d),
+                        np.multiply(4.0, w3, out=u), out=d)
+            d += w4
         np.multiply(d, d, out=d)
         d *= 0.25
         b2 += d
@@ -158,17 +172,25 @@ def _edge_value(w0, w1, w2, w3, w4, eps: float, nonlinear: bool, out=None):
     # p0 = (3 w0 - 10 w1 + 15 w2) / 8 and its mirrors, term by term.
     p = np.multiply(3.0, w0, out=u)
     p -= np.multiply(10.0, w1, out=out)
-    p += np.multiply(15.0, w2, out=out)
+    if w2 is not None:
+        p += np.multiply(15.0, w2, out=out)
     p *= 0.125
     np.multiply(o0, p, out=out)
     t = b0                       # o0 has been used
-    np.negative(w1, out=p)
-    p += np.multiply(6.0, w2, out=t)
-    p += np.multiply(3.0, w3, out=t)
+    if w2 is None:
+        np.multiply(3.0, w3, out=p)
+        p -= w1
+    else:
+        np.negative(w1, out=p)
+        p += np.multiply(6.0, w2, out=t)
+        p += np.multiply(3.0, w3, out=t)
     p *= 0.125
     out += np.multiply(o1, p, out=p)
-    np.multiply(3.0, w2, out=p)
-    p += np.multiply(6.0, w3, out=t)
+    if w2 is None:
+        np.multiply(6.0, w3, out=p)
+    else:
+        np.multiply(3.0, w2, out=p)
+        p += np.multiply(6.0, w3, out=t)
     p -= w4
     p *= 0.125
     out += np.multiply(o2, p, out=p)
@@ -220,7 +242,10 @@ def window_edge_value(w0, w1, w2, w3, w4, eps: float = WEIGHT_EPS,
     The window must be ordered upwind first: pass nodes left-to-right for a
     left-biased value and right-to-left for a right-biased one.  The result
     sits between ``w2`` and ``w3``.  Used directly when windows are built in
-    a transformed basis rather than sliced from a line.  ``out`` receives
+    a transformed basis rather than sliced from a line.  ``w2=None`` means
+    the window is taken relative to its centre node, so ``w2`` is exactly
+    zero and its terms are skipped; the result equals that of a ``+0.0``
+    centre, up to the sign of an exactly zero result.  ``out`` receives
     the result when given; it must not overlap the window.
     """
     return _edge_value(w0, w1, w2, w3, w4, eps, _weights_mode(weights), out)

@@ -557,6 +557,18 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert run_cli("bench", "--case", uni, "--mode", "weak") == 2
     assert run_cli("run", "--case", uni, "--transport", "socket",
                    "--out-dir", tmp_path) == 2
+    two = tmp_path / "two.case"
+    assert run_cli("gen", "--kind", "wave", "--n", 8, "--blocks", 2,
+                   "--ranks", 2, "--out", two) == 0
+    for rank, addresses, named in [
+            (0, "127.0.0.1:abc,127.0.0.1:1", "address '127.0.0.1:abc'"),
+            (3, "127.0.0.1:1,127.0.0.1:2", "rank 3 has no address"),
+            (0, "127.0.0.1:1", "case wants 2 ranks, 1 addresses given")]:
+        capsys.readouterr()
+        assert run_cli("run", "--case", two, "--transport", "socket",
+                       "--rank", rank, "--addresses", addresses,
+                       "--out-dir", tmp_path) == 2
+        assert f"error: {named}" in capsys.readouterr().err
 
 
 def run_cli_socket_ranks(tmp_path, *args):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wcnsflow.errors import InvalidStateError
 from wcnsflow.residual import (
     EdgeFrame,
     GradientPack,
@@ -170,7 +171,7 @@ def test_frame_transforms_match_matrix_products(axis):
     for _ in range(50):
         wl, wr = random_primitive(rng), random_primitive(rng)
         left, right, _ = eigen_matrices(wl, wr, axis, GAS.gamma)
-        frame = characteristic_frame(wl[:, None], wr[:, None], axis, GAS)
+        frame = characteristic_frame(np.stack([wl, wr], axis=-1), axis, GAS)
         x = rng.standard_normal(5)
         np.testing.assert_allclose(frame.to_waves(x[:, None]).ravel(),
                                    left @ x, atol=1e-12)
@@ -178,11 +179,51 @@ def test_frame_transforms_match_matrix_products(axis):
                                    right @ x, atol=1e-12)
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_frame_of_a_node_array_is_the_two_state_roe_mean(axis):
+    """Sharing each node's terms between its two edges keeps the bytes of
+    the Roe mean formed edge by edge from the two flanking states."""
+    rng = np.random.default_rng(40 + axis)
+    w = np.empty((5, 3, 4, 9))
+    w[0] = 0.2 + 2.0 * rng.random((3, 4, 9))
+    w[1:4] = rng.standard_normal((3, 3, 4, 9)) * 1.5
+    w[4] = 0.2 + 2.0 * rng.random((3, 4, 9))
+    frame = characteristic_frame(w, axis, GAS)
+
+    g = GAS.gamma
+    wl, wr = w[..., :-1], w[..., 1:]
+    sl, sr = np.sqrt(wl[0]), np.sqrt(wr[0])
+    inv = 1.0 / (sl + sr)
+    vel = [(sl * wl[1 + a] + sr * wr[1 + a]) * inv for a in range(3)]
+    gg = g / (g - 1.0)
+    hl = gg * wl[4] / wl[0] + 0.5 * (wl[1] ** 2 + wl[2] ** 2 + wl[3] ** 2)
+    hr = gg * wr[4] / wr[0] + 0.5 * (wr[1] ** 2 + wr[2] ** 2 + wr[3] ** 2)
+    hm = (sl * hl + sr * hr) * inv
+    q2 = vel[0] ** 2 + vel[1] ** 2 + vel[2] ** 2
+    a2 = (g - 1.0) * (hm - 0.5 * q2)
+    a = np.sqrt(a2)
+    b1 = (g - 1.0) / a2
+    want = {"un": vel[axis], "ut1": vel[(axis + 1) % 3],
+            "ut2": vel[(axis + 2) % 3], "sound": a, "inv_sound": 1.0 / a,
+            "enthalpy": hm, "q2": q2, "b1": b1, "b2": 0.5 * b1 * q2}
+    for name, value in want.items():
+        got = getattr(frame, name)
+        assert got.shape == (3, 4, 8), name
+        assert got.tobytes() == value.tobytes(), name
+
+
+def test_frame_rejects_a_non_positive_sound_speed():
+    w = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                  [1.0, -1.0]])
+    with pytest.raises(InvalidStateError, match="sound speed"):
+        characteristic_frame(w, 0, GAS)
+
+
 def test_frame_roundtrip_recovers_the_vector():
     rng = np.random.default_rng(3)
     for axis in range(3):
         wl, wr = random_primitive(rng), random_primitive(rng)
-        frame = characteristic_frame(wl[:, None], wr[:, None], axis, GAS)
+        frame = characteristic_frame(np.stack([wl, wr], axis=-1), axis, GAS)
         x = rng.standard_normal((5, 1))
         np.testing.assert_allclose(frame.to_state(frame.to_waves(x)), x,
                                    atol=1e-13)

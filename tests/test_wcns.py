@@ -156,6 +156,45 @@ def test_window_edge_value_is_the_indicator_and_weight_formulas(seed):
     assert ideal.tobytes() == (d0 * p0 + d1 * p1 + d2 * p2).tobytes()
 
 
+@settings(max_examples=50)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_window_edge_value_without_centre_is_a_zero_centre(seed):
+    """``w2=None`` gives the bytes of an explicit +0.0 centre, under both
+    weight modes, with and without ``out``."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, size=(5, 1, 1))
+    w = rng.normal(size=(5, 3, 7)) * scale
+    w0, w1, _, w3, w4 = w
+    zero = np.zeros((3, 7))
+    for weights in ("nonlinear", "ideal"):
+        want = window_edge_value(w0, w1, zero, w3, w4, weights=weights)
+        got = window_edge_value(w0, w1, None, w3, w4, weights=weights)
+        assert got.tobytes() == want.tobytes(), weights
+        out = np.full((3, 7), np.nan)
+        assert window_edge_value(w0, w1, None, w3, w4, weights=weights,
+                                 out=out) is out
+        assert out.tobytes() == want.tobytes(), weights
+
+
+def test_window_edge_value_without_centre_on_signed_zeros():
+    """Windows full of +0 and -0 (flat regions, projected): skipping the
+    centre changes at most the sign of a zero result."""
+    rng = np.random.default_rng(23)
+    shape = (4, 200)
+    w = rng.normal(size=(5,) + shape)
+    zeros = rng.random((5,) + shape) < 0.6
+    w[zeros] = 0.0
+    w[rng.random((5,) + shape) < 0.5] *= -1.0
+    centre = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    w0, w1, _, w3, w4 = w
+    assert np.signbit(w[zeros]).any() and (w[zeros] == 0.0).all()
+    for weights in ("nonlinear", "ideal"):
+        want = window_edge_value(w0, w1, centre, w3, w4, weights=weights)
+        got = window_edge_value(w0, w1, None, w3, w4, weights=weights)
+        assert np.array_equal(got, want), weights
+        assert (got == 0.0).any()
+
+
 def test_right_bias_is_mirror_of_left_bias():
     rng = np.random.default_rng(13)
     line = rng.normal(size=11)
