@@ -1,11 +1,12 @@
 """Benchmark case definitions: a small text format plus generators.
 
-A case file pins down everything a run needs: gas model, zone geometry and
-boundaries, initial condition, freestream state, iteration controls, the
-machine shape, and the device cost model.  The format is line-oriented
-key=value records behind a ``wcnsflow-case 1`` header, matching the plan
-file style, so cases diff cleanly and round-trip exactly (floats are written
-with ``repr``).
+A case file pins down everything a run needs and nothing more: gas model,
+the one zone's geometry and boundaries, initial condition, freestream
+state, iteration controls, the machine shape, and the device cost model.
+The format is line-oriented key=value records behind a ``wcnsflow-case 2``
+header, matching the plan file style, so cases diff cleanly and round-trip
+exactly (floats are written with ``repr``).  A second ``zone`` record is an
+error.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .state import GasModel, conserved_from_primitive
 from .timestepping import IterationControls
 
 CASE_MAGIC = "wcnsflow-case"
-CASE_VERSION = 1
+CASE_VERSION = 2
 
 CASE_KINDS = ("uniform", "wave", "sod", "corner")
 
@@ -52,7 +53,7 @@ class Case:
     name: str
     kind: str
     gas: GasModel
-    zones: list[ZoneSpec]
+    zone: ZoneSpec
     init: dict[str, str]
     freestream: tuple[float, float, float, float, float]  # rho u v w p
     controls: IterationControls
@@ -61,7 +62,6 @@ class Case:
     target_blocks: int | None = 1
     max_block_cells: int | None = None
     cuts: tuple[int, tuple[int, ...]] | None = None   # (axis, widths)
-    seed: int = 0
     topology: NodeTopology = field(
         default_factory=lambda: NodeTopology(1, 1, 0))
     cpu: DeviceModel = DEFAULT_CPU
@@ -74,10 +74,6 @@ class Case:
         if len(self.freestream) != 5:
             raise CaseFormatError("freestream needs rho, u, v, w, p")
 
-    @property
-    def zone(self) -> ZoneSpec:
-        return self.zones[0]
-
     def freestream_conserved(self) -> np.ndarray:
         w = np.asarray(self.freestream, dtype=np.float64).reshape(5, 1, 1, 1)
         return conserved_from_primitive(w, self.gas)[:, 0, 0, 0]
@@ -87,9 +83,9 @@ def case_plan(case: Case) -> PartitionPlan:
     if case.cuts is not None:
         axis, widths = case.cuts
         blocks = split_zone_cuts(case.zone, axis, list(widths))
-        return make_plan(case.zones, case.ranks, case.topology,
+        return make_plan(case.zone, case.ranks, case.topology,
                          case.load_ratio, explicit_blocks=blocks)
-    return make_plan(case.zones, case.ranks, case.topology, case.load_ratio,
+    return make_plan(case.zone, case.ranks, case.topology, case.load_ratio,
                      target_blocks=case.target_blocks,
                      max_block_cells=case.max_block_cells)
 
@@ -173,14 +169,14 @@ def uniform_case(n: tuple[int, int, int] = (16, 16, 16), *,
                  velocity=(0.3, -0.2, 0.1), reynolds: float | None = None,
                  blocks: int = 1, max_iters: int = 50, cfl: float = 0.5,
                  name: str | None = None) -> Case:
-    zone = ZoneSpec(id=0, shape=tuple(n),
+    zone = ZoneSpec(shape=tuple(n),
                     spacing=tuple(1.0 / max(n)
                                   for _ in range(3)))
     return Case(
         name=name or f"uniform-{n[0]}x{n[1]}x{n[2]}",
         kind="uniform",
         gas=GasModel(reynolds=reynolds),
-        zones=[zone],
+        zone=zone,
         init={},
         freestream=(1.0, *velocity, 1.0),
         controls=IterationControls(max_iters=max_iters, cfl=cfl,
@@ -195,12 +191,12 @@ def wave_case(n: int = 32, *, wavevector=(1, 1, 1), amplitude: float = 0.2,
               name: str | None = None) -> Case:
     """Advected density wave on the periodic unit cube; exact solution is
     the initial profile translated by ``velocity * t``."""
-    zone = ZoneSpec(id=0, shape=(n, n, n), spacing=(1.0 / n,) * 3)
+    zone = ZoneSpec(shape=(n, n, n), spacing=(1.0 / n,) * 3)
     return Case(
         name=name or f"wave-{n}",
         kind="wave",
         gas=GasModel(),
-        zones=[zone],
+        zone=zone,
         init={
             "wavevector": ",".join(str(k) for k in wavevector),
             "amplitude": repr(amplitude),
@@ -218,14 +214,14 @@ def wave_case(n: int = 32, *, wavevector=(1, 1, 1), amplitude: float = 0.2,
 def sod_case(nx: int = 200, cross: int = 4, *, t_end: float = 0.2,
              cfl: float = 0.5, blocks: int = 1,
              name: str | None = None) -> Case:
-    zone = ZoneSpec(id=0, shape=(nx, cross, cross), spacing=(1.0 / nx,) * 3,
+    zone = ZoneSpec(shape=(nx, cross, cross), spacing=(1.0 / nx,) * 3,
                     boundary=("outflow", "outflow", "periodic", "periodic",
                               "periodic", "periodic"))
     return Case(
         name=name or f"sod-{nx}",
         kind="sod",
         gas=GasModel(),
-        zones=[zone],
+        zone=zone,
         init={"x0": "0.5", "left": "1,0,1", "right": "0.125,0,0.1"},
         freestream=(1.0, 0.0, 0.0, 0.0, 1.0),
         controls=IterationControls(max_iters=10 ** 9, cfl=cfl, t_end=t_end,
@@ -283,7 +279,7 @@ def corner_case(nodes: int = 16, *, columns: int = 100, cross: int = 20,
     u = mach * a * math.cos(theta)
     v = -mach * a * math.sin(theta)
 
-    zone = ZoneSpec(id=0, shape=(nodes * columns, cross, cross),
+    zone = ZoneSpec(shape=(nodes * columns, cross, cross),
                     spacing=(1.0 / cross,) * 3,
                     boundary=("inflow", "outflow", "wall", "outflow",
                               "periodic", "periodic"))
@@ -291,7 +287,7 @@ def corner_case(nodes: int = 16, *, columns: int = 100, cross: int = 20,
         name=name or f"corner-{nodes}n",
         kind="corner",
         gas=GasModel(),
-        zones=[zone],
+        zone=zone,
         init={"mach": repr(float(mach)), "angle": repr(float(angle_deg))},
         freestream=(1.0, u, v, 0.0, 1.0),
         controls=IterationControls(max_iters=max_iters, cfl=0.5,
@@ -333,7 +329,7 @@ def case_to_text(case: Case) -> str:
              f"kind {case.kind}",
              f"gas gamma={g.gamma!r} prandtl={g.prandtl!r} "
              f"reynolds={_opt(g.reynolds)}"]
-    lines += [zone_record(z) for z in case.zones]
+    lines.append(zone_record(case.zone))
     if case.init:
         lines.append("init " + " ".join(f"{k}={v}"
                                         for k, v in sorted(case.init.items())))
@@ -343,8 +339,7 @@ def case_to_text(case: Case) -> str:
                  f"tolerance={_opt(c.tolerance)}")
     lines.append(f"run ranks={case.ranks} load-ratio={case.load_ratio!r} "
                  f"target-blocks={_opt_int(case.target_blocks)} "
-                 f"max-block-cells={_opt_int(case.max_block_cells)} "
-                 f"seed={case.seed}")
+                 f"max-block-cells={_opt_int(case.max_block_cells)}")
     if case.cuts is not None:
         axis, widths = case.cuts
         lines.append(f"cuts axis={axis} widths={','.join(map(str, widths))}")
@@ -375,7 +370,9 @@ def _read_record(rec: Record, vals: dict) -> None:
                                prandtl=rec.get("prandtl", float),
                                reynolds=rec.get("reynolds", optional(float)))
     elif rec.kind == "zone":
-        vals["zones"].append(zone_from_record(rec))
+        if "zone" in vals:
+            raise CaseFormatError("zone record: a case has one zone")
+        vals["zone"] = zone_from_record(rec)
     elif rec.kind == "init":
         vals["init"] = rec.fields
     elif rec.kind == "freestream":
@@ -393,7 +390,6 @@ def _read_record(rec: Record, vals: dict) -> None:
         vals["load_ratio"] = rec.get("load-ratio", float)
         vals["target_blocks"] = rec.get("target-blocks", optional(int))
         vals["max_block_cells"] = rec.get("max-block-cells", optional(int))
-        vals["seed"] = rec.get("seed", int)
     elif rec.kind == "cuts":
         vals["cuts"] = (rec.get("axis", int), rec.get("widths", ints))
     elif rec.kind == "topology":
@@ -418,17 +414,16 @@ def _read_record(rec: Record, vals: dict) -> None:
 
 
 def case_from_text(text: str) -> Case:
-    vals: dict = {"zones": [], "init": {}, "devices": []}
+    vals: dict = {"init": {}, "devices": []}
     for rec in read_records(text, CASE_MAGIC, CASE_VERSION, "case"):
         try:
             _read_record(rec, vals)
         except ValueError as e:      # a model rejected the record's values
             raise CaseFormatError(f"{rec.kind} record: {e}") from None
 
-    required = ("name", "kind", "gas", "controls", "freestream")
+    required = ("name", "kind", "gas", "zone", "controls", "freestream")
     missing = [k for k in required if k not in vals]
-    if missing or not vals["zones"]:
-        missing = missing + ([] if vals["zones"] else ["zone"])
+    if missing:
         raise CaseFormatError(f"case file missing records: {missing}")
 
     devices = vals.pop("devices")

@@ -52,8 +52,6 @@ def _load(args) -> tuple:
                                               max_iters=args.max_iters))
     if getattr(args, "load_ratio", None) is not None:
         case = with_load_ratio(case, args.load_ratio)
-    if getattr(args, "seed", None) is not None:
-        case = replace(case, seed=args.seed)
     plan = None
     if getattr(args, "plan", None):
         with open(args.plan, "r", encoding="utf-8") as fh:
@@ -91,8 +89,6 @@ def _cmd_gen(args) -> int:
         kwargs.pop("max_iters", None)
         kwargs.pop("cfl", None)
     case = generate_case(args.kind, **kwargs)
-    if args.seed is not None:
-        case = replace(case, seed=args.seed)
     if args.ranks is not None:
         topo = case.topology
         if args.kind != "corner":
@@ -142,7 +138,7 @@ def _cmd_run(args) -> int:
                                   _addresses(args.addresses), plan=plan,
                                   overlap=not args.no_overlap,
                                   coalesce=not args.naive_exchange,
-                                  tile=args.tile, max_workers=args.workers)
+                                  max_workers=args.workers)
         if outcome is None:
             print(f"rank {args.rank} done")
             return 0
@@ -162,7 +158,7 @@ def _cmd_run(args) -> int:
         return 0
     else:
         outcome = run_case(case, plan, overlap=not args.no_overlap,
-                           coalesce=not args.naive_exchange, tile=args.tile,
+                           coalesce=not args.naive_exchange,
                            max_workers=args.workers, best_of=args.best_of)
 
     print(f"{case.name}: {outcome.iterations} iterations, "
@@ -221,14 +217,12 @@ def _cmd_bench(args) -> int:
                                 "use --case with kind corner")
         base = case
         rows = weak_scaling(
-            lambda r: replace(
-                generate_case(
-                    "corner", nodes=r,
-                    columns=base.zone.shape[0] // base.topology.nodes,
-                    cross=base.zone.shape[1],
-                    load_ratio=base.load_ratio,
-                    max_iters=base.controls.max_iters),
-                seed=base.seed),
+            lambda r: generate_case(
+                "corner", nodes=r,
+                columns=base.zone.shape[0] // base.topology.nodes,
+                cross=base.zone.shape[1],
+                load_ratio=base.load_ratio,
+                max_iters=base.controls.max_iters),
             ranks, steps=args.steps)
         base_time = rows[0].model_seconds / rows[0].iterations
         for r, m in zip(ranks, rows):
@@ -328,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cross", type=int, help="corner: cross-section width")
     g.add_argument("--load-ratio", dest="load_ratio", type=float)
     g.add_argument("--mach", type=float)
-    g.add_argument("--seed", type=int)
     g.set_defaults(func=_cmd_gen)
 
     q = sub.add_parser("partition", help="emit the partition plan for a case")
@@ -346,11 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--best-of", dest="best_of", type=int, default=1)
     r.add_argument("--max-iters", dest="max_iters", type=int)
     r.add_argument("--load-ratio", dest="load_ratio", type=float)
-    r.add_argument("--seed", type=int)
     r.add_argument("--workers", type=int)
-    r.add_argument("--tile", type=int,
-                   help="cross-axis rows per convective sweep step "
-                        "(default: the working-set tile; 0: untiled)")
     r.add_argument("--no-overlap", dest="no_overlap", action="store_true")
     r.add_argument("--naive-exchange", dest="naive_exchange",
                    action="store_true")
@@ -398,7 +387,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WcnsflowError as exc:
+    except (WcnsflowError, OSError) as exc:
+        # An OSError names the path it could not open.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

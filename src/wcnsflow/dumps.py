@@ -43,17 +43,25 @@ def write_dump(path, fields: FieldSet) -> None:
             f.write(interior.tobytes())
 
 
+def _read_struct(f, layout: struct.Struct, path, what: str) -> tuple:
+    raw = f.read(layout.size)
+    if len(raw) != layout.size:
+        raise CaseFormatError(f"{path}: truncated {what}")
+    return layout.unpack(raw)
+
+
 def read_dump(path) -> dict[int, np.ndarray]:
     with open(path, "rb") as f:
         magic = f.read(len(DUMP_MAGIC))
         if magic != DUMP_MAGIC:
             raise CaseFormatError(f"{path}: not a dump file")
-        version, count = _HEAD.unpack(f.read(_HEAD.size))
+        version, count = _read_struct(f, _HEAD, path, "header")
         if version != DUMP_VERSION:
             raise CaseFormatError(f"{path}: unsupported dump version {version}")
         out: dict[int, np.ndarray] = {}
-        for _ in range(count):
-            bid, nx, ny, nz = _BLOCK.unpack(f.read(_BLOCK.size))
+        for i in range(count):
+            bid, nx, ny, nz = _read_struct(f, _BLOCK, path,
+                                           f"header of block {i} of {count}")
             nbytes = NCOMP * nx * ny * nz * 8
             raw = f.read(nbytes)
             if len(raw) != nbytes:
@@ -73,15 +81,12 @@ def merge_dumps(parts: list[dict[int, np.ndarray]]) -> dict[int, np.ndarray]:
     return out
 
 
-def zone_array(dump: dict[int, np.ndarray], plan: PartitionPlan,
-               zone_id: int = 0) -> np.ndarray:
+def zone_array(dump: dict[int, np.ndarray], plan: PartitionPlan) -> np.ndarray:
     """Assemble per-block dump data into one zone-shaped array."""
-    zone = plan.zone_of(zone_id)
+    zone = plan.zone
     out = np.empty((NCOMP,) + zone.shape)
     seen = 0
     for b in plan.blocks:
-        if b.zone != zone_id:
-            continue
         if b.id not in dump:
             raise CaseFormatError(f"dump is missing block {b.id}")
         data = dump[b.id]
@@ -94,5 +99,5 @@ def zone_array(dump: dict[int, np.ndarray], plan: PartitionPlan,
         seen += data[0].size
     if seen != zone.cells:
         raise CaseFormatError(
-            f"dump covers {seen} cells of {zone.cells} in zone {zone_id}")
+            f"dump covers {seen} cells of {zone.cells} in the zone")
     return out

@@ -62,4 +62,4 @@ class DivergenceError(WcnsflowError):
 
 
 class CaseFormatError(WcnsflowError):
-    """Malformed or unsupported case / plan / dump file."""
+    """Malformed or unsupported case, plan, dump, metrics or timeline file."""

@@ -56,13 +56,10 @@ def center_mesh(block: Block, zone: ZoneSpec) -> tuple[np.ndarray, np.ndarray, n
     return np.meshgrid(x, y, z, indexing="ij", sparse=True)
 
 
-def assemble_zone(fields: FieldSet, plan: PartitionPlan, zone_id: int = 0) -> np.ndarray:
+def assemble_zone(fields: FieldSet, plan: PartitionPlan) -> np.ndarray:
     """Gather block interiors into one contiguous zone-shaped array."""
-    zone = plan.zone_of(zone_id)
-    out = np.empty((NCOMP,) + zone.shape)
+    out = np.empty((NCOMP,) + plan.zone.shape)
     for b in plan.blocks:
-        if b.zone != zone_id:
-            continue
         sl = tuple(slice(b.lo[a], b.hi[a]) for a in range(3))
         out[(slice(None),) + sl] = fields[b.id].interior
     return out

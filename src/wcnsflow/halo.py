@@ -4,8 +4,8 @@ Every block stores its state with a margin of ``HALO_WIDTH`` ghost cells.
 One exchange epoch brings every ghost cell up to date in two phases:
 
 1. copies from block interiors.  ``partition.ghost_sources`` intersects
-   each block's extended box with every block interior of its zone and
-   their periodic images (the plan's ``ghosts``); each intersection is one
+   each block's extended box with every block interior and their
+   periodic images (the plan's ``ghosts``); each intersection is one
    region.  Regions travel coalesced per block pair, so each pair costs one
    message, and a block that wraps onto itself across a periodic face is a
    local pair like any other.
@@ -119,7 +119,6 @@ class HaloPlan:
     """Pairs in index order, indexed by rank once at construction; the
     per-rank lists keep that order and are shared: do not modify them."""
 
-    width: int
     pairs: list[ExchangePair]
     bc_faces: dict[int, tuple[BoundaryFace, ...]]  # block -> physical faces
 
@@ -160,13 +159,13 @@ def _boundary_faces(block: Block, zone: ZoneSpec) -> tuple[BoundaryFace, ...]:
 def build_halo_plan(plan: PartitionPlan) -> HaloPlan:
     """Regions per block pair and physical faces per block for one
     partition plan."""
-    for zone in plan.zones:
-        for a in range(3):
-            if "wall" in zone.boundary[2 * a:2 * a + 2] and zone.shape[a] < H:
-                # The mirror of a ghost band reads H interior planes.
-                raise HaloPlanError(
-                    f"zone {zone.id} has a wall face on axis {a}, which is "
-                    f"{zone.shape[a]} cells wide; a wall needs at least {H}")
+    zone = plan.zone
+    for a in range(3):
+        if "wall" in zone.boundary[2 * a:2 * a + 2] and zone.shape[a] < H:
+            # The mirror of a ghost band reads H interior planes.
+            raise HaloPlanError(
+                f"the zone has a wall face on axis {a}, which is "
+                f"{zone.shape[a]} cells wide; a wall needs at least {H}")
 
     # Zone coordinates of each block's extended-array origin.
     origin = {b.id: tuple(l - H for l in b.lo) for b in plan.blocks}
@@ -194,8 +193,8 @@ def build_halo_plan(plan: PartitionPlan) -> HaloPlan:
     if sum(len(p.regions) for p in pairs) >= RESERVED_INDEX:
         raise HaloPlanError("plan defines too many regions for the tag space")
 
-    bc_faces = {b.id: _boundary_faces(b, plan.zones[b.zone]) for b in plan.blocks}
-    return HaloPlan(width=H, pairs=pairs, bc_faces=bc_faces)
+    bc_faces = {b.id: _boundary_faces(b, zone) for b in plan.blocks}
+    return HaloPlan(pairs=pairs, bc_faces=bc_faces)
 
 
 # ---------------------------------------------------------------------------

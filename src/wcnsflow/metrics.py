@@ -7,8 +7,9 @@ wall time rides along for reference), plain numerics runs report wall time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import MISSING, dataclass, fields as dc_fields
 
+from .errors import CaseFormatError
 from .schedule import Timeline
 
 
@@ -114,6 +115,11 @@ def metrics_to_csv(rows: list[RunMetrics], target) -> None:
 
 
 def metrics_from_csv(target) -> list[RunMetrics]:
+    """Read a ``metrics_to_csv`` file; a header without the ``RunMetrics``
+    columns that have no default, or a row whose cell does not read, raises
+    ``CaseFormatError`` naming the file."""
+    name = getattr(target, "name",
+                   target if isinstance(target, str) else "metrics file")
     close = False
     if isinstance(target, (str, bytes)):
         target = open(target, "r", encoding="utf-8")
@@ -124,10 +130,15 @@ def metrics_from_csv(target) -> list[RunMetrics]:
         if close:
             target.close()
     if not lines:
-        raise ValueError("metrics file has no header")
+        raise CaseFormatError(f"{name}: metrics file has no header")
     header = lines[0].split(",")
+    required = [f.name for f in dc_fields(RunMetrics) if f.default is MISSING]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise CaseFormatError(
+            f"{name}: metrics header lacks the columns {','.join(missing)}")
     out = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], 1):
         cells = ln.split(",")
         rec = dict(zip(header, cells))
         kwargs = {}
@@ -136,18 +147,24 @@ def metrics_from_csv(target) -> list[RunMetrics]:
             if raw == "":
                 if f.name in ("label", "extra", "timing_source"):
                     kwargs[f.name] = ""
+                elif f.name in required:
+                    raise CaseFormatError(f"{name}: row {row} has no {f.name}")
                 else:
                     kwargs[f.name] = None
                 continue
-            if f.name in ("total_cells", "iterations", "messages",
-                          "message_bytes"):
-                kwargs[f.name] = int(raw)
-            elif f.name == "converged":
-                kwargs[f.name] = raw == "1"
-            elif f.name in ("label", "timing_source", "extra"):
-                kwargs[f.name] = raw
-            else:
-                kwargs[f.name] = float(raw)
+            try:
+                if f.name in ("total_cells", "iterations", "messages",
+                              "message_bytes"):
+                    kwargs[f.name] = int(raw)
+                elif f.name == "converged":
+                    kwargs[f.name] = raw == "1"
+                elif f.name in ("label", "timing_source", "extra"):
+                    kwargs[f.name] = raw
+                else:
+                    kwargs[f.name] = float(raw)
+            except ValueError:
+                raise CaseFormatError(
+                    f"{name}: row {row} cannot read {f.name}={raw!r}") from None
         out.append(RunMetrics(**kwargs))
     return out
 

@@ -119,7 +119,7 @@ def model_schedule(case: Case, plan: PartitionPlan | None = None, *,
         group_of_block[pair.dst_block].inbound_bytes += pair.nbytes
         group_of_block[pair.src_block].outbound_bytes += pair.nbytes
 
-    reduce_bytes = (3 + 3 * len(plan.zones)) * 8
+    reduce_bytes = 6 * 8        # dt bound, norm, stop flag, 3 wavespeeds
 
     # Initial residency upload: full interior state per coprocessor group.
     for r in range(ranks):

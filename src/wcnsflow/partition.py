@@ -1,18 +1,18 @@
-"""Static decomposition: zones into blocks, blocks into per-device groups.
+"""Static decomposition: one zone into blocks, blocks into per-device groups.
 
-The decomposition is a pre-processing step.  A zone is an axis-aligned
+The decomposition is a pre-processing step.  The zone is an axis-aligned
 structured box of cells; ``split_zone`` tiles it with a regular grid of
 blocks sized as evenly as possible.  ``regroup_blocks`` then distributes
 blocks to ranks (contiguous spatial chunks) and, within each rank, to one
 group per device, with the coprocessor/CPU workload ratio as the single
-balance knob.  ``map_ranks_to_nodes`` finally places ranks on machine nodes
-so that neighboring ranks share a node where possible.
+balance knob.  Every node holds the same number of ranks, which share its
+devices evenly.
 
 Blocks may be as narrow as one cell.  ``ghost_sources`` is the one place
 that knows which block feeds which ghost cell: it intersects each block's
-extended box with every block interior of its zone and their periodic
-images, after checking that the blocks tile each zone exactly.  It runs
-once per plan: ``make_plan`` regroups with its result and keeps it as
+extended box with every block interior and their periodic images, after
+checking that the blocks tile the zone exactly.  It runs once per plan:
+``make_plan`` regroups with its result and keeps it as
 ``PartitionPlan.ghosts``, which the halo plan reads; a plan read from a
 file derives it on first use.
 """
@@ -42,7 +42,6 @@ class ZoneSpec:
     z-lo, z-hi.  Periodic tags must pair up per axis.
     """
 
-    id: int
     shape: tuple[int, int, int]
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -71,10 +70,9 @@ class ZoneSpec:
 
 @dataclass(frozen=True)
 class Block:
-    """Half-open global cell box ``[lo, hi)`` owned by one zone."""
+    """Half-open cell box ``[lo, hi)`` of the zone."""
 
     id: int
-    zone: int
     lo: tuple[int, int, int]
     hi: tuple[int, int, int]
 
@@ -94,8 +92,6 @@ class NodeTopology:
     nodes: int = 1
     cpu_per_node: int = 2
     coproc_per_node: int = 3
-    cpu_workers: int = 12
-    coproc_workers: int = 57
 
     def __post_init__(self):
         if self.nodes < 1 or self.cpu_per_node < 1 or self.coproc_per_node < 0:
@@ -115,14 +111,11 @@ class Group:
 
 @dataclass
 class PartitionPlan:
-    zones: list[ZoneSpec]
+    zone: ZoneSpec
     blocks: list[Block]
     ranks: int
-    topology: NodeTopology
-    load_ratio: float
     groups: list[Group]
     rank_of_block: list[int]
-    node_of_rank: list[int]
 
     def __post_init__(self):
         self._blocks_of_rank: dict[int, list[Block]] = {}
@@ -131,9 +124,6 @@ class PartitionPlan:
         self._groups_of_rank: dict[int, list[Group]] = {}
         for g in self.groups:
             self._groups_of_rank.setdefault(g.rank, []).append(g)
-
-    def zone_of(self, zone_id: int) -> ZoneSpec:
-        return self.zones[zone_id]
 
     def blocks_of_rank(self, rank: int) -> list[Block]:
         """The rank's blocks in plan order (a shared list: do not modify)."""
@@ -147,7 +137,7 @@ class PartitionPlan:
     def ghosts(self) -> list[GhostSource]:
         """``ghost_sources`` of the plan's blocks: the pass ``make_plan``
         regrouped with, else derived on first use."""
-        return ghost_sources(self.blocks, self.zones)
+        return ghost_sources(self.blocks, self.zone)
 
     @property
     def total_cells(self) -> int:
@@ -175,24 +165,21 @@ def _triple_valid(shape, triple) -> bool:
     return all(p <= n for n, p in zip(shape, triple))
 
 
-def _blocks_from_counts(zone: ZoneSpec, counts, first_id: int = 0) -> list[Block]:
+def _blocks_from_counts(zone: ZoneSpec, counts) -> list[Block]:
     cuts = [np.concatenate(([0], np.cumsum(_axis_cuts(n, p))))
             for n, p in zip(zone.shape, counts)]
     blocks = []
-    bid = first_id
     for kx in range(counts[0]):
         for ky in range(counts[1]):
             for kz in range(counts[2]):
                 lo = (int(cuts[0][kx]), int(cuts[1][ky]), int(cuts[2][kz]))
                 hi = (int(cuts[0][kx + 1]), int(cuts[1][ky + 1]), int(cuts[2][kz + 1]))
-                blocks.append(Block(id=bid, zone=zone.id, lo=lo, hi=hi))
-                bid += 1
+                blocks.append(Block(id=len(blocks), lo=lo, hi=hi))
     return blocks
 
 
 def split_zone(zone: ZoneSpec, target_blocks: int | None = None,
-               max_block_cells: int | None = None,
-               first_id: int = 0) -> list[Block]:
+               max_block_cells: int | None = None) -> list[Block]:
     """Tile a zone with a regular grid of near-equal blocks.
 
     Exactly one of ``target_blocks`` / ``max_block_cells`` must be given.
@@ -224,7 +211,7 @@ def split_zone(zone: ZoneSpec, target_blocks: int | None = None,
         if pick is None:
             raise PartitionError(
                 f"no valid {target_blocks}-block tiling of shape {zone.shape}")
-        return _blocks_from_counts(zone, pick[2], first_id)
+        return _blocks_from_counts(zone, pick[2])
 
     if max_block_cells < 1:
         raise PartitionError(f"max_block_cells must be positive, got {max_block_cells}")
@@ -232,13 +219,12 @@ def split_zone(zone: ZoneSpec, target_blocks: int | None = None,
     for b in range(count, 8 * count + 64):
         pick = best_triple(b)
         if pick is not None and pick[0] <= max_block_cells:
-            return _blocks_from_counts(zone, pick[2], first_id)
+            return _blocks_from_counts(zone, pick[2])
     raise PartitionError(
         f"no tiling of shape {zone.shape} reaches max_block_cells={max_block_cells}")
 
 
-def split_zone_cuts(zone: ZoneSpec, axis: int, widths: list[int],
-                    first_id: int = 0) -> list[Block]:
+def split_zone_cuts(zone: ZoneSpec, axis: int, widths: list[int]) -> list[Block]:
     """Tile a zone with explicit widths along one axis (other axes unsplit)."""
     if sum(widths) != zone.shape[axis]:
         raise PartitionError(
@@ -251,8 +237,7 @@ def split_zone_cuts(zone: ZoneSpec, axis: int, widths: list[int],
         lo = [0, 0, 0]
         hi = list(zone.shape)
         lo[axis], hi[axis] = pos, pos + width
-        blocks.append(Block(id=first_id + i, zone=zone.id,
-                            lo=tuple(lo), hi=tuple(hi)))
+        blocks.append(Block(id=i, lo=tuple(lo), hi=tuple(hi)))
         pos += width
     return blocks
 
@@ -260,46 +245,38 @@ def split_zone_cuts(zone: ZoneSpec, axis: int, widths: list[int],
 # ---------------------------------------------------------------------------
 # Tiling and ghost sources
 
-def check_tiling(blocks: list[Block], zones: list[ZoneSpec]) -> None:
-    """Raise ``PartitionError`` unless the blocks of every zone tile it
-    exactly: no block empty or reaching past its zone, no two overlapping,
-    no cell left over."""
-    by_zone: dict[int, list[Block]] = {z.id: [] for z in zones}
+def check_tiling(blocks: list[Block], zone: ZoneSpec) -> None:
+    """Raise ``PartitionError`` unless the blocks tile the zone exactly: no
+    block empty or reaching past the zone, no two overlapping, no cell left
+    over."""
     for b in blocks:
-        if b.zone not in by_zone:
-            raise PartitionError(f"block {b.id} names unknown zone {b.zone}")
-        by_zone[b.zone].append(b)
-    for zone in zones:
-        mine = by_zone[zone.id]
-        for b in mine:
-            if any(l < 0 or h > n or l >= h
-                   for l, h, n in zip(b.lo, b.hi, zone.shape)):
-                raise PartitionError(
-                    f"block {b.id} [{b.lo}, {b.hi}) is empty or leaves zone "
-                    f"{zone.id} of shape {zone.shape}")
-        # Paint block ids on the grid spanned by the distinct cut planes.
-        cuts = [sorted({0, n, *(b.lo[a] for b in mine), *(b.hi[a] for b in mine)})
-                for a, n in enumerate(zone.shape)]
-        index = [{c: i for i, c in enumerate(axis_cuts)} for axis_cuts in cuts]
-        owner = np.full([len(c) - 1 for c in cuts], -1)
-        for b in mine:
-            box = tuple(slice(ix[l], ix[h]) for ix, l, h in zip(index, b.lo, b.hi))
-            taken = owner[box]
-            if (taken >= 0).any():
-                raise PartitionError(
-                    f"block {b.id} overlaps block {taken[taken >= 0][0]} "
-                    f"in zone {zone.id}")
-            owner[box] = b.id
-        if (owner < 0).any():
-            # The first uncovered grid cell has covered cells just before it
-            # along every axis where it does not start at the zone's origin.
-            first = np.argwhere(owner < 0)[0]
-            cell = tuple(int(c[i]) for c, i in zip(cuts, first))
-            before = [int(owner[tuple(first - e)]) for e in np.eye(3, dtype=int)
-                      if (first - e).min() >= 0]
-            beside = f", next to block {before[0]}" if before else ""
+        if any(l < 0 or h > n or l >= h
+               for l, h, n in zip(b.lo, b.hi, zone.shape)):
             raise PartitionError(
-                f"zone {zone.id} has a gap: no block holds cell {cell}{beside}")
+                f"block {b.id} [{b.lo}, {b.hi}) is empty or leaves the zone "
+                f"of shape {zone.shape}")
+    # Paint block ids on the grid spanned by the distinct cut planes.
+    cuts = [sorted({0, n, *(b.lo[a] for b in blocks), *(b.hi[a] for b in blocks)})
+            for a, n in enumerate(zone.shape)]
+    index = [{c: i for i, c in enumerate(axis_cuts)} for axis_cuts in cuts]
+    owner = np.full([len(c) - 1 for c in cuts], -1)
+    for b in blocks:
+        box = tuple(slice(ix[l], ix[h]) for ix, l, h in zip(index, b.lo, b.hi))
+        taken = owner[box]
+        if (taken >= 0).any():
+            raise PartitionError(
+                f"block {b.id} overlaps block {taken[taken >= 0][0]}")
+        owner[box] = b.id
+    if (owner < 0).any():
+        # The first uncovered grid cell has covered cells just before it
+        # along every axis where it does not start at the zone's origin.
+        first = np.argwhere(owner < 0)[0]
+        cell = tuple(int(c[i]) for c, i in zip(cuts, first))
+        before = [int(owner[tuple(first - e)]) for e in np.eye(3, dtype=int)
+                  if (first - e).min() >= 0]
+        beside = f", next to block {before[0]}" if before else ""
+        raise PartitionError(
+            f"the zone has a gap: no block holds cell {cell}{beside}")
 
 
 class GhostSource(NamedTuple):
@@ -314,45 +291,43 @@ class GhostSource(NamedTuple):
     shift: tuple[int, int, int]
 
 
-def ghost_sources(blocks: list[Block], zones: list[ZoneSpec]) -> list[GhostSource]:
+def ghost_sources(blocks: list[Block], zone: ZoneSpec) -> list[GhostSource]:
     """Every box where a block's extended box (interior grown by
-    ``HALO_WIDTH`` on each side) meets a block interior of its zone.
+    ``HALO_WIDTH`` on each side) meets a block interior.
 
     Along a periodic axis of ``n`` cells the interiors repeat at every
     multiple ``k*n`` with ``|k| <= ceil(HALO_WIDTH / n)``, so axes narrower
     than the halo wrap several times.  A block's own unshifted interior is
     left out.  Ghost cells outside every box lie past a non-periodic face.
-    The blocks must tile their zones (``check_tiling``), which gives every
+    The blocks must tile the zone (``check_tiling``), which gives every
     other ghost cell exactly one source.
     """
-    check_tiling(blocks, zones)
+    check_tiling(blocks, zone)
     H = HALO_WIDTH
     out = []
-    for zone in zones:
-        mine = [b for b in blocks if b.zone == zone.id]
-        images = []                      # per axis: shifts k*n in reach
-        for a, n in enumerate(zone.shape):
-            reach = -(-H // n) if zone.periodic(a) else 0
-            images.append([k * n for k in range(-reach, reach + 1)])
-        for b in mine:
-            for s in mine:
-                # Per axis, the shifted intervals of s meeting b's extended one.
-                overlaps = []
-                for a in range(3):
-                    lo, hi = b.lo[a] - H, b.hi[a] + H
-                    hits = [(k, max(s.lo[a] + k, lo), min(s.hi[a] + k, hi))
-                            for k in images[a]]
-                    hits = [hit for hit in hits if hit[1] < hit[2]]
-                    if not hits:
-                        break
-                    overlaps.append(hits)
-                else:
-                    for x, y, z in itertools.product(*overlaps):
-                        if s is b and x[0] == y[0] == z[0] == 0:
-                            continue
-                        out.append(GhostSource(b.id, s.id, (x[1], y[1], z[1]),
-                                               (x[2], y[2], z[2]),
-                                               (x[0], y[0], z[0])))
+    images = []                          # per axis: shifts k*n in reach
+    for a, n in enumerate(zone.shape):
+        reach = -(-H // n) if zone.periodic(a) else 0
+        images.append([k * n for k in range(-reach, reach + 1)])
+    for b in blocks:
+        for s in blocks:
+            # Per axis, the shifted intervals of s meeting b's extended one.
+            overlaps = []
+            for a in range(3):
+                lo, hi = b.lo[a] - H, b.hi[a] + H
+                hits = [(k, max(s.lo[a] + k, lo), min(s.hi[a] + k, hi))
+                        for k in images[a]]
+                hits = [hit for hit in hits if hit[1] < hit[2]]
+                if not hits:
+                    break
+                overlaps.append(hits)
+            else:
+                for x, y, z in itertools.product(*overlaps):
+                    if s is b and x[0] == y[0] == z[0] == 0:
+                        continue
+                    out.append(GhostSource(b.id, s.id, (x[1], y[1], z[1]),
+                                           (x[2], y[2], z[2]),
+                                           (x[0], y[0], z[0])))
     return out
 
 
@@ -489,39 +464,20 @@ def regroup_blocks(blocks: list[Block], ghosts: list[GhostSource], ranks: int,
     return groups, rank_of_block
 
 
-def map_ranks_to_nodes(ranks: int, nodes: int) -> list[int]:
-    """Place ranks on nodes, keeping consecutive (spatially adjacent) ranks
-    together.  Ranks are created from contiguous block chunks, so chunking
-    consecutive ids is the greedy minimizer of cross-node edges."""
-    if ranks % nodes:
-        raise PartitionError(f"{ranks} ranks do not divide over {nodes} nodes")
-    per = ranks // nodes
-    return [r // per for r in range(ranks)]
-
-
-def make_plan(zones: list[ZoneSpec], ranks: int, topology: NodeTopology,
+def make_plan(zone: ZoneSpec, ranks: int, topology: NodeTopology,
               load_ratio: float = 1.0, target_blocks: int | None = None,
               max_block_cells: int | None = None,
               explicit_blocks: list[Block] | None = None) -> PartitionPlan:
-    """Full pipeline: split (unless blocks are given), regroup, map to nodes."""
+    """Full pipeline: split (unless blocks are given), then regroup."""
     if explicit_blocks is not None:
         blocks = list(explicit_blocks)
     else:
-        blocks = []
-        for zone in zones:
-            per_zone_target = None
-            if target_blocks is not None:
-                per_zone_target = max(1, target_blocks // len(zones))
-            blocks.extend(split_zone(zone, per_zone_target, max_block_cells,
-                                     first_id=len(blocks)))
-    ghosts = ghost_sources(blocks, zones)
+        blocks = split_zone(zone, target_blocks, max_block_cells)
+    ghosts = ghost_sources(blocks, zone)
     groups, rank_of_block = regroup_blocks(blocks, ghosts, ranks, topology,
                                            load_ratio)
-    node_of_rank = map_ranks_to_nodes(ranks, topology.nodes)
-    plan = PartitionPlan(zones=zones, blocks=blocks, ranks=ranks,
-                         topology=topology, load_ratio=load_ratio,
-                         groups=groups, rank_of_block=rank_of_block,
-                         node_of_rank=node_of_rank)
+    plan = PartitionPlan(zone=zone, blocks=blocks, ranks=ranks, groups=groups,
+                         rank_of_block=rank_of_block)
     plan.ghosts = ghosts
     return plan
 
@@ -530,7 +486,7 @@ def make_plan(zones: list[ZoneSpec], ranks: int, topology: NodeTopology,
 # Plan files: a line-oriented text format, one record per line.
 
 PLAN_MAGIC = "wcnsflow-plan"
-PLAN_VERSION = 1
+PLAN_VERSION = 2
 
 
 # Descriptive boundary names accepted in zone records.
@@ -548,7 +504,7 @@ def _fmt_tuple(t) -> str:
 # The zone and topology records are shared with the case format.
 
 def zone_record(z: ZoneSpec) -> str:
-    return (f"zone {z.id} shape={_fmt_tuple(z.shape)} "
+    return (f"zone shape={_fmt_tuple(z.shape)} "
             f"spacing={_fmt_tuple(z.spacing)} origin={_fmt_tuple(z.origin)} "
             f"boundary={','.join(z.boundary)}")
 
@@ -556,62 +512,52 @@ def zone_record(z: ZoneSpec) -> str:
 def zone_from_record(rec: Record) -> ZoneSpec:
     boundary = tuple(BOUNDARY_ALIASES.get(b, b)
                      for b in rec.get("boundary").split(","))
-    return ZoneSpec(id=rec.word(0, int), shape=rec.get("shape", ints),
+    return ZoneSpec(shape=rec.get("shape", ints),
                     spacing=rec.get("spacing", floats),
                     origin=rec.get("origin", floats), boundary=boundary)
 
 
 def topology_record(t: NodeTopology) -> str:
     return (f"topology nodes={t.nodes} cpu={t.cpu_per_node} "
-            f"coproc={t.coproc_per_node} cpu-workers={t.cpu_workers} "
-            f"coproc-workers={t.coproc_workers}")
+            f"coproc={t.coproc_per_node}")
 
 
 def topology_from_record(rec: Record) -> NodeTopology:
     return NodeTopology(nodes=rec.get("nodes", int),
                         cpu_per_node=rec.get("cpu", int),
-                        coproc_per_node=rec.get("coproc", int),
-                        cpu_workers=rec.get("cpu-workers", int),
-                        coproc_workers=rec.get("coproc-workers", int))
+                        coproc_per_node=rec.get("coproc", int))
 
 
 def plan_to_text(plan: PartitionPlan) -> str:
     lines = [f"{PLAN_MAGIC} {PLAN_VERSION}",
              f"ranks {plan.ranks}",
-             f"load-ratio {plan.load_ratio!r}",
-             topology_record(plan.topology)]
-    lines += [zone_record(z) for z in plan.zones]
+             zone_record(plan.zone)]
     for b in plan.blocks:
-        lines.append(f"block {b.id} zone={b.zone} lo={_fmt_tuple(b.lo)} "
+        lines.append(f"block {b.id} lo={_fmt_tuple(b.lo)} "
                      f"hi={_fmt_tuple(b.hi)} rank={plan.rank_of_block[b.id]}")
     for g in plan.groups:
         lines.append(f"group {g.id} rank={g.rank} class={g.device_class} "
                      f"device={g.device_index} "
                      f"blocks={_fmt_tuple(g.block_ids) if g.block_ids else '-'}")
-    lines.append("nodes " + _fmt_tuple(plan.node_of_rank))
     return "\n".join(lines) + "\n"
 
 
 def plan_from_text(text: str) -> PartitionPlan:
     ranks = None
-    load_ratio = 1.0
-    topology = None
-    zones, blocks, groups = [], [], []
+    zone = None
+    blocks, groups = [], []
     rank_of_block: dict[int, int] = {}
-    node_of_rank: list[int] = []
     for rec in read_records(text, PLAN_MAGIC, PLAN_VERSION, "plan"):
         if rec.kind == "ranks":
             ranks = rec.word(0, int)
-        elif rec.kind == "load-ratio":
-            load_ratio = rec.word(0, float)
-        elif rec.kind == "topology":
-            topology = topology_from_record(rec)
         elif rec.kind == "zone":
-            zones.append(zone_from_record(rec))
+            if zone is not None:
+                raise CaseFormatError("zone record: a plan has one zone")
+            zone = zone_from_record(rec)
         elif rec.kind == "block":
             bid = rec.word(0, int)
-            blocks.append(Block(id=bid, zone=rec.get("zone", int),
-                                lo=rec.get("lo", ints), hi=rec.get("hi", ints)))
+            blocks.append(Block(id=bid, lo=rec.get("lo", ints),
+                                hi=rec.get("hi", ints)))
             rank_of_block[bid] = rec.get("rank", int)
         elif rec.kind == "group":
             ids = rec.get("blocks", optional(ints))
@@ -619,13 +565,10 @@ def plan_from_text(text: str) -> PartitionPlan:
                                 device_class=rec.get("class"),
                                 device_index=rec.get("device", int),
                                 block_ids=list(ids or ())))
-        elif rec.kind == "nodes":
-            node_of_rank = list(rec.word(0, ints))
         else:
             raise CaseFormatError(f"unknown plan record {rec.kind!r}")
-    if ranks is None or topology is None:
-        raise CaseFormatError("plan file missing ranks/topology records")
-    zones.sort(key=lambda z: z.id)
+    if ranks is None or zone is None:
+        raise CaseFormatError("plan file missing ranks/zone records")
     blocks.sort(key=lambda b: b.id)
     groups.sort(key=lambda g: g.id)
     n = len(blocks)
@@ -653,7 +596,5 @@ def plan_from_text(text: str) -> PartitionPlan:
             raise CaseFormatError(
                 f"group record: no group of rank {rank_of_block[b.id]} lists"
                 f" block {b.id}")
-    return PartitionPlan(zones=zones, blocks=blocks, ranks=ranks,
-                         topology=topology, load_ratio=load_ratio, groups=groups,
-                         rank_of_block=[rank_of_block[b.id] for b in blocks],
-                         node_of_rank=node_of_rank)
+    return PartitionPlan(zone=zone, blocks=blocks, ranks=ranks, groups=groups,
+                         rank_of_block=[rank_of_block[b.id] for b in blocks])

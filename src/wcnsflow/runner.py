@@ -14,7 +14,7 @@ stage for all of them.  Ranks coordinate only through transport messages,
 so one worker implementation runs serially, under threads in one process,
 or across processes over sockets.  Kernel windows never depend on the
 partition, which keeps state bitwise identical across block counts, rank
-counts, worker counts, and tile sizes.
+counts and worker counts.
 
 Runs measure wall time.  Rank threads (``run_case``) and socket ranks
 (``run_socket_rank``) hand their per-rank results to one function,
@@ -82,7 +82,7 @@ class Simulation:
     plan: PartitionPlan
     halo_plan: object
     freestream: np.ndarray          # conserved, shape (5,)
-    inflow_zones: frozenset[int]
+    inflow: bool                    # the zone has an inflow face
 
     @property
     def gas(self):
@@ -93,10 +93,9 @@ def build_simulation(case: Case, plan: PartitionPlan | None = None) -> Simulatio
     if plan is None:
         plan = case_plan(case)
     halo_plan = build_halo_plan(plan)
-    inflow = frozenset(z.id for z in plan.zones if "inflow" in z.boundary)
     return Simulation(case=case, plan=plan, halo_plan=halo_plan,
                       freestream=case.freestream_conserved(),
-                      inflow_zones=inflow)
+                      inflow="inflow" in plan.zone.boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +103,7 @@ def build_simulation(case: Case, plan: PartitionPlan | None = None) -> Simulatio
 #
 # One allreduce per stage carries everything the step needs: the time-step
 # bound (stage 0), the stage-0 residual norm partial (carried at stage 1),
-# a stop flag, and per-zone per-axis wavespeed partials.  Rank 0 combines
+# a stop flag, and the three per-axis wavespeed partials.  Rank 0 combines
 # partials in rank order and broadcasts one finished array, so every rank
 # proceeds from bitwise-identical scalars and takes identical branches.
 
@@ -170,11 +169,10 @@ class RankWorker:
 
     def __init__(self, sim: Simulation, rank: int, transport=None, *,
                  overlap: bool = True, coalesce: bool = True,
-                 tile: int | None = None, max_workers: int | None = None):
+                 max_workers: int | None = None):
         self.sim = sim
         self.rank = rank
         self.transport = transport
-        self.tile = tile
         self.case = sim.case
         self.plan = sim.plan
         self.blocks: list[Block] = sim.plan.blocks_of_rank(rank)
@@ -202,7 +200,7 @@ class RankWorker:
         self.residual: dict[int, np.ndarray] = {}
         self.totals = ExchangeTotals()
         self.epoch = 0
-        self.nzones = len(sim.plan.zones)
+        self.spacing = sim.plan.zone.spacing
 
     # -- setup -------------------------------------------------------------
 
@@ -224,28 +222,25 @@ class RankWorker:
 
     # -- per-stage pieces ----------------------------------------------------
 
-    def _spacing(self, block: Block) -> tuple[float, float, float]:
-        return self.plan.zone_of(block.zone).spacing
-
     def _interior_primitives(self) -> dict[int, np.ndarray]:
         return {b.id: primitive_from_conserved(self.fields[b.id].interior,
                                                self.sim.gas, block_id=b.id)
                 for b in self.blocks}
 
     def _lambda_partials(self, w_int: dict[int, np.ndarray]) -> np.ndarray:
-        lams = np.zeros((self.nzones, 3))
+        lams = np.zeros(3)
         for b in self.blocks:
             for axis in range(3):
                 bound = block_wavespeed_bound(w_int[b.id], axis, self.sim.gas)
-                if bound > lams[b.zone, axis]:
-                    lams[b.zone, axis] = bound
+                if bound > lams[axis]:
+                    lams[axis] = bound
         return lams
 
     def _dt_partial(self, w_int: dict[int, np.ndarray]) -> float:
         bound = np.inf
         for b in self.blocks:
             bound = min(bound, block_dt_bound(w_int[b.id], self.sim.gas,
-                                              self._spacing(b)))
+                                              self.spacing))
         return bound
 
     def _make_finalize(self, controls: IterationControls, sim_time: float,
@@ -254,19 +249,18 @@ class RankWorker:
         sim = self.sim
         fs_w = np.asarray(self.case.freestream,
                           dtype=np.float64).reshape(5, 1, 1, 1)
-        nzones = self.nzones
 
         def finalize(parts: np.ndarray) -> np.ndarray:
             dt_bound = float(np.min(parts[:, 0]))
             normsq = float(np.sum(parts[:, 1]))
             stop = float(np.max(parts[:, 2]))
-            lams = parts[:, 3:].max(axis=0).reshape(nzones, 3)
-            for z in sim.inflow_zones:
+            lams = parts[:, 3:].max(axis=0)
+            if sim.inflow:
                 for axis in range(3):
                     fs_lam = float(spectral_radius(fs_w, axis,
                                                    sim.gas)[0, 0, 0])
-                    if fs_lam > lams[z, axis]:
-                        lams[z, axis] = fs_lam
+                    if fs_lam > lams[axis]:
+                        lams[axis] = fs_lam
             dt = 0.0
             if stage == 0:
                 dt = (controls.fixed_dt if controls.fixed_dt is not None
@@ -288,7 +282,7 @@ class RankWorker:
                             and normsq <= (controls.tolerance ** 2)
                             * initial_normsq[0]):
                         stop = max(stop, STOP_CONVERGED)
-            return np.concatenate(([dt, stop, normsq], lams.ravel()))
+            return np.concatenate(([dt, stop, normsq], lams))
 
         return finalize
 
@@ -333,21 +327,21 @@ class RankWorker:
                     r0, r1 = nrows * k // workers, nrows * (k + 1) // workers
                     if r1 > r0:
                         tasks.append((pool, self._conv_chunk,
-                                      (b, w_ext, axis, lams[b.zone, axis],
+                                      (b, w_ext, axis, lams[axis],
                                        lo, hi, r0, r1)))
         return tasks
 
     def _conv_chunk(self, b: Block, w_ext: np.ndarray, axis: int,
                     lam: float, lo: int, hi: int, r0: int, r1: int) -> None:
         convective_derivative(self.fields[b.id].data, w_ext, axis, lam,
-                              self._spacing(b)[axis], gas=self.sim.gas,
+                              self.spacing[axis], gas=self.sim.gas,
                               lo=lo, hi=hi, row_lo=r0, row_hi=r1,
-                              tile=self.tile, handoff=b.id in self.cut,
+                              handoff=b.id in self.cut,
                               out=self.conv[b.id][axis])
 
     def _vis_chunk(self, b: Block, grads: GradientPack, axis: int) -> None:
         viscous_derivative(grads, self.sim.gas, axis,
-                           self._spacing(b)[axis], out=self.vis[b.id][axis])
+                           self.spacing[axis], out=self.vis[b.id][axis])
 
     def _stage_residual(self, lams: np.ndarray,
                         w_int: dict[int, np.ndarray], epoch: int) -> None:
@@ -382,7 +376,7 @@ class RankWorker:
                 tasks += self._sweep_tasks(b, lams, w_ext, False)
                 if self.sim.gas.viscous:
                     grads = velocity_temperature_gradients(w_ext,
-                                                           self._spacing(b))
+                                                           self.spacing)
                     pool = self.pool_of_block[b.id]
                     tasks += [(pool, self._vis_chunk, (b, grads, axis))
                               for axis in range(3)]
@@ -435,7 +429,7 @@ class RankWorker:
                     dt = 0.0
                     for stage in range(STAGES):
                         w_int = None
-                        lams = np.zeros((self.nzones, 3))
+                        lams = np.zeros(3)
                         dt_partial = np.inf
                         try:
                             w_int = self._interior_primitives()
@@ -448,7 +442,7 @@ class RankWorker:
                         carried = pending_normsq if stage == 1 else 0.0
                         up = np.concatenate((
                             [dt_partial, carried, max(stop, poison)],
-                            lams.ravel()))
+                            lams))
                         down = allreduce(
                             self.transport, self.rank, self.plan.ranks,
                             self.epoch, up,
@@ -457,7 +451,7 @@ class RankWorker:
                         if stage == 0:
                             dt = float(down[0])
                         stop = float(down[1])
-                        lam_final = down[3:].reshape(self.nzones, 3)
+                        lam_final = down[3:]
                         if self.rank == 0 and stage == 1:
                             norm_history.append(float(np.sqrt(down[2])))
                         if stop >= STOP_DIVERGED:
@@ -558,12 +552,12 @@ def _outcome(sim: Simulation, results: list[RankResult], *, overlap: bool,
 # In-process runs
 
 def _run_once(sim: Simulation, controls: IterationControls, *,
-              overlap: bool, coalesce: bool, tile: int | None,
+              overlap: bool, coalesce: bool,
               max_workers: int | None) -> list[RankResult]:
     ranks = sim.plan.ranks
     if ranks == 1:
         worker = RankWorker(sim, 0, None, overlap=overlap, coalesce=coalesce,
-                            tile=tile, max_workers=max_workers)
+                            max_workers=max_workers)
         return [worker.run(controls)]
     transport = InProcessTransport(ranks)
     results: list = [None] * ranks
@@ -572,8 +566,7 @@ def _run_once(sim: Simulation, controls: IterationControls, *,
     def target(rank: int) -> None:
         try:
             worker = RankWorker(sim, rank, transport, overlap=overlap,
-                                coalesce=coalesce, tile=tile,
-                                max_workers=max_workers)
+                                coalesce=coalesce, max_workers=max_workers)
             results[rank] = worker.run(controls)
         except Exception as exc:          # surfaced after join
             failures[rank] = exc
@@ -593,7 +586,7 @@ def _run_once(sim: Simulation, controls: IterationControls, *,
 
 def run_case(case: Case, plan: PartitionPlan | None = None, *,
              overlap: bool = True, coalesce: bool = True,
-             tile: int | None = None, max_workers: int | None = None,
+             max_workers: int | None = None,
              best_of: int = 1, warmup: bool = True) -> RunOutcome:
     """Run a case to completion in this process (threads when ranks > 1).
 
@@ -601,18 +594,17 @@ def run_case(case: Case, plan: PartitionPlan | None = None, *,
     time (state is bitwise identical across repetitions).  ``warmup`` runs
     one untimed step first and discards it.
     """
+    if best_of < 1:
+        raise WcnsflowError(f"best_of must be at least 1, got {best_of}")
     sim = build_simulation(case, plan)
     controls = case.controls
-    if best_of < 1:
-        raise ValueError("best_of must be at least 1")
 
     if warmup and controls.max_iters > 0:
         _run_once(sim, replace(controls, max_iters=1, tolerance=None),
-                  overlap=overlap, coalesce=coalesce, tile=tile,
-                  max_workers=max_workers)
+                  overlap=overlap, coalesce=coalesce, max_workers=max_workers)
 
     runs = (_run_once(sim, controls, overlap=overlap, coalesce=coalesce,
-                      tile=tile, max_workers=max_workers)
+                      max_workers=max_workers)
             for _ in range(best_of))
     fastest = min(runs, key=lambda results: results[0].wall_seconds)
     return _outcome(sim, fastest, overlap=overlap, coalesce=coalesce)
@@ -625,7 +617,6 @@ def run_socket_rank(case: Case, rank: int,
                     addresses: dict[int, tuple[str, int]],
                     plan: PartitionPlan | None = None, *,
                     overlap: bool = True, coalesce: bool = True,
-                    tile: int | None = None,
                     max_workers: int | None = None,
                     timeout: float = 60.0) -> RunOutcome | None:
     """Run one rank over TCP; every transport wait gives up after
@@ -647,8 +638,7 @@ def run_socket_rank(case: Case, rank: int,
     tag = message_tag(GATHER_EPOCH, GATHER_INDEX)
     try:
         worker = RankWorker(sim, rank, transport, overlap=overlap,
-                            coalesce=coalesce, tile=tile,
-                            max_workers=max_workers)
+                            coalesce=coalesce, max_workers=max_workers)
         res = worker.run(case.controls)
         if rank != 0:
             t = res.totals

@@ -13,8 +13,11 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 
+from .errors import CaseFormatError
+
 PHASES = ("kernel_launch", "transfer_in", "compute", "transfer_out",
           "message", "pack", "unpack", "wait", "update", "reduce")
+CSV_HEADER = "start,end,device,phase,note"
 COMM_PHASES = frozenset({"transfer_in", "transfer_out", "message"})
 WORK_PHASES = frozenset(p for p in PHASES if p != "wait")
 
@@ -149,7 +152,7 @@ class Timeline:
             target = open(target, "w", encoding="utf-8")
             close = True
         try:
-            target.write("start,end,device,phase,note\n")
+            target.write(CSV_HEADER + "\n")
             for iv in sorted(self.intervals, key=lambda v: (v.start, v.device)):
                 target.write(f"{iv.start!r},{iv.end!r},{iv.device},"
                              f"{iv.phase},{iv.note}\n")
@@ -159,6 +162,10 @@ class Timeline:
 
     @classmethod
     def from_csv(cls, target) -> "Timeline":
+        """Read a ``to_csv`` file; a malformed one raises ``CaseFormatError``
+        naming the file and the line."""
+        name = getattr(target, "name",
+                       target if isinstance(target, str) else "timeline file")
         close = False
         if isinstance(target, (str, bytes)):
             target = open(target, "r", encoding="utf-8")
@@ -168,12 +175,20 @@ class Timeline:
         finally:
             if close:
                 target.close()
+        if not lines or lines[0] != CSV_HEADER:
+            raise CaseFormatError(
+                f"{name}: not a timeline file (want header {CSV_HEADER})")
         tl = cls()
-        for line in lines[1:]:
+        for n, line in enumerate(lines[1:], 2):
             if not line.strip():
                 continue
-            start, end, device, phase, note = line.split(",", 4)
-            tl.add(device, phase, float(start), float(end), note)
+            try:
+                start, end, device, phase, note = line.split(",", 4)
+                tl.add(device, phase, float(start), float(end), note)
+            except ValueError as e:
+                raise CaseFormatError(
+                    f"{name}, line {n}: want {CSV_HEADER}, got {line!r} ({e})"
+                ) from None
         return tl
 
 

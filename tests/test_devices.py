@@ -19,6 +19,7 @@ from wcnsflow.devices import (
     shutdown_pools,
 )
 from wcnsflow.cases import case_plan, corner_case, sod_case, wave_case
+from wcnsflow.errors import CaseFormatError
 from wcnsflow.halo import build_halo_plan
 from wcnsflow.partition import Group, NodeTopology
 from wcnsflow.model import _interior_work, cut_blocks, model_schedule
@@ -210,6 +211,20 @@ def test_timeline_csv_via_stream():
     tl.to_csv(buf)
     back = Timeline.from_csv(io.StringIO(buf.getvalue()))
     assert back.makespan == tl.makespan
+
+
+def test_timeline_csv_rejects_malformed_lines(tmp_path):
+    path = tmp_path / "tl.csv"
+    head = "start,end,device,phase,note\n"
+    for text, match in [
+            ("label,total_cells\n", "tl.csv: not a timeline file"),
+            (head + "0.0,1.0,cpu\n", "tl.csv, line 2: want start,end"),
+            (head + "0.0,1.0,cpu,compute,\nx,1.0,cpu,compute,\n",
+             "tl.csv, line 3: .*could not convert"),
+            (head + "0.0,1.0,cpu,nap,\n", "unknown phase 'nap'")]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CaseFormatError, match=match):
+            Timeline.from_csv(str(path))
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=10.0, **finite),

@@ -30,12 +30,12 @@ OUTFLOW = ("outflow",) * 6
 
 
 def zone(shape, boundary=OUTFLOW):
-    return ZoneSpec(id=0, shape=shape,
+    return ZoneSpec(shape=shape,
                     spacing=tuple(1.0 / s for s in shape), boundary=boundary)
 
 
 def plan_for(shape, blocks, ranks=1, boundary=OUTFLOW):
-    return make_plan([zone(shape, boundary)], ranks,
+    return make_plan(zone(shape, boundary), ranks,
                      NodeTopology(1, ranks, 0), target_blocks=blocks)
 
 
@@ -54,15 +54,13 @@ def seed_fields(plan, g) -> dict:
 
 def blocks_plan(z, blocks, rank_of_block=None) -> PartitionPlan:
     """A plan over explicit blocks and one CPU group per rank, bypassing
-    regrouping (the exchange reads only zones, blocks and ranks)."""
+    regrouping (the exchange reads only the zone, blocks and ranks)."""
     ranks = rank_of_block or [0] * len(blocks)
     groups = [Group(id=r, rank=r, device_class="cpu", device_index=0,
                     block_ids=[b.id for b in blocks if ranks[b.id] == r])
               for r in range(max(ranks) + 1)]
-    return PartitionPlan(zones=[z], blocks=blocks, ranks=max(ranks) + 1,
-                         topology=NodeTopology(1, 1, 0), load_ratio=1.0,
-                         groups=groups, rank_of_block=list(ranks),
-                         node_of_rank=[0] * (max(ranks) + 1))
+    return PartitionPlan(zone=z, blocks=blocks, ranks=max(ranks) + 1,
+                         groups=groups, rank_of_block=list(ranks))
 
 
 FREESTREAM = np.array([1.0, 0.25, -0.5, 0.125, 2.5])
@@ -230,7 +228,7 @@ def test_narrow_neighbor_exchanges_exactly():
     # read through their neighbors into the blocks beyond.
     z = zone((16, 16, 16))
     blocks = split_zone_cuts(z, 0, [5, 4, 1, 6])
-    plan = make_plan([z], 1, NodeTopology(1, 4, 0), explicit_blocks=blocks)
+    plan = make_plan(z, 1, NodeTopology(1, 4, 0), explicit_blocks=blocks)
     hp = build_halo_plan(plan)
     # The 1-wide block is fed by both neighbors on each side.
     assert sorted(p.src_block for p in hp.pairs if p.dst_block == 2) == [0, 1, 3]
@@ -247,7 +245,7 @@ def test_face_fill_reaches_blocks_that_miss_the_face():
     # x-lo face: the face band is clipped to its extended box.
     z = zone((6, 6, 6), boundary=("wall", "outflow", "periodic",
                                   "periodic", "outflow", "inflow"))
-    plan = make_plan([z], 1, NodeTopology(1, 4, 0),
+    plan = make_plan(z, 1, NodeTopology(1, 4, 0),
                      explicit_blocks=split_zone_cuts(z, 0, [2, 2, 1, 1]))
     hp = build_halo_plan(plan)
     faces = {b: [(f.axis, f.side, f.depth) for f in hp.bc_faces[b] if f.axis == 0]
@@ -265,7 +263,7 @@ def test_face_fill_reaches_blocks_that_miss_the_face():
 def test_wall_on_narrow_axis_rejected():
     boundary = ("outflow", "outflow", "wall", "wall", "periodic", "periodic")
     build_halo_plan(plan_for((8, H, 8), 1, boundary=boundary))
-    with pytest.raises(HaloPlanError, match="zone 0 .* axis 1"):
+    with pytest.raises(HaloPlanError, match="zone has a wall face on axis 1"):
         build_halo_plan(plan_for((8, H - 1, 8), 1, boundary=boundary))
     # Outflow and inflow read only the first interior plane.
     build_halo_plan(plan_for((8, 1, 8), 1, boundary=(
@@ -614,7 +612,7 @@ def test_sharers_agree_after_exchange():
     # Cells several blocks read agree in every reader: each block holds the
     # window of the single-block field, corners included.
     plan = four_block_plan()
-    z = plan.zones[0]
+    z = plan.zone
     g = global_state((16, 16, 8), seed=8)
     fields = nan_fields(plan, g)
     exchange_all(plan, fields)
@@ -651,7 +649,7 @@ def random_plans(draw):
         cut = draw(st.integers(lo[a] + 1, hi[a] - 1))
         boxes[i:i + 1] = [(lo, hi[:a] + (cut,) + hi[a + 1:]),
                           (lo[:a] + (cut,) + lo[a + 1:], hi)]
-    blocks = [Block(i, 0, lo, hi) for i, (lo, hi) in enumerate(boxes)]
+    blocks = [Block(i, lo, hi) for i, (lo, hi) in enumerate(boxes)]
     ranks = draw(st.integers(1, 3))
     rank_of_block = [draw(st.integers(0, ranks - 1)) for _ in blocks]
     return z, blocks, rank_of_block, draw(st.booleans())

@@ -47,7 +47,7 @@ def test_case_text_roundtrip(case):
 
 def test_case_text_header_and_comments():
     text = case_to_text(uniform_case())
-    assert text.splitlines()[0] == "wcnsflow-case 1"
+    assert text.splitlines()[0] == "wcnsflow-case 2"
     noisy = "# a comment\n\n" + text + "\n# trailing\n"
     assert case_from_text(noisy) == uniform_case()
 
@@ -64,11 +64,18 @@ def test_case_text_rejects_bad_input():
     with pytest.raises(CaseFormatError, match="not a case file"):
         case_from_text(good.replace("wcnsflow-case", "other-format"))
     with pytest.raises(CaseFormatError, match="version"):
-        case_from_text(good.replace("wcnsflow-case 1", "wcnsflow-case 9"))
+        case_from_text(good.replace("wcnsflow-case 2", "wcnsflow-case 9"))
+    with pytest.raises(CaseFormatError,
+                       match="unsupported case version '1'"):
+        case_from_text(good.replace("wcnsflow-case 2", "wcnsflow-case 1"))
     with pytest.raises(CaseFormatError, match="empty"):
         case_from_text("# only comments\n")
     with pytest.raises(CaseFormatError, match="missing records"):
-        case_from_text("wcnsflow-case 1\nname partial\n")
+        case_from_text("wcnsflow-case 2\nname partial\n")
+    (zone,) = [ln for ln in good.splitlines() if ln.startswith("zone ")]
+    with pytest.raises(CaseFormatError,
+                       match="zone record: a case has one zone"):
+        case_from_text(good + zone + "\n")
     with pytest.raises(CaseFormatError, match="unknown case record"):
         case_from_text(good + "mystery a=1\n")
     for old, new, match in [
@@ -76,11 +83,10 @@ def test_case_text_rejects_bad_input():
             ("cfl=0.5", "cfl=abc", "time record: cannot read cfl='abc'"),
             ("ranks=1", "ranks=1.5", "run record: cannot read ranks='1.5'"),
             ("freestream 1.0", "freestream x", "freestream record"),
-            ("zone 0", "zone zero", "zone record: cannot read value 1"),
             ("gamma=1.4", "gamma=0.5", "gas record: gamma must exceed 1"),
             ("prandtl=0.72", "prandtl=0.72 stray",
              "gas record: expected key=value, got 'stray'"),
-            ("wcnsflow-case 1", "wcnsflow-case", "version")]:
+            ("wcnsflow-case 2", "wcnsflow-case", "version")]:
         assert old in good
         with pytest.raises(CaseFormatError, match=match):
             case_from_text(good.replace(old, new, 1))
@@ -100,9 +106,8 @@ def test_plan_text_rejects_bad_input():
             (" lo=", " low=", "block record: missing lo="),
             ("rank=0", "rank=first", "block record: cannot read rank='first'"),
             ("ranks 1", "ranks", "ranks record: missing value 1"),
-            ("load-ratio 1.0", "load-ratio heavy", "load-ratio record"),
-            ("cpu-workers=", "cpuworkers=", "topology record: missing"),
-            ("wcnsflow-plan 1", "wcnsflow-plan 2", "version"),
+            ("wcnsflow-plan 2", "wcnsflow-plan 1",
+             "unsupported plan version '1'"),
             ("wcnsflow-plan", "wcnsflow-case", "not a plan file"),
             ("block 1 ", "block 3 ", "block record: block ids must be 0..1"),
             ("rank=0\n", "rank=5\n", "block record: block 0 has rank=5"),
@@ -123,10 +128,10 @@ def test_plan_text_rejects_bad_input():
 def test_case_validation():
     base = uniform_case()
     with pytest.raises(CaseFormatError, match="unknown case kind"):
-        Case(name="x", kind="vortex", gas=base.gas, zones=base.zones,
+        Case(name="x", kind="vortex", gas=base.gas, zone=base.zone,
              init={}, freestream=base.freestream, controls=base.controls)
     with pytest.raises(CaseFormatError, match="freestream"):
-        Case(name="x", kind="uniform", gas=base.gas, zones=base.zones,
+        Case(name="x", kind="uniform", gas=base.gas, zone=base.zone,
              init={}, freestream=(1.0, 0.0, 0.0), controls=base.controls)
 
 
@@ -252,6 +257,15 @@ def test_dump_rejects_foreign_and_truncated_files(tmp_path):
     with pytest.raises(CaseFormatError, match="version"):
         read_dump(stale)
 
+    short = tmp_path / "short.bin"
+    short.write_bytes(b"WCNSDUMP" + struct.pack("<I", 1))
+    with pytest.raises(CaseFormatError, match="short.bin: truncated header"):
+        read_dump(short)
+    short.write_bytes(b"WCNSDUMP" + struct.pack("<II", 1, 2) + b"\0" * 10)
+    with pytest.raises(CaseFormatError,
+                       match="short.bin: truncated header of block 0 of 2"):
+        read_dump(short)
+
     case = wave_case(8)
     path = tmp_path / "cut.bin"
     write_dump(path, initial_fields(case, case_plan(case)))
@@ -370,11 +384,23 @@ def test_metrics_csv_roundtrip(tmp_path):
     assert metrics_from_csv(io.StringIO(buf.getvalue())) == rows
 
 
-def test_metrics_csv_degenerate_inputs():
+def test_metrics_csv_degenerate_inputs(tmp_path):
     header_only = io.StringIO("label,total_cells,iterations,wall_seconds\n")
     assert metrics_from_csv(header_only) == []
-    with pytest.raises(ValueError, match="no header"):
+    with pytest.raises(CaseFormatError, match="no header"):
         metrics_from_csv(io.StringIO("\n\n"))
+    path = tmp_path / "m.csv"
+    for text, match in [
+            ("start,end,device,phase,note\n0.0,1.0,cpu,compute,\n",
+             "m.csv: metrics header lacks the columns "
+             "label,total_cells,iterations,wall_seconds"),
+            ("label,total_cells,iterations,wall_seconds\nrun,64,abc,0.5\n",
+             "m.csv: row 1 cannot read iterations='abc'"),
+            ("label,total_cells,iterations,wall_seconds\nrun,64\n",
+             "m.csv: row 1 has no iterations")]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CaseFormatError, match=match):
+            metrics_from_csv(str(path))
 
 
 def test_render_report_formats_rows():
@@ -570,6 +596,58 @@ def test_cli_errors_exit_2(tmp_path, capsys):
                        "--out-dir", tmp_path) == 2
         assert f"error: {named}" in capsys.readouterr().err
 
+    # One zone per case and plan, and only version-2 files.
+    case_text = case_to_text(uniform_case(max_iters=1))
+    plan_text = plan_to_text(case_plan(uniform_case()))
+    (zone,) = [ln for ln in case_text.splitlines() if ln.startswith("zone ")]
+    for case_file, plan_file, named in [
+            (case_text + zone + "\n", plan_text,
+             "zone record: a case has one zone"),
+            (case_text, plan_text + zone + "\n",
+             "zone record: a plan has one zone"),
+            (case_text.replace("wcnsflow-case 2", "wcnsflow-case 1"),
+             plan_text, "unsupported case version '1'"),
+            (case_text, plan_text.replace("wcnsflow-plan 2",
+                                          "wcnsflow-plan 1"),
+             "unsupported plan version '1'")]:
+        uni.write_text(case_file, encoding="utf-8")
+        plan.write_text(plan_file, encoding="utf-8")
+        assert run_cli("run", "--case", uni, "--plan", plan,
+                       "--out-dir", tmp_path) == 2
+        assert f"error: {named}" in capsys.readouterr().err
+    save_case(uniform_case(max_iters=1), uni)
+
+    # Missing files and directories name their path.
+    nowhere = tmp_path / "nowhere"
+    for argv in [("run", "--case", nowhere / "x.case", "--out-dir", tmp_path),
+                 ("run", "--case", uni, "--plan", nowhere / "x.plan",
+                  "--out-dir", tmp_path),
+                 ("report", "--dump", nowhere / "x.bin"),
+                 ("gen", "--kind", "wave", "--n", 8,
+                  "--out", nowhere / "x.case")]:
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(nowhere) in err, argv
+    assert run_cli("run", "--case", uni, "--best-of", 0,
+                   "--out-dir", tmp_path) == 2
+    assert "error: best_of must be at least 1, got 0" in \
+        capsys.readouterr().err
+
+    # Malformed result files name the file.
+    metrics, timeline, dump = (tmp_path / n for n in ("m.csv", "t.csv",
+                                                      "d.bin"))
+    metrics.write_text("start,end,device,phase,note\n", encoding="utf-8")
+    timeline.write_text("start,end,device,phase,note\n0.5,oops\n",
+                        encoding="utf-8")
+    dump.write_bytes(b"WCNSDUMP" + struct.pack("<II", 1, 1) + b"\0" * 8)
+    for flag, path, named in [
+            ("--metrics", metrics, "metrics header lacks the columns"),
+            ("--timeline", timeline, "line 2: want start,end,device"),
+            ("--dump", dump, "truncated header of block 0 of 1")]:
+        assert run_cli("report", flag, path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and named in err, flag
+
 
 def run_cli_socket_ranks(tmp_path, *args):
     """``wcnsflow run ... --transport socket`` for ranks 1 and 0 in threads,
@@ -629,7 +707,7 @@ def test_cli_socket_ranks_run_the_plan_file(tmp_path):
 def test_cli_run_is_deterministic(tmp_path):
     case_path = tmp_path / "wave.case"
     assert run_cli("gen", "--kind", "wave", "--n", 8, "--t-end", 0.002,
-                   "--fixed-dt", 1e-3, "--seed", 7, "--out", case_path) == 0
+                   "--fixed-dt", 1e-3, "--out", case_path) == 0
     for d in ("a", "b"):
         assert run_cli("run", "--case", case_path,
                        "--out-dir", tmp_path / d) == 0

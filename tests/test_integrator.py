@@ -170,7 +170,7 @@ def test_check_divergence_rejects_non_finite():
     controls = IterationControls(divergence_factor=1e6)
 
     def stop(normsq: float) -> float:
-        parts = np.zeros((1, 3 + 3 * worker.nzones))
+        parts = np.zeros((1, 6))
         parts[0, :2] = 1.0, normsq
         return worker._make_finalize(controls, 0.0, 1, [1.0])(parts)[1]
 

@@ -1,6 +1,6 @@
 """Run-level partition invariance: whole runs through ``run_case`` leave the
 zone bitwise equal to the single-block run, whatever the block count, rank
-count, worker count, overlap, coalescing or tile size, and so do ranks
+count, worker count, overlap or coalescing, and so do ranks
 talking over TCP sockets through ``run_socket_rank``.  Also the stage
 pipeline that gets them there: which sweep tasks it submits, and how a
 failing task ends a run.
@@ -96,7 +96,7 @@ def test_narrow_blocks_without_overlap_or_coalescing(case_and_reference):
     # Eight blocks of 4^3 (wave) or 3 x 4 x 4 (Sod): every block is
     # narrower than the halo, so ghosts come from blocks two cuts away.
     case, reference = case_and_reference
-    got, plan = run_zone(case, 8, 2, overlap=False, coalesce=False, tile=3)
+    got, plan = run_zone(case, 8, 2, overlap=False, coalesce=False)
     assert max(min(b.shape) for b in plan.blocks) < HALO_WIDTH
     assert np.array_equal(got, reference)
 
@@ -276,7 +276,7 @@ def test_failed_exchange_waits_for_interior_sweeps_in_flight(monkeypatch):
         assert worker.cut == {b.id for b in worker.blocks}
         w_int = worker._interior_primitives()
         with pytest.raises(TransportError):
-            worker._stage_residual(np.full((1, 3), 3.0), w_int, 0)
+            worker._stage_residual(np.full(3, 3.0), w_int, 0)
         assert running == []
     finally:
         worker.close()

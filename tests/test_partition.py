@@ -1,4 +1,4 @@
-"""Zone splitting, device regrouping, node mapping, and plan files."""
+"""Zone splitting, device regrouping, and plan files."""
 
 import sys
 
@@ -7,12 +7,11 @@ import pytest
 
 from wcnsflow import partition
 from wcnsflow.cases import corner_case
-from wcnsflow.errors import PartitionError
+from wcnsflow.errors import CaseFormatError, PartitionError
 from wcnsflow.halo import build_halo_plan
 from wcnsflow.model import model_schedule
 from wcnsflow.partition import (Block, NodeTopology, ZoneSpec, check_tiling,
-                                ghost_sources, make_plan,
-                                map_ranks_to_nodes, plan_from_text,
+                                ghost_sources, make_plan, plan_from_text,
                                 plan_to_text, split_zone, split_zone_cuts)
 from wcnsflow.runner import run_case
 from wcnsflow.wcns import HALO_WIDTH
@@ -23,8 +22,8 @@ TOPO_1CPU = NodeTopology(nodes=1, cpu_per_node=1, coproc_per_node=0)
 TOPO_DESK = NodeTopology(nodes=1, cpu_per_node=2, coproc_per_node=3)
 
 
-def zone(shape, boundary=("outflow",) * 6, zid=0):
-    return ZoneSpec(id=zid, shape=shape,
+def zone(shape, boundary=("outflow",) * 6):
+    return ZoneSpec(shape=shape,
                     spacing=tuple(1.0 / s for s in shape), boundary=boundary)
 
 
@@ -84,7 +83,7 @@ def test_split_allows_single_cell_blocks():
     assert all(b.shape == (1, 1, 1) for b in blocks)
     assert cover_counts(z, blocks).min() == 1
     assert cover_counts(z, blocks).max() == 1
-    check_tiling(blocks, [z])
+    check_tiling(blocks, z)
 
 
 def test_split_tiles_exactly_500_random_pairs():
@@ -100,7 +99,7 @@ def test_split_tiles_exactly_500_random_pairs():
         grid = cover_counts(z, blocks)
         assert grid.min() == 1 and grid.max() == 1
         assert len({b.id for b in blocks}) == len(blocks)
-        check_tiling(blocks, [z])
+        check_tiling(blocks, z)
         # Widths along each axis differ by at most one cell.
         for ax in range(3):
             widths = {b.shape[ax] for b in blocks}
@@ -116,9 +115,9 @@ def test_split_cuts_explicit_widths():
         split_zone_cuts(z, 0, [10, 10])           # sum mismatch
     narrow = split_zone_cuts(z, 0, [21, 3, 1])    # any width >= 1 is legal
     assert [b.shape[0] for b in narrow] == [21, 3, 1]
-    check_tiling(narrow, [z])
+    check_tiling(narrow, z)
     with pytest.raises(PartitionError, match="block 1"):
-        check_tiling(split_zone_cuts(z, 0, [25, 0]), [z])   # empty block
+        check_tiling(split_zone_cuts(z, 0, [25, 0]), z)   # empty block
 
 
 # ---------------------------------------------------------------------------
@@ -126,34 +125,34 @@ def test_split_cuts_explicit_widths():
 
 def test_tiling_rejects_overlapping_blocks():
     z = zone((20, 10, 10))
-    blocks = [Block(0, 0, (0, 0, 0), (12, 10, 10)),
-              Block(1, 0, (10, 0, 0), (20, 10, 10))]
+    blocks = [Block(0, (0, 0, 0), (12, 10, 10)),
+              Block(1, (10, 0, 0), (20, 10, 10))]
     with pytest.raises(PartitionError, match="block 1 overlaps block 0"):
-        make_plan([z], 1, NodeTopology(1, 2, 0), explicit_blocks=blocks)
+        make_plan(z, 1, NodeTopology(1, 2, 0), explicit_blocks=blocks)
 
 
 def test_tiling_rejects_block_past_zone():
     z = zone((20, 10, 10))
-    blocks = [Block(0, 0, (0, 0, 0), (10, 10, 10)),
-              Block(1, 0, (10, 0, 0), (25, 10, 10))]
-    with pytest.raises(PartitionError, match="block 1 .* leaves zone 0"):
-        make_plan([z], 1, NodeTopology(1, 2, 0), explicit_blocks=blocks)
+    blocks = [Block(0, (0, 0, 0), (10, 10, 10)),
+              Block(1, (10, 0, 0), (25, 10, 10))]
+    with pytest.raises(PartitionError, match="block 1 .* leaves the zone"):
+        make_plan(z, 1, NodeTopology(1, 2, 0), explicit_blocks=blocks)
 
 
 def test_tiling_rejects_gaps():
     z = zone((20, 10, 10))
-    blocks = [Block(0, 0, (0, 0, 0), (10, 10, 10)),
-              Block(1, 0, (10, 0, 0), (20, 10, 6))]
+    blocks = [Block(0, (0, 0, 0), (10, 10, 10)),
+              Block(1, (10, 0, 0), (20, 10, 6))]
     with pytest.raises(PartitionError,
                        match=r"no block holds cell \(10, 0, 6\), next to block 0"):
-        make_plan([z], 1, NodeTopology(1, 2, 0), explicit_blocks=blocks)
+        make_plan(z, 1, NodeTopology(1, 2, 0), explicit_blocks=blocks)
 
 
 def test_tiling_checked_on_plan_files():
     # Plan files are outside input: a hand-edited block list must not reach
     # the exchange.
     z = zone((20, 10, 10))
-    plan = make_plan([z], 1, NodeTopology(1, 2, 0), target_blocks=2)
+    plan = make_plan(z, 1, NodeTopology(1, 2, 0), target_blocks=2)
     text = plan_to_text(plan)
     assert "hi=10,10,10" in text
     bad = plan_from_text(text.replace("hi=10,10,10", "hi=12,10,10"))
@@ -171,7 +170,7 @@ def test_ghost_sources_name_the_owning_block():
     z = zone((12, 9, 3), boundary=("periodic", "periodic", "outflow",
                                    "outflow", "periodic", "periodic"))
     blocks = split_zone_cuts(z, 0, [5, 1, 4, 2])
-    sources = ghost_sources(blocks, [z])
+    sources = ghost_sources(blocks, z)
     by_id = {b.id: b for b in blocks}
     for b in blocks:
         count = {}
@@ -200,7 +199,7 @@ def test_ghost_sources_symmetric():
                          for t in [("periodic", "outflow")[rng.integers(2)]] * 2)
         z = zone(shape, boundary=boundary)
         blocks = split_zone(z, target_blocks=int(rng.integers(1, 9)))
-        links = {(g.dst, g.src, g.shift) for g in ghost_sources(blocks, [z])}
+        links = {(g.dst, g.src, g.shift) for g in ghost_sources(blocks, z)}
         assert links == {(s, d, tuple(-k for k in sh)) for d, s, sh in links}
 
 
@@ -210,9 +209,9 @@ def test_ghost_sources_run_once_per_plan(monkeypatch):
     calls = []
     real = partition.ghost_sources
 
-    def counting(blocks, zones):
+    def counting(blocks, zone):
         calls.append(len(blocks))
-        return real(blocks, zones)
+        return real(blocks, zone)
 
     # Wherever a module binds the name.
     for mod in list(sys.modules.values()):
@@ -238,7 +237,7 @@ def test_ghost_sources_run_once_per_plan(monkeypatch):
 def test_regroup_five_equal_blocks_one_each():
     z = zone((25, 10, 10))
     blocks = split_zone_cuts(z, 0, [5] * 5)
-    plan = make_plan([z], 1, TOPO_DESK, load_ratio=1.0,
+    plan = make_plan(z, 1, TOPO_DESK, load_ratio=1.0,
                      explicit_blocks=blocks)
     assert len(plan.groups) == 5
     assert all(len(g.block_ids) == 1 for g in plan.groups)
@@ -251,7 +250,7 @@ def test_regroup_share_scales_with_load_ratio():
     # groups on 9.6M.
     z = zone((6080, 100, 100))
     blocks = split_zone_cuts(z, 0, [1600, 960, 960, 960, 1600])
-    plan = make_plan([z], 1, TOPO_DESK, load_ratio=0.6,
+    plan = make_plan(z, 1, TOPO_DESK, load_ratio=0.6,
                      explicit_blocks=blocks)
     cells = {g.device_class: set() for g in plan.groups}
     for g, n in zip(plan.groups, group_cells(plan)):
@@ -263,7 +262,7 @@ def test_regroup_share_scales_with_load_ratio():
 
 def test_regroup_all_cpu_degenerates():
     topo = NodeTopology(nodes=1, cpu_per_node=2, coproc_per_node=0)
-    plan = make_plan([zone((64, 64, 64))], 1, topo, target_blocks=8)
+    plan = make_plan(zone((64, 64, 64)), 1, topo, target_blocks=8)
     assert {g.device_class for g in plan.groups} == {"cpu"}
     assert plan.total_cells == 64 ** 3
     assert sorted(i for g in plan.groups for i in g.block_ids) == list(range(8))
@@ -271,7 +270,7 @@ def test_regroup_all_cpu_degenerates():
 
 def test_regroup_ranks_get_contiguous_chunks():
     z = zone((80, 16, 16))
-    plan = make_plan([z], 4, NodeTopology(1, 4, 0), target_blocks=16)
+    plan = make_plan(z, 4, NodeTopology(1, 4, 0), target_blocks=16)
     # Block ids follow the tiling; each rank owns one contiguous id run.
     for r in range(4):
         ids = sorted(b.id for b in plan.blocks_of_rank(r))
@@ -281,7 +280,7 @@ def test_regroup_ranks_get_contiguous_chunks():
 
 def test_regroup_needs_enough_blocks():
     with pytest.raises(PartitionError):
-        make_plan([zone((64, 64, 64))], 1, TOPO_DESK, target_blocks=2)
+        make_plan(zone((64, 64, 64)), 1, TOPO_DESK, target_blocks=2)
 
 
 def test_every_block_lands_in_exactly_one_group():
@@ -291,7 +290,7 @@ def test_every_block_lands_in_exactly_one_group():
         ranks = int(rng.choice([1, 2, 4]))
         blocks = int(rng.integers(ranks, 13)) * ranks
         try:
-            plan = make_plan([zone((n, n, n))], ranks,
+            plan = make_plan(zone((n, n, n)), ranks,
                              NodeTopology(1, 2, 1), target_blocks=blocks)
         except PartitionError:
             continue
@@ -302,46 +301,19 @@ def test_every_block_lands_in_exactly_one_group():
 
 
 # ---------------------------------------------------------------------------
-# Node mapping
+# Ranks over nodes
 
-def test_map_eight_ranks_four_nodes():
-    assert map_ranks_to_nodes(8, 4) == [0, 0, 1, 1, 2, 2, 3, 3]
-
-
-def test_map_rejects_uneven_split():
-    with pytest.raises(PartitionError):
-        map_ranks_to_nodes(7, 3)
-
-
-def cross_node_edges(edges, node_of_rank):
-    return sum(1 for a, b in edges if node_of_rank[a] != node_of_rank[b])
-
-
-def test_chain_cross_edges():
-    chain = {(r, r + 1) for r in range(7)}
-    assert cross_node_edges(chain, map_ranks_to_nodes(8, 4)) == 3
-
-
-def test_contiguous_beats_round_robin_on_random_chains():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        nodes = int(rng.integers(2, 5))
-        per = int(rng.integers(1, 5))
-        ranks = nodes * per
-        edges = {(r, r + 1) for r in range(ranks - 1)
-                 if rng.random() < 0.7}
-        contiguous = map_ranks_to_nodes(ranks, nodes)
-        round_robin = [r % nodes for r in range(ranks)]
-        assert (cross_node_edges(edges, contiguous)
-                <= cross_node_edges(edges, round_robin))
+def test_ranks_must_divide_over_nodes():
+    with pytest.raises(PartitionError, match="7 ranks do not divide over 3 nodes"):
+        make_plan(zone((70, 8, 8)), 7, NodeTopology(3, 7, 0), target_blocks=7)
 
 
 def test_rank_adjacency_from_plan():
     z = zone((80, 16, 16))
-    plan = make_plan([z], 4, NodeTopology(1, 4, 0), target_blocks=16)
+    plan = make_plan(z, 4, NodeTopology(1, 4, 0), target_blocks=16)
     ranks = plan.rank_of_block
     adj = {(min(ranks[g.dst], ranks[g.src]), max(ranks[g.dst], ranks[g.src]))
-           for g in ghost_sources(plan.blocks, [z])
+           for g in ghost_sources(plan.blocks, z)
            if ranks[g.dst] != ranks[g.src]}
     # Contiguous slabs along x touch only their id neighbors.
     assert adj == {(0, 1), (1, 2), (2, 3)}
@@ -366,14 +338,14 @@ def imbalance(plan, throughput=None) -> float:
 
 def test_imbalance_balanced_is_one():
     z = zone((40, 16, 16))
-    plan = make_plan([z], 1, NodeTopology(1, 4, 0), target_blocks=4)
+    plan = make_plan(z, 1, NodeTopology(1, 4, 0), target_blocks=4)
     assert imbalance(plan) == 1.0
 
 
 def test_imbalance_double_loaded_group():
     z = zone((25, 10, 10))
     blocks = split_zone_cuts(z, 0, [10, 5, 5, 5])
-    plan = make_plan([z], 1, NodeTopology(1, 4, 0),
+    plan = make_plan(z, 1, NodeTopology(1, 4, 0),
                      explicit_blocks=blocks)
     assert sorted(group_cells(plan), reverse=True) == [1000, 500, 500, 500]
     assert imbalance(plan) == pytest.approx(1.6, rel=1e-15)
@@ -382,7 +354,7 @@ def test_imbalance_double_loaded_group():
 def test_imbalance_throughput_normalizes():
     z = zone((6080, 100, 100))
     blocks = split_zone_cuts(z, 0, [1600, 960, 960, 960, 1600])
-    plan = make_plan([z], 1, TOPO_DESK, load_ratio=0.6,
+    plan = make_plan(z, 1, TOPO_DESK, load_ratio=0.6,
                      explicit_blocks=blocks)
     assert imbalance(plan, throughput={"cpu": 1.0, "coprocessor": 0.6}) \
         == pytest.approx(1.0, rel=1e-12)
@@ -393,7 +365,7 @@ def test_imbalance_never_below_one():
     for _ in range(30):
         n = int(rng.integers(20, 50))
         try:
-            plan = make_plan([zone((n, 16, 16))], 1, NodeTopology(1, 2, 2),
+            plan = make_plan(zone((n, 16, 16)), 1, NodeTopology(1, 2, 2),
                              load_ratio=float(rng.uniform(0.2, 1.5)),
                              target_blocks=int(rng.integers(4, 10)))
         except PartitionError:
@@ -407,16 +379,14 @@ def test_imbalance_never_below_one():
 def test_plan_text_round_trip():
     z = zone((40, 20, 20), boundary=("inflow", "outflow", "wall", "outflow",
                                      "periodic", "periodic"))
-    plan = make_plan([z], 2, NodeTopology(2, 1, 2, cpu_workers=8,
-                                          coproc_workers=40),
-                     load_ratio=0.75, target_blocks=6)
+    plan = make_plan(z, 2, NodeTopology(2, 1, 2), load_ratio=0.75,
+                     target_blocks=6)
     assert plan_from_text(plan_to_text(plan)) == plan
 
 
-def test_plan_text_round_trip_two_zones():
-    za = zone((20, 10, 10), zid=0)
-    zb = zone((30, 10, 10), zid=1)
-    plan = make_plan([za, zb], 1, TOPO_1CPU, target_blocks=2)
-    again = plan_from_text(plan_to_text(plan))
-    assert again == plan
-    assert again.zones[1].spacing == zb.spacing
+def test_plan_text_rejects_a_second_zone():
+    plan = make_plan(zone((20, 10, 10)), 1, TOPO_1CPU, target_blocks=2)
+    text = plan_to_text(plan)
+    (record,) = [ln for ln in text.splitlines() if ln.startswith("zone ")]
+    with pytest.raises(CaseFormatError, match="zone record: a plan has one zone"):
+        plan_from_text(text + record + "\n")
