@@ -360,6 +360,10 @@ def case_to_text(case: Case) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Positional words per case record kind; a name is every word of its line.
+CASE_POSITIONAL = {"name": None, "kind": 1, "freestream": 5}
+
+
 def _read_record(rec: Record, vals: dict) -> None:
     if rec.kind == "name":
         vals["name"] = " ".join(rec.words)
@@ -415,7 +419,8 @@ def _read_record(rec: Record, vals: dict) -> None:
 
 def case_from_text(text: str) -> Case:
     vals: dict = {"init": {}, "devices": []}
-    for rec in read_records(text, CASE_MAGIC, CASE_VERSION, "case"):
+    for rec in read_records(text, CASE_MAGIC, CASE_VERSION, "case",
+                            CASE_POSITIONAL):
         try:
             _read_record(rec, vals)
         except ValueError as e:      # a model rejected the record's values

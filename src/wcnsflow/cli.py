@@ -22,7 +22,7 @@ from .metrics import (RunMetrics, from_timeline, metrics_from_csv,
 from .model import (best_ratio, model_schedule, strong_scaling,
                     sweep_load_ratio, weak_scaling)
 from .partition import plan_from_text, plan_to_text
-from .runner import run_case, run_socket_rank
+from .runner import build_simulation, run_case, run_socket_rank
 from .schedule import Timeline, timeline_report
 
 
@@ -143,8 +143,7 @@ def _cmd_run(args) -> int:
             print(f"rank {args.rank} done")
             return 0
     elif args.model_only:
-        if plan is None:
-            plan = case_plan(case)
+        plan = build_simulation(case, plan).plan
         steps = max(case.controls.max_iters, 1)
         tl = model_schedule(case, plan, steps=steps,
                             overlap=not args.no_overlap,
@@ -270,7 +269,7 @@ def _cmd_bench(args) -> int:
                 outcome = run_case(variant, best_of=args.best_of,
                                    max_workers=w)
                 rows.append(outcome.metrics)
-                print(f"procs {r} x threads {w}: "
+                print(f"ranks {r} x workers {w}: "
                       f"{outcome.wall_seconds:.4f} s  "
                       f"{outcome.metrics.mcups:9.2f} MCUPS")
     else:

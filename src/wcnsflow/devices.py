@@ -5,18 +5,23 @@ host the benchmark happens to run on: a device advances a modeled clock by
 ``kernel_overhead + work / relative_throughput`` per kernel, and coprocessor
 traffic pays ``latency + bytes / bandwidth`` on its link.  Throughputs are
 expressed in cell-stage updates per second so block sizes translate directly
-into modeled seconds.  The same classes drive real thread pools so numerical
-results are produced by genuinely concurrent workers while the modeled clock
-stays reproducible.
+into modeled seconds.  The same classes drive the host's worker pools: a
+pool of more than one worker forks that many worker processes, which run the
+tasks the rank sends them in memory they share with it, so numerical results
+are produced by genuinely concurrent workers while the modeled clock stays
+reproducible.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 
+from .errors import WcnsflowError, portable
 from .partition import Group
 
 
@@ -83,46 +88,137 @@ DEFAULT_NETWORK = NetworkModel()
 MEMCPY_BANDWIDTH = 4.0e10
 
 
+STOP_TIMEOUT = 5.0          # seconds a stopping worker gets to exit
+
+
+class Pending:
+    """A task sent to a worker process and not yet answered."""
+
+    def __init__(self, worker: "WorkerProcess"):
+        self.worker = worker
+        self.done = False
+        self.error: BaseException | None = None
+
+    def wait(self) -> None:
+        while not self.done:
+            self.worker.receive()
+
+    def result(self) -> None:
+        """Wait for the reply; raise the exception the task ended with."""
+        self.wait()
+        if self.error is not None:
+            raise self.error
+
+
+def _serve(conn, serve, parent_end) -> None:
+    """A worker process's loop: run ``serve(task)`` for each task received,
+    in order, and reply None or the exception it raised.  Ends on the stop
+    message (None) or when the pipe closes."""
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent handles it
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        try:
+            serve(task)
+            reply = None
+        except Exception as exc:        # reported to the parent
+            reply = portable(exc)
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+
+
+class WorkerProcess:
+    """One worker forked from this process.  Tasks cross its pipe pickled;
+    the arrays they work on must be memory the worker inherited at fork."""
+
+    def __init__(self, name: str, serve):
+        fork = multiprocessing.get_context("fork")
+        self.name = name
+        self.conn, child = fork.Pipe()
+        self.process = fork.Process(target=_serve, name=name, daemon=True,
+                                    args=(child, serve, self.conn))
+        self.process.start()
+        child.close()
+        self.sent: deque[Pending] = deque()
+
+    def send(self, task) -> Pending:
+        try:
+            self.conn.send(task)
+        except OSError:
+            raise self._lost() from None
+        pending = Pending(self)
+        self.sent.append(pending)
+        return pending
+
+    def receive(self) -> None:
+        """File the reply to the oldest task in flight."""
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError):
+            reply = self._lost()
+        pending = self.sent.popleft()
+        pending.error = reply
+        pending.done = True
+
+    def _lost(self) -> WcnsflowError:
+        self.process.join(STOP_TIMEOUT)
+        return WcnsflowError(f"pool worker {self.name} is gone "
+                             f"(exit code {self.process.exitcode})")
+
+    def stop(self) -> None:
+        """Ask the worker to exit, and kill it if it has not within
+        ``STOP_TIMEOUT``.  Tasks still in flight are dropped."""
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass
+        self.conn.close()
+        self.process.join(STOP_TIMEOUT)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+
+
 @dataclass
 class DevicePool:
-    """A device model bound to a worker pool."""
+    """A device model bound to its workers.  A pool of one worker runs every
+    task on the calling thread; a larger pool, once started, has one worker
+    process per worker."""
 
     name: str                   # e.g. "rank0/cpu0", "rank0/mic1"
     model: DeviceModel
     group: Group
-    executor: ThreadPoolExecutor | None = None
+    workers: int = 1            # tasks the pool runs at once
+    processes: list[WorkerProcess] = field(default_factory=list)
 
-    @property
-    def workers(self) -> int:
-        """Tasks the pool runs at once; an inline pool runs one."""
-        return 1 if self.executor is None else self.executor._max_workers
+    def start(self, serve) -> None:
+        """Fork the worker processes of a pool of more than one worker; each
+        runs ``serve(task)`` for the tasks ``send`` gives it."""
+        if self.workers > 1 and not self.processes:
+            self.processes = [WorkerProcess(f"{self.name}/{k}", serve)
+                              for k in range(self.workers)]
 
     def submit(self, fn, *args):
-        if self.executor is None:
-            fn(*args)
-            return None
-        return self.executor.submit(fn, *args)
+        """Run ``fn(*args)`` on the calling thread and return its result:
+        the ``Pending`` of a task it sent, or None."""
+        return fn(*args)
+
+    def send(self, k: int, task) -> Pending:
+        """Send ``task`` to worker process ``k``, which runs its tasks in the
+        order sent."""
+        return self.processes[k].send(task)
 
     def shutdown(self) -> None:
-        if self.executor is not None:
-            self.executor.shutdown(wait=True)
-            self.executor = None
-
-
-def make_pool(rank: int, group: Group, model: DeviceModel, *,
-              max_workers: int | None = None) -> DevicePool:
-    """Worker pool for one group.  Pools stay small regardless of the
-    modeled worker count: modeled time comes from the cost model, and the
-    host only needs enough threads to overlap packing with compute."""
-    name = device_label(rank, group)
-    host = os.cpu_count() or 1
-    if max_workers is None:
-        max_workers = min(model.worker_count, host, 4)
-    if max_workers < 1:
-        max_workers = 1
-    executor = ThreadPoolExecutor(max_workers=max_workers,
-                                  thread_name_prefix=name)
-    return DevicePool(name=name, model=model, group=group, executor=executor)
+        for p in self.processes:
+            p.stop()
+        self.processes = []
 
 
 def device_label(rank: int, group: Group) -> str:
@@ -133,27 +229,27 @@ def device_label(rank: int, group: Group) -> str:
 def configure_devices(rank: int, groups: list[Group], *,
                       cpu: DeviceModel = DEFAULT_CPU,
                       coprocessor: DeviceModel = DEFAULT_COPROCESSOR,
-                      executors: bool = True,
                       max_workers: int | None = None,
                       oversubscription_limit: float = 4.0) -> list[DevicePool]:
-    """Build one pool per group on a rank, warning when the combined host
-    thread demand oversubscribes the actual core count."""
+    """Build one pool per group on a rank, warning when the combined worker
+    demand oversubscribes the actual core count.  Pools stay small regardless
+    of the modeled worker count: modeled time comes from the cost model, and
+    the host only needs enough workers to use its cores.  No process starts
+    here (``DevicePool.start``)."""
     pools = []
-    demand = 0
     host = os.cpu_count() or 1
     for g in groups:
         model = cpu if g.device_class == "cpu" else coprocessor
-        if executors:
-            pool = make_pool(rank, g, model, max_workers=max_workers)
-            demand += pool.workers
-        else:
-            pool = DevicePool(name=device_label(rank, g), model=model,
-                              group=g, executor=None)
-        pools.append(pool)
-    if executors and demand > oversubscription_limit * host:
+        workers = max_workers
+        if workers is None:
+            workers = min(model.worker_count, host, 4)
+        pools.append(DevicePool(name=device_label(rank, g), model=model,
+                                group=g, workers=max(workers, 1)))
+    demand = sum(p.workers for p in pools if p.workers > 1)
+    if demand > oversubscription_limit * host:
         warnings.warn(
-            f"rank {rank} wants {demand} worker threads on {host} host cores",
-            RuntimeWarning, stacklevel=2)
+            f"rank {rank} wants {demand} worker processes on {host} host "
+            f"cores", RuntimeWarning, stacklevel=2)
     return pools
 
 

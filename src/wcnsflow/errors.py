@@ -1,6 +1,14 @@
-"""Structured errors raised across the solver and runtime."""
+"""Structured errors raised across the solver and runtime.
+
+Errors cross from pool worker processes to the rank pickled.  Each class
+pickles back to an equal error: the same type, message and fields (the
+fields travel in the instance dict, which unpickling restores after the
+constructor has rebuilt the message).
+"""
 
 from __future__ import annotations
+
+import pickle
 
 
 class WcnsflowError(Exception):
@@ -63,3 +71,13 @@ class DivergenceError(WcnsflowError):
 
 class CaseFormatError(WcnsflowError):
     """Malformed or unsupported case, plan, dump, metrics or timeline file."""
+
+
+def portable(exc: BaseException) -> BaseException:
+    """``exc`` if it pickles back, else a ``WcnsflowError`` naming its type
+    and message: what a worker process sends in place of an exception."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:       # any failure to pickle or to rebuild
+        return WcnsflowError(f"{type(exc).__name__}: {exc}")
+    return exc

@@ -542,12 +542,17 @@ def plan_to_text(plan: PartitionPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Positional words per plan record kind.
+PLAN_POSITIONAL = {"ranks": 1, "block": 1, "group": 1}
+
+
 def plan_from_text(text: str) -> PartitionPlan:
     ranks = None
     zone = None
     blocks, groups = [], []
     rank_of_block: dict[int, int] = {}
-    for rec in read_records(text, PLAN_MAGIC, PLAN_VERSION, "plan"):
+    for rec in read_records(text, PLAN_MAGIC, PLAN_VERSION, "plan",
+                            PLAN_POSITIONAL):
         if rec.kind == "ranks":
             ranks = rec.word(0, int)
         elif rec.kind == "zone":

@@ -1,9 +1,10 @@
 """Line records of the case and plan text formats.
 
 Both formats are a ``<magic> <version>`` header followed by one record per
-line: a kind word, then positional words, then ``key=value`` fields.  Blank
-lines and lines starting with ``#`` are skipped.  A missing field or a value
-that does not parse raises ``CaseFormatError`` naming the record and key.
+line: a kind word, then a fixed number of positional words for that kind,
+then ``key=value`` fields.  Blank lines and lines starting with ``#`` are
+skipped.  A stray word, a missing field or a value that does not parse
+raises ``CaseFormatError`` naming the record and key.
 """
 
 from __future__ import annotations
@@ -33,23 +34,22 @@ def parse(record: str, key: str, raw: str, convert):
 
 
 class Record:
-    """One line: ``kind``, its words, and the words' ``key=value`` fields."""
+    """One line: ``kind``, its ``positional`` words (every word when None),
+    and then only ``key=value`` fields."""
 
-    def __init__(self, line: str):
+    def __init__(self, line: str, positional: int | None):
         self.kind, *self.words = line.split()
+        self.positional = (len(self.words) if positional is None
+                           else positional)
+        for w in self.words[self.positional:]:
+            if "=" not in w:
+                raise CaseFormatError(
+                    f"{self.kind} record: expected key=value, got {w!r}")
 
     @property
     def fields(self) -> dict[str, str]:
-        """The ``key=value`` words, which follow every positional word."""
-        out = {}
-        for w in self.words:
-            if "=" in w:
-                k, v = w.split("=", 1)
-                out[k] = v
-            elif out:
-                raise CaseFormatError(
-                    f"{self.kind} record: expected key=value, got {w!r}")
-        return out
+        """The ``key=value`` words."""
+        return dict(w.split("=", 1) for w in self.words[self.positional:])
 
     def word(self, i: int, convert=str):
         """Positional word ``i`` (counting from 0 after the kind)."""
@@ -64,9 +64,10 @@ class Record:
         return parse(self.kind, key, raw, convert)
 
 
-def read_records(text: str, magic: str, version: int,
-                 what: str) -> list[Record]:
-    """Check the header of a ``what`` file and return its records."""
+def read_records(text: str, magic: str, version: int, what: str,
+                 positional: dict[str, int | None]) -> list[Record]:
+    """Check the header of a ``what`` file and return its records; a kind
+    has the ``positional`` words it maps to, or none."""
     lines = [ln for ln in text.splitlines()
              if ln.strip() and not ln.startswith("#")]
     if not lines:
@@ -77,4 +78,5 @@ def read_records(text: str, magic: str, version: int,
     if head[1:] != [str(version)]:
         raise CaseFormatError(
             f"unsupported {what} version {' '.join(head[1:])!r}")
-    return [Record(ln) for ln in lines[1:]]
+    return [Record(ln, positional.get(ln.split()[0], 0))
+            for ln in lines[1:]]

@@ -7,14 +7,24 @@ along their axis into a halo-free interior range and two boundary ranges
 only when overlap is on and another rank sends it ghosts (``cut_blocks``):
 the interior sweeps are submitted while those messages are in flight, and
 the boundary sweeps, which read the edge values the interior sweeps hand
-them, are submitted once those have finished.  Every other block sweeps
-each axis whole after the exchange.  Each sweep task is further cut into
-one range of cross rows per pool worker, and the rank thread waits once per
-stage for all of them.  Ranks coordinate only through transport messages,
-so one worker implementation runs serially, under threads in one process,
-or across processes over sockets.  Kernel windows never depend on the
-partition, which keeps state bitwise identical across block counts, rank
-counts and worker counts.
+them, follow them.  Every other block sweeps each axis whole after the
+exchange.  Each sweep range is further cut into one run of cross rows per
+pool worker, and the rank thread waits once per stage for all of them.
+
+A pool of more than one worker sweeps in worker processes, forked before
+any rank thread starts (``RankWorker.start``), and the runs of one
+``run_case`` share them.  They inherit the rank's ``Arena``, an anonymous
+shared mapping that holds every block's extended state, primitives and
+convective outputs, so a sweep crosses their pipes only as a ``Sweep``
+description.  Worker ``k`` sweeps row run ``k`` of every range in the order
+sent, so a boundary sweep always follows the interior sweep whose edges it
+reads.  Viscous terms, conversions and updates stay on the rank thread.
+
+Ranks coordinate only through transport messages, so one worker
+implementation runs serially, under threads in one process, or across
+processes over sockets.  Kernel windows never depend on the partition,
+which keeps state bitwise identical across block counts, rank counts and
+worker counts.
 
 Runs measure wall time.  Rank threads (``run_case``) and socket ranks
 (``run_socket_rank``) hand their per-rank results to one function,
@@ -27,10 +37,13 @@ clock as the timing authority.
 
 from __future__ import annotations
 
+import functools
+import math
+import mmap
 import threading
 import time
-from concurrent.futures import wait
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,6 +105,9 @@ class Simulation:
 def build_simulation(case: Case, plan: PartitionPlan | None = None) -> Simulation:
     if plan is None:
         plan = case_plan(case)
+    elif plan.zone != case.zone:
+        raise WcnsflowError(f"the plan's zone {plan.zone} is not the case's "
+                            f"zone {case.zone}")
     halo_plan = build_halo_plan(plan)
     return Simulation(case=case, plan=plan, halo_plan=halo_plan,
                       freestream=case.freestream_conserved(),
@@ -164,8 +180,73 @@ class RankResult:
     error: Exception | None = None
 
 
+class Sweep(NamedTuple):
+    """One convective sweep task, as it crosses the pipe to a worker
+    process: block, ``w_ext`` slot, axis, wavespeed, node range ``lo:hi``
+    and cross-row range ``r0:r1``."""
+
+    block: int
+    slot: int
+    axis: int
+    lam: float
+    lo: int
+    hi: int
+    r0: int
+    r1: int
+    handoff: bool
+
+
+class Arena:
+    """The arrays a rank's sweeps read and write, per block: ``q`` (the
+    extended conserved state, ``BlockField.data``), the ``w`` slots of
+    extended primitives, and the three ``conv`` outputs.
+
+    A shared arena keeps its arrays in anonymous shared mappings, which
+    worker processes forked after it was built sweep in.  There a cut block
+    has two ``w`` slots, so its interior sweeps read slot 0 while the rank
+    converts the extended box into slot 1.  A private arena is ordinary
+    memory, its ``q`` entries are the fields' own arrays, and its sweeps run
+    on the rank thread one after another, so one slot serves."""
+
+    def __init__(self, blocks: list[Block], cut: set[int], *, shared: bool):
+        self.shared = shared
+        empty = _shared_empty if shared else np.empty
+        ext = {b.id: (NCOMP,) + tuple(n + 2 * H for n in b.shape)
+               for b in blocks}
+        self.q: dict[int, np.ndarray] = {
+            b.id: empty(ext[b.id]) for b in blocks} if shared else {}
+        self.w = {b.id: [empty(ext[b.id])
+                         for _ in range(2 if shared and b.id in cut else 1)]
+                  for b in blocks}
+        self.conv = {b.id: [empty((NCOMP,) + b.shape) for _ in range(3)]
+                     for b in blocks}
+
+    def hold(self, f: BlockField) -> BlockField:
+        """The field with its data in the arena (a shared arena copies it)."""
+        if not self.shared:
+            self.q[f.block.id] = f.data
+            return f
+        q = self.q[f.block.id]
+        q[...] = f.data
+        return BlockField(f.block, q)
+
+    def sweep(self, s: Sweep, gas, spacing) -> None:
+        convective_derivative(self.q[s.block], self.w[s.block][s.slot],
+                              s.axis, s.lam, spacing[s.axis], gas=gas,
+                              lo=s.lo, hi=s.hi, row_lo=s.r0, row_hi=s.r1,
+                              handoff=s.handoff,
+                              out=self.conv[s.block][s.axis])
+
+
+def _shared_empty(shape: tuple) -> np.ndarray:
+    """A float64 array in its own anonymous shared mapping."""
+    return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * math.prod(shape)))
+
+
 class RankWorker:
-    """One rank's share of a run: blocks, buffers, pools, stage pipeline."""
+    """One rank's share of a run: blocks, buffers, pools, stage pipeline.
+    Its pools and arena outlive a run, so every run of a ``run_case`` reuses
+    them; ``close`` ends them."""
 
     def __init__(self, sim: Simulation, rank: int, transport=None, *,
                  overlap: bool = True, coalesce: bool = True,
@@ -181,21 +262,19 @@ class RankWorker:
                                        freestream=sim.freestream,
                                        coalesce=coalesce)
         groups = sim.plan.groups_of_rank(rank)
-        use_pools = max_workers is None or max_workers > 1
         self.pools = configure_devices(
             rank, groups, cpu=sim.case.cpu,
             coprocessor=sim.case.coprocessor or sim.case.cpu,
-            executors=use_pools, max_workers=max_workers)
+            max_workers=max_workers)
         self.pool_of_block: dict[int, DevicePool] = {}
         for g, pool in zip(groups, self.pools):
             for bid in g.block_ids:
                 self.pool_of_block[bid] = pool
         self.cut = cut_blocks(sim.halo_plan, rank, overlap)
+        self.arena = Arena(self.blocks, self.cut, shared=False)
 
         self.fields: FieldSet = {}
         self.q0: dict[int, np.ndarray] = {}
-        self.w_ext: dict[int, np.ndarray] = {}
-        self.conv: dict[int, list[np.ndarray]] = {}
         self.vis: dict[int, list[np.ndarray | None]] = {}
         self.residual: dict[int, np.ndarray] = {}
         self.totals = ExchangeTotals()
@@ -204,16 +283,30 @@ class RankWorker:
 
     # -- setup -------------------------------------------------------------
 
+    def start(self) -> None:
+        """Fork the worker processes of every pool of more than one worker,
+        over a shared arena that takes the private one's place.  Call it
+        before the first run and before any thread of the run starts."""
+        pooled = [p for p in self.pools if p.workers > 1]
+        if not pooled:
+            return
+        self.arena = Arena(self.blocks, self.cut, shared=True)
+        serve = functools.partial(self.arena.sweep, gas=self.sim.gas,
+                                  spacing=self.spacing)
+        for pool in pooled:
+            pool.start(serve)
+
     def init_state(self) -> None:
-        self.fields = initial_fields(self.case, self.plan,
-                                     block_ids=set(self.block_ids))
+        # Let go of the last run's state first; its result keeps its fields.
+        self.fields, self.q0, self.vis, self.residual = {}, {}, {}, {}
+        if not self.arena.shared:
+            self.arena.q.clear()
+        fields = initial_fields(self.case, self.plan,
+                                block_ids=set(self.block_ids))
         viscous = self.sim.gas.viscous
         for b in self.blocks:
-            f = self.fields[b.id]
+            f = self.fields[b.id] = self.arena.hold(fields[b.id])
             self.q0[b.id] = f.interior.copy()
-            if b.id in self.cut:
-                self.w_ext[b.id] = np.empty_like(f.data)
-            self.conv[b.id] = [np.empty((NCOMP,) + b.shape) for _ in range(3)]
             self.vis[b.id] = [np.empty((NCOMP,) + b.shape) if viscous else None
                               for _ in range(3)]
 
@@ -288,8 +381,8 @@ class RankWorker:
 
     @staticmethod
     def _submit(tasks, futures: list) -> None:
-        """Submit (pool, fn, args) triples, appending the futures of pooled
-        tasks to ``futures``; an inline pool runs its task here."""
+        """Submit (pool, fn, args) triples, appending to ``futures`` the
+        ``Pending`` of each task that went to a worker process."""
         for pool, fn, args in tasks:
             fut = pool.submit(fn, *args)
             if fut is not None:
@@ -303,22 +396,25 @@ class RankWorker:
         try:
             self._submit(tasks, futures)
         finally:
-            wait(futures)
+            for fut in futures:
+                fut.wait()
         for fut in futures:
             fut.result()
 
-    def _sweep_tasks(self, b: Block, lams: np.ndarray, w_ext: np.ndarray,
+    def _sweep_tasks(self, b: Block, lams: np.ndarray, slot: int,
                      interior: bool) -> list:
-        """Convective tasks of block ``b``: per axis, the halo-free node
-        range when ``interior``, else the rest, which is the whole axis for
-        a block that is not cut.  Each range is split into one task per
-        pool worker over equal runs of cross rows."""
+        """Convective tasks of block ``b`` on ``w_ext`` slot ``slot``: per
+        axis, the halo-free node range when ``interior``, else the rest,
+        which is the whole axis for a block that is not cut.  Each range is
+        split into one task per pool worker over equal runs of cross rows;
+        task ``k`` goes to worker ``k``."""
         pool = self.pool_of_block[b.id]
         workers = pool.workers
+        handoff = b.id in self.cut
         tasks = []
         for axis in range(3):
             n = b.shape[axis]
-            a, c = interior_split(n) if b.id in self.cut else (0, 0)
+            a, c = interior_split(n) if handoff else (0, 0)
             nrows = b.shape[1 if axis == 0 else 0]
             for lo, hi in [(a, c)] if interior else [(0, a), (c, n)]:
                 if hi <= lo:
@@ -326,18 +422,19 @@ class RankWorker:
                 for k in range(workers):
                     r0, r1 = nrows * k // workers, nrows * (k + 1) // workers
                     if r1 > r0:
-                        tasks.append((pool, self._conv_chunk,
-                                      (b, w_ext, axis, lams[axis],
-                                       lo, hi, r0, r1)))
+                        sweep = Sweep(b.id, slot, axis, float(lams[axis]),
+                                      lo, hi, r0, r1, handoff)
+                        tasks.append((pool, self._conv_chunk, (sweep, k)))
         return tasks
 
-    def _conv_chunk(self, b: Block, w_ext: np.ndarray, axis: int,
-                    lam: float, lo: int, hi: int, r0: int, r1: int) -> None:
-        convective_derivative(self.fields[b.id].data, w_ext, axis, lam,
-                              self.spacing[axis], gas=self.sim.gas,
-                              lo=lo, hi=hi, row_lo=r0, row_hi=r1,
-                              handoff=b.id in self.cut,
-                              out=self.conv[b.id][axis])
+    def _conv_chunk(self, sweep: Sweep, k: int):
+        """Sweep task ``k`` of its range: sent to worker process ``k`` of the
+        block's pool, or run here when the pool has none."""
+        pool = self.pool_of_block[sweep.block]
+        if pool.processes:
+            return pool.send(k, sweep)
+        self.arena.sweep(sweep, self.sim.gas, self.spacing)
+        return None
 
     def _vis_chunk(self, b: Block, grads: GradientPack, axis: int) -> None:
         viscous_derivative(grads, self.sim.gas, axis,
@@ -353,44 +450,43 @@ class RankWorker:
             # messages are in flight; only the primitive interiors are
             # needed for that.
             cut = [b for b in self.blocks if b.id in self.cut]
+            interior = (slice(None),) + (slice(H, -H),) * 3
             for b in cut:
-                self.w_ext[b.id][(slice(None),) + (slice(H, -H),) * 3] = \
-                    w_int[b.id]
+                self.arena.w[b.id][0][interior] = w_int[b.id]
 
             def hook():
                 for b in cut:
-                    self._submit(self._sweep_tasks(b, lams, self.w_ext[b.id],
-                                                   True), futures)
+                    self._submit(self._sweep_tasks(b, lams, 0, True), futures)
 
-        tasks = []
         try:
             stats = self.exchanger.run(self.rank, self.fields, epoch,
                                        overlap_hook=hook)
             self.totals.add(stats)
             for b in self.blocks:
-                # Ghosts are in place; primitives now cover the extended box.
-                # A new array, since running interior sweeps read the old
-                # one; its interior recomputes to bitwise-identical numbers.
-                w_ext = self.w_ext[b.id] = primitive_from_conserved(
-                    self.fields[b.id].data, self.sim.gas, block_id=b.id)
-                tasks += self._sweep_tasks(b, lams, w_ext, False)
+                # Ghosts are in place; primitives now cover the extended box,
+                # in the last slot, which no running interior sweep reads.
+                # Its interior recomputes to bitwise-identical numbers.  Each
+                # block's sweeps leave as soon as it is ready.
+                slot = len(self.arena.w[b.id]) - 1
+                w_ext = primitive_from_conserved(
+                    self.fields[b.id].data, self.sim.gas, block_id=b.id,
+                    out=self.arena.w[b.id][slot])
+                tasks = self._sweep_tasks(b, lams, slot, False)
                 if self.sim.gas.viscous:
                     grads = velocity_temperature_gradients(w_ext,
                                                            self.spacing)
                     pool = self.pool_of_block[b.id]
                     tasks += [(pool, self._vis_chunk, (b, grads, axis))
                               for axis in range(3)]
+                self._submit(tasks, futures)
         except BaseException:
-            # Interior sweeps may still be writing; let them finish first.
+            # Sweeps may still be writing; let them finish first.
             self._run_tasks([], futures)
             raise
-        # Boundary sweeps of cut blocks read the edges the interior sweeps
-        # park in their nodes.
-        wait(futures)
-        self._run_tasks(tasks, futures)
+        self._run_tasks([], futures)
 
         for b in self.blocks:
-            parts = ResidualParts(convective=tuple(self.conv[b.id]),
+            parts = ResidualParts(convective=tuple(self.arena.conv[b.id]),
                                   viscous=tuple(self.vis[b.id]))
             self.residual[b.id] = parts.combine()
 
@@ -418,72 +514,76 @@ class RankWorker:
         error: Exception | None = None
         wall = 0.0
 
+        self.totals = ExchangeTotals()
+        self.epoch = 0
         self.init_state()
-        try:
-            if controls.max_iters > 0:
-                t0 = time.perf_counter()
-                while iterations < controls.max_iters and stop == STOP_NONE:
-                    if controls.t_end is not None and sim_time >= \
-                            controls.t_end * (1.0 - 1e-15):
-                        break
-                    dt = 0.0
-                    for stage in range(STAGES):
-                        w_int = None
-                        lams = np.zeros(3)
-                        dt_partial = np.inf
-                        try:
-                            w_int = self._interior_primitives()
-                            lams = self._lambda_partials(w_int)
-                            if stage == 0:
-                                dt_partial = self._dt_partial(w_int)
-                        except InvalidStateError as exc:
-                            poison = STOP_DIVERGED
-                            error = error or exc
-                        carried = pending_normsq if stage == 1 else 0.0
-                        up = np.concatenate((
-                            [dt_partial, carried, max(stop, poison)],
-                            lams))
-                        down = allreduce(
-                            self.transport, self.rank, self.plan.ranks,
-                            self.epoch, up,
-                            self._make_finalize(controls, sim_time, stage,
-                                                initial_normsq))
+        if controls.max_iters > 0:
+            t0 = time.perf_counter()
+            while iterations < controls.max_iters and stop == STOP_NONE:
+                if controls.t_end is not None and sim_time >= \
+                        controls.t_end * (1.0 - 1e-15):
+                    break
+                dt = 0.0
+                for stage in range(STAGES):
+                    w_int = None
+                    lams = np.zeros(3)
+                    dt_partial = np.inf
+                    try:
+                        w_int = self._interior_primitives()
+                        lams = self._lambda_partials(w_int)
                         if stage == 0:
-                            dt = float(down[0])
-                        stop = float(down[1])
-                        lam_final = down[3:]
-                        if self.rank == 0 and stage == 1:
-                            norm_history.append(float(np.sqrt(down[2])))
-                        if stop >= STOP_DIVERGED:
-                            # Broadcast flag: every rank breaks here before
-                            # this stage's exchange, so nobody deadlocks.
-                            self.epoch += 1
-                            break
-                        try:
-                            self._stage_residual(lam_final, w_int, self.epoch)
-                            if stage == 0:
-                                pending_normsq = self._normsq_partial()
-                            for b in self.blocks:
-                                f = self.fields[b.id]
-                                f.interior[...] = stage_state(
-                                    stage, dt, self.q0[b.id], f.interior,
-                                    self.residual[b.id])
-                        except InvalidStateError as exc:
-                            poison = STOP_DIVERGED
-                            error = error or exc
+                            dt_partial = self._dt_partial(w_int)
+                    except InvalidStateError as exc:
+                        poison = STOP_DIVERGED
+                        error = error or exc
+                    carried = pending_normsq if stage == 1 else 0.0
+                    up = np.concatenate((
+                        [dt_partial, carried, max(stop, poison)],
+                        lams))
+                    down = allreduce(
+                        self.transport, self.rank, self.plan.ranks,
+                        self.epoch, up,
+                        self._make_finalize(controls, sim_time, stage,
+                                            initial_normsq))
+                    if stage == 0:
+                        dt = float(down[0])
+                    stop = float(down[1])
+                    lam_final = down[3:]
+                    if self.rank == 0 and stage == 1:
+                        norm_history.append(float(np.sqrt(down[2])))
+                    if stop >= STOP_DIVERGED:
+                        # Broadcast flag: every rank breaks here before
+                        # this stage's exchange, so nobody deadlocks.
                         self.epoch += 1
-                    else:
-                        iterations += 1
-                        sim_time += dt
+                        break
+                    try:
+                        self._stage_residual(lam_final, w_int, self.epoch)
+                        if stage == 0:
+                            pending_normsq = self._normsq_partial()
                         for b in self.blocks:
-                            self.q0[b.id][...] = self.fields[b.id].interior
-                        continue
-                    break        # left the stage loop on a divergence flag
-                wall = time.perf_counter() - t0
-        finally:
-            self.close()
+                            f = self.fields[b.id]
+                            f.interior[...] = stage_state(
+                                stage, dt, self.q0[b.id], f.interior,
+                                self.residual[b.id])
+                    except InvalidStateError as exc:
+                        poison = STOP_DIVERGED
+                        error = error or exc
+                    self.epoch += 1
+                else:
+                    iterations += 1
+                    sim_time += dt
+                    for b in self.blocks:
+                        self.q0[b.id][...] = self.fields[b.id].interior
+                    continue
+                break        # left the stage loop on a divergence flag
+            wall = time.perf_counter() - t0
 
-        return RankResult(rank=self.rank, fields=self.fields,
+        fields = self.fields
+        if self.arena.shared:
+            # The outcome outlives the arena and later runs rewrite it.
+            fields = {bid: BlockField(f.block, f.data.copy())
+                      for bid, f in fields.items()}
+        return RankResult(rank=self.rank, fields=fields,
                           iterations=iterations, sim_time=sim_time,
                           stop=max(stop, poison), totals=self.totals,
                           wall_seconds=wall, norm_history=norm_history,
@@ -551,33 +651,26 @@ def _outcome(sim: Simulation, results: list[RankResult], *, overlap: bool,
 # ---------------------------------------------------------------------------
 # In-process runs
 
-def _run_once(sim: Simulation, controls: IterationControls, *,
-              overlap: bool, coalesce: bool,
-              max_workers: int | None) -> list[RankResult]:
-    ranks = sim.plan.ranks
-    if ranks == 1:
-        worker = RankWorker(sim, 0, None, overlap=overlap, coalesce=coalesce,
-                            max_workers=max_workers)
-        return [worker.run(controls)]
-    transport = InProcessTransport(ranks)
-    results: list = [None] * ranks
-    failures: list = [None] * ranks
+def _run_once(workers: list[RankWorker],
+              controls: IterationControls) -> list[RankResult]:
+    """One run of every rank, on one thread per rank when there are more."""
+    if len(workers) == 1:
+        return [workers[0].run(controls)]
+    results: list = [None] * len(workers)
+    failures: list = [None] * len(workers)
 
     def target(rank: int) -> None:
         try:
-            worker = RankWorker(sim, rank, transport, overlap=overlap,
-                                coalesce=coalesce, max_workers=max_workers)
-            results[rank] = worker.run(controls)
+            results[rank] = workers[rank].run(controls)
         except Exception as exc:          # surfaced after join
             failures[rank] = exc
 
     threads = [threading.Thread(target=target, args=(r,),
-                                name=f"rank{r}") for r in range(ranks)]
+                                name=f"rank{r}") for r in range(len(workers))]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    transport.close()
     for exc in failures:
         if exc is not None:
             raise exc
@@ -592,21 +685,33 @@ def run_case(case: Case, plan: PartitionPlan | None = None, *,
 
     ``best_of`` repeats the full run and keeps the one with the fastest wall
     time (state is bitwise identical across repetitions).  ``warmup`` runs
-    one untimed step first and discards it.
+    one untimed step first and discards it.  Every run shares the ranks'
+    worker processes, which start before the first run when the case has
+    steps and end before this returns.
     """
     if best_of < 1:
         raise WcnsflowError(f"best_of must be at least 1, got {best_of}")
     sim = build_simulation(case, plan)
     controls = case.controls
-
-    if warmup and controls.max_iters > 0:
-        _run_once(sim, replace(controls, max_iters=1, tolerance=None),
-                  overlap=overlap, coalesce=coalesce, max_workers=max_workers)
-
-    runs = (_run_once(sim, controls, overlap=overlap, coalesce=coalesce,
-                      max_workers=max_workers)
-            for _ in range(best_of))
-    fastest = min(runs, key=lambda results: results[0].wall_seconds)
+    ranks = sim.plan.ranks
+    transport = InProcessTransport(ranks) if ranks > 1 else None
+    workers = [RankWorker(sim, r, transport, overlap=overlap,
+                          coalesce=coalesce, max_workers=max_workers)
+               for r in range(ranks)]
+    try:
+        if controls.max_iters > 0:
+            for worker in workers:
+                worker.start()
+            if warmup:
+                _run_once(workers, replace(controls, max_iters=1,
+                                           tolerance=None))
+        runs = (_run_once(workers, controls) for _ in range(best_of))
+        fastest = min(runs, key=lambda results: results[0].wall_seconds)
+    finally:
+        for worker in workers:
+            worker.close()
+        if transport is not None:
+            transport.close()
     return _outcome(sim, fastest, overlap=overlap, coalesce=coalesce)
 
 
@@ -634,11 +739,16 @@ def run_socket_rank(case: Case, rank: int,
     if rank not in addresses:
         raise WcnsflowError(f"rank {rank} has no address: ranks are "
                             f"0..{len(addresses) - 1}")
-    transport = SocketTransport(rank, addresses, timeout=timeout)
     tag = message_tag(GATHER_EPOCH, GATHER_INDEX)
+    worker = RankWorker(sim, rank, overlap=overlap, coalesce=coalesce,
+                        max_workers=max_workers)
+    transport = None
     try:
-        worker = RankWorker(sim, rank, transport, overlap=overlap,
-                            coalesce=coalesce, max_workers=max_workers)
+        # Workers fork before the transport starts its threads.
+        if case.controls.max_iters > 0:
+            worker.start()
+        transport = worker.transport = worker.exchanger.transport = \
+            SocketTransport(rank, addresses, timeout=timeout)
         res = worker.run(case.controls)
         if rank != 0:
             t = res.totals
@@ -674,4 +784,6 @@ def run_socket_rank(case: Case, rank: int,
                 wall_seconds=wall))
         return _outcome(sim, results, overlap=overlap, coalesce=coalesce)
     finally:
-        transport.close()
+        worker.close()
+        if transport is not None:
+            transport.close()

@@ -66,13 +66,15 @@ def _first_bad_index(mask: np.ndarray) -> tuple:
 
 def primitive_from_conserved(q: np.ndarray, gas: GasModel, *,
                              block_id: int | None = None,
-                             validate: bool = True) -> np.ndarray:
-    """Convert conserved ``(5, ...)`` to primitive ``(rho, u, v, w, p)``."""
+                             validate: bool = True,
+                             out: np.ndarray | None = None) -> np.ndarray:
+    """Convert conserved ``(5, ...)`` to primitive ``(rho, u, v, w, p)``,
+    into ``out`` when it is given."""
     rho = q[0]
     if validate and not np.all(rho > 0.0):
         raise InvalidStateError("non-positive density", block_id=block_id,
                                 index=_first_bad_index(~(rho > 0.0)))
-    w = np.empty_like(q)
+    w = np.empty_like(q) if out is None else out
     w[0] = rho
     inv_rho = 1.0 / rho
     w[1] = q[1] * inv_rho

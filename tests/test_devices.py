@@ -1,6 +1,8 @@
 """Device cost models, worker pools, and modeled timelines."""
 
 import io
+import mmap
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,7 @@ from wcnsflow.devices import (
     shutdown_pools,
 )
 from wcnsflow.cases import case_plan, corner_case, sod_case, wave_case
-from wcnsflow.errors import CaseFormatError
+from wcnsflow.errors import CaseFormatError, InvalidStateError
 from wcnsflow.halo import build_halo_plan
 from wcnsflow.partition import Group, NodeTopology
 from wcnsflow.model import _interior_work, cut_blocks, model_schedule
@@ -88,12 +90,12 @@ def test_configure_devices_builds_one_pool_per_group():
         Group(id=2, rank=0, device_class="coprocessor", device_index=0,
               block_ids=[2]),
     ]
-    pools = configure_devices(0, groups, executors=False)
+    pools = configure_devices(0, groups, max_workers=1)
     assert [p.name for p in pools] == ["rank0/cpu0", "rank0/cpu1",
                                        "rank0/mic0"]
     assert pools[0].model.device_class == "cpu"
     assert pools[2].model.device_class == "coprocessor"
-    assert all(p.executor is None for p in pools)
+    assert all(p.workers == 1 and p.processes == [] for p in pools)
     shutdown_pools(pools)
 
 
@@ -102,18 +104,33 @@ def test_pools_execute_submitted_work():
                     block_ids=[0])]
     assert device_label(1, groups[0]) == "rank1/mic2"
     with pytest.warns(RuntimeWarning):
-        pools = configure_devices(1, groups, max_workers=8,
-                                  oversubscription_limit=1.0)
+        configure_devices(1, groups, max_workers=8,
+                          oversubscription_limit=1.0)
+    (pool,) = configure_devices(1, groups, max_workers=2)
+    assert pool.processes == []                # nothing starts by itself
+    pids = np.ndarray(2, dtype=np.int64, buffer=mmap.mmap(-1, 16))
+
+    def serve(task):
+        k, fail = task
+        if fail:
+            raise InvalidStateError("refused", block_id=k)
+        pids[k] = os.getpid()
+
+    pool.start(serve)
+    workers = [p.process for p in pool.processes]
     try:
-        hits = []
-        fut = pools[0].submit(hits.append, 42)
-        fut.result()
-        assert hits == [42]
+        # submit runs its task here; send hands a task to one worker.
+        assert pool.submit(lambda x: x + 1, 41) == 42
+        for pending in [pool.send(k, (k, False)) for k in range(2)]:
+            pending.result()
+        assert sorted(pids) == sorted(w.pid for w in workers)
+        with pytest.raises(InvalidStateError, match="refused") as info:
+            pool.send(1, (1, True)).result()
+        assert info.value.block_id == 1
     finally:
-        shutdown_pools(pools)
-    # after shutdown, submits run inline
-    pools[0].submit(hits.append, 43)
-    assert hits == [42, 43]
+        shutdown_pools([pool])
+    assert pool.processes == []
+    assert not any(w.is_alive() for w in workers)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,10 @@ def test_case_text_rejects_bad_input():
             ("gamma=1.4", "gamma=0.5", "gas record: gamma must exceed 1"),
             ("prandtl=0.72", "prandtl=0.72 stray",
              "gas record: expected key=value, got 'stray'"),
+            ("zone shape=", "zone 7 shape=",
+             "zone record: expected key=value, got '7'"),
+            ("kind uniform", "kind uniform wave",
+             "kind record: expected key=value, got 'wave'"),
             ("wcnsflow-case 2", "wcnsflow-case", "version")]:
         assert old in good
         with pytest.raises(CaseFormatError, match=match):
@@ -616,6 +620,20 @@ def test_cli_errors_exit_2(tmp_path, capsys):
                        "--out-dir", tmp_path) == 2
         assert f"error: {named}" in capsys.readouterr().err
     save_case(uniform_case(max_iters=1), uni)
+
+    # A stray word before the fields, and a plan of another zone.
+    uni.write_text(case_text.replace("zone shape=", "zone 7 shape="),
+                   encoding="utf-8")
+    assert run_cli("run", "--case", uni, "--out-dir", tmp_path) == 2
+    assert ("error: zone record: expected key=value, got '7'"
+            in capsys.readouterr().err)
+    save_case(uniform_case(max_iters=1), uni)
+    plan.write_text(plan_to_text(case_plan(uniform_case((12, 12, 12)))),
+                    encoding="utf-8")
+    for model_only in ((), ("--model-only",)):
+        assert run_cli("run", "--case", uni, "--plan", plan,
+                       "--out-dir", tmp_path, *model_only) == 2
+        assert "error: the plan's zone" in capsys.readouterr().err
 
     # Missing files and directories name their path.
     nowhere = tmp_path / "nowhere"

@@ -2,10 +2,13 @@
 zone bitwise equal to the single-block run, whatever the block count, rank
 count, worker count, overlap or coalescing, and so do ranks
 talking over TCP sockets through ``run_socket_rank``.  Also the stage
-pipeline that gets them there: which sweep tasks it submits, and how a
-failing task ends a run.
+pipeline that gets them there: which sweep tasks it submits, how a failing
+task ends a run, and the lifetime of the worker processes pooled sweeps run
+in.
 """
 
+import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -15,12 +18,13 @@ import numpy as np
 import pytest
 
 from wcnsflow import runner
-from wcnsflow.cases import corner_case, sod_case, wave_case
+from wcnsflow.cases import case_plan, corner_case, sod_case, wave_case
 from wcnsflow.devices import DevicePool
-from wcnsflow.errors import DivergenceError, InvalidStateError, TransportError
+from wcnsflow.errors import DivergenceError, InvalidStateError, \
+    TransportError, WcnsflowError
 from wcnsflow.fields import assemble_zone
 from wcnsflow.halo import HaloExchanger
-from wcnsflow.partition import NodeTopology
+from wcnsflow.partition import NodeTopology, plan_from_text, plan_to_text
 from wcnsflow.runner import ExchangeTotals, RankWorker, build_simulation, \
     run_case, run_socket_rank
 from wcnsflow.transport import free_port
@@ -226,13 +230,21 @@ def test_block_fed_by_another_rank_sweeps_its_interior_from_the_hook(
         assert len(mine) - sum(mine) == 3 * (2 * 2 + 2 + 2)
 
 
+# ---------------------------------------------------------------------------
+# Worker processes.  A pool of more than one worker sweeps in processes
+# forked by run_case (RankWorker.start); a sweep patched before the fork
+# runs in the workers, and what they report crosses a pipe.
+
+FORK = multiprocessing.get_context("fork")
+
+
 def test_failing_pool_task_ends_the_run_with_its_cause(monkeypatch):
     injected = InvalidStateError("injected", block_id=0)
     sweep = runner.convective_derivative
-    calls = []
+    calls = []          # each worker process counts its own calls
 
     def failing(*args, **kwargs):
-        if threading.current_thread().name.startswith("rank0/cpu0"):
+        if multiprocessing.current_process().name.startswith("rank0/cpu0/"):
             calls.append(1)
             if len(calls) == 3:
                 raise injected
@@ -244,26 +256,44 @@ def test_failing_pool_task_ends_the_run_with_its_cause(monkeypatch):
         run_case(wave_case(8, t_end=0.004, fixed_dt=1e-3), warmup=False,
                  max_workers=2)
     assert time.perf_counter() - t0 < 5.0
-    assert info.value.__cause__ is injected
-    assert not [t for t in threading.enumerate()
-                if t.name.startswith("rank0/cpu0")]
+    assert calls == []                  # no sweep ran in this process
+    cause = info.value.__cause__        # a copy, pickled by the worker
+    assert type(cause) is InvalidStateError
+    assert str(cause) == str(injected) and cause.block_id == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_ends_the_run_naming_it(monkeypatch):
+    def dying(*args, **kwargs):
+        os._exit(3)
+
+    monkeypatch.setattr(runner, "convective_derivative", dying)
+    t0 = time.perf_counter()
+    with pytest.raises(WcnsflowError, match=r"pool worker rank0/cpu0/0 is "
+                       r"gone \(exit code 3\)"):
+        run_case(wave_case(8, t_end=0.002, fixed_dt=1e-3), max_workers=2)
+    assert time.perf_counter() - t0 < 5.0
+    assert multiprocessing.active_children() == []
 
 
 def test_failed_exchange_waits_for_interior_sweeps_in_flight(monkeypatch):
-    # Rank 0 of a two-rank plan cuts both its blocks; the exchange fails
-    # after the hook has submitted their interior sweeps.
+    # Rank 0 of a two-rank plan cuts all its blocks; the exchange fails
+    # after the hook has sent their interior sweeps to the workers.
     case = on_ranks(wave_case(24, t_end=0.001, fixed_dt=1e-3), 8, 2)
     worker = RankWorker(build_simulation(case), 0, max_workers=2)
     sweep = runner.convective_derivative
-    running = []
+    counts = FORK.Array("i", 2)      # running, finished; shared with workers
 
     def slow(*args, **kwargs):
-        running.append(1)
+        with counts.get_lock():
+            counts[0] += 1
         time.sleep(0.01)
         try:
             return sweep(*args, **kwargs)
         finally:
-            running.pop()
+            with counts.get_lock():
+                counts[0] -= 1
+                counts[1] += 1
 
     def failing_run(rank, fields, epoch, *, overlap_hook=None, **kwargs):
         overlap_hook()
@@ -272,35 +302,137 @@ def test_failed_exchange_waits_for_interior_sweeps_in_flight(monkeypatch):
     monkeypatch.setattr(runner, "convective_derivative", slow)
     monkeypatch.setattr(worker.exchanger, "run", failing_run)
     try:
+        worker.start()
         worker.init_state()
         assert worker.cut == {b.id for b in worker.blocks}
         w_int = worker._interior_primitives()
         with pytest.raises(TransportError):
             worker._stage_residual(np.full(3, 3.0), w_int, 0)
-        assert running == []
+        # Every interior sweep (per block, 3 axes x 2 row runs) has ended.
+        assert counts[:] == [0, len(worker.blocks) * 3 * 2]
     finally:
         worker.close()
+    assert multiprocessing.active_children() == []
 
 
-def test_run_tasks_raises_the_first_failure_in_submit_order():
-    worker = RankWorker(build_simulation(wave_case(8)), 0, max_workers=2)
-    pool = worker.pools[0]
-    finished = []
+def test_run_tasks_raises_the_first_failure_in_submit_order(monkeypatch):
+    # Sweeps named by their node range start: (name, delay, fails).
+    script = {0: ("first", 0.1, True), 1: ("second", 0.0, True),
+              2: ("slow", 0.3, False)}
+    finished = FORK.Array("i", 4)    # finish rank per sweep, then a counter
 
-    def task(name, delay, fail):
+    def scripted(*args, lo, **kwargs):
+        name, delay, fails = script[lo]
         time.sleep(delay)
-        finished.append(name)
-        if fail:
+        with finished.get_lock():
+            finished[3] += 1
+            finished[lo] = finished[3]
+        if fails:
             raise InvalidStateError(name)
 
+    monkeypatch.setattr(runner, "convective_derivative", scripted)
+    worker = RankWorker(build_simulation(wave_case(8)), 0, max_workers=2)
+    pool = worker.pools[0]
+
+    def task(lo, k):
+        sweep = runner.Sweep(0, 0, 0, 1.0, lo, lo + 1, 0, 8, False)
+        return pool, worker._conv_chunk, (sweep, k)
+
     try:
-        # Two workers: "first" fails after "second", and "slow" is still
-        # running when both have failed.
-        in_flight = [pool.submit(task, "first", 0.1, True)]
-        tasks = [(pool, task, ("second", 0.0, True)),
-                 (pool, task, ("slow", 0.3, False))]
+        worker.start()
+        # "first" runs on worker 0 and fails after "second" on worker 1;
+        # "slow" follows "second" on worker 1 and is still running when
+        # both have failed.
+        _, fn, args = task(0, 0)
+        in_flight = [pool.submit(fn, *args)]
         with pytest.raises(InvalidStateError, match="first"):
-            worker._run_tasks(tasks, in_flight)
-        assert finished == ["second", "first", "slow"]
+            worker._run_tasks([task(1, 1), task(2, 1)], in_flight)
+        assert finished[:3] == [2, 1, 3]
     finally:
         worker.close()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_no_worker_process_outlives_run_case(monkeypatch, fails):
+    pids = FORK.Array("q", 4)        # every process that ran a sweep
+    sweep = runner.convective_derivative
+
+    def noting(*args, **kwargs):
+        with pids.get_lock():
+            if os.getpid() not in pids[:]:
+                pids[pids[:].index(0)] = os.getpid()
+        if fails:
+            raise InvalidStateError("injected", block_id=0)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "convective_derivative", noting)
+    case = wave_case(8, t_end=0.002, fixed_dt=1e-3)
+    if fails:
+        with pytest.raises(DivergenceError):
+            run_case(case, max_workers=2)
+    else:
+        assert run_case(case, max_workers=2).iterations == 2
+    ran = {pid for pid in pids[:] if pid}
+    assert len(ran) == 2 and os.getpid() not in ran
+    assert multiprocessing.active_children() == []
+    for pid in ran:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_runs_without_steps_or_with_one_worker_start_no_process(
+        monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    case = wave_case(8, t_end=0.002, fixed_dt=1e-3)
+    set_up = replace(case, controls=replace(case.controls, max_iters=0))
+    assert run_case(set_up, max_workers=2).iterations == 0
+    assert run_case(on_ranks(set_up, 8, 2), max_workers=4).iterations == 0
+    assert run_case(case, max_workers=1).iterations == 2
+    assert run_case(on_ranks(case, 8, 2), max_workers=1).iterations == 2
+    assert forks == []
+    run_case(on_ranks(case, 8, 2), max_workers=2)
+    assert len(forks) == 2 * 2               # ranks x workers, once per call
+
+
+def test_outcome_fields_outlive_the_workers(case_and_reference):
+    case, reference = case_and_reference
+    first = run_case(case, max_workers=2, best_of=2)
+    second = run_case(case, max_workers=2)
+    for out in (first, second):
+        assert np.array_equal(assemble_zone(out.fields, out.plan), reference)
+    assert not np.shares_memory(first.fields[0].data, second.fields[0].data)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_later_run_leaves_earlier_results_alone(workers):
+    case = wave_case(8, t_end=0.002, fixed_dt=1e-3)
+    worker = RankWorker(build_simulation(case), 0, max_workers=workers)
+    try:
+        worker.start()
+        two_steps = worker.run(case.controls)
+        kept = two_steps.fields[0].data.copy()
+        worker.run(replace(case.controls, max_iters=1))
+    finally:
+        worker.close()
+    assert two_steps.iterations == 2
+    assert np.array_equal(two_steps.fields[0].data, kept)
+
+
+def test_plan_of_another_zone_is_rejected():
+    case = wave_case(8, t_end=0.002, fixed_dt=1e-3)
+    other = plan_from_text(plan_to_text(case_plan(wave_case(12))))
+    named = "plan's zone .* is not the case's"
+    with pytest.raises(WcnsflowError, match=named):
+        run_case(case, other)
+    with pytest.raises(WcnsflowError, match=named):
+        run_socket_rank(case, 0, {0: ("127.0.0.1", free_port())}, plan=other)
+    same = plan_from_text(plan_to_text(case_plan(case)))
+    assert run_case(case, same, max_workers=1).iterations == 2

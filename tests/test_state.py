@@ -32,6 +32,17 @@ def test_primitive_from_conserved_rest():
     assert scalars(w) == pytest.approx((1.0, 0.0, 0.0, 0.0, 1.0), rel=1e-15)
 
 
+def test_primitive_from_conserved_into_out_is_bitwise_equal():
+    rng = np.random.default_rng(3)
+    w = np.concatenate([rng.uniform(0.5, 2.0, (1, 4, 3, 2)),
+                        rng.uniform(-1.0, 1.0, (3, 4, 3, 2)),
+                        rng.uniform(0.5, 2.0, (1, 4, 3, 2))])
+    q = conserved_from_primitive(w, GAS)
+    out = np.full_like(q, np.nan)
+    assert primitive_from_conserved(q, GAS, out=out) is out
+    assert np.array_equal(out, primitive_from_conserved(q, GAS))
+
+
 def test_primitive_from_conserved_moving():
     w = primitive_from_conserved(col(1.0, 1.0, 0.0, 0.0, 3.0), GAS)
     assert scalars(w) == pytest.approx((1.0, 1.0, 0.0, 0.0, 1.0), abs=1e-15)
