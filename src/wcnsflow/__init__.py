@@ -12,7 +12,7 @@ from .cases import (Case, case_plan, corner_case, generate_case,
                     uniform_case, wave_case, with_load_ratio)
 from .devices import (DEFAULT_COPROCESSOR, DEFAULT_CPU, DEFAULT_LINK,
                       DEFAULT_NETWORK, DeviceModel, LinkModel, NetworkModel)
-from .dumps import merge_dumps, read_dump, write_dump, zone_array
+from .dumps import read_dump, write_dump
 from .errors import (CaseFormatError, DivergenceError, HaloPlanError,
                      InvalidStateError, PartitionError, StencilError,
                      TransportError, WcnsflowError)
@@ -20,8 +20,7 @@ from .fields import BlockField, FieldSet, allocate_fields, assemble_zone
 from .halo import HaloExchanger, HaloPlan, build_halo_plan
 from .metrics import RunMetrics, mcups, metrics_from_csv, metrics_to_csv
 from .model import (best_ratio, cpu_only_variant, model_schedule,
-                    predict_balanced_ratio, strong_scaling,
-                    sweep_load_ratio, weak_scaling)
+                    strong_scaling, sweep_load_ratio, weak_scaling)
 from .partition import (Block, NodeTopology, PartitionPlan, ZoneSpec,
                         make_plan, plan_from_text, plan_to_text)
 from .riemann import solve_riemann
@@ -47,11 +46,11 @@ __all__ = [
     "assemble_zone", "best_ratio", "build_halo_plan",
     "build_simulation", "case_plan", "corner_case", "cpu_only_variant",
     "free_port", "generate_case", "initial_fields", "load_case",
-    "make_plan", "mcups", "merge_dumps", "metrics_from_csv",
+    "make_plan", "mcups", "metrics_from_csv",
     "metrics_to_csv", "model_schedule", "plan_from_text",
-    "plan_to_text", "predict_balanced_ratio", "read_dump", "run_case",
+    "plan_to_text", "read_dump", "run_case",
     "run_socket_rank", "save_case", "sod_case", "solve_riemann",
     "strong_scaling", "sweep_load_ratio", "timeline_report",
     "uniform_case", "wave_case", "weak_scaling", "with_load_ratio",
-    "write_dump", "zone_array",
+    "write_dump",
 ]

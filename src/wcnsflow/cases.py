@@ -60,7 +60,6 @@ class Case:
     ranks: int = 1
     load_ratio: float = 1.0
     target_blocks: int | None = 1
-    max_block_cells: int | None = None
     cuts: tuple[int, tuple[int, ...]] | None = None   # (axis, widths)
     topology: NodeTopology = field(
         default_factory=lambda: NodeTopology(1, 1, 0))
@@ -86,8 +85,7 @@ def case_plan(case: Case) -> PartitionPlan:
         return make_plan(case.zone, case.ranks, case.topology,
                          case.load_ratio, explicit_blocks=blocks)
     return make_plan(case.zone, case.ranks, case.topology, case.load_ratio,
-                     target_blocks=case.target_blocks,
-                     max_block_cells=case.max_block_cells)
+                     target_blocks=case.target_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +300,14 @@ def corner_case(nodes: int = 16, *, columns: int = 100, cross: int = 20,
     )
 
 
-def generate_case(kind: str, **kwargs) -> Case:
-    makers = {"uniform": uniform_case, "wave": wave_case, "sod": sod_case,
+GENERATORS = {"uniform": uniform_case, "wave": wave_case, "sod": sod_case,
               "corner": corner_case}
-    if kind not in makers:
+
+
+def generate_case(kind: str, **kwargs) -> Case:
+    if kind not in GENERATORS:
         raise CaseFormatError(f"unknown case kind {kind!r}")
-    return makers[kind](**kwargs)
+    return GENERATORS[kind](**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +338,7 @@ def case_to_text(case: Case) -> str:
                  f"t-end={_opt(c.t_end)} max-iters={c.max_iters} "
                  f"tolerance={_opt(c.tolerance)}")
     lines.append(f"run ranks={case.ranks} load-ratio={case.load_ratio!r} "
-                 f"target-blocks={_opt_int(case.target_blocks)} "
-                 f"max-block-cells={_opt_int(case.max_block_cells)}")
+                 f"target-blocks={_opt_int(case.target_blocks)}")
     if case.cuts is not None:
         axis, widths = case.cuts
         lines.append(f"cuts axis={axis} widths={','.join(map(str, widths))}")
@@ -347,7 +346,7 @@ def case_to_text(case: Case) -> str:
     for dev in (case.cpu, case.coprocessor):
         if dev is None:
             continue
-        rec = (f"device class={dev.device_class} workers={dev.worker_count} "
+        rec = (f"device class={dev.device_class} "
                f"throughput={dev.relative_throughput!r} "
                f"overhead={dev.kernel_overhead!r}")
         if dev.link is not None:
@@ -393,7 +392,6 @@ def _read_record(rec: Record, vals: dict) -> None:
         vals["ranks"] = rec.get("ranks", int)
         vals["load_ratio"] = rec.get("load-ratio", float)
         vals["target_blocks"] = rec.get("target-blocks", optional(int))
-        vals["max_block_cells"] = rec.get("max-block-cells", optional(int))
     elif rec.kind == "cuts":
         vals["cuts"] = (rec.get("axis", int), rec.get("widths", ints))
     elif rec.kind == "topology":
@@ -405,7 +403,6 @@ def _read_record(rec: Record, vals: dict) -> None:
                              latency=rec.get("link-latency", float))
         vals["devices"].append(DeviceModel(
             device_class=rec.get("class"),
-            worker_count=rec.get("workers", int),
             relative_throughput=rec.get("throughput", float), link=link,
             kernel_overhead=rec.get("overhead", float)))
     elif rec.kind == "network":

@@ -9,12 +9,13 @@ another so their timings never interfere.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .cases import (case_plan, generate_case, load_case, save_case,
-                    with_load_ratio)
+from .cases import (GENERATORS, case_plan, generate_case, load_case,
+                    save_case, with_load_ratio)
 from .dumps import read_dump, write_dump
 from .errors import WcnsflowError
 from .metrics import (RunMetrics, from_timeline, metrics_from_csv,
@@ -59,36 +60,34 @@ def _load(args) -> tuple:
     return case, plan
 
 
+# gen flags that go to the case generator under their own name (``--n`` is
+# ``nx`` for Sod).
+GEN_FLAGS = ("n", "blocks", "max_iters", "cfl", "t_end", "fixed_dt", "nodes",
+             "columns", "cross", "load_ratio", "mach")
+
+
 def _cmd_gen(args) -> int:
+    maker = GENERATORS[args.kind]
+    takes = inspect.signature(maker).parameters
     kwargs = {}
-    if args.n:
-        vals = _ints(args.n)
-        if args.kind == "uniform":
-            kwargs["n"] = tuple(vals) if len(vals) == 3 else (vals[0],) * 3
-        else:
-            kwargs["n"] = vals[0] if len(vals) == 1 else tuple(vals)
-    for name in ("blocks", "max_iters", "nodes", "columns", "cross"):
-        v = getattr(args, name)
-        if v is not None:
-            kwargs[name] = v
-    for name in ("cfl", "t_end", "fixed_dt", "load_ratio", "mach"):
-        v = getattr(args, name)
-        if v is not None:
-            kwargs[name] = v
-    if args.kind in ("uniform", "corner"):
-        kwargs.pop("t_end", None)
-        kwargs.pop("fixed_dt", None)
-    if args.kind != "corner":
-        for k in ("nodes", "columns", "cross", "load_ratio", "mach"):
-            kwargs.pop(k, None)
-    if args.kind == "sod":
-        kwargs.pop("blocks", None)
-        if "n" in kwargs:
-            kwargs["nx"] = kwargs.pop("n")
-    if args.kind == "wave":
-        kwargs.pop("max_iters", None)
-        kwargs.pop("cfl", None)
-    case = generate_case(args.kind, **kwargs)
+    for flag in GEN_FLAGS:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        param = "nx" if flag == "n" and "nx" in takes else flag
+        if param not in takes:
+            raise WcnsflowError(f"gen --kind {args.kind} does not take "
+                                f"--{flag.replace('_', '-')}")
+        if flag == "n":
+            if len(value) == 3 and args.kind == "uniform":
+                value = tuple(value)
+            elif len(value) == 1:
+                value = (value[0],) * 3 if args.kind == "uniform" else value[0]
+            else:
+                raise WcnsflowError("gen --n takes one size, or nx,ny,nz "
+                                    "for --kind uniform")
+        kwargs[param] = value
+    case = maker(**kwargs)
     if args.ranks is not None:
         topo = case.topology
         if args.kind != "corner":
@@ -309,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kind", required=True,
                    choices=("uniform", "wave", "sod", "corner"))
     g.add_argument("--out", required=True)
-    g.add_argument("--n", help="grid size: one int or nx,ny,nz")
+    g.add_argument("--n", type=_ints,
+                   help="grid size: one int, or nx,ny,nz for uniform")
     g.add_argument("--blocks", type=int)
     g.add_argument("--ranks", type=int)
     g.add_argument("--max-iters", dest="max_iters", type=int)

@@ -1,15 +1,16 @@
-"""Device cost models and worker pools.
+"""Device cost models and the host's worker pools.
 
-Timing for heterogeneous runs comes from a calibrated model, not from the
-host the benchmark happens to run on: a device advances a modeled clock by
+The CPU sockets and coprocessors of a heterogeneous node exist only in the
+cost model: a device advances a modeled clock by
 ``kernel_overhead + work / relative_throughput`` per kernel, and coprocessor
 traffic pays ``latency + bytes / bandwidth`` on its link.  Throughputs are
 expressed in cell-stage updates per second so block sizes translate directly
-into modeled seconds.  The same classes drive the host's worker pools: a
-pool of more than one worker forks that many worker processes, which run the
-tasks the rank sends them in memory they share with it, so numerical results
-are produced by genuinely concurrent workers while the modeled clock stays
-reproducible.
+into modeled seconds, whatever host the run happens to use.
+
+On the host each rank has one worker pool (``rank_pool``) that sweeps every
+block of the rank, whichever modeled device the block belongs to.  A pool of
+more than one worker forks that many worker processes, which run the tasks
+the rank sends them in memory they share with it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class DeviceModel:
     """
 
     device_class: str                       # "cpu" | "coprocessor"
-    worker_count: int
     relative_throughput: float
     link: LinkModel | None = None
     kernel_overhead: float = 2.0e-6
@@ -70,8 +70,6 @@ class DeviceModel:
     def __post_init__(self):
         if self.device_class not in ("cpu", "coprocessor"):
             raise ValueError(f"unknown device class {self.device_class!r}")
-        if self.worker_count < 1:
-            raise ValueError("device needs at least one worker")
         if self.relative_throughput <= 0:
             raise ValueError("throughput must be positive")
         if (self.link is None) == (self.device_class == "coprocessor"):
@@ -79,9 +77,9 @@ class DeviceModel:
 
 
 DEFAULT_LINK = LinkModel(bandwidth=6.0e9, latency=2.0e-6)
-DEFAULT_CPU = DeviceModel("cpu", worker_count=12, relative_throughput=2.0e7)
-DEFAULT_COPROCESSOR = DeviceModel("coprocessor", worker_count=57,
-                                  relative_throughput=1.5e7, link=DEFAULT_LINK)
+DEFAULT_CPU = DeviceModel("cpu", relative_throughput=2.0e7)
+DEFAULT_COPROCESSOR = DeviceModel("coprocessor", relative_throughput=1.5e7,
+                                  link=DEFAULT_LINK)
 DEFAULT_NETWORK = NetworkModel()
 
 # Host-side memory streaming rate used to cost packing and unpacking.
@@ -89,6 +87,7 @@ MEMCPY_BANDWIDTH = 4.0e10
 
 
 STOP_TIMEOUT = 5.0          # seconds a stopping worker gets to exit
+OVERSUBSCRIPTION = 4        # worker processes per host core before a warning
 
 
 class Pending:
@@ -188,13 +187,11 @@ class WorkerProcess:
 
 @dataclass
 class DevicePool:
-    """A device model bound to its workers.  A pool of one worker runs every
-    task on the calling thread; a larger pool, once started, has one worker
-    process per worker."""
+    """A rank's workers.  A pool of one worker runs every task on the
+    calling thread; a larger pool, once started, has one worker process per
+    worker."""
 
-    name: str                   # e.g. "rank0/cpu0", "rank0/mic1"
-    model: DeviceModel
-    group: Group
+    name: str                   # "rank{r}"; its processes are "rank{r}/{k}"
     workers: int = 1            # tasks the pool runs at once
     processes: list[WorkerProcess] = field(default_factory=list)
 
@@ -221,38 +218,19 @@ class DevicePool:
         self.processes = []
 
 
+def rank_pool(rank: int, max_workers: int | None = None) -> DevicePool:
+    """The pool of rank ``rank``: ``max_workers`` workers, else one per host
+    core up to four, and never fewer than one.  An explicit count beyond
+    ``OVERSUBSCRIPTION`` workers per host core draws a warning.  No process
+    starts here (``DevicePool.start``)."""
+    host = os.cpu_count() or 1
+    if max_workers is not None and max_workers > OVERSUBSCRIPTION * host:
+        warnings.warn(f"rank {rank} wants {max_workers} worker processes on "
+                      f"{host} host cores", RuntimeWarning, stacklevel=2)
+    workers = min(host, 4) if max_workers is None else max_workers
+    return DevicePool(name=f"rank{rank}", workers=max(workers, 1))
+
+
 def device_label(rank: int, group: Group) -> str:
     kind = "cpu" if group.device_class == "cpu" else "mic"
     return f"rank{rank}/{kind}{group.device_index}"
-
-
-def configure_devices(rank: int, groups: list[Group], *,
-                      cpu: DeviceModel = DEFAULT_CPU,
-                      coprocessor: DeviceModel = DEFAULT_COPROCESSOR,
-                      max_workers: int | None = None,
-                      oversubscription_limit: float = 4.0) -> list[DevicePool]:
-    """Build one pool per group on a rank, warning when the combined worker
-    demand oversubscribes the actual core count.  Pools stay small regardless
-    of the modeled worker count: modeled time comes from the cost model, and
-    the host only needs enough workers to use its cores.  No process starts
-    here (``DevicePool.start``)."""
-    pools = []
-    host = os.cpu_count() or 1
-    for g in groups:
-        model = cpu if g.device_class == "cpu" else coprocessor
-        workers = max_workers
-        if workers is None:
-            workers = min(model.worker_count, host, 4)
-        pools.append(DevicePool(name=device_label(rank, g), model=model,
-                                group=g, workers=max(workers, 1)))
-    demand = sum(p.workers for p in pools if p.workers > 1)
-    if demand > oversubscription_limit * host:
-        warnings.warn(
-            f"rank {rank} wants {demand} worker processes on {host} host "
-            f"cores", RuntimeWarning, stacklevel=2)
-    return pools
-
-
-def shutdown_pools(pools: list[DevicePool]) -> None:
-    for p in pools:
-        p.shutdown()

@@ -9,9 +9,8 @@ Layout (all integers little-endian u32, all data little-endian float64):
         id, nx, ny, nz   4 x u32
         data             5 * nx * ny * nz float64, component-major C order
 
-Interior cells only; ghost cells never reach disk.  Files written from
-different partitions of the same state assemble to bitwise-identical zone
-arrays, which is what the partition-transparency checks compare.
+Interior cells only; ghost cells never reach disk.  A run writes one dump
+for the whole zone: socket ranks gather their blocks to rank 0 first.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 
 from .errors import CaseFormatError
 from .fields import FieldSet
-from .partition import PartitionPlan
 from .state import NCOMP
 
 DUMP_MAGIC = b"WCNSDUMP"
@@ -69,35 +67,3 @@ def read_dump(path) -> dict[int, np.ndarray]:
             out[bid] = np.frombuffer(raw, dtype="<f8").reshape(
                 NCOMP, nx, ny, nz).astype(np.float64)
         return out
-
-
-def merge_dumps(parts: list[dict[int, np.ndarray]]) -> dict[int, np.ndarray]:
-    out: dict[int, np.ndarray] = {}
-    for part in parts:
-        for bid, data in part.items():
-            if bid in out:
-                raise CaseFormatError(f"duplicate block {bid} across dumps")
-            out[bid] = data
-    return out
-
-
-def zone_array(dump: dict[int, np.ndarray], plan: PartitionPlan) -> np.ndarray:
-    """Assemble per-block dump data into one zone-shaped array."""
-    zone = plan.zone
-    out = np.empty((NCOMP,) + zone.shape)
-    seen = 0
-    for b in plan.blocks:
-        if b.id not in dump:
-            raise CaseFormatError(f"dump is missing block {b.id}")
-        data = dump[b.id]
-        if data.shape != (NCOMP,) + b.shape:
-            raise CaseFormatError(
-                f"block {b.id} dump shape {data.shape} does not match "
-                f"plan shape {(NCOMP,) + b.shape}")
-        sl = tuple(slice(b.lo[a], b.hi[a]) for a in range(3))
-        out[(slice(None),) + sl] = data
-        seen += data[0].size
-    if seen != zone.cells:
-        raise CaseFormatError(
-            f"dump covers {seen} cells of {zone.cells} in the zone")
-    return out

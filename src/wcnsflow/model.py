@@ -283,38 +283,6 @@ def best_ratio(points: list[RatioPoint]) -> RatioPoint:
     return max(points, key=lambda p: p.speedup)
 
 
-def predict_balanced_ratio(case: Case, lo: float = 0.05, hi: float = 5.0,
-                           tol: float = 1e-6) -> float:
-    """Ratio at which one CPU block and one coprocessor block take equal
-    modeled stage time, by bisection on the continuous block widths."""
-    if case.coprocessor is None:
-        raise ValueError("case has no coprocessor model")
-    topo = case.topology
-    columns = case.zone.shape[0] // topo.nodes
-    cross = case.zone.shape[1] * case.zone.shape[2]
-    n_c, n_m = topo.cpu_per_node, topo.coproc_per_node
-    thr_c = case.cpu.relative_throughput
-    thr_m = case.coprocessor.relative_throughput
-
-    def gap(r: float) -> float:
-        c = columns / (n_c + n_m * r)
-        t_cpu = case.cpu.kernel_overhead + c * cross / thr_c
-        t_mic = case.coprocessor.kernel_overhead + r * c * cross / thr_m
-        return t_cpu - t_mic
-
-    a, b = lo, hi
-    ga, gb = gap(a), gap(b)
-    if ga * gb > 0:
-        return thr_m / thr_c
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if ga * gap(mid) <= 0:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
-
-
 def weak_scaling(make_case, ranks_list, *, steps: int = 2,
                  overlap: bool = True, coalesce: bool = True
                  ) -> list[RunMetrics]:

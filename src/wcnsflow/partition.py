@@ -178,50 +178,28 @@ def _blocks_from_counts(zone: ZoneSpec, counts) -> list[Block]:
     return blocks
 
 
-def split_zone(zone: ZoneSpec, target_blocks: int | None = None,
-               max_block_cells: int | None = None) -> list[Block]:
-    """Tile a zone with a regular grid of near-equal blocks.
-
-    Exactly one of ``target_blocks`` / ``max_block_cells`` must be given.
-    The factorization minimizes the largest block first and internal face
-    area (communication surface) second.
+def split_zone(zone: ZoneSpec,
+               target_blocks: int | None = None) -> list[Block]:
+    """Tile a zone with a regular grid of ``target_blocks`` near-equal
+    blocks.  The factorization minimizes the largest block first and
+    internal face area (communication surface) second.
     """
-    if (target_blocks is None) == (max_block_cells is None):
-        raise PartitionError("give exactly one of target_blocks / max_block_cells")
-
-    def best_triple(count):
-        candidates = []
-        for triple in _factor_triples(count):
-            if not _triple_valid(zone.shape, triple):
-                continue
-            widths = [_axis_cuts(n, p) for n, p in zip(zone.shape, triple)]
-            biggest = int(np.prod([max(w) for w in widths]))
-            area = sum((p - 1) * zone.cells // n
-                       for n, p in zip(zone.shape, triple))
-            candidates.append((biggest, area, triple))
-        if not candidates:
-            return None
-        return min(candidates)
-
-    if target_blocks is not None:
-        if target_blocks < 1 or target_blocks > zone.cells:
-            raise PartitionError(
-                f"cannot cut {zone.cells} cells into {target_blocks} blocks")
-        pick = best_triple(target_blocks)
-        if pick is None:
-            raise PartitionError(
-                f"no valid {target_blocks}-block tiling of shape {zone.shape}")
-        return _blocks_from_counts(zone, pick[2])
-
-    if max_block_cells < 1:
-        raise PartitionError(f"max_block_cells must be positive, got {max_block_cells}")
-    count = max(1, -(-zone.cells // max_block_cells))
-    for b in range(count, 8 * count + 64):
-        pick = best_triple(b)
-        if pick is not None and pick[0] <= max_block_cells:
-            return _blocks_from_counts(zone, pick[2])
-    raise PartitionError(
-        f"no tiling of shape {zone.shape} reaches max_block_cells={max_block_cells}")
+    if target_blocks is None or not 1 <= target_blocks <= zone.cells:
+        raise PartitionError(
+            f"cannot cut {zone.cells} cells into {target_blocks} blocks")
+    candidates = []
+    for triple in _factor_triples(target_blocks):
+        if not _triple_valid(zone.shape, triple):
+            continue
+        widths = [_axis_cuts(n, p) for n, p in zip(zone.shape, triple)]
+        biggest = int(np.prod([max(w) for w in widths]))
+        area = sum((p - 1) * zone.cells // n
+                   for n, p in zip(zone.shape, triple))
+        candidates.append((biggest, area, triple))
+    if not candidates:
+        raise PartitionError(
+            f"no valid {target_blocks}-block tiling of shape {zone.shape}")
+    return _blocks_from_counts(zone, min(candidates)[2])
 
 
 def split_zone_cuts(zone: ZoneSpec, axis: int, widths: list[int]) -> list[Block]:
@@ -466,13 +444,12 @@ def regroup_blocks(blocks: list[Block], ghosts: list[GhostSource], ranks: int,
 
 def make_plan(zone: ZoneSpec, ranks: int, topology: NodeTopology,
               load_ratio: float = 1.0, target_blocks: int | None = None,
-              max_block_cells: int | None = None,
               explicit_blocks: list[Block] | None = None) -> PartitionPlan:
     """Full pipeline: split (unless blocks are given), then regroup."""
     if explicit_blocks is not None:
         blocks = list(explicit_blocks)
     else:
-        blocks = split_zone(zone, target_blocks, max_block_cells)
+        blocks = split_zone(zone, target_blocks)
     ghosts = ghost_sources(blocks, zone)
     groups, rank_of_block = regroup_blocks(blocks, ghosts, ranks, topology,
                                            load_ratio)

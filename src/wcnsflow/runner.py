@@ -11,14 +11,17 @@ them, follow them.  Every other block sweeps each axis whole after the
 exchange.  Each sweep range is further cut into one run of cross rows per
 pool worker, and the rank thread waits once per stage for all of them.
 
-A pool of more than one worker sweeps in worker processes, forked before
-any rank thread starts (``RankWorker.start``), and the runs of one
-``run_case`` share them.  They inherit the rank's ``Arena``, an anonymous
-shared mapping that holds every block's extended state, primitives and
-convective outputs, so a sweep crosses their pipes only as a ``Sweep``
-description.  Worker ``k`` sweeps row run ``k`` of every range in the order
-sent, so a boundary sweep always follows the interior sweep whose edges it
-reads.  Viscous terms, conversions and updates stay on the rank thread.
+Each rank has one host worker pool that sweeps all of its blocks; the
+modeled CPU sockets and coprocessors that the plan groups blocks into exist
+only in the cost model.  A pool of more than one worker sweeps in worker
+processes, forked before any rank thread starts (``RankWorker.start``), and
+the runs of one ``run_case`` share them.  They inherit the rank's
+``Arena``, an anonymous shared mapping that holds every block's extended
+state, primitives and convective outputs, so a sweep crosses their pipes
+only as a ``Sweep`` description.  Worker ``k`` sweeps row run ``k`` of
+every range in the order sent, so a boundary sweep always follows the
+interior sweep whose edges it reads.  Viscous terms, conversions and
+updates stay on the rank thread.
 
 Ranks coordinate only through transport messages, so one worker
 implementation runs serially, under threads in one process, or across
@@ -48,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cases import Case, case_plan, initial_fields
-from .devices import DevicePool, configure_devices, shutdown_pools
+from .devices import rank_pool
 from .errors import DivergenceError, InvalidStateError, WcnsflowError
 from .fields import BlockField, FieldSet
 from .halo import (
@@ -244,9 +247,10 @@ def _shared_empty(shape: tuple) -> np.ndarray:
 
 
 class RankWorker:
-    """One rank's share of a run: blocks, buffers, pools, stage pipeline.
-    Its pools and arena outlive a run, so every run of a ``run_case`` reuses
-    them; ``close`` ends them."""
+    """One rank's share of a run: blocks, buffers, stage pipeline, and the
+    one host pool that sweeps every block of the rank, whatever modeled
+    device the plan puts the block on.  Its pool and arena outlive a run, so
+    every run of a ``run_case`` reuses them; ``close`` ends them."""
 
     def __init__(self, sim: Simulation, rank: int, transport=None, *,
                  overlap: bool = True, coalesce: bool = True,
@@ -261,15 +265,7 @@ class RankWorker:
         self.exchanger = HaloExchanger(sim.halo_plan, sim.plan, transport,
                                        freestream=sim.freestream,
                                        coalesce=coalesce)
-        groups = sim.plan.groups_of_rank(rank)
-        self.pools = configure_devices(
-            rank, groups, cpu=sim.case.cpu,
-            coprocessor=sim.case.coprocessor or sim.case.cpu,
-            max_workers=max_workers)
-        self.pool_of_block: dict[int, DevicePool] = {}
-        for g, pool in zip(groups, self.pools):
-            for bid in g.block_ids:
-                self.pool_of_block[bid] = pool
+        self.pool = rank_pool(rank, max_workers)
         self.cut = cut_blocks(sim.halo_plan, rank, overlap)
         self.arena = Arena(self.blocks, self.cut, shared=False)
 
@@ -284,17 +280,14 @@ class RankWorker:
     # -- setup -------------------------------------------------------------
 
     def start(self) -> None:
-        """Fork the worker processes of every pool of more than one worker,
-        over a shared arena that takes the private one's place.  Call it
-        before the first run and before any thread of the run starts."""
-        pooled = [p for p in self.pools if p.workers > 1]
-        if not pooled:
+        """Fork the worker processes of a pool of more than one worker, over
+        a shared arena that takes the private one's place.  Call it before
+        the first run and before any thread of the run starts."""
+        if self.pool.workers == 1:
             return
         self.arena = Arena(self.blocks, self.cut, shared=True)
-        serve = functools.partial(self.arena.sweep, gas=self.sim.gas,
-                                  spacing=self.spacing)
-        for pool in pooled:
-            pool.start(serve)
+        self.pool.start(functools.partial(self.arena.sweep, gas=self.sim.gas,
+                                          spacing=self.spacing))
 
     def init_state(self) -> None:
         # Let go of the last run's state first; its result keeps its fields.
@@ -311,7 +304,7 @@ class RankWorker:
                               for _ in range(3)]
 
     def close(self) -> None:
-        shutdown_pools(self.pools)
+        self.pool.shutdown()
 
     # -- per-stage pieces ----------------------------------------------------
 
@@ -379,12 +372,11 @@ class RankWorker:
 
         return finalize
 
-    @staticmethod
-    def _submit(tasks, futures: list) -> None:
-        """Submit (pool, fn, args) triples, appending to ``futures`` the
+    def _submit(self, tasks, futures: list) -> None:
+        """Submit (fn, args) pairs to the pool, appending to ``futures`` the
         ``Pending`` of each task that went to a worker process."""
-        for pool, fn, args in tasks:
-            fut = pool.submit(fn, *args)
+        for fn, args in tasks:
+            fut = self.pool.submit(fn, *args)
             if fut is not None:
                 futures.append(fut)
 
@@ -408,8 +400,7 @@ class RankWorker:
         which is the whole axis for a block that is not cut.  Each range is
         split into one task per pool worker over equal runs of cross rows;
         task ``k`` goes to worker ``k``."""
-        pool = self.pool_of_block[b.id]
-        workers = pool.workers
+        workers = self.pool.workers
         handoff = b.id in self.cut
         tasks = []
         for axis in range(3):
@@ -424,15 +415,14 @@ class RankWorker:
                     if r1 > r0:
                         sweep = Sweep(b.id, slot, axis, float(lams[axis]),
                                       lo, hi, r0, r1, handoff)
-                        tasks.append((pool, self._conv_chunk, (sweep, k)))
+                        tasks.append((self._conv_chunk, (sweep, k)))
         return tasks
 
     def _conv_chunk(self, sweep: Sweep, k: int):
         """Sweep task ``k`` of its range: sent to worker process ``k`` of the
-        block's pool, or run here when the pool has none."""
-        pool = self.pool_of_block[sweep.block]
-        if pool.processes:
-            return pool.send(k, sweep)
+        pool, or run here when the pool has none."""
+        if self.pool.processes:
+            return self.pool.send(k, sweep)
         self.arena.sweep(sweep, self.sim.gas, self.spacing)
         return None
 
@@ -475,8 +465,7 @@ class RankWorker:
                 if self.sim.gas.viscous:
                     grads = velocity_temperature_gradients(w_ext,
                                                            self.spacing)
-                    pool = self.pool_of_block[b.id]
-                    tasks += [(pool, self._vis_chunk, (b, grads, axis))
+                    tasks += [(self._vis_chunk, (b, grads, axis))
                               for axis in range(3)]
                 self._submit(tasks, futures)
         except BaseException:

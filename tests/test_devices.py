@@ -16,9 +16,9 @@ from wcnsflow.devices import (
     DeviceModel,
     LinkModel,
     NetworkModel,
-    configure_devices,
+    OVERSUBSCRIPTION,
     device_label,
-    shutdown_pools,
+    rank_pool,
 )
 from wcnsflow.cases import case_plan, corner_case, sod_case, wave_case
 from wcnsflow.errors import CaseFormatError, InvalidStateError
@@ -56,8 +56,7 @@ def test_network_message_cost_adds_software_overhead():
 
 
 def test_device_compute_cost():
-    dev = DeviceModel("cpu", worker_count=4, relative_throughput=1e6,
-                      kernel_overhead=1e-5)
+    dev = DeviceModel("cpu", relative_throughput=1e6, kernel_overhead=1e-5)
     seconds = dev.kernel_overhead + 50_000 / dev.relative_throughput
     assert seconds == pytest.approx(0.05001)
 
@@ -65,13 +64,13 @@ def test_device_compute_cost():
 def test_device_class_link_pairing_is_enforced():
     link = LinkModel(bandwidth=1e9)
     with pytest.raises(ValueError, match="link"):
-        DeviceModel("cpu", worker_count=1, relative_throughput=1.0, link=link)
+        DeviceModel("cpu", relative_throughput=1.0, link=link)
     with pytest.raises(ValueError, match="link"):
-        DeviceModel("coprocessor", worker_count=1, relative_throughput=1.0)
+        DeviceModel("coprocessor", relative_throughput=1.0)
     with pytest.raises(ValueError):
-        DeviceModel("gpu", worker_count=1, relative_throughput=1.0)
+        DeviceModel("gpu", relative_throughput=1.0)
     with pytest.raises(ValueError):
-        DeviceModel("cpu", worker_count=0, relative_throughput=1.0)
+        DeviceModel("cpu", relative_throughput=0.0)
 
 
 def test_default_devices_are_consistent():
@@ -83,30 +82,24 @@ def test_default_devices_are_consistent():
 # ---------------------------------------------------------------------------
 # Pools
 
-def test_configure_devices_builds_one_pool_per_group():
-    groups = [
-        Group(id=0, rank=0, device_class="cpu", device_index=0, block_ids=[0]),
-        Group(id=1, rank=0, device_class="cpu", device_index=1, block_ids=[1]),
-        Group(id=2, rank=0, device_class="coprocessor", device_index=0,
-              block_ids=[2]),
-    ]
-    pools = configure_devices(0, groups, max_workers=1)
-    assert [p.name for p in pools] == ["rank0/cpu0", "rank0/cpu1",
-                                       "rank0/mic0"]
-    assert pools[0].model.device_class == "cpu"
-    assert pools[2].model.device_class == "coprocessor"
-    assert all(p.workers == 1 and p.processes == [] for p in pools)
-    shutdown_pools(pools)
+def test_rank_pool_is_named_for_its_rank_and_sized_for_the_host():
+    host = os.cpu_count() or 1
+    for max_workers, workers in [(None, min(host, 4)), (1, 1), (0, 1),
+                                 (3, 3)]:
+        pool = rank_pool(2, max_workers)
+        assert (pool.name, pool.workers) == ("rank2", workers)
+        assert pool.processes == []
 
 
 def test_pools_execute_submitted_work():
-    groups = [Group(id=0, rank=1, device_class="coprocessor", device_index=2,
-                    block_ids=[0])]
-    assert device_label(1, groups[0]) == "rank1/mic2"
-    with pytest.warns(RuntimeWarning):
-        configure_devices(1, groups, max_workers=8,
-                          oversubscription_limit=1.0)
-    (pool,) = configure_devices(1, groups, max_workers=2)
+    group = Group(id=0, rank=1, device_class="coprocessor", device_index=2,
+                  block_ids=[0])
+    assert device_label(1, group) == "rank1/mic2"
+    many = OVERSUBSCRIPTION * (os.cpu_count() or 1) + 1
+    with pytest.warns(RuntimeWarning, match=f"rank 1 wants {many} worker "
+                      "processes"):
+        assert rank_pool(1, many).processes == []      # never started
+    pool = rank_pool(1, 2)
     assert pool.processes == []                # nothing starts by itself
     pids = np.ndarray(2, dtype=np.int64, buffer=mmap.mmap(-1, 16))
 
@@ -118,6 +111,7 @@ def test_pools_execute_submitted_work():
 
     pool.start(serve)
     workers = [p.process for p in pool.processes]
+    assert [w.name for w in workers] == ["rank1/0", "rank1/1"]
     try:
         # submit runs its task here; send hands a task to one worker.
         assert pool.submit(lambda x: x + 1, 41) == 42
@@ -128,7 +122,7 @@ def test_pools_execute_submitted_work():
             pool.send(1, (1, True)).result()
         assert info.value.block_id == 1
     finally:
-        shutdown_pools([pool])
+        pool.shutdown()
     assert pool.processes == []
     assert not any(w.is_alive() for w in workers)
 

@@ -12,7 +12,7 @@ from wcnsflow.cases import (Case, case_from_text, case_plan, case_to_text,
                             initial_fields, load_case, save_case, sod_case,
                             uniform_case, wave_case, with_load_ratio)
 from wcnsflow.cli import main
-from wcnsflow.dumps import merge_dumps, read_dump, write_dump, zone_array
+from wcnsflow.dumps import read_dump, write_dump
 from wcnsflow.errors import CaseFormatError
 from wcnsflow.metrics import (RunMetrics, from_timeline, mcups,
                               metrics_from_csv, metrics_to_csv, render_report)
@@ -50,6 +50,12 @@ def test_case_text_header_and_comments():
     assert text.splitlines()[0] == "wcnsflow-case 2"
     noisy = "# a comment\n\n" + text + "\n# trailing\n"
     assert case_from_text(noisy) == uniform_case()
+    # Keys that no run reads any more are ignored.
+    older = text.replace("target-blocks=1",
+                         "target-blocks=1 max-block-cells=-")
+    older = older.replace("device class=cpu", "device class=cpu workers=12")
+    assert older.count("max-block-cells=-") == older.count("workers=12") == 1
+    assert case_from_text(older) == uniform_case()
 
 
 def test_case_file_roundtrip_on_disk(tmp_path):
@@ -279,45 +285,6 @@ def test_dump_rejects_foreign_and_truncated_files(tmp_path):
         read_dump(path)
 
 
-def test_merge_dumps():
-    a = {0: np.zeros((5, 1, 1, 1))}
-    b = {1: np.ones((5, 1, 1, 1))}
-    merged = merge_dumps([a, b])
-    assert sorted(merged) == [0, 1]
-    with pytest.raises(CaseFormatError, match="duplicate block"):
-        merge_dumps([a, a])
-
-
-def test_zone_array_assembly_matches_single_block(tmp_path):
-    split = wave_case(8, blocks=8)
-    plan = case_plan(split)
-    path = tmp_path / "parts.bin"
-    write_dump(path, initial_fields(split, plan))
-    assembled = zone_array(read_dump(path), plan)
-
-    whole = wave_case(8, blocks=1)
-    (f,) = initial_fields(whole, case_plan(whole)).values()
-    assert np.array_equal(assembled, f.interior)
-
-
-def test_zone_array_rejects_bad_dumps():
-    case = wave_case(8, blocks=2)
-    plan = case_plan(case)
-    fields = initial_fields(case, plan)
-    dump = {bid: np.asarray(f.interior) for bid, f in fields.items()}
-
-    partial = dict(dump)
-    del partial[plan.blocks[0].id]
-    with pytest.raises(CaseFormatError, match="missing block"):
-        zone_array(partial, plan)
-
-    warped = dict(dump)
-    bid = plan.blocks[0].id
-    warped[bid] = warped[bid][:, :2]
-    with pytest.raises(CaseFormatError, match="does not match"):
-        zone_array(warped, plan)
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 
@@ -471,6 +438,15 @@ def test_cli_gen_kinds(tmp_path):
     assert case.zone.shape == (24, 4, 4)
 
 
+def test_cli_gen_passes_every_flag_the_kind_takes(tmp_path):
+    path = tmp_path / "sod.case"
+    assert run_cli("gen", "--kind", "sod", "--blocks", 4, "--cross", 8,
+                   "--out", path) == 0
+    case = load_case(path)
+    assert case.zone.shape == (200, 8, 8) and case.target_blocks == 4
+    assert len(case_plan(case).blocks) == 4
+
+
 def test_cli_model_only_run(tmp_path, capsys):
     case_path = tmp_path / "corner.case"
     save_case(small_corner(), case_path)
@@ -587,6 +563,21 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert run_cli("bench", "--case", uni, "--mode", "weak") == 2
     assert run_cli("run", "--case", uni, "--transport", "socket",
                    "--out-dir", tmp_path) == 2
+    # gen rejects a flag the kind's generator does not take.
+    for kind, flags, named in [
+            ("corner", ("--n", 10), "--n"),
+            ("wave", ("--max-iters", 5, "--cfl", 0.3), "--max-iters"),
+            ("wave", ("--cfl", 0.3), "--cfl"),
+            ("uniform", ("--t-end", 0.1), "--t-end"),
+            ("sod", ("--mach", 2.0), "--mach")]:
+        assert run_cli("gen", "--kind", kind, *flags,
+                       "--out", tmp_path / "no.case") == 2
+        assert f"error: gen --kind {kind} does not take {named}" in \
+            capsys.readouterr().err
+    assert not (tmp_path / "no.case").exists()
+    assert run_cli("gen", "--kind", "wave", "--n", "8,8",
+                   "--out", tmp_path / "no.case") == 2
+    assert "error: gen --n takes one size" in capsys.readouterr().err
     two = tmp_path / "two.case"
     assert run_cli("gen", "--kind", "wave", "--n", 8, "--blocks", 2,
                    "--ranks", 2, "--out", two) == 0

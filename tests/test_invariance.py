@@ -77,6 +77,34 @@ def test_worker_counts_match_single_block_run(case_and_reference, blocks,
     assert np.array_equal(got, reference)
 
 
+def count_forks(monkeypatch) -> list:
+    """A list that grows by one entry per ``os.fork`` from now on."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def test_worker_counts_match_on_a_coprocessor_case(monkeypatch):
+    # Each rank's blocks sit on five modeled devices (two CPU sockets and
+    # three coprocessors) and one host pool sweeps them all.
+    case = corner_case(2, columns=40, cross=6, max_iters=2)
+    one = run_case(case, warmup=False, max_workers=1)
+    forks = count_forks(monkeypatch)
+    two = run_case(case, warmup=False, max_workers=2)
+    assert len(two.plan.groups_of_rank(0)) == 5
+    assert len(forks) == case.ranks * 2
+    assert np.array_equal(assemble_zone(two.fields, two.plan),
+                          assemble_zone(one.fields, one.plan))
+    assert two.totals == one.totals == ExchangeTotals(12, 230_400, 408)
+    assert two.timeline.makespan == one.timeline.makespan
+
+
 def test_pooled_ranks_under_a_short_switch_interval():
     # 12^3 blocks, each fed by the other rank, so interior sweeps run on
     # four workers while ghosts arrive and the rank thread converts the
@@ -244,7 +272,7 @@ def test_failing_pool_task_ends_the_run_with_its_cause(monkeypatch):
     calls = []          # each worker process counts its own calls
 
     def failing(*args, **kwargs):
-        if multiprocessing.current_process().name.startswith("rank0/cpu0/"):
+        if multiprocessing.current_process().name.startswith("rank0/"):
             calls.append(1)
             if len(calls) == 3:
                 raise injected
@@ -269,7 +297,7 @@ def test_a_worker_that_dies_ends_the_run_naming_it(monkeypatch):
 
     monkeypatch.setattr(runner, "convective_derivative", dying)
     t0 = time.perf_counter()
-    with pytest.raises(WcnsflowError, match=r"pool worker rank0/cpu0/0 is "
+    with pytest.raises(WcnsflowError, match=r"pool worker rank0/0 is "
                        r"gone \(exit code 3\)"):
         run_case(wave_case(8, t_end=0.002, fixed_dt=1e-3), max_workers=2)
     assert time.perf_counter() - t0 < 5.0
@@ -332,18 +360,18 @@ def test_run_tasks_raises_the_first_failure_in_submit_order(monkeypatch):
 
     monkeypatch.setattr(runner, "convective_derivative", scripted)
     worker = RankWorker(build_simulation(wave_case(8)), 0, max_workers=2)
-    pool = worker.pools[0]
+    pool = worker.pool
 
     def task(lo, k):
         sweep = runner.Sweep(0, 0, 0, 1.0, lo, lo + 1, 0, 8, False)
-        return pool, worker._conv_chunk, (sweep, k)
+        return worker._conv_chunk, (sweep, k)
 
     try:
         worker.start()
         # "first" runs on worker 0 and fails after "second" on worker 1;
         # "slow" follows "second" on worker 1 and is still running when
         # both have failed.
-        _, fn, args = task(0, 0)
+        fn, args = task(0, 0)
         in_flight = [pool.submit(fn, *args)]
         with pytest.raises(InvalidStateError, match="first"):
             worker._run_tasks([task(1, 1), task(2, 1)], in_flight)
@@ -383,14 +411,7 @@ def test_no_worker_process_outlives_run_case(monkeypatch, fails):
 
 def test_runs_without_steps_or_with_one_worker_start_no_process(
         monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    forks = count_forks(monkeypatch)
     case = wave_case(8, t_end=0.002, fixed_dt=1e-3)
     set_up = replace(case, controls=replace(case.controls, max_iters=0))
     assert run_case(set_up, max_workers=2).iterations == 0

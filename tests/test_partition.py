@@ -59,19 +59,10 @@ def test_split_single_block_is_whole_zone():
     assert b.lo == (0, 0, 0) and b.hi == z.shape
 
 
-def test_split_max_cells_bound_respected():
-    z = zone((64, 64, 64))
-    blocks = split_zone(z, max_block_cells=40_000)
-    assert max(b.cells for b in blocks) <= 40_000
-    assert sum(b.cells for b in blocks) == z.cells
-
-
 def test_split_rejects_bad_argument_combos():
     z = zone((16, 16, 16))
     with pytest.raises(PartitionError):
         split_zone(z)
-    with pytest.raises(PartitionError):
-        split_zone(z, target_blocks=2, max_block_cells=100)
     with pytest.raises(PartitionError):
         split_zone(z, target_blocks=z.cells + 1)
 
