@@ -31,6 +31,7 @@ from .partition import (
     NodeTopology,
     PartitionPlan,
     ZoneSpec,
+    _pattern_widths,
     make_plan,
     split_zone_cuts,
     topology_from_record,
@@ -140,15 +141,14 @@ def _primitive_field(case: Case, block: Block, t: float) -> np.ndarray:
     return w
 
 
-def initial_fields(case: Case, plan: PartitionPlan, t: float = 0.0,
+def initial_fields(case: Case, plan: PartitionPlan,
                    block_ids: set[int] | None = None) -> FieldSet:
-    """Conserved block fields at time ``t`` (exactly correct for uniform and
-    wave kinds; initial data otherwise)."""
+    """Conserved block fields at time 0."""
     fields = allocate_fields(plan)
     if block_ids is not None:
         fields = {bid: f for bid, f in fields.items() if bid in block_ids}
     for bid, f in fields.items():
-        w = _primitive_field(case, f.block, t)
+        w = _primitive_field(case, f.block, 0.0)
         f.interior[...] = conserved_from_primitive(w, case.gas)
     return fields
 
@@ -226,23 +226,6 @@ def sod_case(nx: int = 200, cross: int = 4, *, t_end: float = 0.2,
                                    tolerance=None),
         target_blocks=blocks,
     )
-
-
-def _pattern_widths(total: int, weights: list[float]) -> list[int]:
-    """Integer widths proportional to weights, summing exactly to total.
-
-    Largest-remainder apportionment: every width is its quota rounded down,
-    and the cells left over go to the largest fractional parts, lower index
-    first on ties, so equal weights never differ by more than one cell and
-    the first of them gets the extra one.
-    """
-    wsum = sum(weights)
-    quotas = [total * w / wsum for w in weights]
-    widths = [math.floor(q) for q in quotas]
-    by_remainder = sorted(range(len(weights)), key=lambda i: widths[i] - quotas[i])
-    for i in by_remainder[:total - sum(widths)]:
-        widths[i] += 1
-    return widths
 
 
 def _corner_widths(nodes: int, columns: int, coprocessors: int,

@@ -22,7 +22,7 @@ from .metrics import (RunMetrics, from_timeline, metrics_from_csv,
                       metrics_to_csv, render_report)
 from .model import (best_ratio, model_schedule, strong_scaling,
                     sweep_load_ratio, weak_scaling)
-from .partition import plan_from_text, plan_to_text
+from .partition import _devices_of_rank, plan_from_text, plan_to_text
 from .runner import build_simulation, run_case, run_socket_rank
 from .schedule import Timeline, timeline_report
 
@@ -96,6 +96,7 @@ def _cmd_gen(args) -> int:
         case = replace(case, ranks=args.ranks, topology=topo,
                        target_blocks=max(case.target_blocks or 1,
                                          args.ranks))
+        _devices_of_rank(case.ranks, case.topology)   # as make_plan checks
     save_case(case, args.out)
     print(f"wrote {args.out} ({case.kind}, zone {case.zone.shape}, "
           f"{case.zone.cells} cells, {case.ranks} ranks)")

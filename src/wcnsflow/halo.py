@@ -286,13 +286,19 @@ def fill_block_ghosts(data: np.ndarray, block_id: int, halo_plan: HaloPlan,
 # ---------------------------------------------------------------------------
 # Execution
 
-@dataclass(frozen=True)
-class EpochStats:
-    messages_sent: int
-    bytes_sent: int
-    messages_received: int
-    bytes_received: int
-    local_copies: int
+@dataclass
+class ExchangeTotals:
+    """Traffic of one rank, summed over epochs: messages and bytes sent to
+    other ranks, and regions copied between blocks of the rank."""
+
+    messages: int = 0
+    bytes: int = 0
+    local_copies: int = 0
+
+    def add(self, other: "ExchangeTotals") -> None:
+        self.messages += other.messages
+        self.bytes += other.bytes
+        self.local_copies += other.local_copies
 
 
 class HaloExchanger:
@@ -304,7 +310,9 @@ class HaloExchanger:
     draining receives so interior work can hide the traffic; the hook must
     not touch ghost cells, and then the fields come out bitwise identical
     with or without it.  Receives wait as long as the transport's own
-    timeout allows.
+    timeout allows.  ``run`` returns the epoch's ``ExchangeTotals``; a
+    rank's received traffic is its peers' sent traffic, so it is not
+    counted twice.
     """
 
     def __init__(self, halo_plan: HaloPlan, plan: PartitionPlan,
@@ -325,7 +333,7 @@ class HaloExchanger:
                 gidx += 1
 
     def run(self, rank: int, fields: FieldSet, epoch: int, *,
-            overlap_hook: Callable[[], None] | None = None) -> EpochStats:
+            overlap_hook: Callable[[], None] | None = None) -> ExchangeTotals:
         hp = self.halo_plan
         sends = hp.sends_of(rank)
         recvs = hp.recvs_of(rank)
@@ -334,44 +342,32 @@ class HaloExchanger:
             raise HaloPlanError("plan needs inter-rank messages but the "
                                 "exchanger has no transport")
 
-        messages_sent = bytes_sent = 0
+        totals = ExchangeTotals()
         for p in sends:
             for tag, payload in self._outgoing(p, fields, epoch):
                 self.transport.send(Message(tag=tag, source=rank,
                                             dest=p.dst_rank, payload=payload))
-                messages_sent += 1
-                bytes_sent += payload.nbytes
+                totals.messages += 1
+                totals.bytes += payload.nbytes
 
-        local_copies = 0
         for p in local:
             src = fields[p.src_block].data
             dst = fields[p.dst_block].data
             for r in p.regions:
                 dst[r.dst_slices] = src[r.src_slices]
-                local_copies += 1
+            totals.local_copies += len(p.regions)
 
         if overlap_hook is not None:
             overlap_hook()
 
-        messages_received = bytes_received = 0
         for p in recvs:
             for tag, sink in self._incoming(p, fields, epoch):
-                msg = self.transport.recv(tag=tag, source=p.src_rank,
-                                          dest=rank)
-                sink(msg.payload)
-                messages_received += 1
-                bytes_received += msg.nbytes
+                sink(self.transport.recv(tag=tag, source=p.src_rank,
+                                         dest=rank).payload)
 
         for b in self.plan.blocks_of_rank(rank):
             fill_block_ghosts(fields[b.id].data, b.id, hp, self.freestream)
-
-        return EpochStats(
-            messages_sent=messages_sent,
-            bytes_sent=bytes_sent,
-            messages_received=messages_received,
-            bytes_received=bytes_received,
-            local_copies=local_copies,
-        )
+        return totals
 
     def _outgoing(self, pair: ExchangePair, fields: FieldSet, epoch: int):
         if self.coalesce:

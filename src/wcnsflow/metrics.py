@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, fields as dc_fields
 
 from .errors import CaseFormatError
+from .records import opened
 from .schedule import Timeline
 
 
@@ -98,37 +99,22 @@ def _cell(v) -> str:
 
 
 def metrics_to_csv(rows: list[RunMetrics], target) -> None:
-    close = False
-    if isinstance(target, (str, bytes)):
-        target = open(target, "w", encoding="utf-8")
-        close = True
-    try:
-        target.write(",".join(_COLUMNS + _DERIVED) + "\n")
+    with opened(target, "w") as f:
+        f.write(",".join(_COLUMNS + _DERIVED) + "\n")
         for m in rows:
             vals = [_cell(getattr(m, c)) for c in _COLUMNS]
             vals.append(_cell(m.mcups))
             vals.append(_cell(m.comp_comm_ratio))
-            target.write(",".join(vals) + "\n")
-    finally:
-        if close:
-            target.close()
+            f.write(",".join(vals) + "\n")
 
 
 def metrics_from_csv(target) -> list[RunMetrics]:
     """Read a ``metrics_to_csv`` file; a header without the ``RunMetrics``
     columns that have no default, or a row whose cell does not read, raises
     ``CaseFormatError`` naming the file."""
-    name = getattr(target, "name",
-                   target if isinstance(target, str) else "metrics file")
-    close = False
-    if isinstance(target, (str, bytes)):
-        target = open(target, "r", encoding="utf-8")
-        close = True
-    try:
-        lines = [ln for ln in target.read().splitlines() if ln.strip()]
-    finally:
-        if close:
-            target.close()
+    with opened(target, "r") as f:
+        name = getattr(f, "name", "metrics file")
+        lines = [ln for ln in f.read().splitlines() if ln.strip()]
     if not lines:
         raise CaseFormatError(f"{name}: metrics file has no header")
     header = lines[0].split(",")

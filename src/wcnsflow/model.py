@@ -283,8 +283,7 @@ def best_ratio(points: list[RatioPoint]) -> RatioPoint:
     return max(points, key=lambda p: p.speedup)
 
 
-def weak_scaling(make_case, ranks_list, *, steps: int = 2,
-                 overlap: bool = True, coalesce: bool = True
+def weak_scaling(make_case, ranks_list, *, steps: int = 2
                  ) -> list[RunMetrics]:
     """Model per-step time as ranks grow with fixed work per rank.
     ``make_case(ranks)`` must return a case whose total work scales with
@@ -293,16 +292,14 @@ def weak_scaling(make_case, ranks_list, *, steps: int = 2,
     for r in ranks_list:
         case = make_case(r)
         plan = case_plan(case)
-        tl = model_schedule(case, plan, steps=steps, overlap=overlap,
-                            coalesce=coalesce)
+        tl = model_schedule(case, plan, steps=steps)
         rows.append(from_timeline(f"{case.name}-w{r}", tl,
                                   total_cells=plan.total_cells,
                                   iterations=steps, wall_seconds=0.0))
     return rows
 
 
-def strong_scaling(case: Case, ranks_list, *, steps: int = 2,
-                   overlap: bool = True, coalesce: bool = True
+def strong_scaling(case: Case, ranks_list, *, steps: int = 2
                    ) -> list[RunMetrics]:
     """Model a fixed problem spread over more ranks; the topology keeps one
     node per rank with the case's per-node device mix."""
@@ -312,8 +309,7 @@ def strong_scaling(case: Case, ranks_list, *, steps: int = 2,
         variant = replace(case, ranks=r, topology=topo,
                           name=f"{case.name}-s{r}")
         plan = case_plan(variant)
-        tl = model_schedule(variant, plan, steps=steps, overlap=overlap,
-                            coalesce=coalesce)
+        tl = model_schedule(variant, plan, steps=steps)
         rows.append(from_timeline(variant.name, tl,
                                   total_cells=plan.total_cells,
                                   iterations=steps, wall_seconds=0.0))

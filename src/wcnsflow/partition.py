@@ -20,6 +20,7 @@ file derives it on first use.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -144,10 +145,21 @@ class PartitionPlan:
         return sum(b.cells for b in self.blocks)
 
 
-def _axis_cuts(n: int, parts: int) -> list[int]:
-    """Balanced widths: the first ``n % parts`` parts get one extra cell."""
-    base, rem = divmod(n, parts)
-    return [base + 1 if i < rem else base for i in range(parts)]
+def _pattern_widths(total: int, weights: list[float]) -> list[int]:
+    """Integer widths proportional to weights, summing exactly to total.
+
+    Largest-remainder apportionment: every width is its quota rounded down,
+    and the cells left over go to the largest fractional parts, lower index
+    first on ties, so equal weights never differ by more than one cell and
+    the first of them gets the extra one.
+    """
+    wsum = sum(weights)
+    quotas = [total * w / wsum for w in weights]
+    widths = [math.floor(q) for q in quotas]
+    by_remainder = sorted(range(len(weights)), key=lambda i: widths[i] - quotas[i])
+    for i in by_remainder[:total - sum(widths)]:
+        widths[i] += 1
+    return widths
 
 
 def _factor_triples(count: int):
@@ -166,7 +178,7 @@ def _triple_valid(shape, triple) -> bool:
 
 
 def _blocks_from_counts(zone: ZoneSpec, counts) -> list[Block]:
-    cuts = [np.concatenate(([0], np.cumsum(_axis_cuts(n, p))))
+    cuts = [np.concatenate(([0], np.cumsum(_pattern_widths(n, [1.0] * p))))
             for n, p in zip(zone.shape, counts)]
     blocks = []
     for kx in range(counts[0]):
@@ -191,7 +203,8 @@ def split_zone(zone: ZoneSpec,
     for triple in _factor_triples(target_blocks):
         if not _triple_valid(zone.shape, triple):
             continue
-        widths = [_axis_cuts(n, p) for n, p in zip(zone.shape, triple)]
+        widths = [_pattern_widths(n, [1.0] * p)
+                  for n, p in zip(zone.shape, triple)]
         biggest = int(np.prod([max(w) for w in widths]))
         area = sum((p - 1) * zone.cells // n
                    for n, p in zip(zone.shape, triple))
@@ -314,7 +327,7 @@ def ghost_sources(blocks: list[Block], zone: ZoneSpec) -> list[GhostSource]:
 
 def _devices_of_rank(ranks: int, topology: NodeTopology) -> tuple[int, int]:
     """CPU and coprocessor devices available to each rank."""
-    if ranks % topology.nodes:
+    if ranks < 1 or ranks % topology.nodes:
         raise PartitionError(
             f"{ranks} ranks do not divide over {topology.nodes} nodes")
     per_node = ranks // topology.nodes

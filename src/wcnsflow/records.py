@@ -4,12 +4,24 @@ Both formats are a ``<magic> <version>`` header followed by one record per
 line: a kind word, then a fixed number of positional words for that kind,
 then ``key=value`` fields.  Blank lines and lines starting with ``#`` are
 skipped.  A stray word, a missing field or a value that does not parse
-raises ``CaseFormatError`` naming the record and key.
+raises ``CaseFormatError`` naming the record and key.  ``opened`` lets
+the metrics and timeline CSV readers and writers take a path or a stream.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 from .errors import CaseFormatError
+
+
+def opened(target, mode: str):
+    """Context manager for a text file: the file at path ``target`` opened
+    in ``mode`` and closed on exit, or ``target`` itself, an open stream
+    that stays open."""
+    if isinstance(target, (str, bytes)):
+        return open(target, mode, encoding="utf-8")
+    return contextlib.nullcontext(target)
 
 
 def ints(s: str) -> tuple[int, ...]:

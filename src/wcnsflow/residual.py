@@ -466,7 +466,6 @@ def block_residual(
     spacing: tuple[float, float, float],
     lams: tuple[float, float, float],
     *,
-    block_id: int | None = None,
     tile: int | None = None,
 ) -> np.ndarray:
     """Whole-block residual in one call (the serial reference path).
@@ -475,7 +474,7 @@ def block_residual(
     same per-direction buffers (possibly split across workers and node ranges)
     and combining them in the same order.
     """
-    w_ext = primitive_from_conserved(q_ext, gas, block_id=block_id)
+    w_ext = primitive_from_conserved(q_ext, gas)
     parts = ResidualParts()
     for a in range(3):
         try:
@@ -484,8 +483,7 @@ def block_residual(
             )
         except InvalidStateError as e:
             raise InvalidStateError(
-                f"convective sweep axis {a}: {e}", block_id=block_id, index=e.index
-            ) from e
+                f"convective sweep axis {a}: {e}", index=e.index) from e
     if gas.viscous:
         grads = velocity_temperature_gradients(w_ext, spacing)
         for a in range(3):

@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import InvalidStateError
 
+NEWTON_TOL = 1e-13           # relative pressure change that ends Newton
+NEWTON_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class RiemannState:
@@ -50,8 +53,7 @@ def _pressure_function(p, state: RiemannState, gamma: float):
 
 
 def solve_riemann(left: RiemannState, right: RiemannState,
-                  gamma: float = 1.4, tol: float = 1e-13,
-                  max_iter: int = 100) -> RiemannSolution:
+                  gamma: float = 1.4) -> RiemannSolution:
     if left.rho <= 0 or right.rho <= 0 or left.p <= 0 or right.p <= 0:
         raise InvalidStateError("Riemann states need positive density and pressure")
     al = np.sqrt(gamma * left.p / left.rho)
@@ -66,12 +68,12 @@ def solve_riemann(left: RiemannState, right: RiemannState,
     p = max(p, 1e-12)
 
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         fl, dfl = _pressure_function(p, left, gamma)
         fr, dfr = _pressure_function(p, right, gamma)
         delta = (fl + fr + right.u - left.u) / (dfl + dfr)
         p_new = max(p - delta, 1e-14)
-        if abs(p_new - p) < tol * max(p, p_new):
+        if abs(p_new - p) < NEWTON_TOL * max(p, p_new):
             p = p_new
             break
         p = p_new

@@ -23,17 +23,19 @@ every range in the order sent, so a boundary sweep always follows the
 interior sweep whose edges it reads.  Viscous terms, conversions and
 updates stay on the rank thread.
 
-Ranks coordinate only through transport messages, so one worker
-implementation runs serially, under threads in one process, or across
-processes over sockets.  Kernel windows never depend on the partition,
-which keeps state bitwise identical across block counts, rank counts and
-worker counts.
+Ranks coordinate only through transport messages, all received from one
+kind of mailbox (``InProcessTransport``, which rank threads share and each
+socket rank's transport holds), so one worker implementation runs
+serially, under threads in one process, or across processes over sockets.
+A rank thread that fails is marked lost in the mailbox, so its peers fail
+at once.  Kernel windows never depend on the partition, which keeps state
+bitwise identical across block counts, rank counts and worker counts.
 
 Runs measure wall time.  Rank threads (``run_case``) and socket ranks
 (``run_socket_rank``) hand their per-rank results to one function,
 ``_outcome``, which checks for divergence, merges every rank's fields and
-exchange totals, and builds the metrics, so both paths report the same
-outcome.  When the plan has coprocessor groups it also attaches the modeled
+``ExchangeTotals`` (the one traffic record, which every exchange epoch
+returns), and builds the metrics, so both paths report the same outcome.  When the plan has coprocessor groups it also attaches the modeled
 schedule (``model.model_schedule``), and the metrics then take the modeled
 clock as the timing authority.
 """
@@ -57,6 +59,7 @@ from .fields import BlockField, FieldSet
 from .halo import (
     BCAST_INDEX,
     H,
+    ExchangeTotals,
     HaloExchanger,
     REDUCE_INDEX,
     RESERVED_INDEX,
@@ -151,23 +154,6 @@ def allreduce(transport, rank: int, ranks: int, epoch: int,
         transport.send(Message(tag=message_tag(epoch, BCAST_INDEX),
                                source=0, dest=r, payload=combined))
     return combined
-
-
-@dataclass
-class ExchangeTotals:
-    messages: int = 0
-    bytes: int = 0
-    local_copies: int = 0
-
-    def add(self, stats) -> None:
-        self.messages += stats.messages_sent
-        self.bytes += stats.bytes_sent
-        self.local_copies += stats.local_copies
-
-    def merge(self, other: "ExchangeTotals") -> None:
-        self.messages += other.messages
-        self.bytes += other.bytes
-        self.local_copies += other.local_copies
 
 
 @dataclass
@@ -449,9 +435,8 @@ class RankWorker:
                     self._submit(self._sweep_tasks(b, lams, 0, True), futures)
 
         try:
-            stats = self.exchanger.run(self.rank, self.fields, epoch,
-                                       overlap_hook=hook)
-            self.totals.add(stats)
+            self.totals.add(self.exchanger.run(self.rank, self.fields, epoch,
+                                               overlap_hook=hook))
             for b in self.blocks:
                 # Ghosts are in place; primitives now cover the extended box,
                 # in the last slot, which no running interior sweep reads.
@@ -615,7 +600,7 @@ def _outcome(sim: Simulation, results: list[RankResult], *, overlap: bool,
     totals = ExchangeTotals()
     for r in results:
         fields.update(r.fields)
-        totals.merge(r.totals)
+        totals.add(r.totals)
     r0 = results[0]
     case, plan = sim.case, sim.plan
     converged = r0.stop == STOP_CONVERGED
@@ -642,17 +627,21 @@ def _outcome(sim: Simulation, results: list[RankResult], *, overlap: bool,
 
 def _run_once(workers: list[RankWorker],
               controls: IterationControls) -> list[RankResult]:
-    """One run of every rank, on one thread per rank when there are more."""
+    """One run of every rank, on one thread per rank when there are more.
+    A rank that fails is marked lost in the shared mailbox, so the peers
+    waiting on it fail at once, and the failure that came first is
+    raised."""
     if len(workers) == 1:
         return [workers[0].run(controls)]
     results: list = [None] * len(workers)
-    failures: list = [None] * len(workers)
+    failures: list = []               # in the order they happened
 
     def target(rank: int) -> None:
         try:
             results[rank] = workers[rank].run(controls)
         except Exception as exc:          # surfaced after join
-            failures[rank] = exc
+            failures.append(exc)
+            workers[rank].transport.lose(rank, f"{type(exc).__name__}: {exc}")
 
     threads = [threading.Thread(target=target, args=(r,),
                                 name=f"rank{r}") for r in range(len(workers))]
@@ -660,9 +649,8 @@ def _run_once(workers: list[RankWorker],
         t.start()
     for t in threads:
         t.join()
-    for exc in failures:
-        if exc is not None:
-            raise exc
+    if failures:
+        raise failures[0]
     return results
 
 

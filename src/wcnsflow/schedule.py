@@ -14,6 +14,7 @@ import io
 from dataclasses import dataclass, field
 
 from .errors import CaseFormatError
+from .records import opened
 
 PHASES = ("kernel_launch", "transfer_in", "compute", "transfer_out",
           "message", "pack", "unpack", "wait", "update", "reduce")
@@ -147,34 +148,19 @@ class Timeline:
         return len(spans) == 1
 
     def to_csv(self, target) -> None:
-        close = False
-        if isinstance(target, (str, bytes)):
-            target = open(target, "w", encoding="utf-8")
-            close = True
-        try:
-            target.write(CSV_HEADER + "\n")
+        with opened(target, "w") as f:
+            f.write(CSV_HEADER + "\n")
             for iv in sorted(self.intervals, key=lambda v: (v.start, v.device)):
-                target.write(f"{iv.start!r},{iv.end!r},{iv.device},"
-                             f"{iv.phase},{iv.note}\n")
-        finally:
-            if close:
-                target.close()
+                f.write(f"{iv.start!r},{iv.end!r},{iv.device},"
+                        f"{iv.phase},{iv.note}\n")
 
     @classmethod
     def from_csv(cls, target) -> "Timeline":
         """Read a ``to_csv`` file; a malformed one raises ``CaseFormatError``
         naming the file and the line."""
-        name = getattr(target, "name",
-                       target if isinstance(target, str) else "timeline file")
-        close = False
-        if isinstance(target, (str, bytes)):
-            target = open(target, "r", encoding="utf-8")
-            close = True
-        try:
-            lines = target.read().splitlines()
-        finally:
-            if close:
-                target.close()
+        with opened(target, "r") as f:
+            name = getattr(f, "name", "timeline file")
+            lines = f.read().splitlines()
         if not lines or lines[0] != CSV_HEADER:
             raise CaseFormatError(
                 f"{name}: not a timeline file (want header {CSV_HEADER})")

@@ -1,15 +1,17 @@
 """Message transports between ranks.
 
-Two implementations of one interface: an in-process channel set (default;
-ranks are threads of one process) and a TCP socket transport for running
-ranks as separate processes.
+One mailbox, ``InProcessTransport``, holds every message a rank has been
+sent and not yet received, filed under its (tag, source, dest) triple.
+Ranks that are threads of one process share one; ``SocketTransport``, for
+ranks that are separate processes, holds one per rank and files into it
+what its reader threads take off the wire.  A source marked lost (a rank
+thread that failed, or a peer whose connection dropped) fails every
+receive from it that finds no message filed, at once, naming both ranks.
 
 Wire format (socket mode, version 1): every message is a little-endian
 header ``{u32 tag, u32 source, u32 dest, u64 byteLen}`` (struct ``<IIIQ``)
 followed by ``byteLen`` bytes of float64 payload.  A connection opens with
 the 8-byte magic ``b"WCNSFL01"`` plus the connecting rank as ``<I``.
-A peer whose connection drops is recorded, and a receive from it that has
-no message already filed raises ``TransportError`` naming that rank.
 """
 
 from __future__ import annotations
@@ -38,23 +40,20 @@ class Message:
     dest: int
     payload: np.ndarray  # 1D float64
 
-    @property
-    def nbytes(self) -> int:
-        return int(self.payload.nbytes)
-
 
 class InProcessTransport:
-    """Shared mailbox for rank threads of one process.
+    """The mailbox: a FIFO of messages per (tag, source, dest).
 
-    Each (tag, source, dest) triple identifies one message of an epoch, so
-    receivers wait for exactly the messages they expect and arrival order
-    never influences results.
+    Each triple identifies one message of an epoch, so receivers wait for
+    exactly the messages they expect and arrival order never influences
+    results.  Rank threads of one process share one as their transport.
     """
 
     def __init__(self, ranks: int):
         self.ranks = ranks
         self._cond = threading.Condition()
         self._box: dict[tuple[int, int, int], list[Message]] = {}
+        self._lost: dict[int, str] = {}      # source -> why it was lost
 
     def send(self, msg: Message) -> None:
         if not (0 <= msg.dest < self.ranks):
@@ -63,18 +62,35 @@ class InProcessTransport:
             self._box.setdefault((msg.tag, msg.source, msg.dest), []).append(msg)
             self._cond.notify_all()
 
+    def lose(self, source: int, why: str) -> None:
+        """Mark ``source`` lost: messages it filed stay deliverable, and a
+        receive from it that finds none raises at once."""
+        with self._cond:
+            self._lost.setdefault(source, why)
+            self._cond.notify_all()
+
     def recv(self, tag: int, source: int, dest: int, timeout: float = DEFAULT_TIMEOUT) -> Message:
         key = (tag, source, dest)
         with self._cond:
-            ok = self._cond.wait_for(lambda: bool(self._box.get(key)), timeout=timeout)
-            if not ok:
+            self._cond.wait_for(
+                lambda: key in self._box or source in self._lost,
+                timeout=timeout)
+            if key not in self._box:
+                if source in self._lost:
+                    raise TransportError(
+                        f"rank {source} is lost ({self._lost[source]}); rank "
+                        f"{dest} was waiting for message tag={tag} "
+                        f"{source}->{dest}",
+                        tag=tag,
+                    )
                 raise TransportError(
                     f"timed out after {timeout:g}s waiting for message "
                     f"tag={tag} {source}->{dest}",
                     tag=tag,
                 )
-            msg = self._box[key].pop(0)
-            if not self._box[key]:
+            queue = self._box[key]
+            msg = queue.pop(0)
+            if not queue:
                 del self._box[key]
         return msg
 
@@ -99,9 +115,10 @@ class SocketTransport:
     """TCP transport; one instance per rank process.
 
     ``addresses`` maps every rank to its ``(host, port)`` listen endpoint.
-    Connections are established lazily (the higher rank dials the lower) and
-    a reader thread per connection feeds the same mailbox discipline as the
-    in-process transport.
+    Connections are established lazily (the higher rank dials the lower),
+    and a reader thread per connection files what arrives into the rank's
+    mailbox, where self-sends go too; a dropped connection marks its peer
+    lost there.  ``_cond`` guards the peer sockets.
     """
 
     def __init__(self, rank: int, addresses: dict[int, tuple[str, int]],
@@ -110,11 +127,10 @@ class SocketTransport:
         self.ranks = len(addresses)
         self.addresses = dict(addresses)
         self.timeout = timeout
+        self._mailbox = InProcessTransport(self.ranks)
         self._cond = threading.Condition()
-        self._box: dict[tuple[int, int, int], list[Message]] = {}
         self._peers: dict[int, socket.socket] = {}
         self._peer_locks: dict[int, threading.Lock] = {}
-        self._lost: dict[int, str] = {}      # peer -> why its reader stopped
 
         host, port = self.addresses[rank]
         self._listener = socket.create_server((host, port))
@@ -196,24 +212,18 @@ class SocketTransport:
                 tag, source, dest, nbytes = HEADER.unpack(head)
                 raw = _recv_exact(sock, nbytes) if nbytes else b""
                 payload = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
-                msg = Message(tag=tag, source=source, dest=dest, payload=payload)
-                with self._cond:
-                    self._box.setdefault((tag, source, dest), []).append(msg)
-                    self._cond.notify_all()
-        except (ConnectionError, OSError) as e:
+                self._mailbox.send(Message(tag=tag, source=source, dest=dest,
+                                           payload=payload))
+        except (ConnectionError, OSError, TransportError) as e:
             # Messages read before the drop stay filed; waiters wake to
             # take them or to report the lost peer.
-            with self._cond:
-                self._lost[peer] = str(e) or type(e).__name__
-                self._cond.notify_all()
+            self._mailbox.lose(peer, f"{type(e).__name__}: {e}")
 
     # -- messaging --------------------------------------------------------
 
     def send(self, msg: Message) -> None:
         if msg.dest == self.rank:
-            with self._cond:
-                self._box.setdefault((msg.tag, msg.source, msg.dest), []).append(msg)
-                self._cond.notify_all()
+            self._mailbox.send(msg)
             return
         sock = self._peer_socket(msg.dest)
         raw = np.ascontiguousarray(msg.payload, dtype="<f8").tobytes()
@@ -227,31 +237,10 @@ class SocketTransport:
     def recv(self, tag: int, source: int, dest: int, timeout: float | None = None) -> Message:
         if dest != self.rank:
             raise TransportError(f"rank {self.rank} cannot receive for rank {dest}", tag=tag)
-        timeout = self.timeout if timeout is None else timeout
-        key = (tag, source, dest)
         if source != self.rank:
             self._peer_socket(source)  # make sure the reader exists
-        with self._cond:
-            self._cond.wait_for(
-                lambda: bool(self._box.get(key)) or source in self._lost,
-                timeout=timeout)
-            if not self._box.get(key):
-                if source in self._lost:
-                    raise TransportError(
-                        f"rank {self.rank} lost its connection to rank "
-                        f"{source} ({self._lost[source]}) while waiting for "
-                        f"message tag={tag} {source}->{dest}",
-                        tag=tag,
-                    )
-                raise TransportError(
-                    f"timed out after {timeout:g}s waiting for message "
-                    f"tag={tag} {source}->{dest}",
-                    tag=tag,
-                )
-            msg = self._box[key].pop(0)
-            if not self._box[key]:
-                del self._box[key]
-        return msg
+        return self._mailbox.recv(tag, source, dest,
+                                  self.timeout if timeout is None else timeout)
 
     def close(self) -> None:
         try:
@@ -272,7 +261,7 @@ class SocketTransport:
                 pass
 
 
-def free_port(host: str = "127.0.0.1") -> int:
+def free_port() -> int:
     with socket.socket() as s:
-        s.bind((host, 0))
+        s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]

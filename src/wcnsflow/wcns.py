@@ -57,12 +57,12 @@ def smoothness_indicators(w0, w1, w2, w3, w4):
     return b0, b1, b2
 
 
-def nonlinear_weights(b0, b1, b2, eps: float = WEIGHT_EPS):
+def nonlinear_weights(b0, b1, b2):
     """Normalized nonlinear weights from smoothness indicators."""
     d0, d1, d2 = IDEAL_WEIGHTS
-    a0 = d0 / ((eps + b0) * (eps + b0))
-    a1 = d1 / ((eps + b1) * (eps + b1))
-    a2 = d2 / ((eps + b2) * (eps + b2))
+    a0 = d0 / ((WEIGHT_EPS + b0) * (WEIGHT_EPS + b0))
+    a1 = d1 / ((WEIGHT_EPS + b1) * (WEIGHT_EPS + b1))
+    a2 = d2 / ((WEIGHT_EPS + b2) * (WEIGHT_EPS + b2))
     inv = 1.0 / (a0 + a1 + a2)
     return a0 * inv, a1 * inv, a2 * inv
 
@@ -95,7 +95,7 @@ class Workspace(threading.local):
 _scratch = Workspace()
 
 
-def _edge_value(w0, w1, w2, w3, w4, eps: float, nonlinear: bool, out=None):
+def _edge_value(w0, w1, w2, w3, w4, nonlinear: bool, out=None):
     """Weighted edge value of 5-node windows, computed into ``out``.
 
     The operations and their order are those of ``smoothness_indicators``
@@ -155,7 +155,7 @@ def _edge_value(w0, w1, w2, w3, w4, eps: float, nonlinear: bool, out=None):
         b2 += d
         # Normalized weights: alpha_k = d_k / (eps + beta_k)^2.
         for b, ideal in zip((b0, b1, b2), IDEAL_WEIGHTS):
-            b += eps
+            b += WEIGHT_EPS
             np.multiply(b, b, out=b)
             np.divide(ideal, b, out=b)
         inv = np.add(b0, b1, out=u)
@@ -198,7 +198,7 @@ def _edge_value(w0, w1, w2, w3, w4, eps: float, nonlinear: bool, out=None):
 
 
 def interpolate_edge(line: np.ndarray, edge: int, side: str = "left",
-                     eps: float = WEIGHT_EPS, weights: str = "nonlinear") -> float:
+                     weights: str = "nonlinear") -> float:
     """Reference single-edge interpolation.
 
     ``edge`` selects the midpoint between nodes ``edge`` and ``edge + 1`` of
@@ -215,7 +215,7 @@ def interpolate_edge(line: np.ndarray, edge: int, side: str = "left",
                                f"[{lo}, {hi}) of a {n}-node line")
         w = line[..., lo:hi]
         return _edge_value(w[..., 0], w[..., 1], w[..., 2], w[..., 3], w[..., 4],
-                           eps, nonlinear)[()]
+                           nonlinear)[()]
     if side == "right":
         lo, hi = edge - 1, edge + 4
         if lo < 0 or hi > n:
@@ -223,7 +223,7 @@ def interpolate_edge(line: np.ndarray, edge: int, side: str = "left",
                                f"[{lo}, {hi}) of a {n}-node line")
         w = line[..., lo:hi]
         return _edge_value(w[..., 4], w[..., 3], w[..., 2], w[..., 1], w[..., 0],
-                           eps, nonlinear)[()]
+                           nonlinear)[()]
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -235,8 +235,8 @@ def _weights_mode(weights: str) -> bool:
     raise ValueError(f"weights must be 'nonlinear' or 'ideal', got {weights!r}")
 
 
-def window_edge_value(w0, w1, w2, w3, w4, eps: float = WEIGHT_EPS,
-                      weights: str = "nonlinear", *, out=None):
+def window_edge_value(w0, w1, w2, w3, w4, weights: str = "nonlinear", *,
+                      out=None):
     """Edge value from an already-gathered 5-node window.
 
     The window must be ordered upwind first: pass nodes left-to-right for a
@@ -248,11 +248,10 @@ def window_edge_value(w0, w1, w2, w3, w4, eps: float = WEIGHT_EPS,
     centre, up to the sign of an exactly zero result.  ``out`` receives
     the result when given; it must not overlap the window.
     """
-    return _edge_value(w0, w1, w2, w3, w4, eps, _weights_mode(weights), out)
+    return _edge_value(w0, w1, w2, w3, w4, _weights_mode(weights), out)
 
 
 def interpolate_line_edges(f: np.ndarray, side: str = "left",
-                           eps: float = WEIGHT_EPS,
                            weights: str = "nonlinear") -> np.ndarray:
     """Vectorized edge interpolation along the last axis.
 
@@ -272,7 +271,7 @@ def interpolate_line_edges(f: np.ndarray, side: str = "left",
         w = [f[..., 5 - k:5 - k + ne] for k in range(5)]
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _edge_value(w[0], w[1], w[2], w[3], w[4], eps, nonlinear)
+    return _edge_value(w[0], w[1], w[2], w[3], w[4], nonlinear)
 
 
 def edge_to_node_derivative(edges: np.ndarray, h: float, *,

@@ -14,7 +14,8 @@ from wcnsflow.cases import case_plan, wave_case
 from wcnsflow.errors import HaloPlanError, TransportError
 from wcnsflow.fields import BlockField, allocate_fields
 from wcnsflow.halo import (BCAST_INDEX, REDUCE_INDEX, RESERVED_INDEX,
-                           BoundaryFace, HaloExchanger, boundary_fill,
+                           BoundaryFace, ExchangeTotals, HaloExchanger,
+                           boundary_fill,
                            build_halo_plan, fill_block_ghosts, message_tag,
                            pack_pair, pack_region, unpack_pair, unpack_region)
 from wcnsflow.partition import (Block, Group, NodeTopology, PartitionPlan,
@@ -209,8 +210,8 @@ def test_single_periodic_block_wraps_itself():
     assert count.min() == 1 and count.max() == 1
     g = global_state((16, 16, 16), seed=10)
     fields = nan_fields(plan, g)
-    stats = HaloExchanger(hp, plan).run(0, fields, epoch=0)
-    assert stats.local_copies == 26 and stats.messages_sent == 0
+    totals = HaloExchanger(hp, plan).run(0, fields, epoch=0)
+    assert totals == ExchangeTotals(0, 0, 26)
     assert np.array_equal(fields[0].data, wrap_window(g, plan.blocks[0]))
 
 
@@ -414,9 +415,8 @@ def test_uniform_exchange_leaves_no_seams():
     for f in fields.values():
         f.interior[...] = w
     ex = HaloExchanger(hp, plan)
-    stats = ex.run(0, fields, epoch=0)
-    assert stats.messages_sent == 0
-    assert stats.local_copies == region_count(hp)
+    totals = ex.run(0, fields, epoch=0)
+    assert totals == ExchangeTotals(0, 0, region_count(hp))
     for f in fields.values():
         assert np.array_equal(f.data, np.broadcast_to(w, f.data.shape))
 
@@ -508,19 +508,20 @@ def test_coalesced_messages_one_per_pair():
     _, _, hp, _, stats = run_two_ranks(True)
     for r in range(2):
         sends = hp.sends_of(r)
-        assert stats[r].messages_sent == len(sends)
-        assert stats[r].bytes_sent == sum(p.nbytes for p in sends)
+        assert stats[r].messages == len(sends)
+        assert stats[r].bytes == sum(p.nbytes for p in sends)
+        # What a rank receives is what its one peer sent.
         recvs = hp.recvs_of(r)
-        assert stats[r].messages_received == len(recvs)
-        assert stats[r].bytes_received == sum(p.nbytes for p in recvs)
+        assert stats[1 - r].messages == len(recvs)
+        assert stats[1 - r].bytes == sum(p.nbytes for p in recvs)
 
 
 def test_naive_messages_one_per_region():
     _, _, hp, _, stats = run_two_ranks(False)
     for r in range(2):
         sends = hp.sends_of(r)
-        assert stats[r].messages_sent == sum(len(p.regions) for p in sends)
-        assert stats[r].bytes_sent == sum(p.nbytes for p in sends)
+        assert stats[r].messages == sum(len(p.regions) for p in sends)
+        assert stats[r].bytes == sum(p.nbytes for p in sends)
 
 
 def test_hook_leaves_exchange_across_ranks_unchanged():
@@ -697,6 +698,33 @@ def test_inproc_timeout_raises():
     with pytest.raises(TransportError) as err:
         tr.recv(tag=3, source=1, dest=0, timeout=0.05)
     assert err.value.tag == 3
+
+
+def test_inproc_lost_source_fails_receives_at_once():
+    """Messages a lost rank filed are still delivered; a receive that finds
+    none, already waiting or not, raises at once naming both ranks."""
+    tr = InProcessTransport(2)
+    tr.send(Message(tag=3, source=1, dest=0, payload=np.array([1.0])))
+    waiting = []
+
+    def wait_for_never_sent():
+        try:
+            tr.recv(tag=4, source=1, dest=0, timeout=30.0)
+        except TransportError as exc:
+            waiting.append(exc)
+
+    waiter = threading.Thread(target=wait_for_never_sent)
+    waiter.start()
+    t_start = time.monotonic()
+    tr.lose(1, "RuntimeError: boom")
+    waiter.join(timeout=5.0)
+    assert not waiter.is_alive() and len(waiting) == 1
+    assert tr.recv(tag=3, source=1, dest=0).payload[0] == 1.0
+    with pytest.raises(TransportError, match=r"rank 1 is lost \(RuntimeError: "
+                       r"boom\); rank 0 was waiting") as err:
+        tr.recv(tag=5, source=1, dest=0, timeout=30.0)
+    assert err.value.tag == 5
+    assert time.monotonic() - t_start < 5.0
 
 
 def test_inproc_rejects_unknown_rank():

@@ -563,18 +563,22 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert run_cli("bench", "--case", uni, "--mode", "weak") == 2
     assert run_cli("run", "--case", uni, "--transport", "socket",
                    "--out-dir", tmp_path) == 2
-    # gen rejects a flag the kind's generator does not take.
+    # gen rejects a flag the kind's generator does not take, and ranks
+    # that the topology cannot hold, writing nothing.
     for kind, flags, named in [
-            ("corner", ("--n", 10), "--n"),
-            ("wave", ("--max-iters", 5, "--cfl", 0.3), "--max-iters"),
-            ("wave", ("--cfl", 0.3), "--cfl"),
-            ("uniform", ("--t-end", 0.1), "--t-end"),
-            ("sod", ("--mach", 2.0), "--mach")]:
+            ("corner", ("--n", 10), "gen --kind corner does not take --n"),
+            ("wave", ("--max-iters", 5, "--cfl", 0.3),
+             "gen --kind wave does not take --max-iters"),
+            ("wave", ("--cfl", 0.3), "gen --kind wave does not take --cfl"),
+            ("uniform", ("--t-end", 0.1),
+             "gen --kind uniform does not take --t-end"),
+            ("sod", ("--mach", 2.0), "gen --kind sod does not take --mach"),
+            ("corner", ("--nodes", 2, "--columns", 40, "--cross", 6,
+                        "--ranks", 3), "3 ranks do not divide over 2 nodes")]:
         assert run_cli("gen", "--kind", kind, *flags,
                        "--out", tmp_path / "no.case") == 2
-        assert f"error: gen --kind {kind} does not take {named}" in \
-            capsys.readouterr().err
-    assert not (tmp_path / "no.case").exists()
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "no.case").exists()
     assert run_cli("gen", "--kind", "wave", "--n", "8,8",
                    "--out", tmp_path / "no.case") == 2
     assert "error: gen --n takes one size" in capsys.readouterr().err

@@ -304,6 +304,26 @@ def test_a_worker_that_dies_ends_the_run_naming_it(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_rank_that_raises_ends_the_run_with_its_error(monkeypatch):
+    # Rank 1 fails before it sends any ghosts; rank 0, waiting for them,
+    # must not wait out the transport's timeout, and its own error must
+    # not stand in for the cause.
+    stage_residual = RankWorker._stage_residual
+
+    def failing(self, *args):
+        if self.rank == 1:
+            raise RuntimeError("boom")
+        return stage_residual(self, *args)
+
+    monkeypatch.setattr(RankWorker, "_stage_residual", failing)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="^boom$"):
+        run_case(on_ranks(wave_case(16), 8, 2), max_workers=1, warmup=False)
+    assert time.perf_counter() - t0 < 5.0
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("rank")]
+
+
 def test_failed_exchange_waits_for_interior_sweeps_in_flight(monkeypatch):
     # Rank 0 of a two-rank plan cuts all its blocks; the exchange fails
     # after the hook has sent their interior sweeps to the workers.

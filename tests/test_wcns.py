@@ -145,7 +145,7 @@ def test_window_edge_value_is_the_indicator_and_weight_formulas(seed):
     p0 = (3.0 * w[0] - 10.0 * w[1] + 15.0 * w[2]) * 0.125
     p1 = (-w[1] + 6.0 * w[2] + 3.0 * w[3]) * 0.125
     p2 = (3.0 * w[2] + 6.0 * w[3] - w[4]) * 0.125
-    o0, o1, o2 = nonlinear_weights(*smoothness_indicators(*w), WEIGHT_EPS)
+    o0, o1, o2 = nonlinear_weights(*smoothness_indicators(*w))
     want = o0 * p0 + o1 * p1 + o2 * p2
     assert window_edge_value(*w).tobytes() == want.tobytes()
     out = np.full((3, 7), np.nan)
