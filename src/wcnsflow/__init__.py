@@ -7,9 +7,9 @@ with message coalescing and compute overlap, and a modeled heterogeneous
 CPU+coprocessor runtime with a benchmark harness.
 """
 
-from .cases import (Case, case_plan, corner_case, generate_case,
-                    initial_fields, load_case, save_case, sod_case,
-                    uniform_case, wave_case, with_load_ratio)
+from .cases import (Case, case_plan, corner_case, initial_fields, load_case,
+                    save_case, sod_case, uniform_case, wave_case,
+                    with_load_ratio, with_nodes, with_ranks)
 from .devices import (DEFAULT_COPROCESSOR, DEFAULT_CPU, DEFAULT_LINK,
                       DEFAULT_NETWORK, DeviceModel, LinkModel, NetworkModel)
 from .dumps import read_dump, write_dump
@@ -45,12 +45,12 @@ __all__ = [
     "TransportError", "WcnsflowError", "ZoneSpec", "allocate_fields",
     "assemble_zone", "best_ratio", "build_halo_plan",
     "build_simulation", "case_plan", "corner_case", "cpu_only_variant",
-    "free_port", "generate_case", "initial_fields", "load_case",
+    "free_port", "initial_fields", "load_case",
     "make_plan", "mcups", "metrics_from_csv",
     "metrics_to_csv", "model_schedule", "plan_from_text",
     "plan_to_text", "read_dump", "run_case",
     "run_socket_rank", "save_case", "sod_case", "solve_riemann",
     "strong_scaling", "sweep_load_ratio", "timeline_report",
     "uniform_case", "wave_case", "weak_scaling", "with_load_ratio",
-    "write_dump",
+    "with_nodes", "with_ranks", "write_dump",
 ]

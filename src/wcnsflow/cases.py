@@ -31,6 +31,7 @@ from .partition import (
     NodeTopology,
     PartitionPlan,
     ZoneSpec,
+    _devices_of_rank,
     _pattern_widths,
     make_plan,
     split_zone_cuts,
@@ -73,6 +74,10 @@ class Case:
             raise CaseFormatError(f"unknown case kind {self.kind!r}")
         if len(self.freestream) != 5:
             raise CaseFormatError("freestream needs rho, u, v, w, p")
+        if self.topology.coproc_per_node and self.coprocessor is None:
+            raise CaseFormatError(
+                f"topology record has coproc={self.topology.coproc_per_node}"
+                " but no device class=coprocessor record models them")
 
     def freestream_conserved(self) -> np.ndarray:
         w = np.asarray(self.freestream, dtype=np.float64).reshape(5, 1, 1, 1)
@@ -228,15 +233,6 @@ def sod_case(nx: int = 200, cross: int = 4, *, t_end: float = 0.2,
     )
 
 
-def _corner_widths(nodes: int, columns: int, coprocessors: int,
-                   ratio: float) -> tuple[int, ...]:
-    """x-widths of the corner layout: per node, ``columns`` split into a
-    CPU block at each slab edge and ``coprocessors`` blocks of relative
-    weight ``ratio`` between them."""
-    pattern = [1.0] + [ratio] * coprocessors + [1.0]
-    return tuple(_pattern_widths(columns, pattern)) * nodes
-
-
 def corner_case(nodes: int = 16, *, columns: int = 100, cross: int = 20,
                 load_ratio: float = 0.75, mach: float = 2.0,
                 angle_deg: float = 10.0, max_iters: int = 20,
@@ -248,10 +244,9 @@ def corner_case(nodes: int = 16, *, columns: int = 100, cross: int = 20,
     Each node owns a contiguous x-slab cut into one block per device: the
     two slab-edge blocks (which carry the inter-node traffic) sized for the
     CPU sockets and the middle blocks sized for the coprocessors via
-    ``load_ratio``.
+    ``load_ratio``.  ``topology`` gives the devices of one node.
     """
-    if topology is None:
-        topology = NodeTopology(nodes=nodes, cpu_per_node=2, coproc_per_node=3)
+    topology = replace(topology or NodeTopology(), nodes=1)
     if topology.cpu_per_node != 2:
         raise CaseFormatError("corner layout expects 2 CPU sockets per node")
     gamma = 1.4
@@ -260,11 +255,11 @@ def corner_case(nodes: int = 16, *, columns: int = 100, cross: int = 20,
     u = mach * a * math.cos(theta)
     v = -mach * a * math.sin(theta)
 
-    zone = ZoneSpec(shape=(nodes * columns, cross, cross),
+    zone = ZoneSpec(shape=(columns, cross, cross),
                     spacing=(1.0 / cross,) * 3,
                     boundary=("inflow", "outflow", "wall", "outflow",
                               "periodic", "periodic"))
-    return Case(
+    one_node = Case(
         name=name or f"corner-{nodes}n",
         kind="corner",
         gas=GasModel(),
@@ -273,24 +268,16 @@ def corner_case(nodes: int = 16, *, columns: int = 100, cross: int = 20,
         freestream=(1.0, u, v, 0.0, 1.0),
         controls=IterationControls(max_iters=max_iters, cfl=0.5,
                                    tolerance=None),
-        ranks=nodes,
         load_ratio=load_ratio,
         target_blocks=None,
-        cuts=(0, _corner_widths(nodes, columns, topology.coproc_per_node,
-                                load_ratio)),
         topology=topology,
         coprocessor=DEFAULT_COPROCESSOR,
     )
+    return with_nodes(one_node, nodes)
 
 
 GENERATORS = {"uniform": uniform_case, "wave": wave_case, "sod": sod_case,
               "corner": corner_case}
-
-
-def generate_case(kind: str, **kwargs) -> Case:
-    if kind not in GENERATORS:
-        raise CaseFormatError(f"unknown case kind {kind!r}")
-    return GENERATORS[kind](**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +416,48 @@ def save_case(case: Case, path) -> None:
 
 def with_load_ratio(case: Case, ratio: float) -> Case:
     """Same case re-cut for a different CPU/coprocessor balance."""
+    variant = replace(case, load_ratio=ratio, name=f"{case.name}-r{ratio:g}")
     if case.kind == "corner" and case.cuts is not None:
-        nodes = case.topology.nodes
-        widths = _corner_widths(nodes, case.zone.shape[0] // nodes,
-                                case.topology.coproc_per_node, ratio)
-        return replace(case, load_ratio=ratio, cuts=(0, widths),
-                       name=f"{case.name}-r{ratio:g}")
-    return replace(case, load_ratio=ratio, name=f"{case.name}-r{ratio:g}")
+        return with_nodes(variant, case.topology.nodes)
+    return variant
+
+
+def with_ranks(case: Case, ranks: int) -> Case:
+    """Same case on ``ranks`` ranks.
+
+    A machine with coprocessors stays as it is, and its nodes must share
+    out their devices evenly among the ranks.  Any other case runs on one
+    node with a CPU per rank and at least one block per rank; explicit cuts
+    are dropped when that adds blocks.
+    """
+    if case.topology.coproc_per_node:
+        _devices_of_rank(ranks, case.topology)      # as make_plan checks
+        return replace(case, ranks=ranks)
+    target = case.target_blocks or 1
+    blocks = max(target, ranks)
+    return replace(case, ranks=ranks, topology=NodeTopology(1, ranks, 0),
+                   target_blocks=blocks,
+                   cuts=None if blocks > target else case.cuts)
+
+
+def with_nodes(case: Case, nodes: int) -> Case:
+    """The corner case re-tiled to ``nodes`` nodes, each holding the
+    columns, ranks and devices of one node of ``case``: the fixed work per
+    node of weak scaling."""
+    if case.kind != "corner":
+        raise CaseFormatError(f"a {case.kind} case has no per-node layout; "
+                              "only a corner case re-tiles per node")
+    topo = case.topology
+    _devices_of_rank(case.ranks, topo)
+    columns, rest = divmod(case.zone.shape[0], topo.nodes)
+    if rest:
+        raise CaseFormatError(f"{case.zone.shape[0]} columns do not divide "
+                              f"over {topo.nodes} nodes")
+    # Per node: a CPU block at each slab edge, the coprocessors' blocks of
+    # relative weight ``load_ratio`` between them.
+    pattern = [1.0] + [case.load_ratio] * topo.coproc_per_node + [1.0]
+    widths = tuple(_pattern_widths(columns, pattern)) * nodes
+    return replace(case, zone=replace(case.zone, shape=(nodes * columns,
+                                                        *case.zone.shape[1:])),
+                   ranks=nodes * (case.ranks // topo.nodes),
+                   topology=replace(topo, nodes=nodes), cuts=(0, widths))

@@ -14,15 +14,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .cases import (GENERATORS, case_plan, generate_case, load_case,
-                    save_case, with_load_ratio)
+from .cases import (GENERATORS, case_plan, load_case, save_case,
+                    with_load_ratio, with_ranks)
 from .dumps import read_dump, write_dump
 from .errors import WcnsflowError
 from .metrics import (RunMetrics, from_timeline, metrics_from_csv,
                       metrics_to_csv, render_report)
-from .model import (best_ratio, model_schedule, strong_scaling,
-                    sweep_load_ratio, weak_scaling)
-from .partition import _devices_of_rank, plan_from_text, plan_to_text
+from .model import (best_ratio, cpu_only_variant, model_schedule,
+                    strong_scaling, sweep_load_ratio, weak_scaling)
+from .partition import plan_from_text, plan_to_text
 from .runner import build_simulation, run_case, run_socket_rank
 from .schedule import Timeline, timeline_report
 
@@ -89,14 +89,7 @@ def _cmd_gen(args) -> int:
         kwargs[param] = value
     case = maker(**kwargs)
     if args.ranks is not None:
-        topo = case.topology
-        if args.kind != "corner":
-            topo = replace(topo, nodes=1, cpu_per_node=args.ranks,
-                           coproc_per_node=0)
-        case = replace(case, ranks=args.ranks, topology=topo,
-                       target_blocks=max(case.target_blocks or 1,
-                                         args.ranks))
-        _devices_of_rank(case.ranks, case.topology)   # as make_plan checks
+        case = with_ranks(case, args.ranks)
     save_case(case, args.out)
     print(f"wrote {args.out} ({case.kind}, zone {case.zone.shape}, "
           f"{case.zone.cells} cells, {case.ranks} ranks)")
@@ -105,10 +98,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_partition(args) -> int:
     case, _ = _load(args)
-    if args.ranks is not None:
-        case = replace(case, ranks=args.ranks)
     if args.blocks is not None:
         case = replace(case, target_blocks=args.blocks, cuts=None)
+    if args.ranks is not None:
+        case = with_ranks(case, args.ranks)
     plan = case_plan(case)
     text = plan_to_text(plan)
     if args.out:
@@ -211,18 +204,7 @@ def _cmd_bench(args) -> int:
     ranks = _ints(args.ranks) if args.ranks else [1, 2, 4, 8]
     rows: list[RunMetrics] = []
     if args.mode == "weak":
-        if case.kind != "corner":
-            raise WcnsflowError("weak mode scales the corner case; "
-                                "use --case with kind corner")
-        base = case
-        rows = weak_scaling(
-            lambda r: generate_case(
-                "corner", nodes=r,
-                columns=base.zone.shape[0] // base.topology.nodes,
-                cross=base.zone.shape[1],
-                load_ratio=base.load_ratio,
-                max_iters=base.controls.max_iters),
-            ranks, steps=args.steps)
+        rows = weak_scaling(case, ranks, steps=args.steps)
         base_time = rows[0].model_seconds / rows[0].iterations
         for r, m in zip(ranks, rows):
             per = m.model_seconds / m.iterations
@@ -258,13 +240,7 @@ def _cmd_bench(args) -> int:
         workers = _ints(args.workers_list) if args.workers_list else [1, 2, 4]
         for r in ranks:
             for w in workers:
-                topo = replace(case.topology, nodes=1, cpu_per_node=r,
-                               coproc_per_node=0)
-                blocks = max(case.target_blocks or 1, r)
-                variant = replace(case, ranks=r, topology=topo,
-                                  coprocessor=None, target_blocks=blocks,
-                                  cuts=None if blocks > (case.target_blocks
-                                                         or 1) else case.cuts,
+                variant = replace(with_ranks(cpu_only_variant(case), r),
                                   name=f"{case.name}-p{r}t{w}")
                 outcome = run_case(variant, best_of=args.best_of,
                                    max_workers=w)

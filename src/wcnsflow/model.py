@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cases import Case, case_plan, with_load_ratio
+from .cases import Case, case_plan, with_load_ratio, with_nodes
 from .devices import MEMCPY_BANDWIDTH, device_label
 from .halo import build_halo_plan
 from .metrics import RunMetrics, from_timeline
@@ -97,8 +97,7 @@ def model_schedule(case: Case, plan: PartitionPlan | None = None, *,
         gl = []
         cut = cut_blocks(halo_plan, r, overlap)
         for g in plan.groups_of_rank(r):
-            model = case.cpu if g.device_class == "cpu" \
-                else (case.coprocessor or case.cpu)
+            model = case.cpu if g.device_class == "cpu" else case.coprocessor
             blocks = [plan.blocks[bid] for bid in g.block_ids]
             gm = _GroupModel(
                 label=device_label(r, g),
@@ -283,16 +282,16 @@ def best_ratio(points: list[RatioPoint]) -> RatioPoint:
     return max(points, key=lambda p: p.speedup)
 
 
-def weak_scaling(make_case, ranks_list, *, steps: int = 2
+def weak_scaling(case: Case, ranks_list, *, steps: int = 2
                  ) -> list[RunMetrics]:
-    """Model per-step time as ranks grow with fixed work per rank.
-    ``make_case(ranks)`` must return a case whose total work scales with
-    the rank count."""
+    """Model per-step time as the corner case grows with fixed work per
+    node: row ``r`` runs ``with_nodes(case, r)``, which is ``r`` ranks when
+    a node holds one rank."""
     rows = []
     for r in ranks_list:
-        case = make_case(r)
-        plan = case_plan(case)
-        tl = model_schedule(case, plan, steps=steps)
+        variant = with_nodes(case, r)
+        plan = case_plan(variant)
+        tl = model_schedule(variant, plan, steps=steps)
         rows.append(from_timeline(f"{case.name}-w{r}", tl,
                                   total_cells=plan.total_cells,
                                   iterations=steps, wall_seconds=0.0))

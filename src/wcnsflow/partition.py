@@ -177,16 +177,15 @@ def _triple_valid(shape, triple) -> bool:
     return all(p <= n for n, p in zip(shape, triple))
 
 
-def _blocks_from_counts(zone: ZoneSpec, counts) -> list[Block]:
-    cuts = [np.concatenate(([0], np.cumsum(_pattern_widths(n, [1.0] * p))))
-            for n, p in zip(zone.shape, counts)]
+def _blocks_from_widths(widths) -> list[Block]:
+    """The grid of blocks with the given per-axis widths, numbered with z
+    fastest and x slowest."""
+    cuts = [list(itertools.accumulate(w, initial=0)) for w in widths]
     blocks = []
-    for kx in range(counts[0]):
-        for ky in range(counts[1]):
-            for kz in range(counts[2]):
-                lo = (int(cuts[0][kx]), int(cuts[1][ky]), int(cuts[2][kz]))
-                hi = (int(cuts[0][kx + 1]), int(cuts[1][ky + 1]), int(cuts[2][kz + 1]))
-                blocks.append(Block(id=len(blocks), lo=lo, hi=hi))
+    for k in itertools.product(*(range(len(w)) for w in widths)):
+        blocks.append(Block(id=len(blocks),
+                            lo=tuple(c[i] for c, i in zip(cuts, k)),
+                            hi=tuple(c[i + 1] for c, i in zip(cuts, k))))
     return blocks
 
 
@@ -208,11 +207,11 @@ def split_zone(zone: ZoneSpec,
         biggest = int(np.prod([max(w) for w in widths]))
         area = sum((p - 1) * zone.cells // n
                    for n, p in zip(zone.shape, triple))
-        candidates.append((biggest, area, triple))
+        candidates.append((biggest, area, triple, widths))
     if not candidates:
         raise PartitionError(
             f"no valid {target_blocks}-block tiling of shape {zone.shape}")
-    return _blocks_from_counts(zone, min(candidates)[2])
+    return _blocks_from_widths(min(candidates)[3])
 
 
 def split_zone_cuts(zone: ZoneSpec, axis: int, widths: list[int]) -> list[Block]:
@@ -220,17 +219,9 @@ def split_zone_cuts(zone: ZoneSpec, axis: int, widths: list[int]) -> list[Block]
     if sum(widths) != zone.shape[axis]:
         raise PartitionError(
             f"cut widths sum to {sum(widths)}, axis extent is {zone.shape[axis]}")
-    counts = [1, 1, 1]
-    counts[axis] = len(widths)
-    blocks = []
-    pos = 0
-    for i, width in enumerate(widths):
-        lo = [0, 0, 0]
-        hi = list(zone.shape)
-        lo[axis], hi[axis] = pos, pos + width
-        blocks.append(Block(id=i, lo=tuple(lo), hi=tuple(hi)))
-        pos += width
-    return blocks
+    per_axis = [[n] for n in zone.shape]
+    per_axis[axis] = list(widths)
+    return _blocks_from_widths(per_axis)
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,24 @@
 import io
 import struct
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wcnsflow import cli
 from wcnsflow.cases import (Case, case_from_text, case_plan, case_to_text,
-                            corner_case, exact_density, generate_case,
-                            initial_fields, load_case, save_case, sod_case,
-                            uniform_case, wave_case, with_load_ratio)
+                            corner_case, exact_density, initial_fields,
+                            load_case, save_case, sod_case, uniform_case,
+                            wave_case, with_load_ratio, with_nodes,
+                            with_ranks)
 from wcnsflow.cli import main
+from wcnsflow.devices import DEFAULT_CPU
 from wcnsflow.dumps import read_dump, write_dump
-from wcnsflow.errors import CaseFormatError
+from wcnsflow.errors import CaseFormatError, PartitionError
 from wcnsflow.metrics import (RunMetrics, from_timeline, mcups,
                               metrics_from_csv, metrics_to_csv, render_report)
-from wcnsflow.model import model_schedule
+from wcnsflow.model import cpu_only_variant, model_schedule
 from wcnsflow.partition import NodeTopology, plan_from_text, plan_to_text
 from wcnsflow.schedule import Timeline
 from wcnsflow.transport import free_port
@@ -143,13 +147,10 @@ def test_case_validation():
     with pytest.raises(CaseFormatError, match="freestream"):
         Case(name="x", kind="uniform", gas=base.gas, zone=base.zone,
              init={}, freestream=(1.0, 0.0, 0.0), controls=base.controls)
-
-
-def test_generate_case_dispatch():
-    assert generate_case("sod", nx=24).zone.shape == (24, 4, 4)
-    assert generate_case("wave", n=8).kind == "wave"
-    with pytest.raises(CaseFormatError, match="unknown case kind"):
-        generate_case("blast")
+    with pytest.raises(CaseFormatError,
+                       match="topology record has coproc=3 but no device "
+                             "class=coprocessor record"):
+        replace(small_corner(), coprocessor=None)
 
 
 def test_corner_layout():
@@ -180,6 +181,37 @@ def test_with_load_ratio_recuts_corner():
         for r in (0.5, 1.2):
             assert with_load_ratio(corner_case(n), r).cuts == \
                 corner_case(n, load_ratio=r).cuts
+
+
+def test_with_nodes_retiles_the_corner_case_per_node():
+    slow = replace(small_corner(load_ratio=0.6),
+                   cpu=replace(DEFAULT_CPU, relative_throughput=1e6))
+    for n in (1, 2, 3):
+        grown = with_nodes(slow, n)
+        want = small_corner(nodes=n, load_ratio=0.6)
+        assert grown == replace(want, name=slow.name, cpu=slow.cpu)
+        assert with_nodes(grown, 1) == slow
+    with pytest.raises(CaseFormatError, match="only a corner case"):
+        with_nodes(uniform_case(), 2)
+    two = small_corner(nodes=2)
+    with pytest.raises(CaseFormatError,
+                       match="81 columns do not divide over 2 nodes"):
+        with_nodes(replace(two, zone=replace(two.zone, shape=(81, 6, 6))), 4)
+    with pytest.raises(PartitionError, match="3 ranks do not divide"):
+        with_nodes(replace(two, ranks=3), 4)
+
+
+def test_with_ranks_keeps_a_coprocessor_machine():
+    corner = small_corner(nodes=2, topology=NodeTopology(1, 2, 2))
+    assert with_ranks(corner, 4) == replace(corner, ranks=4)
+    with pytest.raises(PartitionError, match="3 ranks do not divide"):
+        with_ranks(corner, 3)
+    wave = wave_case(8, blocks=2)
+    assert with_ranks(wave, 4) == replace(
+        wave, ranks=4, topology=NodeTopology(1, 4, 0), target_blocks=4)
+    cpu_corner = cpu_only_variant(corner)
+    assert with_ranks(cpu_corner, 1).cuts == corner.cuts
+    assert with_ranks(cpu_corner, 2).cuts is None
 
 
 def test_with_load_ratio_plain_case():
@@ -503,7 +535,7 @@ def test_cli_bench_weak_and_strong(tmp_path, capsys):
     assert out[1].startswith(f"ranks   2: {per[1]:9.3f} ms/step  "
                              f"variation {variation:5.2f}%")
     rows = metrics_from_csv(str(weak_csv))
-    assert [r.label for r in rows] == ["corner-1n-w1", "corner-2n-w2"]
+    assert [r.label for r in rows] == ["corner-1n-w1", "corner-1n-w2"]
     assert [r.total_cells for r in rows] == [1440, 2880]
     assert [r.model_seconds for r in rows] == [makespan[1], makespan[2]]
     assert all(r.timing_source == "model" and r.iterations == 1
@@ -527,6 +559,66 @@ def test_cli_bench_weak_and_strong(tmp_path, capsys):
     assert out[1].startswith(f"ranks   2: {makespan[2] * 1e3:9.3f} ms  "
                              f"speedup {speedup:6.3f}  "
                              f"efficiency {speedup / 2:5.3f}")
+
+
+def test_cli_bench_weak_keeps_the_case_models(tmp_path, capsys):
+    slow = replace(small_corner(), cpu=replace(DEFAULT_CPU,
+                                               relative_throughput=1e6))
+    rows = {}
+    for name, case in (("default", small_corner()), ("slow", slow)):
+        path, csv = tmp_path / f"{name}.case", tmp_path / f"{name}.csv"
+        save_case(case, path)
+        assert run_cli("bench", "--case", path, "--mode", "weak",
+                       "--ranks", "1,2", "--steps", 1, "--out", csv) == 0
+        rows[name] = metrics_from_csv(str(csv))
+    capsys.readouterr()
+    for r, row in zip((1, 2), rows["slow"]):
+        variant = with_nodes(slow, r)
+        assert row.model_seconds == model_schedule(variant, steps=1).makespan
+        assert row.total_cells == variant.zone.cells
+    assert all(s.model_seconds > d.model_seconds
+               for s, d in zip(rows["slow"], rows["default"]))
+
+
+def test_cli_bench_matrix_runs_cpu_only_variants(tmp_path, capsys,
+                                                 monkeypatch):
+    case = wave_case(8, t_end=0.002, fixed_dt=1e-3)
+    path = tmp_path / "wave.case"
+    save_case(case, path)
+    ran = []
+    run_case = cli.run_case
+
+    def recording_run_case(variant, **kw):
+        ran.append(variant)
+        return run_case(variant, **kw)
+
+    monkeypatch.setattr(cli, "run_case", recording_run_case)
+    out_csv = tmp_path / "matrix.csv"
+    assert run_cli("bench", "--case", path, "--mode", "matrix", "--ranks",
+                   "1,2", "--workers-list", 1, "--out", out_csv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in out[:2]] == \
+        ["ranks 1 x workers 1", "ranks 2 x workers 1"]
+    rows = metrics_from_csv(str(out_csv))
+    assert [row.label for row in rows] == ["wave-8-p1t1", "wave-8-p2t1"]
+    for r, variant in zip((1, 2), ran):
+        want = with_ranks(cpu_only_variant(case), r)
+        assert variant == replace(want, name=variant.name)
+        assert variant.topology == NodeTopology(1, r, 0)
+        assert variant.target_blocks == r and variant.coprocessor is None
+
+
+def test_cli_partition_ranks_match_gen_ranks(tmp_path, capsys):
+    one, two = tmp_path / "w16.case", tmp_path / "w16r2.case"
+    assert run_cli("gen", "--kind", "wave", "--n", 16, "--out", one) == 0
+    assert run_cli("gen", "--kind", "wave", "--n", 16, "--ranks", 2,
+                   "--out", two) == 0
+    capsys.readouterr()
+    assert run_cli("partition", "--case", one, "--ranks", 2) == 0
+    by_flag = capsys.readouterr().out
+    assert run_cli("partition", "--case", two) == 0
+    assert by_flag == capsys.readouterr().out
+    assert by_flag.startswith("wcnsflow-plan 2\nranks 2\n")
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):
@@ -561,6 +653,20 @@ def test_cli_errors_exit_2(tmp_path, capsys):
                        "--out-dir", tmp_path) == 2
         assert f"error: {record}: " in capsys.readouterr().err
     assert run_cli("bench", "--case", uni, "--mode", "weak") == 2
+    assert "error: a uniform case has no per-node layout" in \
+        capsys.readouterr().err
+    # A coprocessor topology without a coprocessor model is refused on
+    # load, before any solve.
+    no_model = tmp_path / "no-model.case"
+    no_model.write_text("".join(
+        ln for ln in case_to_text(small_corner()).splitlines(True)
+        if not ln.startswith("device class=coprocessor")), encoding="utf-8")
+    for model_only in ((), ("--model-only",)):
+        assert run_cli("run", "--case", no_model, "--out-dir",
+                       tmp_path / "no-model", *model_only) == 2
+        assert "error: topology record has coproc=3 but no device " \
+            "class=coprocessor record" in capsys.readouterr().err
+    assert not (tmp_path / "no-model" / "fields.bin").exists()
     assert run_cli("run", "--case", uni, "--transport", "socket",
                    "--out-dir", tmp_path) == 2
     # gen rejects a flag the kind's generator does not take, and ranks
