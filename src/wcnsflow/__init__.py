@@ -8,7 +8,7 @@ CPU+coprocessor runtime with a benchmark harness.
 """
 
 from .cases import (Case, case_plan, corner_case, initial_fields, load_case,
-                    save_case, sod_case, uniform_case, wave_case,
+                    save_case, sod_case, spread, uniform_case, wave_case,
                     with_load_ratio, with_nodes, with_ranks)
 from .devices import (DEFAULT_COPROCESSOR, DEFAULT_CPU, DEFAULT_LINK,
                       DEFAULT_NETWORK, DeviceModel, LinkModel, NetworkModel)
@@ -19,8 +19,7 @@ from .errors import (CaseFormatError, DivergenceError, HaloPlanError,
 from .fields import BlockField, FieldSet, allocate_fields, assemble_zone
 from .halo import HaloExchanger, HaloPlan, build_halo_plan
 from .metrics import RunMetrics, mcups, metrics_from_csv, metrics_to_csv
-from .model import (best_ratio, cpu_only_variant, model_schedule,
-                    strong_scaling, sweep_load_ratio, weak_scaling)
+from .model import cpu_only_variant, model_run, model_schedule
 from .partition import (Block, NodeTopology, PartitionPlan, ZoneSpec,
                         make_plan, plan_from_text, plan_to_text)
 from .riemann import solve_riemann
@@ -43,14 +42,13 @@ __all__ = [
     "NodeTopology", "PartitionError", "PartitionPlan", "RunMetrics",
     "RunOutcome", "SocketTransport", "StencilError", "Timeline",
     "TransportError", "WcnsflowError", "ZoneSpec", "allocate_fields",
-    "assemble_zone", "best_ratio", "build_halo_plan",
+    "assemble_zone", "build_halo_plan",
     "build_simulation", "case_plan", "corner_case", "cpu_only_variant",
     "free_port", "initial_fields", "load_case",
     "make_plan", "mcups", "metrics_from_csv",
-    "metrics_to_csv", "model_schedule", "plan_from_text",
+    "metrics_to_csv", "model_run", "model_schedule", "plan_from_text",
     "plan_to_text", "read_dump", "run_case",
     "run_socket_rank", "save_case", "sod_case", "solve_riemann",
-    "strong_scaling", "sweep_load_ratio", "timeline_report",
-    "uniform_case", "wave_case", "weak_scaling", "with_load_ratio",
-    "with_nodes", "with_ranks", "write_dump",
+    "spread", "timeline_report", "uniform_case", "wave_case",
+    "with_load_ratio", "with_nodes", "with_ranks", "write_dump",
 ]

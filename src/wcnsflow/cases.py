@@ -444,15 +444,31 @@ def with_nodes(case: Case, nodes: int) -> Case:
     """The corner case re-tiled to ``nodes`` nodes, each holding the
     columns, ranks and devices of one node of ``case``: the fixed work per
     node of weak scaling."""
+    return _retile(case, nodes, case.topology.nodes)
+
+
+def spread(case: Case, nodes: int) -> Case:
+    """The same zone on ``nodes`` nodes, the fixed problem of strong
+    scaling: a corner case lays its columns out evenly over the nodes, each
+    node cut as in ``with_nodes``; any other case runs on ``nodes`` ranks
+    (``with_ranks``)."""
+    if case.kind != "corner":
+        return with_ranks(case, nodes)
+    return _retile(case, nodes, nodes)
+
+
+def _retile(case: Case, nodes: int, share: int) -> Case:
+    """The corner case on ``nodes`` nodes, each holding 1/``share`` of the
+    case's columns and the ranks and devices of one node of ``case``."""
     if case.kind != "corner":
         raise CaseFormatError(f"a {case.kind} case has no per-node layout; "
                               "only a corner case re-tiles per node")
     topo = case.topology
     _devices_of_rank(case.ranks, topo)
-    columns, rest = divmod(case.zone.shape[0], topo.nodes)
+    columns, rest = divmod(case.zone.shape[0], share)
     if rest:
         raise CaseFormatError(f"{case.zone.shape[0]} columns do not divide "
-                              f"over {topo.nodes} nodes")
+                              f"over {share} nodes")
     # Per node: a CPU block at each slab edge, the coprocessors' blocks of
     # relative weight ``load_ratio`` between them.
     pattern = [1.0] + [case.load_ratio] * topo.coproc_per_node + [1.0]

@@ -14,14 +14,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .cases import (GENERATORS, case_plan, load_case, save_case,
-                    with_load_ratio, with_ranks)
+from .cases import (GENERATORS, case_plan, load_case, save_case, spread,
+                    with_load_ratio, with_nodes, with_ranks)
 from .dumps import read_dump, write_dump
 from .errors import WcnsflowError
-from .metrics import (RunMetrics, from_timeline, metrics_from_csv,
-                      metrics_to_csv, render_report)
-from .model import (best_ratio, cpu_only_variant, model_schedule,
-                    strong_scaling, sweep_load_ratio, weak_scaling)
+from .metrics import (RunMetrics, metrics_from_csv, metrics_to_csv,
+                      render_report)
+from .model import cpu_only_variant, model_run
 from .partition import plan_from_text, plan_to_text
 from .runner import build_simulation, run_case, run_socket_rank
 from .schedule import Timeline, timeline_report
@@ -136,13 +135,10 @@ def _cmd_run(args) -> int:
             print(f"rank {args.rank} done")
             return 0
     elif args.model_only:
-        plan = build_simulation(case, plan).plan
-        steps = max(case.controls.max_iters, 1)
-        tl = model_schedule(case, plan, steps=steps,
-                            overlap=not args.no_overlap,
-                            coalesce=not args.naive_exchange)
-        metrics = from_timeline(case.name, tl, total_cells=plan.total_cells,
-                                iterations=steps, wall_seconds=0.0)
+        tl, metrics = model_run(case, build_simulation(case, plan).plan,
+                                steps=max(case.controls.max_iters, 1),
+                                overlap=not args.no_overlap,
+                                coalesce=not args.naive_exchange)
         print(timeline_report(tl))
         print(render_report([metrics]))
         tl.to_csv(str(out_dir / "timeline.csv"))
@@ -175,26 +171,24 @@ def _cmd_sweep_ratio(args) -> int:
     case, _ = _load(args)
     if case.coprocessor is None:
         print("single-device topology: ratio has no effect, flat curve")
-    ratios = _floats(args.ratios)
-    points = sweep_load_ratio(case, ratios, steps=args.steps,
-                              overlap=not args.no_overlap,
-                              coalesce=not args.naive_exchange)
-    plan = case_plan(case)
+    exchange = {"overlap": not args.no_overlap,
+                "coalesce": not args.naive_exchange}
     rows = []
-    for p in points:
-        m = RunMetrics(label=f"{case.name}-r{p.ratio:g}",
-                       total_cells=plan.total_cells, iterations=args.steps,
-                       wall_seconds=0.0, timing_source="model",
-                       model_seconds=p.hetero_seconds,
-                       extra=f"speedup={p.speedup:.4f}")
-        rows.append(m)
-        print(f"ratio {p.ratio:5.2f}  model {p.hetero_seconds*1e3:8.3f} ms  "
-              f"cpu-only {p.cpu_only_seconds*1e3:8.3f} ms  "
-              f"speedup {p.speedup:.3f}  {m.mcups:9.2f} MCUPS")
-    best = best_ratio(points)
-    print(f"best ratio {best.ratio:g} (speedup {best.speedup:.3f})")
+    for ratio in _floats(args.ratios):
+        variant = with_load_ratio(case, ratio)
+        _, m = model_run(variant, steps=args.steps, **exchange)
+        _, base = model_run(cpu_only_variant(variant), steps=args.steps,
+                            **exchange)
+        speedup = base.model_seconds / m.model_seconds
+        m.extra = f"speedup={speedup:.4f}"
+        rows.append((ratio, speedup, m))
+        print(f"ratio {ratio:5.2f}  model {m.model_seconds*1e3:8.3f} ms  "
+              f"cpu-only {base.model_seconds*1e3:8.3f} ms  "
+              f"speedup {speedup:.3f}  {m.mcups:9.2f} MCUPS")
+    ratio, speedup, _ = max(rows, key=lambda row: row[1])
+    print(f"best ratio {ratio:g} (speedup {speedup:.3f})")
     if args.out:
-        metrics_to_csv(rows, args.out)
+        metrics_to_csv([m for _, _, m in rows], args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -204,7 +198,9 @@ def _cmd_bench(args) -> int:
     ranks = _ints(args.ranks) if args.ranks else [1, 2, 4, 8]
     rows: list[RunMetrics] = []
     if args.mode == "weak":
-        rows = weak_scaling(case, ranks, steps=args.steps)
+        rows = [model_run(replace(with_nodes(case, r),
+                                  name=f"{case.name}-w{r}"),
+                          steps=args.steps)[1] for r in ranks]
         base_time = rows[0].model_seconds / rows[0].iterations
         for r, m in zip(ranks, rows):
             per = m.model_seconds / m.iterations
@@ -212,7 +208,9 @@ def _cmd_bench(args) -> int:
                   f"variation {abs(per-base_time)/base_time*100:5.2f}%  "
                   f"{m.mcups:9.2f} MCUPS")
     elif args.mode == "strong":
-        rows = strong_scaling(case, ranks, steps=args.steps)
+        rows = [model_run(replace(spread(case, r),
+                                  name=f"{case.name}-s{r}"),
+                          steps=args.steps)[1] for r in ranks]
         t0 = rows[0].model_seconds
         for r, m in zip(ranks, rows):
             speedup = t0 / m.model_seconds
@@ -222,16 +220,11 @@ def _cmd_bench(args) -> int:
                   f"speedup {speedup:6.3f}  efficiency {eff:5.3f}")
     elif args.mode == "comm":
         plan = case_plan(case)
-        tuned = model_schedule(case, plan, steps=args.steps,
-                               overlap=True, coalesce=True)
-        naive = model_schedule(case, plan, steps=args.steps,
-                               overlap=False, coalesce=False)
-        for label, tl in (("tuned", tuned), ("naive", naive)):
-            m = from_timeline(f"{case.name}-{label}", tl,
-                              total_cells=plan.total_cells,
-                              iterations=args.steps, wall_seconds=0.0,
-                              extra=f"comp_stall_ratio="
-                                    f"{tl.comp_stall_ratio():.4g}")
+        for label, tuned in (("tuned", True), ("naive", False)):
+            tl, m = model_run(replace(case, name=f"{case.name}-{label}"),
+                              plan, steps=args.steps, overlap=tuned,
+                              coalesce=tuned)
+            m.extra = f"comp_stall_ratio={tl.comp_stall_ratio():.4g}"
             rows.append(m)
             print(f"{label}: makespan {tl.makespan*1e3:9.3f} ms  "
                   f"comp/comm {tl.comp_stall_ratio():.3g}  "
@@ -331,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--case", required=True)
     s.add_argument("--ratios", required=True, help="comma list, e.g. 0.5,0.75")
     s.add_argument("--steps", type=int, default=2)
-    s.add_argument("--max-iters", dest="max_iters", type=int)
     s.add_argument("--no-overlap", dest="no_overlap", action="store_true")
     s.add_argument("--naive-exchange", dest="naive_exchange",
                    action="store_true")

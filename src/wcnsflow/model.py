@@ -1,14 +1,16 @@
-"""Modeled schedules and the load-ratio and scaling studies built on them.
+"""Modeled schedules, and modeled runs of whole cases.
 
-``run_case`` attaches ``model_schedule`` to a run; the ratio sweeps and the
-weak and strong scaling drivers run it alone.
+``run_case`` attaches ``model_schedule`` to a run; ``model_run`` runs it
+alone, for ``wcnsflow run --model-only`` and for every modeled study (load
+ratio, weak and strong scaling, tuned against naive exchange), each a list
+of case variants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cases import Case, case_plan, with_load_ratio, with_nodes
+from .cases import Case, case_plan
 from .devices import MEMCPY_BANDWIDTH, device_label
 from .halo import build_halo_plan
 from .metrics import RunMetrics, from_timeline
@@ -241,17 +243,20 @@ def model_schedule(case: Case, plan: PartitionPlan | None = None, *,
 
 
 # ---------------------------------------------------------------------------
-# Ratio sweeps and scaling benchmarks
+# Modeled runs: every study is a list of case variants through ``model_run``
 
-@dataclass
-class RatioPoint:
-    ratio: float
-    hetero_seconds: float
-    cpu_only_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        return self.cpu_only_seconds / self.hetero_seconds
+def model_run(case: Case, plan: PartitionPlan | None = None, *, steps: int,
+              overlap: bool = True, coalesce: bool = True
+              ) -> tuple[Timeline, RunMetrics]:
+    """Model ``steps`` steps of ``case`` (on ``plan``, else the case's own
+    plan): the timeline and its metrics row, labelled with the case's
+    name."""
+    if plan is None:
+        plan = case_plan(case)
+    tl = model_schedule(case, plan, steps=steps, overlap=overlap,
+                        coalesce=coalesce)
+    return tl, from_timeline(case.name, tl, total_cells=plan.total_cells,
+                             iterations=steps, wall_seconds=0.0)
 
 
 def cpu_only_variant(case: Case) -> Case:
@@ -260,56 +265,3 @@ def cpu_only_variant(case: Case) -> Case:
     topo = replace(case.topology, coproc_per_node=0)
     return replace(case, topology=topo, coprocessor=None,
                    name=f"{case.name}-cpu-only")
-
-
-def sweep_load_ratio(case: Case, ratios, *, steps: int = 2,
-                     overlap: bool = True, coalesce: bool = True
-                     ) -> list[RatioPoint]:
-    """Model the case across coprocessor/CPU load ratios."""
-    points = []
-    for ratio in ratios:
-        variant = with_load_ratio(case, float(ratio))
-        het = model_schedule(variant, steps=steps, overlap=overlap,
-                             coalesce=coalesce).makespan
-        base = model_schedule(cpu_only_variant(variant), steps=steps,
-                              overlap=overlap, coalesce=coalesce).makespan
-        points.append(RatioPoint(ratio=float(ratio), hetero_seconds=het,
-                                 cpu_only_seconds=base))
-    return points
-
-
-def best_ratio(points: list[RatioPoint]) -> RatioPoint:
-    return max(points, key=lambda p: p.speedup)
-
-
-def weak_scaling(case: Case, ranks_list, *, steps: int = 2
-                 ) -> list[RunMetrics]:
-    """Model per-step time as the corner case grows with fixed work per
-    node: row ``r`` runs ``with_nodes(case, r)``, which is ``r`` ranks when
-    a node holds one rank."""
-    rows = []
-    for r in ranks_list:
-        variant = with_nodes(case, r)
-        plan = case_plan(variant)
-        tl = model_schedule(variant, plan, steps=steps)
-        rows.append(from_timeline(f"{case.name}-w{r}", tl,
-                                  total_cells=plan.total_cells,
-                                  iterations=steps, wall_seconds=0.0))
-    return rows
-
-
-def strong_scaling(case: Case, ranks_list, *, steps: int = 2
-                   ) -> list[RunMetrics]:
-    """Model a fixed problem spread over more ranks; the topology keeps one
-    node per rank with the case's per-node device mix."""
-    rows = []
-    for r in ranks_list:
-        topo = replace(case.topology, nodes=r)
-        variant = replace(case, ranks=r, topology=topo,
-                          name=f"{case.name}-s{r}")
-        plan = case_plan(variant)
-        tl = model_schedule(variant, plan, steps=steps)
-        rows.append(from_timeline(variant.name, tl,
-                                  total_cells=plan.total_cells,
-                                  iterations=steps, wall_seconds=0.0))
-    return rows

@@ -114,6 +114,12 @@ def build_simulation(case: Case, plan: PartitionPlan | None = None) -> Simulatio
     elif plan.zone != case.zone:
         raise WcnsflowError(f"the plan's zone {plan.zone} is not the case's "
                             f"zone {case.zone}")
+    offload = [g for g in plan.groups if g.device_class == "coprocessor"]
+    if offload and case.coprocessor is None:
+        raise WcnsflowError(f"plan group {offload[0].id} (rank "
+                            f"{offload[0].rank}) runs on a coprocessor, but "
+                            "the case has no coprocessor model (no device "
+                            "class=coprocessor record)")
     halo_plan = build_halo_plan(plan)
     return Simulation(case=case, plan=plan, halo_plan=halo_plan,
                       freestream=case.freestream_conserved(),
@@ -130,6 +136,9 @@ def build_simulation(case: Case, plan: PartitionPlan | None = None) -> Simulatio
 # proceeds from bitwise-identical scalars and takes identical branches.
 
 STOP_NONE, STOP_CONVERGED, STOP_DIVERGED = 0.0, 1.0, 2.0
+# A residual norm past this many times the first (or a non-finite one)
+# stops the run as diverged.
+DIVERGENCE_FACTOR = 1.0e6
 
 
 def allreduce(transport, rank: int, ranks: int, epoch: int,
@@ -346,7 +355,7 @@ class RankWorker:
                 else:
                     if initial_normsq[0] is None:
                         initial_normsq[0] = normsq
-                    elif normsq > (controls.divergence_factor ** 2) * max(
+                    elif normsq > DIVERGENCE_FACTOR ** 2 * max(
                             initial_normsq[0], 1e-300):
                         stop = max(stop, STOP_DIVERGED)
                     if (controls.tolerance is not None

@@ -53,9 +53,7 @@ class IterationControls:
     """Knobs of the time loop (``runner.RankWorker.run``).
 
     ``tolerance`` is the relative drop of the residual L2 norm against the
-    first iteration; ``None`` disables the convergence check.  A blow-up
-    beyond ``divergence_factor`` times the initial norm (or a non-finite
-    norm) aborts with a structured error.
+    first iteration; ``None`` disables the convergence check.
     """
 
     max_iters: int = 50
@@ -63,7 +61,6 @@ class IterationControls:
     fixed_dt: float | None = None
     t_end: float | None = None
     tolerance: float | None = 1.0e-8
-    divergence_factor: float = 1.0e6
 
 
 def clip_dt(dt: float, sim_time: float, t_end: float | None) -> float:

@@ -11,9 +11,9 @@ import pytest
 from wcnsflow import cli
 from wcnsflow.cases import (Case, case_from_text, case_plan, case_to_text,
                             corner_case, exact_density, initial_fields,
-                            load_case, save_case, sod_case, uniform_case,
-                            wave_case, with_load_ratio, with_nodes,
-                            with_ranks)
+                            load_case, save_case, sod_case, spread,
+                            uniform_case, wave_case, with_load_ratio,
+                            with_nodes, with_ranks)
 from wcnsflow.cli import main
 from wcnsflow.devices import DEFAULT_CPU
 from wcnsflow.dumps import read_dump, write_dump
@@ -199,6 +199,21 @@ def test_with_nodes_retiles_the_corner_case_per_node():
         with_nodes(replace(two, zone=replace(two.zone, shape=(81, 6, 6))), 4)
     with pytest.raises(PartitionError, match="3 ranks do not divide"):
         with_nodes(replace(two, ranks=3), 4)
+
+
+def test_spread_lays_one_zone_over_more_nodes():
+    one = small_corner(load_ratio=0.6)
+    for n in (1, 2, 4):
+        spread_n = spread(one, n)
+        assert spread_n.zone == one.zone
+        assert spread_n.ranks == n
+        assert spread_n.topology == replace(one.topology, nodes=n)
+        assert len(spread_n.cuts[1]) == 5 * n
+        assert spread(spread_n, 1) == one
+    two = small_corner(nodes=2, load_ratio=0.6)
+    assert spread(two, 2) == two
+    wave = wave_case(16)
+    assert spread(wave, 4) == with_ranks(wave, 4)
 
 
 def test_with_ranks_keeps_a_coprocessor_machine():
@@ -497,13 +512,16 @@ def test_cli_sweep_ratio(tmp_path, capsys):
     case_path = tmp_path / "corner.case"
     save_case(small_corner(), case_path)
     out_csv = tmp_path / "sweep.csv"
-    assert run_cli("sweep-ratio", "--case", case_path, "--ratios", "0.5,0.75",
-                   "--steps", 1, "--out", out_csv) == 0
+    assert run_cli("sweep-ratio", "--case", case_path, "--ratios",
+                   "1,0.75,0.5", "--steps", 1, "--out", out_csv) == 0
     out = capsys.readouterr().out
-    assert "best ratio" in out
     rows = metrics_from_csv(str(out_csv))
-    assert len(rows) == 2
-    assert all("speedup=" in r.extra for r in rows)
+    assert [r.label for r in rows] == ["corner-1n-r1", "corner-1n-r0.75",
+                                       "corner-1n-r0.5"]
+    assert all(r.comp_seconds is not None for r in rows)
+    speedups = [float(r.extra.removeprefix("speedup=")) for r in rows]
+    best = rows[speedups.index(max(speedups))].label.rsplit("-r", 1)[1]
+    assert f"best ratio {best} (speedup {max(speedups):.3f})" in out
 
 
 def test_cli_bench_comm(tmp_path, capsys):
@@ -559,6 +577,30 @@ def test_cli_bench_weak_and_strong(tmp_path, capsys):
     assert out[1].startswith(f"ranks   2: {makespan[2] * 1e3:9.3f} ms  "
                              f"speedup {speedup:6.3f}  "
                              f"efficiency {speedup / 2:5.3f}")
+
+
+@pytest.mark.parametrize("case,cells", [(small_corner(), 1440),
+                                        (wave_case(16), 4096)],
+                         ids=["corner", "wave"])
+def test_cli_bench_strong_spreads_the_zone(tmp_path, capsys, case, cells):
+    """Strong scaling models one fixed zone on more nodes: a corner case
+    lays its columns out over them, any other case runs on more ranks."""
+    path, csv = tmp_path / "strong.case", tmp_path / "strong.csv"
+    save_case(case, path)
+    assert run_cli("bench", "--case", path, "--mode", "strong", "--ranks",
+                   "1,2,4", "--steps", 1, "--out", csv) == 0
+    rows = metrics_from_csv(str(csv))
+    assert [r.label for r in rows] == [f"{case.name}-s{r}" for r in (1, 2, 4)]
+    for r, row in zip((1, 2, 4), rows):
+        assert row.total_cells == cells
+        assert row.model_seconds == model_schedule(spread(case, r),
+                                                   steps=1).makespan
+    capsys.readouterr()
+    if case.kind == "corner":
+        assert run_cli("bench", "--case", path, "--mode", "strong",
+                       "--ranks", "1,3", "--steps", 1) == 2
+        assert "error: 40 columns do not divide over 3 nodes" in \
+            capsys.readouterr().err
 
 
 def test_cli_bench_weak_keeps_the_case_models(tmp_path, capsys):
@@ -667,6 +709,18 @@ def test_cli_errors_exit_2(tmp_path, capsys):
         assert "error: topology record has coproc=3 but no device " \
             "class=coprocessor record" in capsys.readouterr().err
     assert not (tmp_path / "no-model" / "fields.bin").exists()
+    # So is a plan with coprocessor groups for a case without that model.
+    corner_plan = tmp_path / "corner.plan"
+    corner_plan.write_text(plan_to_text(case_plan(small_corner())),
+                           encoding="utf-8")
+    cpu_only = tmp_path / "cpu-only.case"
+    save_case(cpu_only_variant(small_corner()), cpu_only)
+    for model_only in ((), ("--model-only",)):
+        assert run_cli("run", "--case", cpu_only, "--plan", corner_plan,
+                       "--out-dir", tmp_path / "cpu-only", *model_only) == 2
+        assert "error: plan group 2 (rank 0) runs on a coprocessor, but " \
+            "the case has no coprocessor model" in capsys.readouterr().err
+    assert not (tmp_path / "cpu-only" / "fields.bin").exists()
     assert run_cli("run", "--case", uni, "--transport", "socket",
                    "--out-dir", tmp_path) == 2
     # gen rejects a flag the kind's generator does not take, and ranks

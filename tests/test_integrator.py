@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wcnsflow import runner
 from wcnsflow.cases import exact_density, initial_fields, sod_case, wave_case
 from wcnsflow.errors import DivergenceError
 from wcnsflow.fields import cell_centers
@@ -165,9 +166,9 @@ def test_residual_norm_matches_direct_sum():
 
 def test_check_divergence_rejects_non_finite():
     """Stage 1's reduction stops the run on a non-finite norm or one past
-    ``divergence_factor`` times the first."""
+    ``DIVERGENCE_FACTOR`` times the first."""
     worker = one_rank_worker()
-    controls = IterationControls(divergence_factor=1e6)
+    controls = IterationControls()
 
     def stop(normsq: float) -> float:
         parts = np.zeros((1, 6))
@@ -239,11 +240,11 @@ def test_repeat_runs_are_bitwise_identical():
     assert outs[0].norm_history == outs[1].norm_history
 
 
-def test_divergence_raises_structured_error():
+def test_divergence_raises_structured_error(monkeypatch):
     """Far past the stable step the residual norm grows without bound."""
+    monkeypatch.setattr(runner, "DIVERGENCE_FACTOR", 5.0)
     case = wave_case(8, amplitude=0.01, t_end=None, fixed_dt=0.08)
-    case = replace(case, controls=replace(case.controls, max_iters=200,
-                                          divergence_factor=5.0))
+    case = replace(case, controls=replace(case.controls, max_iters=200))
     with pytest.raises(DivergenceError) as err:
         run_case(case, warmup=False)
     assert err.value.step is not None and 0 < err.value.step < 200

@@ -24,6 +24,7 @@ from wcnsflow.errors import DivergenceError, InvalidStateError, \
     TransportError, WcnsflowError
 from wcnsflow.fields import assemble_zone
 from wcnsflow.halo import HaloExchanger
+from wcnsflow.model import cpu_only_variant
 from wcnsflow.partition import NodeTopology, plan_from_text, plan_to_text
 from wcnsflow.runner import ExchangeTotals, RankWorker, build_simulation, \
     run_case, run_socket_rank
@@ -477,3 +478,15 @@ def test_plan_of_another_zone_is_rejected():
         run_socket_rank(case, 0, {0: ("127.0.0.1", free_port())}, plan=other)
     same = plan_from_text(plan_to_text(case_plan(case)))
     assert run_case(case, same, max_workers=1).iterations == 2
+
+
+def test_coprocessor_groups_need_a_coprocessor_model():
+    """A plan that puts blocks on coprocessors is refused before any step
+    when the case has no model to time them."""
+    case = corner_case(1, columns=40, cross=6, max_iters=1)
+    plan = plan_from_text(plan_to_text(case_plan(case)))
+    named = (r"plan group 2 \(rank 0\) runs on a coprocessor, but the case "
+             "has no coprocessor model")
+    with pytest.raises(WcnsflowError, match=named):
+        run_case(cpu_only_variant(case), plan)
+    assert run_case(case, plan, max_workers=1).iterations == 1
