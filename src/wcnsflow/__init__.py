@@ -7,9 +7,10 @@ with message coalescing and compute overlap, and a modeled heterogeneous
 CPU+coprocessor runtime with a benchmark harness.
 """
 
-from .cases import (Case, case_plan, corner_case, initial_fields, load_case,
-                    save_case, sod_case, spread, uniform_case, wave_case,
-                    with_load_ratio, with_nodes, with_ranks)
+from .cases import (Case, case_plan, corner_case, cpu_only_variant,
+                    initial_fields, load_case, save_case, sod_case, spread,
+                    uniform_case, wave_case, with_load_ratio, with_nodes,
+                    with_ranks)
 from .devices import (DEFAULT_COPROCESSOR, DEFAULT_CPU, DEFAULT_LINK,
                       DEFAULT_NETWORK, DeviceModel, LinkModel, NetworkModel)
 from .dumps import read_dump, write_dump
@@ -19,7 +20,7 @@ from .errors import (CaseFormatError, DivergenceError, HaloPlanError,
 from .fields import BlockField, FieldSet, allocate_fields, assemble_zone
 from .halo import HaloExchanger, HaloPlan, build_halo_plan
 from .metrics import RunMetrics, mcups, metrics_from_csv, metrics_to_csv
-from .model import cpu_only_variant, model_run, model_schedule
+from .model import model_run, model_schedule
 from .partition import (Block, NodeTopology, PartitionPlan, ZoneSpec,
                         make_plan, plan_from_text, plan_to_text)
 from .riemann import solve_riemann

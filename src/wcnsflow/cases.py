@@ -457,6 +457,14 @@ def spread(case: Case, nodes: int) -> Case:
     return _retile(case, nodes, nodes)
 
 
+def cpu_only_variant(case: Case) -> Case:
+    """Same blocks, coprocessors removed: every block lands on the CPU
+    sockets, which is the honest baseline for offload speedups."""
+    topo = replace(case.topology, coproc_per_node=0)
+    return replace(case, topology=topo, coprocessor=None,
+                   name=f"{case.name}-cpu-only")
+
+
 def _retile(case: Case, nodes: int, share: int) -> Case:
     """The corner case on ``nodes`` nodes, each holding 1/``share`` of the
     case's columns and the ranks and devices of one node of ``case``."""

@@ -14,13 +14,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .cases import (GENERATORS, case_plan, load_case, save_case, spread,
-                    with_load_ratio, with_nodes, with_ranks)
+from .cases import (GENERATORS, Case, case_plan, cpu_only_variant, load_case,
+                    save_case, spread, with_load_ratio, with_nodes, with_ranks)
 from .dumps import read_dump, write_dump
 from .errors import WcnsflowError
 from .metrics import (RunMetrics, metrics_from_csv, metrics_to_csv,
                       render_report)
-from .model import cpu_only_variant, model_run
+from .model import model_run
 from .partition import plan_from_text, plan_to_text
 from .runner import build_simulation, run_case, run_socket_rank
 from .schedule import Timeline, timeline_report
@@ -193,30 +193,35 @@ def _cmd_sweep_ratio(args) -> int:
     return 0
 
 
+def _scale(case: Case) -> str:
+    """The machine a scaling variant runs on, as a bench line's label."""
+    return f"nodes {case.topology.nodes:3d} ranks {case.ranks:3d}"
+
+
 def _cmd_bench(args) -> int:
     case, _ = _load(args)
     ranks = _ints(args.ranks) if args.ranks else [1, 2, 4, 8]
     rows: list[RunMetrics] = []
     if args.mode == "weak":
-        rows = [model_run(replace(with_nodes(case, r),
-                                  name=f"{case.name}-w{r}"),
-                          steps=args.steps)[1] for r in ranks]
+        variants = [replace(with_nodes(case, r), name=f"{case.name}-w{r}")
+                    for r in ranks]
+        rows = [model_run(v, steps=args.steps)[1] for v in variants]
         base_time = rows[0].model_seconds / rows[0].iterations
-        for r, m in zip(ranks, rows):
+        for v, m in zip(variants, rows):
             per = m.model_seconds / m.iterations
-            print(f"ranks {r:3d}: {per*1e3:9.3f} ms/step  "
+            print(f"{_scale(v)}: {per*1e3:9.3f} ms/step  "
                   f"variation {abs(per-base_time)/base_time*100:5.2f}%  "
                   f"{m.mcups:9.2f} MCUPS")
     elif args.mode == "strong":
-        rows = [model_run(replace(spread(case, r),
-                                  name=f"{case.name}-s{r}"),
-                          steps=args.steps)[1] for r in ranks]
+        variants = [replace(spread(case, r), name=f"{case.name}-s{r}")
+                    for r in ranks]
+        rows = [model_run(v, steps=args.steps)[1] for v in variants]
         t0 = rows[0].model_seconds
-        for r, m in zip(ranks, rows):
+        for r, v, m in zip(ranks, variants, rows):
             speedup = t0 / m.model_seconds
             eff = speedup / (r / ranks[0])
             m.extra = f"speedup={speedup:.3f};efficiency={eff:.3f}"
-            print(f"ranks {r:3d}: {m.model_seconds*1e3:9.3f} ms  "
+            print(f"{_scale(v)}: {m.model_seconds*1e3:9.3f} ms  "
                   f"speedup {speedup:6.3f}  efficiency {eff:5.3f}")
     elif args.mode == "comm":
         plan = case_plan(case)
@@ -334,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--case", required=True)
     b.add_argument("--mode", required=True,
                    choices=("weak", "strong", "comm", "matrix"))
-    b.add_argument("--ranks", help="comma list of rank counts")
+    b.add_argument("--ranks", help="comma list of rank counts; node counts "
+                   "in weak and strong modes")
     b.add_argument("--steps", type=int, default=2)
     b.add_argument("--max-iters", dest="max_iters", type=int)
     b.add_argument("--best-of", dest="best_of", type=int, default=1)

@@ -8,7 +8,7 @@ of case variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cases import Case, case_plan
 from .devices import MEMCPY_BANDWIDTH, device_label
@@ -258,10 +258,3 @@ def model_run(case: Case, plan: PartitionPlan | None = None, *, steps: int,
     return tl, from_timeline(case.name, tl, total_cells=plan.total_cells,
                              iterations=steps, wall_seconds=0.0)
 
-
-def cpu_only_variant(case: Case) -> Case:
-    """Same blocks, coprocessors removed: every block lands on the CPU
-    sockets, which is the honest baseline for offload speedups."""
-    topo = replace(case.topology, coproc_per_node=0)
-    return replace(case, topology=topo, coprocessor=None,
-                   name=f"{case.name}-cpu-only")

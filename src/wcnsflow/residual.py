@@ -10,26 +10,34 @@ viscous derivatives from fourth-order central differencing of node fluxes.
 The split fluxes are projected onto the characteristic fields of a
 Roe-averaged frame at each edge before weighting.
 
-A convective sweep moves the sweep axis last and walks the slab in tiles of
-cross-axis rows.  Each window is taken relative to its centre node, so the
-centre window is exactly zero on both sides and is never formed: per tile
-the sweep stacks the other eight windows (four nodes, plus and minus flux)
-into one array, component x window x side x tile, and makes one projection
-call into the wave fields, one weighted-edge call for both sides (with the
+A convective sweep walks the slab in tiles of cross-axis rows, and lays
+each tile out node-major: component x node x line, with the tile's rows x
+n2 lines flattened into one contiguous last axis.  Every stencil slice
+along the nodes (a window, the centre, the edge frame's neighbours, the
+edge-to-node differences) is then one unit-stride run of rows x n2
+values, not rows x n2 runs of a few nodes each.  The tile gathers ``w``
+and ``q`` once each (``q`` waits in the plus flux's buffer until that flux
+is formed) and scatters its derivatives into ``out`` in one copy.  Each
+window is taken relative to its centre node, so the centre window is
+exactly zero on both sides and is never formed: per tile the sweep stacks
+the other eight windows (four nodes, plus and minus flux) into one array,
+component x window x side x node x line, and makes one projection call
+into the wave fields, one weighted-edge call for both sides (with the
 centre passed as ``None``) and one call back to state space.  The edge
 frame's node terms are formed once per node and shared by the two edges
 beside it.  The tile's multi-component arrays live in a per-thread
 workspace (``wcns.Workspace``) that is grown to the largest tile the thread
 has swept and viewed afresh for each tile shape, so pool workers never
-share one; only the edge frame's one-slab fields are still allocated per
-tile.  The default tile is the working-set tile: as many rows as fit the
-moved (rows, n2, L) float64 slab in ``TILE_BYTES``, and never fewer than
-``MIN_TILE_ROWS``; ``tile=0`` sweeps the slab untiled.  Tiling and
-stacking change which arrays the operations touch, not the operations an
-element sees or their order, so every tile size gives the same bits.
-Skipping the centre drops only terms that are exact zeros: every
-smoothness term they touch is squared, so the weights keep their bits, and
-a substencil value can change only in the sign of an exact zero.
+share one; the derivatives reuse the windows' region once the windows are
+projected, and only the edge frame's one-slab fields are still allocated
+per tile.  The default tile is the working-set tile: as many rows as fit
+the (rows, n2, L) float64 slab in ``TILE_BYTES``, and never fewer than
+``MIN_TILE_ROWS``; ``tile=0`` sweeps the slab untiled.  Tiling, stacking
+and the layout change which arrays the operations touch, not the
+operations an element sees or their order, so every tile size gives the
+same bits.  Skipping the centre drops only terms that are exact zeros:
+every smoothness term they touch is squared, so the weights keep their
+bits, and a substencil value can change only in the sign of an exact zero.
 
 Each direction is an independent task writing its own buffer; the per-block
 combination happens in one fixed order so results never depend on how tasks
@@ -72,7 +80,7 @@ from .wcns import (
 
 H = HALO_WIDTH
 
-# Working-set tile: rows of the moved (rows, n2, L) float64 slab per sweep
+# Working-set tile: rows of the (rows, n2, L) float64 slab per sweep
 # step.  The floor keeps ufunc calls long enough that pool workers do not
 # queue on the interpreter lock between them.
 TILE_BYTES = 64 * 1024
@@ -181,29 +189,35 @@ class EdgeFrame:
         return x
 
 
-def characteristic_frame(w: np.ndarray, axis: int,
-                         gas: GasModel) -> EdgeFrame:
+def characteristic_frame(w: np.ndarray, axis: int, gas: GasModel, *,
+                         node_axis: int = -1) -> EdgeFrame:
     """Edge frame (Roe mean) between neighbouring nodes of primitive
-    states ``w``, whose last axis holds the n + 1 nodes flanking n edges.
+    states ``w``, whose axis ``node_axis`` (the last by default; never the
+    component axis 0) holds the n + 1 nodes flanking n edges.
 
     sqrt(rho), the total enthalpy h, sqrt(rho) u and sqrt(rho) h are
     formed once per node and shared by the edges on either side; each
     edge's mean sees the operations of the two-state formula in its order.
     """
+    ax = node_axis % w.ndim
+    if ax == 0:
+        raise ValueError("the node axis of w cannot be its component axis")
+    lead = (slice(None),) * (ax - 1)
+    left, right = lead + (slice(None, -1),), lead + (slice(1, None),)
     g = gas.gamma
     s = np.sqrt(w[0])
     gg = g / (g - 1.0)
     h = gg * w[4] / w[0] + 0.5 * (w[1] ** 2 + w[2] ** 2 + w[3] ** 2)
-    inv = s[..., :-1] + s[..., 1:]
+    inv = s[left] + s[right]
     np.divide(1.0, inv, out=inv)
     vel = []
     for a in range(3):
         su = s * w[1 + a]
-        v = np.add(su[..., :-1], su[..., 1:])
+        v = np.add(su[left], su[right])
         v *= inv
         vel.append(v)
     sh = np.multiply(s, h, out=h)
-    hm = np.add(sh[..., :-1], sh[..., 1:])
+    hm = np.add(sh[left], sh[right])
     hm *= inv
     q2 = vel[0] ** 2 + vel[1] ** 2 + vel[2] ** 2
     a2 = (g - 1.0) * (hm - 0.5 * q2)
@@ -225,7 +239,9 @@ def _tile_words(rows: int, n2: int, length: int, parked: int = 0) -> int:
     and the eight projected windows (the centre window of each side is
     exactly zero and never stored), edge values and the recombined edges,
     which share their buffer with ``parked`` edges read back from a
-    handoff."""
+    handoff.  The gathered conserved states wait in the plus fluxes' words
+    and the derivatives take the stacked windows' words, so neither adds
+    any."""
     ne = length - 5
     return NCOMP * rows * n2 * (4 * length + (2 * 8 + 2 + 1) * ne + parked)
 
@@ -338,46 +354,62 @@ def convective_derivative(
     for c0 in range(row_lo, row_hi, step):
         cs = slice(c0, min(c0 + step, row_hi))
         rows = cs.stop - cs.start
+        lines = rows * n2
         ws.reserve(_tile_words(rows, n2, length, nedges - ne))
-        qc = q[:, cs]
-        # One strided read of the primitives serves the flux and the frame.
-        wc = ws.take(NCOMP, rows, n2, length)
-        np.copyto(wc, w[:, cs])
-        f = inviscid_flux(wc, axis, q=qc, out=ws.take(NCOMP, rows, n2, length))
-        fp = ws.take(NCOMP, rows, n2, length)
-        fm = ws.take(NCOMP, rows, n2, length)
+
+        def grid(a: np.ndarray) -> np.ndarray:
+            """Node-major ``a`` viewed in the layout of ``q``, ``w`` and
+            ``dst``: component x row x n2 x node."""
+            split = a.reshape(a.shape[:2] + (rows, n2), copy=False)
+            return split.transpose(0, 2, 3, 1)
+
+        # One gather each of the primitives and the conserved states; q
+        # waits in fp's buffer until fp is formed.
+        wc = ws.take(NCOMP, length, lines)
+        np.copyto(grid(wc), w[:, cs])
+        f = ws.take(NCOMP, length, lines)
+        fp = ws.take(NCOMP, length, lines)
+        fm = ws.take(NCOMP, length, lines)
+        qc = fp
+        np.copyto(grid(qc), q[:, cs])
+        inviscid_flux(wc, axis, q=qc, out=f)
         lam_q = np.multiply(lam, qc, out=fm)
         np.add(f, lam_q, out=fp)
         fp *= 0.5
         np.subtract(f, lam_q, out=fm)
         fm *= 0.5
-        frame = characteristic_frame(wc[..., 2:3 + ne], axis, gas)
+        frame = characteristic_frame(wc[:, 2:3 + ne], axis, gas, node_axis=1)
         # The windows, component x window x side (plus, minus), taken
         # relative to their central node so a constant field projects to
         # exactly zero and uniform flow stays a bitwise fixed point of the
         # derivative.  The centre window is then exactly zero on both
         # sides, so only the eight others are stacked, projected and
         # weighted.
-        ctr_p = fp[..., 2:2 + ne]
-        ctr_m = fm[..., 3:3 + ne]
-        win = ws.take(NCOMP, 4, 2, rows, n2, ne)
+        ctr_p = fp[:, 2:2 + ne]
+        ctr_m = fm[:, 3:3 + ne]
+        win = ws.take(NCOMP, 4, 2, ne, lines)
         for i, k in enumerate((0, 1, 3, 4)):
-            np.subtract(fp[..., k:k + ne], ctr_p, out=win[:, i, 0])
-            np.subtract(fm[..., 5 - k:5 - k + ne], ctr_m, out=win[:, i, 1])
-        waves = frame.to_waves(win, out=ws.take(NCOMP, 4, 2, rows, n2, ne))
+            np.subtract(fp[:, k:k + ne], ctr_p, out=win[:, i, 0])
+            np.subtract(fm[:, 5 - k:5 - k + ne], ctr_m, out=win[:, i, 1])
+        waves = frame.to_waves(win, out=ws.take(NCOMP, 4, 2, ne, lines))
         sides = window_edge_value(waves[:, 0], waves[:, 1], None,
                                   waves[:, 2], waves[:, 3],
-                                  out=ws.take(NCOMP, 2, rows, n2, ne))
+                                  out=ws.take(NCOMP, 2, ne, lines))
         both = np.add(sides[:, 0], sides[:, 1], out=sides[:, 0])
-        all_edges = ws.take(NCOMP, rows, n2, nedges)
-        edges = all_edges if own is None else all_edges[..., own]
+        all_edges = ws.take(NCOMP, nedges, lines)
+        edges = all_edges if own is None else all_edges[:, own]
         np.add(ctr_p, ctr_m, out=edges)
         edges += frame.to_state(both, out=sides[:, 1])
         if parked is not None:
-            np.copyto(all_edges[..., parked], dst[:, cs])
+            np.copyto(grid(all_edges[:, parked]), dst[:, cs])
         for ends, park in parks:
-            np.copyto(park[:, cs], edges[..., ends])
-        edge_to_node_derivative(all_edges, h, out=dst[:, cs])
+            np.copyto(park[:, cs], grid(edges[:, ends]))
+        # The derivatives go into the windows' dead region, then to ``dst``
+        # in one copy.
+        d = win.reshape(-1)[:NCOMP * (hi - lo) * lines]
+        d = edge_to_node_derivative(all_edges, h, node_axis=1,
+                                    out=d.reshape(NCOMP, hi - lo, lines))
+        np.copyto(dst[:, cs], grid(d))
     return out
 
 

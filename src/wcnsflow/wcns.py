@@ -6,8 +6,11 @@ edge-to-node difference that is exact for polynomials through degree six.
 
 Conventions used throughout:
 
-* A "line" is the last axis of an array; all kernels broadcast over leading
-  axes, so ``(5, ny, nz, L)`` slabs go through unchanged.
+* A "line" runs along the last axis of an array by default; all kernels
+  broadcast over the other axes, so ``(5, ny, nz, L)`` slabs go through
+  unchanged.  ``edge_to_node_derivative`` also takes the node axis by
+  keyword, so node-major tiles ``(5, L, lines)``, whose node slices are
+  each one contiguous run of lines, go through without a transpose.
 * For a line of ``L`` nodes the edge kernels produce ``L - 5`` edges where
   output edge ``j`` sits between input nodes ``j + 2`` and ``j + 3``.  The
   left-biased value at that edge uses nodes ``j .. j+4``, the right-biased
@@ -275,8 +278,10 @@ def interpolate_line_edges(f: np.ndarray, side: str = "left",
 
 
 def edge_to_node_derivative(edges: np.ndarray, h: float, *,
+                            node_axis: int = -1,
                             out: np.ndarray | None = None) -> np.ndarray:
-    """Node derivatives from midpoint values along the last axis.
+    """Node derivatives from midpoint values along ``node_axis`` (the last
+    axis by default).
 
     For ``m`` input edges returns ``m - 5`` node values; output node ``i``
     sits between input edges ``i + 2`` and ``i + 3`` and the formula reaches
@@ -284,20 +289,24 @@ def edge_to_node_derivative(edges: np.ndarray, h: float, *,
     when given; it must not overlap ``edges``.
     """
     edges = np.asarray(edges)
-    n = edges.shape[-1] - 5
+    m = edges.shape[node_axis]
+    n = m - 5
     if n < 1:
-        raise StencilError(f"{edges.shape[-1]} edges are too few "
-                           "for the node derivative")
+        raise StencilError(f"{m} edges are too few for the node derivative")
     c1, c2, c3 = EDGE_COEFFS
-    e = edges
-    d = np.subtract(e[..., 3:3 + n], e[..., 2:2 + n], out=out)
+    lead = (slice(None),) * (node_axis % edges.ndim)
+
+    def e(k):
+        return edges[lead + (slice(k, k + n),)]
+
+    d = np.subtract(e(3), e(2), out=out)
     d *= c1 / h
     _scratch.reserve(d.size)
     t = _scratch.take(*d.shape)
-    np.subtract(e[..., 4:4 + n], e[..., 1:1 + n], out=t)
+    np.subtract(e(4), e(1), out=t)
     t *= c2 / h
     d -= t
-    np.subtract(e[..., 5:5 + n], e[..., 0:0 + n], out=t)
+    np.subtract(e(5), e(0), out=t)
     t *= c3 / h
     d += t
     return d

@@ -10,9 +10,9 @@ import pytest
 
 from wcnsflow import cli
 from wcnsflow.cases import (Case, case_from_text, case_plan, case_to_text,
-                            corner_case, exact_density, initial_fields,
-                            load_case, save_case, sod_case, spread,
-                            uniform_case, wave_case, with_load_ratio,
+                            corner_case, cpu_only_variant, exact_density,
+                            initial_fields, load_case, save_case, sod_case,
+                            spread, uniform_case, wave_case, with_load_ratio,
                             with_nodes, with_ranks)
 from wcnsflow.cli import main
 from wcnsflow.devices import DEFAULT_CPU
@@ -20,7 +20,7 @@ from wcnsflow.dumps import read_dump, write_dump
 from wcnsflow.errors import CaseFormatError, PartitionError
 from wcnsflow.metrics import (RunMetrics, from_timeline, mcups,
                               metrics_from_csv, metrics_to_csv, render_report)
-from wcnsflow.model import cpu_only_variant, model_schedule
+from wcnsflow.model import model_schedule
 from wcnsflow.partition import NodeTopology, plan_from_text, plan_to_text
 from wcnsflow.schedule import Timeline
 from wcnsflow.transport import free_port
@@ -547,10 +547,10 @@ def test_cli_bench_weak_and_strong(tmp_path, capsys):
                    "--steps", 1, "--out", weak_csv) == 0
     out = capsys.readouterr().out.splitlines()
     per = [makespan[1] * 1e3, makespan[2] * 1e3]
-    assert out[0].startswith(f"ranks   1: {per[0]:9.3f} ms/step  "
+    assert out[0].startswith(f"nodes   1 ranks   1: {per[0]:9.3f} ms/step  "
                              "variation  0.00%")
     variation = abs(per[1] - per[0]) / per[0] * 100
-    assert out[1].startswith(f"ranks   2: {per[1]:9.3f} ms/step  "
+    assert out[1].startswith(f"nodes   2 ranks   2: {per[1]:9.3f} ms/step  "
                              f"variation {variation:5.2f}%")
     rows = metrics_from_csv(str(weak_csv))
     assert [r.label for r in rows] == ["corner-1n-w1", "corner-1n-w2"]
@@ -572,11 +572,35 @@ def test_cli_bench_weak_and_strong(tmp_path, capsys):
     assert rows[0].extra == "speedup=1.000;efficiency=1.000"
     assert rows[1].extra == (f"speedup={speedup:.3f};"
                              f"efficiency={speedup / 2:.3f}")
-    assert out[0].startswith(f"ranks   1: {rows[0].model_seconds * 1e3:9.3f}"
+    assert out[0].startswith("nodes   1 ranks   1: "
+                             f"{rows[0].model_seconds * 1e3:9.3f}"
                              " ms  speedup  1.000  efficiency 1.000")
-    assert out[1].startswith(f"ranks   2: {makespan[2] * 1e3:9.3f} ms  "
-                             f"speedup {speedup:6.3f}  "
+    assert out[1].startswith(f"nodes   2 ranks   2: {makespan[2] * 1e3:9.3f}"
+                             f" ms  speedup {speedup:6.3f}  "
                              f"efficiency {speedup / 2:5.3f}")
+
+
+def test_cli_bench_weak_and_strong_label_nodes_and_ranks(tmp_path, capsys):
+    # Two ranks per node, each driving one CPU socket and one coprocessor:
+    # every line names the variant's nodes and its ranks, which differ.
+    case = with_ranks(small_corner(topology=NodeTopology(1, 2, 2)), 2)
+    one, two = tmp_path / "one.case", tmp_path / "two.case"
+    save_case(case, one)
+    save_case(with_nodes(case, 2), two)
+    for mode, path, variant in (("weak", one, with_nodes),
+                                ("strong", two, spread)):
+        csv = tmp_path / f"{mode}.csv"
+        assert run_cli("bench", "--case", path, "--mode", mode, "--ranks",
+                       "1,2", "--steps", 1, "--out", csv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("nodes   1 ranks   2: ")
+        assert out[1].startswith("nodes   2 ranks   4: ")
+        rows = metrics_from_csv(str(csv))
+        for n, row in zip((1, 2), rows):
+            want = variant(load_case(path), n)
+            assert (want.topology.nodes, want.ranks) == (n, 2 * n)
+            assert row.model_seconds == model_schedule(want,
+                                                       steps=1).makespan
 
 
 @pytest.mark.parametrize("case,cells", [(small_corner(), 1440),

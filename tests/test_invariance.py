@@ -18,22 +18,29 @@ import numpy as np
 import pytest
 
 from wcnsflow import runner
-from wcnsflow.cases import case_plan, corner_case, sod_case, wave_case
+from wcnsflow.cases import case_plan, corner_case, cpu_only_variant, \
+    sod_case, wave_case
 from wcnsflow.devices import DevicePool
 from wcnsflow.errors import DivergenceError, InvalidStateError, \
     TransportError, WcnsflowError
 from wcnsflow.fields import assemble_zone
 from wcnsflow.halo import HaloExchanger
-from wcnsflow.model import cpu_only_variant
 from wcnsflow.partition import NodeTopology, plan_from_text, plan_to_text
 from wcnsflow.runner import ExchangeTotals, RankWorker, build_simulation, \
     run_case, run_socket_rank
+from wcnsflow.state import GasModel
 from wcnsflow.transport import free_port
 from wcnsflow.wcns import HALO_WIDTH
 
 CASES = {
     "wave8": lambda: wave_case(8, t_end=0.004, fixed_dt=1e-3),
     "sod24": lambda: sod_case(24, 4, t_end=0.02),
+    # Viscous.  Sod's viscous dt bound takes 5 steps to t = 0.001 (90 to
+    # the inviscid case's t = 0.02, which would add minutes to the suite).
+    "wave8-re50": lambda: replace(wave_case(8, t_end=0.004, fixed_dt=1e-3),
+                                  gas=GasModel(reynolds=50.0)),
+    "sod24-re200": lambda: replace(sod_case(24, 4, t_end=0.001),
+                                   gas=GasModel(reynolds=200.0)),
 }
 
 # Regrouping needs at least one block per rank, so ranks never exceed blocks.

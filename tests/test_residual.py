@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wcnsflow import residual
 from wcnsflow.errors import InvalidStateError
 from wcnsflow.residual import (
     EdgeFrame,
     GradientPack,
+    _tile_words,
     block_residual,
     block_wavespeed_bound,
     characteristic_frame,
@@ -20,6 +22,7 @@ from wcnsflow.residual import (
     interior_split,
     velocity_temperature_gradients,
     viscous_derivative,
+    working_set_tile,
 )
 from wcnsflow.state import (
     GasModel,
@@ -210,6 +213,27 @@ def test_frame_of_a_node_array_is_the_two_state_roe_mean(axis):
         got = getattr(frame, name)
         assert got.shape == (3, 4, 8), name
         assert got.tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("node_axis", [1, -3])
+def test_node_major_frame_is_the_last_axis_form(axis, node_axis):
+    """A frame over node-major primitives, (component, node, lines...),
+    holds the bytes of the frame over the same lines laid out nodes last."""
+    rng = np.random.default_rng(50 + axis)
+    w = np.empty((5, 3, 4, 9))
+    w[0] = 0.2 + 2.0 * rng.random((3, 4, 9))
+    w[1:4] = rng.standard_normal((3, 3, 4, 9)) * 1.5
+    w[4] = 0.2 + 2.0 * rng.random((3, 4, 9))
+    want = characteristic_frame(w, axis, GAS)
+    major = np.ascontiguousarray(np.moveaxis(w, -1, 1))
+    got = characteristic_frame(major, axis, GAS, node_axis=node_axis)
+    for name in ("un", "ut1", "ut2", "sound", "inv_sound", "enthalpy", "q2",
+                 "b1", "b2"):
+        back = np.moveaxis(getattr(got, name), 0, -1)
+        assert back.tobytes() == getattr(want, name).tobytes(), name
+    with pytest.raises(ValueError, match="component axis"):
+        characteristic_frame(major, axis, GAS, node_axis=0)
 
 
 def test_frame_rejects_a_non_positive_sound_speed():
@@ -600,6 +624,30 @@ def test_handoff_changes_nothing_on_a_thin_block():
                                       gas=GAS, lo=lo, hi=hi, handoff=flag,
                                       out=out)
             assert handoff.tobytes() == plain.tobytes(), (axis, lo, hi)
+
+
+def test_default_tile_sweep_reserves_exactly_the_tile_words():
+    """A default-tile sweep of a 24^3 block grows a fresh thread's
+    workspace to the words of its largest tile and takes exactly the words
+    of each tile, so the node-major layout adds no scratch."""
+    shape = (24, 24, 24)
+    q_ext, w_ext = random_block(shape, 1)
+    n2, length = 24, 24 + 2 * H
+    rows = working_set_tile(n2, length)
+    assert 24 % rows                         # the last tile is shorter
+    used = []
+
+    def sweep(axis):
+        convective_derivative(q_ext, w_ext, axis, 3.0, 1.0 / 24, gas=GAS)
+        used.append((residual._workspace.buf.size, residual._workspace.used))
+
+    for axis in range(3):
+        t = threading.Thread(target=sweep, args=(axis,))
+        t.start()
+        t.join()
+    assert used == [(_tile_words(rows, n2, length),
+                     _tile_words(24 % rows, n2, length))] * 3
+    assert (rows, used[0]) == (10, (824_400, 329_760))
 
 
 def test_concurrent_sweeps_match_serial_sweeps():

@@ -265,6 +265,26 @@ def test_edge_derivative_count():
     assert d.shape == (6,)
     with pytest.raises(StencilError):
         edge_to_node_derivative(np.zeros(5), h=1.0)
+    with pytest.raises(StencilError, match="5 edges"):
+        edge_to_node_derivative(np.zeros((3, 5, 11)), h=1.0, node_axis=1)
+
+
+@pytest.mark.parametrize("node_axis", [1, -2])
+def test_node_major_edge_derivative_is_the_last_axis_form(node_axis):
+    """Edges laid out node-major, (component, edge, line), give the bytes
+    of the same lines laid out edges last, into ``out`` or not."""
+    rng = np.random.default_rng(11)
+    edges = rng.standard_normal((5, 6, 4, 13))
+    want = edge_to_node_derivative(edges, h=0.3)
+    major = np.ascontiguousarray(np.moveaxis(edges, -1, 1)).reshape(5, 13, 24)
+    got = edge_to_node_derivative(major, h=0.3, node_axis=node_axis)
+    assert got.shape == (5, 8, 24)
+    out = np.empty_like(got)
+    assert edge_to_node_derivative(major, h=0.3, node_axis=node_axis,
+                                   out=out) is out
+    for d in (got, out):
+        back = np.moveaxis(d.reshape(5, 8, 6, 4), 1, -1)
+        assert back.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
