@@ -1,12 +1,15 @@
 """Benchmark case definitions: a small text format plus generators.
 
 A case file pins down everything a run needs and nothing more: gas model,
-the one zone's geometry and boundaries, initial condition, freestream
-state, iteration controls, the machine shape, and the device cost model.
-The format is line-oriented key=value records behind a ``wcnsflow-case 2``
-header, matching the plan file style, so cases diff cleanly and round-trip
-exactly (floats are written with ``repr``).  A second ``zone`` record is an
-error.
+the one zone's geometry and boundaries, how the zone is cut into blocks,
+initial condition, freestream state, iteration controls, the machine
+shape, and the device cost model.  The format is line-oriented key=value
+records behind a ``wcnsflow-case 3`` header, matching the plan file style,
+so cases diff cleanly and round-trip exactly (floats are written with
+``repr``).  A second ``zone`` record is an error.  The required ``blocks``
+record gives the block widths along each axis, as in
+``blocks x=10,7,7,7,9 y=6 z=6``; the blocks are the grid those widths
+span, and the widths on each axis must sum to the zone's extent there.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from .partition import (
     ZoneSpec,
     _devices_of_rank,
     _pattern_widths,
+    grid_blocks,
     make_plan,
-    split_zone_cuts,
+    split_zone,
     topology_from_record,
     topology_record,
     zone_from_record,
@@ -45,7 +49,7 @@ from .state import GasModel, conserved_from_primitive
 from .timestepping import IterationControls
 
 CASE_MAGIC = "wcnsflow-case"
-CASE_VERSION = 2
+CASE_VERSION = 3
 
 CASE_KINDS = ("uniform", "wave", "sod", "corner")
 
@@ -59,10 +63,9 @@ class Case:
     init: dict[str, str]
     freestream: tuple[float, float, float, float, float]  # rho u v w p
     controls: IterationControls
+    block_widths: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     ranks: int = 1
     load_ratio: float = 1.0
-    target_blocks: int | None = 1
-    cuts: tuple[int, tuple[int, ...]] | None = None   # (axis, widths)
     topology: NodeTopology = field(
         default_factory=lambda: NodeTopology(1, 1, 0))
     cpu: DeviceModel = DEFAULT_CPU
@@ -78,6 +81,17 @@ class Case:
             raise CaseFormatError(
                 f"topology record has coproc={self.topology.coproc_per_node}"
                 " but no device class=coprocessor record models them")
+        if len(self.block_widths) != 3:
+            raise CaseFormatError("blocks record: needs widths along x, y "
+                                  f"and z, got {len(self.block_widths)} axes")
+        for axis, widths, n in zip("xyz", self.block_widths, self.zone.shape):
+            if any(w < 1 for w in widths):
+                raise CaseFormatError(f"blocks record: {axis} width "
+                                      f"{min(widths)} is below 1")
+            if sum(widths) != n:
+                raise CaseFormatError(
+                    f"blocks record: {axis} widths sum to {sum(widths)}, "
+                    f"the zone has {n} cells along {axis}")
 
     def freestream_conserved(self) -> np.ndarray:
         w = np.asarray(self.freestream, dtype=np.float64).reshape(5, 1, 1, 1)
@@ -85,13 +99,8 @@ class Case:
 
 
 def case_plan(case: Case) -> PartitionPlan:
-    if case.cuts is not None:
-        axis, widths = case.cuts
-        blocks = split_zone_cuts(case.zone, axis, list(widths))
-        return make_plan(case.zone, case.ranks, case.topology,
-                         case.load_ratio, explicit_blocks=blocks)
-    return make_plan(case.zone, case.ranks, case.topology, case.load_ratio,
-                     target_blocks=case.target_blocks)
+    return make_plan(case.zone, grid_blocks(case.block_widths), case.ranks,
+                     case.topology, case.load_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +193,7 @@ def uniform_case(n: tuple[int, int, int] = (16, 16, 16), *,
         freestream=(1.0, *velocity, 1.0),
         controls=IterationControls(max_iters=max_iters, cfl=cfl,
                                    tolerance=None),
-        target_blocks=blocks,
+        block_widths=split_zone(zone, blocks),
     )
 
 
@@ -210,7 +219,7 @@ def wave_case(n: int = 32, *, wavevector=(1, 1, 1), amplitude: float = 0.2,
         controls=IterationControls(max_iters=10 ** 9, cfl=0.5,
                                    fixed_dt=fixed_dt, t_end=t_end,
                                    tolerance=None),
-        target_blocks=blocks,
+        block_widths=split_zone(zone, blocks),
     )
 
 
@@ -229,7 +238,7 @@ def sod_case(nx: int = 200, cross: int = 4, *, t_end: float = 0.2,
         freestream=(1.0, 0.0, 0.0, 0.0, 1.0),
         controls=IterationControls(max_iters=10 ** 9, cfl=cfl, t_end=t_end,
                                    tolerance=None),
-        target_blocks=blocks,
+        block_widths=split_zone(zone, blocks),
     )
 
 
@@ -268,8 +277,8 @@ def corner_case(nodes: int = 16, *, columns: int = 100, cross: int = 20,
         freestream=(1.0, u, v, 0.0, 1.0),
         controls=IterationControls(max_iters=max_iters, cfl=0.5,
                                    tolerance=None),
+        block_widths=tuple((n,) for n in zone.shape),   # cut by with_nodes
         load_ratio=load_ratio,
-        target_blocks=None,
         topology=topology,
         coprocessor=DEFAULT_COPROCESSOR,
     )
@@ -285,10 +294,6 @@ GENERATORS = {"uniform": uniform_case, "wave": wave_case, "sod": sod_case,
 
 def _opt(v) -> str:
     return "-" if v is None else repr(v)
-
-
-def _opt_int(v) -> str:
-    return "-" if v is None else str(v)
 
 
 def case_to_text(case: Case) -> str:
@@ -307,11 +312,10 @@ def case_to_text(case: Case) -> str:
     lines.append(f"time cfl={c.cfl!r} dt={_opt(c.fixed_dt)} "
                  f"t-end={_opt(c.t_end)} max-iters={c.max_iters} "
                  f"tolerance={_opt(c.tolerance)}")
-    lines.append(f"run ranks={case.ranks} load-ratio={case.load_ratio!r} "
-                 f"target-blocks={_opt_int(case.target_blocks)}")
-    if case.cuts is not None:
-        axis, widths = case.cuts
-        lines.append(f"cuts axis={axis} widths={','.join(map(str, widths))}")
+    lines.append("blocks " + " ".join(
+        f"{axis}={','.join(map(str, widths))}"
+        for axis, widths in zip("xyz", case.block_widths)))
+    lines.append(f"run ranks={case.ranks} load-ratio={case.load_ratio!r}")
     lines.append(topology_record(case.topology))
     for dev in (case.cpu, case.coprocessor):
         if dev is None:
@@ -361,9 +365,8 @@ def _read_record(rec: Record, vals: dict) -> None:
     elif rec.kind == "run":
         vals["ranks"] = rec.get("ranks", int)
         vals["load_ratio"] = rec.get("load-ratio", float)
-        vals["target_blocks"] = rec.get("target-blocks", optional(int))
-    elif rec.kind == "cuts":
-        vals["cuts"] = (rec.get("axis", int), rec.get("widths", ints))
+    elif rec.kind == "blocks":
+        vals["block_widths"] = tuple(rec.get(axis, ints) for axis in "xyz")
     elif rec.kind == "topology":
         vals["topology"] = topology_from_record(rec)
     elif rec.kind == "device":
@@ -393,8 +396,11 @@ def case_from_text(text: str) -> Case:
         except ValueError as e:      # a model rejected the record's values
             raise CaseFormatError(f"{rec.kind} record: {e}") from None
 
-    required = ("name", "kind", "gas", "zone", "controls", "freestream")
-    missing = [k for k in required if k not in vals]
+    # Required records, by the case field each one sets.
+    required = {"name": "name", "kind": "kind", "gas": "gas", "zone": "zone",
+                "blocks": "block_widths", "time": "controls",
+                "freestream": "freestream"}
+    missing = [rec for rec, key in required.items() if key not in vals]
     if missing:
         raise CaseFormatError(f"case file missing records: {missing}")
 
@@ -417,7 +423,7 @@ def save_case(case: Case, path) -> None:
 def with_load_ratio(case: Case, ratio: float) -> Case:
     """Same case re-cut for a different CPU/coprocessor balance."""
     variant = replace(case, load_ratio=ratio, name=f"{case.name}-r{ratio:g}")
-    if case.kind == "corner" and case.cuts is not None:
+    if case.kind == "corner":
         return with_nodes(variant, case.topology.nodes)
     return variant
 
@@ -427,17 +433,17 @@ def with_ranks(case: Case, ranks: int) -> Case:
 
     A machine with coprocessors stays as it is, and its nodes must share
     out their devices evenly among the ranks.  Any other case runs on one
-    node with a CPU per rank and at least one block per rank; explicit cuts
-    are dropped when that adds blocks.
+    node with a CPU per rank.  It keeps its blocks when they are at least
+    as many as the ranks; else the zone is split into ``ranks`` blocks.
     """
     if case.topology.coproc_per_node:
         _devices_of_rank(ranks, case.topology)      # as make_plan checks
         return replace(case, ranks=ranks)
-    target = case.target_blocks or 1
-    blocks = max(target, ranks)
+    widths = case.block_widths
+    if math.prod(len(w) for w in widths) < ranks:
+        widths = split_zone(case.zone, ranks)
     return replace(case, ranks=ranks, topology=NodeTopology(1, ranks, 0),
-                   target_blocks=blocks,
-                   cuts=None if blocks > target else case.cuts)
+                   block_widths=widths)
 
 
 def with_nodes(case: Case, nodes: int) -> Case:
@@ -481,7 +487,9 @@ def _retile(case: Case, nodes: int, share: int) -> Case:
     # relative weight ``load_ratio`` between them.
     pattern = [1.0] + [case.load_ratio] * topo.coproc_per_node + [1.0]
     widths = tuple(_pattern_widths(columns, pattern)) * nodes
+    _, ny, nz = case.zone.shape
     return replace(case, zone=replace(case.zone, shape=(nodes * columns,
-                                                        *case.zone.shape[1:])),
+                                                        ny, nz)),
+                   block_widths=(widths, (ny,), (nz,)),
                    ranks=nodes * (case.ranks // topo.nodes),
-                   topology=replace(topo, nodes=nodes), cuts=(0, widths))
+                   topology=replace(topo, nodes=nodes))

@@ -21,7 +21,7 @@ from .errors import WcnsflowError
 from .metrics import (RunMetrics, metrics_from_csv, metrics_to_csv,
                       render_report)
 from .model import model_run
-from .partition import plan_from_text, plan_to_text
+from .partition import plan_from_text, plan_to_text, split_zone
 from .runner import build_simulation, run_case, run_socket_rank
 from .schedule import Timeline, timeline_report
 
@@ -98,7 +98,7 @@ def _cmd_gen(args) -> int:
 def _cmd_partition(args) -> int:
     case, _ = _load(args)
     if args.blocks is not None:
-        case = replace(case, target_blocks=args.blocks, cuts=None)
+        case = replace(case, block_widths=split_zone(case.zone, args.blocks))
     if args.ranks is not None:
         case = with_ranks(case, args.ranks)
     plan = case_plan(case)

@@ -58,15 +58,11 @@ class TransportError(WcnsflowError):
 class DivergenceError(WcnsflowError):
     """The iteration diverged (residual norm blow-up)."""
 
-    def __init__(self, message: str, step: int | None = None, stage: int | None = None):
+    def __init__(self, message: str, step: int | None = None):
         self.step = step
-        self.stage = stage
-        ctx = ""
         if step is not None:
-            ctx += f" step={step}"
-        if stage is not None:
-            ctx += f" stage={stage}"
-        super().__init__(message + ctx)
+            message += f" step={step}"
+        super().__init__(message)
 
 
 class CaseFormatError(WcnsflowError):

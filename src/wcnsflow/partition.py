@@ -1,12 +1,14 @@
 """Static decomposition: one zone into blocks, blocks into per-device groups.
 
 The decomposition is a pre-processing step.  The zone is an axis-aligned
-structured box of cells; ``split_zone`` tiles it with a regular grid of
-blocks sized as evenly as possible.  ``regroup_blocks`` then distributes
-blocks to ranks (contiguous spatial chunks) and, within each rank, to one
-group per device, with the coprocessor/CPU workload ratio as the single
-balance knob.  Every node holds the same number of ranks, which share its
-devices evenly.
+structured box of cells, cut into the grid of blocks that per-axis widths
+span (``grid_blocks``); ``split_zone`` returns the widths of a regular grid
+of blocks sized as evenly as possible.  ``make_plan`` regroups the blocks
+it is given: ``regroup_blocks`` distributes them to ranks (contiguous
+spatial chunks) and, within each rank, to one group per device, with the
+coprocessor/CPU workload ratio as the single balance knob.  Every node
+holds the same number of ranks, which share its devices evenly.  Plan
+files may hold any tiling, not only a grid.
 
 Blocks may be as narrow as one cell.  ``ghost_sources`` is the one place
 that knows which block feeds which ghost cell: it intersects each block's
@@ -177,8 +179,8 @@ def _triple_valid(shape, triple) -> bool:
     return all(p <= n for n, p in zip(shape, triple))
 
 
-def _blocks_from_widths(widths) -> list[Block]:
-    """The grid of blocks with the given per-axis widths, numbered with z
+def grid_blocks(widths) -> list[Block]:
+    """The grid of blocks spanned by per-axis widths, numbered with z
     fastest and x slowest."""
     cuts = [list(itertools.accumulate(w, initial=0)) for w in widths]
     blocks = []
@@ -189,39 +191,28 @@ def _blocks_from_widths(widths) -> list[Block]:
     return blocks
 
 
-def split_zone(zone: ZoneSpec,
-               target_blocks: int | None = None) -> list[Block]:
-    """Tile a zone with a regular grid of ``target_blocks`` near-equal
-    blocks.  The factorization minimizes the largest block first and
-    internal face area (communication surface) second.
+def split_zone(zone: ZoneSpec, count: int) -> tuple[tuple[int, ...], ...]:
+    """Per-axis widths of a regular grid of ``count`` near-equal blocks.
+    The factorization minimizes the largest block first and internal face
+    area (communication surface) second.
     """
-    if target_blocks is None or not 1 <= target_blocks <= zone.cells:
+    if not 1 <= count <= zone.cells:
         raise PartitionError(
-            f"cannot cut {zone.cells} cells into {target_blocks} blocks")
+            f"cannot cut {zone.cells} cells into {count} blocks")
     candidates = []
-    for triple in _factor_triples(target_blocks):
+    for triple in _factor_triples(count):
         if not _triple_valid(zone.shape, triple):
             continue
-        widths = [_pattern_widths(n, [1.0] * p)
-                  for n, p in zip(zone.shape, triple)]
+        widths = tuple(tuple(_pattern_widths(n, [1.0] * p))
+                       for n, p in zip(zone.shape, triple))
         biggest = int(np.prod([max(w) for w in widths]))
         area = sum((p - 1) * zone.cells // n
                    for n, p in zip(zone.shape, triple))
         candidates.append((biggest, area, triple, widths))
     if not candidates:
         raise PartitionError(
-            f"no valid {target_blocks}-block tiling of shape {zone.shape}")
-    return _blocks_from_widths(min(candidates)[3])
-
-
-def split_zone_cuts(zone: ZoneSpec, axis: int, widths: list[int]) -> list[Block]:
-    """Tile a zone with explicit widths along one axis (other axes unsplit)."""
-    if sum(widths) != zone.shape[axis]:
-        raise PartitionError(
-            f"cut widths sum to {sum(widths)}, axis extent is {zone.shape[axis]}")
-    per_axis = [[n] for n in zone.shape]
-    per_axis[axis] = list(widths)
-    return _blocks_from_widths(per_axis)
+            f"no valid {count}-block tiling of shape {zone.shape}")
+    return min(candidates)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +437,11 @@ def regroup_blocks(blocks: list[Block], ghosts: list[GhostSource], ranks: int,
     return groups, rank_of_block
 
 
-def make_plan(zone: ZoneSpec, ranks: int, topology: NodeTopology,
-              load_ratio: float = 1.0, target_blocks: int | None = None,
-              explicit_blocks: list[Block] | None = None) -> PartitionPlan:
-    """Full pipeline: split (unless blocks are given), then regroup."""
-    if explicit_blocks is not None:
-        blocks = list(explicit_blocks)
-    else:
-        blocks = split_zone(zone, target_blocks)
+def make_plan(zone: ZoneSpec, blocks: list[Block], ranks: int,
+              topology: NodeTopology, load_ratio: float = 1.0
+              ) -> PartitionPlan:
+    """Regroup ``blocks``, which must tile ``zone``, onto ``ranks`` ranks
+    and their devices."""
     ghosts = ghost_sources(blocks, zone)
     groups, rank_of_block = regroup_blocks(blocks, ghosts, ranks, topology,
                                            load_ratio)

@@ -35,9 +35,10 @@ Runs measure wall time.  Rank threads (``run_case``) and socket ranks
 (``run_socket_rank``) hand their per-rank results to one function,
 ``_outcome``, which checks for divergence, merges every rank's fields and
 ``ExchangeTotals`` (the one traffic record, which every exchange epoch
-returns), and builds the metrics, so both paths report the same outcome.  When the plan has coprocessor groups it also attaches the modeled
-schedule (``model.model_schedule``), and the metrics then take the modeled
-clock as the timing authority.
+returns), and builds the metrics, so both paths report the same outcome.
+When the plan has coprocessor groups it also attaches the modeled schedule
+(``model.model_schedule``), and the metrics then take the modeled clock as
+the timing authority.
 """
 
 from __future__ import annotations

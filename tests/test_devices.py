@@ -20,7 +20,8 @@ from wcnsflow.devices import (
     device_label,
     rank_pool,
 )
-from wcnsflow.cases import case_plan, corner_case, sod_case, wave_case
+from wcnsflow.cases import case_plan, corner_case, sod_case, wave_case, \
+    with_ranks
 from wcnsflow.errors import CaseFormatError, InvalidStateError
 from wcnsflow.halo import build_halo_plan
 from wcnsflow.partition import Group, NodeTopology
@@ -282,8 +283,7 @@ def test_model_overlaps_interior_compute_only_on_cut_blocks():
     block (overlap on, fed by another rank); every other block books all of
     its compute after its ghosts arrive."""
     def model(ranks, overlap=True):
-        case = replace(sod_case(48, 8, t_end=0.02), target_blocks=4,
-                       ranks=ranks, topology=NodeTopology(1, ranks, 0))
+        case = with_ranks(sod_case(48, 8, t_end=0.02, blocks=4), ranks)
         plan = case_plan(case)
         return plan, model_schedule(case, plan, steps=1, overlap=overlap)
 

@@ -14,8 +14,7 @@ ERRORS = [
     (InvalidStateError("non-positive pressure"),
      {"block_id": None, "index": None}),
     (TransportError("timed out", tag=70), {"tag": 70}),
-    (DivergenceError("run diverged", step=4, stage=2),
-     {"step": 4, "stage": 2}),
+    (DivergenceError("run diverged", step=4), {"step": 4}),
 ]
 
 

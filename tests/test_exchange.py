@@ -19,8 +19,8 @@ from wcnsflow.halo import (BCAST_INDEX, REDUCE_INDEX, RESERVED_INDEX,
                            build_halo_plan, fill_block_ghosts, message_tag,
                            pack_pair, pack_region, unpack_pair, unpack_region)
 from wcnsflow.partition import (Block, Group, NodeTopology, PartitionPlan,
-                                ZoneSpec, make_plan, split_zone,
-                                split_zone_cuts)
+                                ZoneSpec, grid_blocks, make_plan,
+                                split_zone)
 from wcnsflow.transport import (HEADER, MAGIC, InProcessTransport, Message,
                                 SocketTransport, free_port)
 from wcnsflow.wcns import HALO_WIDTH
@@ -36,8 +36,9 @@ def zone(shape, boundary=OUTFLOW):
 
 
 def plan_for(shape, blocks, ranks=1, boundary=OUTFLOW):
-    return make_plan(zone(shape, boundary), ranks,
-                     NodeTopology(1, ranks, 0), target_blocks=blocks)
+    z = zone(shape, boundary)
+    return make_plan(z, grid_blocks(split_zone(z, blocks)), ranks,
+                     NodeTopology(1, ranks, 0))
 
 
 def global_state(shape, seed=0) -> np.ndarray:
@@ -228,8 +229,8 @@ def test_narrow_neighbor_exchanges_exactly():
     # Blocks narrower than the halo, here 5, 4, 1, 6 cells wide along x,
     # read through their neighbors into the blocks beyond.
     z = zone((16, 16, 16))
-    blocks = split_zone_cuts(z, 0, [5, 4, 1, 6])
-    plan = make_plan(z, 1, NodeTopology(1, 4, 0), explicit_blocks=blocks)
+    blocks = grid_blocks(([5, 4, 1, 6], [16], [16]))
+    plan = make_plan(z, blocks, 1, NodeTopology(1, 4, 0))
     hp = build_halo_plan(plan)
     # The 1-wide block is fed by both neighbors on each side.
     assert sorted(p.src_block for p in hp.pairs if p.dst_block == 2) == [0, 1, 3]
@@ -246,8 +247,8 @@ def test_face_fill_reaches_blocks_that_miss_the_face():
     # x-lo face: the face band is clipped to its extended box.
     z = zone((6, 6, 6), boundary=("wall", "outflow", "periodic",
                                   "periodic", "outflow", "inflow"))
-    plan = make_plan(z, 1, NodeTopology(1, 4, 0),
-                     explicit_blocks=split_zone_cuts(z, 0, [2, 2, 1, 1]))
+    plan = make_plan(z, grid_blocks(([2, 2, 1, 1], [6], [6])), 1,
+                     NodeTopology(1, 4, 0))
     hp = build_halo_plan(plan)
     faces = {b: [(f.axis, f.side, f.depth) for f in hp.bc_faces[b] if f.axis == 0]
              for b in range(4)}
@@ -590,7 +591,7 @@ def test_each_ghost_cell_has_one_source():
                          for t in [("periodic", "outflow")[rng.integers(2)]] * 2)
         z = zone(shape, boundary)
         target = int(np.prod([rng.integers(1, min(n, 3) + 1) for n in shape]))
-        blocks = split_zone(z, target_blocks=target)
+        blocks = grid_blocks(split_zone(z, target))
         plan = blocks_plan(z, blocks)
         hp = build_halo_plan(plan)
         for b in blocks:

@@ -1,5 +1,6 @@
 """Case files, state dumps, run metrics, and the command-line front end."""
 
+import hashlib
 import io
 import struct
 import threading
@@ -21,7 +22,8 @@ from wcnsflow.errors import CaseFormatError, PartitionError
 from wcnsflow.metrics import (RunMetrics, from_timeline, mcups,
                               metrics_from_csv, metrics_to_csv, render_report)
 from wcnsflow.model import model_schedule
-from wcnsflow.partition import NodeTopology, plan_from_text, plan_to_text
+from wcnsflow.partition import (NodeTopology, plan_from_text, plan_to_text,
+                                split_zone)
 from wcnsflow.schedule import Timeline
 from wcnsflow.transport import free_port
 
@@ -51,12 +53,12 @@ def test_case_text_roundtrip(case):
 
 def test_case_text_header_and_comments():
     text = case_to_text(uniform_case())
-    assert text.splitlines()[0] == "wcnsflow-case 2"
+    assert text.splitlines()[0] == "wcnsflow-case 3"
     noisy = "# a comment\n\n" + text + "\n# trailing\n"
     assert case_from_text(noisy) == uniform_case()
     # Keys that no run reads any more are ignored.
-    older = text.replace("target-blocks=1",
-                         "target-blocks=1 max-block-cells=-")
+    older = text.replace("load-ratio=1.0",
+                         "load-ratio=1.0 max-block-cells=-")
     older = older.replace("device class=cpu", "device class=cpu workers=12")
     assert older.count("max-block-cells=-") == older.count("workers=12") == 1
     assert case_from_text(older) == uniform_case()
@@ -74,14 +76,35 @@ def test_case_text_rejects_bad_input():
     with pytest.raises(CaseFormatError, match="not a case file"):
         case_from_text(good.replace("wcnsflow-case", "other-format"))
     with pytest.raises(CaseFormatError, match="version"):
-        case_from_text(good.replace("wcnsflow-case 2", "wcnsflow-case 9"))
-    with pytest.raises(CaseFormatError,
-                       match="unsupported case version '1'"):
-        case_from_text(good.replace("wcnsflow-case 2", "wcnsflow-case 1"))
+        case_from_text(good.replace("wcnsflow-case 3", "wcnsflow-case 9"))
+    for old in (1, 2):
+        with pytest.raises(CaseFormatError,
+                           match=f"unsupported case version '{old}'"):
+            case_from_text(good.replace("wcnsflow-case 3",
+                                        f"wcnsflow-case {old}"))
+    # The blocks record must cut the 16x16x16 zone on every axis.
+    assert "\nblocks x=16 y=16 z=16\n" in good
+    for bad, error in [
+            ("blocks x=16 y=16", "blocks record: missing z="),
+            ("blocks x=16 y=8,0,8 z=16", "blocks record: y width 0 is below 1"),
+            ("blocks x=16 y=16 z=8,-1,9",
+             "blocks record: z width -1 is below 1"),
+            ("blocks x=8,7 y=16 z=16",
+             "blocks record: x widths sum to 15, the zone has 16 cells "
+             "along x"),
+            ("blocks x=16 y=16 z=16,4",
+             "blocks record: z widths sum to 20, the zone has 16 cells "
+             "along z"),
+            ("blocks x=16 y=1.5 z=16", "blocks record: cannot read y='1.5'"),
+            ("", "case file missing records: \\['blocks'\\]")]:
+        with pytest.raises(CaseFormatError, match=error):
+            case_from_text(good.replace("blocks x=16 y=16 z=16", bad))
     with pytest.raises(CaseFormatError, match="empty"):
         case_from_text("# only comments\n")
-    with pytest.raises(CaseFormatError, match="missing records"):
-        case_from_text("wcnsflow-case 2\nname partial\n")
+    with pytest.raises(CaseFormatError,
+                       match=r"missing records: \['kind', 'gas', 'zone', "
+                             r"'blocks', 'time', 'freestream'\]"):
+        case_from_text("wcnsflow-case 3\nname partial\n")
     (zone,) = [ln for ln in good.splitlines() if ln.startswith("zone ")]
     with pytest.raises(CaseFormatError,
                        match="zone record: a case has one zone"):
@@ -100,7 +123,7 @@ def test_case_text_rejects_bad_input():
              "zone record: expected key=value, got '7'"),
             ("kind uniform", "kind uniform wave",
              "kind record: expected key=value, got 'wave'"),
-            ("wcnsflow-case 2", "wcnsflow-case", "version")]:
+            ("wcnsflow-case 3", "wcnsflow-case", "version")]:
         assert old in good
         with pytest.raises(CaseFormatError, match=match):
             case_from_text(good.replace(old, new, 1))
@@ -143,10 +166,16 @@ def test_case_validation():
     base = uniform_case()
     with pytest.raises(CaseFormatError, match="unknown case kind"):
         Case(name="x", kind="vortex", gas=base.gas, zone=base.zone,
-             init={}, freestream=base.freestream, controls=base.controls)
+             init={}, freestream=base.freestream, controls=base.controls,
+             block_widths=base.block_widths)
     with pytest.raises(CaseFormatError, match="freestream"):
         Case(name="x", kind="uniform", gas=base.gas, zone=base.zone,
-             init={}, freestream=(1.0, 0.0, 0.0), controls=base.controls)
+             init={}, freestream=(1.0, 0.0, 0.0), controls=base.controls,
+             block_widths=base.block_widths)
+    with pytest.raises(CaseFormatError,
+                       match="blocks record: needs widths along x, y and z, "
+                             "got 2 axes"):
+        replace(base, block_widths=((16,), (16,)))
     with pytest.raises(CaseFormatError,
                        match="topology record has coproc=3 but no device "
                              "class=coprocessor record"):
@@ -156,8 +185,8 @@ def test_case_validation():
 def test_corner_layout():
     case = small_corner(load_ratio=0.75)
     # one x-slab per node, one block per device: 2 cpu + 3 coproc
-    axis, widths = case.cuts
-    assert axis == 0
+    widths, ys, zs = case.block_widths
+    assert ys == zs == (6,)
     assert len(widths) == 5
     assert sum(widths) == 40
     # edge (cpu) blocks are wider than the ratio-0.75 middle blocks
@@ -172,15 +201,15 @@ def test_with_load_ratio_recuts_corner():
     heavier = with_load_ratio(case, 1.2)
     assert heavier.load_ratio == 1.2
     assert heavier.name.endswith("-r1.2")
-    _, widths = heavier.cuts
+    widths = heavier.block_widths[0]
     assert sum(widths) == 40
-    assert widths != case.cuts[1]
+    assert widths != case.block_widths[0]
     # middle blocks gain cells when the coprocessor ratio rises
-    assert widths[2] > case.cuts[1][2]
+    assert widths[2] > case.block_widths[0][2]
     for n in (1, 3):
         for r in (0.5, 1.2):
-            assert with_load_ratio(corner_case(n), r).cuts == \
-                corner_case(n, load_ratio=r).cuts
+            assert with_load_ratio(corner_case(n), r).block_widths == \
+                corner_case(n, load_ratio=r).block_widths
 
 
 def test_with_nodes_retiles_the_corner_case_per_node():
@@ -196,7 +225,8 @@ def test_with_nodes_retiles_the_corner_case_per_node():
     two = small_corner(nodes=2)
     with pytest.raises(CaseFormatError,
                        match="81 columns do not divide over 2 nodes"):
-        with_nodes(replace(two, zone=replace(two.zone, shape=(81, 6, 6))), 4)
+        with_nodes(replace(two, zone=replace(two.zone, shape=(81, 6, 6)),
+                           block_widths=((81,), (6,), (6,))), 4)
     with pytest.raises(PartitionError, match="3 ranks do not divide"):
         with_nodes(replace(two, ranks=3), 4)
 
@@ -208,7 +238,7 @@ def test_spread_lays_one_zone_over_more_nodes():
         assert spread_n.zone == one.zone
         assert spread_n.ranks == n
         assert spread_n.topology == replace(one.topology, nodes=n)
-        assert len(spread_n.cuts[1]) == 5 * n
+        assert len(spread_n.block_widths[0]) == 5 * n
         assert spread(spread_n, 1) == one
     two = small_corner(nodes=2, load_ratio=0.6)
     assert spread(two, 2) == two
@@ -223,17 +253,80 @@ def test_with_ranks_keeps_a_coprocessor_machine():
         with_ranks(corner, 3)
     wave = wave_case(8, blocks=2)
     assert with_ranks(wave, 4) == replace(
-        wave, ranks=4, topology=NodeTopology(1, 4, 0), target_blocks=4)
+        wave, ranks=4, topology=NodeTopology(1, 4, 0),
+        block_widths=split_zone(wave.zone, 4))
     cpu_corner = cpu_only_variant(corner)
-    assert with_ranks(cpu_corner, 1).cuts == corner.cuts
-    assert with_ranks(cpu_corner, 2).cuts is None
+    for r in (1, 2):
+        assert with_ranks(cpu_corner, r).block_widths == corner.block_widths
+
+
+def test_with_ranks_keeps_blocks_that_are_enough_for_the_ranks():
+    cpu_corner = cpu_only_variant(corner_case(1, columns=40, cross=6))
+    for r in range(1, 6):
+        variant = with_ranks(cpu_corner, r)
+        assert variant.block_widths == ((10, 7, 7, 7, 9), (6,), (6,))
+        assert variant.topology == NodeTopology(1, r, 0)
+        assert len(case_plan(variant).blocks) == 5
+    six = with_ranks(cpu_corner, 6)
+    assert six.block_widths == split_zone(cpu_corner.zone, 6)
+    assert len(case_plan(six).blocks) == 6
 
 
 def test_with_load_ratio_plain_case():
     case = uniform_case()
     tuned = with_load_ratio(case, 0.5)
-    assert tuned.load_ratio == 0.5 and tuned.cuts is None
+    assert tuned.load_ratio == 0.5
+    assert tuned.block_widths == case.block_widths
     assert tuned.zone == case.zone
+
+
+# sha256 of plan_to_text(case_plan(case)), computed at commit ca48da8, where
+# a case still named its blocks by a target count or by cuts along one
+# axis: the benchmark's three layouts, the corner layout, and one case from
+# each variant rule.
+FROZEN_PLANS = {
+    "wave48-1b": (
+        lambda: wave_case(48),
+        "fc4b4bb5a19d8de8fe43e0c84e91b1b930f75b0450e58cf69618ef9fa9b064e3"),
+    "wave48-8b2r": (
+        lambda: with_ranks(wave_case(48, blocks=8), 2),
+        "a221c801545e2ca18fa4be053c08b64711351c932e638df13ae9b06ae1fe47bd"),
+    "sod200": (
+        lambda: sod_case(200, 4),
+        "d042c597dcc4ad94c9e4289b0916b80c36a8ad6db8b35bfd016987365e7f4914"),
+    "corner1": (
+        lambda: corner_case(1),
+        "8e59be4d44b59a7ecc25769ac1eae9010d53f2eb104a2ff4b798342daf524fbe"),
+    "corner2": (
+        lambda: corner_case(2),
+        "78599f660c517576991ce6dfc6aad797d4d6bcb71a1a645d42ac3f1ea306abfa"),
+    "corner1-ratio0.5": (
+        lambda: with_load_ratio(corner_case(1), 0.5),
+        "c832f78eaa9680b45ad5e5c961685560a6812c7defc7990c0c9abc3879118dfe"),
+    "corner1-nodes3": (
+        lambda: with_nodes(small_corner(), 3),
+        "5d7cd37b01398ed50f935f6c2a439385c944881cec14c97fbbf437f037ea2b05"),
+    "corner1-spread2": (
+        lambda: spread(corner_case(1), 2),
+        "95bdc91bc96363cec828a6cc64707279278bc5731777b43c6475630ae3f6a423"),
+    "wave16-b2-r4": (
+        lambda: with_ranks(wave_case(16, blocks=2), 4),
+        "2350258e617f9e6aad8a3782b08436dd5ef27b2b134f449a5b65f79697d7c1cc"),
+    "sod48-b2-r3": (
+        lambda: with_ranks(sod_case(48, 8, blocks=2), 3),
+        "eca3ffe6b423e8613803921a1204d2327033c41e1882b8ddd610f44b0ebeac19"),
+    "corner2-coproc-r4": (
+        lambda: with_ranks(small_corner(nodes=2,
+                                        topology=NodeTopology(1, 2, 2)), 4),
+        "964fcfa519b29832c0e9c70b7b461b5a79d761d73635d914d8600f49a53dbb67"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_PLANS))
+def test_case_plans_frozen(name):
+    make, digest = FROZEN_PLANS[name]
+    text = plan_to_text(case_plan(make()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +583,8 @@ def test_cli_gen_passes_every_flag_the_kind_takes(tmp_path):
     assert run_cli("gen", "--kind", "sod", "--blocks", 4, "--cross", 8,
                    "--out", path) == 0
     case = load_case(path)
-    assert case.zone.shape == (200, 8, 8) and case.target_blocks == 4
+    assert case.zone.shape == (200, 8, 8)
+    assert case.block_widths == ((50, 50, 50, 50), (8,), (8,))
     assert len(case_plan(case).blocks) == 4
 
 
@@ -671,7 +765,8 @@ def test_cli_bench_matrix_runs_cpu_only_variants(tmp_path, capsys,
         want = with_ranks(cpu_only_variant(case), r)
         assert variant == replace(want, name=variant.name)
         assert variant.topology == NodeTopology(1, r, 0)
-        assert variant.target_blocks == r and variant.coprocessor is None
+        assert variant.coprocessor is None
+        assert len(case_plan(variant).blocks) == r
 
 
 def test_cli_partition_ranks_match_gen_ranks(tmp_path, capsys):
@@ -779,7 +874,8 @@ def test_cli_errors_exit_2(tmp_path, capsys):
                        "--out-dir", tmp_path) == 2
         assert f"error: {named}" in capsys.readouterr().err
 
-    # One zone per case and plan, and only version-2 files.
+    # One zone per case and plan, and only version-3 case files and
+    # version-2 plan files.
     case_text = case_to_text(uniform_case(max_iters=1))
     plan_text = plan_to_text(case_plan(uniform_case()))
     (zone,) = [ln for ln in case_text.splitlines() if ln.startswith("zone ")]
@@ -788,8 +884,8 @@ def test_cli_errors_exit_2(tmp_path, capsys):
              "zone record: a case has one zone"),
             (case_text, plan_text + zone + "\n",
              "zone record: a plan has one zone"),
-            (case_text.replace("wcnsflow-case 2", "wcnsflow-case 1"),
-             plan_text, "unsupported case version '1'"),
+            (case_text.replace("wcnsflow-case 3", "wcnsflow-case 2"),
+             plan_text, "unsupported case version '2'"),
             (case_text, plan_text.replace("wcnsflow-plan 2",
                                           "wcnsflow-plan 1"),
              "unsupported plan version '1'")]:
@@ -798,7 +894,29 @@ def test_cli_errors_exit_2(tmp_path, capsys):
         assert run_cli("run", "--case", uni, "--plan", plan,
                        "--out-dir", tmp_path) == 2
         assert f"error: {named}" in capsys.readouterr().err
+
+    # A blocks record that does not cut the zone, and a block count that
+    # cannot: run and partition write nothing.
+    for bad, named in [
+            ("blocks x=16 y=16", "blocks record: missing z="),
+            ("blocks x=16 y=0,16 z=16", "blocks record: y width 0 is below 1"),
+            ("blocks x=8,4 y=16 z=16", "blocks record: x widths sum to 12, "
+             "the zone has 16 cells along x")]:
+        uni.write_text(case_text.replace("blocks x=16 y=16 z=16", bad),
+                       encoding="utf-8")
+        assert run_cli("run", "--case", uni,
+                       "--out-dir", tmp_path / "bad-blocks") == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert run_cli("partition", "--case", uni,
+                       "--out", tmp_path / "bad.plan") == 2
+        assert f"error: {named}" in capsys.readouterr().err
     save_case(uniform_case(max_iters=1), uni)
+    assert run_cli("partition", "--case", uni, "--blocks", 0,
+                   "--out", tmp_path / "bad.plan") == 2
+    assert "error: cannot cut 4096 cells into 0 blocks" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "bad-blocks").exists()
+    assert not (tmp_path / "bad.plan").exists()
 
     # A stray word before the fields, and a plan of another zone.
     uni.write_text(case_text.replace("zone shape=", "zone 7 shape="),

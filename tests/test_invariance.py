@@ -19,13 +19,13 @@ import pytest
 
 from wcnsflow import runner
 from wcnsflow.cases import case_plan, corner_case, cpu_only_variant, \
-    sod_case, wave_case
+    sod_case, wave_case, with_ranks
 from wcnsflow.devices import DevicePool
 from wcnsflow.errors import DivergenceError, InvalidStateError, \
     TransportError, WcnsflowError
 from wcnsflow.fields import assemble_zone
 from wcnsflow.halo import HaloExchanger
-from wcnsflow.partition import NodeTopology, plan_from_text, plan_to_text
+from wcnsflow.partition import plan_from_text, plan_to_text, split_zone
 from wcnsflow.runner import ExchangeTotals, RankWorker, build_simulation, \
     run_case, run_socket_rank
 from wcnsflow.state import GasModel
@@ -49,8 +49,8 @@ LAYOUTS = [(blocks, ranks) for blocks in (1, 2, 4, 8) for ranks in (1, 2, 4)
 
 
 def on_ranks(case, blocks, ranks):
-    return replace(case, target_blocks=blocks, ranks=ranks,
-                   topology=NodeTopology(1, ranks, 0))
+    return with_ranks(replace(case, block_widths=split_zone(case.zone, blocks)),
+                      ranks)
 
 
 def run_zone(case, blocks, ranks, **options):
@@ -170,8 +170,7 @@ def run_socket_ranks(case):
 
 def test_socket_ranks_match_single_block_run(case_and_reference):
     case, reference = case_and_reference
-    case = replace(case, target_blocks=2, ranks=2,
-                   topology=NodeTopology(1, 2, 0))
+    case = on_ranks(case, 2, 2)
     outcomes = run_socket_ranks(case)
     out = outcomes[0]
     assert out.iterations >= 4 and outcomes[1] is None

@@ -11,8 +11,8 @@ from wcnsflow.errors import CaseFormatError, PartitionError
 from wcnsflow.halo import build_halo_plan
 from wcnsflow.model import model_schedule
 from wcnsflow.partition import (Block, NodeTopology, ZoneSpec, check_tiling,
-                                ghost_sources, make_plan, plan_from_text,
-                                plan_to_text, split_zone, split_zone_cuts)
+                                ghost_sources, grid_blocks, make_plan,
+                                plan_from_text, plan_to_text, split_zone)
 from wcnsflow.runner import run_case
 from wcnsflow.wcns import HALO_WIDTH
 
@@ -25,6 +25,16 @@ TOPO_DESK = NodeTopology(nodes=1, cpu_per_node=2, coproc_per_node=3)
 def zone(shape, boundary=("outflow",) * 6):
     return ZoneSpec(shape=shape,
                     spacing=tuple(1.0 / s for s in shape), boundary=boundary)
+
+
+def split(z, count):
+    """The blocks of ``split_zone(z, count)``."""
+    return grid_blocks(split_zone(z, count))
+
+
+def x_slabs(z, widths):
+    """Blocks of the given widths along x, each spanning y and z whole."""
+    return grid_blocks((widths, [z.shape[1]], [z.shape[2]]))
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +50,15 @@ def cover_counts(z, blocks):
 
 
 def test_split_cube_into_octants():
-    blocks = split_zone(zone((64, 64, 64)), target_blocks=8)
+    blocks = split(zone((64, 64, 64)), 8)
     assert len(blocks) == 8
     assert all(b.shape == (32, 32, 32) for b in blocks)
     assert sorted(b.id for b in blocks) == list(range(8))
 
 
 def test_split_line_remainder_spreads():
-    blocks = split_zone(zone((100, 1, 1)), target_blocks=3)
+    assert split_zone(zone((100, 1, 1)), 3) == ((34, 33, 33), (1,), (1,))
+    blocks = split(zone((100, 1, 1)), 3)
     widths = sorted((b.shape[0] for b in blocks), reverse=True)
     assert widths == [34, 33, 33]
     assert all(b.shape[1:] == (1, 1) for b in blocks)
@@ -55,21 +66,21 @@ def test_split_line_remainder_spreads():
 
 def test_split_single_block_is_whole_zone():
     z = zone((17, 9, 6))
-    (b,) = split_zone(z, target_blocks=1)
+    (b,) = split(z, 1)
     assert b.lo == (0, 0, 0) and b.hi == z.shape
 
 
 def test_split_rejects_bad_argument_combos():
     z = zone((16, 16, 16))
     with pytest.raises(PartitionError):
-        split_zone(z)
+        split_zone(z, 0)
     with pytest.raises(PartitionError):
-        split_zone(z, target_blocks=z.cells + 1)
+        split_zone(z, z.cells + 1)
 
 
 def test_split_allows_single_cell_blocks():
     z = zone((8, 8, 8))
-    blocks = split_zone(z, target_blocks=512)
+    blocks = split(z, 512)
     assert len(blocks) == 512
     assert all(b.shape == (1, 1, 1) for b in blocks)
     assert cover_counts(z, blocks).min() == 1
@@ -84,7 +95,7 @@ def test_split_tiles_exactly_500_random_pairs():
         z = zone(shape)
         target = int(rng.integers(1, 13))
         try:
-            blocks = split_zone(z, target_blocks=target)
+            blocks = split(z, target)
         except PartitionError:
             continue                     # no legal tiling for this pair
         grid = cover_counts(z, blocks)
@@ -99,16 +110,16 @@ def test_split_tiles_exactly_500_random_pairs():
 
 def test_split_cuts_explicit_widths():
     z = zone((25, 10, 10))
-    blocks = split_zone_cuts(z, 0, [5, 5, 5, 5, 5])
+    blocks = x_slabs(z, [5, 5, 5, 5, 5])
     assert [b.lo[0] for b in blocks] == [0, 5, 10, 15, 20]
     assert cover_counts(z, blocks).max() == 1
-    with pytest.raises(PartitionError):
-        split_zone_cuts(z, 0, [10, 10])           # sum mismatch
-    narrow = split_zone_cuts(z, 0, [21, 3, 1])    # any width >= 1 is legal
+    with pytest.raises(PartitionError, match="gap"):
+        check_tiling(x_slabs(z, [10, 10]), z)     # sum mismatch
+    narrow = x_slabs(z, [21, 3, 1])           # any width >= 1 is legal
     assert [b.shape[0] for b in narrow] == [21, 3, 1]
     check_tiling(narrow, z)
     with pytest.raises(PartitionError, match="block 1"):
-        check_tiling(split_zone_cuts(z, 0, [25, 0]), z)   # empty block
+        check_tiling(x_slabs(z, [25, 0]), z)      # empty block
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +130,7 @@ def test_tiling_rejects_overlapping_blocks():
     blocks = [Block(0, (0, 0, 0), (12, 10, 10)),
               Block(1, (10, 0, 0), (20, 10, 10))]
     with pytest.raises(PartitionError, match="block 1 overlaps block 0"):
-        make_plan(z, 1, NodeTopology(1, 2, 0), explicit_blocks=blocks)
+        make_plan(z, blocks, 1, NodeTopology(1, 2, 0))
 
 
 def test_tiling_rejects_block_past_zone():
@@ -127,7 +138,7 @@ def test_tiling_rejects_block_past_zone():
     blocks = [Block(0, (0, 0, 0), (10, 10, 10)),
               Block(1, (10, 0, 0), (25, 10, 10))]
     with pytest.raises(PartitionError, match="block 1 .* leaves the zone"):
-        make_plan(z, 1, NodeTopology(1, 2, 0), explicit_blocks=blocks)
+        make_plan(z, blocks, 1, NodeTopology(1, 2, 0))
 
 
 def test_tiling_rejects_gaps():
@@ -136,14 +147,14 @@ def test_tiling_rejects_gaps():
               Block(1, (10, 0, 0), (20, 10, 6))]
     with pytest.raises(PartitionError,
                        match=r"no block holds cell \(10, 0, 6\), next to block 0"):
-        make_plan(z, 1, NodeTopology(1, 2, 0), explicit_blocks=blocks)
+        make_plan(z, blocks, 1, NodeTopology(1, 2, 0))
 
 
 def test_tiling_checked_on_plan_files():
     # Plan files are outside input: a hand-edited block list must not reach
     # the exchange.
     z = zone((20, 10, 10))
-    plan = make_plan(z, 1, NodeTopology(1, 2, 0), target_blocks=2)
+    plan = make_plan(z, split(z, 2), 1, NodeTopology(1, 2, 0))
     text = plan_to_text(plan)
     assert "hi=10,10,10" in text
     bad = plan_from_text(text.replace("hi=10,10,10", "hi=12,10,10"))
@@ -160,7 +171,7 @@ def test_ghost_sources_name_the_owning_block():
     # non-periodic y faces have none.
     z = zone((12, 9, 3), boundary=("periodic", "periodic", "outflow",
                                    "outflow", "periodic", "periodic"))
-    blocks = split_zone_cuts(z, 0, [5, 1, 4, 2])
+    blocks = x_slabs(z, [5, 1, 4, 2])
     sources = ghost_sources(blocks, z)
     by_id = {b.id: b for b in blocks}
     for b in blocks:
@@ -189,7 +200,7 @@ def test_ghost_sources_symmetric():
         boundary = tuple(t for a in range(3)
                          for t in [("periodic", "outflow")[rng.integers(2)]] * 2)
         z = zone(shape, boundary=boundary)
-        blocks = split_zone(z, target_blocks=int(rng.integers(1, 9)))
+        blocks = split(z, int(rng.integers(1, 9)))
         links = {(g.dst, g.src, g.shift) for g in ghost_sources(blocks, z)}
         assert links == {(s, d, tuple(-k for k in sh)) for d, s, sh in links}
 
@@ -227,9 +238,8 @@ def test_ghost_sources_run_once_per_plan(monkeypatch):
 
 def test_regroup_five_equal_blocks_one_each():
     z = zone((25, 10, 10))
-    blocks = split_zone_cuts(z, 0, [5] * 5)
-    plan = make_plan(z, 1, TOPO_DESK, load_ratio=1.0,
-                     explicit_blocks=blocks)
+    blocks = x_slabs(z, [5] * 5)
+    plan = make_plan(z, blocks, 1, TOPO_DESK, load_ratio=1.0)
     assert len(plan.groups) == 5
     assert all(len(g.block_ids) == 1 for g in plan.groups)
     assert sorted(i for g in plan.groups for i in g.block_ids) == list(range(5))
@@ -240,9 +250,8 @@ def test_regroup_share_scales_with_load_ratio():
     # 100x100 cross-section: CPU groups land on 16M cells, coprocessor
     # groups on 9.6M.
     z = zone((6080, 100, 100))
-    blocks = split_zone_cuts(z, 0, [1600, 960, 960, 960, 1600])
-    plan = make_plan(z, 1, TOPO_DESK, load_ratio=0.6,
-                     explicit_blocks=blocks)
+    blocks = x_slabs(z, [1600, 960, 960, 960, 1600])
+    plan = make_plan(z, blocks, 1, TOPO_DESK, load_ratio=0.6)
     cells = {g.device_class: set() for g in plan.groups}
     for g, n in zip(plan.groups, group_cells(plan)):
         cells[g.device_class].add(n)
@@ -253,7 +262,8 @@ def test_regroup_share_scales_with_load_ratio():
 
 def test_regroup_all_cpu_degenerates():
     topo = NodeTopology(nodes=1, cpu_per_node=2, coproc_per_node=0)
-    plan = make_plan(zone((64, 64, 64)), 1, topo, target_blocks=8)
+    z = zone((64, 64, 64))
+    plan = make_plan(z, split(z, 8), 1, topo)
     assert {g.device_class for g in plan.groups} == {"cpu"}
     assert plan.total_cells == 64 ** 3
     assert sorted(i for g in plan.groups for i in g.block_ids) == list(range(8))
@@ -261,7 +271,7 @@ def test_regroup_all_cpu_degenerates():
 
 def test_regroup_ranks_get_contiguous_chunks():
     z = zone((80, 16, 16))
-    plan = make_plan(z, 4, NodeTopology(1, 4, 0), target_blocks=16)
+    plan = make_plan(z, split(z, 16), 4, NodeTopology(1, 4, 0))
     # Block ids follow the tiling; each rank owns one contiguous id run.
     for r in range(4):
         ids = sorted(b.id for b in plan.blocks_of_rank(r))
@@ -271,7 +281,8 @@ def test_regroup_ranks_get_contiguous_chunks():
 
 def test_regroup_needs_enough_blocks():
     with pytest.raises(PartitionError):
-        make_plan(zone((64, 64, 64)), 1, TOPO_DESK, target_blocks=2)
+        z = zone((64, 64, 64))
+        make_plan(z, split(z, 2), 1, TOPO_DESK)
 
 
 def test_every_block_lands_in_exactly_one_group():
@@ -281,8 +292,8 @@ def test_every_block_lands_in_exactly_one_group():
         ranks = int(rng.choice([1, 2, 4]))
         blocks = int(rng.integers(ranks, 13)) * ranks
         try:
-            plan = make_plan(zone((n, n, n)), ranks,
-                             NodeTopology(1, 2, 1), target_blocks=blocks)
+            z = zone((n, n, n))
+            plan = make_plan(z, split(z, blocks), ranks, NodeTopology(1, 2, 1))
         except PartitionError:
             continue
         seen = sorted(i for g in plan.groups for i in g.block_ids)
@@ -296,12 +307,13 @@ def test_every_block_lands_in_exactly_one_group():
 
 def test_ranks_must_divide_over_nodes():
     with pytest.raises(PartitionError, match="7 ranks do not divide over 3 nodes"):
-        make_plan(zone((70, 8, 8)), 7, NodeTopology(3, 7, 0), target_blocks=7)
+        z = zone((70, 8, 8))
+        make_plan(z, split(z, 7), 7, NodeTopology(3, 7, 0))
 
 
 def test_rank_adjacency_from_plan():
     z = zone((80, 16, 16))
-    plan = make_plan(z, 4, NodeTopology(1, 4, 0), target_blocks=16)
+    plan = make_plan(z, split(z, 16), 4, NodeTopology(1, 4, 0))
     ranks = plan.rank_of_block
     adj = {(min(ranks[g.dst], ranks[g.src]), max(ranks[g.dst], ranks[g.src]))
            for g in ghost_sources(plan.blocks, z)
@@ -329,24 +341,22 @@ def imbalance(plan, throughput=None) -> float:
 
 def test_imbalance_balanced_is_one():
     z = zone((40, 16, 16))
-    plan = make_plan(z, 1, NodeTopology(1, 4, 0), target_blocks=4)
+    plan = make_plan(z, split(z, 4), 1, NodeTopology(1, 4, 0))
     assert imbalance(plan) == 1.0
 
 
 def test_imbalance_double_loaded_group():
     z = zone((25, 10, 10))
-    blocks = split_zone_cuts(z, 0, [10, 5, 5, 5])
-    plan = make_plan(z, 1, NodeTopology(1, 4, 0),
-                     explicit_blocks=blocks)
+    blocks = x_slabs(z, [10, 5, 5, 5])
+    plan = make_plan(z, blocks, 1, NodeTopology(1, 4, 0))
     assert sorted(group_cells(plan), reverse=True) == [1000, 500, 500, 500]
     assert imbalance(plan) == pytest.approx(1.6, rel=1e-15)
 
 
 def test_imbalance_throughput_normalizes():
     z = zone((6080, 100, 100))
-    blocks = split_zone_cuts(z, 0, [1600, 960, 960, 960, 1600])
-    plan = make_plan(z, 1, TOPO_DESK, load_ratio=0.6,
-                     explicit_blocks=blocks)
+    blocks = x_slabs(z, [1600, 960, 960, 960, 1600])
+    plan = make_plan(z, blocks, 1, TOPO_DESK, load_ratio=0.6)
     assert imbalance(plan, throughput={"cpu": 1.0, "coprocessor": 0.6}) \
         == pytest.approx(1.0, rel=1e-12)
 
@@ -356,9 +366,10 @@ def test_imbalance_never_below_one():
     for _ in range(30):
         n = int(rng.integers(20, 50))
         try:
-            plan = make_plan(zone((n, 16, 16)), 1, NodeTopology(1, 2, 2),
-                             load_ratio=float(rng.uniform(0.2, 1.5)),
-                             target_blocks=int(rng.integers(4, 10)))
+            z = zone((n, 16, 16))
+            plan = make_plan(z, split(z, int(rng.integers(4, 10))), 1,
+                             NodeTopology(1, 2, 2),
+                             load_ratio=float(rng.uniform(0.2, 1.5)))
         except PartitionError:
             continue
         assert imbalance(plan) >= 1.0
@@ -370,13 +381,14 @@ def test_imbalance_never_below_one():
 def test_plan_text_round_trip():
     z = zone((40, 20, 20), boundary=("inflow", "outflow", "wall", "outflow",
                                      "periodic", "periodic"))
-    plan = make_plan(z, 2, NodeTopology(2, 1, 2), load_ratio=0.75,
-                     target_blocks=6)
+    plan = make_plan(z, split(z, 6), 2, NodeTopology(2, 1, 2),
+                     load_ratio=0.75)
     assert plan_from_text(plan_to_text(plan)) == plan
 
 
 def test_plan_text_rejects_a_second_zone():
-    plan = make_plan(zone((20, 10, 10)), 1, TOPO_1CPU, target_blocks=2)
+    z = zone((20, 10, 10))
+    plan = make_plan(z, split(z, 2), 1, TOPO_1CPU)
     text = plan_to_text(plan)
     (record,) = [ln for ln in text.splitlines() if ln.startswith("zone ")]
     with pytest.raises(CaseFormatError, match="zone record: a plan has one zone"):
