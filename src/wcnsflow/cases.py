@@ -395,6 +395,8 @@ def case_from_text(text: str) -> Case:
             _read_record(rec, vals)
         except ValueError as e:      # a model rejected the record's values
             raise CaseFormatError(f"{rec.kind} record: {e}") from None
+        if rec.kind != "init":       # its keys depend on the case kind
+            rec.done()
 
     # Required records, by the case field each one sets.
     required = {"name": "name", "kind": "kind", "gas": "gas", "zone": "zone",
@@ -421,9 +423,10 @@ def save_case(case: Case, path) -> None:
 
 
 def with_load_ratio(case: Case, ratio: float) -> Case:
-    """Same case re-cut for a different CPU/coprocessor balance."""
+    """Same case re-cut for a different CPU/coprocessor balance; a case
+    without coprocessors keeps its blocks."""
     variant = replace(case, load_ratio=ratio, name=f"{case.name}-r{ratio:g}")
-    if case.kind == "corner":
+    if case.kind == "corner" and case.topology.coproc_per_node:
         return with_nodes(variant, case.topology.nodes)
     return variant
 

@@ -161,9 +161,6 @@ def _cmd_run(args) -> int:
             fh.write("iteration,residual_norm\n")
             for i, v in enumerate(outcome.norm_history):
                 fh.write(f"{i},{v!r}\n")
-    if outcome.timeline is not None:
-        outcome.timeline.to_csv(str(out_dir / "timeline.csv"))
-        print(timeline_report(outcome.timeline))
     return 0
 
 

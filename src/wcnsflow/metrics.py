@@ -1,8 +1,9 @@
 """Run metrics: throughput, compute/communication split, CSV round-trip.
 
-One row per run.  ``timing_source`` records which clock produced the
-headline number: heterogeneous benchmarks report the modeled clock (host
-wall time rides along for reference), plain numerics runs report wall time.
+One row per run or modeled run.  A run's row holds the wall time it
+measured; a modeled run's row (``from_timeline``) holds the modeled
+makespan, and its headline number comes from that.  ``timing_source`` names
+the clock a row's number comes from, and is worked out from the row.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class RunMetrics:
     total_cells: int
     iterations: int
     wall_seconds: float
-    timing_source: str = "wall"          # "wall" | "model"
     model_seconds: float | None = None
     comp_seconds: float | None = None
     comm_seconds: float | None = None
@@ -39,13 +39,15 @@ class RunMetrics:
     extra: str = ""
 
     @property
+    def timing_source(self) -> str:
+        """``"model"`` for a row with a modeled time, else ``"wall"``."""
+        return "wall" if self.model_seconds is None else "model"
+
+    @property
     def seconds(self) -> float:
-        if self.timing_source == "model":
-            if self.model_seconds is None:
-                raise ValueError(f"{self.label}: model timing requested "
-                                 "but no modeled time recorded")
-            return self.model_seconds
-        return self.wall_seconds
+        """The time of the clock named by ``timing_source``."""
+        return self.wall_seconds if self.model_seconds is None \
+            else self.model_seconds
 
     @property
     def mcups(self) -> float:
@@ -62,30 +64,26 @@ class RunMetrics:
 
 
 def from_timeline(label: str, tl: Timeline, *, total_cells: int,
-                  iterations: int, wall_seconds: float,
-                  messages: int | None = None,
-                  message_bytes: int | None = None,
-                  converged: bool | None = None, extra: str = "") -> RunMetrics:
+                  iterations: int, wall_seconds: float) -> RunMetrics:
+    """The row of a modeled run: its makespan and phase totals."""
     comp = tl.phase_total("compute") + tl.phase_total("update")
     return RunMetrics(
         label=label,
         total_cells=total_cells,
         iterations=iterations,
         wall_seconds=wall_seconds,
-        timing_source="model",
         model_seconds=tl.makespan,
         comp_seconds=comp,
         comm_seconds=tl.comm_total,
         hidden_comm_fraction=tl.hidden_comm_fraction,
-        messages=messages,
-        message_bytes=message_bytes,
-        converged=converged,
-        extra=extra,
     )
 
 
-_COLUMNS = [f.name for f in dc_fields(RunMetrics)]
-_DERIVED = ["mcups", "comp_comm_ratio"]
+_FIELDS = [f.name for f in dc_fields(RunMetrics)]
+# The written columns: the fields, with the derived ``timing_source`` after
+# ``wall_seconds`` where files already hold it, then two more derived values.
+_COLUMNS = (_FIELDS[:4] + ["timing_source"] + _FIELDS[4:]
+            + ["mcups", "comp_comm_ratio"])
 
 
 def _cell(v) -> str:
@@ -100,18 +98,16 @@ def _cell(v) -> str:
 
 def metrics_to_csv(rows: list[RunMetrics], target) -> None:
     with opened(target, "w") as f:
-        f.write(",".join(_COLUMNS + _DERIVED) + "\n")
+        f.write(",".join(_COLUMNS) + "\n")
         for m in rows:
-            vals = [_cell(getattr(m, c)) for c in _COLUMNS]
-            vals.append(_cell(m.mcups))
-            vals.append(_cell(m.comp_comm_ratio))
-            f.write(",".join(vals) + "\n")
+            f.write(",".join(_cell(getattr(m, c)) for c in _COLUMNS) + "\n")
 
 
 def metrics_from_csv(target) -> list[RunMetrics]:
-    """Read a ``metrics_to_csv`` file; a header without the ``RunMetrics``
-    columns that have no default, or a row whose cell does not read, raises
-    ``CaseFormatError`` naming the file."""
+    """Read a ``metrics_to_csv`` file, whose derived columns it skips; a
+    header without the ``RunMetrics`` columns that have no default, or a
+    row whose cell does not read, raises ``CaseFormatError`` naming the
+    file."""
     with opened(target, "r") as f:
         name = getattr(f, "name", "metrics file")
         lines = [ln for ln in f.read().splitlines() if ln.strip()]
@@ -131,7 +127,7 @@ def metrics_from_csv(target) -> list[RunMetrics]:
         for f in dc_fields(RunMetrics):
             raw = rec.get(f.name, "")
             if raw == "":
-                if f.name in ("label", "extra", "timing_source"):
+                if f.name in ("label", "extra"):
                     kwargs[f.name] = ""
                 elif f.name in required:
                     raise CaseFormatError(f"{name}: row {row} has no {f.name}")
@@ -144,7 +140,7 @@ def metrics_from_csv(target) -> list[RunMetrics]:
                     kwargs[f.name] = int(raw)
                 elif f.name == "converged":
                     kwargs[f.name] = raw == "1"
-                elif f.name in ("label", "timing_source", "extra"):
+                elif f.name in ("label", "extra"):
                     kwargs[f.name] = raw
                 else:
                     kwargs[f.name] = float(raw)

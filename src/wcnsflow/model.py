@@ -1,9 +1,10 @@
 """Modeled schedules, and modeled runs of whole cases.
 
-``run_case`` attaches ``model_schedule`` to a run; ``model_run`` runs it
-alone, for ``wcnsflow run --model-only`` and for every modeled study (load
-ratio, weak and strong scaling, tuned against naive exchange), each a list
-of case variants.
+The model predicts; it never stands in for a measurement.  ``model_run`` is
+the one source of modeled numbers: ``wcnsflow run --model-only`` and every
+modeled study (load ratio, weak and strong scaling, tuned against naive
+exchange), each a list of case variants.  A run (``runner.run_case``)
+reports only the wall time it measured.
 """
 
 from __future__ import annotations

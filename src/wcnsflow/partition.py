@@ -541,6 +541,7 @@ def plan_from_text(text: str) -> PartitionPlan:
                                 block_ids=list(ids or ())))
         else:
             raise CaseFormatError(f"unknown plan record {rec.kind!r}")
+        rec.done()
     if ranks is None or zone is None:
         raise CaseFormatError("plan file missing ranks/zone records")
     blocks.sort(key=lambda b: b.id)

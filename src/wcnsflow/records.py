@@ -3,9 +3,10 @@
 Both formats are a ``<magic> <version>`` header followed by one record per
 line: a kind word, then a fixed number of positional words for that kind,
 then ``key=value`` fields.  Blank lines and lines starting with ``#`` are
-skipped.  A stray word, a missing field or a value that does not parse
-raises ``CaseFormatError`` naming the record and key.  ``opened`` lets
-the metrics and timeline CSV readers and writers take a path or a stream.
+skipped.  A stray word, a missing field, a value that does not parse or a
+field that no reader took (``Record.done``) raises ``CaseFormatError``
+naming the record and key.  ``opened`` lets the metrics and timeline CSV
+readers and writers take a path or a stream.
 """
 
 from __future__ import annotations
@@ -47,10 +48,12 @@ def parse(record: str, key: str, raw: str, convert):
 
 class Record:
     """One line: ``kind``, its ``positional`` words (every word when None),
-    and then only ``key=value`` fields."""
+    and then only ``key=value`` fields.  It remembers the keys ``get``
+    read."""
 
     def __init__(self, line: str, positional: int | None):
         self.kind, *self.words = line.split()
+        self.read: set[str] = set()
         self.positional = (len(self.words) if positional is None
                            else positional)
         for w in self.words[self.positional:]:
@@ -70,10 +73,17 @@ class Record:
         return parse(self.kind, f"value {i + 1}", self.words[i], convert)
 
     def get(self, key: str, convert=str):
+        self.read.add(key)
         raw = self.fields.get(key)
         if raw is None:
             raise CaseFormatError(f"{self.kind} record: missing {key}=")
         return parse(self.kind, key, raw, convert)
+
+    def done(self) -> None:
+        """Refuse a ``key=value`` field that no ``get`` read."""
+        for key in self.fields:
+            if key not in self.read:
+                raise CaseFormatError(f"{self.kind} record: unknown key {key}=")
 
 
 def read_records(text: str, magic: str, version: int, what: str,

@@ -31,14 +31,13 @@ A rank thread that fails is marked lost in the mailbox, so its peers fail
 at once.  Kernel windows never depend on the partition, which keeps state
 bitwise identical across block counts, rank counts and worker counts.
 
-Runs measure wall time.  Rank threads (``run_case``) and socket ranks
-(``run_socket_rank``) hand their per-rank results to one function,
-``_outcome``, which checks for divergence, merges every rank's fields and
-``ExchangeTotals`` (the one traffic record, which every exchange epoch
-returns), and builds the metrics, so both paths report the same outcome.
-When the plan has coprocessor groups it also attaches the modeled schedule
-(``model.model_schedule``), and the metrics then take the modeled clock as
-the timing authority.
+Runs measure wall time, and report only what they measured.  Rank threads
+(``run_case``) and socket ranks (``run_socket_rank``) hand their per-rank
+results to one function, ``_outcome``, which checks for divergence, merges
+every rank's fields and ``ExchangeTotals`` (the one traffic record, which
+every exchange epoch returns), and builds the metrics row of cells, steps,
+wall time, traffic and convergence, so both paths report the same outcome.
+Modeled numbers come only from ``model.model_run``.
 """
 
 from __future__ import annotations
@@ -67,8 +66,9 @@ from .halo import (
     build_halo_plan,
     message_tag,
 )
-from .metrics import RunMetrics, from_timeline
-from .model import cut_blocks, model_schedule
+from .metrics import RunMetrics
+# The benchmark imports ``model_schedule`` from here, beside ``run_case``.
+from .model import cut_blocks, model_schedule  # noqa: F401
 from .partition import Block, PartitionPlan
 from .residual import (
     GradientPack,
@@ -79,7 +79,6 @@ from .residual import (
     velocity_temperature_gradients,
     viscous_derivative,
 )
-from .schedule import Timeline
 from .state import NCOMP, primitive_from_conserved, spectral_radius
 from .timestepping import (
     STAGES,
@@ -589,15 +588,12 @@ class RunOutcome:
     norm_history: list[float]
     totals: ExchangeTotals
     metrics: RunMetrics
-    timeline: Timeline | None = None
 
 
-def _outcome(sim: Simulation, results: list[RankResult], *, overlap: bool,
-             coalesce: bool) -> RunOutcome:
+def _outcome(sim: Simulation, results: list[RankResult]) -> RunOutcome:
     """The outcome of one run from the results of all its ranks, in rank
-    order.  Raises ``DivergenceError`` if any rank diverged.  The modeled
-    schedule is attached when the plan has coprocessor groups, and the
-    metrics then report the modeled clock."""
+    order; its metrics hold rank 0's wall time.  Raises ``DivergenceError``
+    if any rank diverged."""
     worst = max(results, key=lambda r: r.stop)
     if worst.stop >= STOP_DIVERGED:
         err = next((r.error for r in results if r.error is not None), None)
@@ -614,22 +610,16 @@ def _outcome(sim: Simulation, results: list[RankResult], *, overlap: bool,
     r0 = results[0]
     case, plan = sim.case, sim.plan
     converged = r0.stop == STOP_CONVERGED
-    common = dict(total_cells=plan.total_cells, iterations=r0.iterations,
-                  wall_seconds=r0.wall_seconds, messages=totals.messages,
-                  message_bytes=totals.bytes, converged=converged)
-    timeline = None
-    if r0.iterations > 0 and any(g.device_class == "coprocessor"
-                                 for g in plan.groups):
-        timeline = model_schedule(case, plan, steps=r0.iterations,
-                                  overlap=overlap, coalesce=coalesce)
-        metrics = from_timeline(case.name, timeline, **common)
-    else:
-        metrics = RunMetrics(label=case.name, **common)
+    metrics = RunMetrics(label=case.name, total_cells=plan.total_cells,
+                         iterations=r0.iterations,
+                         wall_seconds=r0.wall_seconds,
+                         messages=totals.messages, message_bytes=totals.bytes,
+                         converged=converged)
     return RunOutcome(case=case, plan=plan, fields=fields,
                       iterations=r0.iterations, sim_time=r0.sim_time,
                       converged=converged, wall_seconds=r0.wall_seconds,
                       norm_history=r0.norm_history, totals=totals,
-                      metrics=metrics, timeline=timeline)
+                      metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +689,7 @@ def run_case(case: Case, plan: PartitionPlan | None = None, *,
             worker.close()
         if transport is not None:
             transport.close()
-    return _outcome(sim, fastest, overlap=overlap, coalesce=coalesce)
+    return _outcome(sim, fastest)
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +759,7 @@ def run_socket_rank(case: Case, rank: int,
                 sim_time=sim_time, stop=stop,
                 totals=ExchangeTotals(int(messages), int(nbytes), int(copies)),
                 wall_seconds=wall))
-        return _outcome(sim, results, overlap=overlap, coalesce=coalesce)
+        return _outcome(sim, results)
     finally:
         worker.close()
         if transport is not None:

@@ -56,12 +56,22 @@ def test_case_text_header_and_comments():
     assert text.splitlines()[0] == "wcnsflow-case 3"
     noisy = "# a comment\n\n" + text + "\n# trailing\n"
     assert case_from_text(noisy) == uniform_case()
-    # Keys that no run reads any more are ignored.
-    older = text.replace("load-ratio=1.0",
-                         "load-ratio=1.0 max-block-cells=-")
-    older = older.replace("device class=cpu", "device class=cpu workers=12")
-    assert older.count("max-block-cells=-") == older.count("workers=12") == 1
-    assert case_from_text(older) == uniform_case()
+    # A key that no reader takes is refused, naming its record and key.
+    for old, new, match in [
+            ("load-ratio=1.0", "load-ratio=1.0 max-block-cells=-",
+             "run record: unknown key max-block-cells="),
+            ("device class=cpu", "device class=cpu workers=12",
+             "device record: unknown key workers="),
+            ("load-ratio=1.0", "load-ratio=1.0 target-blocks=4",
+             "run record: unknown key target-blocks="),
+            ("cfl=", "cfl=0.5 cfl2=", "time record: unknown key cfl2=")]:
+        assert text.count(old) == 1
+        with pytest.raises(CaseFormatError, match=match):
+            case_from_text(text.replace(old, new))
+    # The init record's keys depend on the case kind, so any key reads.
+    wave = wave_case(8)
+    loose = case_to_text(wave).replace("init ", "init note=x ")
+    assert case_from_text(loose).init == {**wave.init, "note": "x"}
 
 
 def test_case_file_roundtrip_on_disk(tmp_path):
@@ -158,6 +168,14 @@ def test_plan_text_rejects_bad_input():
             plan_from_text(good.replace(old, new, 1))
     with pytest.raises(CaseFormatError, match="unknown plan record"):
         plan_from_text(good + "mystery a=1\n")
+    for old, new, match in [
+            (" lo=", " ghost=1 lo=", "block record: unknown key ghost="),
+            ("class=cpu", "class=cpu workers=2",
+             "group record: unknown key workers="),
+            ("boundary=", "cuts=8 boundary=", "zone record: unknown key cuts=")]:
+        assert old in good
+        with pytest.raises(CaseFormatError, match=match):
+            plan_from_text(good.replace(old, new, 1))
     with pytest.raises(CaseFormatError, match="empty"):
         plan_from_text("\n# nothing\n")
 
@@ -278,6 +296,13 @@ def test_with_load_ratio_plain_case():
     assert tuned.load_ratio == 0.5
     assert tuned.block_widths == case.block_widths
     assert tuned.zone == case.zone
+    # A corner case without coprocessors keeps its blocks too.
+    cpu_corner = cpu_only_variant(corner_case(1, columns=40, cross=6))
+    assert cpu_corner.block_widths == ((10, 7, 7, 7, 9), (6,), (6,))
+    for ratio in (0.5, 1.2):
+        tuned = with_load_ratio(cpu_corner, ratio)
+        assert tuned.block_widths == cpu_corner.block_widths
+        assert tuned.load_ratio == ratio
 
 
 # sha256 of plan_to_text(case_plan(case)), computed at commit ca48da8, where
@@ -437,18 +462,18 @@ def test_mcups_definition():
 
 
 def test_run_metrics_timing_source():
+    # The clock is worked out from the row: a modeled time makes it the
+    # model's, and no constructor argument can say otherwise.
     m = RunMetrics(label="a", total_cells=1000, iterations=10,
                    wall_seconds=2.0)
-    assert m.seconds == 2.0
+    assert m.timing_source == "wall" and m.seconds == 2.0
     assert m.mcups == pytest.approx(0.005)
     modeled = RunMetrics(label="b", total_cells=1000, iterations=10,
-                         wall_seconds=2.0, timing_source="model",
-                         model_seconds=0.5)
-    assert modeled.seconds == 0.5
-    broken = RunMetrics(label="c", total_cells=1, iterations=1,
-                        wall_seconds=1.0, timing_source="model")
-    with pytest.raises(ValueError, match="no modeled time"):
-        broken.seconds
+                         wall_seconds=2.0, model_seconds=0.5)
+    assert modeled.timing_source == "model" and modeled.seconds == 0.5
+    with pytest.raises(TypeError, match="timing_source"):
+        RunMetrics(label="c", total_cells=1, iterations=1, wall_seconds=1.0,
+                   timing_source="model")
 
 
 def test_comp_comm_ratio_edge_cases():
@@ -467,20 +492,19 @@ def test_from_timeline_pulls_phase_totals():
     tl.add("cpu0", "update", 2.0, 2.5)
     tl.add("mic0", "transfer_in", 0.0, 1.0)
     m = from_timeline("run", tl, total_cells=100, iterations=4,
-                      wall_seconds=9.0, messages=3, message_bytes=480)
+                      wall_seconds=9.0)
     assert m.timing_source == "model"
     assert m.model_seconds == tl.makespan == 2.5
     assert m.comp_seconds == 2.5
     assert m.comm_seconds == 1.0
     assert m.hidden_comm_fraction == tl.hidden_comm_fraction
-    assert m.wall_seconds == 9.0 and m.messages == 3
+    assert m.wall_seconds == 9.0 and m.messages is None
 
 
 def test_metrics_csv_roundtrip(tmp_path):
     rows = [
         RunMetrics(label="full", total_cells=4096, iterations=7,
-                   wall_seconds=0.25, timing_source="model",
-                   model_seconds=0.125, comp_seconds=0.1, comm_seconds=0.05,
+                   wall_seconds=0.25, model_seconds=0.125, comp_seconds=0.1, comm_seconds=0.05,
                    hidden_comm_fraction=0.75, messages=12,
                    message_bytes=10240, converged=True, extra="note=x"),
         RunMetrics(label="bare", total_cells=64, iterations=1,
@@ -493,6 +517,35 @@ def test_metrics_csv_roundtrip(tmp_path):
     buf = io.StringIO()
     metrics_to_csv(rows, buf)
     assert metrics_from_csv(io.StringIO(buf.getvalue())) == rows
+
+
+# A metrics.csv as written when ``timing_source`` was a RunMetrics field: a
+# ``run --model-only`` row of the small corner case and a wave run's row.
+OLD_METRICS_CSV = (
+    "label,total_cells,iterations,wall_seconds,timing_source,model_seconds,"
+    "comp_seconds,comm_seconds,hidden_comm_fraction,messages,message_bytes,"
+    "converged,extra,mcups,comp_comm_ratio\n"
+    "corner-1n,1440,2,0.0,model,0.00029383999999999996,0.0005675999999999996,"
+    "0.00041424,0.39976825028968727,,,,,9.801252382248846,1.3702201622247963\n"
+    "wave-8,512,2,0.020174688994302414,wall,,,,,0,0,0,,0.050756668431874735,"
+    "\n")
+
+
+def test_metrics_csv_reads_and_writes_the_old_layout():
+    rows = metrics_from_csv(io.StringIO(OLD_METRICS_CSV))
+    assert rows == [
+        RunMetrics(label="corner-1n", total_cells=1440, iterations=2,
+                   wall_seconds=0.0, model_seconds=0.00029383999999999996,
+                   comp_seconds=0.0005675999999999996,
+                   comm_seconds=0.00041424,
+                   hidden_comm_fraction=0.39976825028968727),
+        RunMetrics(label="wave-8", total_cells=512, iterations=2,
+                   wall_seconds=0.020174688994302414, messages=0,
+                   message_bytes=0, converged=False)]
+    assert [m.timing_source for m in rows] == ["model", "wall"]
+    buf = io.StringIO()
+    metrics_to_csv(rows, buf)
+    assert buf.getvalue() == OLD_METRICS_CSV
 
 
 def test_metrics_csv_degenerate_inputs(tmp_path):
@@ -517,8 +570,7 @@ def test_metrics_csv_degenerate_inputs(tmp_path):
 def test_render_report_formats_rows():
     rows = [
         RunMetrics(label="het", total_cells=1_000_000, iterations=50,
-                   wall_seconds=99.0, timing_source="model",
-                   model_seconds=10.0, comp_seconds=8.0, comm_seconds=2.0,
+                   wall_seconds=99.0, model_seconds=10.0, comp_seconds=8.0, comm_seconds=2.0,
                    hidden_comm_fraction=0.5),
         RunMetrics(label="solo", total_cells=1000, iterations=2,
                    wall_seconds=4.0),
@@ -588,7 +640,30 @@ def test_cli_gen_passes_every_flag_the_kind_takes(tmp_path):
     assert len(case_plan(case).blocks) == 4
 
 
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_cli_run_reports_the_clock_it_measured(tmp_path, capsys):
+    # A run of a coprocessor plan writes no modeled timeline.
+    case_path = tmp_path / "corner.case"
+    save_case(small_corner(), case_path)
+    run_dir = tmp_path / "run"
+    assert run_cli("run", "--case", case_path, "--out-dir", run_dir) == 0
+    out = capsys.readouterr().out
+    (row,) = metrics_from_csv(str(run_dir / "metrics.csv"))
+    assert row.timing_source == "wall" and row.model_seconds is None
+    assert row.mcups == row.total_cells * row.iterations \
+        / row.wall_seconds / 1e6
+    assert (row.total_cells, row.iterations) == (1440, 2)
+    assert f"wall {row.wall_seconds:.4f} s, {row.mcups:.2f} MCUPS" in out
+    assert "makespan" not in out
+    assert not (run_dir / "timeline.csv").exists()
+
+
 def test_cli_model_only_run(tmp_path, capsys):
+    # The sha256 of the files it wrote at commit 4c01443, when a run of this
+    # case also reported its modeled clock.
     case_path = tmp_path / "corner.case"
     save_case(small_corner(), case_path)
     out_dir = tmp_path / "model"
@@ -596,10 +671,12 @@ def test_cli_model_only_run(tmp_path, capsys):
                    "--out-dir", out_dir) == 0
     out = capsys.readouterr().out
     assert "makespan" in out
-    assert (out_dir / "timeline.csv").exists()
-    assert (out_dir / "metrics.csv").exists()
     (row,) = metrics_from_csv(str(out_dir / "metrics.csv"))
     assert row.timing_source == "model" and row.model_seconds > 0
+    assert sha256_of(out_dir / "timeline.csv") == \
+        "89fa2a0bcced859cff52c0752e09adf367b57fb7c720f84e02152b5278c9541d"
+    assert sha256_of(out_dir / "metrics.csv") == \
+        "43624f9b66ba65837c2466cb9c9f6f0d6fd9305c63a29d8f256093a6b46cf2a8"
 
 
 def test_cli_sweep_ratio(tmp_path, capsys):
@@ -793,6 +870,13 @@ def test_cli_errors_exit_2(tmp_path, capsys):
                     encoding="utf-8")
     assert run_cli("run", "--case", typo, "--out-dir", tmp_path) == 2
     assert "zone record: missing shape=" in capsys.readouterr().err
+    # A misspelt key beside the right one, which used to be ignored.
+    typo.write_text(case_to_text(uniform_case()).replace(
+        "max-iters=", "max-iter=5 max-iters="), encoding="utf-8")
+    assert run_cli("run", "--case", typo, "--out-dir", tmp_path / "typo") == 2
+    assert "error: time record: unknown key max-iter=" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "typo").exists()
 
     uni = tmp_path / "uni.case"
     save_case(uniform_case(max_iters=1), uni)

@@ -25,6 +25,7 @@ from wcnsflow.errors import DivergenceError, InvalidStateError, \
     TransportError, WcnsflowError
 from wcnsflow.fields import assemble_zone
 from wcnsflow.halo import HaloExchanger
+from wcnsflow.model import model_run
 from wcnsflow.partition import plan_from_text, plan_to_text, split_zone
 from wcnsflow.runner import ExchangeTotals, RankWorker, build_simulation, \
     run_case, run_socket_rank
@@ -110,7 +111,6 @@ def test_worker_counts_match_on_a_coprocessor_case(monkeypatch):
     assert np.array_equal(assemble_zone(two.fields, two.plan),
                           assemble_zone(one.fields, one.plan))
     assert two.totals == one.totals == ExchangeTotals(12, 230_400, 408)
-    assert two.timeline.makespan == one.timeline.makespan
 
 
 def test_pooled_ranks_under_a_short_switch_interval():
@@ -186,11 +186,18 @@ def test_socket_ranks_report_the_in_process_outcome_of_a_coprocessor_case():
     assert np.array_equal(assemble_zone(out.fields, out.plan),
                           assemble_zone(one.fields, one.plan))
     assert out.totals == one.totals == ExchangeTotals(12, 230_400, 408)
-    assert out.timeline.makespan == one.timeline.makespan
-    assert out.timeline.makespan == pytest.approx(3.124576e-4, rel=1e-6)
-    assert out.metrics.timing_source == one.metrics.timing_source == "model"
-    assert out.metrics.model_seconds == one.metrics.model_seconds
     assert (out.metrics.messages, out.metrics.message_bytes) == (12, 230_400)
+    # Both report the wall time rank 0 measured, and only that: the rows
+    # differ in nothing else.
+    for m in (out.metrics, one.metrics):
+        assert m.timing_source == "wall" and m.model_seconds is None
+        assert m.mcups == m.total_cells * m.iterations / m.wall_seconds / 1e6
+    assert replace(out.metrics, wall_seconds=one.wall_seconds) == one.metrics
+    assert not hasattr(out, "timeline")
+    # The modeled clock of the same two steps comes from the model alone.
+    timeline, modeled = model_run(case, steps=2)
+    assert modeled.model_seconds == timeline.makespan
+    assert timeline.makespan == pytest.approx(3.124576e-4, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

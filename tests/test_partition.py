@@ -222,7 +222,6 @@ def test_ghost_sources_run_once_per_plan(monkeypatch):
             monkeypatch.setattr(mod, "ghost_sources", counting)
     case = corner_case(2, columns=40, cross=6, max_iters=1)
     outcome = run_case(case, max_workers=1)
-    assert outcome.timeline is not None
     model_schedule(case, outcome.plan, steps=1)
     assert calls == [10]
 
