@@ -121,8 +121,6 @@ def _cmd_partition(args) -> int:
 def _cmd_run(args) -> int:
     case, plan = _load(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.transport == "socket":
         if args.rank is None or not args.addresses:
             raise WcnsflowError("socket mode needs --rank and --addresses")
@@ -141,6 +139,7 @@ def _cmd_run(args) -> int:
                                 coalesce=not args.naive_exchange)
         print(timeline_report(tl))
         print(render_report([metrics]))
+        out_dir.mkdir(parents=True, exist_ok=True)
         tl.to_csv(str(out_dir / "timeline.csv"))
         metrics_to_csv([metrics], str(out_dir / "metrics.csv"))
         return 0
@@ -148,12 +147,17 @@ def _cmd_run(args) -> int:
         outcome = run_case(case, plan, overlap=not args.no_overlap,
                            coalesce=not args.naive_exchange,
                            max_workers=args.workers, best_of=args.best_of)
+    if outcome.iterations == 0:
+        raise WcnsflowError(f"{case.name} took no step (max-iters "
+                            f"{case.controls.max_iters}), so the run has no "
+                            "rate to report")
 
     print(f"{case.name}: {outcome.iterations} iterations, "
           f"t = {outcome.sim_time:.6g}, "
           f"{'converged' if outcome.converged else 'finished'}, "
           f"wall {outcome.wall_seconds:.4f} s, "
           f"{outcome.metrics.mcups:.2f} MCUPS")
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_dump(str(out_dir / "fields.bin"), outcome.fields)
     metrics_to_csv([outcome.metrics], str(out_dir / "metrics.csv"))
     if outcome.norm_history:

@@ -52,6 +52,18 @@ five edges it shares with its neighbour range again.  Handoff sweeps
 boundary ranges' nodes of the output, outside its own range, and the
 boundary sweeps, which must run after it, compute only their five
 halo-dependent edges and read the parked ones back.
+
+A line is periodic when the block spans a periodic axis whole: self-wrap
+then makes every ghost node of the line, along the sweep axis, a bitwise
+copy of the interior node a whole number of periods n away, and so are its
+primitives, which are converted node by node.  Edge j + n reads the six
+nodes that edge j reads, so it gets the same bits, and of a line's n + 5
+edge values only n are distinct.  A periodic sweep (``periodic=True``)
+gathers only the n + 5 nodes that edges 0 .. n-1 read, computes those n
+edges and fills the other five slots by the rule edge[j] = edge[j % n],
+which also holds when n < 5 and the halo wraps more than once.  Each edge
+it computes sees the operations of the plain sweep in their order, so the
+derivatives keep their bits.
 """
 
 from __future__ import annotations
@@ -266,6 +278,7 @@ def convective_derivative(
     row_hi: int | None = None,
     tile: int | None = None,
     handoff: bool = False,
+    periodic: bool = False,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """d(F_axis)/d(x_axis) at interior nodes [lo, hi) along ``axis``.
@@ -291,6 +304,13 @@ def convective_derivative(
     over them, so it must start only after the interior sweep of its rows
     has finished.  With an empty interior (n <= 10) ``handoff`` changes
     nothing.
+
+    ``periodic`` says that every line is periodic: each ghost node along
+    ``axis`` is a bitwise copy of the interior node a whole number of
+    periods away, as self-wrap leaves them when the block spans a periodic
+    axis whole.  The sweep then computes n edge values, not n + 5, and
+    repeats them (``edge[j] = edge[j % n]``).  It needs the whole axis,
+    [lo, hi) = [0, n), and no effective ``handoff``.
     """
     if gas is None:
         raise ValueError("characteristic projection needs the gas model")
@@ -310,6 +330,9 @@ def convective_derivative(
         raise ValueError(f"handoff node range [{lo},{hi}) is not an "
                          f"interior_split range of [0,{na})")
     handoff = handoff and a < b
+    if periodic and (handoff or (lo, hi) != (0, na)):
+        raise ValueError(f"periodic node range [{lo},{hi}) is not the whole "
+                         f"axis [0,{na}) without a handoff")
     if out is None:
         out = np.empty((NCOMP, n[0], n[1], n[2]))
     if hi == lo or row_hi == row_lo:
@@ -326,11 +349,14 @@ def convective_derivative(
     # reads.  A handoff boundary sweep computes the H edges in ``own`` from
     # the 2H extended nodes they need and reads the H in ``parked`` back
     # from ``dst``; the handoff interior sweep copies its end edges to
-    # ``parks``.
+    # ``parks``.  A periodic sweep computes the first n edges from the
+    # n + H nodes they need and repeats them in the last H slots.
     start, stop = lo, hi + 2 * H
     own = parked = None
     parks = []
-    if handoff and lo == 0:
+    if periodic:
+        stop, own = na + H, slice(0, na)
+    elif handoff and lo == 0:
         stop, own, parked = 2 * H, slice(0, H), slice(H, 2 * H)
     elif handoff and hi == na:
         start, own, parked = lo + H, slice(H, 2 * H), slice(0, H)
@@ -402,6 +428,12 @@ def convective_derivative(
         edges += frame.to_state(both, out=sides[:, 1])
         if parked is not None:
             np.copyto(grid(all_edges[:, parked]), dst[:, cs])
+        if periodic:
+            # edge[j] = edge[j % n]; a line shorter than H wraps more
+            # than once.
+            for j in range(na, nedges, na):
+                k = min(na, nedges - j)
+                all_edges[:, j:j + k] = all_edges[:, :k]
         for ends, park in parks:
             np.copyto(park[:, cs], grid(edges[:, ends]))
         # The derivatives go into the windows' dead region, then to ``dst``

@@ -10,6 +10,12 @@ the boundary sweeps, which read the edge values the interior sweeps hand
 them, follow them.  Every other block sweeps each axis whole after the
 exchange.  Each sweep range is further cut into one run of cross rows per
 pool worker, and the rank thread waits once per stage for all of them.
+A sweep is periodic when the zone is periodic on its axis, the block
+spans the zone's whole extent there and the sweep covers the whole axis:
+its ghosts along the axis are then self-wrap copies of its own interior,
+and the kernel computes one period of edge values per line.  That holds
+for every uncut block on such an axis, and for a cut block whose axis is
+at most ``HALO_WIDTH`` nodes long, which sweeps it whole.
 
 Each rank has one host worker pool that sweeps all of its blocks; the
 modeled CPU sockets and coprocessors that the plan groups blocks into exist
@@ -180,8 +186,8 @@ class RankResult:
 
 class Sweep(NamedTuple):
     """One convective sweep task, as it crosses the pipe to a worker
-    process: block, ``w_ext`` slot, axis, wavespeed, node range ``lo:hi``
-    and cross-row range ``r0:r1``."""
+    process: block, ``w_ext`` slot, axis, wavespeed, node range ``lo:hi``,
+    cross-row range ``r0:r1`` and whether its lines are periodic."""
 
     block: int
     slot: int
@@ -192,6 +198,7 @@ class Sweep(NamedTuple):
     r0: int
     r1: int
     handoff: bool
+    periodic: bool = False
 
 
 class Arena:
@@ -232,7 +239,7 @@ class Arena:
         convective_derivative(self.q[s.block], self.w[s.block][s.slot],
                               s.axis, s.lam, spacing[s.axis], gas=gas,
                               lo=s.lo, hi=s.hi, row_lo=s.r0, row_hi=s.r1,
-                              handoff=s.handoff,
+                              handoff=s.handoff, periodic=s.periodic,
                               out=self.conv[s.block][s.axis])
 
 
@@ -397,19 +404,24 @@ class RankWorker:
         task ``k`` goes to worker ``k``."""
         workers = self.pool.workers
         handoff = b.id in self.cut
+        zone = self.plan.zone
         tasks = []
         for axis in range(3):
             n = b.shape[axis]
+            # Self-wrap fills the ghosts of a periodic axis the block spans
+            # whole, so a sweep of all of it has periodic lines.
+            spans = zone.periodic(axis) and n == zone.shape[axis]
             a, c = interior_split(n) if handoff else (0, 0)
             nrows = b.shape[1 if axis == 0 else 0]
             for lo, hi in [(a, c)] if interior else [(0, a), (c, n)]:
                 if hi <= lo:
                     continue
+                periodic = spans and (lo, hi) == (0, n)
                 for k in range(workers):
                     r0, r1 = nrows * k // workers, nrows * (k + 1) // workers
                     if r1 > r0:
                         sweep = Sweep(b.id, slot, axis, float(lams[axis]),
-                                      lo, hi, r0, r1, handoff)
+                                      lo, hi, r0, r1, handoff, periodic)
                         tasks.append((self._conv_chunk, (sweep, k)))
         return tasks
 

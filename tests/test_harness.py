@@ -897,6 +897,12 @@ def test_cli_errors_exit_2(tmp_path, capsys):
         assert run_cli("run", "--case", uni, "--plan", plan,
                        "--out-dir", tmp_path) == 2
         assert f"error: {record}: " in capsys.readouterr().err
+    # A run that takes no step has no rate to report, and writes nothing.
+    assert run_cli("run", "--case", uni, "--max-iters", 0,
+                   "--out-dir", tmp_path / "no-step") == 2
+    assert "error: uniform-16x16x16 took no step (max-iters 0)" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "no-step").exists()
     assert run_cli("bench", "--case", uni, "--mode", "weak") == 2
     assert "error: a uniform case has no per-node layout" in \
         capsys.readouterr().err

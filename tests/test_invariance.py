@@ -272,6 +272,37 @@ def test_block_fed_by_another_rank_sweeps_its_interior_from_the_hook(
         assert len(mine) - sum(mine) == 3 * (2 * 2 + 2 + 2)
 
 
+@pytest.mark.parametrize("name, blocks, ranks, periodic_axes", [
+    ("sod24", 1, 1, {1, 2}),
+    ("wave8", 1, 1, {0, 1, 2}),
+    ("wave8", 8, 2, set()),
+    # Blocks of 12 x 4 x 4, cut: their 4-node axes are swept whole.
+    ("sod24", 2, 2, {1, 2}),
+])
+def test_sweeps_are_periodic_where_the_block_spans_a_periodic_axis(
+        monkeypatch, name, blocks, ranks, periodic_axes):
+    """A sweep carries the periodic flag when the zone is periodic on its
+    axis, the block spans that axis whole and the sweep covers it whole."""
+    case = CASES[name]()
+    case = replace(case, controls=replace(case.controls, max_iters=1))
+    sent = []
+    sweep = runner.Arena.sweep
+
+    def spy(self, s, *args, **kwargs):
+        sent.append(s)
+        return sweep(self, s, *args, **kwargs)
+
+    monkeypatch.setattr(runner.Arena, "sweep", spy)
+    out = run_case(on_ranks(case, blocks, ranks), warmup=False,
+                   max_workers=1)
+    shapes = {b.id: b.shape for b in out.plan.blocks}
+    assert len(shapes) == blocks and sent
+    assert {s.axis for s in sent if s.periodic} == periodic_axes
+    for s in sent:
+        whole = (s.lo, s.hi) == (0, shapes[s.block][s.axis])
+        assert s.periodic == (s.axis in periodic_axes and whole), s
+
+
 # ---------------------------------------------------------------------------
 # Worker processes.  A pool of more than one worker sweeps in processes
 # forked by run_case (RankWorker.start); a sweep patched before the fork

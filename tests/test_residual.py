@@ -626,6 +626,82 @@ def test_handoff_changes_nothing_on_a_thin_block():
             assert handoff.tobytes() == plain.tobytes(), (axis, lo, hi)
 
 
+def wrapped_block(shape, seed: int):
+    """Conserved and primitive halo-extended arrays of a random valid
+    interior whose ghosts are its wrapped copies, as self-wrap leaves a
+    block that spans a periodic zone whole."""
+    rng = np.random.default_rng(seed)
+    w = np.empty((5,) + shape)
+    w[0] = 0.5 + rng.random(shape)
+    w[1:4] = rng.random((3,) + shape) - 0.5
+    w[4] = 0.5 + rng.random(shape)
+    q_ext = extend_periodic(conserved_from_primitive(w, GAS))
+    return q_ext, primitive_from_conserved(q_ext, GAS)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 12, 48])
+def test_periodic_sweeps_reproduce_the_plain_sweep(n):
+    """On lines whose ghosts wrap their interior, the periodic sweep, which
+    computes n edge values per line and repeats them, writes the bytes of
+    the plain sweep's n + 5, on all three axes, at every tile size and over
+    random row ranges; lines shorter than the halo wrap more than once."""
+    rng = np.random.default_rng(n)
+    for axis in range(3):
+        shape = [6, 5, 3]
+        shape[axis] = n
+        q_ext, w_ext = wrapped_block(tuple(shape), n + axis)
+        lam = float(np.max(spectral_radius(w_ext, axis, GAS)))
+        nrows = shape[1 if axis == 0 else 0]
+        plain = convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n,
+                                      gas=GAS)
+        for tile in (None, 1, 3, 0):
+            cuts = sorted({0, nrows, *rng.integers(1, nrows, size=2)})
+            for rows in ([0, nrows], cuts):
+                out = np.zeros_like(plain)
+                for r0, r1 in zip(rows, rows[1:]):
+                    convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n,
+                                          gas=GAS, row_lo=r0, row_hi=r1,
+                                          tile=tile, periodic=True, out=out)
+                assert out.tobytes() == plain.tobytes(), (axis, tile, rows)
+
+
+def test_periodic_sweep_needs_the_whole_axis_without_a_handoff():
+    """A periodic sweep of part of an axis, or one that hands edges off,
+    is refused; a handoff on a line of n <= 5 nodes is no handoff, and a
+    periodic sweep may carry it."""
+    q_ext, w_ext = wrapped_block((12, 4, 7), 3)
+    for axis, lo, hi, handoff in [(0, 0, 5, False), (0, 5, 7, False),
+                                  (0, 0, 11, False), (0, 0, 12, True),
+                                  (0, 0, 5, True),
+                                  (0, 7, 12, True), (2, 0, 5, True),
+                                  (2, 5, 7, True)]:
+        with pytest.raises(ValueError, match="node range"):
+            convective_derivative(q_ext, w_ext, axis, 3.0, 0.1, gas=GAS,
+                                  lo=lo, hi=hi, handoff=handoff,
+                                  periodic=True)
+    plain = convective_derivative(q_ext, w_ext, 1, 3.0, 0.1, gas=GAS)
+    thin = convective_derivative(q_ext, w_ext, 1, 3.0, 0.1, gas=GAS, lo=0,
+                                 hi=4, handoff=True, periodic=True)
+    assert thin.tobytes() == plain.tobytes()
+
+
+def test_periodic_sweep_weights_one_period_of_edges(monkeypatch):
+    """A y sweep of a 200 x 4 x 4 block weights 4 edges per line when its
+    lines are periodic, not the plain sweep's 4 + 5."""
+    q_ext, w_ext = wrapped_block((200, 4, 4), 0)
+    edges = []
+
+    def spy(w0, *args, **kwargs):
+        edges.append(w0.shape[2])       # component x side x edge x line
+        return window_edge_value(w0, *args, **kwargs)
+
+    monkeypatch.setattr(residual, "window_edge_value", spy)
+    for periodic in (False, True):
+        convective_derivative(q_ext, w_ext, 1, 3.0, 0.25, gas=GAS, tile=0,
+                              periodic=periodic)
+    assert edges == [9, 4]
+
+
 def test_default_tile_sweep_reserves_exactly_the_tile_words():
     """A default-tile sweep of a 24^3 block grows a fresh thread's
     workspace to the words of its largest tile and takes exactly the words
