@@ -814,3 +814,44 @@ def test_viscous_derivative_of_parabolic_shear():
     np.testing.assert_allclose(d[0], 0.0, atol=1e-12)
     np.testing.assert_allclose(d[2], 0.0, atol=1e-12)
     np.testing.assert_allclose(d[3], 0.0, atol=1e-12)
+
+
+def viscous_block(shape, seed: int, wrap: tuple[bool, bool, bool]):
+    """Extended primitives of a random valid state (uniform draws only)
+    whose ghosts along each ``wrap`` axis are wrapped copies of its
+    interior, as self-wrap leaves a block that spans a periodic axis."""
+    rng = np.random.default_rng(seed)
+    box = tuple(n if on else n + 2 * H for n, on in zip(shape, wrap))
+    w = np.empty((5,) + box)
+    w[0] = 0.5 + rng.random(box)
+    w[1:4] = rng.random((3,) + box) - 0.5
+    w[4] = 0.5 + rng.random(box)
+    pad = [(0, 0)] + [(H, H) if on else (0, 0) for on in wrap]
+    return np.pad(w, pad, mode="wrap")
+
+
+# (block shape, wrapped axes, seed) -> digest of the three viscous
+# derivatives of viscous_block(shape, seed, wrap) under VISCOUS_GAS.
+VISCOUS_GAS = GasModel(reynolds=50.0)
+VISCOUS_DIGESTS = {
+    ((13, 7, 9), (False, False, False), 21):
+        "7a816fe34d6e4463e75f9a361883f4d3a221fc0d865b714a3b430f6d32659d9a",
+    ((16, 4, 4), (False, True, True), 22):
+        "3e617ba71e5f0178bcd69ac515193901896c98f99dbaf2306ad5953faed58589",
+}
+
+
+@pytest.mark.parametrize("key", list(VISCOUS_DIGESTS))
+def test_viscous_bits_are_frozen(key):
+    """The viscous derivatives' bytes, pinned before their periodic path
+    and node-major differences existed: one block with random ghosts, and
+    one whose ghosts wrap its interior on y and z."""
+    shape, wrap, seed = key
+    w_ext = viscous_block(shape, seed, wrap)
+    spacing = tuple(1.0 / n for n in shape)
+    pack = velocity_temperature_gradients(w_ext, spacing)
+    digest = hashlib.sha256()
+    for axis in range(3):
+        d = viscous_derivative(pack, VISCOUS_GAS, axis, spacing[axis])
+        digest.update(d.tobytes())
+    assert digest.hexdigest() == VISCOUS_DIGESTS[key]
