@@ -64,6 +64,26 @@ edges and fills the other five slots by the rule edge[j] = edge[j % n],
 which also holds when n < 5 and the halo wraps more than once.  Each edge
 it computes sees the operations of the plain sweep in their order, so the
 derivatives keep their bits.
+
+The viscous terms have periodic lines on the same axes.  Their gradient
+pack covers the interior grown by two nodes along each axis, because the
+central difference of the fluxes reads two nodes beyond each end of a
+line.  Along a periodic axis every node the gradients of grown node j
+read is a bitwise copy of the node that interior node j % n reads in its
+place: self-wrap copies whole planes across the axis, ghost bands of the
+other axes included, and the boundary fill of the other axes works line
+by line across the plane.  The grown node's gradients are therefore the
+interior node's bits, and so is its flux, which is formed node by node.
+A periodic pack (``velocity_temperature_gradients(..., periodic=...)``)
+holds only the interior along its periodic axes, and
+``viscous_derivative`` forms the flux at the n nodes of such a line and
+repeats it by the rule flux[j] = flux[j % n] for the 2 + 2 nodes beyond
+its ends, which also holds when n < 4 and the line wraps more than once.
+Both central differences run node-major: each axis gathers u, v, w and T
+(or the five flux components) as field x node x line, so every difference
+slice is one unit-stride run, and differences all of them in one
+``central4_derivative`` call, whose operations keep the order of the
+plain formula.
 """
 
 from __future__ import annotations
@@ -79,7 +99,6 @@ from .state import (
     inviscid_flux,
     primitive_from_conserved,
     spectral_radius,
-    temperature,
     viscous_flux,
 )
 from .wcns import (
@@ -447,36 +466,56 @@ def convective_derivative(
 
 @dataclass
 class GradientPack:
-    """Velocity/temperature gradients at nodes on the interior box inflated
-    by two cells per axis (the input the viscous central difference needs)."""
+    """Velocity/temperature gradients at the nodes the viscous central
+    difference reads: the interior box grown by two nodes along each axis
+    that is not ``periodic``, and exactly the interior along each that is.
+    Below, X is nx + 4, or nx on a periodic x axis; Y and Z likewise."""
 
-    vel: np.ndarray       # (3, nx+4, ny+4, nz+4)
-    grad_vel: np.ndarray  # (3, 3, nx+4, ny+4, nz+4); [i, j] = d(u_i)/d(x_j)
-    grad_temp: np.ndarray  # (3, nx+4, ny+4, nz+4)
+    vel: np.ndarray       # (3, X, Y, Z)
+    grad_vel: np.ndarray  # (3, 3, X, Y, Z); [i, j] = d(u_i)/d(x_j)
+    grad_temp: np.ndarray  # (3, X, Y, Z)
+    periodic: tuple[bool, bool, bool] = (False, False, False)
 
 
-def velocity_temperature_gradients(w_ext: np.ndarray, spacing: tuple[float, float, float]) -> GradientPack:
-    vel_ext = w_ext[1:4]
-    temp_ext = temperature(w_ext)
+def _node_major(a: np.ndarray, axis: int) -> np.ndarray:
+    """``a`` (field x nx x ny x nz) with spatial ``axis`` moved first:
+    field x node x the cross axes, in order."""
+    return np.moveaxis(a, 1 + axis, 1)
 
-    inner = slice(3, -3)          # interior inflated by 2 within the extended array
-    wide = slice(1, -1)           # inflated by 4 along the differencing axis
 
-    vel = np.ascontiguousarray(vel_ext[(slice(None), inner, inner, inner)])
+def velocity_temperature_gradients(
+    w_ext: np.ndarray,
+    spacing: tuple[float, float, float],
+    periodic: tuple[bool, bool, bool] = (False, False, False),
+) -> GradientPack:
+    """The gradient pack of the extended primitives ``w_ext``.
+
+    ``periodic[a]`` says that the ghosts along axis ``a`` are self-wrap
+    copies of the interior; the pack then holds only the interior along
+    ``a``.  Each axis gathers u, v, w and T at the nodes its differences
+    read, node-major (field x node x line), and differences all four in
+    one call.
+    """
+    grow = [0 if p else 2 for p in periodic]
+    pack = tuple(slice(H - g, s - H + g)
+                 for g, s in zip(grow, w_ext.shape[1:]))
+    vel = np.ascontiguousarray(w_ext[(slice(1, 4),) + pack])
     nshape = vel.shape[1:]
-    grad_vel = np.empty((3, 3) + nshape)
-    grad_temp = np.empty((3,) + nshape)
-
+    # grad[i, j] = d(f_i)/d(x_j) for f = (u, v, w, T).
+    grad = np.empty((4, 3) + nshape)
     for a in range(3):
-        sl = [inner] * 3
-        sl[a] = wide
-        vseg = np.moveaxis(vel_ext[(slice(None),) + tuple(sl)], 1 + a, 3)
-        tseg = np.moveaxis(temp_ext[tuple(sl)], a, 2)
-        dv = central4_derivative(vseg, spacing[a])
-        dt = central4_derivative(tseg, spacing[a])
-        grad_vel[:, a] = np.moveaxis(dv, 3, 1 + a)
-        grad_temp[a] = np.moveaxis(dt, 2, a)
-    return GradientPack(vel=vel, grad_vel=grad_vel, grad_temp=grad_temp)
+        sl = list(pack)
+        sl[a] = slice(pack[a].start - 2, pack[a].stop + 2)
+        seg = _node_major(w_ext[(slice(None),) + tuple(sl)], a)
+        f = np.empty((4,) + seg.shape[1:])
+        np.copyto(f[:3], seg[1:4])
+        np.divide(seg[4], seg[0], out=f[3])     # T, as state.temperature
+        lines = seg.shape[2:]
+        d = central4_derivative(f.reshape(4, seg.shape[1], -1), spacing[a],
+                                node_axis=1)
+        grad[:, a] = np.moveaxis(d.reshape((4, nshape[a]) + lines), 1, 1 + a)
+    return GradientPack(vel=vel, grad_vel=grad[:3], grad_temp=grad[3],
+                        periodic=tuple(periodic))
 
 
 def viscous_derivative(
@@ -487,12 +526,16 @@ def viscous_derivative(
     *,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """d(Fv_axis)/d(x_axis) at interior nodes from node-valued viscous fluxes."""
-    nshape = tuple(s - 4 for s in grads.vel.shape[1:])
+    """d(Fv_axis)/d(x_axis) at interior nodes from node-valued viscous
+    fluxes, differenced node-major along ``axis``.  On a periodic axis of
+    n nodes the flux is formed at the n interior nodes, and node j of the
+    difference, -2 <= j < n + 2, takes the flux of node j % n."""
+    grow = [0 if p else 2 for p in grads.periodic]
+    nshape = tuple(s - 2 * g for s, g in zip(grads.vel.shape[1:], grow))
     if out is None:
         out = np.empty((NCOMP,) + nshape)
 
-    sl = [slice(2, -2)] * 3
+    sl = [slice(g, s - g) for g, s in zip(grow, grads.vel.shape[1:])]
     sl[axis] = slice(None)
     sel = (slice(None),) + tuple(sl)
     flux = viscous_flux(
@@ -502,8 +545,15 @@ def viscous_derivative(
         gas,
         axis,
     )
-    seg = np.moveaxis(flux, 1 + axis, 3)
-    out[...] = np.moveaxis(central4_derivative(seg, h), 3, 1 + axis)
+    # One gather puts the lines node-major (component x node x line).
+    n = nshape[axis]
+    flux = _node_major(flux, axis)
+    if grads.periodic[axis]:
+        flux = flux.take((np.arange(n + 4) - 2) % n, axis=1)
+    else:
+        flux = np.ascontiguousarray(flux)
+    d = central4_derivative(flux.reshape(NCOMP, n + 4, -1), h, node_axis=1)
+    out[...] = np.moveaxis(d.reshape((NCOMP, n) + flux.shape[2:]), 1, 1 + axis)
     return out
 
 

@@ -4,18 +4,21 @@ socket runs.
 Every rank advances its blocks through the same stage pipeline (reduce
 wavespeeds, exchange ghosts, sweep, update).  A block's sweeps are cut
 along their axis into a halo-free interior range and two boundary ranges
-only when overlap is on and another rank sends it ghosts (``cut_blocks``):
-the interior sweeps are submitted while those messages are in flight, and
-the boundary sweeps, which read the edge values the interior sweeps hand
-them, follow them.  Every other block sweeps each axis whole after the
-exchange.  Each sweep range is further cut into one run of cross rows per
-pool worker, and the rank thread waits once per stage for all of them.
-A sweep is periodic when the zone is periodic on its axis, the block
-spans the zone's whole extent there and the sweep covers the whole axis:
-its ghosts along the axis are then self-wrap copies of its own interior,
-and the kernel computes one period of edge values per line.  That holds
-for every uncut block on such an axis, and for a cut block whose axis is
-at most ``HALO_WIDTH`` nodes long, which sweeps it whole.
+only when overlap is on and another rank sends it ghosts (``cut_blocks``),
+and only along the axes where that interior range is not empty (more than
+``2 * HALO_WIDTH`` nodes): the interior sweeps are submitted while those
+messages are in flight, and the boundary sweeps, which read the edge values
+the interior sweeps hand them, follow them.  Every other sweep covers its
+axis whole after the exchange.  Each sweep range is further cut into one
+run of cross rows per pool worker, and the rank thread waits once per
+stage for all of them.
+
+One rule says where a block's lines are periodic (``periodic_axes``): the
+zone is periodic on the axis and the block spans the zone's whole extent
+there.  Its ghosts along the axis are then self-wrap copies of its own
+interior.  A sweep of the whole axis then computes one period of edge
+values per line, and the viscous terms form gradients and fluxes on one
+period along it.
 
 Each rank has one host worker pool that sweeps all of its blocks; the
 modeled CPU sockets and coprocessors that the plan groups blocks into exist
@@ -75,7 +78,7 @@ from .halo import (
 from .metrics import RunMetrics
 # The benchmark imports ``model_schedule`` from here, beside ``run_case``.
 from .model import cut_blocks, model_schedule  # noqa: F401
-from .partition import Block, PartitionPlan
+from .partition import Block, PartitionPlan, ZoneSpec
 from .residual import (
     GradientPack,
     ResidualParts,
@@ -243,6 +246,14 @@ class Arena:
                               out=self.conv[s.block][s.axis])
 
 
+def periodic_axes(zone: ZoneSpec, b: Block) -> tuple[bool, bool, bool]:
+    """Per axis, whether the zone is periodic on it and block ``b`` spans
+    it whole: self-wrap then fills the block's ghosts along the axis with
+    copies of its own interior, so its lines there are periodic."""
+    return tuple(zone.periodic(a) and b.shape[a] == zone.shape[a]
+                 for a in range(3))
+
+
 def _shared_empty(shape: tuple) -> np.ndarray:
     """A float64 array in its own anonymous shared mapping."""
     return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * math.prod(shape)))
@@ -269,6 +280,8 @@ class RankWorker:
                                        coalesce=coalesce)
         self.pool = rank_pool(rank, max_workers)
         self.cut = cut_blocks(sim.halo_plan, rank, overlap)
+        self.periodic = {b.id: periodic_axes(sim.plan.zone, b)
+                         for b in self.blocks}
         self.arena = Arena(self.blocks, self.cut, shared=False)
 
         self.fields: FieldSet = {}
@@ -399,29 +412,29 @@ class RankWorker:
                      interior: bool) -> list:
         """Convective tasks of block ``b`` on ``w_ext`` slot ``slot``: per
         axis, the halo-free node range when ``interior``, else the rest,
-        which is the whole axis for a block that is not cut.  Each range is
-        split into one task per pool worker over equal runs of cross rows;
-        task ``k`` goes to worker ``k``."""
+        which is the whole axis for a block that is not cut and for an axis
+        whose halo-free range is empty.  Each range is split into one task
+        per pool worker over equal runs of cross rows; task ``k`` goes to
+        worker ``k``."""
         workers = self.pool.workers
-        handoff = b.id in self.cut
-        zone = self.plan.zone
+        periodic = self.periodic[b.id]
         tasks = []
         for axis in range(3):
             n = b.shape[axis]
-            # Self-wrap fills the ghosts of a periodic axis the block spans
-            # whole, so a sweep of all of it has periodic lines.
-            spans = zone.periodic(axis) and n == zone.shape[axis]
-            a, c = interior_split(n) if handoff else (0, 0)
+            a, c = interior_split(n)
+            handoff = b.id in self.cut and a < c
+            if not handoff:
+                a = c = 0
             nrows = b.shape[1 if axis == 0 else 0]
             for lo, hi in [(a, c)] if interior else [(0, a), (c, n)]:
                 if hi <= lo:
                     continue
-                periodic = spans and (lo, hi) == (0, n)
+                wraps = periodic[axis] and (lo, hi) == (0, n)
                 for k in range(workers):
                     r0, r1 = nrows * k // workers, nrows * (k + 1) // workers
                     if r1 > r0:
                         sweep = Sweep(b.id, slot, axis, float(lams[axis]),
-                                      lo, hi, r0, r1, handoff, periodic)
+                                      lo, hi, r0, r1, handoff, wraps)
                         tasks.append((self._conv_chunk, (sweep, k)))
         return tasks
 
@@ -469,8 +482,8 @@ class RankWorker:
                     out=self.arena.w[b.id][slot])
                 tasks = self._sweep_tasks(b, lams, slot, False)
                 if self.sim.gas.viscous:
-                    grads = velocity_temperature_gradients(w_ext,
-                                                           self.spacing)
+                    grads = velocity_temperature_gradients(
+                        w_ext, self.spacing, self.periodic[b.id])
                     tasks += [(self._vis_chunk, (b, grads, axis))
                               for axis in range(3)]
                 self._submit(tasks, futures)

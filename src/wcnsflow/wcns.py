@@ -9,8 +9,9 @@ Conventions used throughout:
 * A "line" runs along the last axis of an array by default; all kernels
   broadcast over the other axes, so ``(5, ny, nz, L)`` slabs go through
   unchanged.  ``edge_to_node_derivative`` also takes the node axis by
-  keyword, so node-major tiles ``(5, L, lines)``, whose node slices are
-  each one contiguous run of lines, go through without a transpose.
+  keyword, as does ``central4_derivative``, so node-major tiles ``(5, L,
+  lines)``, whose node slices are each one contiguous run of lines, go
+  through without a transpose.
 * For a line of ``L`` nodes the edge kernels produce ``L - 5`` edges where
   output edge ``j`` sits between input nodes ``j + 2`` and ``j + 3``.  The
   left-biased value at that edge uses nodes ``j .. j+4``, the right-biased
@@ -312,18 +313,34 @@ def edge_to_node_derivative(edges: np.ndarray, h: float, *,
     return d
 
 
-def central4_derivative(f: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order central node derivative along the last axis.
+def central4_derivative(f: np.ndarray, h: float, *, node_axis: int = -1,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Fourth-order central node derivative along ``node_axis`` (the last
+    axis by default).
 
     For ``L`` input nodes returns ``L - 4`` values; output ``j`` is the
-    derivative at input node ``j + 2``.
+    derivative at input node ``j + 2``.  ``out`` receives the result when
+    given; it must not overlap ``f``.
     """
     f = np.asarray(f)
-    n = f.shape[-1] - 4
+    m = f.shape[node_axis]
+    n = m - 4
     if n < 1:
-        raise StencilError(f"line of {f.shape[-1]} nodes is too short "
+        raise StencilError(f"line of {m} nodes is too short "
                            "for the central derivative")
-    # Paired differences so identical neighbor values cancel exactly and a
+    lead = (slice(None),) * (node_axis % f.ndim)
+
+    def e(k):
+        return f[lead + (slice(k, k + n),)]
+
+    # ((f0 - f4) + 8 (f3 - f1)) / (12 h), in that order.  The paired
+    # differences let identical neighbor values cancel exactly, so a
     # uniform field yields a bitwise-zero derivative.
-    return ((f[..., 0:0 + n] - f[..., 4:4 + n])
-            + 8.0 * (f[..., 3:3 + n] - f[..., 1:1 + n])) / (12.0 * h)
+    d = np.subtract(e(0), e(4), out=out)
+    _scratch.reserve(d.size)
+    t = _scratch.take(*d.shape)
+    np.subtract(e(3), e(1), out=t)
+    t *= 8.0
+    d += t
+    d /= 12.0 * h
+    return d

@@ -303,6 +303,65 @@ def test_sweeps_are_periodic_where_the_block_spans_a_periodic_axis(
         assert s.periodic == (s.axis in periodic_axes and whole), s
 
 
+@pytest.mark.parametrize("name, blocks, ranks, periodic", [
+    ("sod24-re200", 1, 1, (False, True, True)),
+    ("wave8-re50", 1, 1, (True, True, True)),
+    ("wave8-re50", 8, 2, (False, False, False)),
+    ("sod24-re200", 2, 2, (False, True, True)),
+])
+def test_viscous_terms_are_periodic_where_the_block_spans_a_periodic_axis(
+        monkeypatch, name, blocks, ranks, periodic):
+    """The viscous gradients of a block are formed on one period of each
+    axis where the sweeps are periodic: the zone is periodic on the axis
+    and the block spans it whole."""
+    case = CASES[name]()
+    case = replace(case, controls=replace(case.controls, max_iters=1))
+    packs = []
+    gradients = runner.velocity_temperature_gradients
+
+    def spy(*args, **kwargs):
+        packs.append(gradients(*args, **kwargs))
+        return packs[-1]
+
+    monkeypatch.setattr(runner, "velocity_temperature_gradients", spy)
+    out = run_case(on_ranks(case, blocks, ranks), warmup=False,
+                   max_workers=1)
+    assert len(packs) == 3 * blocks
+    shape = out.plan.blocks[0].shape
+    for pack in packs:
+        assert pack.periodic == periodic
+        assert pack.vel.shape[1:] == tuple(
+            n if p else n + 4 for n, p in zip(shape, periodic))
+
+
+def test_cut_blocks_sweep_an_axis_without_an_interior_whole(monkeypatch):
+    """A cut block sweeps an axis whose halo-free range is empty (6 to 10
+    nodes) as one range [0, n), not as [0, 5) and [5, n): wave 16^3 in 8
+    blocks of 8^3 on 2 ranks makes one call per block, axis and stage, not
+    the 144 of two ranges, and its zone keeps the single-block bits."""
+    case = wave_case(16, t_end=0.004, fixed_dt=1e-3)
+    case = replace(case, controls=replace(case.controls, max_iters=1))
+    one = run_case(case, warmup=False, max_workers=1)
+    split = on_ranks(case, 8, 2)
+    halo_plan = build_simulation(split).halo_plan
+    assert all(runner.cut_blocks(halo_plan, r, True) for r in range(2))
+    sent = []
+    sweep = runner.Arena.sweep
+
+    def spy(self, s, *args, **kwargs):
+        sent.append(s)
+        return sweep(self, s, *args, **kwargs)
+
+    monkeypatch.setattr(runner.Arena, "sweep", spy)
+    out = run_case(split, warmup=False, max_workers=1)
+    assert out.iterations == 1
+    assert [b.shape for b in out.plan.blocks] == [(8, 8, 8)] * 8
+    assert {(s.lo, s.hi) for s in sent} == {(0, 8)}
+    assert len(sent) == 3 * 8 * 3 < 144
+    assert np.array_equal(assemble_zone(out.fields, out.plan),
+                          assemble_zone(one.fields, one.plan))
+
+
 # ---------------------------------------------------------------------------
 # Worker processes.  A pool of more than one worker sweeps in processes
 # forked by run_case (RankWorker.start); a sweep patched before the fork

@@ -1,6 +1,7 @@
 """Block residuals: splitting, wave-frame projection, directional sweeps."""
 
 import hashlib
+import itertools
 import sys
 import threading
 
@@ -855,3 +856,35 @@ def test_viscous_bits_are_frozen(key):
         d = viscous_derivative(pack, VISCOUS_GAS, axis, spacing[axis])
         digest.update(d.tobytes())
     assert digest.hexdigest() == VISCOUS_DIGESTS[key]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 12])
+def test_periodic_viscous_terms_reproduce_the_plain_path(n):
+    """On every subset of axes whose ghosts wrap the interior, with n nodes
+    on those axes, the periodic pack holds the plain pack's gradients on
+    the interior of the wrapped axes, and the viscous derivatives, which
+    repeat n fluxes per periodic line, write the plain path's bytes; lines
+    shorter than four nodes wrap more than once."""
+    for k, wrap in enumerate(itertools.product((False, True), repeat=3)):
+        if not any(wrap) and n > 1:
+            continue
+        shape = tuple(n if on else m for on, m in zip(wrap, (6, 5, 3)))
+        w_ext = viscous_block(shape, 100 * n + k, wrap)
+        spacing = tuple(1.0 / m for m in shape)
+        plain = velocity_temperature_gradients(w_ext, spacing)
+        pack = velocity_temperature_gradients(w_ext, spacing, wrap)
+        assert pack.periodic == wrap
+        crop = tuple(slice(2, -2) if on else slice(None) for on in wrap)
+        for got, want in [(pack.vel, plain.vel[(slice(None),) + crop]),
+                          (pack.grad_vel,
+                           plain.grad_vel[(slice(None),) * 2 + crop]),
+                          (pack.grad_temp,
+                           plain.grad_temp[(slice(None),) + crop])]:
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        for axis in range(3):
+            want = viscous_derivative(plain, VISCOUS_GAS, axis, spacing[axis])
+            out = np.zeros_like(want)
+            got = viscous_derivative(pack, VISCOUS_GAS, axis, spacing[axis],
+                                     out=out)
+            assert got is out
+            assert got.tobytes() == want.tobytes(), (wrap, axis)

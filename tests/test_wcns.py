@@ -312,6 +312,32 @@ def test_central4_fourth_order_on_sine():
     assert 16.0 * 0.85 <= ratio <= 16.0 * 1.15
 
 
+@pytest.mark.parametrize("node_axis", [1, -2])
+def test_node_major_central4_is_the_last_axis_form(node_axis):
+    """Lines laid out node-major, (field, node, line), give the bytes of
+    the same lines laid out nodes last, into ``out`` or not, and both are
+    the bytes of ((f0 - f4) + 8 (f3 - f1)) / (12 h)."""
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal((4, 6, 5, 11))
+    h = 0.3
+    want = central4_derivative(f, h)
+    n = 7
+    formula = ((f[..., 0:n] - f[..., 4:4 + n])
+               + 8.0 * (f[..., 3:3 + n] - f[..., 1:1 + n])) / (12.0 * h)
+    assert want.tobytes() == formula.tobytes()
+    major = np.ascontiguousarray(np.moveaxis(f, -1, 1)).reshape(4, 11, 30)
+    got = central4_derivative(major, h, node_axis=node_axis)
+    assert got.shape == (4, n, 30)
+    out = np.empty_like(got)
+    assert central4_derivative(major, h, node_axis=node_axis,
+                               out=out) is out
+    for d in (got, out):
+        back = np.moveaxis(d.reshape(4, n, 6, 5), 1, -1)
+        assert back.tobytes() == want.tobytes()
+
+
 def test_central4_short_line_raises():
     with pytest.raises(StencilError):
         central4_derivative(np.zeros(4), 1.0)
+    with pytest.raises(StencilError, match="line of 4 nodes"):
+        central4_derivative(np.zeros((3, 4, 9)), 1.0, node_axis=1)
