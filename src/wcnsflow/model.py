@@ -1,4 +1,5 @@
-"""Modeled schedules, and modeled runs of whole cases.
+"""The sweep list that runs execute and the model prices, modeled
+schedules, and modeled runs of whole cases.
 
 The model predicts; it never stands in for a measurement.  ``model_run`` is
 the one source of modeled numbers: ``wcnsflow run --model-only`` and every
@@ -10,16 +11,67 @@ reports only the wall time it measured.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cases import Case, case_plan
 from .devices import MEMCPY_BANDWIDTH, device_label
 from .halo import build_halo_plan
 from .metrics import RunMetrics, from_timeline
-from .partition import Block, PartitionPlan
+from .partition import Block, PartitionPlan, ZoneSpec
 from .residual import interior_split
 from .schedule import ModelClock, Timeline
 from .state import NCOMP
 from .timestepping import STAGES
+
+
+# ---------------------------------------------------------------------------
+# Sweep list: the convective sweeps that a rank runs and the model prices
+
+class SweepRange(NamedTuple):
+    """One node range ``lo:hi`` of a block's convective sweep along
+    ``axis``: ``handoff`` on the three ranges of a cut line, ``periodic``
+    on a whole axis whose lines are periodic (``periodic_axes``), and
+    ``interior`` on a halo-free range, sent from the overlap hook."""
+
+    block: int
+    axis: int
+    lo: int
+    hi: int
+    handoff: bool
+    periodic: bool
+    interior: bool
+
+
+def periodic_axes(zone: ZoneSpec, b: Block) -> tuple[bool, bool, bool]:
+    """Per axis, whether the zone is periodic on it and block ``b`` spans
+    it whole: self-wrap then fills the block's ghosts along the axis with
+    copies of its own interior, so its lines there are periodic."""
+    return tuple(zone.periodic(a) and b.shape[a] == zone.shape[a]
+                 for a in range(3))
+
+
+def sweep_list(plan: PartitionPlan, halo_plan, rank: int,
+               overlap: bool) -> list[SweepRange]:
+    """The sweeps of each stage on ``rank``: interior ranges first, then
+    the rest, block by block.  A cut line computes each edge value once but
+    takes two more sweep calls, so a block is cut only where its interior
+    sweeps can hide another rank's messages (overlap is on and another rank
+    feeds it), along each axis with a halo-free range (``interior_split``);
+    every other axis is swept whole after the exchange."""
+    fed = {p.dst_block for p in halo_plan.recvs_of(rank)} if overlap else ()
+    interior, rest = [], []
+    for b in plan.blocks_of_rank(rank):
+        periodic = periodic_axes(plan.zone, b)
+        for axis, n in enumerate(b.shape):
+            lo, hi = interior_split(n)
+            cut = b.id in fed and lo < hi
+            if cut:
+                interior.append(SweepRange(b.id, axis, lo, hi, True, False,
+                                           True))
+            rest += [SweepRange(b.id, axis, r0, r1, cut,
+                                periodic[axis] and not cut, False)
+                     for r0, r1 in ([(0, lo), (hi, n)] if cut else [(0, n)])]
+    return interior + rest
 
 
 # ---------------------------------------------------------------------------
@@ -28,10 +80,9 @@ from .timestepping import STAGES
 # A static walk over (plan, device models): per stage, ranks synchronize at
 # the reduction, post pair messages, run interior kernels while traffic and
 # coprocessor ghost uploads are in flight, then finish boundary work.
-# Interior kernels cover only the blocks the runner cuts (``cut_blocks``);
-# every other block books all its compute after its ghosts arrive.  A cut
-# computes each edge value once (the interior sweep hands its end edges to
-# the boundary sweeps), so it adds only per-call overhead, which is not
+# Interior kernels cover the interior ranges of the sweep list; the rest of
+# a group's compute is booked after its ghosts arrive.  A cut line computes
+# each edge value once, so a cut adds only per-call overhead, which is not
 # costed.
 # Each rank drives messaging from a dedicated host core ("rank{r}/host"),
 # so packing and draining never serialize with its compute kernels.
@@ -45,17 +96,6 @@ from .timestepping import STAGES
 #                         drain(rank) [cpu]
 #   reduce(step+1) needs: every group's boundary kernel, NOT the downloads.
 
-def cut_blocks(halo_plan, rank: int, overlap: bool) -> frozenset[int]:
-    """Blocks of ``rank`` whose sweeps are cut into a halo-free interior
-    range and two boundary ranges.  The three sweeps of a cut line still
-    compute each edge value once, but a cut adds two sweep calls per axis,
-    so a block is cut only where its interior sweeps can hide another
-    rank's message: overlap is on and another rank feeds it."""
-    if not overlap:
-        return frozenset()
-    return frozenset(p.dst_block for p in halo_plan.recvs_of(rank))
-
-
 @dataclass
 class _GroupModel:
     label: str
@@ -66,19 +106,6 @@ class _GroupModel:
     inbound_bytes: int
     outbound_bytes: int
     download_done: float = 0.0
-
-
-def _interior_work(block: Block) -> float:
-    """Halo-independent work of a cut block in cell-update units.
-
-    Each of the three flux sweeps runs on its sweep-axis interior range
-    while ghosts are in flight, so the overlappable share is the average of
-    the per-axis interior fractions, not the 3D core."""
-    work = 0.0
-    for axis in range(3):
-        a, b = interior_split(block.shape[axis])
-        work += max(b - a, 0) * (block.cells // block.shape[axis])
-    return work / 3.0
 
 
 def model_schedule(case: Case, plan: PartitionPlan | None = None, *,
@@ -98,18 +125,24 @@ def model_schedule(case: Case, plan: PartitionPlan | None = None, *,
     hosts: list[str] = []
     for r in range(ranks):
         gl = []
-        cut = cut_blocks(halo_plan, r, overlap)
+        # Cells per block that its interior ranges cover on the three axes;
+        # one sweep is a third of a cell update.
+        interior: dict[int, int] = {}
+        for e in sweep_list(plan, halo_plan, r, overlap):
+            if e.interior:
+                b = plan.blocks[e.block]
+                interior[e.block] = interior.get(e.block, 0) + (
+                    (e.hi - e.lo) * (b.cells // b.shape[e.axis]))
         for g in plan.groups_of_rank(r):
             model = case.cpu if g.device_class == "cpu" else case.coprocessor
-            blocks = [plan.blocks[bid] for bid in g.block_ids]
             gm = _GroupModel(
                 label=device_label(r, g),
                 link_label=(device_label(r, g) + ".link"
                             if g.device_class == "coprocessor" else None),
                 model=model,
-                cells=sum(b.cells for b in blocks),
-                interior_work=sum(_interior_work(b) for b in blocks
-                                  if b.id in cut),
+                cells=sum(plan.blocks[bid].cells for bid in g.block_ids),
+                interior_work=sum(interior[bid] / 3.0
+                                  for bid in g.block_ids if bid in interior),
                 inbound_bytes=0, outbound_bytes=0)
             gl.append(gm)
             for bid in g.block_ids:

@@ -79,7 +79,7 @@ class Block:
     lo: tuple[int, int, int]
     hi: tuple[int, int, int]
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, int, int]:
         return tuple(h - l for l, h in zip(self.lo, self.hi))
 

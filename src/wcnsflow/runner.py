@@ -2,21 +2,16 @@
 socket runs.
 
 Every rank advances its blocks through the same stage pipeline (reduce
-wavespeeds, exchange ghosts, sweep, update).  A block's sweeps are cut
-along their axis into a halo-free interior range and two boundary ranges
-only when overlap is on and another rank sends it ghosts (``cut_blocks``),
-and only along the axes where that interior range is not empty (more than
-``2 * HALO_WIDTH`` nodes): the interior sweeps are submitted while those
-messages are in flight, and the boundary sweeps, which read the edge values
-the interior sweeps hand them, follow them.  Every other sweep covers its
-axis whole after the exchange.  Each sweep range is further cut into one
-run of cross rows per pool worker, and the rank thread waits once per
-stage for all of them.
+wavespeeds, exchange ghosts, sweep, update).  Its convective sweeps are its
+sweep list (``model.sweep_list``), which the cost model prices: the
+interior ranges are sent while messages are in flight, the rest after the
+exchange, each cut once into one run of cross rows per pool worker
+(``row_runs``).  The rank thread waits once per stage for all of them.
 
-One rule says where a block's lines are periodic (``periodic_axes``): the
-zone is periodic on the axis and the block spans the zone's whole extent
-there.  Its ghosts along the axis are then self-wrap copies of its own
-interior.  A sweep of the whole axis then computes one period of edge
+One rule says where a block's lines are periodic (``model.periodic_axes``):
+the zone is periodic on the axis and the block spans the zone's whole
+extent there.  Its ghosts along the axis are then self-wrap copies of its
+own interior.  A sweep of the whole axis then computes one period of edge
 values per line, and the viscous terms form gradients and fluxes on one
 period along it.
 
@@ -77,14 +72,13 @@ from .halo import (
 )
 from .metrics import RunMetrics
 # The benchmark imports ``model_schedule`` from here, beside ``run_case``.
-from .model import cut_blocks, model_schedule  # noqa: F401
-from .partition import Block, PartitionPlan, ZoneSpec
+from .model import model_schedule, periodic_axes, sweep_list  # noqa: F401
+from .partition import Block, PartitionPlan
 from .residual import (
     GradientPack,
     ResidualParts,
     block_wavespeed_bound,
     convective_derivative,
-    interior_split,
     velocity_temperature_gradients,
     viscous_derivative,
 )
@@ -190,7 +184,8 @@ class RankResult:
 class Sweep(NamedTuple):
     """One convective sweep task, as it crosses the pipe to a worker
     process: block, ``w_ext`` slot, axis, wavespeed, node range ``lo:hi``,
-    cross-row range ``r0:r1`` and whether its lines are periodic."""
+    cross-row range ``r0:r1``, whether the range hands edge values across
+    a cut line (``handoff``) and whether its lines are periodic."""
 
     block: int
     slot: int
@@ -246,12 +241,14 @@ class Arena:
                               out=self.conv[s.block][s.axis])
 
 
-def periodic_axes(zone: ZoneSpec, b: Block) -> tuple[bool, bool, bool]:
-    """Per axis, whether the zone is periodic on it and block ``b`` spans
-    it whole: self-wrap then fills the block's ghosts along the axis with
-    copies of its own interior, so its lines there are periodic."""
-    return tuple(zone.periodic(a) and b.shape[a] == zone.shape[a]
-                 for a in range(3))
+def row_runs(b: Block, axis: int, workers: int) -> list[tuple[int, int, int]]:
+    """The runs ``(k, r0, r1)`` of cross rows that a sweep of block ``b``
+    along ``axis`` is cut into: equal runs ``r0:r1``, one for each pool
+    worker ``k`` that gets a row."""
+    nrows = b.shape[1 if axis == 0 else 0]
+    cuts = [nrows * k // workers for k in range(workers + 1)]
+    return [(k, r0, r1) for k, (r0, r1) in enumerate(zip(cuts, cuts[1:]))
+            if r1 > r0]
 
 
 def _shared_empty(shape: tuple) -> np.ndarray:
@@ -279,9 +276,22 @@ class RankWorker:
                                        freestream=sim.freestream,
                                        coalesce=coalesce)
         self.pool = rank_pool(rank, max_workers)
-        self.cut = cut_blocks(sim.halo_plan, rank, overlap)
         self.periodic = {b.id: periodic_axes(sim.plan.zone, b)
                          for b in self.blocks}
+        entries = sweep_list(sim.plan, sim.halo_plan, rank, overlap)
+        self.cut = {e.block for e in entries if e.interior}
+        # (Sweep, worker) pairs, sent from the hook and per block after it,
+        # on the ``w`` slots of the arena that ``start`` builds.
+        self.interior_sweeps: list[tuple[Sweep, int]] = []
+        self.sweeps = {bid: [] for bid in self.block_ids}
+        for e in entries:
+            slot = int(self.pool.workers > 1 and e.block in self.cut
+                       and not e.interior)
+            dest = self.interior_sweeps if e.interior else self.sweeps[e.block]
+            dest.extend((Sweep(e.block, slot, e.axis, 0.0, e.lo, e.hi, r0, r1,
+                               e.handoff, e.periodic), k)
+                        for k, r0, r1 in row_runs(sim.plan.blocks[e.block],
+                                                  e.axis, self.pool.workers))
         self.arena = Arena(self.blocks, self.cut, shared=False)
 
         self.fields: FieldSet = {}
@@ -408,35 +418,11 @@ class RankWorker:
         for fut in futures:
             fut.result()
 
-    def _sweep_tasks(self, b: Block, lams: np.ndarray, slot: int,
-                     interior: bool) -> list:
-        """Convective tasks of block ``b`` on ``w_ext`` slot ``slot``: per
-        axis, the halo-free node range when ``interior``, else the rest,
-        which is the whole axis for a block that is not cut and for an axis
-        whose halo-free range is empty.  Each range is split into one task
-        per pool worker over equal runs of cross rows; task ``k`` goes to
-        worker ``k``."""
-        workers = self.pool.workers
-        periodic = self.periodic[b.id]
-        tasks = []
-        for axis in range(3):
-            n = b.shape[axis]
-            a, c = interior_split(n)
-            handoff = b.id in self.cut and a < c
-            if not handoff:
-                a = c = 0
-            nrows = b.shape[1 if axis == 0 else 0]
-            for lo, hi in [(a, c)] if interior else [(0, a), (c, n)]:
-                if hi <= lo:
-                    continue
-                wraps = periodic[axis] and (lo, hi) == (0, n)
-                for k in range(workers):
-                    r0, r1 = nrows * k // workers, nrows * (k + 1) // workers
-                    if r1 > r0:
-                        sweep = Sweep(b.id, slot, axis, float(lams[axis]),
-                                      lo, hi, r0, r1, handoff, wraps)
-                        tasks.append((self._conv_chunk, (sweep, k)))
-        return tasks
+    def _sends(self, sweeps: list, lams: np.ndarray) -> list:
+        """The pool tasks of ``sweeps`` at the stage's wavespeeds ``lams``:
+        row run ``k`` of a range goes to worker ``k``."""
+        return [(self._conv_chunk, (s._replace(lam=float(lams[s.axis])), k))
+                for s, k in sweeps]
 
     def _conv_chunk(self, sweep: Sweep, k: int):
         """Sweep task ``k`` of its range: sent to worker process ``k`` of the
@@ -459,14 +445,12 @@ class RankWorker:
             # Interior windows read no ghost cells, so they run while
             # messages are in flight; only the primitive interiors are
             # needed for that.
-            cut = [b for b in self.blocks if b.id in self.cut]
             interior = (slice(None),) + (slice(H, -H),) * 3
-            for b in cut:
-                self.arena.w[b.id][0][interior] = w_int[b.id]
+            for bid in self.cut:
+                self.arena.w[bid][0][interior] = w_int[bid]
 
             def hook():
-                for b in cut:
-                    self._submit(self._sweep_tasks(b, lams, 0, True), futures)
+                self._submit(self._sends(self.interior_sweeps, lams), futures)
 
         try:
             self.totals.add(self.exchanger.run(self.rank, self.fields, epoch,
@@ -480,7 +464,7 @@ class RankWorker:
                 w_ext = primitive_from_conserved(
                     self.fields[b.id].data, self.sim.gas, block_id=b.id,
                     out=self.arena.w[b.id][slot])
-                tasks = self._sweep_tasks(b, lams, slot, False)
+                tasks = self._sends(self.sweeps[b.id], lams)
                 if self.sim.gas.viscous:
                     grads = velocity_temperature_gradients(
                         w_ext, self.spacing, self.periodic[b.id])

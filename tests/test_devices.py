@@ -25,7 +25,8 @@ from wcnsflow.cases import case_plan, corner_case, sod_case, wave_case, \
 from wcnsflow.errors import CaseFormatError, InvalidStateError
 from wcnsflow.halo import build_halo_plan
 from wcnsflow.partition import Group, NodeTopology
-from wcnsflow.model import _interior_work, cut_blocks, model_schedule
+from wcnsflow.model import model_schedule, sweep_list
+from wcnsflow.runner import row_runs
 from wcnsflow.schedule import Interval, ModelClock, Timeline, timeline_report
 from wcnsflow.timestepping import STAGES
 
@@ -279,13 +280,15 @@ def test_wait_until_never_moves_backwards():
 
 
 def test_model_overlaps_interior_compute_only_on_cut_blocks():
-    """``model_schedule`` books interior compute where the runner cuts a
-    block (overlap on, fed by another rank); every other block books all of
-    its compute after its ghosts arrive."""
+    """``model_schedule`` books as interior compute the interior entries of
+    the sweep list, which only blocks fed by another rank have, and only
+    with overlap on; every other cell update is booked after the ghosts
+    arrive."""
     def model(ranks, overlap=True):
         case = with_ranks(sod_case(48, 8, t_end=0.02, blocks=4), ranks)
         plan = case_plan(case)
-        return plan, model_schedule(case, plan, steps=1, overlap=overlap)
+        return (plan, build_halo_plan(plan),
+                model_schedule(case, plan, steps=1, overlap=overlap))
 
     def compute(tl, note, rank):
         return sum(iv.duration for iv in tl.intervals
@@ -294,20 +297,26 @@ def test_model_overlaps_interior_compute_only_on_cut_blocks():
 
     thr = DEFAULT_CPU.relative_throughput
     for ranks, overlap in [(1, True), (2, False)]:
-        plan, tl = model(ranks, overlap)
+        plan, halo_plan, tl = model(ranks, overlap)
         for r in range(ranks):
             cells = sum(b.cells for b in plan.blocks_of_rank(r))
+            assert not any(e.interior
+                           for e in sweep_list(plan, halo_plan, r, overlap))
             assert compute(tl, "interior", r) == 0.0
             assert compute(tl, "boundary", r) == pytest.approx(
                 STAGES * cells / thr, rel=1e-12)
 
-    plan, tl = model(2)
-    halo_plan = build_halo_plan(plan)
+    plan, halo_plan, tl = model(2)
     for r in range(2):
-        cut = cut_blocks(halo_plan, r, True)
+        interior = [e for e in sweep_list(plan, halo_plan, r, True)
+                    if e.interior]
         # Of each rank's two blocks only the one beside the other rank.
+        cut = {e.block for e in interior}
+        assert cut == {p.dst_block for p in halo_plan.recvs_of(r)}
         assert len(cut) == 1 and len(plan.blocks_of_rank(r)) == 2
-        work = sum(_interior_work(plan.blocks[bid]) for bid in cut)
+        work = sum((e.hi - e.lo) * plan.blocks[e.block].cells
+                   // plan.blocks[e.block].shape[e.axis]
+                   for e in interior) / 3.0
         cells = sum(b.cells for b in plan.blocks_of_rank(r))
         assert work > 0.0
         assert compute(tl, "interior", r) == pytest.approx(
@@ -344,3 +353,18 @@ def test_model_makespans_frozen(name):
     for on, want in ((True, tuned), (False, naive)):
         tl = model_schedule(case, steps=1, overlap=on, coalesce=on)
         assert (tl.makespan, tl.hidden_comm_fraction) == want
+
+
+@pytest.mark.parametrize("name, workers, calls", [
+    ("wave48-1b", 2, 18), ("wave48-8b2r", 1, 216), ("sod200-re1e6", 1, 9)])
+def test_sweep_calls_per_step_follow_from_the_sweep_list(name, workers,
+                                                         calls):
+    """A step sends every entry of each rank's sweep list once per stage,
+    cut into its row runs: on the benchmark's layouts, with their worker
+    counts, the convective calls that a traced run counts."""
+    plan = case_plan(FROZEN_MODEL[name][0])
+    halo_plan = build_halo_plan(plan)
+    runs = sum(len(row_runs(plan.blocks[e.block], e.axis, workers))
+               for r in range(plan.ranks)
+               for e in sweep_list(plan, halo_plan, r, True))
+    assert STAGES * runs == calls

@@ -25,11 +25,12 @@ from wcnsflow.errors import DivergenceError, InvalidStateError, \
     TransportError, WcnsflowError
 from wcnsflow.fields import assemble_zone
 from wcnsflow.halo import HaloExchanger
-from wcnsflow.model import model_run
+from wcnsflow.model import model_run, model_schedule
 from wcnsflow.partition import plan_from_text, plan_to_text, split_zone
 from wcnsflow.runner import ExchangeTotals, RankWorker, build_simulation, \
     run_case, run_socket_rank
 from wcnsflow.state import GasModel
+from wcnsflow.timestepping import STAGES
 from wcnsflow.transport import free_port
 from wcnsflow.wcns import HALO_WIDTH
 
@@ -335,16 +336,20 @@ def test_viscous_terms_are_periodic_where_the_block_spans_a_periodic_axis(
 
 
 def test_cut_blocks_sweep_an_axis_without_an_interior_whole(monkeypatch):
-    """A cut block sweeps an axis whose halo-free range is empty (6 to 10
-    nodes) as one range [0, n), not as [0, 5) and [5, n): wave 16^3 in 8
-    blocks of 8^3 on 2 ranks makes one call per block, axis and stage, not
-    the 144 of two ranges, and its zone keeps the single-block bits."""
+    """A block fed by another rank sweeps an axis whose halo-free range is
+    empty (6 to 10 nodes) as one range [0, n), not as [0, 5) and [5, n):
+    wave 16^3 in 8 blocks of 8^3 on 2 ranks makes one call per block, axis
+    and stage, not the 144 of two ranges, and its zone keeps the
+    single-block bits."""
     case = wave_case(16, t_end=0.004, fixed_dt=1e-3)
     case = replace(case, controls=replace(case.controls, max_iters=1))
     one = run_case(case, warmup=False, max_workers=1)
     split = on_ranks(case, 8, 2)
-    halo_plan = build_simulation(split).halo_plan
-    assert all(runner.cut_blocks(halo_plan, r, True) for r in range(2))
+    sim = build_simulation(split)
+    for r in range(2):
+        assert sim.halo_plan.recvs_of(r)
+        assert not any(e.interior for e in runner.sweep_list(
+            sim.plan, sim.halo_plan, r, True))
     sent = []
     sweep = runner.Arena.sweep
 
@@ -360,6 +365,101 @@ def test_cut_blocks_sweep_an_axis_without_an_interior_whole(monkeypatch):
     assert len(sent) == 3 * 8 * 3 < 144
     assert np.array_equal(assemble_zone(out.fields, out.plan),
                           assemble_zone(one.fields, one.plan))
+
+
+def test_block_without_a_halo_free_range_is_not_cut(monkeypatch):
+    """A block fed by another rank but with no halo-free range on any axis
+    has no interior entry in the sweep list, so it is not cut: the shared
+    arena holds one ``w`` slot for it and the exchange gets no overlap
+    hook."""
+    case = wave_case(16, t_end=0.004, fixed_dt=1e-3)
+    case = replace(case, controls=replace(case.controls, max_iters=1))
+    one = run_case(case, warmup=False, max_workers=1)
+    workers, hooks = [], []
+    start, run = RankWorker.start, HaloExchanger.run
+
+    def spy_start(self):
+        start(self)
+        workers.append(self)
+
+    def spy_run(self, *args, overlap_hook=None, **kwargs):
+        hooks.append(overlap_hook)
+        return run(self, *args, overlap_hook=overlap_hook, **kwargs)
+
+    monkeypatch.setattr(RankWorker, "start", spy_start)
+    monkeypatch.setattr(HaloExchanger, "run", spy_run)
+    out = run_case(on_ranks(case, 8, 2), warmup=False, max_workers=2)
+    assert [b.shape for b in out.plan.blocks] == [(8, 8, 8)] * 8
+    assert len(workers) == 2
+    for worker in workers:
+        assert worker.cut == set() and worker.arena.shared
+        assert [len(worker.arena.w[bid]) for bid in worker.block_ids] == \
+            [1] * 4
+    assert hooks == [None] * (2 * 3)
+    assert np.array_equal(assemble_zone(out.fields, out.plan),
+                          assemble_zone(one.fields, one.plan))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: with_ranks(sod_case(48, 8, blocks=4), 2),
+    lambda: on_ranks(wave_case(24, t_end=0.004, fixed_dt=1e-3), 8, 2),
+], ids=["sod48-4b2r", "wave24-8b2r"])
+def test_runner_sends_the_sweep_list_that_the_model_prices(monkeypatch,
+                                                           make):
+    """Every stage, each rank sends exactly its sweep list's entries cut
+    into row runs, the interior ones from the overlap hook; the model's
+    interior compute is the work of the sweeps sent from the hook."""
+    case = make()
+    case = replace(case, controls=replace(case.controls, max_iters=1))
+    sim = build_simulation(case)
+    assert {g.device_class for g in sim.plan.groups} == {"cpu"}
+    sent = []
+    state = threading.local()
+    sweep, run = runner.Arena.sweep, HaloExchanger.run
+
+    def spy_sweep(self, s, *args, **kwargs):
+        sent.append((threading.current_thread().name,
+                     getattr(state, "in_hook", False), s))
+        return sweep(self, s, *args, **kwargs)
+
+    def spy_run(self, *args, overlap_hook=None, **kwargs):
+        def hook():
+            state.in_hook = True
+            try:
+                overlap_hook()
+            finally:
+                state.in_hook = False
+        return run(self, *args, overlap_hook=overlap_hook and hook, **kwargs)
+
+    monkeypatch.setattr(runner.Arena, "sweep", spy_sweep)
+    monkeypatch.setattr(HaloExchanger, "run", spy_run)
+    out = run_case(case, warmup=False, max_workers=1)
+    assert out.iterations == 1
+    tl = model_schedule(case, sim.plan, steps=1)
+    thr = case.cpu.relative_throughput
+    for r in range(2):
+        entries = runner.sweep_list(sim.plan, sim.halo_plan, r, True)
+        want = [(runner.Sweep(e.block, 0, e.axis, 0.0, e.lo, e.hi, r0, r1,
+                              e.handoff, e.periodic), e.interior)
+                for e in entries
+                for _, r0, r1 in runner.row_runs(sim.plan.blocks[e.block],
+                                                 e.axis, 1)]
+        mine = [(s, in_hook) for name, in_hook, s in sent
+                if name == f"rank{r}"]
+        assert [(s._replace(lam=0.0), in_hook)
+                for s, in_hook in mine] == want * STAGES
+        cells = 0
+        for s, in_hook in mine[:len(want)]:
+            if in_hook:
+                shape = sim.plan.blocks[s.block].shape
+                across = 3 - s.axis - (1 if s.axis == 0 else 0)
+                cells += (s.hi - s.lo) * (s.r1 - s.r0) * shape[across]
+        assert cells > 0
+        modeled = sum(iv.duration for iv in tl.intervals
+                      if iv.phase == "compute" and iv.note == "interior"
+                      and iv.device.startswith(f"rank{r}/"))
+        assert modeled == pytest.approx(STAGES * (cells / 3) / thr,
+                                        rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
