@@ -28,7 +28,7 @@ from .devices import (
     LinkModel,
     NetworkModel,
 )
-from .fields import FieldSet, allocate_fields, center_mesh
+from .fields import BlockField, FieldSet, center_mesh
 from .partition import (
     Block,
     NodeTopology,
@@ -157,13 +157,14 @@ def _primitive_field(case: Case, block: Block, t: float) -> np.ndarray:
 
 def initial_fields(case: Case, plan: PartitionPlan,
                    block_ids: set[int] | None = None) -> FieldSet:
-    """Conserved block fields at time 0."""
-    fields = allocate_fields(plan)
-    if block_ids is not None:
-        fields = {bid: f for bid, f in fields.items() if bid in block_ids}
-    for bid, f in fields.items():
-        w = _primitive_field(case, f.block, 0.0)
-        f.interior[...] = conserved_from_primitive(w, case.gas)
+    """Conserved block fields at time 0, of the blocks ``block_ids`` (every
+    block of the plan when it is None)."""
+    fields: FieldSet = {}
+    for b in plan.blocks:
+        if block_ids is None or b.id in block_ids:
+            f = fields[b.id] = BlockField.allocate(b)
+            w = _primitive_field(case, b, 0.0)
+            f.interior[...] = conserved_from_primitive(w, case.gas)
     return fields
 
 

@@ -27,19 +27,24 @@ from .timestepping import STAGES
 # ---------------------------------------------------------------------------
 # Sweep list: the convective sweeps that a rank runs and the model prices
 
-class SweepRange(NamedTuple):
-    """One node range ``lo:hi`` of a block's convective sweep along
-    ``axis``: ``handoff`` on the three ranges of a cut line, ``periodic``
-    on a whole axis whose lines are periodic (``periodic_axes``), and
-    ``interior`` on a halo-free range, sent from the overlap hook."""
+class Sweep(NamedTuple):
+    """One convective sweep task: the node range ``lo:hi`` of block
+    ``block``'s sweep along ``axis``, over its cross rows ``r0:r1``, run by
+    pool worker ``worker``.  ``handoff`` on the three ranges of a cut line,
+    ``periodic`` on a whole axis whose lines are periodic
+    (``periodic_axes``); ``lam`` is the stage's wavespeed, set as the task
+    is sent."""
 
     block: int
     axis: int
     lo: int
     hi: int
+    r0: int
+    r1: int
+    worker: int
     handoff: bool
     periodic: bool
-    interior: bool
+    lam: float = 0.0
 
 
 def periodic_axes(zone: ZoneSpec, b: Block) -> tuple[bool, bool, bool]:
@@ -50,14 +55,27 @@ def periodic_axes(zone: ZoneSpec, b: Block) -> tuple[bool, bool, bool]:
                  for a in range(3))
 
 
-def sweep_list(plan: PartitionPlan, halo_plan, rank: int,
-               overlap: bool) -> list[SweepRange]:
-    """The sweeps of each stage on ``rank``: interior ranges first, then
-    the rest, block by block.  A cut line computes each edge value once but
-    takes two more sweep calls, so a block is cut only where its interior
-    sweeps can hide another rank's messages (overlap is on and another rank
-    feeds it), along each axis with a halo-free range (``interior_split``);
-    every other axis is swept whole after the exchange."""
+def row_runs(b: Block, axis: int, workers: int) -> list[tuple[int, int, int]]:
+    """The runs ``(k, r0, r1)`` of cross rows that a sweep of block ``b``
+    along ``axis`` is cut into: equal runs ``r0:r1``, one for each pool
+    worker ``k`` that gets a row."""
+    nrows = b.shape[1 if axis == 0 else 0]
+    cuts = [nrows * k // workers for k in range(workers + 1)]
+    return [(k, r0, r1) for k, (r0, r1) in enumerate(zip(cuts, cuts[1:]))
+            if r1 > r0]
+
+
+def sweep_list(plan: PartitionPlan, halo_plan, rank: int, overlap: bool,
+               workers: int = 1) -> tuple[list[Sweep], list[Sweep]]:
+    """The sweeps of each stage on ``rank`` as ``(interior, rest)``, block
+    by block, each node range cut into its row runs for a pool of
+    ``workers``: the interior ranges are sent while messages are in flight,
+    the rest after the exchange.  A cut line computes each edge value once
+    but takes two more sweep calls, so a block is cut only where its
+    interior sweeps can hide another rank's messages (overlap is on and
+    another rank feeds it), along each axis with a halo-free range
+    (``interior_split``); every other axis is swept whole after the
+    exchange."""
     fed = {p.dst_block for p in halo_plan.recvs_of(rank)} if overlap else ()
     interior, rest = [], []
     for b in plan.blocks_of_rank(rank):
@@ -65,13 +83,15 @@ def sweep_list(plan: PartitionPlan, halo_plan, rank: int,
         for axis, n in enumerate(b.shape):
             lo, hi = interior_split(n)
             cut = b.id in fed and lo < hi
+            runs = row_runs(b, axis, workers)
             if cut:
-                interior.append(SweepRange(b.id, axis, lo, hi, True, False,
-                                           True))
-            rest += [SweepRange(b.id, axis, r0, r1, cut,
-                                periodic[axis] and not cut, False)
-                     for r0, r1 in ([(0, lo), (hi, n)] if cut else [(0, n)])]
-    return interior + rest
+                interior += [Sweep(b.id, axis, lo, hi, r0, r1, k, True, False)
+                             for k, r0, r1 in runs]
+            rest += [Sweep(b.id, axis, s0, s1, r0, r1, k, cut,
+                           periodic[axis] and not cut)
+                     for s0, s1 in ([(0, lo), (hi, n)] if cut else [(0, n)])
+                     for k, r0, r1 in runs]
+    return interior, rest
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +148,10 @@ def model_schedule(case: Case, plan: PartitionPlan | None = None, *,
         # Cells per block that its interior ranges cover on the three axes;
         # one sweep is a third of a cell update.
         interior: dict[int, int] = {}
-        for e in sweep_list(plan, halo_plan, r, overlap):
-            if e.interior:
-                b = plan.blocks[e.block]
-                interior[e.block] = interior.get(e.block, 0) + (
-                    (e.hi - e.lo) * (b.cells // b.shape[e.axis]))
+        for s in sweep_list(plan, halo_plan, r, overlap)[0]:
+            b = plan.blocks[s.block]
+            interior[s.block] = interior.get(s.block, 0) + (
+                (s.hi - s.lo) * (b.cells // b.shape[s.axis]))
         for g in plan.groups_of_rank(r):
             model = case.cpu if g.device_class == "cpu" else case.coprocessor
             gm = _GroupModel(

@@ -3,10 +3,10 @@ socket runs.
 
 Every rank advances its blocks through the same stage pipeline (reduce
 wavespeeds, exchange ghosts, sweep, update).  Its convective sweeps are its
-sweep list (``model.sweep_list``), which the cost model prices: the
-interior ranges are sent while messages are in flight, the rest after the
-exchange, each cut once into one run of cross rows per pool worker
-(``row_runs``).  The rank thread waits once per stage for all of them.
+sweep list (``model.sweep_list``), which the cost model prices: sweep
+tasks already cut into one run of cross rows per pool worker, the interior
+ones sent while messages are in flight, the rest after the exchange.  The
+rank thread waits once per stage for all of them.
 
 One rule says where a block's lines are periodic (``model.periodic_axes``):
 the zone is periodic on the axis and the block spans the zone's whole
@@ -22,10 +22,11 @@ processes, forked before any rank thread starts (``RankWorker.start``), and
 the runs of one ``run_case`` share them.  They inherit the rank's
 ``Arena``, an anonymous shared mapping that holds every block's extended
 state, primitives and convective outputs, so a sweep crosses their pipes
-only as a ``Sweep`` description.  Worker ``k`` sweeps row run ``k`` of
+only as its ``model.Sweep`` record.  Worker ``k`` sweeps row run ``k`` of
 every range in the order sent, so a boundary sweep always follows the
 interior sweep whose edges it reads.  Viscous terms, conversions and
-updates stay on the rank thread.
+updates stay on the rank thread, which converts a cut block's extended box
+only once its interior sweeps have finished reading the primitives.
 
 Ranks coordinate only through transport messages, all received from one
 kind of mailbox (``InProcessTransport``, which rank threads share and each
@@ -46,13 +47,11 @@ Modeled numbers come only from ``model.model_run``.
 
 from __future__ import annotations
 
-import functools
 import math
 import mmap
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +71,7 @@ from .halo import (
 )
 from .metrics import RunMetrics
 # The benchmark imports ``model_schedule`` from here, beside ``run_case``.
-from .model import model_schedule, periodic_axes, sweep_list  # noqa: F401
+from .model import Sweep, model_schedule, periodic_axes, sweep_list  # noqa: F401
 from .partition import Block, PartitionPlan
 from .residual import (
     GradientPack,
@@ -181,46 +180,27 @@ class RankResult:
     error: Exception | None = None
 
 
-class Sweep(NamedTuple):
-    """One convective sweep task, as it crosses the pipe to a worker
-    process: block, ``w_ext`` slot, axis, wavespeed, node range ``lo:hi``,
-    cross-row range ``r0:r1``, whether the range hands edge values across
-    a cut line (``handoff``) and whether its lines are periodic."""
-
-    block: int
-    slot: int
-    axis: int
-    lam: float
-    lo: int
-    hi: int
-    r0: int
-    r1: int
-    handoff: bool
-    periodic: bool = False
-
-
 class Arena:
     """The arrays a rank's sweeps read and write, per block: ``q`` (the
-    extended conserved state, ``BlockField.data``), the ``w`` slots of
-    extended primitives, and the three ``conv`` outputs.
+    extended conserved state, ``BlockField.data``), ``w`` (the extended
+    primitives) and the three ``conv`` outputs; and the gas and grid
+    spacing that a sweep needs besides its ``Sweep`` record.
 
     A shared arena keeps its arrays in anonymous shared mappings, which
-    worker processes forked after it was built sweep in.  There a cut block
-    has two ``w`` slots, so its interior sweeps read slot 0 while the rank
-    converts the extended box into slot 1.  A private arena is ordinary
-    memory, its ``q`` entries are the fields' own arrays, and its sweeps run
-    on the rank thread one after another, so one slot serves."""
+    worker processes forked after it was built sweep in.  A private arena
+    is ordinary memory, its ``q`` entries are the fields' own arrays, and
+    its sweeps run on the rank thread one after another."""
 
-    def __init__(self, blocks: list[Block], cut: set[int], *, shared: bool):
+    def __init__(self, blocks: list[Block], gas, spacing, *, shared: bool):
+        self.gas = gas
+        self.spacing = spacing
         self.shared = shared
         empty = _shared_empty if shared else np.empty
         ext = {b.id: (NCOMP,) + tuple(n + 2 * H for n in b.shape)
                for b in blocks}
         self.q: dict[int, np.ndarray] = {
             b.id: empty(ext[b.id]) for b in blocks} if shared else {}
-        self.w = {b.id: [empty(ext[b.id])
-                         for _ in range(2 if shared and b.id in cut else 1)]
-                  for b in blocks}
+        self.w = {b.id: empty(ext[b.id]) for b in blocks}
         self.conv = {b.id: [empty((NCOMP,) + b.shape) for _ in range(3)]
                      for b in blocks}
 
@@ -233,22 +213,12 @@ class Arena:
         q[...] = f.data
         return BlockField(f.block, q)
 
-    def sweep(self, s: Sweep, gas, spacing) -> None:
-        convective_derivative(self.q[s.block], self.w[s.block][s.slot],
-                              s.axis, s.lam, spacing[s.axis], gas=gas,
+    def sweep(self, s: Sweep) -> None:
+        convective_derivative(self.q[s.block], self.w[s.block], s.axis,
+                              s.lam, self.spacing[s.axis], gas=self.gas,
                               lo=s.lo, hi=s.hi, row_lo=s.r0, row_hi=s.r1,
                               handoff=s.handoff, periodic=s.periodic,
                               out=self.conv[s.block][s.axis])
-
-
-def row_runs(b: Block, axis: int, workers: int) -> list[tuple[int, int, int]]:
-    """The runs ``(k, r0, r1)`` of cross rows that a sweep of block ``b``
-    along ``axis`` is cut into: equal runs ``r0:r1``, one for each pool
-    worker ``k`` that gets a row."""
-    nrows = b.shape[1 if axis == 0 else 0]
-    cuts = [nrows * k // workers for k in range(workers + 1)]
-    return [(k, r0, r1) for k, (r0, r1) in enumerate(zip(cuts, cuts[1:]))
-            if r1 > r0]
 
 
 def _shared_empty(shape: tuple) -> np.ndarray:
@@ -276,23 +246,23 @@ class RankWorker:
                                        freestream=sim.freestream,
                                        coalesce=coalesce)
         self.pool = rank_pool(rank, max_workers)
+        self.spacing = sim.plan.zone.spacing
         self.periodic = {b.id: periodic_axes(sim.plan.zone, b)
                          for b in self.blocks}
-        entries = sweep_list(sim.plan, sim.halo_plan, rank, overlap)
-        self.cut = {e.block for e in entries if e.interior}
-        # (Sweep, worker) pairs, sent from the hook and per block after it,
-        # on the ``w`` slots of the arena that ``start`` builds.
-        self.interior_sweeps: list[tuple[Sweep, int]] = []
-        self.sweeps = {bid: [] for bid in self.block_ids}
-        for e in entries:
-            slot = int(self.pool.workers > 1 and e.block in self.cut
-                       and not e.interior)
-            dest = self.interior_sweeps if e.interior else self.sweeps[e.block]
-            dest.extend((Sweep(e.block, slot, e.axis, 0.0, e.lo, e.hi, r0, r1,
-                               e.handoff, e.periodic), k)
-                        for k, r0, r1 in row_runs(sim.plan.blocks[e.block],
-                                                  e.axis, self.pool.workers))
-        self.arena = Arena(self.blocks, self.cut, shared=False)
+        # Interior sweeps are sent from the hook, the rest per block after it.
+        self.interior_sweeps, rest = sweep_list(
+            sim.plan, sim.halo_plan, rank, overlap, self.pool.workers)
+        self.sweeps = {bid: [s for s in rest if s.block == bid]
+                       for bid in self.block_ids}
+        self.cut = {s.block for s in self.interior_sweeps}
+        self.arena = Arena(self.blocks, sim.gas, self.spacing, shared=False)
+        # A zone with an inflow face bounds each axis's wavespeed below by
+        # the freestream's.
+        fs_w = np.asarray(self.case.freestream,
+                          dtype=np.float64).reshape(5, 1, 1, 1)
+        self.freestream_lams = [
+            float(spectral_radius(fs_w, axis, sim.gas)[0, 0, 0])
+            for axis in range(3)] if sim.inflow else []
 
         self.fields: FieldSet = {}
         self.q0: dict[int, np.ndarray] = {}
@@ -300,7 +270,6 @@ class RankWorker:
         self.residual: dict[int, np.ndarray] = {}
         self.totals = ExchangeTotals()
         self.epoch = 0
-        self.spacing = sim.plan.zone.spacing
 
     # -- setup -------------------------------------------------------------
 
@@ -310,9 +279,9 @@ class RankWorker:
         the first run and before any thread of the run starts."""
         if self.pool.workers == 1:
             return
-        self.arena = Arena(self.blocks, self.cut, shared=True)
-        self.pool.start(functools.partial(self.arena.sweep, gas=self.sim.gas,
-                                          spacing=self.spacing))
+        self.arena = Arena(self.blocks, self.sim.gas, self.spacing,
+                           shared=True)
+        self.pool.start(self.arena.sweep)
 
     def init_state(self) -> None:
         # Let go of the last run's state first; its result keeps its fields.
@@ -357,21 +326,14 @@ class RankWorker:
     def _make_finalize(self, controls: IterationControls, sim_time: float,
                        stage: int, initial_normsq: list):
         """Build the rank-0 combiner for one stage's reduction."""
-        sim = self.sim
-        fs_w = np.asarray(self.case.freestream,
-                          dtype=np.float64).reshape(5, 1, 1, 1)
-
         def finalize(parts: np.ndarray) -> np.ndarray:
             dt_bound = float(np.min(parts[:, 0]))
             normsq = float(np.sum(parts[:, 1]))
             stop = float(np.max(parts[:, 2]))
             lams = parts[:, 3:].max(axis=0)
-            if sim.inflow:
-                for axis in range(3):
-                    fs_lam = float(spectral_radius(fs_w, axis,
-                                                   sim.gas)[0, 0, 0])
-                    if fs_lam > lams[axis]:
-                        lams[axis] = fs_lam
+            for axis, fs_lam in enumerate(self.freestream_lams):
+                if fs_lam > lams[axis]:
+                    lams[axis] = fs_lam
             dt = 0.0
             if stage == 0:
                 dt = (controls.fixed_dt if controls.fixed_dt is not None
@@ -405,31 +367,26 @@ class RankWorker:
             if fut is not None:
                 futures.append(fut)
 
-    def _run_tasks(self, tasks, futures: list) -> None:
-        """Submit ``tasks`` after the ``futures`` already in flight, wait for
-        every one of them, then raise the first failure in submit order.
-        Disjoint output slabs make the result independent of worker count
-        and completion order."""
-        try:
-            self._submit(tasks, futures)
-        finally:
-            for fut in futures:
-                fut.wait()
+    def _run_tasks(self, futures: list) -> None:
+        """Wait for every one of the ``futures`` in flight, then raise the
+        first failure in submit order.  Disjoint output slabs make the
+        result independent of worker count and completion order."""
+        for fut in futures:
+            fut.wait()
         for fut in futures:
             fut.result()
 
-    def _sends(self, sweeps: list, lams: np.ndarray) -> list:
-        """The pool tasks of ``sweeps`` at the stage's wavespeeds ``lams``:
-        row run ``k`` of a range goes to worker ``k``."""
-        return [(self._conv_chunk, (s._replace(lam=float(lams[s.axis])), k))
-                for s, k in sweeps]
+    def _sends(self, sweeps: list[Sweep], lams: np.ndarray) -> list:
+        """The pool tasks of ``sweeps`` at the stage's wavespeeds ``lams``."""
+        return [(self._conv_chunk, (s._replace(lam=float(lams[s.axis])),))
+                for s in sweeps]
 
-    def _conv_chunk(self, sweep: Sweep, k: int):
-        """Sweep task ``k`` of its range: sent to worker process ``k`` of the
-        pool, or run here when the pool has none."""
+    def _conv_chunk(self, sweep: Sweep):
+        """A sweep task: sent to its worker process of the pool, or run here
+        when the pool has none."""
         if self.pool.processes:
-            return self.pool.send(k, sweep)
-        self.arena.sweep(sweep, self.sim.gas, self.spacing)
+            return self.pool.send(sweep.worker, sweep)
+        self.arena.sweep(sweep)
         return None
 
     def _vis_chunk(self, b: Block, grads: GradientPack, axis: int) -> None:
@@ -447,7 +404,7 @@ class RankWorker:
             # needed for that.
             interior = (slice(None),) + (slice(H, -H),) * 3
             for bid in self.cut:
-                self.arena.w[bid][0][interior] = w_int[bid]
+                self.arena.w[bid][interior] = w_int[bid]
 
             def hook():
                 self._submit(self._sends(self.interior_sweeps, lams), futures)
@@ -455,15 +412,17 @@ class RankWorker:
         try:
             self.totals.add(self.exchanger.run(self.rank, self.fields, epoch,
                                                overlap_hook=hook))
+            # The conversions below rewrite the primitives that interior
+            # sweeps still in flight read.
+            for fut in futures:
+                fut.wait()
             for b in self.blocks:
-                # Ghosts are in place; primitives now cover the extended box,
-                # in the last slot, which no running interior sweep reads.
+                # Ghosts are in place; primitives now cover the extended box.
                 # Its interior recomputes to bitwise-identical numbers.  Each
                 # block's sweeps leave as soon as it is ready.
-                slot = len(self.arena.w[b.id]) - 1
                 w_ext = primitive_from_conserved(
                     self.fields[b.id].data, self.sim.gas, block_id=b.id,
-                    out=self.arena.w[b.id][slot])
+                    out=self.arena.w[b.id])
                 tasks = self._sends(self.sweeps[b.id], lams)
                 if self.sim.gas.viscous:
                     grads = velocity_temperature_gradients(
@@ -473,9 +432,9 @@ class RankWorker:
                 self._submit(tasks, futures)
         except BaseException:
             # Sweeps may still be writing; let them finish first.
-            self._run_tasks([], futures)
+            self._run_tasks(futures)
             raise
-        self._run_tasks([], futures)
+        self._run_tasks(futures)
 
         for b in self.blocks:
             parts = ResidualParts(convective=tuple(self.arena.conv[b.id]),

@@ -26,7 +26,6 @@ from wcnsflow.errors import CaseFormatError, InvalidStateError
 from wcnsflow.halo import build_halo_plan
 from wcnsflow.partition import Group, NodeTopology
 from wcnsflow.model import model_schedule, sweep_list
-from wcnsflow.runner import row_runs
 from wcnsflow.schedule import Interval, ModelClock, Timeline, timeline_report
 from wcnsflow.timestepping import STAGES
 
@@ -300,16 +299,14 @@ def test_model_overlaps_interior_compute_only_on_cut_blocks():
         plan, halo_plan, tl = model(ranks, overlap)
         for r in range(ranks):
             cells = sum(b.cells for b in plan.blocks_of_rank(r))
-            assert not any(e.interior
-                           for e in sweep_list(plan, halo_plan, r, overlap))
+            assert not sweep_list(plan, halo_plan, r, overlap)[0]
             assert compute(tl, "interior", r) == 0.0
             assert compute(tl, "boundary", r) == pytest.approx(
                 STAGES * cells / thr, rel=1e-12)
 
     plan, halo_plan, tl = model(2)
     for r in range(2):
-        interior = [e for e in sweep_list(plan, halo_plan, r, True)
-                    if e.interior]
+        interior = sweep_list(plan, halo_plan, r, True)[0]
         # Of each rank's two blocks only the one beside the other rank.
         cut = {e.block for e in interior}
         assert cut == {p.dst_block for p in halo_plan.recvs_of(r)}
@@ -364,7 +361,6 @@ def test_sweep_calls_per_step_follow_from_the_sweep_list(name, workers,
     counts, the convective calls that a traced run counts."""
     plan = case_plan(FROZEN_MODEL[name][0])
     halo_plan = build_halo_plan(plan)
-    runs = sum(len(row_runs(plan.blocks[e.block], e.axis, workers))
-               for r in range(plan.ranks)
-               for e in sweep_list(plan, halo_plan, r, True))
+    runs = sum(len(part) for r in range(plan.ranks)
+               for part in sweep_list(plan, halo_plan, r, True, workers))
     assert STAGES * runs == calls

@@ -19,6 +19,7 @@ from wcnsflow.cli import main
 from wcnsflow.devices import DEFAULT_CPU
 from wcnsflow.dumps import read_dump, write_dump
 from wcnsflow.errors import CaseFormatError, PartitionError
+from wcnsflow.fields import BlockField
 from wcnsflow.metrics import (RunMetrics, from_timeline, mcups,
                               metrics_from_csv, metrics_to_csv, render_report)
 from wcnsflow.model import model_schedule
@@ -404,6 +405,25 @@ def test_initial_fields_respects_block_filter():
     some = {b.id for b in plan.blocks[:2]}
     fields = initial_fields(case, plan, block_ids=some)
     assert set(fields) == some
+
+
+def test_initial_fields_allocates_only_the_blocks_asked_for(monkeypatch):
+    """One rank of wave 16^3 in 8 blocks on 2 ranks allocates its own 4
+    blocks, not every block of the plan."""
+    allocate = BlockField.allocate
+    allocated = []
+
+    def counting(cls, block):
+        allocated.append(block.id)
+        return allocate(block)
+
+    monkeypatch.setattr(BlockField, "allocate", classmethod(counting))
+    case = with_ranks(wave_case(16, blocks=8), 2)
+    plan = case_plan(case)
+    mine = {b.id for b in plan.blocks_of_rank(1)}
+    fields = initial_fields(case, plan, block_ids=mine)
+    assert len(plan.blocks) == 8 and len(mine) == 4
+    assert sorted(allocated) == sorted(fields) == sorted(mine)
 
 
 # ---------------------------------------------------------------------------

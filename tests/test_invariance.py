@@ -348,8 +348,7 @@ def test_cut_blocks_sweep_an_axis_without_an_interior_whole(monkeypatch):
     sim = build_simulation(split)
     for r in range(2):
         assert sim.halo_plan.recvs_of(r)
-        assert not any(e.interior for e in runner.sweep_list(
-            sim.plan, sim.halo_plan, r, True))
+        assert not runner.sweep_list(sim.plan, sim.halo_plan, r, True)[0]
     sent = []
     sweep = runner.Arena.sweep
 
@@ -369,9 +368,8 @@ def test_cut_blocks_sweep_an_axis_without_an_interior_whole(monkeypatch):
 
 def test_block_without_a_halo_free_range_is_not_cut(monkeypatch):
     """A block fed by another rank but with no halo-free range on any axis
-    has no interior entry in the sweep list, so it is not cut: the shared
-    arena holds one ``w`` slot for it and the exchange gets no overlap
-    hook."""
+    has no interior sweep in the sweep list, so it is not cut and the
+    exchange gets no overlap hook."""
     case = wave_case(16, t_end=0.004, fixed_dt=1e-3)
     case = replace(case, controls=replace(case.controls, max_iters=1))
     one = run_case(case, warmup=False, max_workers=1)
@@ -393,8 +391,6 @@ def test_block_without_a_halo_free_range_is_not_cut(monkeypatch):
     assert len(workers) == 2
     for worker in workers:
         assert worker.cut == set() and worker.arena.shared
-        assert [len(worker.arena.w[bid]) for bid in worker.block_ids] == \
-            [1] * 4
     assert hooks == [None] * (2 * 3)
     assert np.array_equal(assemble_zone(out.fields, out.plan),
                           assemble_zone(one.fields, one.plan))
@@ -438,12 +434,8 @@ def test_runner_sends_the_sweep_list_that_the_model_prices(monkeypatch,
     tl = model_schedule(case, sim.plan, steps=1)
     thr = case.cpu.relative_throughput
     for r in range(2):
-        entries = runner.sweep_list(sim.plan, sim.halo_plan, r, True)
-        want = [(runner.Sweep(e.block, 0, e.axis, 0.0, e.lo, e.hi, r0, r1,
-                              e.handoff, e.periodic), e.interior)
-                for e in entries
-                for _, r0, r1 in runner.row_runs(sim.plan.blocks[e.block],
-                                                 e.axis, 1)]
+        interior, rest = runner.sweep_list(sim.plan, sim.halo_plan, r, True)
+        want = [(s, True) for s in interior] + [(s, False) for s in rest]
         mine = [(s, in_hook) for name, in_hook, s in sent
                 if name == f"rank{r}"]
         assert [(s._replace(lam=0.0), in_hook)
@@ -567,6 +559,54 @@ def test_failed_exchange_waits_for_interior_sweeps_in_flight(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_cut_blocks_convert_their_extended_box_after_their_interior_sweeps(
+        monkeypatch):
+    # Two workers per rank and slow interior sweeps: each stage, a rank
+    # converts its cut block's extended box, which rewrites the primitives
+    # that the interior sweeps read, only once all of them have finished.
+    case = sod_case(24, 4)
+    case = replace(case, controls=replace(case.controls, max_iters=1))
+    one = run_case(case, warmup=False, max_workers=1)
+    split = on_ranks(case, 2, 2)
+    sim = build_simulation(split)
+    sent = [len(runner.sweep_list(sim.plan, sim.halo_plan, r, True, 2)[0])
+            for r in range(2)]
+    finished = FORK.Array("i", 2)    # interior sweeps finished, per rank
+    seen = {0: [], 1: []}            # ... as each rank converts a box
+    sweep, convert = runner.convective_derivative, \
+        runner.primitive_from_conserved
+
+    def slow(q, w, axis, *args, lo, hi, out, **kwargs):
+        interior = 0 < lo and hi < out.shape[1 + axis]
+        if interior:
+            time.sleep(0.05)
+        try:
+            return sweep(q, w, axis, *args, lo=lo, hi=hi, out=out, **kwargs)
+        finally:
+            if interior:
+                name = multiprocessing.current_process().name   # rank{r}/{k}
+                rank = int(name.split("/")[0][len("rank"):])
+                with finished.get_lock():
+                    finished[rank] += 1
+
+    def converting(q, *args, out=None, **kwargs):
+        if out is not None:
+            rank = int(threading.current_thread().name[len("rank"):])
+            seen[rank].append(finished[rank])
+        return convert(q, *args, out=out, **kwargs)
+
+    monkeypatch.setattr(runner, "convective_derivative", slow)
+    monkeypatch.setattr(runner, "primitive_from_conserved", converting)
+    out = run_case(split, warmup=False, max_workers=2)
+    assert [b.shape for b in out.plan.blocks] == [(12, 4, 4)] * 2
+    # One cut block per rank; axis 0's interior range in 2 row runs.
+    assert sent == [2, 2]
+    for r in range(2):
+        assert seen[r] == [sent[r] * (stage + 1) for stage in range(STAGES)]
+    assert np.array_equal(assemble_zone(out.fields, out.plan),
+                          assemble_zone(one.fields, one.plan))
+
+
 def test_run_tasks_raises_the_first_failure_in_submit_order(monkeypatch):
     # Sweeps named by their node range start: (name, delay, fails).
     script = {0: ("first", 0.1, True), 1: ("second", 0.0, True),
@@ -586,19 +626,18 @@ def test_run_tasks_raises_the_first_failure_in_submit_order(monkeypatch):
     worker = RankWorker(build_simulation(wave_case(8)), 0, max_workers=2)
     pool = worker.pool
 
-    def task(lo, k):
-        sweep = runner.Sweep(0, 0, 0, 1.0, lo, lo + 1, 0, 8, False)
-        return worker._conv_chunk, (sweep, k)
+    def send(lo, k):
+        sweep = runner.Sweep(0, 0, lo, lo + 1, 0, 8, k, False, False, 1.0)
+        return pool.submit(worker._conv_chunk, sweep)
 
     try:
         worker.start()
         # "first" runs on worker 0 and fails after "second" on worker 1;
         # "slow" follows "second" on worker 1 and is still running when
         # both have failed.
-        fn, args = task(0, 0)
-        in_flight = [pool.submit(fn, *args)]
+        in_flight = [send(0, 0), send(1, 1), send(2, 1)]
         with pytest.raises(InvalidStateError, match="first"):
-            worker._run_tasks([task(1, 1), task(2, 1)], in_flight)
+            worker._run_tasks(in_flight)
         assert finished[:3] == [2, 1, 3]
     finally:
         worker.close()
