@@ -6,9 +6,12 @@ One exchange epoch brings every ghost cell up to date in two phases:
 1. copies from block interiors.  ``partition.ghost_sources`` intersects
    each block's extended box with every block interior and their
    periodic images (the plan's ``ghosts``); each intersection is one
-   region.  Regions travel coalesced per block pair, so each pair costs one
-   message, and a block that wraps onto itself across a periodic face is a
-   local pair like any other.
+   region.  The plan groups regions into pairs, and each pair that crosses
+   ranks costs one message: with coalescing, a pair holds every region of
+   one block pair; without it, each remote region is a pair of its own.
+   A local pair is copied, not sent, so it always stays whole, and a block
+   that wraps onto itself across a periodic face is a local pair like any
+   other.
 2. physical boundary fill in fixed axis order x, y, z.  Each non-periodic
    face fills the part of its ghost band inside the block's extended box,
    spanning the full extended extents of the other axes.
@@ -44,8 +47,6 @@ H = HALO_WIDTH
 EPOCH_BITS = 11
 INDEX_BITS = 21
 RESERVED_INDEX = (1 << INDEX_BITS) - 16
-REDUCE_INDEX = RESERVED_INDEX          # rank -> rank 0 partial reductions
-BCAST_INDEX = RESERVED_INDEX + 8       # rank 0 -> ranks broadcast
 
 
 def message_tag(epoch: int, index: int) -> int:
@@ -83,8 +84,8 @@ class Region:
 
 @dataclass(frozen=True)
 class ExchangePair:
-    """All regions travelling from one block to another; one message when
-    coalescing is on."""
+    """Regions from one block to another that travel as one message, or
+    are copied together when both blocks are on one rank."""
 
     index: int
     src_block: int
@@ -156,9 +157,11 @@ def _boundary_faces(block: Block, zone: ZoneSpec) -> tuple[BoundaryFace, ...]:
     return tuple(faces)
 
 
-def build_halo_plan(plan: PartitionPlan) -> HaloPlan:
-    """Regions per block pair and physical faces per block for one
-    partition plan."""
+def build_halo_plan(plan: PartitionPlan, coalesce: bool = True) -> HaloPlan:
+    """Pairs of regions and physical faces per block for one partition
+    plan.  A pair holds every region of its block pair, or, with
+    ``coalesce=False`` and the blocks on different ranks, one region.
+    Pairs are ordered by ``(src, dst)``, then by ``dst_start``."""
     zone = plan.zone
     for a in range(3):
         if "wall" in zone.boundary[2 * a:2 * a + 2] and zone.shape[a] < H:
@@ -180,16 +183,22 @@ def build_halo_plan(plan: PartitionPlan) -> HaloPlan:
         ))
 
     pairs = []
-    for index, (src_dst, regions) in enumerate(sorted(regions_by_pair.items())):
-        src, dst = src_dst
-        pairs.append(ExchangePair(
-            index=index,
-            src_block=src,
-            dst_block=dst,
-            src_rank=plan.rank_of_block[src],
-            dst_rank=plan.rank_of_block[dst],
-            regions=tuple(sorted(regions, key=lambda r: r.dst_start)),
-        ))
+    for (src, dst), regions in sorted(regions_by_pair.items()):
+        regions = tuple(sorted(regions, key=lambda r: r.dst_start))
+        src_rank, dst_rank = plan.rank_of_block[src], plan.rank_of_block[dst]
+        if not coalesce and src_rank != dst_rank:
+            groups = [(r,) for r in regions]
+        else:
+            groups = [regions]
+        for group in groups:
+            pairs.append(ExchangePair(
+                index=len(pairs),
+                src_block=src,
+                dst_block=dst,
+                src_rank=src_rank,
+                dst_rank=dst_rank,
+                regions=group,
+            ))
     if sum(len(p.regions) for p in pairs) >= RESERVED_INDEX:
         raise HaloPlanError("plan defines too many regions for the tag space")
 
@@ -200,24 +209,26 @@ def build_halo_plan(plan: PartitionPlan) -> HaloPlan:
 # ---------------------------------------------------------------------------
 # Packing
 
+def _check_payload(src: int, dst: int, payload: np.ndarray, cells: int) -> None:
+    if payload.size != cells * NCOMP:
+        raise HaloPlanError(
+            f"payload for blocks {src}->{dst} has {payload.size} values, "
+            f"its regions cover {cells * NCOMP}")
+
+
 def pack_pair(pair: ExchangePair, fields: FieldSet) -> np.ndarray:
     src = fields[pair.src_block].data
-    if len(pair.regions) == 1:
-        return src[pair.regions[0].src_slices].ravel()
     return np.concatenate([src[r.src_slices].ravel() for r in pair.regions])
 
 
 def unpack_pair(pair: ExchangePair, fields: FieldSet, payload: np.ndarray) -> None:
+    _check_payload(pair.src_block, pair.dst_block, payload, pair.cells)
     dst = fields[pair.dst_block].data
     offset = 0
     for r in pair.regions:
         n = r.cells * NCOMP
         dst[r.dst_slices] = payload[offset:offset + n].reshape((NCOMP,) + r.shape)
         offset += n
-    if offset != payload.size:
-        raise HaloPlanError(
-            f"payload for pair {pair.src_block}->{pair.dst_block} has "
-            f"{payload.size} values, regions cover {offset}")
 
 
 def pack_region(region: Region, fields: FieldSet) -> np.ndarray:
@@ -225,6 +236,7 @@ def pack_region(region: Region, fields: FieldSet) -> np.ndarray:
 
 
 def unpack_region(region: Region, fields: FieldSet, payload: np.ndarray) -> None:
+    _check_payload(region.src_block, region.dst_block, payload, region.cells)
     fields[region.dst_block].data[region.dst_slices] = payload.reshape(
         (NCOMP,) + region.shape)
 
@@ -304,33 +316,24 @@ class ExchangeTotals:
 class HaloExchanger:
     """Runs exchange epochs for one rank against a transport.
 
-    ``coalesce=True`` sends one message per block pair; ``coalesce=False``
-    sends one message per region (the reference point for the messaging A/B
-    comparison).  ``run`` calls ``overlap_hook`` between posting sends and
-    draining receives so interior work can hide the traffic; the hook must
-    not touch ghost cells, and then the fields come out bitwise identical
-    with or without it.  Receives wait as long as the transport's own
-    timeout allows.  ``run`` returns the epoch's ``ExchangeTotals``; a
-    rank's received traffic is its peers' sent traffic, so it is not
-    counted twice.
+    Each pair of the halo plan that crosses ranks is one message, so the
+    plan decides whether regions travel coalesced per block pair or one
+    per message (``build_halo_plan``'s ``coalesce``).  ``run`` calls
+    ``overlap_hook`` between posting sends and draining receives so
+    interior work can hide the traffic; the hook must not touch ghost
+    cells, and then the fields come out bitwise identical with or without
+    it.  Receives wait as long as the transport's own timeout allows.
+    ``run`` returns the epoch's ``ExchangeTotals``; a rank's received
+    traffic is its peers' sent traffic, so it is not counted twice.
     """
 
     def __init__(self, halo_plan: HaloPlan, plan: PartitionPlan,
-                 transport=None, freestream: np.ndarray | None = None,
-                 coalesce: bool = True):
+                 transport=None, freestream: np.ndarray | None = None):
         self.halo_plan = halo_plan
         self.plan = plan
         self.transport = transport
         self.freestream = None if freestream is None else np.asarray(
             freestream, dtype=np.float64)
-        self.coalesce = coalesce
-        # Global region numbering for per-region tags in naive mode.
-        self._region_index: dict[tuple[int, int], int] = {}
-        gidx = 0
-        for p in halo_plan.pairs:
-            for pos in range(len(p.regions)):
-                self._region_index[(p.index, pos)] = gidx
-                gidx += 1
 
     def run(self, rank: int, fields: FieldSet, epoch: int, *,
             overlap_hook: Callable[[], None] | None = None) -> ExchangeTotals:
@@ -344,11 +347,15 @@ class HaloExchanger:
 
         totals = ExchangeTotals()
         for p in sends:
-            for tag, payload in self._outgoing(p, fields, epoch):
-                self.transport.send(Message(tag=tag, source=rank,
-                                            dest=p.dst_rank, payload=payload))
-                totals.messages += 1
-                totals.bytes += payload.nbytes
+            if len(p.regions) == 1:
+                payload = pack_region(p.regions[0], fields)
+            else:
+                payload = pack_pair(p, fields)
+            self.transport.send(Message(tag=message_tag(epoch, p.index),
+                                        source=rank, dest=p.dst_rank,
+                                        payload=payload))
+            totals.messages += 1
+            totals.bytes += payload.nbytes
 
         for p in local:
             src = fields[p.src_block].data
@@ -361,28 +368,13 @@ class HaloExchanger:
             overlap_hook()
 
         for p in recvs:
-            for tag, sink in self._incoming(p, fields, epoch):
-                sink(self.transport.recv(tag=tag, source=p.src_rank,
-                                         dest=rank).payload)
+            payload = self.transport.recv(tag=message_tag(epoch, p.index),
+                                          source=p.src_rank, dest=rank).payload
+            if len(p.regions) == 1:
+                unpack_region(p.regions[0], fields, payload)
+            else:
+                unpack_pair(p, fields, payload)
 
         for b in self.plan.blocks_of_rank(rank):
             fill_block_ghosts(fields[b.id].data, b.id, hp, self.freestream)
         return totals
-
-    def _outgoing(self, pair: ExchangePair, fields: FieldSet, epoch: int):
-        if self.coalesce:
-            yield message_tag(epoch, pair.index), pack_pair(pair, fields)
-        else:
-            for pos, r in enumerate(pair.regions):
-                gidx = self._region_index[(pair.index, pos)]
-                yield message_tag(epoch, gidx), pack_region(r, fields)
-
-    def _incoming(self, pair: ExchangePair, fields: FieldSet, epoch: int):
-        if self.coalesce:
-            yield (message_tag(epoch, pair.index),
-                   lambda payload, p=pair: unpack_pair(p, fields, payload))
-        else:
-            for pos, r in enumerate(pair.regions):
-                gidx = self._region_index[(pair.index, pos)]
-                yield (message_tag(epoch, gidx),
-                       lambda payload, rr=r: unpack_region(rr, fields, payload))

@@ -98,8 +98,10 @@ def sweep_list(plan: PartitionPlan, halo_plan, rank: int, overlap: bool,
 # Modeled schedule
 #
 # A static walk over (plan, device models): per stage, ranks synchronize at
-# the reduction, post pair messages, run interior kernels while traffic and
-# coprocessor ghost uploads are in flight, then finish boundary work.
+# the reduction, post one message per remote pair of the halo plan (which
+# groups the regions: ``build_halo_plan``'s ``coalesce``), run interior
+# kernels while traffic and coprocessor ghost uploads are in flight, then
+# finish boundary work.
 # Interior kernels cover the interior ranges of the sweep list; the rest of
 # a group's compute is booked after its ghosts arrive.  A cut line computes
 # each edge value once, so a cut adds only per-call overhead, which is not
@@ -134,7 +136,7 @@ def model_schedule(case: Case, plan: PartitionPlan | None = None, *,
     """Deterministic modeled timeline for ``steps`` time steps."""
     if plan is None:
         plan = case_plan(case)
-    halo_plan = build_halo_plan(plan)
+    halo_plan = build_halo_plan(plan, coalesce)
     net = case.network
     ranks = plan.ranks
     clock = ModelClock()
@@ -185,11 +187,6 @@ def model_schedule(case: Case, plan: PartitionPlan | None = None, *,
                               "transfer_in", "initial residency")
                 gm.download_done = clock.now(gm.link_label)
 
-    def messages_of(pair):
-        if coalesce:
-            return [pair.nbytes]
-        return [reg.cells * bytes_per_cell for reg in pair.regions]
-
     for _step in range(steps):
         for _stage in range(STAGES):
             # Reduction: partials to rank 0, one combined broadcast back.
@@ -216,18 +213,17 @@ def model_schedule(case: Case, plan: PartitionPlan | None = None, *,
                     src = group_of_block[pair.src_block]
                     clock.wait_until(hosts[r], src.download_done,
                                      "source download")
-                    for nbytes in messages_of(pair):
-                        clock.advance(hosts[r], nbytes / MEMCPY_BANDWIDTH,
-                                      "pack")
-                        t = clock.advance(hosts[r], net.per_message_overhead,
-                                          "message", "post")
-                        wire = f"net/r{r}-r{pair.dst_rank}"
-                        clock.wait_until(wire, t)
-                        arrival[pair.dst_rank].append(
-                            clock.advance(wire, net.message_seconds(nbytes),
-                                          "message",
-                                          f"pair {pair.src_block}->"
-                                          f"{pair.dst_block}"))
+                    clock.advance(hosts[r], pair.nbytes / MEMCPY_BANDWIDTH,
+                                  "pack")
+                    t = clock.advance(hosts[r], net.per_message_overhead,
+                                      "message", "post")
+                    wire = f"net/r{r}-r{pair.dst_rank}"
+                    clock.wait_until(wire, t)
+                    arrival[pair.dst_rank].append(
+                        clock.advance(wire, net.message_seconds(pair.nbytes),
+                                      "message",
+                                      f"pair {pair.src_block}->"
+                                      f"{pair.dst_block}"))
                 for pair in halo_plan.local_of(r):
                     src = group_of_block[pair.src_block]
                     clock.wait_until(hosts[r], src.download_done,

@@ -60,11 +60,9 @@ from .devices import rank_pool
 from .errors import DivergenceError, InvalidStateError, WcnsflowError
 from .fields import BlockField, FieldSet
 from .halo import (
-    BCAST_INDEX,
     H,
     ExchangeTotals,
     HaloExchanger,
-    REDUCE_INDEX,
     RESERVED_INDEX,
     build_halo_plan,
     message_tag,
@@ -91,6 +89,9 @@ from .timestepping import (
 )
 from .transport import InProcessTransport, Message, SocketTransport
 
+# Message indexes at and above RESERVED_INDEX, which no halo plan uses.
+REDUCE_INDEX = RESERVED_INDEX        # rank -> rank 0 partial reductions
+BCAST_INDEX = RESERVED_INDEX + 8     # rank 0 -> ranks broadcast
 GATHER_INDEX = RESERVED_INDEX + 12   # post-run block gather to rank 0
 GATHER_EPOCH = 0x7FF
 
@@ -110,7 +111,10 @@ class Simulation:
         return self.case.gas
 
 
-def build_simulation(case: Case, plan: PartitionPlan | None = None) -> Simulation:
+def build_simulation(case: Case, plan: PartitionPlan | None = None, *,
+                     coalesce: bool = True) -> Simulation:
+    """The case on ``plan`` (else the case's own plan), with the halo plan
+    that groups its regions into messages (``build_halo_plan``)."""
     if plan is None:
         plan = case_plan(case)
     elif plan.zone != case.zone:
@@ -122,7 +126,7 @@ def build_simulation(case: Case, plan: PartitionPlan | None = None) -> Simulatio
                             f"{offload[0].rank}) runs on a coprocessor, but "
                             "the case has no coprocessor model (no device "
                             "class=coprocessor record)")
-    halo_plan = build_halo_plan(plan)
+    halo_plan = build_halo_plan(plan, coalesce)
     return Simulation(case=case, plan=plan, halo_plan=halo_plan,
                       freestream=case.freestream_conserved(),
                       inflow="inflow" in plan.zone.boundary)
@@ -233,8 +237,7 @@ class RankWorker:
     every run of a ``run_case`` reuses them; ``close`` ends them."""
 
     def __init__(self, sim: Simulation, rank: int, transport=None, *,
-                 overlap: bool = True, coalesce: bool = True,
-                 max_workers: int | None = None):
+                 overlap: bool = True, max_workers: int | None = None):
         self.sim = sim
         self.rank = rank
         self.transport = transport
@@ -243,8 +246,7 @@ class RankWorker:
         self.blocks: list[Block] = sim.plan.blocks_of_rank(rank)
         self.block_ids = [b.id for b in self.blocks]
         self.exchanger = HaloExchanger(sim.halo_plan, sim.plan, transport,
-                                       freestream=sim.freestream,
-                                       coalesce=coalesce)
+                                       freestream=sim.freestream)
         self.pool = rank_pool(rank, max_workers)
         self.spacing = sim.plan.zone.spacing
         self.periodic = {b.id: periodic_axes(sim.plan.zone, b)
@@ -598,7 +600,7 @@ def _run_once(workers: list[RankWorker],
     """One run of every rank, on one thread per rank when there are more.
     A rank that fails is marked lost in the shared mailbox, so the peers
     waiting on it fail at once, and the failure that came first is
-    raised."""
+    raised, its ``rank`` attribute set to the rank that raised it."""
     if len(workers) == 1:
         return [workers[0].run(controls)]
     results: list = [None] * len(workers)
@@ -608,6 +610,7 @@ def _run_once(workers: list[RankWorker],
         try:
             results[rank] = workers[rank].run(controls)
         except Exception as exc:          # surfaced after join
+            exc.rank = rank
             failures.append(exc)
             workers[rank].transport.lose(rank, f"{type(exc).__name__}: {exc}")
 
@@ -636,12 +639,12 @@ def run_case(case: Case, plan: PartitionPlan | None = None, *,
     """
     if best_of < 1:
         raise WcnsflowError(f"best_of must be at least 1, got {best_of}")
-    sim = build_simulation(case, plan)
+    sim = build_simulation(case, plan, coalesce=coalesce)
     controls = case.controls
     ranks = sim.plan.ranks
     transport = InProcessTransport(ranks) if ranks > 1 else None
     workers = [RankWorker(sim, r, transport, overlap=overlap,
-                          coalesce=coalesce, max_workers=max_workers)
+                          max_workers=max_workers)
                for r in range(ranks)]
     try:
         if controls.max_iters > 0:
@@ -676,7 +679,7 @@ def run_socket_rank(case: Case, rank: int,
     exchange totals, then its block interiors in plan order.  Rank 0
     returns the outcome ``run_case`` gives for the case; the other ranks
     return None."""
-    sim = build_simulation(case, plan)
+    sim = build_simulation(case, plan, coalesce=coalesce)
     plan = sim.plan
     if plan.ranks != len(addresses):
         raise WcnsflowError(f"case wants {plan.ranks} ranks, "
@@ -685,8 +688,7 @@ def run_socket_rank(case: Case, rank: int,
         raise WcnsflowError(f"rank {rank} has no address: ranks are "
                             f"0..{len(addresses) - 1}")
     tag = message_tag(GATHER_EPOCH, GATHER_INDEX)
-    worker = RankWorker(sim, rank, overlap=overlap, coalesce=coalesce,
-                        max_workers=max_workers)
+    worker = RankWorker(sim, rank, overlap=overlap, max_workers=max_workers)
     transport = None
     try:
         # Workers fork before the transport starts its threads.

@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 from wcnsflow.cases import case_plan, wave_case
 from wcnsflow.errors import HaloPlanError, TransportError
 from wcnsflow.fields import BlockField, allocate_fields
-from wcnsflow.halo import (BCAST_INDEX, REDUCE_INDEX, RESERVED_INDEX,
-                           BoundaryFace, ExchangeTotals, HaloExchanger,
-                           boundary_fill,
+from wcnsflow.halo import (RESERVED_INDEX, BoundaryFace, ExchangeTotals,
+                           HaloExchanger, boundary_fill,
                            build_halo_plan, fill_block_ghosts, message_tag,
                            pack_pair, pack_region, unpack_pair, unpack_region)
 from wcnsflow.partition import (Block, Group, NodeTopology, PartitionPlan,
                                 ZoneSpec, grid_blocks, make_plan,
                                 split_zone)
+from wcnsflow.runner import BCAST_INDEX, REDUCE_INDEX
 from wcnsflow.transport import (HEADER, MAGIC, InProcessTransport, Message,
                                 SocketTransport, free_port)
 from wcnsflow.wcns import HALO_WIDTH
@@ -68,18 +68,18 @@ def blocks_plan(z, blocks, rank_of_block=None) -> PartitionPlan:
 FREESTREAM = np.array([1.0, 0.25, -0.5, 0.125, 2.5])
 
 
-def exchange_all(plan, fields, coalesce=True) -> None:
-    """One epoch on every rank of ``plan``, one thread per rank."""
-    hp = build_halo_plan(plan)
+def exchange_all(plan, fields, coalesce=True) -> list:
+    """One epoch on every rank of ``plan``, one thread per rank; the
+    ``ExchangeTotals`` of each rank."""
+    hp = build_halo_plan(plan, coalesce)
     ex = HaloExchanger(hp, plan, transport=InProcessTransport(plan.ranks),
-                       freestream=FREESTREAM, coalesce=coalesce)
+                       freestream=FREESTREAM)
     per_rank = [{b.id: fields[b.id] for b in plan.blocks_of_rank(r)}
                 for r in range(plan.ranks)]
     with ThreadPoolExecutor(plan.ranks) as pool:
         futs = [pool.submit(ex.run, r, per_rank[r], 0)
                 for r in range(plan.ranks)]
-        for f in futs:
-            f.result(timeout=60)
+        return [f.result(timeout=60) for f in futs]
 
 
 def nan_fields(plan, g) -> dict:
@@ -195,6 +195,46 @@ def test_eight_block_traffic_frozen():
     assert len(hp.pairs) == 56 and region_count(hp) == 208
     assert sum(p.nbytes for p in hp.pairs) == 8 * (34 ** 3 - 24 ** 3) * 5 * 8
     assert sum(p.nbytes for p in hp.pairs) == 8_153_600
+
+
+def test_naive_plan_gives_each_remote_region_a_pair():
+    # The same layout without coalescing: local pairs are copies, not
+    # messages, so they stay whole; every region that crosses ranks is a
+    # pair of its own, in the coalesced plan's order.
+    case = replace(wave_case(48, blocks=8), ranks=2,
+                   topology=NodeTopology(1, 2, 0))
+    plan = case_plan(case)
+    tuned, naive = build_halo_plan(plan), build_halo_plan(plan, False)
+    assert len(naive.pairs) == 168 and region_count(naive) == 208
+    assert sum(p.nbytes for p in naive.pairs) == 8_153_600
+    assert [p.index for p in naive.pairs] == list(range(168))
+    keys = [(p.src_block, p.dst_block, p.regions[0].dst_start)
+            for p in naive.pairs]
+    assert keys == sorted(keys)
+
+    def whole(p):
+        return p.src_block, p.dst_block, p.src_rank, p.dst_rank, p.regions
+
+    for r in range(2):
+        assert len(naive.local_of(r)) == 12
+        assert [whole(p) for p in naive.local_of(r)] == \
+            [whole(p) for p in tuned.local_of(r)]
+        assert len(naive.sends_of(r)) == len(naive.recvs_of(1 - r)) == 72
+        assert [whole(p) for p in naive.sends_of(r)] == [
+            (p.src_block, p.dst_block, p.src_rank, p.dst_rank, (reg,))
+            for p in tuned.sends_of(r) for reg in p.regions]
+
+    g = global_state((48, 48, 48), seed=5)
+    runs = {}
+    for coalesce in (True, False):
+        fields = seed_fields(plan, g)
+        runs[coalesce] = exchange_all(plan, fields, coalesce), fields
+    (tuned_totals, tuned_fields), (naive_totals, naive_fields) = \
+        runs[True], runs[False]
+    assert tuned_totals == [ExchangeTotals(16, 1_849_600, 32)] * 2
+    assert naive_totals == [ExchangeTotals(72, 1_849_600, 32)] * 2
+    for bid in tuned_fields:
+        assert np.array_equal(naive_fields[bid].data, tuned_fields[bid].data)
 
 
 def test_single_periodic_block_wraps_itself():
@@ -346,6 +386,25 @@ def test_pack_pair_concatenates_regions():
                                   fields[r.src_block].data[r.src_slices])
 
 
+def test_unpack_rejects_a_truncated_payload():
+    # A one-region pair unpacks with ``unpack_region``, a pair of many
+    # regions with ``unpack_pair``: both check the size before they write.
+    for boundary, many in ((OUTFLOW, False), (PERIODIC, True)):
+        plan = plan_for((32, 16, 16), 2, boundary=boundary)
+        (pair,) = [p for p in build_halo_plan(plan).pairs
+                   if (p.src_block, p.dst_block) == (0, 1)]
+        assert (len(pair.regions) > 1) == many
+        n = pair.cells * 5
+        fields = allocate_fields(plan)
+        with pytest.raises(HaloPlanError, match=rf"blocks 0->1 has {n - 1} "
+                           rf"values, its regions cover {n}$"):
+            if many:
+                unpack_pair(pair, fields, np.ones(n - 1))
+            else:
+                unpack_region(pair.regions[0], fields, np.ones(n - 1))
+        assert not fields[1].data.any()
+
+
 # ---------------------------------------------------------------------------
 # Ghost fills
 
@@ -455,7 +514,7 @@ def run_two_ranks(coalesce, hook=None, seed=7):
     rank's overlap hook when given."""
     g = global_state((32, 16, 16), seed=seed)
     plan = plan_for((32, 16, 16), 2, ranks=2, boundary=PERIODIC)
-    hp = build_halo_plan(plan)
+    hp = build_halo_plan(plan, coalesce)
     transport = InProcessTransport(2)
     per_rank = {r: {} for r in range(2)}
     for b in plan.blocks:
@@ -464,7 +523,7 @@ def run_two_ranks(coalesce, hook=None, seed=7):
         sl = tuple(slice(l, h) for l, h in zip(b.lo, b.hi))
         f.interior[...] = g[(slice(None),) + sl]
         per_rank[plan.rank_of_block[b.id]][b.id] = f
-    ex = HaloExchanger(hp, plan, transport=transport, coalesce=coalesce)
+    ex = HaloExchanger(hp, plan, transport=transport)
     with ThreadPoolExecutor(2) as pool:
         futs = {r: pool.submit(ex.run, r, per_rank[r], 0, overlap_hook=(
                     None if hook is None

@@ -1111,6 +1111,22 @@ def test_cli_socket_ranks_write_the_in_process_results(tmp_path):
     assert tcp.message_bytes == inproc.message_bytes
 
 
+def test_cli_naive_exchange_sends_more_messages_for_the_same_fields(tmp_path):
+    case_path = tmp_path / "wave.case"
+    assert run_cli("gen", "--kind", "wave", "--n", 8, "--t-end", 0.002,
+                   "--fixed-dt", 1e-3, "--blocks", 2, "--ranks", 2,
+                   "--out", case_path) == 0
+    for name, flags in (("tuned", ()), ("naive", ("--naive-exchange",))):
+        assert run_cli("run", "--case", case_path,
+                       "--out-dir", tmp_path / name, *flags) == 0
+    assert (tmp_path / "naive" / "fields.bin").read_bytes() == \
+        (tmp_path / "tuned" / "fields.bin").read_bytes()
+    (tuned,) = metrics_from_csv(str(tmp_path / "tuned" / "metrics.csv"))
+    (naive,) = metrics_from_csv(str(tmp_path / "naive" / "metrics.csv"))
+    assert naive.messages > tuned.messages > 0
+    assert naive.message_bytes == tuned.message_bytes
+
+
 def test_cli_socket_ranks_run_the_plan_file(tmp_path):
     case_path = tmp_path / "wave.case"
     plan_path = tmp_path / "wave.plan"

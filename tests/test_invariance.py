@@ -513,8 +513,9 @@ def test_a_rank_that_raises_ends_the_run_with_its_error(monkeypatch):
 
     monkeypatch.setattr(RankWorker, "_stage_residual", failing)
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="^boom$"):
+    with pytest.raises(RuntimeError, match="^boom$") as err:
         run_case(on_ranks(wave_case(16), 8, 2), max_workers=1, warmup=False)
+    assert err.value.rank == 1
     assert time.perf_counter() - t0 < 5.0
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("rank")]
