@@ -56,10 +56,15 @@ class TransportError(WcnsflowError):
 
 
 class DivergenceError(WcnsflowError):
-    """The iteration diverged (residual norm blow-up)."""
+    """The iteration diverged (residual norm blow-up or a bad state), on
+    ``rank``: the rank whose failure stopped the run."""
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int | None = None,
+                 rank: int | None = None):
         self.step = step
+        self.rank = rank
+        if rank is not None:
+            message += f" rank={rank}"
         if step is not None:
             message += f" step={step}"
         super().__init__(message)

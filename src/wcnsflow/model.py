@@ -17,7 +17,7 @@ from .cases import Case, case_plan
 from .devices import MEMCPY_BANDWIDTH, device_label
 from .halo import build_halo_plan
 from .metrics import RunMetrics, from_timeline
-from .partition import Block, PartitionPlan, ZoneSpec
+from .partition import Block, PartitionPlan, periodic_axes
 from .residual import interior_split
 from .schedule import ModelClock, Timeline
 from .state import NCOMP
@@ -32,8 +32,8 @@ class Sweep(NamedTuple):
     ``block``'s sweep along ``axis``, over its cross rows ``r0:r1``, run by
     pool worker ``worker``.  ``handoff`` on the three ranges of a cut line,
     ``periodic`` on a whole axis whose lines are periodic
-    (``periodic_axes``); ``lam`` is the stage's wavespeed, set as the task
-    is sent."""
+    (``partition.periodic_axes``); ``lam`` is the stage's wavespeed, set as
+    the task is sent."""
 
     block: int
     axis: int
@@ -45,14 +45,6 @@ class Sweep(NamedTuple):
     handoff: bool
     periodic: bool
     lam: float = 0.0
-
-
-def periodic_axes(zone: ZoneSpec, b: Block) -> tuple[bool, bool, bool]:
-    """Per axis, whether the zone is periodic on it and block ``b`` spans
-    it whole: self-wrap then fills the block's ghosts along the axis with
-    copies of its own interior, so its lines there are periodic."""
-    return tuple(zone.periodic(a) and b.shape[a] == zone.shape[a]
-                 for a in range(3))
 
 
 def row_runs(b: Block, axis: int, workers: int) -> list[tuple[int, int, int]]:

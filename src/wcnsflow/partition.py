@@ -16,7 +16,9 @@ extended box with every block interior and their periodic images, after
 checking that the blocks tile the zone exactly.  It runs once per plan:
 ``make_plan`` regroups with its result and keeps it as
 ``PartitionPlan.ghosts``, which the halo plan reads; a plan read from a
-file derives it on first use.
+file derives it on first use.  Beside it, ``periodic_axes`` says along
+which axes a block stores no ghosts, ``grown_box`` which cells of its
+extended box hold state, and ``ghost_slabs`` which of those are ghosts.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class ZoneSpec:
 
     @property
     def cells(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def periodic(self, axis: int) -> bool:
         return self.boundary[2 * axis] == "periodic"
@@ -85,7 +87,7 @@ class Block:
 
     @property
     def cells(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True)
@@ -302,6 +304,38 @@ def ghost_sources(blocks: list[Block], zone: ZoneSpec) -> list[GhostSource]:
                                            (x[2], y[2], z[2]),
                                            (x[0], y[0], z[0])))
     return out
+
+
+def periodic_axes(zone: ZoneSpec, b: Block) -> tuple[bool, bool, bool]:
+    """Per axis, whether the zone is periodic on it and block ``b`` spans
+    it whole.  The block's lines along such an axis are periodic: node
+    ``j`` past either end is interior node ``j mod n``, so the block
+    stores no ghosts there and the kernels read that node instead."""
+    return tuple(zone.periodic(a) and b.shape[a] == zone.shape[a]
+                 for a in range(3))
+
+
+def grown_box(zone: ZoneSpec, b: Block) -> tuple[slice, slice, slice]:
+    """The cells of block ``b``'s extended array that hold state, as
+    slices of it: the interior grown by ``HALO_WIDTH`` along every axis
+    but the ``periodic_axes``.  Nothing outside it is read or written."""
+    H = HALO_WIDTH
+    return tuple(slice(H, H + n) if p else slice(0, n + 2 * H)
+                 for n, p in zip(b.shape, periodic_axes(zone, b)))
+
+
+def ghost_slabs(zone: ZoneSpec, b: Block) -> list[tuple[slice, slice, slice]]:
+    """The cells of block ``b``'s grown box outside its interior, as
+    disjoint slabs of its extended array: two per axis that keeps ghosts,
+    each spanning the interior along the axes before it and the grown box
+    along the axes after it; none when the grown box is the interior."""
+    H = HALO_WIDTH
+    box = grown_box(zone, b)
+    inner = [slice(H, H + n) for n in b.shape]
+    return [(*inner[:a], s, *box[a + 1:])
+            for a, (n, p) in enumerate(zip(b.shape, periodic_axes(zone, b)))
+            if not p
+            for s in (slice(0, H), slice(H + n, n + 2 * H))]
 
 
 # ---------------------------------------------------------------------------

@@ -53,29 +53,29 @@ boundary ranges' nodes of the output, outside its own range, and the
 boundary sweeps, which must run after it, compute only their five
 halo-dependent edges and read the parked ones back.
 
-A line is periodic when the block spans a periodic axis whole: self-wrap
-then makes every ghost node of the line, along the sweep axis, a bitwise
-copy of the interior node a whole number of periods n away, and so are its
-primitives, which are converted node by node.  Edge j + n reads the six
-nodes that edge j reads, so it gets the same bits, and of a line's n + 5
-edge values only n are distinct.  A periodic sweep (``periodic=True``)
-gathers only the n + 5 nodes that edges 0 .. n-1 read, computes those n
-edges and fills the other five slots by the rule edge[j] = edge[j % n],
-which also holds when n < 5 and the halo wraps more than once.  Each edge
-it computes sees the operations of the plain sweep in their order, so the
-derivatives keep their bits.
+A line is periodic when the block spans a periodic axis whole
+(``partition.periodic_axes``).  The block then stores no ghosts along that
+axis: node j of the line, past either end, is interior node j % n, and the
+kernels read it there.  A periodic sweep (``periodic=True``) gathers each
+tile's n interior nodes and fills the five nodes before them, which edges
+0 .. n-1 also read, from those by j % n (``periodic_runs``), in a few
+contiguous copies inside the tile.  Edge j + n reads the six nodes that
+edge j reads, so of a line's n + 5 edge values only n are distinct: the
+sweep computes those n edges and fills the other five slots by the rule
+edge[j] = edge[j % n], which also holds when n < 5 and the halo wraps more
+than once.  Each edge it computes sees the operations of the
+plain sweep, over ghosts that wrap the interior, in their order, so the
+derivatives keep those bits.
 
 The viscous terms have periodic lines on the same axes.  Their gradient
 pack covers the interior grown by two nodes along each axis, because the
 central difference of the fluxes reads two nodes beyond each end of a
-line.  Along a periodic axis every node the gradients of grown node j
-read is a bitwise copy of the node that interior node j % n reads in its
-place: self-wrap copies whole planes across the axis, ghost bands of the
-other axes included, and the boundary fill of the other axes works line
-by line across the plane.  The grown node's gradients are therefore the
-interior node's bits, and so is its flux, which is formed node by node.
-A periodic pack (``velocity_temperature_gradients(..., periodic=...)``)
-holds only the interior along its periodic axes, and
+line.  Along a periodic axis, grown node j would read exactly what interior
+node j % n reads, so it would get that node's gradients and flux, which
+are formed node by node.  A periodic pack
+(``velocity_temperature_gradients(..., periodic=...)``) therefore holds
+only the interior along its periodic axes, gathers the two nodes beyond
+each end of such a line from the interior by j % n, and
 ``viscous_derivative`` forms the flux at the n nodes of such a line and
 repeats it by the rule flux[j] = flux[j % n] for the 2 + 2 nodes beyond
 its ends, which also holds when n < 4 and the line wraps more than once.
@@ -127,6 +127,20 @@ def interior_split(n: int) -> tuple[int, int]:
     a = min(H, n)
     b = max(a, n - H)
     return a, b
+
+
+def periodic_runs(n: int, lo: int, hi: int) -> list[tuple[int, int, int, int]]:
+    """Nodes ``lo .. hi-1`` of a periodic line of ``n`` nodes as runs
+    ``(d0, d1, s0, s1)``: nodes ``lo + d0 .. lo + d1 - 1`` are interior
+    nodes ``s0 .. s1 - 1``, taken by ``j % n``."""
+    runs = []
+    j = lo
+    while j < hi:
+        s = j % n
+        k = min(n - s, hi - j)
+        runs.append((j - lo, j - lo + k, s, s + k))
+        j += k
+    return runs
 
 
 def block_wavespeed_bound(w_int: np.ndarray, axis: int, gas: GasModel) -> float:
@@ -324,11 +338,11 @@ def convective_derivative(
     has finished.  With an empty interior (n <= 10) ``handoff`` changes
     nothing.
 
-    ``periodic`` says that every line is periodic: each ghost node along
-    ``axis`` is a bitwise copy of the interior node a whole number of
-    periods away, as self-wrap leaves them when the block spans a periodic
-    axis whole.  The sweep then computes n edge values, not n + 5, and
-    repeats them (``edge[j] = edge[j % n]``).  It needs the whole axis,
+    ``periodic`` says that every line is periodic, as it is when the
+    block spans a periodic axis whole: node j past either end is interior
+    node j % n.  The sweep reads those nodes in the interior and never
+    touches the ghosts along ``axis``, computes n edge values, not n + 5,
+    and repeats them (``edge[j] = edge[j % n]``).  It needs the whole axis,
     [lo, hi) = [0, n), and no effective ``handoff``.
     """
     if gas is None:
@@ -382,13 +396,21 @@ def convective_derivative(
     elif handoff:
         parks = [(slice(0, H), nodes(0, a)), (slice(-H, None), nodes(b, na))]
 
-    # Slice: the needed extent along the sweep axis, interior on cross axes.
+    # The needed extended nodes [start, stop) along the sweep axis,
+    # interior on the cross axes.  A periodic line gathers its n interior
+    # nodes after ``body`` = H leading slots and fills those from them by
+    # j % n (the ``lead`` runs), so it never reads a ghost along the axis.
+    length = stop - start
     sl = [slice(H, -H)] * 3
-    sl[axis] = slice(start, stop)
+    if periodic:
+        body, lead = H, periodic_runs(na, -H, 0)
+    else:
+        body, lead = 0, []
+        sl[axis] = slice(start, stop)
     q = np.moveaxis(q_ext[(slice(None),) + tuple(sl)], 1 + axis, 3)
     w = np.moveaxis(w_ext[(slice(None),) + tuple(sl)], 1 + axis, 3)
 
-    _, _, n2, length = q.shape
+    n2 = q.shape[2]
     ne = length - 5
     nedges = hi - lo + H
     if tile is None:
@@ -408,15 +430,20 @@ def convective_derivative(
             split = a.reshape(a.shape[:2] + (rows, n2), copy=False)
             return split.transpose(0, 2, 3, 1)
 
+        def gather(a: np.ndarray, src: np.ndarray) -> None:
+            np.copyto(grid(a)[..., body:], src[:, cs])
+            for d0, d1, s0, s1 in lead:
+                a[:, d0:d1] = a[:, body + s0:body + s1]
+
         # One gather each of the primitives and the conserved states; q
         # waits in fp's buffer until fp is formed.
         wc = ws.take(NCOMP, length, lines)
-        np.copyto(grid(wc), w[:, cs])
+        gather(wc, w)
         f = ws.take(NCOMP, length, lines)
         fp = ws.take(NCOMP, length, lines)
         fm = ws.take(NCOMP, length, lines)
         qc = fp
-        np.copyto(grid(qc), q[:, cs])
+        gather(qc, q)
         inviscid_flux(wc, axis, q=qc, out=f)
         lam_q = np.multiply(lam, qc, out=fm)
         np.add(f, lam_q, out=fp)
@@ -490,11 +517,12 @@ def velocity_temperature_gradients(
 ) -> GradientPack:
     """The gradient pack of the extended primitives ``w_ext``.
 
-    ``periodic[a]`` says that the ghosts along axis ``a`` are self-wrap
-    copies of the interior; the pack then holds only the interior along
-    ``a``.  Each axis gathers u, v, w and T at the nodes its differences
-    read, node-major (field x node x line), and differences all four in
-    one call.
+    ``periodic[a]`` says that the lines along axis ``a`` are periodic
+    (``partition.periodic_axes``): the pack then holds only the interior
+    along ``a``, and the two nodes beyond each end of a line are read at
+    interior node j % n, never in the ghosts along ``a``.  Each axis
+    gathers u, v, w and T at the nodes its differences read, node-major
+    (field x node x line), and differences all four in one call.
     """
     grow = [0 if p else 2 for p in periodic]
     pack = tuple(slice(H - g, s - H + g)
@@ -504,16 +532,25 @@ def velocity_temperature_gradients(
     # grad[i, j] = d(f_i)/d(x_j) for f = (u, v, w, T).
     grad = np.empty((4, 3) + nshape)
     for a in range(3):
+        n = nshape[a]
         sl = list(pack)
-        sl[a] = slice(pack[a].start - 2, pack[a].stop + 2)
+        if not periodic[a]:
+            sl[a] = slice(pack[a].start - 2, pack[a].stop + 2)
         seg = _node_major(w_ext[(slice(None),) + tuple(sl)], a)
-        f = np.empty((4,) + seg.shape[1:])
-        np.copyto(f[:3], seg[1:4])
-        np.divide(seg[4], seg[0], out=f[3])     # T, as state.temperature
         lines = seg.shape[2:]
-        d = central4_derivative(f.reshape(4, seg.shape[1], -1), spacing[a],
+        f = np.empty((4, n + 4) + lines)
+        # A periodic line gathers its n interior nodes into f[:, 2:n + 2]
+        # and fills the two beyond each end from them by j % n.
+        body = f[:, 2:n + 2] if periodic[a] else f
+        np.copyto(body[:3], seg[1:4])
+        np.divide(seg[4], seg[0], out=body[3])     # T, as state.temperature
+        if periodic[a]:
+            for d0, d1, s0, s1 in periodic_runs(n, -2, n + 2):
+                if d0 != 2 + s0:
+                    f[:, d0:d1] = f[:, 2 + s0:2 + s1]
+        d = central4_derivative(f.reshape(4, n + 4, -1), spacing[a],
                                 node_axis=1)
-        grad[:, a] = np.moveaxis(d.reshape((4, nshape[a]) + lines), 1, 1 + a)
+        grad[:, a] = np.moveaxis(d.reshape((4, n) + lines), 1, 1 + a)
     return GradientPack(vel=vel, grad_vel=grad[:3], grad_temp=grad[3],
                         periodic=tuple(periodic))
 

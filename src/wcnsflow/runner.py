@@ -8,12 +8,14 @@ tasks already cut into one run of cross rows per pool worker, the interior
 ones sent while messages are in flight, the rest after the exchange.  The
 rank thread waits once per stage for all of them.
 
-One rule says where a block's lines are periodic (``model.periodic_axes``):
-the zone is periodic on the axis and the block spans the zone's whole
-extent there.  Its ghosts along the axis are then self-wrap copies of its
-own interior.  A sweep of the whole axis then computes one period of edge
-values per line, and the viscous terms form gradients and fluxes on one
-period along it.
+One rule says where a block's lines are periodic
+(``partition.periodic_axes``): the zone is periodic on the axis and the
+block spans the zone's whole extent there.  The block then keeps no ghosts
+along the axis; only its grown box (``partition.grown_box``), the interior
+grown by the halo along every other axis, holds state.  The kernels read a
+node past either end of such a line at interior node ``j mod n``: a sweep
+of the whole axis computes one period of edge values per line, and the
+viscous terms form gradients and fluxes on one period along it.
 
 Each rank has one host worker pool that sweeps all of its blocks; the
 modeled CPU sockets and coprocessors that the plan groups blocks into exist
@@ -25,8 +27,14 @@ state, primitives and convective outputs, so a sweep crosses their pipes
 only as its ``model.Sweep`` record.  Worker ``k`` sweeps row run ``k`` of
 every range in the order sent, so a boundary sweep always follows the
 interior sweep whose edges it reads.  Viscous terms, conversions and
-updates stay on the rank thread, which converts a cut block's extended box
-only once its interior sweeps have finished reading the primitives.
+updates stay on the rank thread.  At each stage's start it converts every
+block's interior to primitives in place in the arena, where the wavespeed
+and step bounds and the interior sweeps read them.  After the exchange it
+converts the ghost slabs of each grown box (none when the grown box is the
+interior), or the whole extended array of a block that spans no periodic
+axis, whose one contiguous pass is faster than six slabs; it does so only
+once the interior sweeps have finished reading the primitives that such a
+pass rewrites.
 
 Ranks coordinate only through transport messages, all received from one
 kind of mailbox (``InProcessTransport``, which rank threads share and each
@@ -42,7 +50,9 @@ results to one function, ``_outcome``, which checks for divergence, merges
 every rank's fields and ``ExchangeTotals`` (the one traffic record, which
 every exchange epoch returns), and builds the metrics row of cells, steps,
 wall time, traffic and convergence, so both paths report the same outcome.
-Modeled numbers come only from ``model.model_run``.
+Every error that a run raises carries the ``rank`` it comes from, and a
+``DivergenceError`` names that rank in its text.  Modeled numbers come only
+from ``model.model_run``.
 """
 
 from __future__ import annotations
@@ -69,8 +79,9 @@ from .halo import (
 )
 from .metrics import RunMetrics
 # The benchmark imports ``model_schedule`` from here, beside ``run_case``.
-from .model import Sweep, model_schedule, periodic_axes, sweep_list  # noqa: F401
-from .partition import Block, PartitionPlan
+from .model import Sweep, model_schedule, sweep_list  # noqa: F401
+from .partition import (Block, PartitionPlan, ghost_slabs, grown_box,
+                        periodic_axes)
 from .residual import (
     GradientPack,
     ResidualParts,
@@ -94,6 +105,9 @@ REDUCE_INDEX = RESERVED_INDEX        # rank -> rank 0 partial reductions
 BCAST_INDEX = RESERVED_INDEX + 8     # rank 0 -> ranks broadcast
 GATHER_INDEX = RESERVED_INDEX + 12   # post-run block gather to rank 0
 GATHER_EPOCH = 0x7FF
+
+# A block's interior in its extended arrays.
+INTERIOR = (slice(None),) + (slice(H, -H),) * 3
 
 
 @dataclass
@@ -187,8 +201,9 @@ class RankResult:
 class Arena:
     """The arrays a rank's sweeps read and write, per block: ``q`` (the
     extended conserved state, ``BlockField.data``), ``w`` (the extended
-    primitives) and the three ``conv`` outputs; and the gas and grid
-    spacing that a sweep needs besides its ``Sweep`` record.
+    primitives, held on the block's grown box) and the three ``conv``
+    outputs; and the gas and grid spacing that a sweep needs besides its
+    ``Sweep`` record.
 
     A shared arena keeps its arrays in anonymous shared mappings, which
     worker processes forked after it was built sweep in.  A private arena
@@ -251,6 +266,16 @@ class RankWorker:
         self.spacing = sim.plan.zone.spacing
         self.periodic = {b.id: periodic_axes(sim.plan.zone, b)
                          for b in self.blocks}
+        # The boxes each block converts after the exchange, its interior
+        # being converted at the stage start: the ghost slabs of its grown
+        # box, or, for a block that spans no periodic axis, its whole
+        # extended array, whose one contiguous pass is faster than six
+        # slabs.
+        self.converted = {
+            b.id: [(slice(None),) + s for s in ghost_slabs(sim.plan.zone, b)]
+            if any(self.periodic[b.id])
+            else [(slice(None),) + grown_box(sim.plan.zone, b)]
+            for b in self.blocks}
         # Interior sweeps are sent from the hook, the rest per block after it.
         self.interior_sweeps, rest = sweep_list(
             sim.plan, sim.halo_plan, rank, overlap, self.pool.workers)
@@ -304,25 +329,29 @@ class RankWorker:
 
     # -- per-stage pieces ----------------------------------------------------
 
-    def _interior_primitives(self) -> dict[int, np.ndarray]:
-        return {b.id: primitive_from_conserved(self.fields[b.id].interior,
-                                               self.sim.gas, block_id=b.id)
-                for b in self.blocks}
+    def _stage_primitives(self) -> None:
+        """Convert the stage-start interiors to primitives, in place in the
+        arena's ``w``."""
+        for b in self.blocks:
+            primitive_from_conserved(self.fields[b.id].interior, self.sim.gas,
+                                     block_id=b.id,
+                                     out=self.arena.w[b.id][INTERIOR])
 
-    def _lambda_partials(self, w_int: dict[int, np.ndarray]) -> np.ndarray:
+    def _lambda_partials(self) -> np.ndarray:
         lams = np.zeros(3)
         for b in self.blocks:
+            w_int = self.arena.w[b.id][INTERIOR]
             for axis in range(3):
-                bound = block_wavespeed_bound(w_int[b.id], axis, self.sim.gas)
+                bound = block_wavespeed_bound(w_int, axis, self.sim.gas)
                 if bound > lams[axis]:
                     lams[axis] = bound
         return lams
 
-    def _dt_partial(self, w_int: dict[int, np.ndarray]) -> float:
+    def _dt_partial(self) -> float:
         bound = np.inf
         for b in self.blocks:
-            bound = min(bound, block_dt_bound(w_int[b.id], self.sim.gas,
-                                              self.spacing))
+            bound = min(bound, block_dt_bound(self.arena.w[b.id][INTERIOR],
+                                              self.sim.gas, self.spacing))
         return bound
 
     def _make_finalize(self, controls: IterationControls, sim_time: float,
@@ -395,40 +424,36 @@ class RankWorker:
         viscous_derivative(grads, self.sim.gas, axis,
                            self.spacing[axis], out=self.vis[b.id][axis])
 
-    def _stage_residual(self, lams: np.ndarray,
-                        w_int: dict[int, np.ndarray], epoch: int) -> None:
+    def _stage_residual(self, lams: np.ndarray, epoch: int) -> None:
         """Exchange ghosts and assemble residuals for every local block."""
         futures: list = []
         hook = None
         if self.cut:
             # Interior windows read no ghost cells, so they run while
-            # messages are in flight; only the primitive interiors are
-            # needed for that.
-            interior = (slice(None),) + (slice(H, -H),) * 3
-            for bid in self.cut:
-                self.arena.w[bid][interior] = w_int[bid]
-
+            # messages are in flight, on the stage-start primitives.
             def hook():
                 self._submit(self._sends(self.interior_sweeps, lams), futures)
 
         try:
             self.totals.add(self.exchanger.run(self.rank, self.fields, epoch,
                                                overlap_hook=hook))
-            # The conversions below rewrite the primitives that interior
-            # sweeps still in flight read.
+            # A whole-array conversion below rewrites the primitives that
+            # interior sweeps still in flight read.
             for fut in futures:
                 fut.wait()
             for b in self.blocks:
-                # Ghosts are in place; primitives now cover the extended box.
-                # Its interior recomputes to bitwise-identical numbers.  Each
-                # block's sweeps leave as soon as it is ready.
-                w_ext = primitive_from_conserved(
-                    self.fields[b.id].data, self.sim.gas, block_id=b.id,
-                    out=self.arena.w[b.id])
+                # Ghosts are in place; primitives now cover the grown box.
+                # An interior converted again recomputes to bitwise-identical
+                # numbers.  Each block's sweeps leave as soon as it is ready.
+                w = self.arena.w[b.id]
+                for box in self.converted[b.id]:
+                    primitive_from_conserved(self.fields[b.id].data[box],
+                                             self.sim.gas, block_id=b.id,
+                                             out=w[box])
                 tasks = self._sends(self.sweeps[b.id], lams)
                 if self.sim.gas.viscous:
                     grads = velocity_temperature_gradients(
-                        w_ext, self.spacing, self.periodic[b.id])
+                        w, self.spacing, self.periodic[b.id])
                     tasks += [(self._vis_chunk, (b, grads, axis))
                               for axis in range(3)]
                 self._submit(tasks, futures)
@@ -478,14 +503,13 @@ class RankWorker:
                     break
                 dt = 0.0
                 for stage in range(STAGES):
-                    w_int = None
                     lams = np.zeros(3)
                     dt_partial = np.inf
                     try:
-                        w_int = self._interior_primitives()
-                        lams = self._lambda_partials(w_int)
+                        self._stage_primitives()
+                        lams = self._lambda_partials()
                         if stage == 0:
-                            dt_partial = self._dt_partial(w_int)
+                            dt_partial = self._dt_partial()
                     except InvalidStateError as exc:
                         poison = STOP_DIVERGED
                         error = error or exc
@@ -510,7 +534,7 @@ class RankWorker:
                         self.epoch += 1
                         break
                     try:
-                        self._stage_residual(lam_final, w_int, self.epoch)
+                        self._stage_residual(lam_final, self.epoch)
                         if stage == 0:
                             pending_normsq = self._normsq_partial()
                         for b in self.blocks:
@@ -563,14 +587,17 @@ class RunOutcome:
 def _outcome(sim: Simulation, results: list[RankResult]) -> RunOutcome:
     """The outcome of one run from the results of all its ranks, in rank
     order; its metrics hold rank 0's wall time.  Raises ``DivergenceError``
-    if any rank diverged."""
+    if any rank diverged, naming the first rank that failed on its own, or
+    rank 0 when its reduction found the residual norm blowing up."""
     worst = max(results, key=lambda r: r.stop)
     if worst.stop >= STOP_DIVERGED:
-        err = next((r.error for r in results if r.error is not None), None)
+        culprit = next((r for r in results if r.error is not None),
+                       results[0])
+        err = culprit.error
         raise DivergenceError(
             f"run diverged after {worst.iterations} completed steps"
             + (f": {err}" if err else ""),
-            step=worst.iterations) from err
+            step=worst.iterations, rank=culprit.rank) from err
 
     fields: FieldSet = {}
     totals = ExchangeTotals()
@@ -602,7 +629,11 @@ def _run_once(workers: list[RankWorker],
     waiting on it fail at once, and the failure that came first is
     raised, its ``rank`` attribute set to the rank that raised it."""
     if len(workers) == 1:
-        return [workers[0].run(controls)]
+        try:
+            return [workers[0].run(controls)]
+        except Exception as exc:
+            exc.rank = 0
+            raise
     results: list = [None] * len(workers)
     failures: list = []               # in the order they happened
 
@@ -675,10 +706,12 @@ def run_socket_rank(case: Case, rank: int,
     """Run one rank over TCP; every transport wait gives up after
     ``timeout`` seconds.  Every process runs ``plan``, or builds the
     identical plan from the case when it is None.  Afterwards each other
-    rank sends rank 0 one message with its stop flag, steps, times and
-    exchange totals, then its block interiors in plan order.  Rank 0
-    returns the outcome ``run_case`` gives for the case; the other ranks
-    return None."""
+    rank sends rank 0 one message with its stop flag, steps, times,
+    exchange totals and whether it failed on its own, then its block
+    interiors in plan order.  Rank 0 returns the outcome ``run_case``
+    gives for the case; the other ranks return None.  An error carries the
+    ``rank`` it comes from: this one, or for rank 0's ``DivergenceError``
+    the rank that failed first."""
     sim = build_simulation(case, plan, coalesce=coalesce)
     plan = sim.plan
     if plan.ranks != len(addresses):
@@ -701,7 +734,8 @@ def run_socket_rank(case: Case, rank: int,
             t = res.totals
             summary = np.array([res.stop, res.iterations, res.sim_time,
                                 res.wall_seconds, t.messages, t.bytes,
-                                t.local_copies], dtype=np.float64)
+                                t.local_copies, res.error is not None],
+                               dtype=np.float64)
             transport.send(Message(tag=tag, source=rank, dest=0,
                                    payload=summary))
             for bid in worker.block_ids:
@@ -710,13 +744,14 @@ def run_socket_rank(case: Case, rank: int,
                                        payload=interior.ravel()))
             if res.stop >= STOP_DIVERGED:
                 raise DivergenceError(
-                    f"rank {rank} run diverged after {res.iterations} steps",
-                    step=res.iterations) from res.error
+                    f"run diverged after {res.iterations} steps"
+                    + (f": {res.error}" if res.error else ""),
+                    step=res.iterations, rank=rank) from res.error
             return None
 
         results = [res]
         for r in range(1, plan.ranks):
-            stop, steps, sim_time, wall, messages, nbytes, copies = \
+            stop, steps, sim_time, wall, messages, nbytes, copies, failed = \
                 transport.recv(tag=tag, source=r, dest=0).payload
             fields: FieldSet = {}
             for b in plan.blocks_of_rank(r):
@@ -728,8 +763,14 @@ def run_socket_rank(case: Case, rank: int,
                 rank=r, fields=fields, iterations=int(steps),
                 sim_time=sim_time, stop=stop,
                 totals=ExchangeTotals(int(messages), int(nbytes), int(copies)),
-                wall_seconds=wall))
+                wall_seconds=wall,
+                error=WcnsflowError(f"rank {r} failed; its own error names "
+                                    "the cause") if failed else None))
         return _outcome(sim, results)
+    except Exception as exc:
+        if getattr(exc, "rank", None) is None:
+            exc.rank = rank
+        raise
     finally:
         worker.close()
         if transport is not None:

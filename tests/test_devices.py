@@ -330,17 +330,18 @@ WAVE_DT = 2.0 ** -10
 FROZEN_MODEL = {
     "wave48-1b": (
         wave_case(48, fixed_dt=WAVE_DT, t_end=2 * WAVE_DT, blocks=1),
-        (0.01685436, 0.0), (0.01685436, 0.0)),
+        (0.0166008, 0.0), (0.0166008, 0.0)),
     "wave48-8b2r": (
         replace(wave_case(48, fixed_dt=WAVE_DT, t_end=2 * WAVE_DT, blocks=8),
                 ranks=2, topology=NodeTopology(1, 2, 0)),
         (0.008336428800000002, 1.0), (0.009683659200000003, 0.0)),
     "sod200-re1e6": (
         sod_case(200, 4, t_end=0.05),
-        (0.0006000000000000001, 0.0), (0.0006000000000000001, 0.0)),
+        (0.000492, 0.0), (0.000492, 0.0)),
     "corner4": (
         corner_case(4),
-        (0.0020252, 0.8116714893617013), (0.0020252, 0.42323651452282124)),
+        (0.0017280000000000008, 0.7804955555555558),
+        (0.0017280000000000008, 0.3708333333333335)),
 }
 
 

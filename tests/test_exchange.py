@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcnsflow.cases import case_plan, wave_case
+from wcnsflow.cases import case_plan, corner_case, sod_case, wave_case, \
+    with_ranks
 from wcnsflow.errors import HaloPlanError, TransportError
 from wcnsflow.fields import BlockField, allocate_fields
 from wcnsflow.halo import (RESERVED_INDEX, BoundaryFace, ExchangeTotals,
@@ -18,7 +19,7 @@ from wcnsflow.halo import (RESERVED_INDEX, BoundaryFace, ExchangeTotals,
                            build_halo_plan, fill_block_ghosts, message_tag,
                            pack_pair, pack_region, unpack_pair, unpack_region)
 from wcnsflow.partition import (Block, Group, NodeTopology, PartitionPlan,
-                                ZoneSpec, grid_blocks, make_plan,
+                                ZoneSpec, grid_blocks, grown_box, make_plan,
                                 split_zone)
 from wcnsflow.runner import BCAST_INDEX, REDUCE_INDEX
 from wcnsflow.transport import (HEADER, MAGIC, InProcessTransport, Message,
@@ -129,6 +130,19 @@ def reference_windows(z, g, blocks) -> dict:
         slice(l, h + 2 * H) for l, h in zip(b.lo, b.hi))] for b in blocks}
 
 
+def assert_grown_windows(plan, fields, want) -> None:
+    """Each block's grown box holds its window of a single-block reference,
+    ``want[block id]``, and every cell outside it is still NaN: no pass
+    writes there."""
+    for b in plan.blocks:
+        data = fields[b.id].data
+        box = (slice(None),) + grown_box(plan.zone, b)
+        assert np.array_equal(data[box], want[b.id][box]), b
+        outside = np.ones(data.shape, dtype=bool)
+        outside[box] = False
+        assert np.isnan(data[outside]).all(), b
+
+
 def wrap_window(g, block) -> np.ndarray:
     """Extended array a block must hold after exchange on an all-periodic
     zone: the global state sampled with wraparound over the halo margin."""
@@ -197,6 +211,36 @@ def test_eight_block_traffic_frozen():
     assert sum(p.nbytes for p in hp.pairs) == 8_153_600
 
 
+@pytest.mark.parametrize("case", [sod_case(200, 4), wave_case(48)],
+                         ids=["sod200", "wave48"])
+def test_one_block_spanning_its_periodic_axes_has_no_traffic(case):
+    # Sod's block spans periodic y and z whole, wave's all three axes: the
+    # grown boxes leave no ghost to copy, and the plan no pair.
+    plan = case_plan(case)
+    hp = build_halo_plan(plan)
+    assert len(plan.blocks) == 1 and hp.pairs == []
+    fields = allocate_fields(plan)
+    assert HaloExchanger(hp, plan, freestream=FREESTREAM).run(
+        0, fields, epoch=0) == ExchangeTotals(0, 0, 0)
+
+
+@pytest.mark.parametrize("case, pairs, regions, nbytes, remote", [
+    # Two 8 x 8 x 4 blocks that span x and y whole: along z each feeds the
+    # other four planes per side and, being narrower than the halo, itself
+    # the fifth.
+    (with_ranks(wave_case(8), 2), 4, 8, 51_200, 40_960),
+    # One x slab per device, spanning y and periodic z whole: its x bands
+    # stop at the z interior.
+    (corner_case(2, columns=100, cross=20), 18, 18, 1_440_000, 160_000),
+], ids=["wave8-2r", "corner2"])
+def test_traffic_of_blocks_spanning_a_periodic_axis_frozen(
+        case, pairs, regions, nbytes, remote):
+    hp = build_halo_plan(case_plan(case))
+    assert len(hp.pairs) == pairs and region_count(hp) == regions
+    assert sum(p.nbytes for p in hp.pairs) == nbytes
+    assert sum(p.nbytes for p in hp.pairs if not p.local) == remote
+
+
 def test_naive_plan_gives_each_remote_region_a_pair():
     # The same layout without coalescing: local pairs are copies, not
     # messages, so they stay whole; every region that crosses ranks is a
@@ -237,23 +281,18 @@ def test_naive_plan_gives_each_remote_region_a_pair():
         assert np.array_equal(naive_fields[bid].data, tuned_fields[bid].data)
 
 
-def test_single_periodic_block_wraps_itself():
+def test_single_periodic_block_keeps_no_ghosts():
+    # The block spans every periodic axis whole, so its grown box is its
+    # interior: no region, no face, and an epoch writes nothing.
     plan = plan_for((16, 16, 16), 1, boundary=PERIODIC)
     hp = build_halo_plan(plan)
-    (pair,) = hp.pairs
-    assert (pair.src_block, pair.dst_block) == (0, 0) and pair.local
-    assert len(pair.regions) == 26
-    assert hp.bc_faces[0] == ()
-    # The regions cover the ghost shell exactly once and leave the interior.
-    count = shell_cover(hp, plan.blocks[0])
-    assert count[H:-H, H:-H, H:-H].max() == 0
-    count[H:-H, H:-H, H:-H] = 1
-    assert count.min() == 1 and count.max() == 1
+    assert hp.pairs == [] and hp.bc_faces[0] == ()
+    assert grown_box(plan.zone, plan.blocks[0]) == (slice(H, H + 16),) * 3
     g = global_state((16, 16, 16), seed=10)
     fields = nan_fields(plan, g)
     totals = HaloExchanger(hp, plan).run(0, fields, epoch=0)
-    assert totals == ExchangeTotals(0, 0, 26)
-    assert np.array_equal(fields[0].data, wrap_window(g, plan.blocks[0]))
+    assert totals == ExchangeTotals(0, 0, 0)
+    assert_grown_windows(plan, fields, {0: wrap_window(g, plan.blocks[0])})
 
 
 def test_single_outflow_block_has_six_faces():
@@ -294,12 +333,14 @@ def test_face_fill_reaches_blocks_that_miss_the_face():
              for b in range(4)}
     assert faces == {0: [(0, 0, 5), (0, 1, 1)], 1: [(0, 0, 3), (0, 1, 3)],
                      2: [(0, 0, 1), (0, 1, 4)], 3: [(0, 1, 5)]}
+    # Every block spans the periodic y axis whole: its bands stop at the
+    # y interior.
+    assert all(f.box == grown_box(z, plan.blocks[b])
+               for b in range(4) for f in hp.bc_faces[b])
     g = global_state((6, 6, 6), seed=12)
     fields = nan_fields(plan, g)
     exchange_all(plan, fields)
-    want = reference_windows(z, g, plan.blocks)
-    for b in plan.blocks:
-        assert np.array_equal(fields[b.id].data, want[b.id])
+    assert_grown_windows(plan, fields, reference_windows(z, g, plan.blocks))
 
 
 def test_wall_on_narrow_axis_rejected():
@@ -409,17 +450,24 @@ def test_unpack_rejects_a_truncated_payload():
 # Ghost fills
 
 def test_self_pair_copies_opposite_band():
-    # A 6 x 1 x 1 periodic zone: along x the ghosts are the opposite bands,
-    # along the 1-cell axes the halo wraps five times over.
-    plan = plan_for((6, 1, 1), 1, boundary=PERIODIC)
+    # A 6 x 1 x 1 periodic zone in two blocks of 3 x 1 x 1: along x the
+    # halo reaches through the other block into the block itself; the
+    # 1-cell axes, which each block spans whole, keep no ghosts.
+    plan = plan_for((6, 1, 1), 2, boundary=PERIODIC)
+    hp = build_halo_plan(plan)
+    assert [(p.src_block, p.dst_block) for p in hp.local_of(0)] == [
+        (0, 0), (0, 1), (1, 0), (1, 1)]
     g = np.zeros((5, 6, 1, 1))
     g[:, :, 0, 0] = np.arange(1.0, 7.0)
     fields = nan_fields(plan, g)
-    HaloExchanger(build_halo_plan(plan), plan).run(0, fields, epoch=0)
+    totals = HaloExchanger(hp, plan).run(0, fields, epoch=0)
+    assert totals == ExchangeTotals(0, 0, 8)
     data = fields[0].data
     assert np.array_equal(data[0, :H, H, H], np.arange(2.0, 7.0))
-    assert np.array_equal(data[0, H + 6:, H, H], np.arange(1.0, 6.0))
-    assert np.array_equal(data, wrap_window(g, plan.blocks[0]))
+    assert np.array_equal(data[0, H + 3:, H, H], np.arange(4.0, 7.0).tolist()
+                          + [1.0, 2.0])
+    assert_grown_windows(plan, fields,
+                         {b.id: wrap_window(g, b) for b in plan.blocks})
 
 
 def test_outflow_fill_copies_edge_plane():
@@ -511,9 +559,12 @@ def test_hook_leaves_local_exchange_unchanged():
 
 def run_two_ranks(coalesce, hook=None, seed=7):
     """Exchange on two ranks with NaN ghosts; ``hook(rank, fields)`` is each
-    rank's overlap hook when given."""
+    rank's overlap hook when given.  Four blocks of 16 x 16 x 8 span the
+    periodic y axis whole; each rank holds two, which feed each other
+    along z."""
     g = global_state((32, 16, 16), seed=seed)
-    plan = plan_for((32, 16, 16), 2, ranks=2, boundary=PERIODIC)
+    plan = plan_for((32, 16, 16), 4, ranks=2, boundary=PERIODIC)
+    assert [b.shape for b in plan.blocks] == [(16, 16, 8)] * 4
     hp = build_halo_plan(plan, coalesce)
     transport = InProcessTransport(2)
     per_rank = {r: {} for r in range(2)}
@@ -559,9 +610,10 @@ def test_hook_runs_before_remote_ghosts_arrive():
 
 def test_two_rank_exchange_fills_correct_ghosts():
     g, plan, hp, per_rank, stats = run_two_ranks(True)
-    for b in plan.blocks:
-        r = plan.rank_of_block[b.id]
-        assert np.array_equal(per_rank[r][b.id].data, wrap_window(g, b))
+    fields = {b.id: per_rank[plan.rank_of_block[b.id]][b.id]
+              for b in plan.blocks}
+    assert_grown_windows(plan, fields,
+                         {b.id: wrap_window(g, b) for b in plan.blocks})
 
 
 def test_coalesced_messages_one_per_pair():
@@ -594,8 +646,10 @@ def test_hook_leaves_exchange_across_ranks_unchanged():
             if base is None:
                 base = merged
             else:
+                # NaN outside the grown boxes, in the same cells.
                 for bid in base:
-                    assert np.array_equal(base[bid], merged[bid])
+                    assert np.array_equal(base[bid], merged[bid],
+                                          equal_nan=True)
 
 
 def test_inter_rank_plan_requires_transport():
@@ -641,8 +695,9 @@ def test_four_blocks_meeting_at_an_edge():
 
 def test_each_ghost_cell_has_one_source():
     # Random tilings with narrow blocks: regions never write a cell twice,
-    # never write an interior cell, and write every ghost cell inside the
-    # zone; the rest lie past a non-periodic face, in that face's band.
+    # never write an interior cell or a cell outside the grown box, and
+    # write every ghost cell of the grown box inside the zone; the rest lie
+    # past a non-periodic face, in that face's band.
     rng = np.random.default_rng(14)
     for _ in range(30):
         shape = tuple(int(rng.integers(1, 12)) for _ in range(3))
@@ -656,6 +711,11 @@ def test_each_ghost_cell_has_one_source():
         for b in blocks:
             count = shell_cover(hp, b)
             assert count[H:-H, H:-H, H:-H].max() == 0
+            box = grown_box(z, b)
+            outside = np.ones(count.shape, dtype=bool)
+            outside[box] = False
+            assert count[outside].max(initial=0) == 0
+            count[outside] = 1
             for cell in zip(*np.nonzero(count != 1)):
                 c = [l - H + i for l, i in zip(b.lo, cell)]
                 inside = all(l <= x < h for l, x, h in zip(b.lo, c, b.hi))
@@ -677,9 +737,7 @@ def test_sharers_agree_after_exchange():
     g = global_state((16, 16, 8), seed=8)
     fields = nan_fields(plan, g)
     exchange_all(plan, fields)
-    want = reference_windows(z, g, plan.blocks)
-    for b in plan.blocks:
-        assert np.array_equal(fields[b.id].data, want[b.id])
+    assert_grown_windows(plan, fields, reference_windows(z, g, plan.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -737,9 +795,7 @@ def test_exchange_matches_single_block_on_random_plans(drawn, seed):
     g = global_state(z.shape, seed=seed)
     fields = nan_fields(plan, g)
     exchange_all(plan, fields, coalesce=coalesce)
-    want = reference_windows(z, g, blocks)
-    for b in blocks:
-        assert np.array_equal(fields[b.id].data, want[b.id])
+    assert_grown_windows(plan, fields, reference_windows(z, g, blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -682,8 +682,9 @@ def test_cli_run_reports_the_clock_it_measured(tmp_path, capsys):
 
 
 def test_cli_model_only_run(tmp_path, capsys):
-    # The sha256 of the files it wrote at commit 4c01443, when a run of this
-    # case also reported its modeled clock.
+    # The sha256 of the files it writes since blocks keep no ghosts along
+    # the periodic axes they span whole, which dropped the local copies
+    # that the model prices.
     case_path = tmp_path / "corner.case"
     save_case(small_corner(), case_path)
     out_dir = tmp_path / "model"
@@ -694,9 +695,9 @@ def test_cli_model_only_run(tmp_path, capsys):
     (row,) = metrics_from_csv(str(out_dir / "metrics.csv"))
     assert row.timing_source == "model" and row.model_seconds > 0
     assert sha256_of(out_dir / "timeline.csv") == \
-        "89fa2a0bcced859cff52c0752e09adf367b57fb7c720f84e02152b5278c9541d"
+        "a92af44c301314205ecff78bf236e0fa5a23d2adf290dcffd74e42740eb04554"
     assert sha256_of(out_dir / "metrics.csv") == \
-        "43624f9b66ba65837c2466cb9c9f6f0d6fd9305c63a29d8f256093a6b46cf2a8"
+        "95cd5dc28412e1507e4302b96c707d60387f3c622dcc108bba21af15b0644fe0"
 
 
 def test_cli_sweep_ratio(tmp_path, capsys):

@@ -23,10 +23,11 @@ from wcnsflow.cases import case_plan, corner_case, cpu_only_variant, \
 from wcnsflow.devices import DevicePool
 from wcnsflow.errors import DivergenceError, InvalidStateError, \
     TransportError, WcnsflowError
-from wcnsflow.fields import assemble_zone
+from wcnsflow.fields import BlockField, assemble_zone
 from wcnsflow.halo import HaloExchanger
 from wcnsflow.model import model_run, model_schedule
-from wcnsflow.partition import plan_from_text, plan_to_text, split_zone
+from wcnsflow.partition import grown_box, plan_from_text, plan_to_text, \
+    split_zone
 from wcnsflow.runner import ExchangeTotals, RankWorker, build_simulation, \
     run_case, run_socket_rank
 from wcnsflow.state import GasModel
@@ -111,7 +112,7 @@ def test_worker_counts_match_on_a_coprocessor_case(monkeypatch):
     assert len(forks) == case.ranks * 2
     assert np.array_equal(assemble_zone(two.fields, two.plan),
                           assemble_zone(one.fields, one.plan))
-    assert two.totals == one.totals == ExchangeTotals(12, 230_400, 408)
+    assert two.totals == one.totals == ExchangeTotals(12, 86_400, 96)
 
 
 def test_pooled_ranks_under_a_short_switch_interval():
@@ -140,6 +141,53 @@ def test_narrow_blocks_without_overlap_or_coalescing(case_and_reference):
     got, plan = run_zone(case, 8, 2, overlap=False, coalesce=False)
     assert max(min(b.shape) for b in plan.blocks) < HALO_WIDTH
     assert np.array_equal(got, reference)
+
+
+def nan_fields_from_the_start(monkeypatch) -> None:
+    """Every block field is allocated NaN, so a cell that no exchange or
+    boundary pass writes stays NaN, and a stencil that reads one carries
+    it into the dump."""
+    allocate = BlockField.allocate.__func__
+
+    def allocating(cls, block):
+        f = allocate(cls, block)
+        f.data[...] = np.nan
+        return f
+
+    monkeypatch.setattr(BlockField, "allocate", classmethod(allocating))
+
+
+@pytest.mark.parametrize("make, blocks, ranks, workers", [
+    (lambda: CASES["wave8"](), 1, 1, 2),
+    (lambda: CASES["sod24-re200"](), 1, 1, 1),
+    (lambda: CASES["sod24-re200"](), 2, 2, 1),
+    (lambda: corner_case(2, columns=40, cross=6), None, None, 1),
+], ids=["wave8-1b", "sod24-re200-1b", "sod24-re200-2r", "corner2"])
+def test_cells_outside_the_grown_boxes_are_never_read_or_written(
+        monkeypatch, make, blocks, ranks, workers):
+    """Every cell of a run starts NaN but the interiors.  The dump is still
+    bitwise the single-block run's, and every cell outside a block's grown
+    box (its interior along the periodic axes it spans whole) is still NaN
+    at the end."""
+    case = make()
+    case = replace(case, controls=replace(case.controls, max_iters=3))
+    single = on_ranks(cpu_only_variant(case), 1, 1)
+    one = run_case(single, warmup=False, max_workers=1)
+    if blocks is not None:
+        case = on_ranks(case, blocks, ranks)
+    nan_fields_from_the_start(monkeypatch)
+    out = run_case(case, warmup=False, max_workers=workers)
+    assert out.iterations == one.iterations == 3
+    assert np.array_equal(assemble_zone(out.fields, out.plan),
+                          assemble_zone(one.fields, one.plan))
+    kept = 0
+    for b in out.plan.blocks:
+        data = out.fields[b.id].data
+        outside = np.ones(data.shape, dtype=bool)
+        outside[(slice(None),) + grown_box(out.plan.zone, b)] = False
+        assert np.isnan(data[outside]).all(), b
+        kept += int(outside.sum())
+    assert kept > 0
 
 
 def run_socket_ranks(case):
@@ -186,8 +234,8 @@ def test_socket_ranks_report_the_in_process_outcome_of_a_coprocessor_case():
     out = run_socket_ranks(case)[0]
     assert np.array_equal(assemble_zone(out.fields, out.plan),
                           assemble_zone(one.fields, one.plan))
-    assert out.totals == one.totals == ExchangeTotals(12, 230_400, 408)
-    assert (out.metrics.messages, out.metrics.message_bytes) == (12, 230_400)
+    assert out.totals == one.totals == ExchangeTotals(12, 86_400, 96)
+    assert (out.metrics.messages, out.metrics.message_bytes) == (12, 86_400)
     # Both report the wall time rank 0 measured, and only that: the rows
     # differ in nothing else.
     for m in (out.metrics, one.metrics):
@@ -198,7 +246,7 @@ def test_socket_ranks_report_the_in_process_outcome_of_a_coprocessor_case():
     # The modeled clock of the same two steps comes from the model alone.
     timeline, modeled = model_run(case, steps=2)
     assert modeled.model_seconds == timeline.makespan
-    assert timeline.makespan == pytest.approx(3.124576e-4, rel=1e-6)
+    assert timeline.makespan == pytest.approx(2.347376e-4, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +569,69 @@ def test_a_rank_that_raises_ends_the_run_with_its_error(monkeypatch):
                 if t.name.startswith("rank")]
 
 
+def fail_on_rank(monkeypatch, rank, exc, epoch=4):
+    """Rank ``rank``'s stage residual raises ``exc`` after its exchange at
+    ``epoch`` (stage 1 of the second step), as a bad state found while
+    converting the grown box would; every other stage runs as usual."""
+    stage_residual = RankWorker._stage_residual
+
+    def failing(self, lams, at):
+        stage_residual(self, lams, at)
+        if self.rank == rank and at == epoch:
+            raise exc
+
+    monkeypatch.setattr(RankWorker, "_stage_residual", failing)
+
+
+def test_a_one_rank_run_names_its_rank(monkeypatch):
+    # A bad state diverges the run; any other error escapes as it is.
+    bad = InvalidStateError("injected", block_id=0)
+    fail_on_rank(monkeypatch, 0, bad)
+    case = CASES["wave8"]()
+    with pytest.raises(DivergenceError, match=r"injected block=0 rank=0 "
+                       r"step=1$") as err:
+        run_case(case, max_workers=1, warmup=False)
+    assert err.value.rank == 0 and err.value.__cause__ is bad
+    monkeypatch.undo()
+    fail_on_rank(monkeypatch, 0, RuntimeError("boom"))
+    with pytest.raises(RuntimeError, match="^boom$") as err:
+        run_case(case, max_workers=1, warmup=False)
+    assert err.value.rank == 0
+
+
+def test_a_run_where_only_rank_1_diverges_names_rank_1(monkeypatch):
+    bad = InvalidStateError("injected", block_id=5)
+    fail_on_rank(monkeypatch, 1, bad)
+    case = on_ranks(wave_case(16, t_end=0.004, fixed_dt=1e-3), 8, 2)
+    with pytest.raises(DivergenceError, match=r"injected block=5 rank=1 "
+                       r"step=1$") as err:
+        run_case(case, max_workers=1, warmup=False)
+    assert err.value.rank == 1 and err.value.__cause__ is bad
+    # Over sockets each rank raises: rank 1 its own error, rank 0 one that
+    # names rank 1, though the cause stays in rank 1's process.
+    addresses = {r: ("127.0.0.1", free_port()) for r in range(2)}
+    errors = {}
+
+    def rank_main(rank):
+        try:
+            run_socket_rank(case, rank, addresses, max_workers=1,
+                            timeout=30.0)
+        except DivergenceError as exc:
+            errors[rank] = exc
+
+    threads = [threading.Thread(target=rank_main, args=(r,))
+               for r in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert sorted(errors) == [0, 1]
+    assert [errors[r].rank for r in range(2)] == [1, 1]
+    assert str(errors[1]).endswith("injected block=5 rank=1 step=1")
+    assert str(errors[0]).endswith(
+        "rank 1 failed; its own error names the cause rank=1 step=1")
+
+
 def test_failed_exchange_waits_for_interior_sweeps_in_flight(monkeypatch):
     # Rank 0 of a two-rank plan cuts all its blocks; the exchange fails
     # after the hook has sent their interior sweeps to the workers.
@@ -550,9 +661,9 @@ def test_failed_exchange_waits_for_interior_sweeps_in_flight(monkeypatch):
         worker.start()
         worker.init_state()
         assert worker.cut == {b.id for b in worker.blocks}
-        w_int = worker._interior_primitives()
+        worker._stage_primitives()
         with pytest.raises(TransportError):
-            worker._stage_residual(np.full(3, 3.0), w_int, 0)
+            worker._stage_residual(np.full(3, 3.0), 0)
         # Every interior sweep (per block, 3 axes x 2 row runs) has ended.
         assert counts[:] == [0, len(worker.blocks) * 3 * 2]
     finally:
@@ -560,15 +671,15 @@ def test_failed_exchange_waits_for_interior_sweeps_in_flight(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_cut_blocks_convert_their_extended_box_after_their_interior_sweeps(
+def test_cut_blocks_convert_their_grown_box_after_their_interior_sweeps(
         monkeypatch):
     # Two workers per rank and slow interior sweeps: each stage, a rank
-    # converts its cut block's extended box, which rewrites the primitives
-    # that the interior sweeps read, only once all of them have finished.
-    case = sod_case(24, 4)
-    case = replace(case, controls=replace(case.controls, max_iters=1))
+    # converts the grown box of each cut block that spans no periodic axis,
+    # its whole extended array, which rewrites the primitives that the
+    # interior sweeps read, only once all of them have finished.
+    case = wave_case(24, t_end=0.001, fixed_dt=1e-3)
     one = run_case(case, warmup=False, max_workers=1)
-    split = on_ranks(case, 2, 2)
+    split = on_ranks(case, 8, 2)
     sim = build_simulation(split)
     sent = [len(runner.sweep_list(sim.plan, sim.halo_plan, r, True, 2)[0])
             for r in range(2)]
@@ -580,7 +691,7 @@ def test_cut_blocks_convert_their_extended_box_after_their_interior_sweeps(
     def slow(q, w, axis, *args, lo, hi, out, **kwargs):
         interior = 0 < lo and hi < out.shape[1 + axis]
         if interior:
-            time.sleep(0.05)
+            time.sleep(0.02)
         try:
             return sweep(q, w, axis, *args, lo=lo, hi=hi, out=out, **kwargs)
         finally:
@@ -591,7 +702,7 @@ def test_cut_blocks_convert_their_extended_box_after_their_interior_sweeps(
                     finished[rank] += 1
 
     def converting(q, *args, out=None, **kwargs):
-        if out is not None:
+        if q.shape[1:] == (22, 22, 22):    # the grown box of a 12^3 block
             rank = int(threading.current_thread().name[len("rank"):])
             seen[rank].append(finished[rank])
         return convert(q, *args, out=out, **kwargs)
@@ -599,11 +710,13 @@ def test_cut_blocks_convert_their_extended_box_after_their_interior_sweeps(
     monkeypatch.setattr(runner, "convective_derivative", slow)
     monkeypatch.setattr(runner, "primitive_from_conserved", converting)
     out = run_case(split, warmup=False, max_workers=2)
-    assert [b.shape for b in out.plan.blocks] == [(12, 4, 4)] * 2
-    # One cut block per rank; axis 0's interior range in 2 row runs.
-    assert sent == [2, 2]
+    assert out.iterations == 1
+    assert [b.shape for b in out.plan.blocks] == [(12, 12, 12)] * 8
+    # Four cut blocks per rank; each axis's interior range in 2 row runs.
+    assert sent == [4 * 3 * 2] * 2
     for r in range(2):
-        assert seen[r] == [sent[r] * (stage + 1) for stage in range(STAGES)]
+        assert seen[r] == [sent[r] * (stage + 1) for stage in range(STAGES)
+                           for _ in range(4)]
     assert np.array_equal(assemble_zone(out.fields, out.plan),
                           assemble_zone(one.fields, one.plan))
 

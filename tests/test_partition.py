@@ -11,8 +11,9 @@ from wcnsflow.errors import CaseFormatError, PartitionError
 from wcnsflow.halo import build_halo_plan
 from wcnsflow.model import model_schedule
 from wcnsflow.partition import (Block, NodeTopology, ZoneSpec, check_tiling,
-                                ghost_sources, grid_blocks, make_plan,
-                                plan_from_text, plan_to_text, split_zone)
+                                ghost_slabs, ghost_sources, grid_blocks,
+                                grown_box, make_plan, plan_from_text,
+                                plan_to_text, split_zone)
 from wcnsflow.runner import run_case
 from wcnsflow.wcns import HALO_WIDTH
 
@@ -203,6 +204,30 @@ def test_ghost_sources_symmetric():
         blocks = split(z, int(rng.integers(1, 9)))
         links = {(g.dst, g.src, g.shift) for g in ghost_sources(blocks, z)}
         assert links == {(s, d, tuple(-k for k in sh)) for d, s, sh in links}
+
+
+def test_ghost_slabs_cover_the_grown_box_outside_the_interior_once():
+    # The grown box is the interior along the periodic axes a block spans
+    # whole and the extended box along the others; its ghost slabs cover
+    # the rest of it exactly once.
+    rng = np.random.default_rng(10)
+    for _ in range(40):
+        shape = tuple(int(rng.integers(1, 14)) for _ in range(3))
+        boundary = tuple(t for a in range(3)
+                         for t in [("periodic", "outflow")[rng.integers(2)]] * 2)
+        z = zone(shape, boundary=boundary)
+        for b in split(z, int(rng.integers(1, 9))):
+            box = grown_box(z, b)
+            assert box == tuple(
+                slice(H, H + n) if z.periodic(a) and n == z.shape[a]
+                else slice(0, n + 2 * H) for a, n in enumerate(b.shape))
+            want = np.zeros(tuple(n + 2 * H for n in b.shape), dtype=int)
+            want[box] = 1
+            want[H:-H, H:-H, H:-H] = 0
+            count = np.zeros_like(want)
+            for slab in ghost_slabs(z, b):
+                count[slab] += 1
+            assert np.array_equal(count, want)
 
 
 def test_ghost_sources_run_once_per_plan(monkeypatch):

@@ -640,13 +640,24 @@ def wrapped_block(shape, seed: int):
     return q_ext, primitive_from_conserved(q_ext, GAS)
 
 
+def nan_outside(a: np.ndarray, box: tuple) -> np.ndarray:
+    """A copy of the extended array ``a`` that holds NaN outside ``box``
+    (slices of its three spatial axes)."""
+    out = np.full_like(a, np.nan)
+    sel = (slice(None),) + tuple(box)
+    out[sel] = a[sel]
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 12, 48])
 def test_periodic_sweeps_reproduce_the_plain_sweep(n):
     """On lines whose ghosts wrap their interior, the periodic sweep, which
     computes n edge values per line and repeats them, writes the bytes of
     the plain sweep's n + 5, on all three axes, at every tile size and over
-    random row ranges; lines shorter than the halo wrap more than once."""
+    random row ranges; lines shorter than the halo wrap more than once.  It
+    reads no ghost: with every ghost NaN it writes the same bytes."""
     rng = np.random.default_rng(n)
+    interior = (slice(H, -H),) * 3
     for axis in range(3):
         shape = [6, 5, 3]
         shape[axis] = n
@@ -655,15 +666,22 @@ def test_periodic_sweeps_reproduce_the_plain_sweep(n):
         nrows = shape[1 if axis == 0 else 0]
         plain = convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n,
                                       gas=GAS)
-        for tile in (None, 1, 3, 0):
-            cuts = sorted({0, nrows, *rng.integers(1, nrows, size=2)})
-            for rows in ([0, nrows], cuts):
-                out = np.zeros_like(plain)
-                for r0, r1 in zip(rows, rows[1:]):
-                    convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n,
-                                          gas=GAS, row_lo=r0, row_hi=r1,
-                                          tile=tile, periodic=True, out=out)
-                assert out.tobytes() == plain.tobytes(), (axis, tile, rows)
+        for ghosts in ("wrapped", "nan"):
+            q, w = q_ext, w_ext
+            if ghosts == "nan":
+                q, w = nan_outside(q_ext, interior), nan_outside(w_ext,
+                                                                 interior)
+            for tile in (None, 1, 3, 0):
+                cuts = sorted({0, nrows, *rng.integers(1, nrows, size=2)})
+                for rows in ([0, nrows], cuts):
+                    out = np.zeros_like(plain)
+                    for r0, r1 in zip(rows, rows[1:]):
+                        convective_derivative(q, w, axis, lam, 1.0 / n,
+                                              gas=GAS, row_lo=r0, row_hi=r1,
+                                              tile=tile, periodic=True,
+                                              out=out)
+                    assert out.tobytes() == plain.tobytes(), (
+                        axis, ghosts, tile, rows)
 
 
 def test_periodic_sweep_needs_the_whole_axis_without_a_handoff():
@@ -864,7 +882,9 @@ def test_periodic_viscous_terms_reproduce_the_plain_path(n):
     on those axes, the periodic pack holds the plain pack's gradients on
     the interior of the wrapped axes, and the viscous derivatives, which
     repeat n fluxes per periodic line, write the plain path's bytes; lines
-    shorter than four nodes wrap more than once."""
+    shorter than four nodes wrap more than once.  The periodic pack reads
+    no ghost along its periodic axes: with those ghosts NaN it holds the
+    same bytes."""
     for k, wrap in enumerate(itertools.product((False, True), repeat=3)):
         if not any(wrap) and n > 1:
             continue
@@ -872,19 +892,24 @@ def test_periodic_viscous_terms_reproduce_the_plain_path(n):
         w_ext = viscous_block(shape, 100 * n + k, wrap)
         spacing = tuple(1.0 / m for m in shape)
         plain = velocity_temperature_gradients(w_ext, spacing)
-        pack = velocity_temperature_gradients(w_ext, spacing, wrap)
-        assert pack.periodic == wrap
-        crop = tuple(slice(2, -2) if on else slice(None) for on in wrap)
-        for got, want in [(pack.vel, plain.vel[(slice(None),) + crop]),
-                          (pack.grad_vel,
-                           plain.grad_vel[(slice(None),) * 2 + crop]),
-                          (pack.grad_temp,
-                           plain.grad_temp[(slice(None),) + crop])]:
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
-        for axis in range(3):
-            want = viscous_derivative(plain, VISCOUS_GAS, axis, spacing[axis])
-            out = np.zeros_like(want)
-            got = viscous_derivative(pack, VISCOUS_GAS, axis, spacing[axis],
-                                     out=out)
-            assert got is out
-            assert got.tobytes() == want.tobytes(), (wrap, axis)
+        grown = tuple(slice(H, H + m) if on else slice(None)
+                      for on, m in zip(wrap, shape))
+        for w in (w_ext, nan_outside(w_ext, grown)):
+            pack = velocity_temperature_gradients(w, spacing, wrap)
+            assert pack.periodic == wrap
+            crop = tuple(slice(2, -2) if on else slice(None) for on in wrap)
+            for got, want in [(pack.vel, plain.vel[(slice(None),) + crop]),
+                              (pack.grad_vel,
+                               plain.grad_vel[(slice(None),) * 2 + crop]),
+                              (pack.grad_temp,
+                               plain.grad_temp[(slice(None),) + crop])]:
+                assert got.tobytes() == \
+                    np.ascontiguousarray(want).tobytes()
+            for axis in range(3):
+                want = viscous_derivative(plain, VISCOUS_GAS, axis,
+                                          spacing[axis])
+                out = np.zeros_like(want)
+                got = viscous_derivative(pack, VISCOUS_GAS, axis,
+                                         spacing[axis], out=out)
+                assert got is out
+                assert got.tobytes() == want.tobytes(), (wrap, axis)
