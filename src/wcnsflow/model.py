@@ -66,7 +66,9 @@ def sweep_list(plan: PartitionPlan, halo_plan, rank: int, overlap: bool,
     but takes two more sweep calls, so a block is cut only where its
     interior sweeps can hide another rank's messages (overlap is on and
     another rank feeds it), along each axis with a halo-free range
-    (``interior_split``); every other axis is swept whole after the
+    (``interior_split``).  A periodic line (``partition.periodic_axes``)
+    has no ghosts to wait for and none for a boundary range to read, so it
+    is never cut; it and every other uncut axis are swept whole after the
     exchange."""
     fed = {p.dst_block for p in halo_plan.recvs_of(rank)} if overlap else ()
     interior, rest = [], []
@@ -74,13 +76,12 @@ def sweep_list(plan: PartitionPlan, halo_plan, rank: int, overlap: bool,
         periodic = periodic_axes(plan.zone, b)
         for axis, n in enumerate(b.shape):
             lo, hi = interior_split(n)
-            cut = b.id in fed and lo < hi
+            cut = b.id in fed and lo < hi and not periodic[axis]
             runs = row_runs(b, axis, workers)
             if cut:
                 interior += [Sweep(b.id, axis, lo, hi, r0, r1, k, True, False)
                              for k, r0, r1 in runs]
-            rest += [Sweep(b.id, axis, s0, s1, r0, r1, k, cut,
-                           periodic[axis] and not cut)
+            rest += [Sweep(b.id, axis, s0, s1, r0, r1, k, cut, periodic[axis])
                      for s0, s1 in ([(0, lo), (hi, n)] if cut else [(0, n)])
                      for k, r0, r1 in runs]
     return interior, rest

@@ -27,14 +27,16 @@ state, primitives and convective outputs, so a sweep crosses their pipes
 only as its ``model.Sweep`` record.  Worker ``k`` sweeps row run ``k`` of
 every range in the order sent, so a boundary sweep always follows the
 interior sweep whose edges it reads.  Viscous terms, conversions and
-updates stay on the rank thread.  At each stage's start it converts every
-block's interior to primitives in place in the arena, where the wavespeed
-and step bounds and the interior sweeps read them.  After the exchange it
-converts the ghost slabs of each grown box (none when the grown box is the
-interior), or the whole extended array of a block that spans no periodic
-axis, whose one contiguous pass is faster than six slabs; it does so only
-once the interior sweeps have finished reading the primitives that such a
-pass rewrites.
+updates stay on the rank thread.  Each stage starts with one pass over the
+blocks (``RankWorker._stage_start``): it converts a block's interior to
+primitives in place in the arena, where the interior sweeps read them, and
+bounds the wavespeeds and, at stage 0, the step from that view.  After the
+exchange (``_stage_residual``, the one place that holds this rule) it
+converts the ghost slabs of each grown box (none when the grown box is
+the interior), or the whole extended array of a block that spans no
+periodic axis, whose one contiguous pass is faster than six slabs; it
+does so only once the interior sweeps have finished reading the
+primitives that such a pass rewrites.
 
 Ranks coordinate only through transport messages, all received from one
 kind of mailbox (``InProcessTransport``, which rank threads share and each
@@ -264,24 +266,11 @@ class RankWorker:
                                        freestream=sim.freestream)
         self.pool = rank_pool(rank, max_workers)
         self.spacing = sim.plan.zone.spacing
-        self.periodic = {b.id: periodic_axes(sim.plan.zone, b)
-                         for b in self.blocks}
-        # The boxes each block converts after the exchange, its interior
-        # being converted at the stage start: the ghost slabs of its grown
-        # box, or, for a block that spans no periodic axis, its whole
-        # extended array, whose one contiguous pass is faster than six
-        # slabs.
-        self.converted = {
-            b.id: [(slice(None),) + s for s in ghost_slabs(sim.plan.zone, b)]
-            if any(self.periodic[b.id])
-            else [(slice(None),) + grown_box(sim.plan.zone, b)]
-            for b in self.blocks}
         # Interior sweeps are sent from the hook, the rest per block after it.
         self.interior_sweeps, rest = sweep_list(
             sim.plan, sim.halo_plan, rank, overlap, self.pool.workers)
         self.sweeps = {bid: [s for s in rest if s.block == bid]
                        for bid in self.block_ids}
-        self.cut = {s.block for s in self.interior_sweeps}
         self.arena = Arena(self.blocks, sim.gas, self.spacing, shared=False)
         # A zone with an inflow face bounds each axis's wavespeed below by
         # the freestream's.
@@ -329,30 +318,24 @@ class RankWorker:
 
     # -- per-stage pieces ----------------------------------------------------
 
-    def _stage_primitives(self) -> None:
-        """Convert the stage-start interiors to primitives, in place in the
-        arena's ``w``."""
-        for b in self.blocks:
-            primitive_from_conserved(self.fields[b.id].interior, self.sim.gas,
-                                     block_id=b.id,
-                                     out=self.arena.w[b.id][INTERIOR])
-
-    def _lambda_partials(self) -> np.ndarray:
-        lams = np.zeros(3)
+    def _stage_start(self, stage: int) -> tuple[np.ndarray, float]:
+        """The rank's partials of the three wavespeeds and, at stage 0, of
+        the step bound (else inf).  Per block, it converts the stage-start
+        interior to primitives, in place in the arena's ``w``, and bounds
+        both from that view."""
+        lams, dt_bound = np.zeros(3), np.inf
         for b in self.blocks:
             w_int = self.arena.w[b.id][INTERIOR]
+            primitive_from_conserved(self.fields[b.id].interior, self.sim.gas,
+                                     block_id=b.id, out=w_int)
             for axis in range(3):
                 bound = block_wavespeed_bound(w_int, axis, self.sim.gas)
                 if bound > lams[axis]:
                     lams[axis] = bound
-        return lams
-
-    def _dt_partial(self) -> float:
-        bound = np.inf
-        for b in self.blocks:
-            bound = min(bound, block_dt_bound(self.arena.w[b.id][INTERIOR],
-                                              self.sim.gas, self.spacing))
-        return bound
+            if stage == 0:
+                dt_bound = min(dt_bound, block_dt_bound(w_int, self.sim.gas,
+                                                        self.spacing))
+        return lams, dt_bound
 
     def _make_finalize(self, controls: IterationControls, sim_time: float,
                        stage: int, initial_normsq: list):
@@ -390,13 +373,12 @@ class RankWorker:
 
         return finalize
 
-    def _submit(self, tasks, futures: list) -> None:
-        """Submit (fn, args) pairs to the pool, appending to ``futures`` the
-        ``Pending`` of each task that went to a worker process."""
-        for fn, args in tasks:
-            fut = self.pool.submit(fn, *args)
-            if fut is not None:
-                futures.append(fut)
+    def _submit(self, futures: list, fn, *args) -> None:
+        """Submit ``fn(*args)`` to the pool, appending its ``Pending`` to
+        ``futures`` when it went to a worker process."""
+        fut = self.pool.submit(fn, *args)
+        if fut is not None:
+            futures.append(fut)
 
     def _run_tasks(self, futures: list) -> None:
         """Wait for every one of the ``futures`` in flight, then raise the
@@ -407,10 +389,12 @@ class RankWorker:
         for fut in futures:
             fut.result()
 
-    def _sends(self, sweeps: list[Sweep], lams: np.ndarray) -> list:
-        """The pool tasks of ``sweeps`` at the stage's wavespeeds ``lams``."""
-        return [(self._conv_chunk, (s._replace(lam=float(lams[s.axis])),))
-                for s in sweeps]
+    def _send(self, sweeps: list[Sweep], lams: np.ndarray,
+              futures: list) -> None:
+        """Submit ``sweeps`` at the stage's wavespeeds ``lams``."""
+        for s in sweeps:
+            self._submit(futures, self._conv_chunk,
+                         s._replace(lam=float(lams[s.axis])))
 
     def _conv_chunk(self, sweep: Sweep):
         """A sweep task: sent to its worker process of the pool, or run here
@@ -428,11 +412,11 @@ class RankWorker:
         """Exchange ghosts and assemble residuals for every local block."""
         futures: list = []
         hook = None
-        if self.cut:
+        if self.interior_sweeps:
             # Interior windows read no ghost cells, so they run while
             # messages are in flight, on the stage-start primitives.
             def hook():
-                self._submit(self._sends(self.interior_sweeps, lams), futures)
+                self._send(self.interior_sweeps, lams, futures)
 
         try:
             self.totals.add(self.exchanger.run(self.rank, self.fields, epoch,
@@ -441,22 +425,25 @@ class RankWorker:
             # interior sweeps still in flight read.
             for fut in futures:
                 fut.wait()
+            zone = self.plan.zone
             for b in self.blocks:
                 # Ghosts are in place; primitives now cover the grown box.
                 # An interior converted again recomputes to bitwise-identical
                 # numbers.  Each block's sweeps leave as soon as it is ready.
+                periodic = periodic_axes(zone, b)
                 w = self.arena.w[b.id]
-                for box in self.converted[b.id]:
+                for box in (ghost_slabs(zone, b) if any(periodic)
+                            else [grown_box(zone, b)]):
+                    box = (slice(None),) + box
                     primitive_from_conserved(self.fields[b.id].data[box],
                                              self.sim.gas, block_id=b.id,
                                              out=w[box])
-                tasks = self._sends(self.sweeps[b.id], lams)
+                self._send(self.sweeps[b.id], lams, futures)
                 if self.sim.gas.viscous:
-                    grads = velocity_temperature_gradients(
-                        w, self.spacing, self.periodic[b.id])
-                    tasks += [(self._vis_chunk, (b, grads, axis))
-                              for axis in range(3)]
-                self._submit(tasks, futures)
+                    grads = velocity_temperature_gradients(w, self.spacing,
+                                                           periodic)
+                    for axis in range(3):
+                        self._submit(futures, self._vis_chunk, b, grads, axis)
         except BaseException:
             # Sweeps may still be writing; let them finish first.
             self._run_tasks(futures)
@@ -503,13 +490,9 @@ class RankWorker:
                     break
                 dt = 0.0
                 for stage in range(STAGES):
-                    lams = np.zeros(3)
-                    dt_partial = np.inf
+                    lams, dt_partial = np.zeros(3), np.inf
                     try:
-                        self._stage_primitives()
-                        lams = self._lambda_partials()
-                        if stage == 0:
-                            dt_partial = self._dt_partial()
+                        lams, dt_partial = self._stage_start(stage)
                     except InvalidStateError as exc:
                         poison = STOP_DIVERGED
                         error = error or exc

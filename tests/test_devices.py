@@ -353,14 +353,23 @@ def test_model_makespans_frozen(name):
         assert (tl.makespan, tl.hidden_comm_fraction) == want
 
 
+# Wave 48^3 in 2 blocks of 48 x 48 x 24 on 2 ranks: fed by the other rank,
+# each block is cut only along z, as its periodic x and y lines never are.
+SWEEP_LAYOUTS = {name: case for name, (case, *_) in FROZEN_MODEL.items()}
+SWEEP_LAYOUTS["wave48-2b2r"] = with_ranks(
+    wave_case(48, fixed_dt=WAVE_DT, t_end=2 * WAVE_DT, blocks=2), 2)
+
+
 @pytest.mark.parametrize("name, workers, calls", [
-    ("wave48-1b", 2, 18), ("wave48-8b2r", 1, 216), ("sod200-re1e6", 1, 9)])
+    ("wave48-1b", 2, 18), ("wave48-8b2r", 1, 216), ("sod200-re1e6", 1, 9),
+    # Per rank and stage: the z interior, x and y whole, z's two ends.
+    ("wave48-2b2r", 1, 30)])
 def test_sweep_calls_per_step_follow_from_the_sweep_list(name, workers,
                                                          calls):
     """A step sends every entry of each rank's sweep list once per stage,
     cut into its row runs: on the benchmark's layouts, with their worker
     counts, the convective calls that a traced run counts."""
-    plan = case_plan(FROZEN_MODEL[name][0])
+    plan = case_plan(SWEEP_LAYOUTS[name])
     halo_plan = build_halo_plan(plan)
     runs = sum(len(part) for r in range(plan.ranks)
                for part in sweep_list(plan, halo_plan, r, True, workers))

@@ -25,6 +25,7 @@ from wcnsflow.metrics import (RunMetrics, from_timeline, mcups,
 from wcnsflow.model import model_schedule
 from wcnsflow.partition import (NodeTopology, plan_from_text, plan_to_text,
                                 split_zone)
+from wcnsflow.runner import run_case
 from wcnsflow.schedule import Timeline
 from wcnsflow.transport import free_port
 
@@ -679,6 +680,22 @@ def test_cli_run_reports_the_clock_it_measured(tmp_path, capsys):
     assert f"wall {row.wall_seconds:.4f} s, {row.mcups:.2f} MCUPS" in out
     assert "makespan" not in out
     assert not (run_dir / "timeline.csv").exists()
+
+
+def test_cli_runs_a_corner_case_with_a_periodic_span_over_10_cells(
+        tmp_path):
+    # Every block is fed by another rank or node and spans the 12-cell
+    # periodic z axis whole, which has a halo-free range but is never cut.
+    case_path = tmp_path / "corner.case"
+    assert run_cli("gen", "--kind", "corner", "--nodes", 2, "--columns", 40,
+                   "--cross", 12, "--max-iters", 1, "--out", case_path) == 0
+    assert run_cli("run", "--case", case_path,
+                   "--out-dir", tmp_path / "run") == 0
+    dump = read_dump(tmp_path / "run" / "fields.bin")
+    out = run_case(load_case(case_path), warmup=False)
+    assert out.iterations == 1 and sorted(dump) == sorted(out.fields)
+    for bid, f in out.fields.items():
+        assert np.array_equal(dump[bid], f.interior)
 
 
 def test_cli_model_only_run(tmp_path, capsys):

@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from wcnsflow import runner
-from wcnsflow.cases import exact_density, initial_fields, sod_case, wave_case
+from wcnsflow.cases import (Case, corner_case, exact_density, initial_fields,
+                            sod_case, wave_case, with_ranks)
 from wcnsflow.errors import DivergenceError
-from wcnsflow.fields import cell_centers
+from wcnsflow.fields import assemble_zone, cell_centers
+from wcnsflow.partition import ZoneSpec
 from wcnsflow.riemann import SOD_LEFT, SOD_RIGHT, solve_riemann
 from wcnsflow.runner import (STOP_DIVERGED, STOP_NONE, RankWorker,
                              build_simulation, run_case)
@@ -286,3 +289,73 @@ def test_wave_density_error_converges_at_fourth_order_or_better():
                                                  out.sim_time)))
     # About 3.98 when this bound was set.
     assert math.log2(errors[0] / errors[1]) >= 3.5
+
+
+# An oblique shock.  The corner case's Mach 2 stream, turned 10 degrees into
+# the slip wall at y = 0, settles into two uniform states split by a straight
+# shock from the inflow corner, so its walls, inflow and outflow meet a
+# closed-form solution: the theta-beta-M relation (Anderson, Modern
+# Compressible Flow, ch. 4).
+
+def oblique_shock_case(*, t_end=None, max_iters=100_000) -> Case:
+    """The corner case's boundaries and freestream on a 24 x 12 x 1 zone of
+    spacing 1/12: one block on one CPU rank."""
+    corner = corner_case(1, columns=40, cross=6)
+    zone = ZoneSpec(shape=(24, 12, 1), spacing=(1.0 / 12,) * 3,
+                    boundary=corner.zone.boundary)
+    return Case(name="oblique-shock", kind="corner", gas=corner.gas,
+                zone=zone, init=corner.init, freestream=corner.freestream,
+                controls=IterationControls(max_iters=max_iters, cfl=0.5,
+                                           t_end=t_end, tolerance=None),
+                block_widths=tuple((n,) for n in zone.shape))
+
+
+def oblique_shock(mach: float, theta: float, gamma: float):
+    """The weak shock's angle to the stream and its pressure ratio, for a
+    stream of Mach ``mach`` turned by ``theta`` (radians)."""
+    def turn(beta):
+        m2 = (mach * math.sin(beta)) ** 2
+        return (2.0 / math.tan(beta) * (m2 - 1.0)
+                / (mach ** 2 * (gamma + math.cos(2.0 * beta)) + 2.0)
+                - math.tan(theta))
+    # From the Mach angle (no turn) to 60 degrees, below the strongest turn
+    # at Mach 2, so only the weak shock lies in the bracket.
+    beta = brentq(turn, math.asin(1.0 / mach), math.radians(60.0))
+    ratio = 1.0 + 2.0 * gamma / (gamma + 1.0) * (
+        (mach * math.sin(beta)) ** 2 - 1.0)
+    return beta, ratio
+
+
+def test_oblique_shock_off_the_inflow_corner():
+    case = oblique_shock_case(t_end=3.0)
+    theta = math.radians(float(case.init["angle"]))
+    beta, ratio = oblique_shock(float(case.init["mach"]), theta,
+                                case.gas.gamma)
+    out = run_case(case, warmup=False, max_workers=1)
+    assert abs(out.sim_time - 3.0) <= 1e-15
+    p1 = case.freestream[4]
+    p2 = ratio * p1
+    p = primitive_from_conserved(out.fields[0].interior, case.gas)[4, :, :, 0]
+    x, _, _ = cell_centers(out.plan.blocks[0], case.zone)
+    # The first cell row's mean pressure behind the shock: -4.38e-5 of p2
+    # in 453 steps when this bound was set.
+    wall = p[(0.5 < x) & (x < 1.5), 0].mean()
+    assert abs(wall / p2 - 1.0) < 4.6e-5
+    # The post-shock height, integral (p - p1) dy / (p2 - p1), grows along x
+    # at the shock's angle to the wall: -0.0209 degrees off when this bound
+    # was set.
+    height = (p - p1).sum(axis=1) * case.zone.spacing[1] / (p2 - p1)
+    near = (0.3 < x) & (x < 1.5)
+    slope = np.polyfit(x[near], height[near], 1)[0]
+    assert abs(math.degrees(math.atan(slope) - (beta - theta))) < 0.022
+
+
+@pytest.mark.parametrize("ranks", [2, 4])
+def test_oblique_shock_is_bitwise_the_same_on_more_ranks(ranks):
+    case = oblique_shock_case(max_iters=20)
+    one = run_case(case, warmup=False, max_workers=1)
+    out = run_case(with_ranks(case, ranks), warmup=False, max_workers=1)
+    assert out.iterations == one.iterations == 20
+    assert len(out.plan.blocks) == ranks
+    assert np.array_equal(assemble_zone(out.fields, out.plan),
+                          assemble_zone(one.fields, one.plan))

@@ -17,17 +17,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wcnsflow import runner
+from wcnsflow import halo, runner
 from wcnsflow.cases import case_plan, corner_case, cpu_only_variant, \
     sod_case, wave_case, with_ranks
 from wcnsflow.devices import DevicePool
-from wcnsflow.errors import DivergenceError, InvalidStateError, \
-    TransportError, WcnsflowError
+from wcnsflow.errors import DivergenceError, HaloPlanError, \
+    InvalidStateError, TransportError, WcnsflowError
 from wcnsflow.fields import BlockField, assemble_zone
 from wcnsflow.halo import HaloExchanger
 from wcnsflow.model import model_run, model_schedule
-from wcnsflow.partition import grown_box, plan_from_text, plan_to_text, \
-    split_zone
+from wcnsflow.partition import grown_box, periodic_axes, plan_from_text, \
+    plan_to_text, split_zone
 from wcnsflow.runner import ExchangeTotals, RankWorker, build_simulation, \
     run_case, run_socket_rank
 from wcnsflow.state import GasModel
@@ -143,6 +143,60 @@ def test_narrow_blocks_without_overlap_or_coalescing(case_and_reference):
     assert np.array_equal(got, reference)
 
 
+# Blocks fed by another rank that span a periodic axis of more than 10
+# nodes whole, the one kind of axis with a halo-free range that is never
+# cut: its lines have no ghosts to wait for or to read.
+FED_PERIODIC = {
+    # Two blocks of 24 x 24 x 12: x and y spanned whole.
+    "wave24-2b2r": lambda: on_ranks(wave_case(24, t_end=0.002,
+                                              fixed_dt=1e-3), 2, 2),
+    # Two blocks of 50 x 12 x 12: y and z spanned whole.
+    "sod100x12-2r": lambda: with_ranks(sod_case(100, 12, t_end=0.004), 2),
+    # Ten blocks of up to 10 x 12 x 12 on 2 nodes: z spanned whole.
+    "corner2-cross12": lambda: corner_case(2, columns=40, cross=12,
+                                           max_iters=1),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(FED_PERIODIC))
+def test_fed_blocks_spanning_a_periodic_axis_match_single_block_run(
+        name, workers):
+    case = FED_PERIODIC[name]()
+    one = run_case(on_ranks(cpu_only_variant(case), 1, 1), warmup=False,
+                   max_workers=1)
+    out = run_case(case, warmup=False, max_workers=workers)
+    assert out.iterations == one.iterations >= 1
+    assert out.plan.ranks == 2 and len(out.plan.blocks) > 1
+    assert np.array_equal(assemble_zone(out.fields, out.plan),
+                          assemble_zone(one.fields, one.plan))
+
+
+@pytest.mark.parametrize("name", sorted(FED_PERIODIC))
+def test_sweep_list_never_cuts_a_periodic_line(name):
+    """Every sweep along an axis that ``periodic_axes`` marks covers the
+    whole line ``[0, n)`` and is periodic, though the block is fed by
+    another rank and the axis has a halo-free range; the other axes of a
+    fed block with such a range are still cut."""
+    sim = build_simulation(FED_PERIODIC[name]())
+    long_periodic = cut = 0
+    for r in range(sim.plan.ranks):
+        fed = {p.dst_block for p in sim.halo_plan.recvs_of(r)}
+        interior, rest = runner.sweep_list(sim.plan, sim.halo_plan, r, True)
+        assert fed and {s.block for s in interior} <= fed
+        for s in interior + rest:
+            b = sim.plan.blocks[s.block]
+            n = b.shape[s.axis]
+            if periodic_axes(sim.plan.zone, b)[s.axis]:
+                assert (s.lo, s.hi, s.periodic, s.handoff) == \
+                    (0, n, True, False), s
+                long_periodic += s.block in fed and n > 10
+            else:
+                assert not s.periodic, s
+                cut += s.handoff
+    assert long_periodic > 0 and cut > 0
+
+
 def nan_fields_from_the_start(monkeypatch) -> None:
     """Every block field is allocated NaN, so a cell that no exchange or
     boundary pass writes stays NaN, and a stencil that reads one carries
@@ -162,7 +216,9 @@ def nan_fields_from_the_start(monkeypatch) -> None:
     (lambda: CASES["sod24-re200"](), 1, 1, 1),
     (lambda: CASES["sod24-re200"](), 2, 2, 1),
     (lambda: corner_case(2, columns=40, cross=6), None, None, 1),
-], ids=["wave8-1b", "sod24-re200-1b", "sod24-re200-2r", "corner2"])
+    (lambda: wave_case(24, fixed_dt=1e-3), 2, 2, 2),
+], ids=["wave8-1b", "sod24-re200-1b", "sod24-re200-2r", "corner2",
+        "wave24-2b2r"])
 def test_cells_outside_the_grown_boxes_are_never_read_or_written(
         monkeypatch, make, blocks, ranks, workers):
     """Every cell of a run starts NaN but the interiors.  The dump is still
@@ -190,30 +246,37 @@ def test_cells_outside_the_grown_boxes_are_never_read_or_written(
     assert kept > 0
 
 
-def run_socket_ranks(case):
-    """Every rank of ``case`` as a thread of this process, each with its own
-    socket transport; the last rank starts first, so its first dial may
-    find no listener.  Returns the outcomes in rank order."""
+def socket_ranks(case, **options):
+    """Every rank of ``case`` as a thread ``rank{r}`` of this process, each
+    with its own socket transport; the last rank starts first, so its first
+    dial may find no listener.  Returns the outcomes in rank order and the
+    errors by rank."""
     ranks = case.ranks
     addresses = {r: ("127.0.0.1", free_port()) for r in range(ranks)}
     outcomes = [None] * ranks
-    errors = []
+    errors = {}
 
     def rank_main(rank):
         try:
             outcomes[rank] = run_socket_rank(case, rank, addresses,
-                                             timeout=30.0)
-        except Exception as exc:          # surfaced by the assert below
-            errors.append(exc)
+                                             timeout=30.0, **options)
+        except Exception as exc:
+            errors[rank] = exc
 
-    threads = [threading.Thread(target=rank_main, args=(r,))
+    threads = [threading.Thread(target=rank_main, args=(r,), name=f"rank{r}")
                for r in reversed(range(ranks))]
     for t in threads:
         t.start()
     for t in threads:
         t.join(timeout=120)
     assert not any(t.is_alive() for t in threads)
-    assert errors == []
+    return outcomes, errors
+
+
+def run_socket_ranks(case):
+    """The outcomes of ``socket_ranks``, none of which may fail."""
+    outcomes, errors = socket_ranks(case)
+    assert errors == {}
     return outcomes
 
 
@@ -438,7 +501,7 @@ def test_block_without_a_halo_free_range_is_not_cut(monkeypatch):
     assert [b.shape for b in out.plan.blocks] == [(8, 8, 8)] * 8
     assert len(workers) == 2
     for worker in workers:
-        assert worker.cut == set() and worker.arena.shared
+        assert worker.interior_sweeps == [] and worker.arena.shared
     assert hooks == [None] * (2 * 3)
     assert np.array_equal(assemble_zone(out.fields, out.plan),
                           assemble_zone(one.fields, one.plan))
@@ -609,27 +672,55 @@ def test_a_run_where_only_rank_1_diverges_names_rank_1(monkeypatch):
     assert err.value.rank == 1 and err.value.__cause__ is bad
     # Over sockets each rank raises: rank 1 its own error, rank 0 one that
     # names rank 1, though the cause stays in rank 1's process.
-    addresses = {r: ("127.0.0.1", free_port()) for r in range(2)}
-    errors = {}
-
-    def rank_main(rank):
-        try:
-            run_socket_rank(case, rank, addresses, max_workers=1,
-                            timeout=30.0)
-        except DivergenceError as exc:
-            errors[rank] = exc
-
-    threads = [threading.Thread(target=rank_main, args=(r,))
-               for r in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
+    _, errors = socket_ranks(case, max_workers=1)
     assert sorted(errors) == [0, 1]
+    assert all(type(e) is DivergenceError for e in errors.values())
     assert [errors[r].rank for r in range(2)] == [1, 1]
     assert str(errors[1]).endswith("injected block=5 rank=1 step=1")
     assert str(errors[0]).endswith(
         "rank 1 failed; its own error names the cause rank=1 step=1")
+
+
+def truncate_sends_of(monkeypatch, rank):
+    """Every halo payload that the thread of rank ``rank`` packs loses its
+    last value; the other ranks pack theirs whole."""
+    for name in ("pack_pair", "pack_region"):
+        def short(*args, _pack=getattr(halo, name)):
+            payload = _pack(*args)
+            if threading.current_thread().name == f"rank{rank}":
+                return payload[:-1]
+            return payload
+        monkeypatch.setattr(halo, name, short)
+
+
+# Wave 16^3 in 2 blocks of 16 x 16 x 8, one per rank: each block's ghosts
+# come from the other rank's block as one message per stage.
+TRUNCATED = on_ranks(wave_case(16, t_end=0.004, fixed_dt=1e-3), 2, 2)
+
+
+def test_a_truncated_message_ends_the_run_naming_the_receiver(monkeypatch):
+    # Rank 0's message to rank 1 is one value short: rank 1 raises at once,
+    # and rank 0, waiting for rank 1's partials, does not wait out the
+    # transport's timeout.
+    truncate_sends_of(monkeypatch, 0)
+    t0 = time.perf_counter()
+    with pytest.raises(HaloPlanError, match="blocks 0->1 ") as err:
+        run_case(TRUNCATED, warmup=False, max_workers=1)
+    assert time.perf_counter() - t0 < 5.0
+    assert err.value.rank == 1
+
+
+def test_a_truncated_message_ends_every_socket_rank(monkeypatch):
+    # Rank 1 raises the same error; rank 0 names the rank it lost.
+    truncate_sends_of(monkeypatch, 0)
+    t0 = time.perf_counter()
+    _, errors = socket_ranks(TRUNCATED, max_workers=1)
+    assert time.perf_counter() - t0 < 5.0
+    assert sorted(errors) == [0, 1]
+    assert type(errors[1]) is HaloPlanError and errors[1].rank == 1
+    assert "blocks 0->1 " in str(errors[1])
+    assert type(errors[0]) is TransportError and errors[0].rank == 0
+    assert "rank 1 is lost" in str(errors[0])
 
 
 def test_failed_exchange_waits_for_interior_sweeps_in_flight(monkeypatch):
@@ -660,8 +751,9 @@ def test_failed_exchange_waits_for_interior_sweeps_in_flight(monkeypatch):
     try:
         worker.start()
         worker.init_state()
-        assert worker.cut == {b.id for b in worker.blocks}
-        worker._stage_primitives()
+        assert {s.block for s in worker.interior_sweeps} == \
+            {b.id for b in worker.blocks}
+        worker._stage_start(0)
         with pytest.raises(TransportError):
             worker._stage_residual(np.full(3, 3.0), 0)
         # Every interior sweep (per block, 3 axes x 2 row runs) has ended.
