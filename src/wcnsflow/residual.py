@@ -25,12 +25,15 @@ component x window x side x node x line, and makes one projection call
 into the wave fields, one weighted-edge call for both sides (with the
 centre passed as ``None``) and one call back to state space.  The edge
 frame's node terms are formed once per node and shared by the two edges
-beside it.  The tile's multi-component arrays live in a per-thread
-workspace (``wcns.Workspace``) that is grown to the largest tile the thread
-has swept and viewed afresh for each tile shape, so pool workers never
-share one; the derivatives reuse the windows' region once the windows are
-projected, and only the edge frame's one-slab fields are still allocated
-per tile.  The default tile is the working-set tile: as many rows as fit
+beside it.  Every array the tile writes, the edge frame's fields
+included, lives in a per-thread workspace (``wcns.ThreadWorkspace``) that
+is grown to the largest tile the thread has swept and viewed afresh for
+each tile shape, so pool workers never share one; the derivatives reuse
+the windows' region once the windows are projected.  Each of those
+arrays, and each scratch array of the edge-value and edge-to-node
+kernels, starts on a 64-byte cache line (``wcns.ALIGN_BYTES``), where
+wide vector units store fastest; alignment changes no operation.  The
+default tile is the working-set tile: as many rows as fit
 the (rows, n2, L) float64 slab in ``TILE_BYTES``, and never fewer than
 ``MIN_TILE_ROWS``; ``tile=0`` sweeps the slab untiled.  Tiling, stacking
 and the layout change which arrays the operations touch, not the
@@ -98,12 +101,14 @@ from .state import (
     NCOMP,
     inviscid_flux,
     primitive_from_conserved,
-    spectral_radius,
+    spectral_radii,
     viscous_flux,
 )
 from .wcns import (
     HALO_WIDTH,
+    ThreadWorkspace,
     Workspace,
+    aligned_words,
     central4_derivative,
     edge_to_node_derivative,
     window_edge_value,
@@ -143,10 +148,14 @@ def periodic_runs(n: int, lo: int, hi: int) -> list[tuple[int, int, int, int]]:
     return runs
 
 
-def block_wavespeed_bound(w_int: np.ndarray, axis: int, gas: GasModel) -> float:
-    """Max |u_axis| + a over a block interior (this block's share of the
-    zone-wide splitting coefficient)."""
-    return float(np.max(spectral_radius(w_int, axis, gas)))
+def block_wavespeed_bound(w_int: np.ndarray,
+                          gas: GasModel) -> tuple[list[float], np.ndarray]:
+    """Max |u_axis| + a over a block interior along each axis (this
+    block's shares of the zone-wide splitting coefficients), and the
+    (3, ...) spectral radii they are the maxima of, which
+    ``block_dt_bound`` can reuse."""
+    radii = spectral_radii(w_int, gas)
+    return [float(np.max(r)) for r in radii], radii
 
 
 @dataclass
@@ -235,7 +244,8 @@ class EdgeFrame:
 
 
 def characteristic_frame(w: np.ndarray, axis: int, gas: GasModel, *,
-                         node_axis: int = -1) -> EdgeFrame:
+                         node_axis: int = -1,
+                         ws: Workspace | None = None) -> EdgeFrame:
     """Edge frame (Roe mean) between neighbouring nodes of primitive
     states ``w``, whose axis ``node_axis`` (the last by default; never the
     component axis 0) holds the n + 1 nodes flanking n edges.
@@ -243,52 +253,86 @@ def characteristic_frame(w: np.ndarray, axis: int, gas: GasModel, *,
     sqrt(rho), the total enthalpy h, sqrt(rho) u and sqrt(rho) h are
     formed once per node and shared by the edges on either side; each
     edge's mean sees the operations of the two-state formula in its order.
+    The frame's nine edge fields and four node-shaped scratch arrays are
+    taken from ``ws`` when it is given, and stay valid until its next
+    ``reserve``; otherwise they are fresh arrays.
     """
     ax = node_axis % w.ndim
     if ax == 0:
         raise ValueError("the node axis of w cannot be its component axis")
     lead = (slice(None),) * (ax - 1)
     left, right = lead + (slice(None, -1),), lead + (slice(1, None),)
+    node = w.shape[1:]
+    edge = node[:ax - 1] + (node[ax - 1] - 1,) + node[ax:]
+
+    def new(shape: tuple[int, ...]) -> np.ndarray:
+        return np.empty(shape) if ws is None else ws.take(*shape)
+
     g = gas.gamma
-    s = np.sqrt(w[0])
     gg = g / (g - 1.0)
-    h = gg * w[4] / w[0] + 0.5 * (w[1] ** 2 + w[2] ** 2 + w[3] ** 2)
-    inv = s[left] + s[right]
+    s = np.sqrt(w[0], out=new(node))
+    # h = gg w4 / w0 + 0.5 (w1^2 + w2^2 + w3^2), in that order.
+    h = np.multiply(gg, w[4], out=new(node))
+    h /= w[0]
+    t = np.square(w[1], out=new(node))
+    u = np.square(w[2], out=new(node))
+    t += u
+    t += np.square(w[3], out=u)
+    t *= 0.5
+    h += t
+    # 1 / (sqrt(rho_l) + sqrt(rho_r)) waits in b2's array, and the
+    # squares of the mean velocities in inv_sound's.
+    inv = np.add(s[left], s[right], out=new(edge))
     np.divide(1.0, inv, out=inv)
     vel = []
     for a in range(3):
-        su = s * w[1 + a]
-        v = np.add(su[left], su[right])
+        su = np.multiply(s, w[1 + a], out=t)
+        v = np.add(su[left], su[right], out=new(edge))
         v *= inv
         vel.append(v)
     sh = np.multiply(s, h, out=h)
-    hm = np.add(sh[left], sh[right])
+    hm = np.add(sh[left], sh[right], out=new(edge))
     hm *= inv
-    q2 = vel[0] ** 2 + vel[1] ** 2 + vel[2] ** 2
-    a2 = (g - 1.0) * (hm - 0.5 * q2)
+    tmp = new(edge)
+    q2 = np.square(vel[0], out=new(edge))
+    q2 += np.square(vel[1], out=tmp)
+    q2 += np.square(vel[2], out=tmp)
+    # a^2 = (g - 1) (hm - 0.5 q2), formed in the sound speed's array.
+    a2 = np.multiply(0.5, q2, out=new(edge))
+    np.subtract(hm, a2, out=a2)
+    a2 *= g - 1.0
     if not np.all(a2 > 0.0):
         raise InvalidStateError("non-positive sound speed at an edge mean")
-    a = np.sqrt(a2)
-    b1 = (g - 1.0) / a2
+    b1 = np.divide(g - 1.0, a2, out=new(edge))
+    a = np.sqrt(a2, out=a2)
+    b2 = np.multiply(0.5, b1, out=inv)
+    b2 *= q2
     return EdgeFrame(axis=axis, un=vel[axis], ut1=vel[(axis + 1) % 3],
-                     ut2=vel[(axis + 2) % 3], sound=a, inv_sound=1.0 / a,
-                     enthalpy=hm, q2=q2, b1=b1, b2=0.5 * b1 * q2)
+                     ut2=vel[(axis + 2) % 3], sound=a,
+                     inv_sound=np.divide(1.0, a, out=tmp), enthalpy=hm,
+                     q2=q2, b1=b1, b2=b2)
 
 
-_workspace = Workspace()
+_workspace = ThreadWorkspace()
 
 
 def _tile_words(rows: int, n2: int, length: int, parked: int = 0) -> int:
-    """Float64 words of the workspace for one tile of ``rows`` lines of
-    ``length`` nodes: primitives, fluxes, split fluxes, the eight stacked
-    and the eight projected windows (the centre window of each side is
-    exactly zero and never stored), edge values and the recombined edges,
-    which share their buffer with ``parked`` edges read back from a
-    handoff.  The gathered conserved states wait in the plus fluxes' words
-    and the derivatives take the stacked windows' words, so neither adds
-    any."""
+    """Float64 words of the workspace for one tile of ``rows`` x ``n2``
+    lines of ``length`` nodes: primitives, fluxes, split fluxes, the edge
+    frame's four node-shaped scratch arrays and nine fields, the eight
+    stacked and the eight projected windows (the centre
+    window of each side is exactly zero and never stored), edge values and
+    the recombined edges, which share their buffer with ``parked`` edges
+    read back from a handoff; each array rounded up to whole cache lines.
+    The gathered conserved states wait in the plus fluxes' words and the
+    derivatives take the stacked windows' words, so neither adds any."""
+    lines = rows * n2
     ne = length - 5
-    return NCOMP * rows * n2 * (4 * length + (2 * 8 + 2 + 1) * ne + parked)
+    return (4 * aligned_words(NCOMP, length, lines)
+            + 4 * aligned_words(ne + 1, lines) + 9 * aligned_words(ne, lines)
+            + 2 * aligned_words(NCOMP, 8, ne, lines)
+            + aligned_words(NCOMP, 2, ne, lines)
+            + aligned_words(NCOMP, ne + parked, lines))
 
 
 def working_set_tile(n2: int, length: int) -> int:
@@ -417,7 +461,7 @@ def convective_derivative(
         step = working_set_tile(n2, length)
     else:
         step = row_hi - row_lo if tile <= 0 else tile
-    ws = _workspace
+    ws = _workspace.ws
     for c0 in range(row_lo, row_hi, step):
         cs = slice(c0, min(c0 + step, row_hi))
         rows = cs.stop - cs.start
@@ -450,7 +494,8 @@ def convective_derivative(
         fp *= 0.5
         np.subtract(f, lam_q, out=fm)
         fm *= 0.5
-        frame = characteristic_frame(wc[:, 2:3 + ne], axis, gas, node_axis=1)
+        frame = characteristic_frame(wc[:, 2:3 + ne], axis, gas, node_axis=1,
+                                     ws=ws)
         # The windows, component x window x side (plus, minus), taken
         # relative to their central node so a constant field projects to
         # exactly zero and uniform flow stays a bitwise fixed point of the

@@ -322,19 +322,19 @@ class RankWorker:
         """The rank's partials of the three wavespeeds and, at stage 0, of
         the step bound (else inf).  Per block, it converts the stage-start
         interior to primitives, in place in the arena's ``w``, and bounds
-        both from that view."""
+        both from the spectral radii of that view, formed once."""
         lams, dt_bound = np.zeros(3), np.inf
         for b in self.blocks:
             w_int = self.arena.w[b.id][INTERIOR]
             primitive_from_conserved(self.fields[b.id].interior, self.sim.gas,
                                      block_id=b.id, out=w_int)
-            for axis in range(3):
-                bound = block_wavespeed_bound(w_int, axis, self.sim.gas)
+            bounds, radii = block_wavespeed_bound(w_int, self.sim.gas)
+            for axis, bound in enumerate(bounds):
                 if bound > lams[axis]:
                     lams[axis] = bound
             if stage == 0:
-                dt_bound = min(dt_bound, block_dt_bound(w_int, self.sim.gas,
-                                                        self.spacing))
+                dt_bound = min(dt_bound, block_dt_bound(
+                    w_int, self.sim.gas, self.spacing, radii))
         return lams, dt_bound
 
     def _make_finalize(self, controls: IterationControls, sim_time: float,

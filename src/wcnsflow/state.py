@@ -120,6 +120,14 @@ def spectral_radius(w: np.ndarray, axis: int, gas: GasModel) -> np.ndarray:
     return np.abs(w[1 + axis]) + sound_speed(w, gas)
 
 
+def spectral_radii(w: np.ndarray, gas: GasModel) -> np.ndarray:
+    """``spectral_radius`` along the three axes, stacked (3, ...), with
+    the sound speed formed once for all three."""
+    radii = np.abs(w[1:4])
+    radii += sound_speed(w, gas)
+    return radii
+
+
 def inviscid_flux(w: np.ndarray, axis: int, q: np.ndarray | None = None,
                   gas: GasModel | None = None, *,
                   out: np.ndarray | None = None) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import GasModel, spectral_radius
+from .state import GasModel, spectral_radii
 
 STAGES = 3
 
@@ -32,16 +32,20 @@ def stage_state(stage: int, dt: float, q0, q_stage, r):
     raise ValueError(f"stage must be 0..2, got {stage}")
 
 
-def block_dt_bound(w_int: np.ndarray, gas: GasModel, spacing: tuple[float, float, float]) -> float:
+def block_dt_bound(w_int: np.ndarray, gas: GasModel,
+                   spacing: tuple[float, float, float],
+                   radii: np.ndarray | None = None) -> float:
     """Largest stable dt (unit CFL) over one block interior.
 
     dt = min over cells of h_min / (sum of directional wavespeeds
-    + 2 (mu gamma / Pr) / (rho h_min^2) when viscous).
+    + 2 (mu gamma / Pr) / (rho h_min^2) when viscous).  ``radii`` are the
+    wavespeeds ``spectral_radii(w_int, gas)`` when already formed.
     """
     h_min = min(spacing)
-    denom = spectral_radius(w_int, 0, gas)
-    denom = denom + spectral_radius(w_int, 1, gas)
-    denom = denom + spectral_radius(w_int, 2, gas)
+    if radii is None:
+        radii = spectral_radii(w_int, gas)
+    denom = radii[0] + radii[1]
+    denom += radii[2]
     if gas.viscous:
         coeff = 2.0 * gas.viscosity * gas.gamma / gas.prandtl
         denom = denom + coeff / (w_int[0] * h_min * h_min)

@@ -71,13 +71,27 @@ def nonlinear_weights(b0, b1, b2):
     return a0 * inv, a1 * inv, a2 * inv
 
 
-class Workspace(threading.local):
-    """Float64 scratch of one thread, reused from call to call.
+# Every array a ``Workspace`` hands out starts on a boundary of this many
+# bytes: one cache line, and one AVX-512 or MIC vector of eight float64.
+ALIGN_BYTES = 64
+_LINE_WORDS = ALIGN_BYTES // 8
+
+
+def aligned_words(*shape: int) -> int:
+    """Float64 words that ``Workspace.take(*shape)`` uses up: the array
+    rounded up to whole cache lines."""
+    return -(-math.prod(shape) // _LINE_WORDS) * _LINE_WORDS
+
+
+class Workspace:
+    """Float64 scratch, reused from call to call.
 
     ``reserve`` readies the buffer for one use, growing it when it is too
     small, and ``take`` carves the next array from it.  Arrays taken stay
-    valid until the next ``reserve`` on the same thread.  Every thread has
-    its own buffer, so pool workers sweeping at once never share scratch.
+    valid until the next ``reserve``.  The buffer starts on an
+    ``ALIGN_BYTES`` boundary and ``take`` rounds each array up to whole
+    cache lines, so every array taken starts on one; a use needs the sum
+    of ``aligned_words`` of its arrays.
     """
 
     def __init__(self):
@@ -86,17 +100,28 @@ class Workspace(threading.local):
 
     def reserve(self, size: int) -> None:
         if self.buf.size < size:
-            self.buf = np.empty(size)
+            raw = np.empty(size + _LINE_WORDS - 1)
+            skip = -raw.ctypes.data % ALIGN_BYTES // 8
+            self.buf = raw[skip:skip + size]
         self.used = 0
 
     def take(self, *shape: int) -> np.ndarray:
         n = math.prod(shape)
-        view = self.buf[self.used:self.used + n].reshape(shape)
-        self.used += n
-        return view
+        start = self.used
+        self.used = start + aligned_words(n)
+        return self.buf[start:start + n].reshape(shape)
 
 
-_scratch = Workspace()
+class ThreadWorkspace(threading.local):
+    """One ``Workspace`` per thread, ``ws``, so pool workers sweeping at
+    once never share scratch.  A kernel reads ``ws`` once per call: each
+    attribute read of a thread-local costs about as much as a ``take``."""
+
+    def __init__(self):
+        self.ws = Workspace()
+
+
+_scratch = ThreadWorkspace()
 
 
 def _edge_value(w0, w1, w2, w3, w4, nonlinear: bool, out=None):
@@ -113,8 +138,9 @@ def _edge_value(w0, w1, w2, w3, w4, nonlinear: bool, out=None):
     shape = np.broadcast_shapes(*map(np.shape, (w0, w1, w2, w3, w4)))
     if out is None:
         out = np.empty(shape)
-    _scratch.reserve(4 * math.prod(shape))
-    b0, b1, b2, u = (_scratch.take(*shape) for _ in range(4))
+    ws = _scratch.ws
+    ws.reserve(4 * aligned_words(*shape))
+    b0, b1, b2, u = (ws.take(*shape) for _ in range(4))
     if nonlinear:
         # Jiang-Shu indicators; ``out`` is scratch until the weighted sum.
         c = 13.0 / 12.0
@@ -302,8 +328,9 @@ def edge_to_node_derivative(edges: np.ndarray, h: float, *,
 
     d = np.subtract(e(3), e(2), out=out)
     d *= c1 / h
-    _scratch.reserve(d.size)
-    t = _scratch.take(*d.shape)
+    ws = _scratch.ws
+    ws.reserve(aligned_words(d.size))
+    t = ws.take(*d.shape)
     np.subtract(e(4), e(1), out=t)
     t *= c2 / h
     d -= t
@@ -337,8 +364,9 @@ def central4_derivative(f: np.ndarray, h: float, *, node_axis: int = -1,
     # differences let identical neighbor values cancel exactly, so a
     # uniform field yields a bitwise-zero derivative.
     d = np.subtract(e(0), e(4), out=out)
-    _scratch.reserve(d.size)
-    t = _scratch.take(*d.shape)
+    ws = _scratch.ws
+    ws.reserve(aligned_words(d.size))
+    t = ws.take(*d.shape)
     np.subtract(e(3), e(1), out=t)
     t *= 8.0
     d += t

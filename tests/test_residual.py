@@ -32,10 +32,14 @@ from wcnsflow.state import (
     primitive_from_conserved,
     spectral_radius,
 )
-from wcnsflow.wcns import edge_to_node_derivative, window_edge_value
+from wcnsflow.timestepping import block_dt_bound
+from wcnsflow.wcns import (Workspace, aligned_words, edge_to_node_derivative,
+                           window_edge_value)
 
 GAS = GasModel()
 H = 5
+FRAME_FIELDS = ("un", "ut1", "ut2", "sound", "inv_sound", "enthalpy", "q2",
+                "b1", "b2")
 
 finite = {"allow_nan": False, "allow_infinity": False}
 
@@ -229,8 +233,7 @@ def test_node_major_frame_is_the_last_axis_form(axis, node_axis):
     want = characteristic_frame(w, axis, GAS)
     major = np.ascontiguousarray(np.moveaxis(w, -1, 1))
     got = characteristic_frame(major, axis, GAS, node_axis=node_axis)
-    for name in ("un", "ut1", "ut2", "sound", "inv_sound", "enthalpy", "q2",
-                 "b1", "b2"):
+    for name in FRAME_FIELDS:
         back = np.moveaxis(getattr(got, name), 0, -1)
         assert back.tobytes() == getattr(want, name).tobytes(), name
     with pytest.raises(ValueError, match="component axis"):
@@ -293,10 +296,28 @@ def test_block_wavespeed_bound_matches_direct_maximum():
     w[0] = 0.5 + rng.random((4, 4, 4))
     w[1:4] = rng.standard_normal((3, 4, 4, 4))
     w[4] = 0.5 + rng.random((4, 4, 4))
+    bounds, radii = block_wavespeed_bound(w, GAS)
     for axis in range(3):
         want = float(np.max(np.abs(w[1 + axis])
                             + np.sqrt(GAS.gamma * w[4] / w[0])))
-        assert block_wavespeed_bound(w, axis, GAS) == want
+        assert bounds[axis] == want
+        assert radii[axis].tobytes() == \
+            spectral_radius(w, axis, GAS).tobytes()
+
+
+@pytest.mark.parametrize("gas", [GAS, GasModel(reynolds=100.0)])
+def test_dt_bound_from_the_wavespeed_radii_keeps_its_bits(gas):
+    """The stage start reuses the radii of the wavespeed bounds for the
+    step bound; that gives the bits of the bound formed on its own."""
+    rng = np.random.default_rng(6)
+    w = np.empty((5, 4, 5, 6))
+    w[0] = 0.5 + rng.random((4, 5, 6))
+    w[1:4] = rng.standard_normal((3, 4, 5, 6))
+    w[4] = 0.5 + rng.random((4, 5, 6))
+    _, radii = block_wavespeed_bound(w, gas)
+    spacing = (0.1, 0.05, 0.2)
+    assert block_dt_bound(w, gas, spacing, radii) == \
+        block_dt_bound(w, gas, spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +755,8 @@ def test_default_tile_sweep_reserves_exactly_the_tile_words():
 
     def sweep(axis):
         convective_derivative(q_ext, w_ext, axis, 3.0, 1.0 / 24, gas=GAS)
-        used.append((residual._workspace.buf.size, residual._workspace.used))
+        used.append((residual._workspace.ws.buf.size,
+                     residual._workspace.ws.used))
 
     for axis in range(3):
         t = threading.Thread(target=sweep, args=(axis,))
@@ -742,7 +764,106 @@ def test_default_tile_sweep_reserves_exactly_the_tile_words():
         t.join()
     assert used == [(_tile_words(rows, n2, length),
                      _tile_words(24 % rows, n2, length))] * 3
-    assert (rows, used[0]) == (10, (824_400, 329_760))
+    assert (rows, used[0]) == (10, (915_840, 366_336))
+
+
+def at_offset(a: np.ndarray, words: int) -> np.ndarray:
+    """A copy of ``a`` whose data starts ``words`` float64 past a 64-byte
+    boundary."""
+    raw = np.empty(a.size + 8 + words)
+    skip = -raw.ctypes.data % 64 // 8 + words
+    b = raw[skip:skip + a.size].reshape(a.shape)
+    b[...] = a
+    return b
+
+
+def test_workspace_arrays_start_on_cache_lines(monkeypatch):
+    """Every array either workspace hands a sweep, a viscous difference or
+    a standalone kernel starts on a 64-byte boundary, also after the
+    workspaces grow, and a use takes exactly its ``aligned_words``."""
+    starts = {}
+    take = Workspace.take
+
+    def spy(ws, *shape):
+        view = take(ws, *shape)
+        starts.setdefault(id(ws), []).append(view.ctypes.data % 64)
+        return view
+
+    monkeypatch.setattr(Workspace, "take", spy)
+
+    def run():
+        for shape in ((3, 5, 7), (13, 7, 21)):
+            q_ext, w_ext = random_block(shape, 2)
+            for axis in range(3):
+                for tile in (None, 0, 1):
+                    convective_derivative(q_ext, w_ext, axis, 3.0, 0.1,
+                                          gas=GAS, tile=tile)
+            velocity_temperature_gradients(w_ext, (0.1, 0.2, 0.3))
+        ws = Workspace()
+        for size, shapes in ((10, [(3,), (1,)]), (40, [(5, 3), (7,), (2,)])):
+            ws.reserve(size)
+            for shape in shapes:
+                ws.take(*shape)
+            assert ws.used == sum(aligned_words(*s) for s in shapes)
+
+    t = threading.Thread(target=run)      # fresh, empty workspaces
+    t.start()
+    t.join()
+    assert len(starts) == 3               # sweep, kernel scratch, local
+    assert all(set(offsets) == {0} for offsets in starts.values())
+
+
+def test_sweep_frame_lies_in_the_tile_workspace(monkeypatch):
+    """A sweep builds each tile's edge frame in its workspace: nine
+    fields that overlap no other and start on cache lines."""
+    frames = []
+
+    def spy(*args, **kwargs):
+        frame = characteristic_frame(*args, **kwargs)
+        frames.append([getattr(frame, name) for name in FRAME_FIELDS])
+        for f in frames[-1]:
+            assert np.shares_memory(f, residual._workspace.ws.buf)
+        return frame
+
+    monkeypatch.setattr(residual, "characteristic_frame", spy)
+    q_ext, w_ext = random_block((6, 5, 7), 3)
+    convective_derivative(q_ext, w_ext, 0, 3.0, 0.1, gas=GAS, tile=2)
+    assert len(frames) == 3
+    for fields in frames:
+        assert all(f.ctypes.data % 64 == 0 for f in fields)
+        for f, g in itertools.combinations(fields, 2):
+            assert not np.shares_memory(f, g)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_misaligned_arrays_give_the_bits_of_aligned_ones(axis):
+    """Inputs and output shifted one float64 off a cache line give the
+    bytes of aligned ones: alignment never changes a bit."""
+    q_ext, w_ext = random_block((9, 6, 11), 4)
+    got = []
+    for words in (0, 1):
+        out = at_offset(np.zeros((5, 9, 6, 11)), words)
+        convective_derivative(at_offset(q_ext, words),
+                              at_offset(w_ext, words), axis, 3.0, 0.1,
+                              gas=GAS, out=out)
+        got.append(out.tobytes())
+    assert got[0] == got[1]
+
+
+def test_standalone_frame_survives_later_frames_and_sweeps():
+    """A frame built without a workspace owns its fields: no later frame
+    or sweep overwrites them."""
+    rng = np.random.default_rng(8)
+    w = np.empty((5, 4, 9))
+    w[0] = 0.2 + 2.0 * rng.random((4, 9))
+    w[1:4] = rng.standard_normal((3, 4, 9))
+    w[4] = 0.2 + 2.0 * rng.random((4, 9))
+    frame = characteristic_frame(w, 0, GAS)
+    before = [getattr(frame, name).tobytes() for name in FRAME_FIELDS]
+    characteristic_frame(w[:, ::-1] * 1.5, 1, GAS)
+    q_ext, w_ext = random_block((4, 4, 4), 5)
+    convective_derivative(q_ext, w_ext, 2, 3.0, 0.1, gas=GAS)
+    assert [getattr(frame, name).tobytes() for name in FRAME_FIELDS] == before
 
 
 def test_concurrent_sweeps_match_serial_sweeps():
