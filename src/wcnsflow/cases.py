@@ -162,7 +162,7 @@ def initial_fields(case: Case, plan: PartitionPlan,
     fields: FieldSet = {}
     for b in plan.blocks:
         if block_ids is None or b.id in block_ids:
-            f = fields[b.id] = BlockField.allocate(b)
+            f = fields[b.id] = BlockField.allocate(b, plan.zone)
             w = _primitive_field(case, b, 0.0)
             f.interior[...] = conserved_from_primitive(w, case.gas)
     return fields

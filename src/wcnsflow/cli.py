@@ -118,7 +118,23 @@ def _cmd_partition(args) -> int:
     return 0
 
 
+def _refuse_unread_run_flags(args) -> None:
+    """Raise for a flag that the run's mode would not read."""
+    socket = args.transport == "socket"
+    mode = ("--model-only" if args.model_only
+            else f"--transport {args.transport}")
+    for flag, unread in (
+            ("--transport socket", socket and args.model_only),
+            ("--best-of", (socket or args.model_only) and args.best_of != 1),
+            ("--workers", args.model_only and args.workers is not None),
+            ("--rank", not socket and args.rank is not None),
+            ("--addresses", not socket and args.addresses is not None)):
+        if unread:
+            raise WcnsflowError(f"run {mode} does not take {flag}")
+
+
 def _cmd_run(args) -> int:
+    _refuse_unread_run_flags(args)
     case, plan = _load(args)
     out_dir = Path(args.out_dir)
     if args.transport == "socket":

@@ -1,4 +1,4 @@
-"""Per-block conserved-field storage with stencil halos."""
+"""Per-block conserved-field storage, on the grown box (see ``partition``)."""
 
 from __future__ import annotations
 
@@ -6,39 +6,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import Block, PartitionPlan, ZoneSpec
+from .partition import Block, PartitionPlan, ZoneSpec, margins
 from .state import NCOMP
-from .wcns import HALO_WIDTH
 
-H = HALO_WIDTH
+
+def grown_shape(zone: ZoneSpec, block: Block) -> tuple[int, int, int, int]:
+    """The shape of every array of ``block``: NCOMP x its grown box."""
+    return (NCOMP,) + tuple(n + 2 * m
+                            for n, m in zip(block.shape, margins(zone, block)))
 
 
 @dataclass
 class BlockField:
-    """Conserved state for one block, stored with a halo margin of width
-    ``HALO_WIDTH`` on every side so the full stencil can read across block
-    boundaries after an exchange."""
+    """An array of one block on its grown box, the conserved state in a
+    ``FieldSet``, so the full stencil can read across block boundaries."""
 
     block: Block
-    data: np.ndarray  # (NCOMP, nx + 2H, ny + 2H, nz + 2H), float64, C order
+    data: np.ndarray  # grown_shape(zone, block), float64, C order
 
     @classmethod
-    def allocate(cls, block: Block) -> "BlockField":
-        nx, ny, nz = block.shape
-        data = np.zeros((NCOMP, nx + 2 * H, ny + 2 * H, nz + 2 * H))
-        return cls(block=block, data=data)
+    def allocate(cls, block: Block, zone: ZoneSpec) -> "BlockField":
+        return cls(block=block, data=np.zeros(grown_shape(zone, block)))
 
     @property
     def interior(self) -> np.ndarray:
-        """Writable view of the halo-free interior, shape (NCOMP, nx, ny, nz)."""
-        return self.data[:, H:-H, H:-H, H:-H]
+        """Writable view of the halo-free interior, shape (NCOMP, nx, ny,
+        nz); the margins are half of what ``data`` holds beyond it."""
+        return self.data[(slice(None),) + tuple(
+            slice((s - n) // 2, (s + n) // 2)
+            for s, n in zip(self.data.shape[1:], self.block.shape))]
 
 
 FieldSet = dict[int, BlockField]
 
 
 def allocate_fields(plan: PartitionPlan) -> FieldSet:
-    return {b.id: BlockField.allocate(b) for b in plan.blocks}
+    return {b.id: BlockField.allocate(b, plan.zone) for b in plan.blocks}
 
 
 def cell_centers(block: Block, zone: ZoneSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,34 +1,28 @@
 """Halo exchange: plan construction, packing, execution, boundary fill.
 
-Every block stores its state in an extended array with a margin of
-``HALO_WIDTH`` ghost cells on each side, of which only the grown box
-(``partition.grown_box``) holds state.  Along an axis that the zone makes
-periodic and the block spans whole (``partition.periodic_axes``) the block
-keeps no ghosts: the kernels read a node past either end of such a line at
-interior node ``j mod n``.  Nothing outside the grown box is read or
-written.  One exchange epoch brings every ghost cell of the grown box up to
-date in two phases:
+Every block stores its state on its grown box (the storage rule of
+``partition``), so a ghost cell is any cell of a block's array outside its
+interior.  One exchange epoch brings every ghost cell up to date in two
+phases:
 
 1. copies from block interiors.  ``partition.ghost_sources`` intersects
-   each block's extended box with every block interior and their
-   periodic images (the plan's ``ghosts``); each intersection, clipped to
-   the destination's grown box, is one region.  The plan groups regions
-   into pairs, and each pair that crosses ranks costs one message: with
-   coalescing, a pair holds every region of one block pair; without it,
-   each remote region is a pair of its own.  A local pair is copied, not
-   sent, so it always stays whole.  A block narrower than the halo along
-   a periodic axis that it does not span feeds some of its own ghosts, in
-   a local pair like any other.
+   each block's grown box with every block interior and their periodic
+   images (the plan's ``ghosts``); each intersection is one region.  The
+   plan groups regions into pairs, and each pair that crosses ranks costs
+   one message: with coalescing, a pair holds every region of one block
+   pair; without it, each remote region is a pair of its own.  A local
+   pair is copied, not sent, so it always stays whole.  A block narrower
+   than the halo along a periodic axis that it does not span feeds some of
+   its own ghosts, in a local pair like any other.
 2. physical boundary fill in fixed axis order x, y, z.  Each non-periodic
-   face fills the part of its ghost band inside the block's extended box,
-   across the grown box's extents along the other axes.
+   face fills the part of its ghost band inside the block's array, across
+   the whole array along the other axes.
 
-Phase 1 gives every ghost cell of the grown box inside the zone, or inside
-one of its periodic images, its single source cell, and a later axis pass
-of phase 2 reads cells written by phase 1 or by an earlier pass.  That
-reproduces exactly the values a single unsplit block would hold in those
-cells, which makes the exchanged field independent of the partition,
-bitwise.
+Phase 1 gives every ghost cell inside the zone, or inside one of its
+periodic images, its single source cell, and a later axis pass of phase 2
+reads cells written by phase 1 or by an earlier pass.  That reproduces
+exactly the values a single unsplit block would hold in those cells, which
+makes the exchanged field independent of the partition, bitwise.
 """
 
 from __future__ import annotations
@@ -42,8 +36,7 @@ import numpy as np
 
 from .errors import HaloPlanError
 from .fields import FieldSet
-from .partition import (Block, PartitionPlan, ZoneSpec, grown_box,
-                        periodic_axes)
+from .partition import Block, PartitionPlan, ZoneSpec, margins
 from .state import NCOMP
 from .transport import Message
 from .wcns import HALO_WIDTH
@@ -72,8 +65,8 @@ class Region:
 
     dst_block: int
     src_block: int
-    dst_start: tuple[int, int, int]   # extended-array coords of dst
-    src_start: tuple[int, int, int]   # extended-array coords of src
+    dst_start: tuple[int, int, int]   # array coords of dst
+    src_start: tuple[int, int, int]   # array coords of src
     shape: tuple[int, int, int]
 
     @property
@@ -121,10 +114,7 @@ class BoundaryFace:
     axis: int
     side: int         # 0 = low face, 1 = high face
     kind: str         # wall | inflow | outflow
-    depth: int = H    # ghost planes of the face band in the extended box
-    # The block's grown box (``partition.grown_box``), which bounds the
-    # band across the face; None spans the whole extended array.
-    box: tuple[slice, slice, slice] | None = None
+    depth: int = H    # ghost planes of the face band in the block's array
 
 
 @dataclass
@@ -157,10 +147,8 @@ class HaloPlan:
 
 
 def _boundary_faces(block: Block, zone: ZoneSpec) -> tuple[BoundaryFace, ...]:
-    """Non-periodic faces whose ghost band reaches into the block's extended
-    box, in axis order.  Blocks touching the face see the whole band, across
-    the face as far as their grown box reaches."""
-    box = grown_box(zone, block)
+    """Non-periodic faces whose ghost band reaches into the block's array,
+    in axis order.  Blocks touching the face see the whole band."""
     faces = []
     for a in range(3):
         for side in (0, 1):
@@ -168,16 +156,15 @@ def _boundary_faces(block: Block, zone: ZoneSpec) -> tuple[BoundaryFace, ...]:
             depth = H - block.lo[a] if side == 0 else block.hi[a] + H - zone.shape[a]
             if kind != "periodic" and depth > 0:
                 faces.append(BoundaryFace(axis=a, side=side, kind=kind,
-                                          depth=depth, box=box))
+                                          depth=depth))
     return tuple(faces)
 
 
 def build_halo_plan(plan: PartitionPlan, coalesce: bool = True) -> HaloPlan:
     """Pairs of regions and physical faces per block for one partition
-    plan, both clipped to the destination block's grown box.  A pair
-    holds every region of its block pair, or, with ``coalesce=False`` and
-    the blocks on different ranks, one region.  Pairs are ordered by
-    ``(src, dst)``, then by ``dst_start``."""
+    plan.  A pair holds every region of its block pair, or, with
+    ``coalesce=False`` and the blocks on different ranks, one region.
+    Pairs are ordered by ``(src, dst)``, then by ``dst_start``."""
     zone = plan.zone
     for a in range(3):
         if "wall" in zone.boundary[2 * a:2 * a + 2] and zone.shape[a] < H:
@@ -186,18 +173,11 @@ def build_halo_plan(plan: PartitionPlan, coalesce: bool = True) -> HaloPlan:
                 f"the zone has a wall face on axis {a}, which is "
                 f"{zone.shape[a]} cells wide; a wall needs at least {H}")
 
-    # Zone coordinates of each block's extended-array origin.
-    origin = {b.id: tuple(l - H for l in b.lo) for b in plan.blocks}
-    # Along an axis that a block spans whole its grown box is its interior,
-    # and a ghost box there lies either in the interior, unshifted, or in a
-    # periodic image past it: clipping to the grown box drops the shifted
-    # boxes and leaves the others whole.
-    whole = {b.id: [a for a, p in enumerate(periodic_axes(zone, b)) if p]
-             for b in plan.blocks}
+    # Zone coordinates of each block's array origin.
+    origin = {b.id: tuple(map(sub, b.lo, margins(zone, b)))
+              for b in plan.blocks}
     regions_by_pair: dict[tuple[int, int], list[Region]] = {}
     for g in plan.ghosts:
-        if any(g.shift[a] for a in whole[g.dst]):
-            continue
         regions_by_pair.setdefault((g.src, g.dst), []).append(Region(
             dst_block=g.dst,
             src_block=g.src,
@@ -269,16 +249,13 @@ def unpack_region(region: Region, fields: FieldSet, payload: np.ndarray) -> None
 # Physical ghost fill
 
 def boundary_fill(data: np.ndarray, face: BoundaryFace, freestream: np.ndarray) -> None:
-    """Fill the outermost ``face.depth`` planes on one side of an extended
-    array from the interior planes next to them, across the extents of
-    ``face.box``."""
+    """Fill the outermost ``face.depth`` planes on one side of a block's
+    array from the interior planes next to them."""
     axis, side, kind, depth = face.axis, face.side, face.kind, face.depth
     size = data.shape[1 + axis]
 
     def plane(pos: int) -> tuple:
-        sl = [slice(None), *(face.box or (slice(None),) * 3)]
-        sl[1 + axis] = pos
-        return tuple(sl)
+        return (slice(None),) * (1 + axis) + (pos,)
 
     def band(i: int) -> tuple:
         # ghost plane i = 0..depth-1 counted outward from the face

@@ -30,10 +30,8 @@ from .timestepping import STAGES
 class Sweep(NamedTuple):
     """One convective sweep task: the node range ``lo:hi`` of block
     ``block``'s sweep along ``axis``, over its cross rows ``r0:r1``, run by
-    pool worker ``worker``.  ``handoff`` on the three ranges of a cut line,
-    ``periodic`` on a whole axis whose lines are periodic
-    (``partition.periodic_axes``); ``lam`` is the stage's wavespeed, set as
-    the task is sent."""
+    pool worker ``worker``.  ``handoff`` on the three ranges of a cut
+    line; ``lam`` is the stage's wavespeed, set as the task is sent."""
 
     block: int
     axis: int
@@ -43,7 +41,6 @@ class Sweep(NamedTuple):
     r1: int
     worker: int
     handoff: bool
-    periodic: bool
     lam: float = 0.0
 
 
@@ -79,9 +76,9 @@ def sweep_list(plan: PartitionPlan, halo_plan, rank: int, overlap: bool,
             cut = b.id in fed and lo < hi and not periodic[axis]
             runs = row_runs(b, axis, workers)
             if cut:
-                interior += [Sweep(b.id, axis, lo, hi, r0, r1, k, True, False)
+                interior += [Sweep(b.id, axis, lo, hi, r0, r1, k, True)
                              for k, r0, r1 in runs]
-            rest += [Sweep(b.id, axis, s0, s1, r0, r1, k, cut, periodic[axis])
+            rest += [Sweep(b.id, axis, s0, s1, r0, r1, k, cut)
                      for s0, s1 in ([(0, lo), (hi, n)] if cut else [(0, n)])
                      for k, r0, r1 in runs]
     return interior, rest

@@ -10,17 +10,24 @@ coprocessor/CPU workload ratio as the single balance knob.  Every node
 holds the same number of ranks, which share its devices evenly.  Plan
 files may hold any tiling, not only a grid.
 
+The storage rule, stated here once: every array of a block holds exactly
+its grown box, the interior grown by ``margins`` ghost planes on each side
+of each axis.  A margin is ``HALO_WIDTH``, or 0 along the
+``periodic_axes``, where the zone is periodic and the block spans it
+whole: the block's lines along such an axis are periodic, and the kernels
+read node ``j`` past either end at interior node ``j mod n``.  Array
+coordinates are relative to the grown box, so the interior starts at the
+margins, and a block's margins follow from its array's shape.
+
 Blocks may be as narrow as one cell.  ``ghost_sources`` is the one place
 that knows which block feeds which ghost cell: it intersects each block's
-extended box with every block interior and their periodic images, after
+grown box with every block interior and their periodic images, after
 checking that the blocks tile the zone exactly.  It runs once per plan:
 ``make_plan`` regroups with its result and keeps it as
 ``PartitionPlan.ghosts``, which the halo plan reads; a plan read from a
-file derives it on first use.  Beside it, ``periodic_axes`` says along
-which axes a block stores no ghosts, ``grown_box`` which cells of its
-extended box hold state, and ``ghost_slabs`` which of those are ghosts.
+file derives it on first use.  ``ghost_slabs`` says which cells of a
+block's arrays are ghosts.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -267,8 +274,8 @@ class GhostSource(NamedTuple):
 
 
 def ghost_sources(blocks: list[Block], zone: ZoneSpec) -> list[GhostSource]:
-    """Every box where a block's extended box (interior grown by
-    ``HALO_WIDTH`` on each side) meets a block interior.
+    """Every box where a block's grown box (its interior grown by its
+    ``margins``) meets a block interior.
 
     Along a periodic axis of ``n`` cells the interiors repeat at every
     multiple ``k*n`` with ``|k| <= ceil(HALO_WIDTH / n)``, so axes narrower
@@ -285,11 +292,12 @@ def ghost_sources(blocks: list[Block], zone: ZoneSpec) -> list[GhostSource]:
         reach = -(-H // n) if zone.periodic(a) else 0
         images.append([k * n for k in range(-reach, reach + 1)])
     for b in blocks:
+        grow = margins(zone, b)
         for s in blocks:
-            # Per axis, the shifted intervals of s meeting b's extended one.
+            # Per axis, the shifted intervals of s meeting b's grown one.
             overlaps = []
             for a in range(3):
-                lo, hi = b.lo[a] - H, b.hi[a] + H
+                lo, hi = b.lo[a] - grow[a], b.hi[a] + grow[a]
                 hits = [(k, max(s.lo[a] + k, lo), min(s.hi[a] + k, hi))
                         for k in images[a]]
                 hits = [hit for hit in hits if hit[1] < hit[2]]
@@ -308,34 +316,26 @@ def ghost_sources(blocks: list[Block], zone: ZoneSpec) -> list[GhostSource]:
 
 def periodic_axes(zone: ZoneSpec, b: Block) -> tuple[bool, bool, bool]:
     """Per axis, whether the zone is periodic on it and block ``b`` spans
-    it whole.  The block's lines along such an axis are periodic: node
-    ``j`` past either end is interior node ``j mod n``, so the block
-    stores no ghosts there and the kernels read that node instead."""
+    it whole, so that the block's lines along it are periodic."""
     return tuple(zone.periodic(a) and b.shape[a] == zone.shape[a]
                  for a in range(3))
 
 
-def grown_box(zone: ZoneSpec, b: Block) -> tuple[slice, slice, slice]:
-    """The cells of block ``b``'s extended array that hold state, as
-    slices of it: the interior grown by ``HALO_WIDTH`` along every axis
-    but the ``periodic_axes``.  Nothing outside it is read or written."""
-    H = HALO_WIDTH
-    return tuple(slice(H, H + n) if p else slice(0, n + 2 * H)
-                 for n, p in zip(b.shape, periodic_axes(zone, b)))
+def margins(zone: ZoneSpec, b: Block) -> tuple[int, int, int]:
+    """Per axis, the ghost planes that block ``b``'s arrays hold on each
+    side: ``HALO_WIDTH``, or 0 along its ``periodic_axes``."""
+    return tuple(0 if p else HALO_WIDTH for p in periodic_axes(zone, b))
 
 
 def ghost_slabs(zone: ZoneSpec, b: Block) -> list[tuple[slice, slice, slice]]:
-    """The cells of block ``b``'s grown box outside its interior, as
-    disjoint slabs of its extended array: two per axis that keeps ghosts,
-    each spanning the interior along the axes before it and the grown box
-    along the axes after it; none when the grown box is the interior."""
-    H = HALO_WIDTH
-    box = grown_box(zone, b)
-    inner = [slice(H, H + n) for n in b.shape]
-    return [(*inner[:a], s, *box[a + 1:])
-            for a, (n, p) in enumerate(zip(b.shape, periodic_axes(zone, b)))
-            if not p
-            for s in (slice(0, H), slice(H + n, n + 2 * H))]
+    """The ghost cells of block ``b``'s arrays as disjoint slabs, two per
+    axis with a margin: the interior along the axes before it, the whole
+    array along the axes after it."""
+    grow = margins(zone, b)
+    inner = [slice(m, m + n) for n, m in zip(b.shape, grow)]
+    return [(*inner[:a], s, *(slice(None),) * (2 - a))
+            for a, (n, m) in enumerate(zip(b.shape, grow)) if m
+            for s in (slice(0, m), slice(m + n, n + 2 * m))]
 
 
 # ---------------------------------------------------------------------------

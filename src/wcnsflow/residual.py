@@ -1,4 +1,5 @@
-"""Directional flux-difference residuals on halo-extended block arrays.
+"""Directional flux-difference residuals on block arrays, which hold each
+block's grown box (the storage rule of ``partition``).
 
 The residual of the semi-discrete system is
 
@@ -57,9 +58,11 @@ boundary sweeps, which must run after it, compute only their five
 halo-dependent edges and read the parked ones back.
 
 A line is periodic when the block spans a periodic axis whole
-(``partition.periodic_axes``).  The block then stores no ghosts along that
-axis: node j of the line, past either end, is interior node j % n, and the
-kernels read it there.  A periodic sweep (``periodic=True``) gathers each
+(``partition.periodic_axes``).  The block's arrays then have no margin
+along that axis: node j of the line, past either end, is interior node
+j % n, and the kernels read it there.  Every kernel that reads a block
+array takes the block's ``periodic`` triple, from which it knows the
+array's margins.  A periodic sweep (``periodic[axis]``) gathers each
 tile's n interior nodes and fills the five nodes before them, which edges
 0 .. n-1 also read, from those by j % n (``periodic_runs``), in a few
 contiguous copies inside the tile.  Edge j + n reads the six nodes that
@@ -341,6 +344,15 @@ def working_set_tile(n2: int, length: int) -> int:
     return max(MIN_TILE_ROWS, TILE_BYTES // (8 * n2 * length))
 
 
+def _interior_shape(ext: np.ndarray, periodic) -> list[int]:
+    """Interior node counts of ``ext``, with no margin on ``periodic`` axes."""
+    n = [s - (0 if p else 2 * H) for s, p in zip(ext.shape[1:], periodic)]
+    if min(n) < 1:
+        raise ValueError(f"an array of extent {ext.shape[1:]} has no "
+                         f"interior with periodic axes {tuple(periodic)}")
+    return n
+
+
 def convective_derivative(
     q_ext: np.ndarray,
     w_ext: np.ndarray,
@@ -348,14 +360,14 @@ def convective_derivative(
     lam: float,
     h: float,
     *,
-    gas: GasModel | None = None,
+    gas: GasModel,
     lo: int | None = None,
     hi: int | None = None,
     row_lo: int | None = None,
     row_hi: int | None = None,
     tile: int | None = None,
     handoff: bool = False,
-    periodic: bool = False,
+    periodic: tuple[bool, bool, bool] = (False, False, False),
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """d(F_axis)/d(x_axis) at interior nodes [lo, hi) along ``axis``.
@@ -363,7 +375,9 @@ def convective_derivative(
     Uses the global splitting F = (F + lam*Q)/2 + (F - lam*Q)/2 with the
     upwind-biased edge interpolation applied to each part, left-biased for
     the plus flux and right-biased for the minus flux, in the characteristic
-    fields of the edge frame.  Rows are the lines of the first cross axis
+    fields of the edge frame.  ``q_ext`` and ``w_ext`` hold a block's
+    grown box, with no margin along the ``periodic`` axes (the storage rule
+    of ``partition``).  Rows are the lines of the first cross axis
     (axis 1 for a sweep along axis 0, else axis 0); only rows [row_lo,
     row_hi) are swept, all of them by default.  ``tile`` is the number of
     rows swept at once: ``None`` picks the working-set tile, ``0`` sweeps
@@ -382,16 +396,20 @@ def convective_derivative(
     has finished.  With an empty interior (n <= 10) ``handoff`` changes
     nothing.
 
-    ``periodic`` says that every line is periodic, as it is when the
-    block spans a periodic axis whole: node j past either end is interior
-    node j % n.  The sweep reads those nodes in the interior and never
-    touches the ghosts along ``axis``, computes n edge values, not n + 5,
-    and repeats them (``edge[j] = edge[j % n]``).  It needs the whole axis,
-    [lo, hi) = [0, n), and no effective ``handoff``.
+    ``periodic[axis]`` says that every line is periodic, as it is when
+    the block spans a periodic axis whole: node j past either end is
+    interior node j % n.  The sweep reads those nodes in the interior,
+    computes n edge values, not n + 5, and repeats them
+    (``edge[j] = edge[j % n]``).  It needs the whole axis, [lo, hi) =
+    [0, n), and no effective ``handoff``.
     """
-    if gas is None:
-        raise ValueError("characteristic projection needs the gas model")
-    n = [s - 2 * H for s in q_ext.shape[1:]]
+    if w_ext.shape != q_ext.shape:
+        raise ValueError(f"w_ext has shape {w_ext.shape}, not {q_ext.shape}")
+    n = _interior_shape(q_ext, periodic)
+    if out is None:
+        out = np.empty((NCOMP, *n))
+    elif out.shape != (NCOMP, *n):
+        raise ValueError(f"out has shape {out.shape}, not {(NCOMP, *n)}")
     na = n[axis]
     lo = 0 if lo is None else lo
     hi = na if hi is None else hi
@@ -407,11 +425,10 @@ def convective_derivative(
         raise ValueError(f"handoff node range [{lo},{hi}) is not an "
                          f"interior_split range of [0,{na})")
     handoff = handoff and a < b
-    if periodic and (handoff or (lo, hi) != (0, na)):
+    wrap = periodic[axis]
+    if wrap and (handoff or (lo, hi) != (0, na)):
         raise ValueError(f"periodic node range [{lo},{hi}) is not the whole "
                          f"axis [0,{na}) without a handoff")
-    if out is None:
-        out = np.empty((NCOMP, n[0], n[1], n[2]))
     if hi == lo or row_hi == row_lo:
         return out
 
@@ -424,14 +441,14 @@ def convective_derivative(
     dst = nodes(lo, hi)
     # The edge buffer holds the hi - lo + H edges the difference at [lo, hi)
     # reads.  A handoff boundary sweep computes the H edges in ``own`` from
-    # the 2H extended nodes they need and reads the H in ``parked`` back
+    # the 2H nodes they need and reads the H in ``parked`` back
     # from ``dst``; the handoff interior sweep copies its end edges to
     # ``parks``.  A periodic sweep computes the first n edges from the
     # n + H nodes they need and repeats them in the last H slots.
     start, stop = lo, hi + 2 * H
     own = parked = None
     parks = []
-    if periodic:
+    if wrap:
         stop, own = na + H, slice(0, na)
     elif handoff and lo == 0:
         stop, own, parked = 2 * H, slice(0, H), slice(H, 2 * H)
@@ -440,13 +457,13 @@ def convective_derivative(
     elif handoff:
         parks = [(slice(0, H), nodes(0, a)), (slice(-H, None), nodes(b, na))]
 
-    # The needed extended nodes [start, stop) along the sweep axis,
-    # interior on the cross axes.  A periodic line gathers its n interior
-    # nodes after ``body`` = H leading slots and fills those from them by
-    # j % n (the ``lead`` runs), so it never reads a ghost along the axis.
+    # The needed array nodes [start, stop) along the sweep axis, interior
+    # on the cross axes.  A periodic line gathers its n nodes after
+    # ``body`` = H leading slots and fills those from them by j % n (the
+    # ``lead`` runs).
     length = stop - start
-    sl = [slice(H, -H)] * 3
-    if periodic:
+    sl = [slice(None) if p else slice(H, -H) for p in periodic]
+    if wrap:
         body, lead = H, periodic_runs(na, -H, 0)
     else:
         body, lead = 0, []
@@ -519,7 +536,7 @@ def convective_derivative(
         edges += frame.to_state(both, out=sides[:, 1])
         if parked is not None:
             np.copyto(grid(all_edges[:, parked]), dst[:, cs])
-        if periodic:
+        if wrap:
             # edge[j] = edge[j % n]; a line shorter than H wraps more
             # than once.
             for j in range(na, nedges, na):
@@ -560,18 +577,19 @@ def velocity_temperature_gradients(
     spacing: tuple[float, float, float],
     periodic: tuple[bool, bool, bool] = (False, False, False),
 ) -> GradientPack:
-    """The gradient pack of the extended primitives ``w_ext``.
+    """The gradient pack of a block's primitives ``w_ext``, which hold its
+    grown box, with no margin along the ``periodic`` axes.
 
     ``periodic[a]`` says that the lines along axis ``a`` are periodic
     (``partition.periodic_axes``): the pack then holds only the interior
     along ``a``, and the two nodes beyond each end of a line are read at
-    interior node j % n, never in the ghosts along ``a``.  Each axis
-    gathers u, v, w and T at the nodes its differences read, node-major
-    (field x node x line), and differences all four in one call.
+    interior node j % n.  Each axis gathers u, v, w and T at the nodes its
+    differences read, node-major (field x node x line), and differences
+    all four in one call.
     """
-    grow = [0 if p else 2 for p in periodic]
-    pack = tuple(slice(H - g, s - H + g)
-                 for g, s in zip(grow, w_ext.shape[1:]))
+    _interior_shape(w_ext, periodic)
+    pack = tuple(slice(None) if p else slice(H - 2, s - H + 2)
+                 for p, s in zip(periodic, w_ext.shape[1:]))
     vel = np.ascontiguousarray(w_ext[(slice(1, 4),) + pack])
     nshape = vel.shape[1:]
     # grad[i, j] = d(f_i)/d(x_j) for f = (u, v, w, T).

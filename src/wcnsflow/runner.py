@@ -8,22 +8,19 @@ tasks already cut into one run of cross rows per pool worker, the interior
 ones sent while messages are in flight, the rest after the exchange.  The
 rank thread waits once per stage for all of them.
 
-One rule says where a block's lines are periodic
-(``partition.periodic_axes``): the zone is periodic on the axis and the
-block spans the zone's whole extent there.  The block then keeps no ghosts
-along the axis; only its grown box (``partition.grown_box``), the interior
-grown by the halo along every other axis, holds state.  The kernels read a
-node past either end of such a line at interior node ``j mod n``: a sweep
-of the whole axis computes one period of edge values per line, and the
-viscous terms form gradients and fluxes on one period along it.
+Every block array holds the block's grown box (the storage rule of
+``partition``), and the kernels take the block's ``periodic_axes``, which
+say the array's margins.  A sweep along a periodic axis computes one
+period of edge values per line, and the viscous terms form gradients and
+fluxes on one period along it.
 
 Each rank has one host worker pool that sweeps all of its blocks; the
 modeled CPU sockets and coprocessors that the plan groups blocks into exist
 only in the cost model.  A pool of more than one worker sweeps in worker
 processes, forked before any rank thread starts (``RankWorker.start``), and
 the runs of one ``run_case`` share them.  They inherit the rank's
-``Arena``, an anonymous shared mapping that holds every block's extended
-state, primitives and convective outputs, so a sweep crosses their pipes
+``Arena``, an anonymous shared mapping that holds every block's state,
+primitives and convective outputs, so a sweep crosses their pipes
 only as its ``model.Sweep`` record.  Worker ``k`` sweeps row run ``k`` of
 every range in the order sent, so a boundary sweep always follows the
 interior sweep whose edges it reads.  Viscous terms, conversions and
@@ -32,11 +29,11 @@ blocks (``RankWorker._stage_start``): it converts a block's interior to
 primitives in place in the arena, where the interior sweeps read them, and
 bounds the wavespeeds and, at stage 0, the step from that view.  After the
 exchange (``_stage_residual``, the one place that holds this rule) it
-converts the ghost slabs of each grown box (none when the grown box is
-the interior), or the whole extended array of a block that spans no
-periodic axis, whose one contiguous pass is faster than six slabs; it
-does so only once the interior sweeps have finished reading the
-primitives that such a pass rewrites.
+converts each block's ghost slabs (none when the block has no ghosts),
+or the whole array of a block that spans no periodic axis, whose one
+contiguous pass is faster than six slabs; it does so only once the
+interior sweeps have finished reading the primitives that such a pass
+rewrites.
 
 Ranks coordinate only through transport messages, all received from one
 kind of mailbox (``InProcessTransport``, which rank threads share and each
@@ -70,9 +67,8 @@ import numpy as np
 from .cases import Case, case_plan, initial_fields
 from .devices import rank_pool
 from .errors import DivergenceError, InvalidStateError, WcnsflowError
-from .fields import BlockField, FieldSet
+from .fields import BlockField, FieldSet, grown_shape
 from .halo import (
-    H,
     ExchangeTotals,
     HaloExchanger,
     RESERVED_INDEX,
@@ -82,7 +78,7 @@ from .halo import (
 from .metrics import RunMetrics
 # The benchmark imports ``model_schedule`` from here, beside ``run_case``.
 from .model import Sweep, model_schedule, sweep_list  # noqa: F401
-from .partition import (Block, PartitionPlan, ghost_slabs, grown_box,
+from .partition import (Block, PartitionPlan, ZoneSpec, ghost_slabs,
                         periodic_axes)
 from .residual import (
     GradientPack,
@@ -107,9 +103,6 @@ REDUCE_INDEX = RESERVED_INDEX        # rank -> rank 0 partial reductions
 BCAST_INDEX = RESERVED_INDEX + 8     # rank 0 -> ranks broadcast
 GATHER_INDEX = RESERVED_INDEX + 12   # post-run block gather to rank 0
 GATHER_EPOCH = 0x7FF
-
-# A block's interior in its extended arrays.
-INTERIOR = (slice(None),) + (slice(H, -H),) * 3
 
 
 @dataclass
@@ -202,26 +195,27 @@ class RankResult:
 
 class Arena:
     """The arrays a rank's sweeps read and write, per block: ``q`` (the
-    extended conserved state, ``BlockField.data``), ``w`` (the extended
-    primitives, held on the block's grown box) and the three ``conv``
-    outputs; and the gas and grid spacing that a sweep needs besides its
-    ``Sweep`` record.
+    conserved state, ``BlockField.data``), ``w`` (the primitives, on the
+    same grown box) and the three ``conv`` outputs; and the gas, grid
+    spacing and ``periodic_axes`` that a sweep needs besides its ``Sweep``
+    record.
 
     A shared arena keeps its arrays in anonymous shared mappings, which
     worker processes forked after it was built sweep in.  A private arena
     is ordinary memory, its ``q`` entries are the fields' own arrays, and
     its sweeps run on the rank thread one after another."""
 
-    def __init__(self, blocks: list[Block], gas, spacing, *, shared: bool):
+    def __init__(self, zone: ZoneSpec, blocks: list[Block], gas, *,
+                 shared: bool):
         self.gas = gas
-        self.spacing = spacing
+        self.spacing = zone.spacing
+        self.periodic = {b.id: periodic_axes(zone, b) for b in blocks}
         self.shared = shared
         empty = _shared_empty if shared else np.empty
-        ext = {b.id: (NCOMP,) + tuple(n + 2 * H for n in b.shape)
-               for b in blocks}
+        grown = {b.id: grown_shape(zone, b) for b in blocks}
         self.q: dict[int, np.ndarray] = {
-            b.id: empty(ext[b.id]) for b in blocks} if shared else {}
-        self.w = {b.id: empty(ext[b.id]) for b in blocks}
+            b.id: empty(grown[b.id]) for b in blocks} if shared else {}
+        self.w = {b.id: empty(grown[b.id]) for b in blocks}
         self.conv = {b.id: [empty((NCOMP,) + b.shape) for _ in range(3)]
                      for b in blocks}
 
@@ -238,7 +232,8 @@ class Arena:
         convective_derivative(self.q[s.block], self.w[s.block], s.axis,
                               s.lam, self.spacing[s.axis], gas=self.gas,
                               lo=s.lo, hi=s.hi, row_lo=s.r0, row_hi=s.r1,
-                              handoff=s.handoff, periodic=s.periodic,
+                              handoff=s.handoff,
+                              periodic=self.periodic[s.block],
                               out=self.conv[s.block][s.axis])
 
 
@@ -271,7 +266,7 @@ class RankWorker:
             sim.plan, sim.halo_plan, rank, overlap, self.pool.workers)
         self.sweeps = {bid: [s for s in rest if s.block == bid]
                        for bid in self.block_ids}
-        self.arena = Arena(self.blocks, sim.gas, self.spacing, shared=False)
+        self.arena = Arena(sim.plan.zone, self.blocks, sim.gas, shared=False)
         # A zone with an inflow face bounds each axis's wavespeed below by
         # the freestream's.
         fs_w = np.asarray(self.case.freestream,
@@ -295,7 +290,7 @@ class RankWorker:
         the first run and before any thread of the run starts."""
         if self.pool.workers == 1:
             return
-        self.arena = Arena(self.blocks, self.sim.gas, self.spacing,
+        self.arena = Arena(self.plan.zone, self.blocks, self.sim.gas,
                            shared=True)
         self.pool.start(self.arena.sweep)
 
@@ -325,7 +320,7 @@ class RankWorker:
         both from the spectral radii of that view, formed once."""
         lams, dt_bound = np.zeros(3), np.inf
         for b in self.blocks:
-            w_int = self.arena.w[b.id][INTERIOR]
+            w_int = BlockField(b, self.arena.w[b.id]).interior
             primitive_from_conserved(self.fields[b.id].interior, self.sim.gas,
                                      block_id=b.id, out=w_int)
             bounds, radii = block_wavespeed_bound(w_int, self.sim.gas)
@@ -427,13 +422,13 @@ class RankWorker:
                 fut.wait()
             zone = self.plan.zone
             for b in self.blocks:
-                # Ghosts are in place; primitives now cover the grown box.
+                # Ghosts are in place; primitives now cover the whole array.
                 # An interior converted again recomputes to bitwise-identical
                 # numbers.  Each block's sweeps leave as soon as it is ready.
-                periodic = periodic_axes(zone, b)
+                periodic = self.arena.periodic[b.id]
                 w = self.arena.w[b.id]
                 for box in (ghost_slabs(zone, b) if any(periodic)
-                            else [grown_box(zone, b)]):
+                            else [(slice(None),) * 3]):
                     box = (slice(None),) + box
                     primitive_from_conserved(self.fields[b.id].data[box],
                                              self.sim.gas, block_id=b.id,
@@ -642,14 +637,14 @@ def _run_once(workers: list[RankWorker],
 def run_case(case: Case, plan: PartitionPlan | None = None, *,
              overlap: bool = True, coalesce: bool = True,
              max_workers: int | None = None,
-             best_of: int = 1, warmup: bool = True) -> RunOutcome:
+             best_of: int = 1) -> RunOutcome:
     """Run a case to completion in this process (threads when ranks > 1).
 
     ``best_of`` repeats the full run and keeps the one with the fastest wall
-    time (state is bitwise identical across repetitions).  ``warmup`` runs
-    one untimed step first and discards it.  Every run shares the ranks'
-    worker processes, which start before the first run when the case has
-    steps and end before this returns.
+    time (state is bitwise identical across repetitions).  A case with
+    steps runs one untimed step first and discards it.  Every run shares
+    the ranks' worker processes, which start before the first run when the
+    case has steps and end before this returns.
     """
     if best_of < 1:
         raise WcnsflowError(f"best_of must be at least 1, got {best_of}")
@@ -664,9 +659,8 @@ def run_case(case: Case, plan: PartitionPlan | None = None, *,
         if controls.max_iters > 0:
             for worker in workers:
                 worker.start()
-            if warmup:
-                _run_once(workers, replace(controls, max_iters=1,
-                                           tolerance=None))
+            _run_once(workers, replace(controls, max_iters=1,
+                                       tolerance=None))
         runs = (_run_once(workers, controls) for _ in range(best_of))
         fastest = min(runs, key=lambda results: results[0].wall_seconds)
     finally:
@@ -738,7 +732,7 @@ def run_socket_rank(case: Case, rank: int,
                 transport.recv(tag=tag, source=r, dest=0).payload
             fields: FieldSet = {}
             for b in plan.blocks_of_rank(r):
-                f = fields[b.id] = BlockField.allocate(b)
+                f = fields[b.id] = BlockField.allocate(b, plan.zone)
                 f.interior[...] = transport.recv(
                     tag=tag, source=r, dest=0).payload.reshape(
                         (NCOMP,) + b.shape)

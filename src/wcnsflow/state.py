@@ -88,13 +88,12 @@ def primitive_from_conserved(q: np.ndarray, gas: GasModel, *,
     return w
 
 
-def conserved_from_primitive(w: np.ndarray, gas: GasModel, *,
-                             validate: bool = True) -> np.ndarray:
+def conserved_from_primitive(w: np.ndarray, gas: GasModel) -> np.ndarray:
     """Convert primitive ``(rho, u, v, w, p)`` to conserved ``(5, ...)``."""
-    if validate and not np.all(w[0] > 0.0):
+    if not np.all(w[0] > 0.0):
         raise InvalidStateError("non-positive density",
                                 index=_first_bad_index(~(w[0] > 0.0)))
-    if validate and not np.all(w[4] > 0.0):
+    if not np.all(w[4] > 0.0):
         raise InvalidStateError("non-positive pressure",
                                 index=_first_bad_index(~(w[4] > 0.0)))
     q = np.empty_like(w)
@@ -128,19 +127,12 @@ def spectral_radii(w: np.ndarray, gas: GasModel) -> np.ndarray:
     return radii
 
 
-def inviscid_flux(w: np.ndarray, axis: int, q: np.ndarray | None = None,
-                  gas: GasModel | None = None, *,
+def inviscid_flux(w: np.ndarray, axis: int, q: np.ndarray, *,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Convective flux along ``axis`` (0, 1 or 2) from primitives.
-
-    Passing the matching conserved array avoids recomputing it; otherwise
-    ``gas`` is required to rebuild it.  ``out`` (the shape of ``w``, sharing
-    no memory with ``w`` or ``q``) receives the flux when given.
+    """Convective flux along ``axis`` (0, 1 or 2) from primitives ``w`` and
+    the matching conserved array ``q``.  ``out`` (the shape of ``w``,
+    sharing no memory with ``w`` or ``q``) receives the flux when given.
     """
-    if q is None:
-        if gas is None:
-            raise ValueError("inviscid_flux needs either q or gas")
-        q = conserved_from_primitive(w, gas, validate=False)
     un = w[1 + axis]
     f = np.empty_like(w) if out is None else out
     f[0] = q[1 + axis]

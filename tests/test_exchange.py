@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from wcnsflow.cases import case_plan, corner_case, sod_case, wave_case, \
     with_ranks
 from wcnsflow.errors import HaloPlanError, TransportError
-from wcnsflow.fields import BlockField, allocate_fields
+from wcnsflow.fields import BlockField, allocate_fields, grown_shape
 from wcnsflow.halo import (RESERVED_INDEX, BoundaryFace, ExchangeTotals,
                            HaloExchanger, boundary_fill,
                            build_halo_plan, fill_block_ghosts, message_tag,
                            pack_pair, pack_region, unpack_pair, unpack_region)
 from wcnsflow.partition import (Block, Group, NodeTopology, PartitionPlan,
-                                ZoneSpec, grid_blocks, grown_box, make_plan,
+                                ZoneSpec, grid_blocks, make_plan, margins,
                                 split_zone)
 from wcnsflow.runner import BCAST_INDEX, REDUCE_INDEX
 from wcnsflow.transport import (HEADER, MAGIC, InProcessTransport, Message,
@@ -131,16 +131,18 @@ def reference_windows(z, g, blocks) -> dict:
 
 
 def assert_grown_windows(plan, fields, want) -> None:
-    """Each block's grown box holds its window of a single-block reference,
-    ``want[block id]``, and every cell outside it is still NaN: no pass
-    writes there."""
+    """Each block's array holds exactly its grown box, and that box holds
+    its window of a single-block reference: ``want[block id]``, an
+    extended window, without its ghosts along the periodic axes that the
+    block spans whole."""
     for b in plan.blocks:
         data = fields[b.id].data
-        box = (slice(None),) + grown_box(plan.zone, b)
-        assert np.array_equal(data[box], want[b.id][box]), b
-        outside = np.ones(data.shape, dtype=bool)
-        outside[box] = False
-        assert np.isnan(data[outside]).all(), b
+        grow = margins(plan.zone, b)
+        assert data.shape == (5,) + tuple(
+            n + 2 * m for n, m in zip(b.shape, grow)), b
+        box = (slice(None),) + tuple(slice(H - m, H + n + m)
+                                     for n, m in zip(b.shape, grow))
+        assert np.array_equal(data, want[b.id][box]), b
 
 
 def wrap_window(g, block) -> np.ndarray:
@@ -190,12 +192,15 @@ def region_count(hp) -> int:
     return sum(len(p.regions) for p in hp.pairs)
 
 
-def shell_cover(hp, block):
-    """How many regions write each cell of a block's extended array."""
-    count = np.zeros(tuple(n + 2 * H for n in block.shape), dtype=int)
+def shell_cover(hp, zone, block):
+    """How many regions write each cell of a block's array; every region
+    lies inside it."""
+    count = np.zeros(grown_shape(zone, block)[1:], dtype=int)
     for p in hp.pairs:
         for r in p.regions:
             if r.dst_block == block.id:
+                assert all(0 <= s and s + n <= m for s, n, m in
+                           zip(r.dst_start, r.shape, count.shape)), r
                 count[r.dst_slices[1:]] += 1
     return count
 
@@ -287,9 +292,10 @@ def test_single_periodic_block_keeps_no_ghosts():
     plan = plan_for((16, 16, 16), 1, boundary=PERIODIC)
     hp = build_halo_plan(plan)
     assert hp.pairs == [] and hp.bc_faces[0] == ()
-    assert grown_box(plan.zone, plan.blocks[0]) == (slice(H, H + 16),) * 3
+    assert margins(plan.zone, plan.blocks[0]) == (0, 0, 0)
     g = global_state((16, 16, 16), seed=10)
     fields = nan_fields(plan, g)
+    assert fields[0].data.shape == (5, 16, 16, 16)
     totals = HaloExchanger(hp, plan).run(0, fields, epoch=0)
     assert totals == ExchangeTotals(0, 0, 0)
     assert_grown_windows(plan, fields, {0: wrap_window(g, plan.blocks[0])})
@@ -323,7 +329,7 @@ def test_narrow_neighbor_exchanges_exactly():
 
 def test_face_fill_reaches_blocks_that_miss_the_face():
     # A block at x in [2, 4) has ghost cells at x < 0 without touching the
-    # x-lo face: the face band is clipped to its extended box.
+    # x-lo face: the face band is clipped to its array.
     z = zone((6, 6, 6), boundary=("wall", "outflow", "periodic",
                                   "periodic", "outflow", "inflow"))
     plan = make_plan(z, grid_blocks(([2, 2, 1, 1], [6], [6])), 1,
@@ -333,10 +339,9 @@ def test_face_fill_reaches_blocks_that_miss_the_face():
              for b in range(4)}
     assert faces == {0: [(0, 0, 5), (0, 1, 1)], 1: [(0, 0, 3), (0, 1, 3)],
                      2: [(0, 0, 1), (0, 1, 4)], 3: [(0, 1, 5)]}
-    # Every block spans the periodic y axis whole: its bands stop at the
-    # y interior.
-    assert all(f.box == grown_box(z, plan.blocks[b])
-               for b in range(4) for f in hp.bc_faces[b])
+    # Every block spans the periodic y axis whole: its arrays, and so its
+    # bands, have no y ghosts.
+    assert all(margins(z, b) == (H, 0, H) for b in plan.blocks)
     g = global_state((6, 6, 6), seed=12)
     fields = nan_fields(plan, g)
     exchange_all(plan, fields)
@@ -353,11 +358,12 @@ def test_wall_on_narrow_axis_rejected():
         "outflow", "outflow", "inflow", "outflow", "periodic", "periodic")))
 
 
-def direction(region, block) -> tuple[int, int, int]:
+def direction(region, zone, block) -> tuple[int, int, int]:
     """Side of the block's interior where a region's ghost box lies, per
     axis: -1 below, 0 level with it, +1 above."""
-    return tuple(-1 if s < H else (1 if s >= H + n else 0)
-                 for s, n in zip(region.dst_start, block.shape))
+    return tuple(-1 if s < m else (1 if s >= m + n else 0)
+                 for s, m, n in zip(region.dst_start, margins(zone, block),
+                                    block.shape))
 
 
 def test_mirror_symmetry_on_random_plans():
@@ -380,8 +386,10 @@ def test_mirror_symmetry_on_random_plans():
         directed = {(p.src_block, p.dst_block): p for p in hp.pairs}
         for (s, d), p in directed.items():
             back = directed[(d, s)]
-            fwd = sorted((direction(r, by_id[d]), r.shape) for r in p.regions)
-            rev = sorted((tuple(-o for o in direction(r, by_id[s])), r.shape)
+            fwd = sorted((direction(r, plan.zone, by_id[d]), r.shape)
+                         for r in p.regions)
+            rev = sorted((tuple(-o for o in direction(r, plan.zone,
+                                                       by_id[s])), r.shape)
                          for r in back.regions)
             assert fwd == rev
         checked += 1
@@ -402,7 +410,7 @@ def test_pack_unpack_region_round_trip():
         for r in p.regions:
             payload = pack_region(r, fields)
             assert payload.shape == (r.cells * 5,)
-            blank = {i: BlockField.allocate(b.block)
+            blank = {i: BlockField.allocate(b.block, plan.zone)
                      for i, b in fields.items()}
             unpack_region(r, blank, payload.copy())
             got = blank[r.dst_block].data[r.dst_slices]
@@ -420,7 +428,8 @@ def test_pack_pair_concatenates_regions():
     for p in hp.pairs:
         payload = pack_pair(p, fields)
         assert payload.nbytes == p.nbytes == p.cells * 5 * 8
-        blank = {i: BlockField.allocate(f.block) for i, f in fields.items()}
+        blank = {i: BlockField.allocate(f.block, plan.zone)
+                 for i, f in fields.items()}
         unpack_pair(p, blank, payload)
         for r in p.regions:
             assert np.array_equal(blank[r.dst_block].data[r.dst_slices],
@@ -463,8 +472,9 @@ def test_self_pair_copies_opposite_band():
     totals = HaloExchanger(hp, plan).run(0, fields, epoch=0)
     assert totals == ExchangeTotals(0, 0, 8)
     data = fields[0].data
-    assert np.array_equal(data[0, :H, H, H], np.arange(2.0, 7.0))
-    assert np.array_equal(data[0, H + 3:, H, H], np.arange(4.0, 7.0).tolist()
+    assert data.shape == (5, 3 + 2 * H, 1, 1)
+    assert np.array_equal(data[0, :H, 0, 0], np.arange(2.0, 7.0))
+    assert np.array_equal(data[0, H + 3:, 0, 0], np.arange(4.0, 7.0).tolist()
                           + [1.0, 2.0])
     assert_grown_windows(plan, fields,
                          {b.id: wrap_window(g, b) for b in plan.blocks})
@@ -569,7 +579,7 @@ def run_two_ranks(coalesce, hook=None, seed=7):
     transport = InProcessTransport(2)
     per_rank = {r: {} for r in range(2)}
     for b in plan.blocks:
-        f = BlockField.allocate(b)
+        f = BlockField.allocate(b, plan.zone)
         f.data[...] = np.nan
         sl = tuple(slice(l, h) for l, h in zip(b.lo, b.hi))
         f.interior[...] = g[(slice(None),) + sl]
@@ -596,7 +606,7 @@ def test_hook_runs_before_remote_ghosts_arrive():
     for r in range(2):
         assert hp.recvs_of(r) and hp.local_of(r)
         for bid, f in per_rank[r].items():
-            assert np.array_equal(seen[r][bid][:, H:-H, H:-H, H:-H],
+            assert np.array_equal(BlockField(f.block, seen[r][bid]).interior,
                                   f.interior)
         for p in hp.local_of(r):
             for reg in p.regions:
@@ -646,10 +656,8 @@ def test_hook_leaves_exchange_across_ranks_unchanged():
             if base is None:
                 base = merged
             else:
-                # NaN outside the grown boxes, in the same cells.
                 for bid in base:
-                    assert np.array_equal(base[bid], merged[bid],
-                                          equal_nan=True)
+                    assert np.array_equal(base[bid], merged[bid])
 
 
 def test_inter_rank_plan_requires_transport():
@@ -695,9 +703,9 @@ def test_four_blocks_meeting_at_an_edge():
 
 def test_each_ghost_cell_has_one_source():
     # Random tilings with narrow blocks: regions never write a cell twice,
-    # never write an interior cell or a cell outside the grown box, and
-    # write every ghost cell of the grown box inside the zone; the rest lie
-    # past a non-periodic face, in that face's band.
+    # never write an interior cell or reach past the block's array, and
+    # write every ghost cell inside the zone; the rest lie past a
+    # non-periodic face, in that face's band.
     rng = np.random.default_rng(14)
     for _ in range(30):
         shape = tuple(int(rng.integers(1, 12)) for _ in range(3))
@@ -709,15 +717,12 @@ def test_each_ghost_cell_has_one_source():
         plan = blocks_plan(z, blocks)
         hp = build_halo_plan(plan)
         for b in blocks:
-            count = shell_cover(hp, b)
-            assert count[H:-H, H:-H, H:-H].max() == 0
-            box = grown_box(z, b)
-            outside = np.ones(count.shape, dtype=bool)
-            outside[box] = False
-            assert count[outside].max(initial=0) == 0
-            count[outside] = 1
+            grow = margins(z, b)
+            count = shell_cover(hp, z, b)
+            assert count[tuple(slice(m, m + n) for n, m in
+                               zip(b.shape, grow))].max() == 0
             for cell in zip(*np.nonzero(count != 1)):
-                c = [l - H + i for l, i in zip(b.lo, cell)]
+                c = [l - m + i for l, m, i in zip(b.lo, grow, cell)]
                 inside = all(l <= x < h for l, x, h in zip(b.lo, c, b.hi))
                 if inside:
                     continue
@@ -963,7 +968,8 @@ def test_halo_receive_honours_the_transport_timeout():
     t0 = SocketTransport(0, addrs, timeout=1.0)
     t1 = SocketTransport(1, addrs, timeout=1.0)
     exchanger = HaloExchanger(build_halo_plan(plan), plan, transport=t0)
-    fields = {b.id: BlockField.allocate(b) for b in plan.blocks_of_rank(0)}
+    fields = {b.id: BlockField.allocate(b, plan.zone)
+              for b in plan.blocks_of_rank(0)}
     errors = []
 
     def rank0():

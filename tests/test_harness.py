@@ -1,10 +1,13 @@
 """Case files, state dumps, run metrics, and the command-line front end."""
 
+import ast
 import hashlib
 import io
 import struct
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,9 +417,9 @@ def test_initial_fields_allocates_only_the_blocks_asked_for(monkeypatch):
     allocate = BlockField.allocate
     allocated = []
 
-    def counting(cls, block):
+    def counting(cls, block, zone):
         allocated.append(block.id)
-        return allocate(block)
+        return allocate(block, zone)
 
     monkeypatch.setattr(BlockField, "allocate", classmethod(counting))
     case = with_ranks(wave_case(16, blocks=8), 2)
@@ -692,7 +695,7 @@ def test_cli_runs_a_corner_case_with_a_periodic_span_over_10_cells(
     assert run_cli("run", "--case", case_path,
                    "--out-dir", tmp_path / "run") == 0
     dump = read_dump(tmp_path / "run" / "fields.bin")
-    out = run_case(load_case(case_path), warmup=False)
+    out = run_case(load_case(case_path))
     assert out.iterations == 1 and sorted(dump) == sorted(out.fields)
     for bid, f in out.fields.items():
         assert np.array_equal(dump[bid], f.interior)
@@ -1092,6 +1095,35 @@ def test_cli_errors_exit_2(tmp_path, capsys):
         assert err.startswith(f"error: {path}") and named in err, flag
 
 
+@pytest.mark.parametrize("flags, named", [
+    (("--model-only", "--transport", "socket"),
+     "run --model-only does not take --transport socket"),
+    (("--model-only", "--best-of", 2),
+     "run --model-only does not take --best-of"),
+    (("--transport", "socket", "--best-of", 2),
+     "run --transport socket does not take --best-of"),
+    (("--model-only", "--workers", 1),
+     "run --model-only does not take --workers"),
+    (("--rank", 0), "run --transport inproc does not take --rank"),
+    (("--addresses", "127.0.0.1:1"),
+     "run --transport inproc does not take --addresses"),
+], ids=["model-only-socket", "best-of-model-only", "best-of-socket",
+        "workers-model-only", "rank-inproc", "addresses-inproc"])
+def test_cli_run_refuses_a_flag_its_mode_does_not_read(tmp_path, capsys,
+                                                       flags, named):
+    """A run would drop each of these flags without a word; it exits 2
+    naming the flag and writes nothing.  A socket run gets the rank and
+    address of a one-rank case, which it could run alone."""
+    case_path = tmp_path / "uniform.case"
+    save_case(uniform_case((8, 8, 8), max_iters=1), case_path)
+    socket = ("--rank", 0, "--addresses", f"127.0.0.1:{free_port()}") \
+        if "socket" in flags else ()
+    assert run_cli("run", "--case", case_path, *flags, *socket,
+                   "--out-dir", tmp_path / "out") == 2
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def run_cli_socket_ranks(tmp_path, *args):
     """``wcnsflow run ... --transport socket`` for ranks 1 and 0 in threads,
     rank r writing to ``tmp_path / f"r{r}"``; returns the exit codes."""
@@ -1186,3 +1218,67 @@ def test_package_exports_resolve_once():
     namespace: dict = {}
     exec("from wcnsflow import *", namespace)
     assert set(names) <= set(namespace)
+
+
+# ---------------------------------------------------------------------------
+# Source guards
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "wcnsflow"
+
+
+def parsed(*dirs: Path) -> dict[Path, ast.Module]:
+    """Every Python file under ``dirs``, parsed."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for d in dirs for path in sorted(d.rglob("*.py"))}
+
+
+def test_package_imports_only_the_stdlib_numpy_and_itself():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "wcnsflow"}
+    foreign = []
+    for path, tree in parsed(PACKAGE).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, node.lineno, name) for name in names
+                        if name.split(".")[0] not in allowed]
+    assert foreign == []
+
+
+def test_every_package_definition_is_named_outside_itself():
+    """Every function, class and method that ``src/wcnsflow`` defines,
+    dunders aside, is named (called, imported, patched or looked up by its
+    name) somewhere in ``src``, ``tests`` or ``perfbench`` outside its own
+    definition: no code that no path reaches."""
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    defs = []
+    for path, tree in parsed(ROOT / "src", ROOT / "tests",
+                             ROOT / "perfbench").items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.split(".")[-1]
+            elif isinstance(node, ast.Constant) and \
+                    isinstance(node.value, str) and node.value.isidentifier():
+                name = node.value
+            else:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                        and PACKAGE in path.parents
+                        and not node.name.startswith("__")):
+                    defs.append((path, node))
+                continue
+            uses.setdefault(name, []).append((path, node.lineno))
+    unused = [f"{path.name}:{node.lineno} {node.name}"
+              for path, node in defs
+              if not any(p != path or not
+                         node.lineno <= line <= node.end_lineno
+                         for p, line in uses.get(node.name, ()))]
+    assert len(defs) > 100 and unused == []

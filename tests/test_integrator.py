@@ -134,7 +134,7 @@ def test_step_is_cfl_times_smallest_block_bound():
     """A step without a fixed dt is the CFL times the smallest block bound."""
     case = sod_case(24, t_end=None, cfl=0.3, blocks=2)
     case = replace(case, controls=replace(case.controls, max_iters=1))
-    out = run_case(case, warmup=False, max_workers=1)
+    out = run_case(case, max_workers=1)
     start = initial_fields(case, out.plan)
     bounds = [block_dt_bound(primitive_from_conserved(f.interior, GAS), GAS,
                              case.zone.spacing) for f in start.values()]
@@ -206,7 +206,7 @@ def test_zero_max_iters_returns_input_unchanged():
 
 
 def test_iteration_cap_is_honored():
-    out = run_case(small_wave(max_iters=6, tolerance=None), warmup=False)
+    out = run_case(small_wave(max_iters=6, tolerance=None))
     assert out.iterations == 6
     assert len(out.norm_history) == 6
     assert not out.converged
@@ -218,7 +218,7 @@ def test_convergence_check_stops_early():
                    gas=GasModel(reynolds=1.0))
     case = replace(case, controls=replace(case.controls, max_iters=500,
                                           tolerance=0.1))
-    out = run_case(case, warmup=False)
+    out = run_case(case)
     assert out.converged
     assert out.iterations < 100
     hist = out.norm_history
@@ -230,13 +230,13 @@ def test_convergence_check_stops_early():
 def test_fixed_dt_and_end_time_land_exactly():
     case = wave_case(8, t_end=0.1, fixed_dt=0.03)
     case = replace(case, controls=replace(case.controls, max_iters=100))
-    out = run_case(case, warmup=False)
+    out = run_case(case)
     assert out.iterations == 4
     assert abs(out.sim_time - 0.1) <= 1e-15
 
 
 def test_repeat_runs_are_bitwise_identical():
-    outs = [run_case(small_wave(max_iters=5), warmup=False)
+    outs = [run_case(small_wave(max_iters=5))
             for _ in range(2)]
     for bid, f in outs[0].fields.items():
         np.testing.assert_array_equal(f.interior, outs[1].fields[bid].interior)
@@ -249,7 +249,7 @@ def test_divergence_raises_structured_error(monkeypatch):
     case = wave_case(8, amplitude=0.01, t_end=None, fixed_dt=0.08)
     case = replace(case, controls=replace(case.controls, max_iters=200))
     with pytest.raises(DivergenceError) as err:
-        run_case(case, warmup=False)
+        run_case(case)
     assert err.value.step is not None and 0 < err.value.step < 200
     assert err.value.__cause__ is None    # the norm rule, not a bad state
 
@@ -266,7 +266,7 @@ def zone_l1(out, exact: dict) -> float:
 
 def test_sod_density_error_against_the_exact_riemann_solution():
     case = sod_case(100, 4, t_end=0.1)
-    out = run_case(case, warmup=False)
+    out = run_case(case)
     assert abs(out.sim_time - 0.1) <= 1e-15
     sol = solve_riemann(SOD_LEFT, SOD_RIGHT, gamma=case.gas.gamma)
     x0 = float(case.init["x0"])
@@ -282,8 +282,7 @@ def test_sod_density_error_against_the_exact_riemann_solution():
 def test_wave_density_error_converges_at_fourth_order_or_better():
     errors = []
     for n in (8, 16):
-        out = run_case(wave_case(n, t_end=0.05, fixed_dt=0.1 / n),
-                       warmup=False)
+        out = run_case(wave_case(n, t_end=0.05, fixed_dt=0.1 / n))
         assert abs(out.sim_time - 0.05) <= 1e-15
         errors.append(zone_l1(out, exact_density(out.case, out.plan,
                                                  out.sim_time)))
@@ -331,7 +330,7 @@ def test_oblique_shock_off_the_inflow_corner():
     theta = math.radians(float(case.init["angle"]))
     beta, ratio = oblique_shock(float(case.init["mach"]), theta,
                                 case.gas.gamma)
-    out = run_case(case, warmup=False, max_workers=1)
+    out = run_case(case, max_workers=1)
     assert abs(out.sim_time - 3.0) <= 1e-15
     p1 = case.freestream[4]
     p2 = ratio * p1
@@ -353,8 +352,8 @@ def test_oblique_shock_off_the_inflow_corner():
 @pytest.mark.parametrize("ranks", [2, 4])
 def test_oblique_shock_is_bitwise_the_same_on_more_ranks(ranks):
     case = oblique_shock_case(max_iters=20)
-    one = run_case(case, warmup=False, max_workers=1)
-    out = run_case(with_ranks(case, ranks), warmup=False, max_workers=1)
+    one = run_case(case, max_workers=1)
+    out = run_case(with_ranks(case, ranks), max_workers=1)
     assert out.iterations == one.iterations == 20
     assert len(out.plan.blocks) == ranks
     assert np.array_equal(assemble_zone(out.fields, out.plan),

@@ -26,8 +26,8 @@ from wcnsflow.errors import DivergenceError, HaloPlanError, \
 from wcnsflow.fields import BlockField, assemble_zone
 from wcnsflow.halo import HaloExchanger
 from wcnsflow.model import model_run, model_schedule
-from wcnsflow.partition import grown_box, periodic_axes, plan_from_text, \
-    plan_to_text, split_zone
+from wcnsflow.partition import NodeTopology, margins, periodic_axes, \
+    plan_from_text, plan_to_text, split_zone
 from wcnsflow.runner import ExchangeTotals, RankWorker, build_simulation, \
     run_case, run_socket_rank
 from wcnsflow.state import GasModel
@@ -58,8 +58,7 @@ def on_ranks(case, blocks, ranks):
 
 def run_zone(case, blocks, ranks, **options):
     """The zone after the run, and the plan it ran on."""
-    out = run_case(on_ranks(case, blocks, ranks), warmup=False,
-                   **options)
+    out = run_case(on_ranks(case, blocks, ranks), **options)
     assert out.iterations >= 4 and len(out.plan.blocks) == blocks
     return assemble_zone(out.fields, out.plan), out.plan
 
@@ -105,9 +104,9 @@ def test_worker_counts_match_on_a_coprocessor_case(monkeypatch):
     # Each rank's blocks sit on five modeled devices (two CPU sockets and
     # three coprocessors) and one host pool sweeps them all.
     case = corner_case(2, columns=40, cross=6, max_iters=2)
-    one = run_case(case, warmup=False, max_workers=1)
+    one = run_case(case, max_workers=1)
     forks = count_forks(monkeypatch)
-    two = run_case(case, warmup=False, max_workers=2)
+    two = run_case(case, max_workers=2)
     assert len(two.plan.groups_of_rank(0)) == 5
     assert len(forks) == case.ranks * 2
     assert np.array_equal(assemble_zone(two.fields, two.plan),
@@ -118,15 +117,14 @@ def test_worker_counts_match_on_a_coprocessor_case(monkeypatch):
 def test_pooled_ranks_under_a_short_switch_interval():
     # 12^3 blocks, each fed by the other rank, so interior sweeps run on
     # four workers while ghosts arrive and the rank thread converts the
-    # extended box; a 1 us switch interval interleaves them finely.
+    # whole array; a 1 us switch interval interleaves them finely.
     case = wave_case(24, t_end=0.001, fixed_dt=1e-3)
-    one = run_case(case, warmup=False, max_workers=1)
+    one = run_case(case, max_workers=1)
     reference = assemble_zone(one.fields, one.plan)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = run_case(on_ranks(case, 8, 2), warmup=False,
-                       max_workers=4)
+        out = run_case(on_ranks(case, 8, 2), max_workers=4)
     finally:
         sys.setswitchinterval(interval)
     assert out.iterations == 1
@@ -163,9 +161,8 @@ FED_PERIODIC = {
 def test_fed_blocks_spanning_a_periodic_axis_match_single_block_run(
         name, workers):
     case = FED_PERIODIC[name]()
-    one = run_case(on_ranks(cpu_only_variant(case), 1, 1), warmup=False,
-                   max_workers=1)
-    out = run_case(case, warmup=False, max_workers=workers)
+    one = run_case(on_ranks(cpu_only_variant(case), 1, 1), max_workers=1)
+    out = run_case(case, max_workers=workers)
     assert out.iterations == one.iterations >= 1
     assert out.plan.ranks == 2 and len(out.plan.blocks) > 1
     assert np.array_equal(assemble_zone(out.fields, out.plan),
@@ -175,7 +172,7 @@ def test_fed_blocks_spanning_a_periodic_axis_match_single_block_run(
 @pytest.mark.parametrize("name", sorted(FED_PERIODIC))
 def test_sweep_list_never_cuts_a_periodic_line(name):
     """Every sweep along an axis that ``periodic_axes`` marks covers the
-    whole line ``[0, n)`` and is periodic, though the block is fed by
+    whole line ``[0, n)`` without a handoff, though the block is fed by
     another rank and the axis has a halo-free range; the other axes of a
     fed block with such a range are still cut."""
     sim = build_simulation(FED_PERIODIC[name]())
@@ -188,11 +185,9 @@ def test_sweep_list_never_cuts_a_periodic_line(name):
             b = sim.plan.blocks[s.block]
             n = b.shape[s.axis]
             if periodic_axes(sim.plan.zone, b)[s.axis]:
-                assert (s.lo, s.hi, s.periodic, s.handoff) == \
-                    (0, n, True, False), s
+                assert (s.lo, s.hi, s.handoff) == (0, n, False), s
                 long_periodic += s.block in fed and n > 10
             else:
-                assert not s.periodic, s
                 cut += s.handoff
     assert long_periodic > 0 and cut > 0
 
@@ -203,8 +198,8 @@ def nan_fields_from_the_start(monkeypatch) -> None:
     it into the dump."""
     allocate = BlockField.allocate.__func__
 
-    def allocating(cls, block):
-        f = allocate(cls, block)
+    def allocating(cls, block, zone):
+        f = allocate(cls, block, zone)
         f.data[...] = np.nan
         return f
 
@@ -222,28 +217,58 @@ def nan_fields_from_the_start(monkeypatch) -> None:
 def test_cells_outside_the_grown_boxes_are_never_read_or_written(
         monkeypatch, make, blocks, ranks, workers):
     """Every cell of a run starts NaN but the interiors.  The dump is still
-    bitwise the single-block run's, and every cell outside a block's grown
-    box (its interior along the periodic axes it spans whole) is still NaN
-    at the end."""
+    bitwise the single-block run's, so no stencil reads a cell that no
+    exchange or boundary pass wrote, and a block's arrays hold no cell
+    outside its grown box (its interior along the periodic axes it spans
+    whole)."""
     case = make()
     case = replace(case, controls=replace(case.controls, max_iters=3))
     single = on_ranks(cpu_only_variant(case), 1, 1)
-    one = run_case(single, warmup=False, max_workers=1)
+    one = run_case(single, max_workers=1)
     if blocks is not None:
         case = on_ranks(case, blocks, ranks)
     nan_fields_from_the_start(monkeypatch)
-    out = run_case(case, warmup=False, max_workers=workers)
+    out = run_case(case, max_workers=workers)
     assert out.iterations == one.iterations == 3
     assert np.array_equal(assemble_zone(out.fields, out.plan),
                           assemble_zone(one.fields, one.plan))
-    kept = 0
     for b in out.plan.blocks:
-        data = out.fields[b.id].data
-        outside = np.ones(data.shape, dtype=bool)
-        outside[(slice(None),) + grown_box(out.plan.zone, b)] = False
-        assert np.isnan(data[outside]).all(), b
-        kept += int(outside.sum())
-    assert kept > 0
+        assert out.fields[b.id].data.shape == (5,) + tuple(
+            n + 2 * m for n, m in zip(b.shape, margins(out.plan.zone, b))), b
+    assert any(0 in margins(out.plan.zone, b) for b in out.plan.blocks)
+
+
+@pytest.mark.parametrize("make, shapes", [
+    (lambda: wave_case(48), {(5, 48, 48, 48)}),
+    (lambda: replace(wave_case(48, blocks=8), ranks=2,
+                     topology=NodeTopology(1, 2, 0)), {(5, 34, 34, 34)}),
+    (lambda: sod_case(200, 4), {(5, 210, 4, 4)}),
+    (lambda: corner_case(2, columns=100, cross=20),
+     {(5, 28, 30, 20), (5, 33, 30, 20)}),
+], ids=["wave48-1b", "wave48-8b2r", "sod200", "corner2"])
+def test_every_block_array_holds_exactly_its_grown_box(make, shapes):
+    """A block's state, primitives and shared-arena state are each one
+    array of its grown box: the halo along every axis but the periodic
+    axes it spans whole, where it has no ghost plane."""
+    sim = build_simulation(make())
+    seen = set()
+    for r in range(sim.plan.ranks):
+        worker = RankWorker(sim, r, max_workers=1)
+        try:
+            worker.init_state()
+            shared = runner.Arena(sim.plan.zone, worker.blocks, sim.gas,
+                                  shared=True)
+            for b in worker.blocks:
+                want = (5,) + tuple(n + 2 * m for n, m in
+                                    zip(b.shape, margins(sim.plan.zone, b)))
+                for a in (worker.fields[b.id].data, worker.arena.q[b.id],
+                          worker.arena.w[b.id], shared.q[b.id],
+                          shared.w[b.id]):
+                    assert a.shape == want, b
+                seen.add(want)
+        finally:
+            worker.close()
+    assert seen == shapes
 
 
 def socket_ranks(case, **options):
@@ -288,12 +313,12 @@ def test_socket_ranks_match_single_block_run(case_and_reference):
     assert out.iterations >= 4 and outcomes[1] is None
     assert np.array_equal(assemble_zone(out.fields, out.plan), reference)
     # Rank 0 reports every rank's traffic, as the in-process run does.
-    assert out.totals == run_case(case, warmup=False).totals
+    assert out.totals == run_case(case).totals
 
 
 def test_socket_ranks_report_the_in_process_outcome_of_a_coprocessor_case():
     case = corner_case(2, columns=40, cross=6, max_iters=2)
-    one = run_case(case, warmup=False)
+    one = run_case(case)
     out = run_socket_ranks(case)[0]
     assert np.array_equal(assemble_zone(out.fields, out.plan),
                           assemble_zone(one.fields, one.plan))
@@ -354,9 +379,9 @@ def count_sweep_submissions(monkeypatch, hook_delay=0.0):
 def test_uncut_block_submits_one_whole_sweep_per_worker_and_axis(
         monkeypatch, workers):
     seen = count_sweep_submissions(monkeypatch)
-    out = run_case(wave_case(8, t_end=0.002, fixed_dt=1e-3), warmup=False,
+    out = run_case(wave_case(8, t_end=0.002, fixed_dt=1e-3),
                    max_workers=workers)
-    stages = 3 * out.iterations
+    stages = 3 * (out.iterations + 1)     # and the untimed step's
     assert out.iterations == 2
     assert len(seen) == stages * 3 * workers
     assert not any(in_hook for _, in_hook in seen)
@@ -366,22 +391,22 @@ def test_block_fed_by_another_rank_sweeps_its_interior_from_the_hook(
         monkeypatch):
     case = sod_case(24, 4)
     case = replace(case, controls=replace(case.controls, max_iters=1))
-    one = run_case(case, warmup=False, max_workers=1)
+    one = run_case(case, max_workers=1)
     # One late interior sweep per stage, while the other worker runs every
     # other task: the stage must still wait for it.
     seen = count_sweep_submissions(monkeypatch, hook_delay=0.1)
-    out = run_case(on_ranks(case, 2, 2), warmup=False,
-                   max_workers=2)
+    out = run_case(on_ranks(case, 2, 2), max_workers=2)
     assert np.array_equal(assemble_zone(out.fields, out.plan),
                           assemble_zone(one.fields, one.plan))
     assert [b.shape for b in out.plan.blocks] == [(12, 4, 4)] * 2
     # Per stage and block: axis 0 has the interior [5, 7) and the boundary
     # ranges [0, 5) and [7, 12); axes 1 and 2 (4 cells) are boundary only.
-    # Every range is split into 2 row ranges, one per worker.
+    # Every range is split into 2 row ranges, one per worker.  Both the
+    # untimed step and the run's one step send them.
     for rank in ("rank0", "rank1"):
         mine = [in_hook for name, in_hook in seen if name == rank]
-        assert sum(mine) == 3 * 2
-        assert len(mine) - sum(mine) == 3 * (2 * 2 + 2 + 2)
+        assert sum(mine) == 2 * 3 * 2
+        assert len(mine) - sum(mine) == 2 * 3 * (2 * 2 + 2 + 2)
 
 
 @pytest.mark.parametrize("name, blocks, ranks, periodic_axes", [
@@ -401,18 +426,17 @@ def test_sweeps_are_periodic_where_the_block_spans_a_periodic_axis(
     sweep = runner.Arena.sweep
 
     def spy(self, s, *args, **kwargs):
-        sent.append(s)
+        sent.append((s, self.periodic[s.block][s.axis]))
         return sweep(self, s, *args, **kwargs)
 
     monkeypatch.setattr(runner.Arena, "sweep", spy)
-    out = run_case(on_ranks(case, blocks, ranks), warmup=False,
-                   max_workers=1)
+    out = run_case(on_ranks(case, blocks, ranks), max_workers=1)
     shapes = {b.id: b.shape for b in out.plan.blocks}
     assert len(shapes) == blocks and sent
-    assert {s.axis for s in sent if s.periodic} == periodic_axes
-    for s in sent:
+    assert {s.axis for s, periodic in sent if periodic} == periodic_axes
+    for s, periodic in sent:
         whole = (s.lo, s.hi) == (0, shapes[s.block][s.axis])
-        assert s.periodic == (s.axis in periodic_axes and whole), s
+        assert periodic == (s.axis in periodic_axes and whole), s
 
 
 @pytest.mark.parametrize("name, blocks, ranks, periodic", [
@@ -436,9 +460,9 @@ def test_viscous_terms_are_periodic_where_the_block_spans_a_periodic_axis(
         return packs[-1]
 
     monkeypatch.setattr(runner, "velocity_temperature_gradients", spy)
-    out = run_case(on_ranks(case, blocks, ranks), warmup=False,
-                   max_workers=1)
-    assert len(packs) == 3 * blocks
+    out = run_case(on_ranks(case, blocks, ranks), max_workers=1)
+    # The untimed step, then the run's one step.
+    assert len(packs) == 2 * 3 * blocks
     shape = out.plan.blocks[0].shape
     for pack in packs:
         assert pack.periodic == periodic
@@ -454,7 +478,7 @@ def test_cut_blocks_sweep_an_axis_without_an_interior_whole(monkeypatch):
     single-block bits."""
     case = wave_case(16, t_end=0.004, fixed_dt=1e-3)
     case = replace(case, controls=replace(case.controls, max_iters=1))
-    one = run_case(case, warmup=False, max_workers=1)
+    one = run_case(case, max_workers=1)
     split = on_ranks(case, 8, 2)
     sim = build_simulation(split)
     for r in range(2):
@@ -468,11 +492,12 @@ def test_cut_blocks_sweep_an_axis_without_an_interior_whole(monkeypatch):
         return sweep(self, s, *args, **kwargs)
 
     monkeypatch.setattr(runner.Arena, "sweep", spy)
-    out = run_case(split, warmup=False, max_workers=1)
+    out = run_case(split, max_workers=1)
     assert out.iterations == 1
     assert [b.shape for b in out.plan.blocks] == [(8, 8, 8)] * 8
     assert {(s.lo, s.hi) for s in sent} == {(0, 8)}
-    assert len(sent) == 3 * 8 * 3 < 144
+    # Per step: the untimed one and the run's.
+    assert len(sent) == 2 * 3 * 8 * 3 < 2 * 144
     assert np.array_equal(assemble_zone(out.fields, out.plan),
                           assemble_zone(one.fields, one.plan))
 
@@ -483,7 +508,7 @@ def test_block_without_a_halo_free_range_is_not_cut(monkeypatch):
     exchange gets no overlap hook."""
     case = wave_case(16, t_end=0.004, fixed_dt=1e-3)
     case = replace(case, controls=replace(case.controls, max_iters=1))
-    one = run_case(case, warmup=False, max_workers=1)
+    one = run_case(case, max_workers=1)
     workers, hooks = [], []
     start, run = RankWorker.start, HaloExchanger.run
 
@@ -497,12 +522,12 @@ def test_block_without_a_halo_free_range_is_not_cut(monkeypatch):
 
     monkeypatch.setattr(RankWorker, "start", spy_start)
     monkeypatch.setattr(HaloExchanger, "run", spy_run)
-    out = run_case(on_ranks(case, 8, 2), warmup=False, max_workers=2)
+    out = run_case(on_ranks(case, 8, 2), max_workers=2)
     assert [b.shape for b in out.plan.blocks] == [(8, 8, 8)] * 8
     assert len(workers) == 2
     for worker in workers:
         assert worker.interior_sweeps == [] and worker.arena.shared
-    assert hooks == [None] * (2 * 3)
+    assert hooks == [None] * (2 * 2 * 3)      # 2 ranks, 2 steps, 3 stages
     assert np.array_equal(assemble_zone(out.fields, out.plan),
                           assemble_zone(one.fields, one.plan))
 
@@ -540,7 +565,7 @@ def test_runner_sends_the_sweep_list_that_the_model_prices(monkeypatch,
 
     monkeypatch.setattr(runner.Arena, "sweep", spy_sweep)
     monkeypatch.setattr(HaloExchanger, "run", spy_run)
-    out = run_case(case, warmup=False, max_workers=1)
+    out = run_case(case, max_workers=1)
     assert out.iterations == 1
     tl = model_schedule(case, sim.plan, steps=1)
     thr = case.cpu.relative_throughput
@@ -549,8 +574,9 @@ def test_runner_sends_the_sweep_list_that_the_model_prices(monkeypatch,
         want = [(s, True) for s in interior] + [(s, False) for s in rest]
         mine = [(s, in_hook) for name, in_hook, s in sent
                 if name == f"rank{r}"]
+        # The untimed step, then the run's one step.
         assert [(s._replace(lam=0.0), in_hook)
-                for s, in_hook in mine] == want * STAGES
+                for s, in_hook in mine] == want * STAGES * 2
         cells = 0
         for s, in_hook in mine[:len(want)]:
             if in_hook:
@@ -581,14 +607,14 @@ def test_failing_pool_task_ends_the_run_with_its_cause(monkeypatch):
     def failing(*args, **kwargs):
         if multiprocessing.current_process().name.startswith("rank0/"):
             calls.append(1)
-            if len(calls) == 3:
+            if len(calls) >= 3:
                 raise injected
         return sweep(*args, **kwargs)
 
     monkeypatch.setattr(runner, "convective_derivative", failing)
     t0 = time.perf_counter()
     with pytest.raises(DivergenceError) as info:
-        run_case(wave_case(8, t_end=0.004, fixed_dt=1e-3), warmup=False,
+        run_case(wave_case(8, t_end=0.004, fixed_dt=1e-3),
                  max_workers=2)
     assert time.perf_counter() - t0 < 5.0
     assert calls == []                  # no sweep ran in this process
@@ -625,7 +651,7 @@ def test_a_rank_that_raises_ends_the_run_with_its_error(monkeypatch):
     monkeypatch.setattr(RankWorker, "_stage_residual", failing)
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match="^boom$") as err:
-        run_case(on_ranks(wave_case(16), 8, 2), max_workers=1, warmup=False)
+        run_case(on_ranks(wave_case(16), 8, 2), max_workers=1)
     assert err.value.rank == 1
     assert time.perf_counter() - t0 < 5.0
     assert not [t for t in threading.enumerate()
@@ -653,12 +679,12 @@ def test_a_one_rank_run_names_its_rank(monkeypatch):
     case = CASES["wave8"]()
     with pytest.raises(DivergenceError, match=r"injected block=0 rank=0 "
                        r"step=1$") as err:
-        run_case(case, max_workers=1, warmup=False)
+        run_case(case, max_workers=1)
     assert err.value.rank == 0 and err.value.__cause__ is bad
     monkeypatch.undo()
     fail_on_rank(monkeypatch, 0, RuntimeError("boom"))
     with pytest.raises(RuntimeError, match="^boom$") as err:
-        run_case(case, max_workers=1, warmup=False)
+        run_case(case, max_workers=1)
     assert err.value.rank == 0
 
 
@@ -668,7 +694,7 @@ def test_a_run_where_only_rank_1_diverges_names_rank_1(monkeypatch):
     case = on_ranks(wave_case(16, t_end=0.004, fixed_dt=1e-3), 8, 2)
     with pytest.raises(DivergenceError, match=r"injected block=5 rank=1 "
                        r"step=1$") as err:
-        run_case(case, max_workers=1, warmup=False)
+        run_case(case, max_workers=1)
     assert err.value.rank == 1 and err.value.__cause__ is bad
     # Over sockets each rank raises: rank 1 its own error, rank 0 one that
     # names rank 1, though the cause stays in rank 1's process.
@@ -705,7 +731,7 @@ def test_a_truncated_message_ends_the_run_naming_the_receiver(monkeypatch):
     truncate_sends_of(monkeypatch, 0)
     t0 = time.perf_counter()
     with pytest.raises(HaloPlanError, match="blocks 0->1 ") as err:
-        run_case(TRUNCATED, warmup=False, max_workers=1)
+        run_case(TRUNCATED, max_workers=1)
     assert time.perf_counter() - t0 < 5.0
     assert err.value.rank == 1
 
@@ -766,11 +792,11 @@ def test_failed_exchange_waits_for_interior_sweeps_in_flight(monkeypatch):
 def test_cut_blocks_convert_their_grown_box_after_their_interior_sweeps(
         monkeypatch):
     # Two workers per rank and slow interior sweeps: each stage, a rank
-    # converts the grown box of each cut block that spans no periodic axis,
-    # its whole extended array, which rewrites the primitives that the
-    # interior sweeps read, only once all of them have finished.
+    # converts the whole array of each cut block that spans no periodic
+    # axis, which rewrites the primitives that the interior sweeps read,
+    # only once all of them have finished.
     case = wave_case(24, t_end=0.001, fixed_dt=1e-3)
-    one = run_case(case, warmup=False, max_workers=1)
+    one = run_case(case, max_workers=1)
     split = on_ranks(case, 8, 2)
     sim = build_simulation(split)
     sent = [len(runner.sweep_list(sim.plan, sim.halo_plan, r, True, 2)[0])
@@ -801,14 +827,15 @@ def test_cut_blocks_convert_their_grown_box_after_their_interior_sweeps(
 
     monkeypatch.setattr(runner, "convective_derivative", slow)
     monkeypatch.setattr(runner, "primitive_from_conserved", converting)
-    out = run_case(split, warmup=False, max_workers=2)
+    out = run_case(split, max_workers=2)
     assert out.iterations == 1
     assert [b.shape for b in out.plan.blocks] == [(12, 12, 12)] * 8
     # Four cut blocks per rank; each axis's interior range in 2 row runs.
     assert sent == [4 * 3 * 2] * 2
+    # The untimed step's stages, then the run's.
     for r in range(2):
-        assert seen[r] == [sent[r] * (stage + 1) for stage in range(STAGES)
-                           for _ in range(4)]
+        assert seen[r] == [sent[r] * (stage + 1)
+                           for stage in range(2 * STAGES) for _ in range(4)]
     assert np.array_equal(assemble_zone(out.fields, out.plan),
                           assemble_zone(one.fields, one.plan))
 
@@ -833,7 +860,7 @@ def test_run_tasks_raises_the_first_failure_in_submit_order(monkeypatch):
     pool = worker.pool
 
     def send(lo, k):
-        sweep = runner.Sweep(0, 0, lo, lo + 1, 0, 8, k, False, False, 1.0)
+        sweep = runner.Sweep(0, 0, lo, lo + 1, 0, 8, k, False, 1.0)
         return pool.submit(worker._conv_chunk, sweep)
 
     try:

@@ -12,7 +12,7 @@ from wcnsflow.halo import build_halo_plan
 from wcnsflow.model import model_schedule
 from wcnsflow.partition import (Block, NodeTopology, ZoneSpec, check_tiling,
                                 ghost_slabs, ghost_sources, grid_blocks,
-                                grown_box, make_plan, plan_from_text,
+                                make_plan, margins, plan_from_text,
                                 plan_to_text, split_zone)
 from wcnsflow.runner import run_case
 from wcnsflow.wcns import HALO_WIDTH
@@ -167,15 +167,19 @@ def test_tiling_checked_on_plan_files():
 # Ghost sources
 
 def test_ghost_sources_name_the_owning_block():
-    # Every ghost cell inside the zone or a periodic image of it has exactly
-    # one source, the block holding its wrapped coordinate; cells past the
-    # non-periodic y faces have none.
+    # Every ghost cell of a block's grown box inside the zone or a periodic
+    # image of it has exactly one source, the block holding its wrapped
+    # coordinate; cells past the non-periodic y faces have none, and no
+    # source reaches past the grown box.  The slabs span the periodic z
+    # axis whole, so they keep no ghosts along it.
     z = zone((12, 9, 3), boundary=("periodic", "periodic", "outflow",
                                    "outflow", "periodic", "periodic"))
     blocks = x_slabs(z, [5, 1, 4, 2])
     sources = ghost_sources(blocks, z)
     by_id = {b.id: b for b in blocks}
     for b in blocks:
+        grow = margins(z, b)
+        assert grow == (H, H, 0)
         count = {}
         for g in (g for g in sources if g.dst == b.id):
             src = by_id[g.src]
@@ -185,11 +189,14 @@ def test_ghost_sources_name_the_owning_block():
                 assert all(l <= x < h for l, x, h in zip(src.lo, home, src.hi))
                 assert home == (c[0] % 12, c[1], c[2] % 3)
                 count[c] = count.get(c, 0) + 1
-        for cell in np.ndindex(*(n + 2 * H for n in b.shape)):
-            c = tuple(l - H + i for l, i in zip(b.lo, cell))
+        grown = set()
+        for cell in np.ndindex(*(n + 2 * m for n, m in zip(b.shape, grow))):
+            c = tuple(l - m + i for l, m, i in zip(b.lo, grow, cell))
+            grown.add(c)
             inside = all(l <= x < h for l, x, h in zip(b.lo, c, b.hi))
             want = 0 if inside or not 0 <= c[1] < 9 else 1
             assert count.get(c, 0) == want, (b.id, c)
+        assert set(count) <= grown, b.id
 
 
 def test_ghost_sources_symmetric():
@@ -207,9 +214,9 @@ def test_ghost_sources_symmetric():
 
 
 def test_ghost_slabs_cover_the_grown_box_outside_the_interior_once():
-    # The grown box is the interior along the periodic axes a block spans
-    # whole and the extended box along the others; its ghost slabs cover
-    # the rest of it exactly once.
+    # A block's margins are 0 along the periodic axes it spans whole and
+    # the halo along the others; its ghost slabs cover its grown box
+    # outside the interior exactly once.
     rng = np.random.default_rng(10)
     for _ in range(40):
         shape = tuple(int(rng.integers(1, 14)) for _ in range(3))
@@ -217,13 +224,13 @@ def test_ghost_slabs_cover_the_grown_box_outside_the_interior_once():
                          for t in [("periodic", "outflow")[rng.integers(2)]] * 2)
         z = zone(shape, boundary=boundary)
         for b in split(z, int(rng.integers(1, 9))):
-            box = grown_box(z, b)
-            assert box == tuple(
-                slice(H, H + n) if z.periodic(a) and n == z.shape[a]
-                else slice(0, n + 2 * H) for a, n in enumerate(b.shape))
-            want = np.zeros(tuple(n + 2 * H for n in b.shape), dtype=int)
-            want[box] = 1
-            want[H:-H, H:-H, H:-H] = 0
+            grow = margins(z, b)
+            assert grow == tuple(
+                0 if z.periodic(a) and n == z.shape[a] else H
+                for a, n in enumerate(b.shape))
+            want = np.ones(tuple(n + 2 * m for n, m in zip(b.shape, grow)),
+                           dtype=int)
+            want[tuple(slice(m, m + n) for n, m in zip(b.shape, grow))] = 0
             count = np.zeros_like(want)
             for slab in ghost_slabs(z, b):
                 count[slab] += 1

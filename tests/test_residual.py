@@ -447,7 +447,7 @@ def test_convective_argument_validation():
     q_ext = constant_state(1.0, 0.0, 0.0, 0.0, 1.0)
     w = np.ones_like(q_ext)
     w[1:4] = 0.0
-    with pytest.raises(ValueError, match="gas model"):
+    with pytest.raises(TypeError, match="gas"):
         convective_derivative(q_ext, w, 0, 1.0, 0.1)
     with pytest.raises(ValueError, match="node range"):
         convective_derivative(q_ext, w, 0, 1.0, 0.1, gas=GAS, lo=2, hi=99)
@@ -661,11 +661,20 @@ def wrapped_block(shape, seed: int):
     return q_ext, primitive_from_conserved(q_ext, GAS)
 
 
-def nan_outside(a: np.ndarray, box: tuple) -> np.ndarray:
-    """A copy of the extended array ``a`` that holds NaN outside ``box``
-    (slices of its three spatial axes)."""
+def periodic_layout(a: np.ndarray, periodic) -> np.ndarray:
+    """The extended array ``a`` as a block whose lines along each
+    ``periodic`` axis are periodic stores it: without its ghosts along
+    those axes, contiguous."""
+    return np.ascontiguousarray(a[(slice(None),) + tuple(
+        slice(H, -H) if p else slice(None) for p in periodic)])
+
+
+def nan_ghosts(a: np.ndarray, periodic) -> np.ndarray:
+    """A copy of the block array ``a``, whose margins are the halo along
+    the axes not ``periodic``, that holds NaN in every ghost cell."""
     out = np.full_like(a, np.nan)
-    sel = (slice(None),) + tuple(box)
+    sel = (slice(None),) + tuple(slice(None) if p else slice(H, -H)
+                                 for p in periodic)
     out[sel] = a[sel]
     return out
 
@@ -675,10 +684,11 @@ def test_periodic_sweeps_reproduce_the_plain_sweep(n):
     """On lines whose ghosts wrap their interior, the periodic sweep, which
     computes n edge values per line and repeats them, writes the bytes of
     the plain sweep's n + 5, on all three axes, at every tile size and over
-    random row ranges; lines shorter than the halo wrap more than once.  It
-    reads no ghost: with every ghost NaN it writes the same bytes."""
+    random row ranges; lines shorter than the halo wrap more than once.
+    The periodic sweep takes the block without ghosts along the sweep
+    axis, or along all three axes, and reads no ghost of the cross axes:
+    with every ghost NaN it writes the same bytes."""
     rng = np.random.default_rng(n)
-    interior = (slice(H, -H),) * 3
     for axis in range(3):
         shape = [6, 5, 3]
         shape[axis] = n
@@ -687,22 +697,23 @@ def test_periodic_sweeps_reproduce_the_plain_sweep(n):
         nrows = shape[1 if axis == 0 else 0]
         plain = convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n,
                                       gas=GAS)
-        for ghosts in ("wrapped", "nan"):
-            q, w = q_ext, w_ext
-            if ghosts == "nan":
-                q, w = nan_outside(q_ext, interior), nan_outside(w_ext,
-                                                                 interior)
-            for tile in (None, 1, 3, 0):
-                cuts = sorted({0, nrows, *rng.integers(1, nrows, size=2)})
-                for rows in ([0, nrows], cuts):
-                    out = np.zeros_like(plain)
-                    for r0, r1 in zip(rows, rows[1:]):
-                        convective_derivative(q, w, axis, lam, 1.0 / n,
-                                              gas=GAS, row_lo=r0, row_hi=r1,
-                                              tile=tile, periodic=True,
-                                              out=out)
-                    assert out.tobytes() == plain.tobytes(), (
-                        axis, ghosts, tile, rows)
+        for periodic in (tuple(a == axis for a in range(3)), (True,) * 3):
+            q = periodic_layout(q_ext, periodic)
+            w = periodic_layout(w_ext, periodic)
+            for ghosts in ("wrapped", "nan"):
+                if ghosts == "nan":
+                    q, w = nan_ghosts(q, periodic), nan_ghosts(w, periodic)
+                for tile in (None, 1, 3, 0):
+                    cuts = sorted({0, nrows, *rng.integers(1, nrows, size=2)})
+                    for rows in ([0, nrows], cuts):
+                        out = np.zeros_like(plain)
+                        for r0, r1 in zip(rows, rows[1:]):
+                            convective_derivative(
+                                q, w, axis, lam, 1.0 / n, gas=GAS,
+                                row_lo=r0, row_hi=r1, tile=tile,
+                                periodic=periodic, out=out)
+                        assert out.tobytes() == plain.tobytes(), (
+                            axis, periodic, ghosts, tile, rows)
 
 
 def test_periodic_sweep_needs_the_whole_axis_without_a_handoff():
@@ -710,19 +721,46 @@ def test_periodic_sweep_needs_the_whole_axis_without_a_handoff():
     is refused; a handoff on a line of n <= 5 nodes is no handoff, and a
     periodic sweep may carry it."""
     q_ext, w_ext = wrapped_block((12, 4, 7), 3)
+    periodic = (True,) * 3
+    q, w = periodic_layout(q_ext, periodic), periodic_layout(w_ext, periodic)
     for axis, lo, hi, handoff in [(0, 0, 5, False), (0, 5, 7, False),
                                   (0, 0, 11, False), (0, 0, 12, True),
                                   (0, 0, 5, True),
                                   (0, 7, 12, True), (2, 0, 5, True),
                                   (2, 5, 7, True)]:
         with pytest.raises(ValueError, match="node range"):
-            convective_derivative(q_ext, w_ext, axis, 3.0, 0.1, gas=GAS,
-                                  lo=lo, hi=hi, handoff=handoff,
-                                  periodic=True)
+            convective_derivative(q, w, axis, 3.0, 0.1, gas=GAS, lo=lo,
+                                  hi=hi, handoff=handoff, periodic=periodic)
     plain = convective_derivative(q_ext, w_ext, 1, 3.0, 0.1, gas=GAS)
-    thin = convective_derivative(q_ext, w_ext, 1, 3.0, 0.1, gas=GAS, lo=0,
-                                 hi=4, handoff=True, periodic=True)
+    thin = convective_derivative(q, w, 1, 3.0, 0.1, gas=GAS, lo=0, hi=4,
+                                 handoff=True, periodic=periodic)
     assert thin.tobytes() == plain.tobytes()
+
+
+def test_kernels_refuse_arrays_that_contradict_periodic():
+    """A block array's margins follow from its ``periodic`` triple, so a
+    kernel refuses an array whose extent leaves no interior, an ``out`` of
+    another interior shape, and primitives of another shape."""
+    q_ext, w_ext = wrapped_block((12, 4, 7), 3)
+    yz = (False, True, True)
+    q, w = periodic_layout(q_ext, yz), periodic_layout(w_ext, yz)
+    # The 4 x 7 periodic cross-section read with margins has no interior.
+    for periodic in ((False,) * 3, (False, True, False)):
+        with pytest.raises(ValueError, match="has no interior"):
+            convective_derivative(q, w, 0, 3.0, 0.1, gas=GAS,
+                                  periodic=periodic)
+        with pytest.raises(ValueError, match="has no interior"):
+            velocity_temperature_gradients(w, (0.1,) * 3, periodic)
+    # The extended array read as periodic on z is 12 x 14 x 17 nodes.
+    with pytest.raises(ValueError, match="out has shape"):
+        convective_derivative(q_ext, w_ext, 0, 3.0, 0.1, gas=GAS,
+                              periodic=(False, False, True),
+                              out=np.empty((5, 12, 4, 7)))
+    with pytest.raises(ValueError, match="w_ext has shape"):
+        convective_derivative(q, w_ext, 0, 3.0, 0.1, gas=GAS, periodic=yz)
+    out = np.empty((5, 12, 4, 7))
+    assert convective_derivative(q, w, 0, 3.0, 0.1, gas=GAS, periodic=yz,
+                                 out=out) is out
 
 
 def test_periodic_sweep_weights_one_period_of_edges(monkeypatch):
@@ -736,9 +774,10 @@ def test_periodic_sweep_weights_one_period_of_edges(monkeypatch):
         return window_edge_value(w0, *args, **kwargs)
 
     monkeypatch.setattr(residual, "window_edge_value", spy)
-    for periodic in (False, True):
-        convective_derivative(q_ext, w_ext, 1, 3.0, 0.25, gas=GAS, tile=0,
-                              periodic=periodic)
+    for periodic in ((False,) * 3, (False, True, True)):
+        convective_derivative(periodic_layout(q_ext, periodic),
+                              periodic_layout(w_ext, periodic), 1, 3.0, 0.25,
+                              gas=GAS, tile=0, periodic=periodic)
     assert edges == [9, 4]
 
 
@@ -985,27 +1024,31 @@ VISCOUS_DIGESTS = {
 def test_viscous_bits_are_frozen(key):
     """The viscous derivatives' bytes, pinned before their periodic path
     and node-major differences existed: one block with random ghosts, and
-    one whose ghosts wrap its interior on y and z."""
+    one whose ghosts wrap its interior on y and z, which the periodic path
+    also gives from the block stored without those ghosts."""
     shape, wrap, seed = key
     w_ext = viscous_block(shape, seed, wrap)
     spacing = tuple(1.0 / n for n in shape)
-    pack = velocity_temperature_gradients(w_ext, spacing)
-    digest = hashlib.sha256()
-    for axis in range(3):
-        d = viscous_derivative(pack, VISCOUS_GAS, axis, spacing[axis])
-        digest.update(d.tobytes())
-    assert digest.hexdigest() == VISCOUS_DIGESTS[key]
+    layouts = [(w_ext, (False,) * 3)]
+    if any(wrap):
+        layouts.append((periodic_layout(w_ext, wrap), wrap))
+    for w, periodic in layouts:
+        pack = velocity_temperature_gradients(w, spacing, periodic)
+        digest = hashlib.sha256()
+        for axis in range(3):
+            d = viscous_derivative(pack, VISCOUS_GAS, axis, spacing[axis])
+            digest.update(d.tobytes())
+        assert digest.hexdigest() == VISCOUS_DIGESTS[key], periodic
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 12])
 def test_periodic_viscous_terms_reproduce_the_plain_path(n):
     """On every subset of axes whose ghosts wrap the interior, with n nodes
-    on those axes, the periodic pack holds the plain pack's gradients on
-    the interior of the wrapped axes, and the viscous derivatives, which
-    repeat n fluxes per periodic line, write the plain path's bytes; lines
-    shorter than four nodes wrap more than once.  The periodic pack reads
-    no ghost along its periodic axes: with those ghosts NaN it holds the
-    same bytes."""
+    on those axes, the periodic pack of the block without those ghosts
+    holds the plain pack's gradients on the interior of the wrapped axes,
+    and the viscous derivatives, which repeat n fluxes per periodic line,
+    write the plain path's bytes; lines shorter than four nodes wrap more
+    than once."""
     for k, wrap in enumerate(itertools.product((False, True), repeat=3)):
         if not any(wrap) and n > 1:
             continue
@@ -1013,24 +1056,21 @@ def test_periodic_viscous_terms_reproduce_the_plain_path(n):
         w_ext = viscous_block(shape, 100 * n + k, wrap)
         spacing = tuple(1.0 / m for m in shape)
         plain = velocity_temperature_gradients(w_ext, spacing)
-        grown = tuple(slice(H, H + m) if on else slice(None)
-                      for on, m in zip(wrap, shape))
-        for w in (w_ext, nan_outside(w_ext, grown)):
-            pack = velocity_temperature_gradients(w, spacing, wrap)
-            assert pack.periodic == wrap
-            crop = tuple(slice(2, -2) if on else slice(None) for on in wrap)
-            for got, want in [(pack.vel, plain.vel[(slice(None),) + crop]),
-                              (pack.grad_vel,
-                               plain.grad_vel[(slice(None),) * 2 + crop]),
-                              (pack.grad_temp,
-                               plain.grad_temp[(slice(None),) + crop])]:
-                assert got.tobytes() == \
-                    np.ascontiguousarray(want).tobytes()
-            for axis in range(3):
-                want = viscous_derivative(plain, VISCOUS_GAS, axis,
-                                          spacing[axis])
-                out = np.zeros_like(want)
-                got = viscous_derivative(pack, VISCOUS_GAS, axis,
-                                         spacing[axis], out=out)
-                assert got is out
-                assert got.tobytes() == want.tobytes(), (wrap, axis)
+        pack = velocity_temperature_gradients(periodic_layout(w_ext, wrap),
+                                              spacing, wrap)
+        assert pack.periodic == wrap
+        crop = tuple(slice(2, -2) if on else slice(None) for on in wrap)
+        for got, want in [(pack.vel, plain.vel[(slice(None),) + crop]),
+                          (pack.grad_vel,
+                           plain.grad_vel[(slice(None),) * 2 + crop]),
+                          (pack.grad_temp,
+                           plain.grad_temp[(slice(None),) + crop])]:
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        for axis in range(3):
+            want = viscous_derivative(plain, VISCOUS_GAS, axis,
+                                      spacing[axis])
+            out = np.zeros_like(want)
+            got = viscous_derivative(pack, VISCOUS_GAS, axis,
+                                     spacing[axis], out=out)
+            assert got is out
+            assert got.tobytes() == want.tobytes(), (wrap, axis)

@@ -151,10 +151,15 @@ def reference_flux(w, axis, gas):
     return np.asarray(f)
 
 
+def flux(w, axis):
+    """``inviscid_flux`` with the conserved states of ``w``."""
+    return inviscid_flux(w, axis, conserved_from_primitive(w, GAS))
+
+
 def test_rest_state_flux_is_pure_pressure():
     w = col(1.0, 0.0, 0.0, 0.0, 1.0)
     for axis in range(3):
-        f = inviscid_flux(w, axis, gas=GAS)
+        f = flux(w, axis)
         expected = np.zeros(5)
         expected[1 + axis] = 1.0
         np.testing.assert_array_equal(f.reshape(5), expected)
@@ -163,7 +168,7 @@ def test_rest_state_flux_is_pure_pressure():
 def test_moving_state_flux_direct_algebra():
     # rho=u=p=1: rho E = 3.0, energy flux = u (rho E + p) = 4.0
     w = col(1.0, 1.0, 0.0, 0.0, 1.0)
-    f = inviscid_flux(w, 0, gas=GAS)
+    f = flux(w, 0)
     assert scalars(f) == pytest.approx((1.0, 2.0, 0.0, 0.0, 4.0), abs=1e-14)
 
 
@@ -172,14 +177,13 @@ def test_moving_state_flux_direct_algebra():
        st.floats(min_value=-3.0, max_value=3.0, **finite))
 def test_flux_matches_reference_and_boost_difference(vals, axis, boost):
     w = col(*vals)
-    np.testing.assert_allclose(inviscid_flux(w, axis, gas=GAS).reshape(5),
+    np.testing.assert_allclose(flux(w, axis).reshape(5),
                                reference_flux(w, axis, GAS),
                                rtol=1e-13, atol=1e-13)
     boosted = list(vals)
     boosted[1 + axis] += boost
     wb = col(*boosted)
-    got = (inviscid_flux(wb, axis, gas=GAS)
-           - inviscid_flux(w, axis, gas=GAS)).reshape(5)
+    got = (flux(wb, axis) - flux(w, axis)).reshape(5)
     want = reference_flux(wb, axis, GAS) - reference_flux(w, axis, GAS)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
