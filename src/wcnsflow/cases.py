@@ -126,9 +126,8 @@ def _primitive_field(case: Case, block: Block, t: float) -> np.ndarray:
     shape = block.shape
     w = np.empty((5,) + shape)
     init = case.init
-    if case.kind == "uniform":
-        rho, u, v, uw, p = case.freestream
-        w[0], w[1], w[2], w[3], w[4] = rho, u, v, uw, p
+    if case.kind in ("uniform", "corner"):
+        w[...] = np.reshape(case.freestream, (5, 1, 1, 1))
     elif case.kind == "wave":
         k = _init_triple(init, "wavevector", "1,1,1")
         amp = _init_number(init, "amplitude", "0.2")
@@ -147,9 +146,6 @@ def _primitive_field(case: Case, block: Block, t: float) -> np.ndarray:
         w[1] = np.where(left, ul, ur)
         w[2], w[3] = 0.0, 0.0
         w[4] = np.where(left, pl, pr)
-    elif case.kind == "corner":
-        rho, u, v, uw, p = case.freestream
-        w[0], w[1], w[2], w[3], w[4] = rho, u, v, uw, p
     else:
         raise CaseFormatError(f"no initializer for kind {case.kind!r}")
     return w
@@ -182,9 +178,7 @@ def uniform_case(n: tuple[int, int, int] = (16, 16, 16), *,
                  velocity=(0.3, -0.2, 0.1), reynolds: float | None = None,
                  blocks: int = 1, max_iters: int = 50, cfl: float = 0.5,
                  name: str | None = None) -> Case:
-    zone = ZoneSpec(shape=tuple(n),
-                    spacing=tuple(1.0 / max(n)
-                                  for _ in range(3)))
+    zone = ZoneSpec(shape=tuple(n), spacing=(1.0 / max(n),) * 3)
     return Case(
         name=name or f"uniform-{n[0]}x{n[1]}x{n[2]}",
         kind="uniform",

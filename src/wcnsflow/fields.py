@@ -30,11 +30,15 @@ class BlockField:
 
     @property
     def interior(self) -> np.ndarray:
-        """Writable view of the halo-free interior, shape (NCOMP, nx, ny,
-        nz); the margins are half of what ``data`` holds beyond it."""
-        return self.data[(slice(None),) + tuple(
-            slice((s - n) // 2, (s + n) // 2)
-            for s, n in zip(self.data.shape[1:], self.block.shape))]
+        return interior(self.data, self.block)
+
+
+def interior(data: np.ndarray, block: Block) -> np.ndarray:
+    """Writable view of the interior (NCOMP, nx, ny, nz) of ``data``, an
+    array of ``block``: its margins are half of what it holds beyond."""
+    return data[(slice(None),) + tuple(
+        slice((s - n) // 2, (s + n) // 2)
+        for s, n in zip(data.shape[1:], block.shape))]
 
 
 FieldSet = dict[int, BlockField]
@@ -46,11 +50,9 @@ def allocate_fields(plan: PartitionPlan) -> FieldSet:
 
 def cell_centers(block: Block, zone: ZoneSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interior cell-center coordinates along each axis (1D arrays)."""
-    out = []
-    for a in range(3):
-        idx = np.arange(block.lo[a], block.hi[a], dtype=float)
-        out.append(zone.origin[a] + (idx + 0.5) * zone.spacing[a])
-    return out[0], out[1], out[2]
+    return tuple(o + (np.arange(lo, hi, dtype=float) + 0.5) * h
+                 for o, lo, hi, h in zip(zone.origin, block.lo, block.hi,
+                                         zone.spacing))
 
 
 def center_mesh(block: Block, zone: ZoneSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,14 +10,14 @@ coprocessor/CPU workload ratio as the single balance knob.  Every node
 holds the same number of ranks, which share its devices evenly.  Plan
 files may hold any tiling, not only a grid.
 
-The storage rule, stated here once: every array of a block holds exactly
-its grown box, the interior grown by ``margins`` ghost planes on each side
-of each axis.  A margin is ``HALO_WIDTH``, or 0 along the
-``periodic_axes``, where the zone is periodic and the block spans it
-whole: the block's lines along such an axis are periodic, and the kernels
-read node ``j`` past either end at interior node ``j mod n``.  Array
-coordinates are relative to the grown box, so the interior starts at the
-margins, and a block's margins follow from its array's shape.
+The storage rule, stated here once and held by ``axis_margins``: every
+array of a block holds exactly its grown box, the interior grown by
+``margins`` ghost planes on each side of each axis.  A margin is
+``HALO_WIDTH``, or 0 along the ``periodic_axes``, where the zone is
+periodic and the block spans it whole: the block's lines along such an
+axis are periodic, and the kernels read node ``j`` past either end at
+interior node ``j mod n``.  Array coordinates are relative to the grown
+box, so the interior starts at the margins.
 
 Blocks may be as narrow as one cell.  ``ghost_sources`` is the one place
 that knows which block feeds which ghost cell: it intersects each block's
@@ -321,10 +321,14 @@ def periodic_axes(zone: ZoneSpec, b: Block) -> tuple[bool, bool, bool]:
                  for a in range(3))
 
 
+def axis_margins(periodic) -> tuple[int, int, int]:
+    """Per axis, ``HALO_WIDTH``, or 0 along the ``periodic`` axes."""
+    return tuple(0 if p else HALO_WIDTH for p in periodic)
+
+
 def margins(zone: ZoneSpec, b: Block) -> tuple[int, int, int]:
-    """Per axis, the ghost planes that block ``b``'s arrays hold on each
-    side: ``HALO_WIDTH``, or 0 along its ``periodic_axes``."""
-    return tuple(0 if p else HALO_WIDTH for p in periodic_axes(zone, b))
+    """The ghost planes per side of block ``b``'s arrays, per axis."""
+    return axis_margins(periodic_axes(zone, b))
 
 
 def ghost_slabs(zone: ZoneSpec, b: Block) -> list[tuple[slice, slice, slice]]:

@@ -61,10 +61,10 @@ A line is periodic when the block spans a periodic axis whole
 (``partition.periodic_axes``).  The block's arrays then have no margin
 along that axis: node j of the line, past either end, is interior node
 j % n, and the kernels read it there.  Every kernel that reads a block
-array takes the block's ``periodic`` triple, from which it knows the
-array's margins.  A periodic sweep (``periodic[axis]``) gathers each
-tile's n interior nodes and fills the five nodes before them, which edges
-0 .. n-1 also read, from those by j % n (``periodic_runs``), in a few
+array takes the block's ``periodic`` triple, from which
+``partition.axis_margins`` gives the array's margins.  A periodic sweep
+(``periodic[axis]``) gathers each tile's n interior nodes and fills the
+five nodes before them, which edges 0 .. n-1 also read, from those by j % n (``periodic_runs``), in a few
 contiguous copies inside the tile.  Edge j + n reads the six nodes that
 edge j reads, so of a line's n + 5 edge values only n are distinct: the
 sweep computes those n edges and fills the other five slots by the rule
@@ -99,6 +99,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidStateError
+from .partition import axis_margins
 from .state import (
     GasModel,
     NCOMP,
@@ -344,13 +345,14 @@ def working_set_tile(n2: int, length: int) -> int:
     return max(MIN_TILE_ROWS, TILE_BYTES // (8 * n2 * length))
 
 
-def _interior_shape(ext: np.ndarray, periodic) -> list[int]:
-    """Interior node counts of ``ext``, with no margin on ``periodic`` axes."""
-    n = [s - (0 if p else 2 * H) for s, p in zip(ext.shape[1:], periodic)]
+def _layout(ext: np.ndarray, periodic) -> tuple[tuple[int, ...], list[int]]:
+    """Margins and interior node counts of ``ext``, with ``periodic`` lines."""
+    m = axis_margins(periodic)
+    n = [s - 2 * g for s, g in zip(ext.shape[1:], m)]
     if min(n) < 1:
         raise ValueError(f"an array of extent {ext.shape[1:]} has no "
                          f"interior with periodic axes {tuple(periodic)}")
-    return n
+    return m, n
 
 
 def convective_derivative(
@@ -405,7 +407,7 @@ def convective_derivative(
     """
     if w_ext.shape != q_ext.shape:
         raise ValueError(f"w_ext has shape {w_ext.shape}, not {q_ext.shape}")
-    n = _interior_shape(q_ext, periodic)
+    m, n = _layout(q_ext, periodic)
     if out is None:
         out = np.empty((NCOMP, *n))
     elif out.shape != (NCOMP, *n):
@@ -462,7 +464,7 @@ def convective_derivative(
     # ``body`` = H leading slots and fills those from them by j % n (the
     # ``lead`` runs).
     length = stop - start
-    sl = [slice(None) if p else slice(H, -H) for p in periodic]
+    sl = [slice(g, g + k) for g, k in zip(m, n)]
     if wrap:
         body, lead = H, periodic_runs(na, -H, 0)
     else:
@@ -587,9 +589,9 @@ def velocity_temperature_gradients(
     differences read, node-major (field x node x line), and differences
     all four in one call.
     """
-    _interior_shape(w_ext, periodic)
-    pack = tuple(slice(None) if p else slice(H - 2, s - H + 2)
-                 for p, s in zip(periodic, w_ext.shape[1:]))
+    m, n = _layout(w_ext, periodic)
+    grow = [0 if p else 2 for p in periodic]
+    pack = tuple(slice(g - e, g + k + e) for g, k, e in zip(m, n, grow))
     vel = np.ascontiguousarray(w_ext[(slice(1, 4),) + pack])
     nshape = vel.shape[1:]
     # grad[i, j] = d(f_i)/d(x_j) for f = (u, v, w, T).

@@ -67,7 +67,7 @@ import numpy as np
 from .cases import Case, case_plan, initial_fields
 from .devices import rank_pool
 from .errors import DivergenceError, InvalidStateError, WcnsflowError
-from .fields import BlockField, FieldSet, grown_shape
+from .fields import BlockField, FieldSet, grown_shape, interior
 from .halo import (
     ExchangeTotals,
     HaloExchanger,
@@ -320,7 +320,7 @@ class RankWorker:
         both from the spectral radii of that view, formed once."""
         lams, dt_bound = np.zeros(3), np.inf
         for b in self.blocks:
-            w_int = BlockField(b, self.arena.w[b.id]).interior
+            w_int = interior(self.arena.w[b.id], b)
             primitive_from_conserved(self.fields[b.id].interior, self.sim.gas,
                                      block_id=b.id, out=w_int)
             bounds, radii = block_wavespeed_bound(w_int, self.sim.gas)
@@ -642,9 +642,9 @@ def run_case(case: Case, plan: PartitionPlan | None = None, *,
 
     ``best_of`` repeats the full run and keeps the one with the fastest wall
     time (state is bitwise identical across repetitions).  A case with
-    steps runs one untimed step first and discards it.  Every run shares
-    the ranks' worker processes, which start before the first run when the
-    case has steps and end before this returns.
+    steps runs one untimed step first, which raises as a run does.  Every
+    run shares the ranks' worker processes, which start before the first
+    run when the case has steps and end before this returns.
     """
     if best_of < 1:
         raise WcnsflowError(f"best_of must be at least 1, got {best_of}")
@@ -659,8 +659,8 @@ def run_case(case: Case, plan: PartitionPlan | None = None, *,
         if controls.max_iters > 0:
             for worker in workers:
                 worker.start()
-            _run_once(workers, replace(controls, max_iters=1,
-                                       tolerance=None))
+            _outcome(sim, _run_once(workers, replace(controls, max_iters=1,
+                                                     tolerance=None)))
         runs = (_run_once(workers, controls) for _ in range(best_of))
         fastest = min(runs, key=lambda results: results[0].wall_seconds)
     finally:
@@ -716,9 +716,9 @@ def run_socket_rank(case: Case, rank: int,
             transport.send(Message(tag=tag, source=rank, dest=0,
                                    payload=summary))
             for bid in worker.block_ids:
-                interior = res.fields[bid].interior
+                payload = res.fields[bid].interior.ravel()
                 transport.send(Message(tag=tag, source=rank, dest=0,
-                                       payload=interior.ravel()))
+                                       payload=payload))
             if res.stop >= STOP_DIVERGED:
                 raise DivergenceError(
                     f"run diverged after {res.iterations} steps"

@@ -607,7 +607,7 @@ def test_failing_pool_task_ends_the_run_with_its_cause(monkeypatch):
     def failing(*args, **kwargs):
         if multiprocessing.current_process().name.startswith("rank0/"):
             calls.append(1)
-            if len(calls) >= 3:
+            if len(calls) == 3:
                 raise injected
         return sweep(*args, **kwargs)
 
