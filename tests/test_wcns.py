@@ -1,5 +1,6 @@
 """Weighted edge interpolation and the edge/node difference operators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -93,6 +94,10 @@ def test_weights_match_alpha_formula():
 # ---------------------------------------------------------------------------
 # Edge interpolation
 
+# sha256 of test_reference_interpolation_bits_are_frozen's outputs.
+REFERENCE_DIGEST = \
+    "295b82637255d8d3488cbecbdcec1d1f165bb3cd080d2566847f887b405699fe"
+
 def test_constant_line_interpolates_exactly():
     line = np.full(9, 4.25)
     for side in ("left", "right"):
@@ -131,6 +136,35 @@ def test_single_edge_matches_line_interpolation():
     for j in range(edges_l.shape[0]):
         assert interpolate_edge(line, j + 2, side="left") == edges_l[j]
         assert interpolate_edge(line, j + 2, side="right") == edges_r[j]
+
+
+def reference_lines() -> np.ndarray:
+    """Seeded (3, 4, 17) lines at three scales (uniform draws only, which
+    every NumPy release generates alike); the middle row of each scale is
+    a two-valued step, so many windows are flat and their differences are
+    exact zeros."""
+    rng = np.random.default_rng(29)
+    lines = rng.random((3, 4, 17)) - 0.5
+    lines[:, 1] = np.where(rng.random((3, 17)) < 0.5, 1.0, -0.5)
+    return lines * np.array([1e-3, 1.0, 1e3])[:, None, None]
+
+
+def test_reference_interpolation_bits_are_frozen():
+    """The bytes of ``interpolate_line_edges`` and ``interpolate_edge``,
+    pinned on both sides and under both weight modes: on whole line stacks,
+    and edge by edge on line stacks and on single lines."""
+    lines = reference_lines()
+    n = lines.shape[-1]
+    digest = hashlib.sha256()
+    for side in ("left", "right"):
+        for weights in ("nonlinear", "ideal"):
+            digest.update(interpolate_line_edges(lines, side=side,
+                                                 weights=weights).tobytes())
+            for edge in range(2, n - 3):
+                for line in (lines, lines[1, 1], lines[2, 0]):
+                    digest.update(np.asarray(interpolate_edge(
+                        line, edge, side=side, weights=weights)).tobytes())
+    assert digest.hexdigest() == REFERENCE_DIGEST
 
 
 @settings(max_examples=50)
