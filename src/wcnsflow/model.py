@@ -29,9 +29,9 @@ from .timestepping import STAGES
 
 class Sweep(NamedTuple):
     """One convective sweep task: the node range ``lo:hi`` of block
-    ``block``'s sweep along ``axis``, over its cross rows ``r0:r1``, run by
-    pool worker ``worker``.  ``handoff`` on the three ranges of a cut
-    line; ``lam`` is the stage's wavespeed, set as the task is sent."""
+    ``block``'s sweep along ``axis`` (the whole line, or a range of a cut
+    one), over its cross rows ``r0:r1``, run by pool worker ``worker``;
+    ``lam`` is the stage's wavespeed, set as the task is sent."""
 
     block: int
     axis: int
@@ -40,7 +40,6 @@ class Sweep(NamedTuple):
     r0: int
     r1: int
     worker: int
-    handoff: bool
     lam: float = 0.0
 
 
@@ -76,9 +75,9 @@ def sweep_list(plan: PartitionPlan, halo_plan, rank: int, overlap: bool,
             cut = b.id in fed and lo < hi and not periodic[axis]
             runs = row_runs(b, axis, workers)
             if cut:
-                interior += [Sweep(b.id, axis, lo, hi, r0, r1, k, True)
+                interior += [Sweep(b.id, axis, lo, hi, r0, r1, k)
                              for k, r0, r1 in runs]
-            rest += [Sweep(b.id, axis, s0, s1, r0, r1, k, cut)
+            rest += [Sweep(b.id, axis, s0, s1, r0, r1, k)
                      for s0, s1 in ([(0, lo), (hi, n)] if cut else [(0, n)])
                      for k, r0, r1 in runs]
     return interior, rest

@@ -23,8 +23,9 @@ window is taken relative to its centre node, so the centre window is
 exactly zero on both sides and is never formed: per tile the sweep stacks
 the other eight windows (four nodes, plus and minus flux) into one array,
 component x window x side x node x line, and makes one projection call
-into the wave fields, one weighted-edge call for both sides (with the
-centre passed as ``None``) and one call back to state space.  The edge
+into the wave fields, one call of the centre-free edge kernel
+(``wcns.window_edge_value``) for both sides and one call back to state
+space.  The edge
 frame's node terms are formed once per node and shared by the two edges
 beside it.  Every array the tile writes, the edge frame's fields
 included, lives in a per-thread workspace (``wcns.ThreadWorkspace``) that
@@ -50,12 +51,13 @@ a bit of what it writes: along the sweep axis into node ranges [lo, hi), and
 across it into ranges of rows.  The node range [a, b) with a = min(5, n) and
 b = max(a, n - 5) (``interior_split``) touches no halo cells, so it may run
 while halo messages are still in flight; the other cut spreads one sweep
-over the workers of a pool.  Cut on its own, each node range computes the
-five edges it shares with its neighbour range again.  Handoff sweeps
-(``handoff=True``) do not: the interior sweep parks those edges in the
-boundary ranges' nodes of the output, outside its own range, and the
-boundary sweeps, which must run after it, compute only their five
-halo-dependent edges and read the parked ones back.
+over the workers of a pool.  A node range other than [0, n) must be one
+of the three ``interior_split`` ranges, and it hands off: the interior
+sweep parks the five edges it shares with each boundary range in that
+range's nodes of the output, outside its own range, and the boundary
+sweeps, which must run after it, compute only their five halo-dependent
+edges and read the parked ones back.  So a cut line computes each edge
+value once, as the uncut sweep does.
 
 A line is periodic when the block spans a periodic axis whole
 (``partition.periodic_axes``).  The block's arrays then have no margin
@@ -327,7 +329,7 @@ def _tile_words(rows: int, n2: int, length: int, parked: int = 0) -> int:
     stacked and the eight projected windows (the centre
     window of each side is exactly zero and never stored), edge values and
     the recombined edges, which share their buffer with ``parked`` edges
-    read back from a handoff; each array rounded up to whole cache lines.
+    read back from the interior sweep; each array rounded up to whole cache lines.
     The gathered conserved states wait in the plus fluxes' words and the
     derivatives take the stacked windows' words, so neither adds any."""
     lines = rows * n2
@@ -368,7 +370,6 @@ def convective_derivative(
     row_lo: int | None = None,
     row_hi: int | None = None,
     tile: int | None = None,
-    handoff: bool = False,
     periodic: tuple[bool, bool, bool] = (False, False, False),
     out: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -385,25 +386,25 @@ def convective_derivative(
     rows swept at once: ``None`` picks the working-set tile, ``0`` sweeps
     the whole row range in one piece.  ``out`` (shape (5, nx, ny, nz))
     receives the slab when given; nothing outside the two ranges is written,
-    except by a handoff sweep.
+    except by an interior sweep that hands off.
 
-    ``handoff`` makes the three sweeps of a cut line compute each of its
-    n + 5 edge values once; [lo, hi) must then be one of the
-    ``interior_split`` ranges [0, a), [a, b) and [b, n).  The interior
-    sweep also parks the five edges it shares with each boundary range in
-    that range's own nodes of ``out``, [0, a) and [b, n), which are outside
-    [lo, hi).  A boundary sweep computes only its five halo-dependent edges
-    and reads the five parked ones back before it writes its derivatives
-    over them, so it must start only after the interior sweep of its rows
-    has finished.  With an empty interior (n <= 10) ``handoff`` changes
-    nothing.
+    [lo, hi) is the whole axis [0, n) or one of the ``interior_split``
+    ranges [0, a), [a, b) and [b, n), which are the three sweeps of a cut
+    line; together they compute each of its n + 5 edge values once.  The
+    interior sweep parks the five edges it shares with each boundary range
+    in that range's own nodes of ``out``, [0, a) and [b, n), which are
+    outside [lo, hi).  A boundary sweep computes only its five
+    halo-dependent edges and reads the five parked ones back before it
+    writes its derivatives over them, so it must start only after the
+    interior sweep of its rows has finished.  With an empty interior
+    (n <= 10) nothing is handed off, and each range is swept on its own.
 
     ``periodic[axis]`` says that every line is periodic, as it is when
     the block spans a periodic axis whole: node j past either end is
     interior node j % n.  The sweep reads those nodes in the interior,
     computes n edge values, not n + 5, and repeats them
     (``edge[j] = edge[j % n]``).  It needs the whole axis, [lo, hi) =
-    [0, n), and no effective ``handoff``.
+    [0, n).
     """
     if w_ext.shape != q_ext.shape:
         raise ValueError(f"w_ext has shape {w_ext.shape}, not {q_ext.shape}")
@@ -415,24 +416,22 @@ def convective_derivative(
     na = n[axis]
     lo = 0 if lo is None else lo
     hi = na if hi is None else hi
-    if not (0 <= lo <= hi <= na):
-        raise ValueError(f"node range [{lo},{hi}) outside [0,{na})")
+    a, b = interior_split(na)
+    if (lo, hi) not in ((0, na), (0, a), (a, b), (b, na)):
+        raise ValueError(f"node range [{lo},{hi}) is neither [0,{na}) nor "
+                         f"an interior_split range")
     nrows = n[1] if axis == 0 else n[0]
     row_lo = 0 if row_lo is None else row_lo
     row_hi = nrows if row_hi is None else row_hi
     if not (0 <= row_lo <= row_hi <= nrows):
         raise ValueError(f"row range [{row_lo},{row_hi}) outside [0,{nrows})")
-    a, b = interior_split(na)
-    if handoff and (lo, hi) not in ((0, a), (a, b), (b, na)):
-        raise ValueError(f"handoff node range [{lo},{hi}) is not an "
-                         f"interior_split range of [0,{na})")
-    handoff = handoff and a < b
     wrap = periodic[axis]
-    if wrap and (handoff or (lo, hi) != (0, na)):
+    if wrap and (lo, hi) != (0, na):
         raise ValueError(f"periodic node range [{lo},{hi}) is not the whole "
-                         f"axis [0,{na}) without a handoff")
+                         f"axis [0,{na})")
     if hi == lo or row_hi == row_lo:
         return out
+    handoff = a < b and (lo, hi) != (0, na)
 
     def nodes(lo: int, hi: int) -> np.ndarray:
         """``out`` at nodes [lo, hi) of the sweep axis, moved last."""
@@ -528,9 +527,8 @@ def convective_derivative(
             np.subtract(fp[:, k:k + ne], ctr_p, out=win[:, i, 0])
             np.subtract(fm[:, 5 - k:5 - k + ne], ctr_m, out=win[:, i, 1])
         waves = frame.to_waves(win, out=ws.take(NCOMP, 4, 2, ne, lines))
-        sides = window_edge_value(waves[:, 0], waves[:, 1], None,
-                                  waves[:, 2], waves[:, 3],
-                                  out=ws.take(NCOMP, 2, ne, lines))
+        sides = window_edge_value(waves[:, 0], waves[:, 1], waves[:, 2],
+                                  waves[:, 3], out=ws.take(NCOMP, 2, ne, lines))
         both = np.add(sides[:, 0], sides[:, 1], out=sides[:, 0])
         all_edges = ws.take(NCOMP, nedges, lines)
         edges = all_edges if own is None else all_edges[:, own]

@@ -232,7 +232,6 @@ class Arena:
         convective_derivative(self.q[s.block], self.w[s.block], s.axis,
                               s.lam, self.spacing[s.axis], gas=self.gas,
                               lo=s.lo, hi=s.hi, row_lo=s.r0, row_hi=s.r1,
-                              handoff=s.handoff,
                               periodic=self.periodic[s.block],
                               out=self.conv[s.block][s.axis])
 

@@ -19,6 +19,15 @@ Conventions used throughout:
 * With the solver's halo width of 5, a line of ``n`` interior nodes arrives
   as ``L = n + 10`` values and yields the ``n + 5`` edges needed by the
   difference formula at every interior node.
+
+There are two edge-value kernels, which share no code.
+``window_edge_value`` is the one that runs: it takes windows relative to
+their centre node under nonlinear weights, in place.  ``edge_value`` is the
+plain reference composition of ``smoothness_indicators``,
+``nonlinear_weights`` and the substencil values, under either weight mode;
+``interpolate_edge``, ``interpolate_line_edges`` and the tests' oracles go
+through it.  The tests check that the two agree bit for bit on a centre of
+``+0.0``, up to the sign of an exact zero.
 """
 
 from __future__ import annotations
@@ -124,166 +133,128 @@ class ThreadWorkspace(threading.local):
 _scratch = ThreadWorkspace()
 
 
-def _edge_value(w0, w1, w2, w3, w4, nonlinear: bool, out=None):
-    """Weighted edge value of 5-node windows, computed into ``out``.
+def edge_value(w0, w1, w2, w3, w4, weights: str = "nonlinear"):
+    """Reference edge value of 5-node windows, as plain array formulas.
 
-    The operations and their order are those of ``smoothness_indicators``
-    and ``nonlinear_weights`` and of the weighted sum of the substencil
-    values, done in place so that the only arrays are ``out`` and four
-    scratch arrays of its shape.  ``w2=None`` stands for an exactly zero
-    centre and drops every ``w2`` term: each indicator term is squared, so
-    the weights keep their bits, and a substencil value can differ only
-    in the sign of an exact zero.
+    The window is ordered upwind first: nodes left-to-right for a
+    left-biased value and right-to-left for a right-biased one; the result
+    sits between ``w2`` and ``w3``.  It composes ``smoothness_indicators``
+    and ``nonlinear_weights`` (or ``IDEAL_WEIGHTS`` under
+    ``weights="ideal"``, which freezes the linear weights, useful for order
+    checks on smooth data) with the three quadratic substencil values
+    (Jiang & Shu, JCP 126, 1996).
     """
-    shape = np.broadcast_shapes(*map(np.shape, (w0, w1, w2, w3, w4)))
-    if out is None:
-        out = np.empty(shape)
+    if weights == "nonlinear":
+        o0, o1, o2 = nonlinear_weights(*smoothness_indicators(w0, w1, w2,
+                                                              w3, w4))
+    elif weights == "ideal":
+        o0, o1, o2 = IDEAL_WEIGHTS
+    else:
+        raise ValueError(f"weights must be 'nonlinear' or 'ideal', "
+                         f"got {weights!r}")
+    # The substencil values at the edge, offset +1/2 from the window centre.
+    p0 = (3.0 * w0 - 10.0 * w1 + 15.0 * w2) * 0.125
+    p1 = (-w1 + 6.0 * w2 + 3.0 * w3) * 0.125
+    p2 = (3.0 * w2 + 6.0 * w3 - w4) * 0.125
+    return o0 * p0 + o1 * p1 + o2 * p2
+
+
+def window_edge_value(w0, w1, w3, w4, *, out):
+    """The sweep's edge kernel: ``edge_value`` of 5-node windows taken
+    relative to their centre node, with nonlinear weights, computed into
+    ``out``, which must not overlap the window.
+
+    The centre is exactly zero, so it is not passed and its terms are
+    dropped: each indicator term is squared, so the weights keep their
+    bits, and a substencil value can differ from that of a ``+0.0`` centre
+    only in the sign of an exact zero.  Otherwise the operations and their
+    order are those of ``edge_value``, done in place so that the only
+    arrays are ``out`` and four scratch arrays of its shape.
+    """
+    shape = out.shape
     ws = _scratch.ws
     ws.reserve(4 * aligned_words(*shape))
     b0, b1, b2, u = (ws.take(*shape) for _ in range(4))
-    if nonlinear:
-        # Jiang-Shu indicators; ``out`` is scratch until the weighted sum.
-        c = 13.0 / 12.0
-        d = out
-        np.subtract(w0, np.multiply(2.0, w1, out=d), out=d)
-        if w2 is not None:
-            d += w2
-        np.multiply(c, d, out=b0)
-        b0 *= d
-        np.subtract(w0, np.multiply(4.0, w1, out=d), out=d)
-        if w2 is not None:
-            d += np.multiply(3.0, w2, out=u)
-        np.multiply(d, d, out=d)
-        d *= 0.25
-        b0 += d
-        if w2 is None:
-            np.add(w1, w3, out=d)
-        else:
-            np.subtract(w1, np.multiply(2.0, w2, out=d), out=d)
-            d += w3
-        np.multiply(c, d, out=b1)
-        b1 *= d
-        np.subtract(w1, w3, out=d)
-        np.multiply(d, d, out=d)
-        d *= 0.25
-        b1 += d
-        if w2 is None:
-            np.subtract(w4, np.multiply(2.0, w3, out=d), out=d)
-        else:
-            np.subtract(w2, np.multiply(2.0, w3, out=d), out=d)
-            d += w4
-        np.multiply(c, d, out=b2)
-        b2 *= d
-        if w2 is None:
-            np.subtract(w4, np.multiply(4.0, w3, out=d), out=d)
-        else:
-            np.subtract(np.multiply(3.0, w2, out=d),
-                        np.multiply(4.0, w3, out=u), out=d)
-            d += w4
-        np.multiply(d, d, out=d)
-        d *= 0.25
-        b2 += d
-        # Normalized weights: alpha_k = d_k / (eps + beta_k)^2.
-        for b, ideal in zip((b0, b1, b2), IDEAL_WEIGHTS):
-            b += WEIGHT_EPS
-            np.multiply(b, b, out=b)
-            np.divide(ideal, b, out=b)
-        inv = np.add(b0, b1, out=u)
-        inv += b2
-        np.divide(1.0, inv, out=inv)
-        o0 = np.multiply(b0, inv, out=b0)
-        o1 = np.multiply(b1, inv, out=b1)
-        o2 = np.multiply(b2, inv, out=b2)
-    else:
-        o0, o1, o2 = IDEAL_WEIGHTS
-    # o0 p0 + o1 p1 + o2 p2 with the quadratic substencil values at the
-    # edge between the window's 3rd and 4th node (offset +1/2 from the
-    # window center), each formed in ``u`` in turn:
-    # p0 = (3 w0 - 10 w1 + 15 w2) / 8 and its mirrors, term by term.
+    # Jiang-Shu indicators; ``out`` is scratch until the weighted sum.
+    c = 13.0 / 12.0
+    d = out
+    np.subtract(w0, np.multiply(2.0, w1, out=d), out=d)
+    np.multiply(c, d, out=b0)
+    b0 *= d
+    np.subtract(w0, np.multiply(4.0, w1, out=d), out=d)
+    np.multiply(d, d, out=d)
+    d *= 0.25
+    b0 += d
+    np.add(w1, w3, out=d)
+    np.multiply(c, d, out=b1)
+    b1 *= d
+    np.subtract(w1, w3, out=d)
+    np.multiply(d, d, out=d)
+    d *= 0.25
+    b1 += d
+    np.subtract(w4, np.multiply(2.0, w3, out=d), out=d)
+    np.multiply(c, d, out=b2)
+    b2 *= d
+    np.subtract(w4, np.multiply(4.0, w3, out=d), out=d)
+    np.multiply(d, d, out=d)
+    d *= 0.25
+    b2 += d
+    # Normalized weights: alpha_k = d_k / (eps + beta_k)^2.
+    for b, ideal in zip((b0, b1, b2), IDEAL_WEIGHTS):
+        b += WEIGHT_EPS
+        np.multiply(b, b, out=b)
+        np.divide(ideal, b, out=b)
+    inv = np.add(b0, b1, out=u)
+    inv += b2
+    np.divide(1.0, inv, out=inv)
+    np.multiply(b0, inv, out=b0)
+    np.multiply(b1, inv, out=b1)
+    np.multiply(b2, inv, out=b2)
+    # The weighted sum of the substencil values, each formed in ``u`` in
+    # turn: p0 = (3 w0 - 10 w1) / 8, p1 = (3 w3 - w1) / 8 and
+    # p2 = (6 w3 - w4) / 8, term by term.
     p = np.multiply(3.0, w0, out=u)
     p -= np.multiply(10.0, w1, out=out)
-    if w2 is not None:
-        p += np.multiply(15.0, w2, out=out)
     p *= 0.125
-    np.multiply(o0, p, out=out)
-    t = b0                       # o0 has been used
-    if w2 is None:
-        np.multiply(3.0, w3, out=p)
-        p -= w1
-    else:
-        np.negative(w1, out=p)
-        p += np.multiply(6.0, w2, out=t)
-        p += np.multiply(3.0, w3, out=t)
+    np.multiply(b0, p, out=out)
+    np.multiply(3.0, w3, out=p)
+    p -= w1
     p *= 0.125
-    out += np.multiply(o1, p, out=p)
-    if w2 is None:
-        np.multiply(6.0, w3, out=p)
-    else:
-        np.multiply(3.0, w2, out=p)
-        p += np.multiply(6.0, w3, out=t)
+    out += np.multiply(b1, p, out=p)
+    np.multiply(6.0, w3, out=p)
     p -= w4
     p *= 0.125
-    out += np.multiply(o2, p, out=p)
+    out += np.multiply(b2, p, out=p)
     return out
 
 
 def interpolate_edge(line: np.ndarray, edge: int, side: str = "left",
                      weights: str = "nonlinear") -> float:
-    """Reference single-edge interpolation.
+    """Reference single-edge interpolation (``edge_value``).
 
     ``edge`` selects the midpoint between nodes ``edge`` and ``edge + 1`` of
-    ``line``.  ``side`` picks the upwind bias; ``weights="ideal"`` freezes the
-    linear weights (useful for order checks on smooth data).
+    ``line``.  ``side`` picks the upwind bias and ``weights`` the weights.
     """
     line = np.asarray(line)
     n = line.shape[-1]
-    nonlinear = _weights_mode(weights)
     if side == "left":
         lo, hi = edge - 2, edge + 3
-        if lo < 0 or hi > n:
-            raise StencilError(f"left-biased edge {edge} needs nodes "
-                               f"[{lo}, {hi}) of a {n}-node line")
-        w = line[..., lo:hi]
-        return _edge_value(w[..., 0], w[..., 1], w[..., 2], w[..., 3], w[..., 4],
-                           nonlinear)[()]
-    if side == "right":
+    elif side == "right":
         lo, hi = edge - 1, edge + 4
-        if lo < 0 or hi > n:
-            raise StencilError(f"right-biased edge {edge} needs nodes "
-                               f"[{lo}, {hi}) of a {n}-node line")
-        w = line[..., lo:hi]
-        return _edge_value(w[..., 4], w[..., 3], w[..., 2], w[..., 1], w[..., 0],
-                           nonlinear)[()]
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def _weights_mode(weights: str) -> bool:
-    if weights == "nonlinear":
-        return True
-    if weights == "ideal":
-        return False
-    raise ValueError(f"weights must be 'nonlinear' or 'ideal', got {weights!r}")
-
-
-def window_edge_value(w0, w1, w2, w3, w4, weights: str = "nonlinear", *,
-                      out=None):
-    """Edge value from an already-gathered 5-node window.
-
-    The window must be ordered upwind first: pass nodes left-to-right for a
-    left-biased value and right-to-left for a right-biased one.  The result
-    sits between ``w2`` and ``w3``.  Used directly when windows are built in
-    a transformed basis rather than sliced from a line.  ``w2=None`` means
-    the window is taken relative to its centre node, so ``w2`` is exactly
-    zero and its terms are skipped; the result equals that of a ``+0.0``
-    centre, up to the sign of an exactly zero result.  ``out`` receives
-    the result when given; it must not overlap the window.
-    """
-    return _edge_value(w0, w1, w2, w3, w4, _weights_mode(weights), out)
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if lo < 0 or hi > n:
+        raise StencilError(f"{side}-biased edge {edge} needs nodes "
+                           f"[{lo}, {hi}) of a {n}-node line")
+    w = [line[..., k:k + 1] for k in range(lo, hi)]
+    if side == "right":
+        w.reverse()
+    return edge_value(*w, weights)[..., 0]
 
 
 def interpolate_line_edges(f: np.ndarray, side: str = "left",
                            weights: str = "nonlinear") -> np.ndarray:
-    """Vectorized edge interpolation along the last axis.
+    """Reference edge interpolation along the last axis (``edge_value``).
 
     For input length ``L`` returns ``L - 5`` edges; output edge ``j`` lies
     between nodes ``j + 2`` and ``j + 3``, so left- and right-biased outputs
@@ -294,14 +265,13 @@ def interpolate_line_edges(f: np.ndarray, side: str = "left",
     if ne < 1:
         raise StencilError(f"line of {f.shape[-1]} nodes is too short "
                            "for edge interpolation")
-    nonlinear = _weights_mode(weights)
     if side == "left":
         w = [f[..., k:k + ne] for k in range(5)]
     elif side == "right":
         w = [f[..., 5 - k:5 - k + ne] for k in range(5)]
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _edge_value(w[0], w[1], w[2], w[3], w[4], nonlinear)
+    return edge_value(*w, weights)
 
 
 def edge_to_node_derivative(edges: np.ndarray, h: float, *,

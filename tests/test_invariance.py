@@ -172,9 +172,9 @@ def test_fed_blocks_spanning_a_periodic_axis_match_single_block_run(
 @pytest.mark.parametrize("name", sorted(FED_PERIODIC))
 def test_sweep_list_never_cuts_a_periodic_line(name):
     """Every sweep along an axis that ``periodic_axes`` marks covers the
-    whole line ``[0, n)`` without a handoff, though the block is fed by
-    another rank and the axis has a halo-free range; the other axes of a
-    fed block with such a range are still cut."""
+    whole line ``[0, n)``, so it hands nothing off, though the block is
+    fed by another rank and the axis has a halo-free range; the other axes
+    of a fed block with such a range are still cut."""
     sim = build_simulation(FED_PERIODIC[name]())
     long_periodic = cut = 0
     for r in range(sim.plan.ranks):
@@ -185,10 +185,10 @@ def test_sweep_list_never_cuts_a_periodic_line(name):
             b = sim.plan.blocks[s.block]
             n = b.shape[s.axis]
             if periodic_axes(sim.plan.zone, b)[s.axis]:
-                assert (s.lo, s.hi, s.handoff) == (0, n, False), s
+                assert (s.lo, s.hi) == (0, n), s
                 long_periodic += s.block in fed and n > 10
             else:
-                cut += s.handoff
+                cut += (s.lo, s.hi) != (0, n)
     assert long_periodic > 0 and cut > 0
 
 
@@ -860,7 +860,7 @@ def test_run_tasks_raises_the_first_failure_in_submit_order(monkeypatch):
     pool = worker.pool
 
     def send(lo, k):
-        sweep = runner.Sweep(0, 0, lo, lo + 1, 0, 8, k, False, 1.0)
+        sweep = runner.Sweep(0, 0, lo, lo + 1, 0, 8, k, 1.0)
         return pool.submit(worker._conv_chunk, sweep)
 
     try:

@@ -34,7 +34,7 @@ from wcnsflow.state import (
 )
 from wcnsflow.timestepping import block_dt_bound
 from wcnsflow.wcns import (Workspace, aligned_words, edge_to_node_derivative,
-                           window_edge_value)
+                           edge_value, window_edge_value)
 
 GAS = GasModel()
 H = 5
@@ -336,10 +336,10 @@ def oracle_line_derivative(line_q: np.ndarray, line_w: np.ndarray, axis: int,
                                         axis, GAS.gamma)
         ctr_p = fp[:, j + 2]
         wp = [left @ (fp[:, j + k] - ctr_p) for k in range(5)]
-        cp = window_edge_value(wp[0], wp[1], wp[2], wp[3], wp[4])
+        cp = edge_value(*wp)
         ctr_m = fm[:, j + 3]
         wm = [left @ (fm[:, j + 5 - k] - ctr_m) for k in range(5)]
-        cm = window_edge_value(wm[0], wm[1], wm[2], wm[3], wm[4])
+        cm = edge_value(*wm)
         edges[:, j] = ctr_p + ctr_m + right @ (cp + cm)
     return edge_to_node_derivative(edges, h)
 
@@ -435,11 +435,12 @@ def test_tile_sizes_do_not_change_the_residual():
 
 
 def test_empty_range_returns_untouched_buffer():
+    """The interior range of a 6-node axis is empty."""
     q_ext = constant_state(1.0, 0.0, 0.0, 0.0, 1.0)
     w = np.ones_like(q_ext)
     w[1:4] = 0.0
     out = np.full((5, 6, 6, 6), 7.0)
-    convective_derivative(q_ext, w, 0, 1.0, 0.1, gas=GAS, lo=3, hi=3, out=out)
+    convective_derivative(q_ext, w, 0, 1.0, 0.1, gas=GAS, lo=5, hi=5, out=out)
     assert np.all(out == 7.0)
 
 
@@ -454,9 +455,8 @@ def test_convective_argument_validation():
     with pytest.raises(ValueError, match="row range"):
         convective_derivative(q_ext, w, 0, 1.0, 0.1, gas=GAS, row_lo=3,
                               row_hi=2)
-    with pytest.raises(ValueError, match="handoff node range"):
-        convective_derivative(q_ext, w, 0, 1.0, 0.1, gas=GAS, lo=0, hi=6,
-                              handoff=True)
+    with pytest.raises(ValueError, match="nor an interior_split range"):
+        convective_derivative(q_ext, w, 0, 1.0, 0.1, gas=GAS, lo=0, hi=4)
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +477,25 @@ def random_block(shape, seed: int):
 
 def sweep_digest(q_ext, w_ext, axis: int, tile) -> str:
     """SHA-256 over the sweep of the whole axis and of each non-empty
-    ``interior_split`` range, each written into a zeroed buffer."""
+    ``interior_split`` range, each range's nodes copied into a zeroed
+    buffer.  The ranges are swept in turn into one buffer, the interior
+    range first, since the boundary ranges read the edges it hands off."""
     n = q_ext.shape[1 + axis] - 2 * H
     lam = float(np.max(spectral_radius(w_ext, axis, GAS)))
     a, b = interior_split(n)
-    digest = hashlib.sha256()
-    for lo, hi in ((0, n), (0, a), (a, b), (b, n)):
+    nodes = (5,) + tuple(s - 2 * H for s in q_ext.shape[1:])
+    full, cut = np.zeros(nodes), np.zeros(nodes)
+    convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n, gas=GAS,
+                          tile=tile, out=full)
+    for lo, hi in ((a, b), (0, a), (b, n)):
+        convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n, gas=GAS,
+                              lo=lo, hi=hi, tile=tile, out=cut)
+    digest = hashlib.sha256(full.tobytes())
+    for lo, hi in ((0, a), (a, b), (b, n)):
         if hi > lo:
-            out = np.zeros((5,) + tuple(s - 2 * H for s in q_ext.shape[1:]))
-            convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n, gas=GAS,
-                                  lo=lo, hi=hi, tile=tile, out=out)
+            out = np.zeros(nodes)
+            sel = (slice(None),) * (1 + axis) + (slice(lo, hi),)
+            out[sel] = cut[sel]
             digest.update(out.tobytes())
     return digest.hexdigest()
 
@@ -574,7 +583,9 @@ def test_flat_region_bits_are_frozen(velocity):
 def test_row_ranges_reproduce_the_uncut_sweep(shape):
     """Sweeps cut into random row ranges, which start and end inside tiles,
     and into the ``interior_split`` node ranges write the bytes of the uncut
-    sweep, at every tile size and on all three axes."""
+    sweep, at every tile size and on all three axes.  In each row range
+    the interior range is swept first: the boundary ranges read the edges
+    it hands off."""
     q_ext, w_ext = random_block(shape, DIGEST_SHAPES.index(shape))
     rng = np.random.default_rng(17)
     for axis in range(3):
@@ -587,7 +598,7 @@ def test_row_ranges_reproduce_the_uncut_sweep(shape):
             cuts = sorted({0, nrows, *rng.integers(1, nrows, size=3)})
             out = np.zeros_like(full)
             for r0, r1 in zip(cuts, cuts[1:]):
-                for lo, hi in ((0, a), (a, b), (b, n)):
+                for lo, hi in ((a, b), (0, a), (b, n)):
                     convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n,
                                           gas=GAS, lo=lo, hi=hi, row_lo=r0,
                                           row_hi=r1, tile=tile, out=out)
@@ -596,8 +607,8 @@ def test_row_ranges_reproduce_the_uncut_sweep(shape):
 
 @pytest.mark.parametrize("shape", DIGEST_SHAPES + [(11, 12, 24)])
 def test_handoff_sweeps_reproduce_the_uncut_sweep(shape):
-    """The interior sweep, then the two boundary sweeps, all with
-    ``handoff``, write the bytes of the uncut sweep, on all three axes, at
+    """The interior sweep, then the two boundary sweeps, which hand edges
+    off, write the bytes of the uncut sweep, on all three axes, at
     every tile size and over random row ranges (the same for the interior
     and the boundary calls).  The boundary sweeps read the edges the
     interior sweep parks: run alone, they write other bytes wherever the
@@ -617,8 +628,7 @@ def test_handoff_sweeps_reproduce_the_uncut_sweep(shape):
                 for r0, r1 in zip(cuts, cuts[1:]):
                     convective_derivative(q_ext, w_ext, axis, lam, 1.0 / n,
                                           gas=GAS, lo=lo, hi=hi, row_lo=r0,
-                                          row_hi=r1, tile=tile, handoff=True,
-                                          out=out)
+                                          row_hi=r1, tile=tile, out=out)
 
         for tile in (None, 1, 0):
             cuts = sorted({0, nrows, *rng.integers(1, nrows, size=3)})
@@ -632,20 +642,24 @@ def test_handoff_sweeps_reproduce_the_uncut_sweep(shape):
 
 
 def test_handoff_changes_nothing_on_a_thin_block():
-    """With n <= 10 the interior range is empty, and a handoff sweep of
-    each range writes exactly what the plain sweep of that range writes."""
+    """With n <= 10 the interior range is empty and nothing is handed off:
+    each range, swept alone into a zeroed buffer, writes the uncut sweep's
+    bytes in its own nodes and nothing elsewhere."""
     shape = (10, 4, 7)
     q_ext, w_ext = random_block(shape, 9)
     for axis in range(3):
         n = shape[axis]
         a, b = interior_split(n)
+        full = convective_derivative(q_ext, w_ext, axis, 3.0, 1.0 / n,
+                                     gas=GAS)
         for lo, hi in ((0, a), (a, b), (b, n)):
-            plain, handoff = np.zeros((2, 5) + shape)
-            for out, flag in ((plain, False), (handoff, True)):
-                convective_derivative(q_ext, w_ext, axis, 3.0, 1.0 / n,
-                                      gas=GAS, lo=lo, hi=hi, handoff=flag,
-                                      out=out)
-            assert handoff.tobytes() == plain.tobytes(), (axis, lo, hi)
+            sel = (slice(None),) * (1 + axis) + (slice(lo, hi),)
+            want = np.zeros_like(full)
+            want[sel] = full[sel]
+            out = np.zeros_like(full)
+            convective_derivative(q_ext, w_ext, axis, 3.0, 1.0 / n, gas=GAS,
+                                  lo=lo, hi=hi, out=out)
+            assert out.tobytes() == want.tobytes(), (axis, lo, hi)
 
 
 def wrapped_block(shape, seed: int):
@@ -717,23 +731,20 @@ def test_periodic_sweeps_reproduce_the_plain_sweep(n):
 
 
 def test_periodic_sweep_needs_the_whole_axis_without_a_handoff():
-    """A periodic sweep of part of an axis, or one that hands edges off,
-    is refused; a handoff on a line of n <= 5 nodes is no handoff, and a
-    periodic sweep may carry it."""
+    """A periodic sweep of an ``interior_split`` range, which could hand
+    edges off, is refused; on a line of n <= 5 nodes the first of those
+    ranges is the whole axis, and a periodic sweep takes it."""
     q_ext, w_ext = wrapped_block((12, 4, 7), 3)
     periodic = (True,) * 3
     q, w = periodic_layout(q_ext, periodic), periodic_layout(w_ext, periodic)
-    for axis, lo, hi, handoff in [(0, 0, 5, False), (0, 5, 7, False),
-                                  (0, 0, 11, False), (0, 0, 12, True),
-                                  (0, 0, 5, True),
-                                  (0, 7, 12, True), (2, 0, 5, True),
-                                  (2, 5, 7, True)]:
-        with pytest.raises(ValueError, match="node range"):
+    for axis, lo, hi in [(0, 0, 5), (0, 5, 7), (0, 7, 12), (2, 0, 5),
+                         (2, 5, 7)]:
+        with pytest.raises(ValueError, match="periodic node range"):
             convective_derivative(q, w, axis, 3.0, 0.1, gas=GAS, lo=lo,
-                                  hi=hi, handoff=handoff, periodic=periodic)
+                                  hi=hi, periodic=periodic)
     plain = convective_derivative(q_ext, w_ext, 1, 3.0, 0.1, gas=GAS)
     thin = convective_derivative(q, w, 1, 3.0, 0.1, gas=GAS, lo=0, hi=4,
-                                 handoff=True, periodic=periodic)
+                                 periodic=periodic)
     assert thin.tobytes() == plain.tobytes()
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wcnsflow.errors import StencilError
 from wcnsflow.wcns import (EDGE_COEFFS, HALO_WIDTH, IDEAL_WEIGHTS, WEIGHT_EPS,
                            central4_derivative, edge_to_node_derivative,
-                           interpolate_edge, interpolate_line_edges,
+                           edge_value, interpolate_edge, interpolate_line_edges,
                            nonlinear_weights, smoothness_indicators,
                            window_edge_value)
 
@@ -167,51 +167,54 @@ def test_reference_interpolation_bits_are_frozen():
     assert digest.hexdigest() == REFERENCE_DIGEST
 
 
+def random_windows(seed: int) -> np.ndarray:
+    """Five (3, 7) window arrays at scales from 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, size=(5, 1, 1))
+    return rng.normal(size=(5, 3, 7)) * scale
+
+
 @settings(max_examples=50)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_window_edge_value_is_the_indicator_and_weight_formulas(seed):
-    """The in-place edge value performs the operations of
-    ``smoothness_indicators`` and ``nonlinear_weights`` in their order, so
-    it matches their composition bit for bit, with and without ``out``."""
-    rng = np.random.default_rng(seed)
-    scale = 10.0 ** rng.integers(-3, 4, size=(5, 1, 1))
-    w = rng.normal(size=(5, 3, 7)) * scale
-    p0 = (3.0 * w[0] - 10.0 * w[1] + 15.0 * w[2]) * 0.125
-    p1 = (-w[1] + 6.0 * w[2] + 3.0 * w[3]) * 0.125
-    p2 = (3.0 * w[2] + 6.0 * w[3] - w[4]) * 0.125
-    o0, o1, o2 = nonlinear_weights(*smoothness_indicators(*w))
+    """The in-place kernel performs the operations of
+    ``smoothness_indicators`` and ``nonlinear_weights`` and of the weighted
+    substencil sum in their order, on a window whose centre is +0.0, so it
+    matches their composition bit for bit."""
+    w0, w1, _, w3, w4 = random_windows(seed)
+    zero = np.zeros((3, 7))
+    p0 = (3.0 * w0 - 10.0 * w1 + 15.0 * zero) * 0.125
+    p1 = (-w1 + 6.0 * zero + 3.0 * w3) * 0.125
+    p2 = (3.0 * zero + 6.0 * w3 - w4) * 0.125
+    o0, o1, o2 = nonlinear_weights(*smoothness_indicators(w0, w1, zero,
+                                                          w3, w4))
     want = o0 * p0 + o1 * p1 + o2 * p2
-    assert window_edge_value(*w).tobytes() == want.tobytes()
     out = np.full((3, 7), np.nan)
-    assert window_edge_value(*w, out=out) is out
+    assert window_edge_value(w0, w1, w3, w4, out=out) is out
     assert out.tobytes() == want.tobytes()
-    d0, d1, d2 = IDEAL_WEIGHTS
-    ideal = window_edge_value(*w, weights="ideal")
-    assert ideal.tobytes() == (d0 * p0 + d1 * p1 + d2 * p2).tobytes()
 
 
 @settings(max_examples=50)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_window_edge_value_without_centre_is_a_zero_centre(seed):
-    """``w2=None`` gives the bytes of an explicit +0.0 centre, under both
-    weight modes, with and without ``out``."""
-    rng = np.random.default_rng(seed)
-    scale = 10.0 ** rng.integers(-3, 4, size=(5, 1, 1))
-    w = rng.normal(size=(5, 3, 7)) * scale
-    w0, w1, _, w3, w4 = w
-    zero = np.zeros((3, 7))
-    for weights in ("nonlinear", "ideal"):
-        want = window_edge_value(w0, w1, zero, w3, w4, weights=weights)
-        got = window_edge_value(w0, w1, None, w3, w4, weights=weights)
-        assert got.tobytes() == want.tobytes(), weights
-        out = np.full((3, 7), np.nan)
-        assert window_edge_value(w0, w1, None, w3, w4, weights=weights,
-                                 out=out) is out
-        assert out.tobytes() == want.tobytes(), weights
+    """The kernel gives the bytes of the reference ``edge_value`` on an
+    explicit +0.0 centre; the reference's ideal weights are the linear
+    combination of the substencil values, on any centre."""
+    w = random_windows(seed)
+    w0, w1, w2, w3, w4 = w
+    want = edge_value(w0, w1, np.zeros((3, 7)), w3, w4)
+    got = window_edge_value(w0, w1, w3, w4, out=np.empty((3, 7)))
+    assert got.tobytes() == want.tobytes()
+    p0 = (3.0 * w0 - 10.0 * w1 + 15.0 * w2) * 0.125
+    p1 = (-w1 + 6.0 * w2 + 3.0 * w3) * 0.125
+    p2 = (3.0 * w2 + 6.0 * w3 - w4) * 0.125
+    d0, d1, d2 = IDEAL_WEIGHTS
+    assert edge_value(*w, "ideal").tobytes() == \
+        (d0 * p0 + d1 * p1 + d2 * p2).tobytes()
 
 
 def test_window_edge_value_without_centre_on_signed_zeros():
-    """Windows full of +0 and -0 (flat regions, projected): skipping the
+    """Windows full of +0 and -0 (flat regions, projected): dropping the
     centre changes at most the sign of a zero result."""
     rng = np.random.default_rng(23)
     shape = (4, 200)
@@ -222,11 +225,10 @@ def test_window_edge_value_without_centre_on_signed_zeros():
     centre = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
     w0, w1, _, w3, w4 = w
     assert np.signbit(w[zeros]).any() and (w[zeros] == 0.0).all()
-    for weights in ("nonlinear", "ideal"):
-        want = window_edge_value(w0, w1, centre, w3, w4, weights=weights)
-        got = window_edge_value(w0, w1, None, w3, w4, weights=weights)
-        assert np.array_equal(got, want), weights
-        assert (got == 0.0).any()
+    want = edge_value(w0, w1, centre, w3, w4)
+    got = window_edge_value(w0, w1, w3, w4, out=np.empty(shape))
+    assert np.array_equal(got, want)
+    assert (got == 0.0).any()
 
 
 def test_right_bias_is_mirror_of_left_bias():
