@@ -141,18 +141,28 @@ class SocketTransport:
     # -- connection management -------------------------------------------
 
     def _accept_loop(self) -> None:
-        expected = self.ranks - 1 - self.rank  # higher ranks dial in
-        for _ in range(expected):
+        """File the higher ranks as they dial in.  A connection that closes
+        or stalls (past the timeout) before its handshake, or that names no
+        higher rank still to come, is dropped and takes no rank's place."""
+        waiting = set(range(self.rank + 1, self.ranks))
+        while waiting:
             try:
                 conn, _ = self._listener.accept()
-            except (OSError, socket.timeout):
+            except OSError:          # closed, or no dial within the timeout
                 return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            head = _recv_exact(conn, len(MAGIC) + 4)
-            if head[: len(MAGIC)] != MAGIC:
+            conn.settimeout(self.timeout)
+            try:
+                head = _recv_exact(conn, len(MAGIC) + 4)
+            except OSError:          # closed or stalled before its handshake
                 conn.close()
                 continue
             peer = struct.unpack("<I", head[len(MAGIC):])[0]
+            if head[:len(MAGIC)] != MAGIC or peer not in waiting:
+                conn.close()
+                continue
+            waiting.remove(peer)
+            conn.settimeout(None)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._cond:
                 self._peers[peer] = conn
                 self._peer_locks[peer] = threading.Lock()

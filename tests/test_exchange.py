@@ -1,5 +1,7 @@
 """Halo plans, packing, exchange epochs, ghost fills, and transports."""
 
+import socket
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -887,6 +889,32 @@ def test_socket_dial_waits_for_a_late_listener():
         t1.close()
         if t0 is not None:
             t0.close()
+
+
+def test_a_stray_connection_takes_no_dialling_rank_place():
+    """Connections to rank 0's port that close before their handshake,
+    send a wrong magic or name a rank that does not dial rank 0 are
+    dropped; rank 1 dials in after them, and its message arrives in well
+    under the transport's 3 s timeout."""
+    addrs = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+    t0 = SocketTransport(0, addrs, timeout=3.0)
+    t1 = None
+    try:
+        socket.create_connection(addrs[0]).close()
+        for head in (b"NOTMAGIC" + struct.pack("<I", 1),
+                     MAGIC + struct.pack("<I", 5)):
+            with socket.create_connection(addrs[0]) as stray:
+                stray.sendall(head)
+        t1 = SocketTransport(1, addrs, timeout=3.0)
+        t_start = time.monotonic()
+        t1.send(Message(tag=3, source=1, dest=0, payload=np.arange(2.0)))
+        got = t0.recv(tag=3, source=1, dest=0)
+        assert time.monotonic() - t_start < 1.0
+        assert np.array_equal(got.payload, np.arange(2.0))
+    finally:
+        t0.close()
+        if t1 is not None:
+            t1.close()
 
 
 def test_socket_dial_gives_up_naming_the_peer():
