@@ -24,6 +24,7 @@ from .model import model_run
 from .partition import plan_from_text, plan_to_text, split_zone
 from .runner import build_simulation, run_case, run_socket_rank
 from .schedule import Timeline, timeline_report
+from .timestepping import fixed_dt_steps
 
 
 def _ints(text: str) -> list[int]:
@@ -149,8 +150,16 @@ def _cmd_run(args) -> int:
             print(f"rank {args.rank} done")
             return 0
     elif args.model_only:
+        controls = case.controls
+        steps = controls.max_iters
+        if controls.t_end is not None and controls.fixed_dt is not None:
+            steps = fixed_dt_steps(controls)
+        elif controls.t_end is not None and args.max_iters is None:
+            raise WcnsflowError("run --model-only cannot tell how many steps "
+                                "reach t-end without a fixed dt: give "
+                                "--max-iters")
         tl, metrics = model_run(case, build_simulation(case, plan).plan,
-                                steps=max(case.controls.max_iters, 1),
+                                steps=max(steps, 1),
                                 overlap=not args.no_overlap,
                                 coalesce=not args.naive_exchange)
         print(timeline_report(tl))

@@ -94,6 +94,7 @@ from .timestepping import (
     IterationControls,
     block_dt_bound,
     clip_dt,
+    reached_t_end,
     stage_state,
 )
 from .transport import InProcessTransport, Message, SocketTransport
@@ -479,8 +480,7 @@ class RankWorker:
         if controls.max_iters > 0:
             t0 = time.perf_counter()
             while iterations < controls.max_iters and stop == STOP_NONE:
-                if controls.t_end is not None and sim_time >= \
-                        controls.t_end * (1.0 - 1e-15):
+                if reached_t_end(sim_time, controls.t_end):
                     break
                 dt = 0.0
                 for stage in range(STAGES):

@@ -73,3 +73,19 @@ def clip_dt(dt: float, sim_time: float, t_end: float | None) -> float:
         return dt
     remaining = t_end - sim_time
     return remaining if remaining < dt else dt
+
+
+def reached_t_end(sim_time: float, t_end: float | None) -> bool:
+    """The time loop's stop rule: t_end reached, to a relative 1e-15."""
+    return t_end is not None and sim_time >= t_end * (1.0 - 1e-15)
+
+
+def fixed_dt_steps(controls: IterationControls) -> int:
+    """The steps the time loop takes at ``controls.fixed_dt``: up to
+    ``max_iters``, and none once ``t_end`` is reached."""
+    sim_time, steps = 0.0, 0
+    while steps < controls.max_iters and not reached_t_end(sim_time,
+                                                           controls.t_end):
+        sim_time += clip_dt(controls.fixed_dt, sim_time, controls.t_end)
+        steps += 1
+    return steps

@@ -6,6 +6,7 @@ import io
 import struct
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -718,6 +719,38 @@ def test_cli_model_only_run(tmp_path, capsys):
         "a92af44c301314205ecff78bf236e0fa5a23d2adf290dcffd74e42740eb04554"
     assert sha256_of(out_dir / "metrics.csv") == \
         "95cd5dc28412e1507e4302b96c707d60387f3c622dcc108bba21af15b0644fe0"
+
+
+def test_cli_model_only_run_models_the_steps_a_run_takes(tmp_path, capsys):
+    """A case that ends at t-end without a fixed dt has no step count to
+    model: ``--model-only`` exits 2 at once, naming ``--max-iters``, and
+    models that many steps when given it.  With a fixed dt it models the
+    steps the run takes to reach t-end (a shortened last one included),
+    not the case's max-iters."""
+    adaptive = tmp_path / "adaptive.case"
+    assert run_cli("gen", "--kind", "wave", "--n", 8, "--out", adaptive) == 0
+    t_start = time.monotonic()
+    assert run_cli("run", "--case", adaptive, "--model-only",
+                   "--out-dir", tmp_path / "none") == 2
+    assert time.monotonic() - t_start < 5.0
+    assert "give --max-iters" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
+    assert run_cli("run", "--case", adaptive, "--model-only", "--max-iters",
+                   3, "--out-dir", tmp_path / "three") == 0
+    assert metrics_from_csv(str(tmp_path / "three" / "metrics.csv"))[0] \
+        .iterations == 3
+    fixed = tmp_path / "fixed.case"
+    assert run_cli("gen", "--kind", "wave", "--n", 8, "--t-end", 0.0025,
+                   "--fixed-dt", 1e-3, "--out", fixed) == 0
+    rows = []
+    for mode in ((), ("--model-only",)):
+        out_dir = tmp_path / f"fixed{len(mode)}"
+        assert run_cli("run", "--case", fixed, *mode,
+                       "--out-dir", out_dir) == 0
+        (row,) = metrics_from_csv(str(out_dir / "metrics.csv"))
+        rows.append(row)
+    assert [r.timing_source for r in rows] == ["wall", "model"]
+    assert rows[0].iterations == rows[1].iterations == 3
 
 
 def test_cli_sweep_ratio(tmp_path, capsys):
