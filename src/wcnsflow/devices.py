@@ -204,7 +204,9 @@ class DevicePool:
 
     def submit(self, fn, *args):
         """Run ``fn(*args)`` on the calling thread and return its result:
-        the ``Pending`` of a task it sent, or None."""
+        the ``Pending`` of a task it sent, or None.  This is the seam that
+        the benchmark's tracer wraps to time each task and its wait, so
+        every task a rank runs goes through it."""
         return fn(*args)
 
     def send(self, k: int, task) -> Pending:
