@@ -23,15 +23,17 @@ window is taken relative to its centre node, so the centre window is
 exactly zero on both sides and is never formed: per tile the sweep stacks
 the other eight windows (four nodes, plus and minus flux) into one array,
 component x window x side x node x line, and makes one projection call
-into the wave fields, one call of the centre-free edge kernel
-(``wcns.window_edge_value``) for both sides and one call back to state
-space.  The edge
-frame's node terms are formed once per node and shared by the two edges
-beside it.  Every array the tile writes, the edge frame's fields
-included, lives in a per-thread workspace (``wcns.ThreadWorkspace``) that
-is grown to the largest tile the thread has swept and viewed afresh for
-each tile shape, so pool workers never share one; the derivatives reuse
-the windows' region once the windows are projected.  Each of those
+into the wave fields, one call of the centre-free edge kernel for both
+sides and one call back to state space.  That kernel,
+``wcns.window_edge_value``, is the one of ``wcns``'s two edge kernels that
+runs; the other, the plain ``wcns.edge_value``, is the reference that the
+tests' line oracle uses.  The edge frame's node terms are formed once per
+node and shared by the two edges beside it.  Every array the tile writes,
+the edge frame's fields included, lives in a per-thread workspace
+(``wcns.ThreadWorkspace``) that is grown to the largest tile the thread
+has swept and viewed afresh for each tile shape, so pool workers never
+share one; the derivatives reuse the windows' region once the windows are
+projected.  Each of those
 arrays, and each scratch array of the edge-value and edge-to-node
 kernels, starts on a 64-byte cache line (``wcns.ALIGN_BYTES``), where
 wide vector units store fastest; alignment changes no operation.  The
@@ -329,7 +331,8 @@ def _tile_words(rows: int, n2: int, length: int, parked: int = 0) -> int:
     stacked and the eight projected windows (the centre
     window of each side is exactly zero and never stored), edge values and
     the recombined edges, which share their buffer with ``parked`` edges
-    read back from the interior sweep; each array rounded up to whole cache lines.
+    read back from the interior sweep; each array rounded up to whole cache
+    lines.
     The gathered conserved states wait in the plus fluxes' words and the
     derivatives take the stacked windows' words, so neither adds any."""
     lines = rows * n2
@@ -365,9 +368,9 @@ def convective_derivative(
     h: float,
     *,
     gas: GasModel,
-    lo: int | None = None,
+    lo: int = 0,
     hi: int | None = None,
-    row_lo: int | None = None,
+    row_lo: int = 0,
     row_hi: int | None = None,
     tile: int | None = None,
     periodic: tuple[bool, bool, bool] = (False, False, False),
@@ -414,21 +417,17 @@ def convective_derivative(
     elif out.shape != (NCOMP, *n):
         raise ValueError(f"out has shape {out.shape}, not {(NCOMP, *n)}")
     na = n[axis]
-    lo = 0 if lo is None else lo
     hi = na if hi is None else hi
     a, b = interior_split(na)
-    if (lo, hi) not in ((0, na), (0, a), (a, b), (b, na)):
-        raise ValueError(f"node range [{lo},{hi}) is neither [0,{na}) nor "
-                         f"an interior_split range")
+    wrap = periodic[axis]
+    ranges = [(0, na)] if wrap else [(0, na), (0, a), (a, b), (b, na)]
+    if (lo, hi) not in ranges:
+        raise ValueError(f"{'periodic ' if wrap else ''}node range "
+                         f"[{lo},{hi}) is not one of {ranges}")
     nrows = n[1] if axis == 0 else n[0]
-    row_lo = 0 if row_lo is None else row_lo
     row_hi = nrows if row_hi is None else row_hi
     if not (0 <= row_lo <= row_hi <= nrows):
         raise ValueError(f"row range [{row_lo},{row_hi}) outside [0,{nrows})")
-    wrap = periodic[axis]
-    if wrap and (lo, hi) != (0, na):
-        raise ValueError(f"periodic node range [{lo},{hi}) is not the whole "
-                         f"axis [0,{na})")
     if hi == lo or row_hi == row_lo:
         return out
     handoff = a < b and (lo, hi) != (0, na)
@@ -528,7 +527,8 @@ def convective_derivative(
             np.subtract(fm[:, 5 - k:5 - k + ne], ctr_m, out=win[:, i, 1])
         waves = frame.to_waves(win, out=ws.take(NCOMP, 4, 2, ne, lines))
         sides = window_edge_value(waves[:, 0], waves[:, 1], waves[:, 2],
-                                  waves[:, 3], out=ws.take(NCOMP, 2, ne, lines))
+                                  waves[:, 3],
+                                  out=ws.take(NCOMP, 2, ne, lines))
         both = np.add(sides[:, 0], sides[:, 1], out=sides[:, 0])
         all_edges = ws.take(NCOMP, nedges, lines)
         edges = all_edges if own is None else all_edges[:, own]

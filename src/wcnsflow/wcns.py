@@ -176,15 +176,17 @@ def window_edge_value(w0, w1, w3, w4, *, out):
     ws.reserve(4 * aligned_words(*shape))
     b0, b1, b2, u = (ws.take(*shape) for _ in range(4))
     # Jiang-Shu indicators; ``out`` is scratch until the weighted sum.
+    # Without the centre, beta2 is beta0 of the mirrored window (w4, w3).
     c = 13.0 / 12.0
     d = out
-    np.subtract(w0, np.multiply(2.0, w1, out=d), out=d)
-    np.multiply(c, d, out=b0)
-    b0 *= d
-    np.subtract(w0, np.multiply(4.0, w1, out=d), out=d)
-    np.multiply(d, d, out=d)
-    d *= 0.25
-    b0 += d
+    for b, x, y in ((b0, w0, w1), (b2, w4, w3)):
+        np.subtract(x, np.multiply(2.0, y, out=d), out=d)
+        np.multiply(c, d, out=b)
+        b *= d
+        np.subtract(x, np.multiply(4.0, y, out=d), out=d)
+        np.multiply(d, d, out=d)
+        d *= 0.25
+        b += d
     np.add(w1, w3, out=d)
     np.multiply(c, d, out=b1)
     b1 *= d
@@ -192,13 +194,6 @@ def window_edge_value(w0, w1, w3, w4, *, out):
     np.multiply(d, d, out=d)
     d *= 0.25
     b1 += d
-    np.subtract(w4, np.multiply(2.0, w3, out=d), out=d)
-    np.multiply(c, d, out=b2)
-    b2 *= d
-    np.subtract(w4, np.multiply(4.0, w3, out=d), out=d)
-    np.multiply(d, d, out=d)
-    d *= 0.25
-    b2 += d
     # Normalized weights: alpha_k = d_k / (eps + beta_k)^2.
     for b, ideal in zip((b0, b1, b2), IDEAL_WEIGHTS):
         b += WEIGHT_EPS

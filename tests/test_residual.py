@@ -455,7 +455,7 @@ def test_convective_argument_validation():
     with pytest.raises(ValueError, match="row range"):
         convective_derivative(q_ext, w, 0, 1.0, 0.1, gas=GAS, row_lo=3,
                               row_hi=2)
-    with pytest.raises(ValueError, match="nor an interior_split range"):
+    with pytest.raises(ValueError, match=r"is not one of \[\(0, 6\), "):
         convective_derivative(q_ext, w, 0, 1.0, 0.1, gas=GAS, lo=0, hi=4)
 
 

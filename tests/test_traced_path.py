@@ -21,8 +21,8 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
-from tracing import (SpanIndex, Tracer, loop_layers, setup_layers,  # noqa: E402
-                     step_times, to_timeline)
+from tracing import (  # noqa: E402
+    SpanIndex, Tracer, loop_layers, setup_layers, step_times, to_timeline)
 from wcnsflow.runner import run_case  # noqa: E402
 from workloads import WORKLOADS, make_case, setup_case  # noqa: E402
 

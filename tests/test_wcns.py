@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from wcnsflow.errors import StencilError
 from wcnsflow.wcns import (EDGE_COEFFS, HALO_WIDTH, IDEAL_WEIGHTS, WEIGHT_EPS,
                            central4_derivative, edge_to_node_derivative,
-                           edge_value, interpolate_edge, interpolate_line_edges,
-                           nonlinear_weights, smoothness_indicators,
-                           window_edge_value)
+                           edge_value, interpolate_edge,
+                           interpolate_line_edges, nonlinear_weights,
+                           smoothness_indicators, window_edge_value)
 
 finite = {"allow_nan": False, "allow_infinity": False}
 
