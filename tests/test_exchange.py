@@ -751,11 +751,12 @@ def test_sharers_agree_after_exchange():
 # Property: any tiling, any ranks, any faces
 
 @st.composite
-def random_plans(draw):
-    """A zone of 1-13 cells per axis with mixed faces (walls only on axes at
-    least H wide), a random guillotine tiling into blocks of width >= 1,
-    and a random block-to-rank map."""
-    shape = tuple(draw(st.integers(1, 13)) for _ in range(3))
+def random_plans(draw, extent=st.integers(1, 13), cuts=7):
+    """A zone of ``extent`` cells per axis (1-13 by default) with mixed
+    faces (walls only on axes at least H wide), a random guillotine tiling
+    of up to ``cuts`` cuts into blocks of width >= 1, and a random
+    block-to-rank map."""
+    shape = tuple(draw(extent) for _ in range(3))
     boundary = []
     for n in shape:
         kinds = ["periodic", "outflow", "inflow"] + (["wall"] if n >= H else [])
@@ -765,7 +766,7 @@ def random_plans(draw):
         boundary += [lo, hi]
     z = zone(shape, tuple(boundary))
     boxes = [((0, 0, 0), shape)]
-    for _ in range(draw(st.integers(0, 7))):
+    for _ in range(draw(st.integers(0, cuts))):
         i = draw(st.integers(0, len(boxes) - 1))
         lo, hi = boxes[i]
         axes = [a for a in range(3) if hi[a] - lo[a] > 1]

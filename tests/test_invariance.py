@@ -16,6 +16,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_exchange import blocks_plan, random_plans
 
 from wcnsflow import halo, runner
 from wcnsflow.cases import case_plan, corner_case, cpu_only_variant, \
@@ -139,6 +142,29 @@ def test_narrow_blocks_without_overlap_or_coalescing(case_and_reference):
     got, plan = run_zone(case, 8, 2, overlap=False, coalesce=False)
     assert max(min(b.shape) for b in plan.blocks) < HALO_WIDTH
     assert np.array_equal(got, reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_plans(st.one_of(st.integers(1, 2 * HALO_WIDTH),
+                             st.integers(2 * HALO_WIDTH + 1, 14)), cuts=6),
+       st.integers(1, 2), st.booleans(), st.sampled_from([None, 100.0]))
+def test_runs_match_single_block_run_on_random_plans(drawn, workers, overlap,
+                                                     reynolds):
+    # Two fixed steps of the wave on any tiling of up to 7 blocks over up
+    # to 3 ranks, with mixed faces, leave every interior bit of the 1-block
+    # run.  Half the zone's axes are drawn wider than 2 H, so that lines
+    # with a halo-free range, the ones a sweep may cut, are common.
+    z, blocks, rank_of_block, coalesce = drawn
+    wave = wave_case(8, t_end=None, fixed_dt=1e-3)
+    case = replace(wave, zone=z, gas=GasModel(reynolds=reynolds),
+                   block_widths=tuple((n,) for n in z.shape),
+                   controls=replace(wave.controls, max_iters=2))
+    one = run_case(case, max_workers=1)
+    out = run_case(case, blocks_plan(z, blocks, rank_of_block),
+                   overlap=overlap, coalesce=coalesce, max_workers=workers)
+    assert out.iterations == one.iterations == 2
+    assert np.array_equal(assemble_zone(out.fields, out.plan),
+                          assemble_zone(one.fields, one.plan))
 
 
 # Blocks fed by another rank that span a periodic axis of more than 10
