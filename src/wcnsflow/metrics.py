@@ -119,31 +119,22 @@ def metrics_from_csv(target) -> list[RunMetrics]:
     if missing:
         raise CaseFormatError(
             f"{name}: metrics header lacks the columns {','.join(missing)}")
+    # A cell reads by the type its field is annotated with.
+    read = {"int": int, "float": float, "str": str, "bool": "1".__eq__}
     out = []
     for row, ln in enumerate(lines[1:], 1):
-        cells = ln.split(",")
-        rec = dict(zip(header, cells))
+        rec = dict(zip(header, ln.split(",")))
         kwargs = {}
         for f in dc_fields(RunMetrics):
             raw = rec.get(f.name, "")
-            if raw == "":
-                if f.name in ("label", "extra"):
-                    kwargs[f.name] = ""
-                elif f.name in required:
+            kind = f.type.partition(" |")[0]
+            if raw == "" and kind != "str":
+                if f.name in required:
                     raise CaseFormatError(f"{name}: row {row} has no {f.name}")
-                else:
-                    kwargs[f.name] = None
+                kwargs[f.name] = None
                 continue
             try:
-                if f.name in ("total_cells", "iterations", "messages",
-                              "message_bytes"):
-                    kwargs[f.name] = int(raw)
-                elif f.name == "converged":
-                    kwargs[f.name] = raw == "1"
-                elif f.name in ("label", "extra"):
-                    kwargs[f.name] = raw
-                else:
-                    kwargs[f.name] = float(raw)
+                kwargs[f.name] = read[kind](raw)
             except ValueError:
                 raise CaseFormatError(
                     f"{name}: row {row} cannot read {f.name}={raw!r}") from None

@@ -385,7 +385,7 @@ def regroup_blocks(blocks: list[Block], ghosts: list[GhostSource], ranks: int,
     rank_of_block = [-1] * len(blocks)
 
     # Contiguous chunks in id (spatial) order; cumulative targets avoid
-    # rounding drift across ranks.
+    # rounding drift across ranks, and the last rank takes every block left.
     ordered = sorted(blocks, key=lambda b: b.id)
     taken = 0
     cum = 0
@@ -402,8 +402,6 @@ def regroup_blocks(blocks: list[Block], ghosts: list[GhostSource], ranks: int,
             cum += b.cells
             count += 1
             taken += 1
-    for b in ordered[taken:]:
-        rank_of_block[b.id] = ranks - 1
 
     nbrs_of: dict[int, set[int]] = {b.id: set() for b in blocks}
     for g in ghosts:

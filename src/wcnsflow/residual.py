@@ -68,13 +68,14 @@ j % n, and the kernels read it there.  Every kernel that reads a block
 array takes the block's ``periodic`` triple, from which
 ``partition.axis_margins`` gives the array's margins.  A periodic sweep
 (``periodic[axis]``) gathers each tile's n interior nodes and fills the
-five nodes before them, which edges 0 .. n-1 also read, from those by j % n (``periodic_runs``), in a few
-contiguous copies inside the tile.  Edge j + n reads the six nodes that
-edge j reads, so of a line's n + 5 edge values only n are distinct: the
-sweep computes those n edges and fills the other five slots by the rule
-edge[j] = edge[j % n], which also holds when n < 5 and the halo wraps more
-than once.  Each edge it computes sees the operations of the
-plain sweep, over ghosts that wrap the interior, in their order, so the
+five nodes before them, which edges 0 .. n-1 also read, from those by
+j % n, in a few contiguous copies inside the tile.  Edge j + n reads the
+six nodes that edge j reads, so of a line's n + 5 edge values only n are
+distinct: the sweep computes those n edges and fills the other five slots
+by the rule edge[j] = edge[j % n], which also holds when n < 5 and the
+halo wraps more than once.  Both fills, and the viscous ones below, are
+``wrap_periodic``.  Each edge it computes sees the operations of the plain
+sweep, over ghosts that wrap the interior, in their order, so the
 derivatives keep those bits.
 
 The viscous terms have periodic lines on the same axes.  Their gradient
@@ -142,18 +143,17 @@ def interior_split(n: int) -> tuple[int, int]:
     return a, b
 
 
-def periodic_runs(n: int, lo: int, hi: int) -> list[tuple[int, int, int, int]]:
-    """Nodes ``lo .. hi-1`` of a periodic line of ``n`` nodes as runs
-    ``(d0, d1, s0, s1)``: nodes ``lo + d0 .. lo + d1 - 1`` are interior
-    nodes ``s0 .. s1 - 1``, taken by ``j % n``."""
-    runs = []
-    j = lo
-    while j < hi:
-        s = j % n
-        k = min(n - s, hi - j)
-        runs.append((j - lo, j - lo + k, s, s + k))
-        j += k
-    return runs
+def wrap_periodic(a: np.ndarray, lead: int, n: int) -> None:
+    """Fill the slots of ``a`` along axis 1 before and after the ``n``
+    nodes of a periodic line at ``lead:lead + n``: slot ``lead + j`` takes
+    node ``j % n``, in contiguous copies, so a line shorter than the slots
+    wraps more than once."""
+    for end in range(lead, 0, -n):
+        k = min(n, end)
+        a[:, end - k:end] = a[:, lead + n - k:lead + n]
+    for j in range(lead + n, a.shape[1], n):
+        k = min(n, a.shape[1] - j)
+        a[:, j:j + k] = a[:, lead:lead + k]
 
 
 def block_wavespeed_bound(w_int: np.ndarray,
@@ -459,14 +459,11 @@ def convective_derivative(
 
     # The needed array nodes [start, stop) along the sweep axis, interior
     # on the cross axes.  A periodic line gathers its n nodes after
-    # ``body`` = H leading slots and fills those from them by j % n (the
-    # ``lead`` runs).
+    # ``body`` = H leading slots and fills those from them by j % n.
     length = stop - start
     sl = [slice(g, g + k) for g, k in zip(m, n)]
-    if wrap:
-        body, lead = H, periodic_runs(na, -H, 0)
-    else:
-        body, lead = 0, []
+    body = H if wrap else 0
+    if not wrap:
         sl[axis] = slice(start, stop)
     q = np.moveaxis(q_ext[(slice(None),) + tuple(sl)], 1 + axis, 3)
     w = np.moveaxis(w_ext[(slice(None),) + tuple(sl)], 1 + axis, 3)
@@ -493,8 +490,8 @@ def convective_derivative(
 
         def gather(a: np.ndarray, src: np.ndarray) -> None:
             np.copyto(grid(a)[..., body:], src[:, cs])
-            for d0, d1, s0, s1 in lead:
-                a[:, d0:d1] = a[:, body + s0:body + s1]
+            if wrap:
+                wrap_periodic(a, H, na)
 
         # One gather each of the primitives and the conserved states; q
         # waits in fp's buffer until fp is formed.
@@ -537,11 +534,7 @@ def convective_derivative(
         if parked is not None:
             np.copyto(grid(all_edges[:, parked]), dst[:, cs])
         if wrap:
-            # edge[j] = edge[j % n]; a line shorter than H wraps more
-            # than once.
-            for j in range(na, nedges, na):
-                k = min(na, nedges - j)
-                all_edges[:, j:j + k] = all_edges[:, :k]
+            wrap_periodic(all_edges, 0, na)       # edge[j] = edge[j % n]
         for ends, park in parks:
             np.copyto(park[:, cs], grid(edges[:, ends]))
         # The derivatives go into the windows' dead region, then to ``dst``
@@ -608,9 +601,7 @@ def velocity_temperature_gradients(
         np.copyto(body[:3], seg[1:4])
         np.divide(seg[4], seg[0], out=body[3])     # T, as state.temperature
         if periodic[a]:
-            for d0, d1, s0, s1 in periodic_runs(n, -2, n + 2):
-                if d0 != 2 + s0:
-                    f[:, d0:d1] = f[:, 2 + s0:2 + s1]
+            wrap_periodic(f, 2, n)
         d = central4_derivative(f.reshape(4, n + 4, -1), spacing[a],
                                 node_axis=1)
         grad[:, a] = np.moveaxis(d.reshape((4, n) + lines), 1, 1 + a)
@@ -645,15 +636,17 @@ def viscous_derivative(
         gas,
         axis,
     )
-    # One gather puts the lines node-major (component x node x line).
+    # One gather puts the lines node-major (component x node x line); a
+    # periodic line fills the two nodes beyond each end by j % n.
     n = nshape[axis]
     flux = _node_major(flux, axis)
-    if grads.periodic[axis]:
-        flux = flux.take((np.arange(n + 4) - 2) % n, axis=1)
-    else:
-        flux = np.ascontiguousarray(flux)
-    d = central4_derivative(flux.reshape(NCOMP, n + 4, -1), h, node_axis=1)
-    out[...] = np.moveaxis(d.reshape((NCOMP, n) + flux.shape[2:]), 1, 1 + axis)
+    lead = 2 if grads.periodic[axis] else 0
+    f = np.empty((NCOMP, n + 4) + flux.shape[2:])
+    np.copyto(f[:, lead:n + 4 - lead], flux)
+    if lead:
+        wrap_periodic(f, lead, n)
+    d = central4_derivative(f.reshape(NCOMP, n + 4, -1), h, node_axis=1)
+    out[...] = np.moveaxis(d.reshape((NCOMP, n) + f.shape[2:]), 1, 1 + axis)
     return out
 
 

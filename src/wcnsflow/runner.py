@@ -45,10 +45,11 @@ bitwise identical across block counts, rank counts and worker counts.
 
 Runs measure wall time, and report only what they measured.  Rank threads
 (``run_case``) and socket ranks (``run_socket_rank``) hand their per-rank
-results to one function, ``_outcome``, which checks for divergence, merges
-every rank's fields and ``ExchangeTotals`` (the one traffic record, which
-every exchange epoch returns), and builds the metrics row of cells, steps,
-wall time, traffic and convergence, so both paths report the same outcome.
+results to one function, ``_outcome``, which raises any divergence (a
+socket rank other than 0 raises its own there), merges every rank's fields
+and ``ExchangeTotals`` (the one traffic record, which every exchange epoch
+returns), and builds the metrics row of cells, steps, wall time, traffic
+and convergence, so both paths report the same outcome.
 Every error that a run raises carries the ``rank`` it comes from, and a
 ``DivergenceError`` names that rank in its text.  Modeled numbers come only
 from ``model.model_run``.
@@ -719,10 +720,7 @@ def run_socket_rank(case: Case, rank: int,
                 transport.send(Message(tag=tag, source=rank, dest=0,
                                        payload=payload))
             if res.stop >= STOP_DIVERGED:
-                raise DivergenceError(
-                    f"run diverged after {res.iterations} steps"
-                    + (f": {res.error}" if res.error else ""),
-                    step=res.iterations, rank=rank) from res.error
+                _outcome(sim, [res])            # raises, naming this rank
             return None
 
         results = [res]
