@@ -7,6 +7,7 @@ goes through, serial runs included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,8 @@ class IterationControls:
     """Knobs of the time loop (``runner.RankWorker.run``).
 
     ``tolerance`` is the relative drop of the residual L2 norm against the
-    first iteration; ``None`` disables the convergence check.
+    first iteration; ``None`` disables the convergence check.  ``cfl``, and
+    each of the others that is not None, must be finite and positive.
     """
 
     max_iters: int = 50
@@ -65,6 +67,13 @@ class IterationControls:
     fixed_dt: float | None = None
     t_end: float | None = None
     tolerance: float | None = 1.0e-8
+
+    def __post_init__(self):
+        for name in ("cfl", "fixed_dt", "t_end", "tolerance"):
+            v = getattr(self, name)
+            if (v is not None or name == "cfl") and not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {v}")
 
 
 def clip_dt(dt: float, sim_time: float, t_end: float | None) -> float:

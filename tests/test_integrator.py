@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from wcnsflow import runner
-from wcnsflow.cases import (Case, corner_case, exact_density, initial_fields,
-                            sod_case, wave_case, with_ranks)
-from wcnsflow.errors import DivergenceError
+from wcnsflow.cases import (Case, case_from_text, case_to_text, corner_case,
+                            exact_density, initial_fields, sod_case,
+                            wave_case, with_ranks)
+from wcnsflow.errors import CaseFormatError, DivergenceError
 from wcnsflow.fields import assemble_zone, cell_centers
 from wcnsflow.partition import ZoneSpec
 from wcnsflow.riemann import SOD_LEFT, SOD_RIGHT, solve_riemann
@@ -203,6 +204,32 @@ def test_zero_max_iters_returns_input_unchanged():
     assert out.iterations == 0
     assert out.wall_seconds == 0.0
     assert out.norm_history == []
+
+
+# A value of each that once ended a run as "diverged after 0 completed
+# steps", reported convergence after one step, or ran to max_iters.
+BAD_CONTROLS = [("fixed_dt", -1e-3), ("fixed_dt", 0.0), ("fixed_dt", math.nan),
+                ("cfl", -0.5), ("cfl", math.inf), ("tolerance", -1.0),
+                ("t_end", math.nan), ("t_end", 0.0)]
+
+
+@pytest.mark.parametrize("name, value", BAD_CONTROLS)
+def test_controls_refuse_values_that_end_a_run_without_a_cause(name, value):
+    error = f"^{name} must be finite and positive, got {value}$"
+    with pytest.raises(ValueError, match=error):
+        small_wave(**{name: value})
+    # Through a generator, and through the time record of a case text.
+    make = sod_case if name == "cfl" else wave_case
+    if name != "tolerance":
+        with pytest.raises(ValueError, match=error):
+            make(8, **{name: value})
+    key = {"fixed_dt": "dt", "t_end": "t-end"}.get(name, name)
+    text = case_to_text(small_wave(t_end=0.1)).splitlines()
+    (i,) = [i for i, ln in enumerate(text) if ln.startswith("time ")]
+    text[i] = " ".join(f"{key}={value!r}" if w.startswith(f"{key}=") else w
+                       for w in text[i].split())
+    with pytest.raises(CaseFormatError, match=f"time record: {error[1:]}"):
+        case_from_text("\n".join(text) + "\n")
 
 
 def test_iteration_cap_is_honored():

@@ -684,18 +684,21 @@ def test_a_rank_that_raises_ends_the_run_with_its_error(monkeypatch):
                 if t.name.startswith("rank")]
 
 
-def fail_on_rank(monkeypatch, rank, exc, epoch=4):
-    """Rank ``rank``'s stage residual raises ``exc`` after its exchange at
-    ``epoch`` (stage 1 of the second step), as a bad state found while
-    converting the grown box would; every other stage runs as usual."""
-    stage_residual = RankWorker._stage_residual
+def fail_on_rank(monkeypatch, rank, exc, epoch=4, piece="_stage_residual"):
+    """Rank ``rank``'s stage piece ``piece`` raises ``exc`` at ``epoch``
+    (stage 1 of the second step) after it has run, as a bad state found
+    while converting would: ``_stage_residual`` after its exchange,
+    ``_stage_start`` before the stage's reduction.  Every other stage runs
+    as usual."""
+    run_piece = getattr(RankWorker, piece)
 
-    def failing(self, lams, at):
-        stage_residual(self, lams, at)
-        if self.rank == rank and at == epoch:
+    def failing(self, *args):
+        out = run_piece(self, *args)
+        if self.rank == rank and self.epoch == epoch:
             raise exc
+        return out
 
-    monkeypatch.setattr(RankWorker, "_stage_residual", failing)
+    monkeypatch.setattr(RankWorker, piece, failing)
 
 
 def test_a_one_rank_run_names_its_rank(monkeypatch):
@@ -715,22 +718,26 @@ def test_a_one_rank_run_names_its_rank(monkeypatch):
 
 
 def test_a_run_where_only_rank_1_diverges_names_rank_1(monkeypatch):
+    # A bad state found at the stage start or after the exchange.
     bad = InvalidStateError("injected", block_id=5)
-    fail_on_rank(monkeypatch, 1, bad)
     case = on_ranks(wave_case(16, t_end=0.004, fixed_dt=1e-3), 8, 2)
-    with pytest.raises(DivergenceError, match=r"injected block=5 rank=1 "
-                       r"step=1$") as err:
-        run_case(case, max_workers=1)
-    assert err.value.rank == 1 and err.value.__cause__ is bad
-    # Over sockets each rank raises: rank 1 its own error, rank 0 one that
-    # names rank 1, though the cause stays in rank 1's process.
-    _, errors = socket_ranks(case, max_workers=1)
-    assert sorted(errors) == [0, 1]
-    assert all(type(e) is DivergenceError for e in errors.values())
-    assert [errors[r].rank for r in range(2)] == [1, 1]
-    assert str(errors[1]).endswith("injected block=5 rank=1 step=1")
-    assert str(errors[0]).endswith(
-        "rank 1 failed; its own error names the cause rank=1 step=1")
+    for piece in ("_stage_start", "_stage_residual"):
+        with monkeypatch.context() as patch:
+            fail_on_rank(patch, 1, bad, piece=piece)
+            with pytest.raises(DivergenceError, match=r"injected block=5 "
+                               r"rank=1 step=1$") as err:
+                run_case(case, max_workers=1)
+            assert err.value.rank == 1 and err.value.__cause__ is bad
+            # Over sockets each rank raises: rank 1 the error of the run in
+            # process, rank 0 one that names rank 1, though the cause stays
+            # in rank 1's process.
+            _, errors = socket_ranks(case, max_workers=1)
+        assert sorted(errors) == [0, 1]
+        assert all(type(e) is DivergenceError for e in errors.values())
+        assert [errors[r].rank for r in range(2)] == [1, 1]
+        assert str(errors[1]) == str(err.value)
+        assert str(errors[0]).endswith(
+            "rank 1 failed; its own error names the cause rank=1 step=1")
 
 
 def truncate_sends_of(monkeypatch, rank):

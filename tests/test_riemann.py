@@ -97,3 +97,25 @@ def test_vacuum_generation_rejected():
                       RiemannState(1.0, 20.0, 1.0), gamma=GAMMA)
     with pytest.raises(InvalidStateError):
         solve_riemann(RiemannState(-1.0, 0.0, 1.0), SOD_RIGHT, gamma=GAMMA)
+
+
+def test_mirrored_sod_samples_the_left_shock():
+    # States swapped and velocities negated: the shock now moves left, so
+    # sampling takes the left-shock and right-rarefaction branches, and the
+    # solution is Sod's mirrored, to rounding.
+    sod = solve_riemann(SOD_LEFT, SOD_RIGHT, gamma=GAMMA)
+    mirror = solve_riemann(RiemannState(SOD_RIGHT.rho, -SOD_RIGHT.u,
+                                        SOD_RIGHT.p),
+                           RiemannState(SOD_LEFT.rho, -SOD_LEFT.u, SOD_LEFT.p),
+                           gamma=GAMMA)
+    assert mirror.left.p < mirror.p_star < mirror.right.p
+    assert mirror.u_star == pytest.approx(-sod.u_star, rel=1e-12)
+    xi = np.linspace(-2.0, 2.0, 2001)
+    rho, u, p = sod.sample(xi)
+    rho_m, u_m, p_m = mirror.sample(-xi)
+    np.testing.assert_allclose(rho_m, rho, rtol=1e-12)
+    np.testing.assert_allclose(u_m, -u, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(p_m, p, rtol=1e-12)
+    # Both sides of the left shock are sampled: the undisturbed state and
+    # the post-shock plateau.
+    assert rho_m[-1] == SOD_RIGHT.rho and np.any(rho_m > 0.25)
