@@ -87,7 +87,10 @@ def _cmd_gen(args) -> int:
                 raise WcnsflowError("gen --n takes one size, or nx,ny,nz "
                                     "for --kind uniform")
         kwargs[param] = value
-    case = maker(**kwargs)
+    try:
+        case = maker(**kwargs)
+    except ValueError as exc:       # a model refused a flag's value
+        raise WcnsflowError(str(exc)) from None
     if args.ranks is not None:
         case = with_ranks(case, args.ranks)
     save_case(case, args.out)

@@ -120,7 +120,7 @@ def metrics_from_csv(target) -> list[RunMetrics]:
         raise CaseFormatError(
             f"{name}: metrics header lacks the columns {','.join(missing)}")
     # A cell reads by the type its field is annotated with.
-    read = {"int": int, "float": float, "str": str, "bool": "1".__eq__}
+    read = {"int": int, "float": float, "str": str, "bool": lambda c: c == "1"}
     out = []
     for row, ln in enumerate(lines[1:], 1):
         rec = dict(zip(header, ln.split(",")))

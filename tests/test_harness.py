@@ -665,6 +665,15 @@ def test_cli_gen_passes_every_flag_the_kind_takes(tmp_path):
     assert len(case_plan(case).blocks) == 4
 
 
+def test_cli_gen_refuses_a_time_control_that_would_end_a_run(tmp_path,
+                                                             capsys):
+    path = tmp_path / "sod.case"
+    assert run_cli("gen", "--kind", "sod", "--cfl", -0.5, "--out", path) == 2
+    assert capsys.readouterr().err == \
+        "error: cfl must be finite and positive, got -0.5\n"
+    assert not path.exists()
+
+
 def sha256_of(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
